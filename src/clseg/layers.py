@@ -7,8 +7,10 @@ preserving, so the whole stack runs in float32 for training and float64
 for gradient checking.
 
 Convolution is computed as an im2col-style matrix product, chunked over
-depth slabs to bound the unrolled-patch buffer; the input gradient reuses
-the same fast path as a full correlation with the flipped kernel.
+depth slabs so that one unrolled-patch buffer is alive at a time, of at
+most COL_BUDGET_ELEMS elements or one depth slice if that is larger; the
+input gradient reuses the same path as a full correlation with the
+flipped kernel.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from . import _kernels
-
-# Upper bound on the im2col buffer, in elements (64 MB in float32).
-_COL_BUDGET_ELEMS = 16 * 1024 * 1024
+# Upper bound on the im2col buffer, in elements (64 MB in float32). Whole-
+# subject inference sizes its tiles by the same bound.
+COL_BUDGET_ELEMS = 16 * 1024 * 1024
 
 
 class ContractError(ValueError):
@@ -47,7 +48,7 @@ def _conv_slabs(x, weight, out):
     oD, oH, oW = D - k + 1, H - k + 1, W - k + 1
     wm = weight.reshape(Co, -1)
     ckk = Ci * k * k * k
-    slab = max(1, min(oD, _COL_BUDGET_ELEMS // max(1, ckk * oH * oW)))
+    slab = max(1, min(oD, COL_BUDGET_ELEMS // max(1, ckk * oH * oW)))
     sB, sC, sD, sH, sW = x.strides
     for z0 in range(0, oD, slab):
         z1 = min(z0 + slab, oD)
@@ -58,6 +59,7 @@ def _conv_slabs(x, weight, out):
         cols = view.reshape(B, ckk, (z1 - z0) * oH * oW)
         for b in range(B):
             out[b, :, z0:z1] = (wm @ cols[b]).reshape(Co, z1 - z0, oH, oW)
+        del cols  # free this slab before the next one is unrolled
     return out
 
 
@@ -76,14 +78,11 @@ def conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.nd
     if k == 1:
         out = np.tensordot(weight[:, :, 0, 0, 0], x, axes=([1], [1]))
         out = np.ascontiguousarray(out.transpose(1, 0, 2, 3, 4))
-    elif _kernels.HAVE_NUMBA:
-        out = np.empty((B, Co, D - k + 1, H - k + 1, W - k + 1), dtype=x.dtype)
-        _kernels.conv3d_forward_kernel(
-            np.ascontiguousarray(x), np.ascontiguousarray(weight), out)
     else:
         out = np.empty((B, Co, D - k + 1, H - k + 1, W - k + 1), dtype=x.dtype)
         _conv_slabs(x, weight, out)
-    return out + bias.reshape(1, -1, 1, 1, 1).astype(x.dtype)
+    out += bias.reshape(1, -1, 1, 1, 1).astype(x.dtype)
+    return out
 
 
 def conv3d_backward(x: np.ndarray, weight: np.ndarray,
@@ -105,19 +104,10 @@ def conv3d_backward(x: np.ndarray, weight: np.ndarray,
         grad_x = np.ascontiguousarray(grad_x.transpose(1, 0, 2, 3, 4))
         return grad_x, grad_w.astype(weight.dtype), grad_bias
 
-    if _kernels.HAVE_NUMBA:
-        xc = np.ascontiguousarray(x)
-        gc = np.ascontiguousarray(grad_out)
-        grad_w = np.empty_like(weight)
-        _kernels.conv3d_grad_weight_kernel(xc, gc, grad_w)
-        grad_x = np.empty_like(x)
-        _kernels.conv3d_grad_input_kernel(gc, np.ascontiguousarray(weight), grad_x)
-        return grad_x, grad_w, grad_bias
-
     # weight gradient: same unrolled patches as forward, contracted with grad_out
     ckk = Ci * k * k * k
     grad_w = np.zeros((Co, ckk), dtype=weight.dtype)
-    slab = max(1, min(oD, _COL_BUDGET_ELEMS // max(1, ckk * oH * oW)))
+    slab = max(1, min(oD, COL_BUDGET_ELEMS // max(1, ckk * oH * oW)))
     sB, sC, sD, sH, sW = x.strides
     for z0 in range(0, oD, slab):
         z1 = min(z0 + slab, oD)
@@ -129,6 +119,7 @@ def conv3d_backward(x: np.ndarray, weight: np.ndarray,
         g = grad_out[:, :, z0:z1].reshape(B, Co, -1)
         for b in range(B):
             grad_w += g[b] @ cols[b].T
+        del cols
     grad_w = grad_w.reshape(weight.shape)
 
     # input gradient: full correlation of grad_out with the flipped kernel
@@ -221,8 +212,8 @@ def transposed_conv3d_backward(x: np.ndarray, weight: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def relu_forward(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+def relu_forward(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, 0, out=out)
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:

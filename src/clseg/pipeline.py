@@ -17,8 +17,8 @@ from .config import ConfigError, RunConfig
 from .evaluation import EvalConfig, PatientEval, build_report, evaluate_patient, write_report_files
 from .optim import AdamState
 from .sampling import PatchSampler, TrainingSubject
-from .unet import (NetworkParams, build_network, load_checkpoint, normalize_volume,
-                   save_checkpoint, sliding_window_inference, train_step)
+from .unet import (CheckpointError, NetworkParams, build_network, load_checkpoint,
+                   normalize_volume, save_checkpoint, sliding_window_inference, train_step)
 
 PREDICTION_NAMES = ("cl_pred", "tissue_pred", "cl_prob")
 
@@ -74,13 +74,21 @@ def write_run_manifest(out_dir: Path, cfg: RunConfig, command: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _checkpoint_paths(out_dir: Path) -> list[tuple[int, Path]]:
+def _load_latest_checkpoint(out_dir: Path):
+    """(path, load_checkpoint result) of the newest checkpoint that loads,
+    or None. A run killed while writing one, or a truncated payload, leaves
+    an incomplete checkpoint, which is skipped."""
     found = []
-    for p in sorted(out_dir.glob("checkpoint_*.json")):
+    for p in out_dir.glob("checkpoint_*.json"):
         stem = p.name[len("checkpoint_"):-len(".json")]
         if stem.isdigit():
             found.append((int(stem), p.with_suffix("")))
-    return found
+    for _, path in sorted(found, reverse=True):
+        try:
+            return path, load_checkpoint(path)
+        except CheckpointError:
+            continue
+    return None
 
 
 def _stack_batch(patches) -> dict:
@@ -109,9 +117,9 @@ def run_training(cfg: RunConfig, out_dir: str | Path,
                  subject_ids: list[str] | None = None, resume: bool = True) -> Path:
     """Train per the config; emits loss.csv and periodic checkpoints.
 
-    Resumable: with `resume`, continues from the newest checkpoint in
-    out_dir and reproduces the uninterrupted run exactly (the sampler is
-    draw-indexed, so only the draw counter is state).
+    Resumable: with `resume`, continues from the newest complete
+    checkpoint in out_dir and reproduces the uninterrupted run exactly (the
+    sampler is draw-indexed, so only the draw counter is state).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -121,10 +129,9 @@ def run_training(cfg: RunConfig, out_dir: str | Path,
 
     start_iter = 0
     draws = 0
-    existing = _checkpoint_paths(out_dir) if resume else []
-    if existing:
-        start_iter, ckpt = existing[-1]
-        params, state, start_iter, draws = load_checkpoint(ckpt)
+    latest = _load_latest_checkpoint(out_dir) if resume else None
+    if latest is not None:
+        ckpt, (params, state, start_iter, draws) = latest
         if params.config != cfg.network:
             raise ConfigError(f"checkpoint {ckpt} config differs from run config")
     else:

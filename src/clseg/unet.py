@@ -13,6 +13,14 @@ Channel plan for base width C (in channels 3):
     enc3: 4C->4C, 4C->8C     heads: 2C->3 (x2)
     up2: 8C->8C, up1: 4C->4C (transposed)
 
+Without a cache, `forward` frees each activation once it is dead and
+applies ReLU in place, so its memory peak stays near the widest single
+activation plus one im2col slab. Whole subjects are predicted with
+overlap tiles (U-Net's overlap-tile strategy): the largest cubic tile
+whose widest activation fits the im2col budget, placed on a grid that
+keeps pooling aligned, so the tiled prediction equals one forward pass
+over the whole mirror-padded volume.
+
 Parameter serialization order is the order of `param_specs`, kernel then
 bias per layer, little-endian float32. Decoder concatenation order is
 [up-convolved features, cropped skip features].
@@ -21,6 +29,7 @@ bias per layer, little-endian float32. Decoder concatenation order is
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -33,8 +42,6 @@ from .optim import AdamState, adam_step
 
 SHRINK_PER_SIDE = 40  # total valid-conv shrinkage of the 3-level network
 MIN_INPUT_SIDE = 44
-INFERENCE_WINDOW = 68
-INFERENCE_MARGIN = (INFERENCE_WINDOW - (INFERENCE_WINDOW - SHRINK_PER_SIDE)) // 2  # 20
 
 CONTRAST_CHANNELS = {"mp2rage": 0, "t2s_epi": 1, "t2s_gre": 2}
 DROPPABLE_CHANNELS = ("t2s_epi", "t2s_gre")  # MP2RAGE is never dropped
@@ -153,18 +160,20 @@ def build_network(cfg: NetworkConfig, seed: int, dtype=np.float32) -> NetworkPar
 
 
 def _unit_forward(params, name, x, cache, norm=False):
-    """conv (+ optional instance norm) + relu, caching for backward."""
+    """conv (+ optional instance norm) + relu, caching for backward.
+
+    Without a cache the ReLU overwrites the pre-activation in place.
+    """
     k = params.tensors[f"{name}.kernel"]
     b = params.tensors[f"{name}.bias"]
-    c = layers.conv3d_forward(x, k, b)
+    pre = layers.conv3d_forward(x, k, b)
     norm_cache = None
-    pre = c
     if norm:
-        pre, norm_cache = layers.instance_norm_forward(c)
-    out = layers.relu_forward(pre)
-    if cache is not None:
-        cache[name] = (x, pre, norm_cache)
-    return out
+        pre, norm_cache = layers.instance_norm_forward(pre)
+    if cache is None:
+        return layers.relu_forward(pre, out=pre)
+    cache[name] = (x, pre, norm_cache)
+    return layers.relu_forward(pre)
 
 
 def _unit_backward(params, name, grad, cache, grads):
@@ -193,27 +202,38 @@ def forward(params: NetworkParams, x: np.ndarray, want_cache: bool = False):
     norm = cfg.instance_norm
     cache: dict | None = {} if want_cache else None
 
+    # Each activation is released as soon as it is dead (`del`); with a
+    # cache the arrays stay alive through the cache for backward.
     e1 = _unit_forward(params, "enc1a", x, cache, norm)
     s1 = _unit_forward(params, "enc1b", e1, cache, norm)
+    del e1
     p1, am1 = layers.maxpool3d_forward(s1)
     e2 = _unit_forward(params, "enc2a", p1, cache, norm)
+    del p1
     s2 = _unit_forward(params, "enc2b", e2, cache, norm)
+    del e2
     p2, am2 = layers.maxpool3d_forward(s2)
     e3 = _unit_forward(params, "enc3a", p2, cache, norm)
+    del p2
     bottom = _unit_forward(params, "enc3b", e3, cache, norm)
+    del e3
+    if want_cache:
+        cache["pool"] = (am1, s1.shape, am2, s2.shape)
 
     u2 = layers.transposed_conv3d_forward(
         bottom, params.tensors["up2.kernel"], params.tensors["up2.bias"])
-    c2 = layers.crop_center3d(s2, u2.shape[2:])
-    cat2 = np.concatenate([u2, c2], axis=1)
+    cat2 = np.concatenate([u2, layers.crop_center3d(s2, u2.shape[2:])], axis=1)
+    del u2, s2
     d2 = _unit_forward(params, "dec2a", cat2, cache, norm)
+    del cat2
     d2 = _unit_forward(params, "dec2b", d2, cache, norm)
 
     u1 = layers.transposed_conv3d_forward(
         d2, params.tensors["up1.kernel"], params.tensors["up1.bias"])
-    c1 = layers.crop_center3d(s1, u1.shape[2:])
-    cat1 = np.concatenate([u1, c1], axis=1)
+    cat1 = np.concatenate([u1, layers.crop_center3d(s1, u1.shape[2:])], axis=1)
+    del u1, s1
     d1 = _unit_forward(params, "dec1a", cat1, cache, norm)
+    del cat1
     d1 = _unit_forward(params, "dec1b", d1, cache, norm)
 
     cl_logits = layers.conv3d_forward(
@@ -224,7 +244,6 @@ def forward(params: NetworkParams, x: np.ndarray, want_cache: bool = False):
     tissue_probs = layers.channel_softmax(tissue_logits)
 
     if want_cache:
-        cache["pool"] = (am1, s1.shape, am2, s2.shape)
         cache["skips"] = (bottom, d2, d1)
         cache["probs"] = (cl_probs, tissue_probs)
     return cl_probs, tissue_probs, cache
@@ -356,9 +375,35 @@ def normalize_volume(vol: np.ndarray) -> np.ndarray:
     return (vol - mu) / sd
 
 
+def _tile_side(shape: tuple[int, ...], base_channels: int) -> int:
+    """Output side t of the cubic tiles that cover a subject of `shape`.
+
+    Takes the fewest tiles per axis, n, whose t = 4*ceil(max(shape)/(4n))
+    keeps the widest activation of a (t+40)^3 input within the im2col
+    budget. The widest is the enc1b output, 2C*(t+36)^3 elements, or for
+    t > 68 the dec1a input, 6C*(t+4)^3.
+    """
+    longest = max(shape)
+    n = 1
+    while True:
+        t = 4 * -(-longest // (4 * n))
+        widest = max(2 * base_channels * (t + 36) ** 3, 6 * base_channels * (t + 4) ** 3)
+        if widest <= layers.COL_BUDGET_ELEMS or t == 4:
+            return t
+        n += 1
+
+
 def sliding_window_inference(params: NetworkParams, contrasts: np.ndarray,
                              drop_channel: str | None = None):
-    """Tile 68^3 windows with stride 28 over a mirror-padded volume.
+    """Predict a whole subject with overlap tiles over a mirror-padded volume.
+
+    The output side t comes from `_tile_side`; each tile reads a
+    (t+40)^3 input that overlaps its neighbours by the 20-voxel margin of
+    the valid convs on each side. Tile origins are multiples of t, itself a
+    multiple of 4, so both 2x2x2 pooling stages see the same voxel grid in
+    every tile as in one forward pass over the whole padded volume, and
+    valid convs read nothing outside a tile's input: the tiled prediction
+    equals that single pass, whatever t is.
 
     contrasts: (3, D, H, W) already-normalized float32. Returns
     (cl_labels u8, tissue_labels u8, cl_prob f32) at the input geometry;
@@ -374,29 +419,29 @@ def sliding_window_inference(params: NetworkParams, contrasts: np.ndarray,
         contrasts = contrasts.copy()
         contrasts[CONTRAST_CHANNELS[drop_channel]] = 0.0
 
-    window = INFERENCE_WINDOW
-    stride = window - SHRINK_PER_SIDE  # 28: output tiles exactly
-    margin = INFERENCE_MARGIN          # 20
     shape = contrasts.shape[1:]
-    n_win = [int(np.ceil(s / stride)) for s in shape]
+    tile = _tile_side(shape, params.config.base_channels)
+    window = tile + SHRINK_PER_SIDE
+    margin = SHRINK_PER_SIDE // 2
+    n_tiles = [-(-s // tile) for s in shape]
     padded = np.stack([
         mirror_pad(contrasts[c],
                    (margin,) * 3,
-                   tuple(n_win[a] * stride - shape[a] + margin for a in range(3)))
+                   tuple(n_tiles[a] * tile - shape[a] + margin for a in range(3)))
         for c in range(contrasts.shape[0])
     ])
 
-    covered = tuple(n_win[a] * stride for a in range(3))
+    covered = tuple(n * tile for n in n_tiles)
     cl_out = np.zeros(covered, dtype=np.uint8)
     tissue_out = np.zeros(covered, dtype=np.uint8)
     prob_out = np.zeros(covered, dtype=np.float32)
-    for iz in range(n_win[0]):
-        for iy in range(n_win[1]):
-            for ix in range(n_win[2]):
-                z0, y0, x0 = iz * stride, iy * stride, ix * stride
+    for iz in range(n_tiles[0]):
+        for iy in range(n_tiles[1]):
+            for ix in range(n_tiles[2]):
+                z0, y0, x0 = iz * tile, iy * tile, ix * tile
                 patch = padded[None, :, z0:z0 + window, y0:y0 + window, x0:x0 + window]
                 cl_p, tissue_p, _ = forward(params, np.ascontiguousarray(patch))
-                blk = (slice(z0, z0 + stride), slice(y0, y0 + stride), slice(x0, x0 + stride))
+                blk = (slice(z0, z0 + tile), slice(y0, y0 + tile), slice(x0, x0 + tile))
                 cl_out[blk] = cl_p[0].argmax(axis=0).astype(np.uint8)
                 tissue_out[blk] = tissue_p[0].argmax(axis=0).astype(np.uint8)
                 prob_out[blk] = cl_p[0, 1] + cl_p[0, 2]
@@ -409,6 +454,10 @@ def sliding_window_inference(params: NetworkParams, contrasts: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
+class CheckpointError(ValueError):
+    """A checkpoint is missing, unreadable, malformed or incomplete."""
+
+
 def _payload_order(params: NetworkParams) -> list[str]:
     names = []
     for name, _, _ in param_specs(params.config):
@@ -416,9 +465,20 @@ def _payload_order(params: NetworkParams) -> list[str]:
     return names
 
 
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Readers see the old file or the whole new one, never a partial write."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
+
+
 def save_checkpoint(path: str | Path, params: NetworkParams, state: AdamState,
                     iteration: int, sampler_draws: int) -> None:
-    """Parameters then Adam m then v, each in param_specs order, float32 LE."""
+    """Parameters then Adam m then v, each in param_specs order, float32 LE.
+
+    The payload is written before the header, each atomically, so a header
+    on disk implies its complete payload unless something later truncates it.
+    """
     path = Path(path)
     order = _payload_order(params)
     header = {
@@ -440,29 +500,44 @@ def save_checkpoint(path: str | Path, params: NetworkParams, state: AdamState,
     chunks += [state.m[k] for k in order]
     chunks += [state.v[k] for k in order]
     payload = np.concatenate([np.asarray(c, dtype="<f4").ravel() for c in chunks])
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(header, indent=2) + "\n", encoding="utf-8")
-    path.with_suffix(path.suffix + ".raw").write_bytes(payload.tobytes())
+    _write_atomic(path.with_suffix(path.suffix + ".raw"), payload.tobytes())
+    _write_atomic(path.with_suffix(path.suffix + ".json"),
+                  (json.dumps(header, indent=2) + "\n").encode("utf-8"))
 
 
 def load_checkpoint(path: str | Path):
-    """Returns (params, adam_state, iteration, sampler_draws)."""
+    """Returns (params, adam_state, iteration, sampler_draws).
+
+    Raises CheckpointError when either file is missing or unreadable, the
+    header is malformed, or the payload size disagrees with the header.
+    """
     path = Path(path)
-    header = json.loads(path.with_suffix(path.suffix + ".json").read_text(encoding="utf-8"))
-    if header.get("format") != "clseg-checkpoint-v1":
-        raise ContractError(f"not a checkpoint: {path}")
-    cfg = NetworkConfig(**header["config"])
+    json_path = path.with_suffix(path.suffix + ".json")
+    raw_path = path.with_suffix(path.suffix + ".raw")
+    try:
+        header = json.loads(json_path.read_text(encoding="utf-8"))
+        raw = raw_path.read_bytes()
+    except OSError as e:
+        raise CheckpointError(f"cannot read checkpoint file {e.filename}: {e.strerror}") from e
+    except ValueError as e:
+        raise CheckpointError(f"malformed checkpoint header {json_path}: {e}") from e
+    if not isinstance(header, dict) or header.get("format") != "clseg-checkpoint-v1":
+        raise CheckpointError(f"not a checkpoint: {json_path}")
+    try:
+        cfg = NetworkConfig(**header["config"])
+        order = header["payload_order"]
+        shapes = {}
+        for name, kind, kshape in param_specs(cfg):
+            shapes[f"{name}.kernel"] = kshape
+            shapes[f"{name}.bias"] = (kshape[0] if kind == "conv" else kshape[1],)
+        expected = 3 * sum(int(np.prod(shapes[k])) for k in order)
+    except (KeyError, TypeError) as e:
+        raise CheckpointError(f"malformed checkpoint header {json_path}: {e!r}") from e
+    if len(raw) != 4 * expected:
+        raise CheckpointError(
+            f"checkpoint payload {raw_path} has {len(raw)} bytes, expected {4 * expected}")
+    payload = np.frombuffer(raw, dtype="<f4")
     params = NetworkParams(cfg, header["seed"], {})
-    payload = np.frombuffer(path.with_suffix(path.suffix + ".raw").read_bytes(), dtype="<f4")
-    order = header["payload_order"]
-    shapes = {}
-    for name, kind, kshape in param_specs(cfg):
-        out_ch = kshape[0] if kind == "conv" else kshape[1]
-        shapes[f"{name}.kernel"] = kshape
-        shapes[f"{name}.bias"] = (out_ch,)
-    expected = 3 * sum(int(np.prod(shapes[k])) for k in order)
-    if payload.size != expected:
-        raise ContractError(f"checkpoint payload has {payload.size} floats, expected {expected}")
 
     def take(offset):
         tensors = {}

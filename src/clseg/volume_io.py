@@ -169,6 +169,8 @@ def read_volume(path: str | Path) -> Volume:
             raise MissingVolumeFileError(f"missing volume file {p}")
     try:
         doc = json.loads(json_path.read_text(encoding="utf-8"))
+    except OSError as e:
+        raise VolumeError(f"I/O failure reading {json_path}: {e}") from e
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise HeaderParseError(f"malformed header JSON {json_path}: {e}") from e
     if not isinstance(doc, dict) or set(doc) != set(_HEADER_KEYS):
@@ -188,7 +190,10 @@ def read_volume(path: str | Path) -> Volume:
     if header.kind not in KINDS:
         raise UnknownKindError(f"unknown kind {header.kind!r} in {json_path}")
 
-    payload = raw_path.read_bytes()
+    try:
+        payload = raw_path.read_bytes()
+    except OSError as e:
+        raise VolumeError(f"I/O failure reading {raw_path}: {e}") from e
     expected = int(np.prod(header.dims)) * DTYPES[header.dtype].itemsize
     if len(payload) != expected:
         raise PayloadSizeError(

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -105,6 +106,48 @@ def test_cli_bad_config_exit_1(tmp_path):
 def test_cli_missing_cohort_exit_2(tmp_path):
     cfg, path = _fast_config(tmp_path, tmp_path / "nope")
     assert main(["train", "--config", str(path)]) == 2
+
+
+def _truncate_raw(ckpt, subject):
+    raw = ckpt.with_suffix(".raw")
+    raw.write_bytes(raw.read_bytes()[:65])
+
+
+def _garble_json(ckpt, subject):
+    ckpt.with_suffix(".json").write_text("{not json")
+
+
+def _remove_checkpoint(ckpt, subject):
+    ckpt.with_suffix(".json").unlink()
+
+
+def _remove_subject(ckpt, subject):
+    shutil.rmtree(subject)
+
+
+def _unreadable_volume(ckpt, subject):
+    raw = subject / "t2s_epi.raw"
+    raw.unlink()
+    raw.mkdir()   # exists, but reading it fails with an OSError
+
+
+@pytest.mark.parametrize("damage", [_remove_checkpoint, _truncate_raw, _garble_json,
+                                    _remove_subject, _unreadable_volume],
+                         ids=["missing-checkpoint", "truncated-checkpoint",
+                              "malformed-checkpoint", "missing-subject",
+                              "unreadable-subject"])
+def test_cli_infer_bad_inputs_exit_2(tmp_path, tiny_cohort, capsys, damage):
+    cfg, path = _fast_config(tmp_path, tiny_cohort)
+    assert main(["train", "--config", str(path)]) == 0
+    ckpt = tmp_path / "out" / "checkpoint_00000003"
+    subject = tmp_path / "subject_00"
+    shutil.copytree(tiny_cohort / "subject_00", subject)
+    damage(ckpt, subject)
+    capsys.readouterr()
+    assert main(["infer", "--config", str(path), "--checkpoint", str(ckpt),
+                 "--subject", str(subject), "--out", str(tmp_path / "pred")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ")
 
 
 def test_cli_phantom_deterministic(tmp_path, capsys):

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clseg import layers as L
-from clseg import _kernels
 from clseg.gradcheck import argmax_pattern, gradient_check, relu_pattern
 
 from brute_force import conv3d_loops, maxpool3d_blocks
@@ -52,25 +51,6 @@ def test_conv_matches_oracle_random_shapes(ci, co, s, k, seed):
     got = L.conv3d_forward(x, w, b)
     want = conv3d_loops(x, w, b)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
-
-
-def test_conv_numba_and_numpy_paths_agree():
-    x = rng.standard_normal((2, 3, 7, 6, 8)).astype(np.float32)
-    w = rng.standard_normal((4, 3, 3, 3, 3)).astype(np.float32)
-    b = rng.standard_normal(4).astype(np.float32)
-    g = rng.standard_normal((2, 4, 5, 4, 6)).astype(np.float32)
-    have = _kernels.HAVE_NUMBA
-    y1 = L.conv3d_forward(x, w, b)
-    bw1 = L.conv3d_backward(x, w, g)
-    try:
-        _kernels.HAVE_NUMBA = False
-        y2 = L.conv3d_forward(x, w, b)
-        bw2 = L.conv3d_backward(x, w, g)
-    finally:
-        _kernels.HAVE_NUMBA = have
-    assert np.allclose(y1, y2, rtol=1e-5, atol=1e-5)
-    for a, b_ in zip(bw1, bw2):
-        assert np.allclose(a, b_, rtol=1e-4, atol=1e-4)
 
 
 def test_conv_shape_contract_errors():

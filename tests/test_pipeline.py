@@ -57,6 +57,27 @@ def test_resume_reproduces_uninterrupted_run(tmp_path, tiny_cohort):
         (tmp_path / "part" / "checkpoint_00000006.raw").read_bytes()
 
 
+def test_resume_skips_truncated_checkpoint(tmp_path, tiny_cohort):
+    # a kill while the newest payload was written leaves it short; resume
+    # falls back to the previous checkpoint and still matches the full run
+    full = _cfg(tiny_cohort, tmp_path / "full", iterations=6)
+    pipeline.run_training(full, tmp_path / "full")
+
+    part = _cfg(tiny_cohort, tmp_path / "part", iterations=4)
+    pipeline.run_training(part, tmp_path / "part")
+    raw = tmp_path / "part" / "checkpoint_00000004.raw"
+    raw.write_bytes(raw.read_bytes()[:100])
+    cont = _cfg(tiny_cohort, tmp_path / "part", iterations=6)
+    pipeline.run_training(cont, tmp_path / "part")
+
+    assert (tmp_path / "full" / "loss.csv").read_bytes() == \
+        (tmp_path / "part" / "loss.csv").read_bytes()
+    for it in (4, 6):
+        name = f"checkpoint_{it:08d}.raw"
+        assert (tmp_path / "full" / name).read_bytes() == \
+            (tmp_path / "part" / name).read_bytes()
+
+
 def test_baseline_variant_tissue_loss_zero(tmp_path, tiny_cohort):
     cfg = _cfg(tiny_cohort, tmp_path, variant="baseline")
     pipeline.run_training(cfg, tmp_path)

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from clseg import unet
+from clseg import layers, unet
 from clseg.layers import ContractError, NonFiniteError
 from clseg.losses import LossConfig
 from clseg.optim import AdamState
@@ -226,36 +228,78 @@ def _toy_contrasts(side=56, seed=0):
     return r.standard_normal((3, side, side, side)).astype(np.float32)
 
 
-def test_sliding_window_covers_56_with_8_windows(monkeypatch):
-    cfg = unet.NetworkConfig(base_channels=2)
-    params = unet.build_network(cfg, seed=0)
+@pytest.mark.parametrize("base, shape, n_tiles, side", [
+    (4, (96, 96, 96), 8, 88),
+    (4, (56, 56, 56), 1, 96),
+    (16, (56, 56, 56), 8, 68),
+    (16, (96, 96, 96), 27, 72),
+    (4, (96, 56, 40), 4, 88),
+], ids=["C4-96", "C4-56", "C16-56", "C16-96", "C4-96x56x40"])
+def test_overlap_tiles_fewest_within_budget(monkeypatch, base, shape, n_tiles, side):
+    # the fewest tiles per axis whose widest activation fits the im2col budget
+    params = unet.build_network(unet.NetworkConfig(base_channels=base), seed=0)
     calls = []
-    orig = unet.forward
 
-    def counting(params_, x, want_cache=False):
+    def shape_only(params_, x, want_cache=False):
         calls.append(x.shape)
-        return orig(params_, x, want_cache)
+        out = np.full((x.shape[0], 3) + tuple(s - 40 for s in x.shape[2:]), 1 / 3, np.float32)
+        return out, out, None
 
-    monkeypatch.setattr(unet, "forward", counting)
-    contrasts = _toy_contrasts()
+    monkeypatch.setattr(unet, "forward", shape_only)
+    contrasts = np.zeros((3,) + shape, np.float32)
     cl, tis, prob = unet.sliding_window_inference(params, contrasts)
-    assert len(calls) == 8
-    assert all(s == (1, 3, 68, 68, 68) for s in calls)
-    assert cl.shape == tis.shape == prob.shape == (56, 56, 56)
+    assert len(calls) == n_tiles
+    assert all(s == (1, 3, side, side, side) for s in calls)
+    assert cl.shape == tis.shape == prob.shape == shape
 
 
-def test_sliding_window_matches_single_big_forward():
-    # valid convs make the tiled prediction equal to one whole-volume pass
-    cfg = unet.NetworkConfig(base_channels=2)
-    params = unet.build_network(cfg, seed=1)
-    contrasts = _toy_contrasts(56, seed=2)
+@pytest.mark.parametrize("budget", [layers.COL_BUDGET_ELEMS, 2 ** 20],
+                         ids=["one-tile", "many-tiles"])
+@pytest.mark.parametrize("base, shape", [
+    (2, (50, 50, 50)),   # side not a multiple of 4
+    (2, (56, 44, 30)),   # non-cubic
+    (3, (40, 52, 36)),
+], ids=["C2-50", "C2-56x44x30", "C3-40x52x36"])
+def test_sliding_window_matches_single_big_forward(monkeypatch, budget, base, shape):
+    # valid convs and pooling-aligned tile origins make the tiled prediction
+    # equal to one pass over the whole padded volume, for any tile side; the
+    # small budget forces many small tiles
+    monkeypatch.setattr(layers, "COL_BUDGET_ELEMS", budget)
+    params = unet.build_network(unet.NetworkConfig(base_channels=base), seed=1)
+    r = np.random.default_rng(8)
+    params.tensors["head_cl.kernel"] += (0.5 * r.standard_normal(
+        params.tensors["head_cl.kernel"].shape)).astype(np.float32)
+    contrasts = r.standard_normal((3,) + shape).astype(np.float32)
     cl, tis, prob = unet.sliding_window_inference(params, contrasts)
-    padded = np.stack([unet.mirror_pad(c, (20, 20, 20), (20, 20, 20))
+    # pad to a cube whose side is a multiple of 4; mirror padding is defined
+    # per index, so the extra far padding leaves the subject's voxels alone
+    cube = 4 * -(-max(shape) // 4)
+    padded = np.stack([unet.mirror_pad(c, (20, 20, 20), tuple(20 + cube - s for s in shape))
                        for c in contrasts])
     cl_p, tis_p, _ = unet.forward(params, padded[None])
-    assert np.allclose(prob, (cl_p[0, 1] + cl_p[0, 2]), atol=1e-5)
-    assert np.array_equal(cl, cl_p[0].argmax(axis=0).astype(np.uint8))
-    assert np.array_equal(tis, tis_p[0].argmax(axis=0).astype(np.uint8))
+    crop = tuple(slice(0, s) for s in shape)
+    assert np.allclose(prob, (cl_p[0, 1] + cl_p[0, 2])[crop], atol=1e-5)
+    assert np.array_equal(cl, cl_p[0].argmax(axis=0).astype(np.uint8)[crop])
+    assert np.array_equal(tis, tis_p[0].argmax(axis=0).astype(np.uint8)[crop])
+
+
+def test_forward_without_cache_frees_dead_activations():
+    # A no-cache forward keeps one im2col slab plus a few activations alive:
+    # at C=4 and a 68^3 input the widest activation (enc1b output) is
+    # 8 * 64^3 float32 = 8 MiB and the slab at most COL_BUDGET_ELEMS floats,
+    # 64 MiB. Holding every activation to the end, as a cached forward
+    # does, peaks near 120 MiB.
+    params = unet.build_network(unet.NetworkConfig(base_channels=4), seed=0)
+    x = np.random.default_rng(2).standard_normal((1, 3, 68, 68, 68)).astype(np.float32)
+    widest = 2 * 4 * 64 ** 3 * 4
+    slab = layers.COL_BUDGET_ELEMS * 4
+    tracemalloc.start()
+    try:
+        unet.forward(params, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= slab + 3 * widest
 
 
 def test_sliding_window_non_multiple_side():
