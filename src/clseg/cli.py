@@ -17,6 +17,7 @@ from .config import ConfigError, RunConfig, load_config
 from .layers import ContractError, NonFiniteError
 from .phantom import PhantomError, generate_cohort
 from .pipeline import run_inference, run_report, run_training, run_xval, write_run_manifest
+from .sampling import CohortError
 from .unet import CheckpointError
 from .volume_io import VolumeError, check_cohort
 
@@ -164,7 +165,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (VolumeError, PhantomError, CheckpointError) as e:
+    except (VolumeError, PhantomError, CheckpointError, CohortError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except (NonFiniteError,) as e:

@@ -6,11 +6,19 @@ Convolutions are valid (no padding). Forward and backward are dtype
 preserving, so the whole stack runs in float32 for training and float64
 for gradient checking.
 
-Convolution is computed as an im2col-style matrix product, chunked over
-depth slabs so that one unrolled-patch buffer is alive at a time, of at
-most COL_BUDGET_ELEMS elements or one depth slice if that is larger; the
-input gradient reuses the same path as a full correlation with the
-flipped kernel.
+Convolution uses a flat-offset unrolling. Within one batch item's
+contiguous (C, D, H, W) input, output column j = z*H*W + y*W + x runs over
+the full (H, W) grid, and tap (dz, dy, dx) of column j reads flat input
+j + dz*H*W + dy*W + dx. Only the k*k in-plane shifts are unrolled, as C*k*k
+contiguous rows; each depth tap dz is then a column window of that matrix,
+shifted by dz*H*W, so a slab of output planes costs k GEMMs. Columns with
+y >= H-k+1 or x >= W-k+1 wrap into the next row or plane and are discarded:
+the forward crops the full-grid output to its valid corner, and the weight
+gradient places grad_out on a zeroed full grid. Work is chunked over depth
+slabs whose unrolled input plus full-grid output, (C*k*k + Co)*H*W*(planes
++ k-1) elements, fit COL_BUDGET_ELEMS, or one plane if that is larger. The
+input gradient reuses the forward path as a full correlation of the
+zero-padded gradient with the flipped kernel.
 """
 
 from __future__ import annotations
@@ -18,8 +26,9 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-# Upper bound on the im2col buffer, in elements (64 MB in float32). Whole-
-# subject inference sizes its tiles by the same bound.
+# Upper bound on one conv slab's unrolled input plus its full-grid output, in
+# elements (64 MB in float32). Whole-subject inference sizes its tiles by the
+# same bound.
 COL_BUDGET_ELEMS = 16 * 1024 * 1024
 
 
@@ -41,25 +50,52 @@ def check_finite(arr: np.ndarray, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _slab_planes(Ci, Co, k, H, W, oD):
+    """Output planes per slab: the unrolled input plus the full-grid output
+    of a slab fit COL_BUDGET_ELEMS, or one plane if that is larger."""
+    return max(1, min(oD, COL_BUDGET_ELEMS // ((Ci * k * k + Co) * H * W) - (k - 1)))
+
+
+def _unroll(x, k, z0, z1):
+    """In-plane unrolling of output planes [z0, z1) of one (C, D, H, W) item.
+
+    x must be C-contiguous. Returns (U, n) with U of shape
+    (C*k*k, n + (k-1)*H*W) and U[(c, dy, dx), j] = x[c].flat[z0*H*W + j +
+    dy*W + dx], so depth tap dz of output column j is U[:, dz*H*W + j].
+    n = planes*H*W - (k-1)*(W+1) is one past the last valid output column,
+    which keeps the last read inside the slab's input planes.
+    """
+    C, _, H, W = x.shape
+    HW = H * W
+    n = (z1 - z0) * HW - (k - 1) * (W + 1)
+    s = x.itemsize
+    view = as_strided(x[:, z0:], (C, k, k, n + (k - 1) * HW),
+                      (x.strides[0], W * s, s, s), writeable=False)
+    return view.reshape(C * k * k, -1), n
+
+
 def _conv_slabs(x, weight, out):
-    """out[b,o,z,y,x] = sum_{i,dz,dy,dx} x[b,i,z+dz,y+dy,x+dx] * w[o,i,dz,dy,dx]"""
+    """out[b,o,z,y,x] = sum_{i,dz,dy,dx} x[b,i,z+dz,y+dy,x+dx] * w[o,i,dz,dy,dx]
+
+    x must be C-contiguous. A slab's outputs are computed on the full (H, W)
+    grid, one GEMM per depth tap, and the valid (oH, oW) corner is copied out.
+    """
     B, Ci, D, H, W = x.shape
     Co, _, k, _, _ = weight.shape
-    oD, oH, oW = D - k + 1, H - k + 1, W - k + 1
-    wm = weight.reshape(Co, -1)
-    ckk = Ci * k * k * k
-    slab = max(1, min(oD, COL_BUDGET_ELEMS // max(1, ckk * oH * oW)))
-    sB, sC, sD, sH, sW = x.strides
-    for z0 in range(0, oD, slab):
-        z1 = min(z0 + slab, oD)
-        xz = x[:, :, z0:z1 + k - 1]
-        view = as_strided(
-            xz, (B, Ci, k, k, k, z1 - z0, oH, oW),
-            (sB, sC, sD, sH, sW, sD, sH, sW), writeable=False)
-        cols = view.reshape(B, ckk, (z1 - z0) * oH * oW)
-        for b in range(B):
-            out[b, :, z0:z1] = (wm @ cols[b]).reshape(Co, z1 - z0, oH, oW)
-        del cols  # free this slab before the next one is unrolled
+    oD, oH, oW = out.shape[2:]
+    HW = H * W
+    w_dz = np.ascontiguousarray(weight.transpose(2, 0, 1, 3, 4)).reshape(k, Co, -1)
+    slab = _slab_planes(Ci, Co, k, H, W, oD)
+    for b in range(B):
+        for z0 in range(0, oD, slab):
+            z1 = min(z0 + slab, oD)
+            U, n = _unroll(x[b], k, z0, z1)
+            full = np.empty((Co, (z1 - z0) * HW), dtype=out.dtype)
+            np.matmul(w_dz[0], U[:, :n], out=full[:, :n])
+            for dz in range(1, k):
+                full[:, :n] += w_dz[dz] @ U[:, dz * HW:dz * HW + n]
+            out[b, :, z0:z1] = full.reshape(Co, z1 - z0, H, W)[:, :, :oH, :oW]
+            del U, full  # free this slab before the next one is unrolled
     return out
 
 
@@ -75,18 +111,15 @@ def conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.nd
     if bias.shape != (Co,):
         raise ContractError(f"conv3d: bias shape {bias.shape} != ({Co},)")
 
-    if k == 1:
-        out = np.tensordot(weight[:, :, 0, 0, 0], x, axes=([1], [1]))
-        out = np.ascontiguousarray(out.transpose(1, 0, 2, 3, 4))
-    else:
-        out = np.empty((B, Co, D - k + 1, H - k + 1, W - k + 1), dtype=x.dtype)
-        _conv_slabs(x, weight, out)
+    out = np.empty((B, Co, D - k + 1, H - k + 1, W - k + 1), dtype=x.dtype)
+    _conv_slabs(np.ascontiguousarray(x), weight, out)
     out += bias.reshape(1, -1, 1, 1, 1).astype(x.dtype)
     return out
 
 
-def conv3d_backward(x: np.ndarray, weight: np.ndarray,
-                    grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def conv3d_backward(x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray,
+                    need_grad_x: bool = True):
+    """(grad_x, grad_w, grad_b); grad_x is None when need_grad_x is False."""
     B, Ci, D, H, W = x.shape
     Co, _, k, _, _ = weight.shape
     oD, oH, oW = D - k + 1, H - k + 1, W - k + 1
@@ -96,40 +129,33 @@ def conv3d_backward(x: np.ndarray, weight: np.ndarray,
 
     grad_bias = grad_out.sum(axis=(0, 2, 3, 4))
 
-    if k == 1:
-        g2 = grad_out.reshape(B, Co, -1)
-        x2 = x.reshape(B, Ci, -1)
-        grad_w = np.einsum("bon,bin->oi", g2, x2).reshape(weight.shape)
-        grad_x = np.tensordot(weight[:, :, 0, 0, 0], grad_out, axes=([0], [1]))
-        grad_x = np.ascontiguousarray(grad_x.transpose(1, 0, 2, 3, 4))
-        return grad_x, grad_w.astype(weight.dtype), grad_bias
-
-    # weight gradient: same unrolled patches as forward, contracted with grad_out
-    ckk = Ci * k * k * k
-    grad_w = np.zeros((Co, ckk), dtype=weight.dtype)
-    slab = max(1, min(oD, COL_BUDGET_ELEMS // max(1, ckk * oH * oW)))
-    sB, sC, sD, sH, sW = x.strides
-    for z0 in range(0, oD, slab):
-        z1 = min(z0 + slab, oD)
-        xz = x[:, :, z0:z1 + k - 1]
-        view = as_strided(
-            xz, (B, Ci, k, k, k, z1 - z0, oH, oW),
-            (sB, sC, sD, sH, sW, sD, sH, sW), writeable=False)
-        cols = view.reshape(B, ckk, (z1 - z0) * oH * oW)
-        g = grad_out[:, :, z0:z1].reshape(B, Co, -1)
-        for b in range(B):
-            grad_w += g[b] @ cols[b].T
-        del cols
-    grad_w = grad_w.reshape(weight.shape)
+    # weight gradient: grad_out on the full (H, W) grid, zero outside the
+    # valid corner, contracted with the forward's unrolled input per depth tap
+    x = np.ascontiguousarray(x)
+    HW = H * W
+    grad_w = np.zeros((k, Co, Ci * k * k), dtype=weight.dtype)
+    slab = _slab_planes(Ci, Co, k, H, W, oD)
+    for b in range(B):
+        for z0 in range(0, oD, slab):
+            z1 = min(z0 + slab, oD)
+            U, n = _unroll(x[b], k, z0, z1)
+            g = np.zeros((Co, z1 - z0, H, W), dtype=grad_out.dtype)
+            g[:, :, :oH, :oW] = grad_out[b, :, z0:z1]
+            g = g.reshape(Co, -1)[:, :n]
+            for dz in range(k):
+                grad_w[dz] += g @ U[:, dz * HW:dz * HW + n].T
+            del U, g
+    grad_w = np.ascontiguousarray(
+        grad_w.reshape(k, Co, Ci, k, k).transpose(1, 2, 0, 3, 4))
+    if not need_grad_x:
+        return None, grad_w, grad_bias
 
     # input gradient: full correlation of grad_out with the flipped kernel
     p = k - 1
     padded = np.zeros((B, Co, oD + 2 * p, oH + 2 * p, oW + 2 * p), dtype=grad_out.dtype)
     padded[:, :, p:p + oD, p:p + oH, p:p + oW] = grad_out
-    w_flip = np.ascontiguousarray(
-        weight[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4))
     grad_x = np.empty_like(x)
-    _conv_slabs(padded, w_flip, grad_x)
+    _conv_slabs(padded, weight[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4), grad_x)
     return grad_x, grad_w, grad_bias
 
 
@@ -138,22 +164,25 @@ def conv3d_backward(x: np.ndarray, weight: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _pool_blocks(x):
-    B, C, D, H, W = x.shape
-    r = x.reshape(B, C, D // 2, 2, H // 2, 2, W // 2, 2)
-    # flat block index dz*4 + dy*2 + dx is lexicographic in (dz, dy, dx),
-    # so argmax's first-occurrence rule picks the lowest linear index on ties
-    return r.transpose(0, 1, 2, 4, 6, 3, 5, 7).reshape(B, C, D // 2, H // 2, W // 2, 8)
-
-
 def maxpool3d_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max over the 8 strided views of each 2x2x2 block, plus the uint8 index
+    dz*4 + dy*2 + dx of the winner. Views are taken in lexicographic order
+    and replace the running max only when strictly greater, so ties keep
+    the lowest linear index."""
     B, C, D, H, W = x.shape
     if D % 2 or H % 2 or W % 2:
         raise ContractError(f"maxpool3d: spatial dims {(D, H, W)} must be even")
-    blocks = _pool_blocks(x)
-    argmax = blocks.argmax(axis=-1).astype(np.uint8)
-    out = np.take_along_axis(blocks, argmax[..., None].astype(np.intp), axis=-1)[..., 0]
-    return np.ascontiguousarray(out), argmax
+    out = x[:, :, ::2, ::2, ::2].copy()
+    argmax = np.zeros(out.shape, dtype=np.uint8)
+    v = np.empty_like(out)
+    tag = np.empty(out.shape, dtype=np.uint8)
+    for i in range(1, 8):
+        np.copyto(v, x[:, :, i >> 2::2, (i >> 1) & 1::2, i & 1::2])
+        np.greater(v, out, out=tag)
+        np.maximum(v, out, out=out)  # returns its second operand on ties (signed zeros)
+        tag *= np.uint8(i)
+        np.maximum(argmax, tag, out=argmax)  # i exceeds every earlier index
+    return out, argmax
 
 
 def maxpool3d_backward(argmax: np.ndarray, grad_out: np.ndarray,

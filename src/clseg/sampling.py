@@ -26,6 +26,10 @@ from .evaluation import LesionComponent, connected_components
 from .unet import CONTRAST_CHANNELS, SHRINK_PER_SIDE, reflect_indices
 
 
+class CohortError(ValueError):
+    """The cohort cannot supply the patches the sampler is asked to draw."""
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     lesion_fraction: float = 0.5
@@ -58,7 +62,7 @@ class TrainingSubject:
     def __post_init__(self):
         self.brain_voxels = np.argwhere(self.tissue_labels != 0)
         if len(self.brain_voxels) == 0:
-            raise ValueError(f"{self.subject_id}: empty brain mask")
+            raise CohortError(f"{self.subject_id}: empty brain mask")
 
 
 @dataclass
@@ -78,7 +82,7 @@ class LesionIndex:
 def build_lesion_index(subjects: list[TrainingSubject]) -> LesionIndex:
     """26-connectivity components of each subject's cl_labels."""
     if not subjects:
-        raise ValueError("empty cohort")
+        raise CohortError("empty cohort")
     return LesionIndex([connected_components(s.cl_labels) for s in subjects])
 
 
@@ -119,7 +123,7 @@ class PatchSampler:
         self.subjects = subjects
         self.index = index if index is not None else build_lesion_index(subjects)
         if self.index.n_lesions == 0 and cfg.lesion_fraction > 0:
-            raise ValueError("lesion_fraction > 0 but the cohort has no lesions")
+            raise CohortError("lesion_fraction > 0 but the cohort has no lesions")
 
     # -- center selection (cheap, separable for sampling statistics) --------
 

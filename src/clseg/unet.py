@@ -29,7 +29,6 @@ bias per layer, little-endian float32. Decoder concatenation order is
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -39,6 +38,7 @@ from . import layers
 from .layers import ContractError
 from .losses import LossConfig, combined_loss
 from .optim import AdamState, adam_step
+from .volume_io import write_atomic
 
 SHRINK_PER_SIDE = 40  # total valid-conv shrinkage of the 3-level network
 MIN_INPUT_SIDE = 44
@@ -176,12 +176,13 @@ def _unit_forward(params, name, x, cache, norm=False):
     return layers.relu_forward(pre)
 
 
-def _unit_backward(params, name, grad, cache, grads):
+def _unit_backward(params, name, grad, cache, grads, need_grad_x=True):
     x, pre, norm_cache = cache[name]
     g = layers.relu_backward(pre, grad)
     if norm_cache is not None:
         g = layers.instance_norm_backward(norm_cache, g)
-    gx, gw, gb = layers.conv3d_backward(x, params.tensors[f"{name}.kernel"], g)
+    gx, gw, gb = layers.conv3d_backward(x, params.tensors[f"{name}.kernel"], g,
+                                        need_grad_x=need_grad_x)
     grads[f"{name}.kernel"] = gw
     grads[f"{name}.bias"] = gb
     return gx
@@ -287,7 +288,7 @@ def backward(params: NetworkParams, cache: dict,
     g = _unit_backward(params, "enc2a", g, cache, grads)
     g = layers.maxpool3d_backward(am1, g, s1_shape) + g_s1_skip
     g = _unit_backward(params, "enc1b", g, cache, grads)
-    g = _unit_backward(params, "enc1a", g, cache, grads)
+    _unit_backward(params, "enc1a", g, cache, grads, need_grad_x=False)
     return grads
 
 
@@ -465,13 +466,6 @@ def _payload_order(params: NetworkParams) -> list[str]:
     return names
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Readers see the old file or the whole new one, never a partial write."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
-
-
 def save_checkpoint(path: str | Path, params: NetworkParams, state: AdamState,
                     iteration: int, sampler_draws: int) -> None:
     """Parameters then Adam m then v, each in param_specs order, float32 LE.
@@ -500,8 +494,8 @@ def save_checkpoint(path: str | Path, params: NetworkParams, state: AdamState,
     chunks += [state.m[k] for k in order]
     chunks += [state.v[k] for k in order]
     payload = np.concatenate([np.asarray(c, dtype="<f4").ravel() for c in chunks])
-    _write_atomic(path.with_suffix(path.suffix + ".raw"), payload.tobytes())
-    _write_atomic(path.with_suffix(path.suffix + ".json"),
+    write_atomic(path.with_suffix(path.suffix + ".raw"), payload.tobytes())
+    write_atomic(path.with_suffix(path.suffix + ".json"),
                   (json.dumps(header, indent=2) + "\n").encode("utf-8"))
 
 

@@ -11,6 +11,7 @@ order.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -148,14 +149,23 @@ def _header_json(h: VolumeHeader) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def write_atomic(path: Path, data: bytes) -> None:
+    """Readers see the old file or the whole new one, never a partial write."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
+
+
 def write_volume(v: Volume, path: str | Path) -> None:
-    """Write `<path>.json` + `<path>.raw`. Round-trips byte-identically."""
+    """Write `<path>.raw` then `<path>.json`, each atomically, so a header on
+    disk implies its whole payload. Round-trips byte-identically."""
     validate_volume(v)
     path = Path(path)
     try:
-        path.with_suffix(path.suffix + ".json").write_text(_header_json(v.header), encoding="utf-8")
         payload = np.ascontiguousarray(v.data, dtype=DTYPES[v.header.dtype])
-        path.with_suffix(path.suffix + ".raw").write_bytes(payload.tobytes())
+        write_atomic(path.with_suffix(path.suffix + ".raw"), payload.tobytes())
+        write_atomic(path.with_suffix(path.suffix + ".json"),
+                     _header_json(v.header).encode("utf-8"))
     except OSError as e:
         raise VolumeError(f"I/O failure writing {path}: {e}") from e
 

@@ -34,6 +34,32 @@ def conv3d_loops(x: np.ndarray, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return out
 
 
+def conv3d_backward_loops(x: np.ndarray, w: np.ndarray, g: np.ndarray):
+    """(grad_x, grad_w, grad_b) of conv3d_loops for upstream gradient g,
+    scattering each output voxel's gradient back tap by tap."""
+    B, Ci, D, H, W = x.shape
+    Co, _, k, _, _ = w.shape
+    gx = np.zeros_like(x)
+    gw = np.zeros_like(w)
+    gb = np.zeros(Co, dtype=g.dtype)
+    for b in range(B):
+        for o in range(Co):
+            for z in range(D - k + 1):
+                for y in range(H - k + 1):
+                    for xx in range(W - k + 1):
+                        go = g[b, o, z, y, xx]
+                        gb[o] += go
+                        for i in range(Ci):
+                            for dz in range(k):
+                                for dy in range(k):
+                                    for dx in range(k):
+                                        gx[b, i, z + dz, y + dy, xx + dx] += \
+                                            go * w[o, i, dz, dy, dx]
+                                        gw[o, i, dz, dy, dx] += \
+                                            go * x[b, i, z + dz, y + dy, xx + dx]
+    return gx, gw, gb
+
+
 def maxpool3d_blocks(x: np.ndarray) -> np.ndarray:
     """2x2x2 stride-2 max pooling via explicit block loops."""
     B, C, D, H, W = x.shape

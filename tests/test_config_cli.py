@@ -8,6 +8,7 @@ import pytest
 from clseg import volume_io as vio
 from clseg.cli import main
 from clseg.config import ConfigError, RunConfig, config_from_dict, load_config, save_config
+from clseg.phantom import generate_cohort
 
 from conftest import TINY_SPEC
 
@@ -106,6 +107,16 @@ def test_cli_bad_config_exit_1(tmp_path):
 def test_cli_missing_cohort_exit_2(tmp_path):
     cfg, path = _fast_config(tmp_path, tmp_path / "nope")
     assert main(["train", "--config", str(path)]) == 2
+
+
+def test_cli_lesion_free_cohort_exit_2(tmp_path, capsys):
+    spec = dataclasses.replace(TINY_SPEC, lesion_counts=(0, 0, 0, 0))
+    generate_cohort(spec, 1, tmp_path / "cohort", seed=spec.seed)
+    cfg, path = _fast_config(tmp_path, tmp_path / "cohort")
+    capsys.readouterr()
+    assert main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ") and "no lesions" in err[0]
 
 
 def _truncate_raw(ckpt, subject):

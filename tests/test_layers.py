@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from clseg import layers as L
 from clseg.gradcheck import argmax_pattern, gradient_check, relu_pattern
 
-from brute_force import conv3d_loops, maxpool3d_blocks
+from brute_force import conv3d_backward_loops, conv3d_loops, maxpool3d_blocks
 
 rng = np.random.default_rng(20240917)
 
@@ -98,6 +100,29 @@ def test_conv_backward_matches_finite_differences():
     assert rep.passed, rep.summary()
 
 
+@pytest.mark.parametrize("budget", [None, 1, 5000], ids=["default", "one-plane", "two-plane"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_conv_forward_and_backward_match_loop_oracles(monkeypatch, k, budget):
+    # flat offsets depend on W and H*W separately and on slab edges: batch of
+    # 2, non-cubic input, and budgets giving 1 or 2 planes per slab (with a
+    # short last slab) as well as the default
+    if budget is not None:
+        monkeypatch.setattr(L, "COL_BUDGET_ELEMS", budget)
+    r = np.random.default_rng(7 + k)
+    x = r.standard_normal((2, 2, 7, 6, 9))
+    w = r.standard_normal((3, 2, k, k, k))
+    b = r.standard_normal(3)
+    g = r.standard_normal((2, 3, 8 - k, 7 - k, 10 - k))
+    got = (L.conv3d_forward(x, w, b),) + L.conv3d_backward(x, w, g)
+    want = (conv3d_loops(x, w, b),) + conv3d_backward_loops(x, w, g)
+    for name, a, e in zip(("out", "grad_x", "grad_w", "grad_b"), got, want):
+        assert a.shape == e.shape, name
+        assert np.abs(a - e).max() / np.abs(e).max() < 1e-12, name
+    gx, gw, gb = L.conv3d_backward(x, w, g, need_grad_x=False)
+    assert gx is None
+    assert np.array_equal(gw, got[2]) and np.array_equal(gb, got[3])
+
+
 def test_conv_deterministic():
     x = rng.standard_normal((1, 2, 6, 6, 6)).astype(np.float32)
     w = rng.standard_normal((4, 2, 3, 3, 3)).astype(np.float32)
@@ -122,6 +147,27 @@ def test_maxpool_basic_and_tie_break():
     assert np.allclose(gx[:, :, ::2, ::2, ::2], g)
     gx[:, :, ::2, ::2, ::2] = 0
     assert not gx.any()
+
+
+def test_maxpool_signed_zero_ties_keep_first():
+    x = np.zeros((1, 2, 2, 2, 2), np.float32)
+    x[0, 0, 0, 0, 0] = -0.0          # -0 first, +0 after: -0 wins the tie
+    x[0, 1] = -0.0
+    x[0, 1, 0, 0, 0] = 0.0           # +0 first, -0 after: +0 wins
+    out, am = L.maxpool3d_forward(x)
+    assert am.reshape(-1).tolist() == [0, 0]
+    assert np.signbit(out.reshape(-1)).tolist() == [True, False]
+
+
+def test_maxpool_forward_temporaries_below_half_the_input():
+    x = rng.standard_normal((1, 4, 32, 32, 32)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        out, am = L.maxpool3d_forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes - am.nbytes < x.nbytes / 2
 
 
 def test_maxpool_matches_block_oracle():

@@ -78,6 +78,27 @@ def test_payload_length_mismatch(tmp_path):
         vio.read_volume(tmp_path / "v")
 
 
+@pytest.mark.parametrize("failing", [".raw", ".json"])
+def test_interrupted_write_leaves_no_header_over_short_payload(tmp_path, monkeypatch, failing):
+    replace = vio.os.replace
+
+    def fail_on(src, dst):
+        if str(dst).endswith(failing):
+            raise OSError("interrupted")
+        replace(src, dst)
+
+    monkeypatch.setattr(vio.os, "replace", fail_on)
+    v = vio.make_volume(np.ones((3, 4, 5), np.float32), "intensity", "s0")
+    with pytest.raises(vio.VolumeError, match="interrupted"):
+        vio.write_volume(v, tmp_path / "vol")
+    monkeypatch.undo()
+    assert not (tmp_path / "vol.json").exists()
+    with pytest.raises(vio.MissingVolumeFileError):
+        vio.read_volume(tmp_path / "vol")
+    vio.write_volume(v, tmp_path / "vol")  # a rerun replaces what was left
+    assert np.array_equal(vio.read_volume(tmp_path / "vol").data, v.data)
+
+
 def test_missing_files_distinct_error(tmp_path):
     with pytest.raises(vio.MissingVolumeFileError):
         vio.read_volume(tmp_path / "nope")
