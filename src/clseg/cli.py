@@ -13,12 +13,12 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, load_config
+from .config import VARIANTS, ConfigError, RunConfig, load_config
 from .layers import ContractError, NonFiniteError
 from .phantom import PhantomError, generate_cohort
 from .pipeline import run_inference, run_report, run_training, run_xval, write_run_manifest
 from .sampling import CohortError
-from .unet import CheckpointError
+from .unet import DROPPABLE_CHANNELS, CheckpointError
 from .volume_io import VolumeError, check_cohort
 
 
@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="run config JSON")
         sp.add_argument("--seed", type=int, help="override every seed (training/sampler/phantom)")
         sp.add_argument("--out", help="override paths.out_dir")
-        sp.add_argument("--variant", choices=("baseline", "multitask", "multitask_icd"),
+        sp.add_argument("--variant", choices=VARIANTS,
                         help="override the model variant (rewires icd/tissue head)")
 
     sp = sub.add_parser("phantom", help="generate a synthetic cohort")
@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--subject", required=True, help="subject directory")
-    sp.add_argument("--drop-channel", choices=("t2s_epi", "t2s_gre"),
+    sp.add_argument("--drop-channel", choices=DROPPABLE_CHANNELS,
                     help="zero one T2* channel before inference")
 
     sp = sub.add_parser("xval", help="k-fold cross-validation with a pooled report")

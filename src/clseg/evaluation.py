@@ -274,20 +274,23 @@ class PatientEval:
 
 
 def _ref_types_from_records(ref_comps: list[LesionComponent],
-                            lesion_records: list[dict] | None) -> dict[int, int | None]:
+                            lesion_records: list[dict] | None,
+                            shape: tuple[int, int, int]) -> dict[int, int | None]:
     """Assign a ground-truth lesion type to each reference component by
     locating each record's centroid inside a component."""
     types: dict[int, int | None] = {c.id: None for c in ref_comps}
     if not lesion_records:
         return types
-    id_map = {}
+    id_map = np.zeros(shape, dtype=np.int32)   # ref component id + 1
     for c in ref_comps:
-        for v in map(tuple, c.voxels):
-            id_map[v] = c.id
+        zi, yi, xi = c.voxels.T
+        id_map[zi, yi, xi] = c.id + 1
     for rec in lesion_records:
         centroid = tuple(int(round(x)) for x in rec["centroid"])
-        cid = id_map.get(centroid)
-        if cid is None:
+        # bounds checked explicitly: a negative index would wrap around
+        inside = all(0 <= v < n for v, n in zip(centroid, shape))
+        cid = int(id_map[centroid]) - 1 if inside else -1
+        if cid < 0:
             # centroid of a non-convex blob can fall outside; use nearest comp
             best, best_d = None, None
             for c in ref_comps:
@@ -308,7 +311,7 @@ def evaluate_patient(subject_id: str, ref_labels: np.ndarray, pred_labels: np.nd
         raise ValueError("reference and prediction shapes differ")
     ref_all = connected_components(ref_labels, cfg.connectivity, spacing_mm)
     pred_all = connected_components(pred_labels, cfg.connectivity, spacing_mm)
-    ref_types = _ref_types_from_records(ref_all, lesion_records)
+    ref_types = _ref_types_from_records(ref_all, lesion_records, ref_labels.shape)
 
     def run(min_voxels):
         ref = filter_min_size(ref_all, min_voxels)
@@ -350,7 +353,7 @@ def evaluate_patient(subject_id: str, ref_labels: np.ndarray, pred_labels: np.nd
     )
 
 
-def _pooled_row(patients: list[PatientEval]) -> dict:
+def pooled_row(patients: list[PatientEval]) -> dict:
     n_ref = sum(p.metrics["n_ref"] for p in patients)
     n_det = sum(p.metrics["n_detected"] for p in patients)
     n_pred = sum(p.metrics["n_pred"] for p in patients)
@@ -428,7 +431,7 @@ def build_report(model_patients: dict[str, list[PatientEval]],
                     "models": {}, "wilcoxon": []}
     for name, pats in model_patients.items():
         report["models"][name] = {
-            "table1": _pooled_row(pats),
+            "table1": pooled_row(pats),
             "per_patient": [
                 {"subject_id": p.subject_id, **p.metrics, "avd": p.avd,
                  "ref_total_ul": p.ref_total_ul, "pred_total_ul": p.pred_total_ul}

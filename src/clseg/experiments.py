@@ -13,8 +13,9 @@ Two experiments back the end-to-end claims:
   baseline's, and the dropout-trained variant's LTPR degradation under
   channel loss against the plain multi-task one.
 
-Folds and variants run as independent processes writing disjoint
-directories; results are byte-deterministic in (config, seeds).
+Every (variant, fold) job runs `pipeline.run_fold` in a process pool and
+writes its own directory; all variants see the same fold split. Results
+are byte-deterministic in (config, seeds) for a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -25,16 +26,14 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .config import RunConfig
-from .evaluation import EvalConfig
+from .config import VARIANTS, RunConfig
+from .evaluation import EvalConfig, pooled_row
 from .phantom import PhantomSpec, generate_cohort
 from .pipeline import (derive_seed, discover_subjects, evaluate_predictions,
-                       make_fold_split, run_inference, run_training)
+                       make_fold_split, run_fold, run_inference, run_training)
 from .losses import LossConfig
 from .sampling import SamplerConfig
 from .unet import NetworkConfig
-
-VARIANTS = ("baseline", "multitask", "multitask_icd")
 
 DESK_PHANTOM = PhantomSpec(
     side_voxels=56,
@@ -64,20 +63,6 @@ def _desk_config(cohort_dir, out_dir, variant, iterations, seed,
     return cfg.apply_variant(variant).validate()
 
 
-def _pooled(cohort_dir, pred_dir, min_voxels=6) -> dict:
-    pats = evaluate_predictions(cohort_dir, pred_dir,
-                                EvalConfig(min_lesion_voxels=min_voxels))
-    n_ref = sum(p.metrics["n_ref"] for p in pats)
-    n_det = sum(p.metrics["n_detected"] for p in pats)
-    n_pred = sum(p.metrics["n_pred"] for p in pats)
-    n_fp = sum(p.metrics["n_fp"] for p in pats)
-    return {
-        "ltpr": n_det / n_ref if n_ref else 1.0,
-        "lfpr": n_fp / n_pred if n_pred else 0.0,
-        "n_ref": n_ref, "n_detected": n_det, "n_pred": n_pred, "n_fp": n_fp,
-    }
-
-
 def overfit_experiment(workdir: str | Path, iterations: int = 2000, seed: int = 7,
                        n_subjects: int = 2, phantom: PhantomSpec = DESK_PHANTOM,
                        base_channels: int = 4, input_patch: int = 48,
@@ -97,32 +82,12 @@ def overfit_experiment(workdir: str | Path, iterations: int = 2000, seed: int = 
     result = {
         "iterations": iterations,
         "seed": seed,
-        "pooled": _pooled(cohort, pred),
+        "pooled": pooled_row(evaluate_predictions(cohort, pred, EvalConfig())),
         "elapsed_s": round(time.time() - t0, 1),
     }
     (workdir / "overfit_result.json").write_text(
         json.dumps(result, indent=2) + "\n", encoding="utf-8")
     return result
-
-
-def _xval_job(args) -> None:
-    """Train one (variant, fold) and predict its held-out subjects in all
-    inference modes. Module-level for process-pool pickling."""
-    (cfg, fold_idx, train_ids, test_ids, clean_dir, art_dir, out_root) = args
-    out_root = Path(out_root)
-    fold_cfg = dataclasses.replace(
-        cfg,
-        training=dataclasses.replace(
-            cfg.training, seed=derive_seed(cfg.training.seed, fold_idx)),
-        sampler=dataclasses.replace(
-            cfg.sampler, seed=derive_seed(cfg.sampler.seed, fold_idx)),
-    )
-    ckpt = run_training(fold_cfg, out_root / f"fold_{fold_idx}", subject_ids=train_ids)
-    for sid in test_ids:
-        run_inference(ckpt, Path(clean_dir) / sid, out_root / "pred_clean" / sid)
-        run_inference(ckpt, Path(art_dir) / sid, out_root / "pred_art_full" / sid)
-        run_inference(ckpt, Path(art_dir) / sid, out_root / "pred_art_drop" / sid,
-                      drop_channel="t2s_gre")
 
 
 def icd_robustness_experiment(workdir: str | Path, seeds=(0, 1, 2),
@@ -145,32 +110,31 @@ def icd_robustness_experiment(workdir: str | Path, seeds=(0, 1, 2),
                         n_subjects, art_dir, seed=seed)
         ids = discover_subjects(clean_dir)
         folds = make_fold_split(ids, k, seed)
+        test_sets = {"pred_clean": (clean_dir, None),
+                     "pred_art_full": (art_dir, None),
+                     "pred_art_drop": (art_dir, "t2s_gre")}
 
-        jobs = []
-        for vi, variant in enumerate(VARIANTS):
-            vdir = sdir / variant
-            cfg = _desk_config(clean_dir, vdir, variant, iterations,
-                               derive_seed(seed, vi),
-                               base_channels=base_channels, input_patch=input_patch,
-                               learning_rate=learning_rate)
-            for fi, test_ids in enumerate(folds):
-                train_ids = sorted(set(ids) - set(test_ids))
-                jobs.append((cfg, fi, train_ids, test_ids,
-                             str(clean_dir), str(art_dir), str(vdir)))
-        if n_workers > 1:
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                list(pool.map(_xval_job, jobs))
-        else:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            jobs = []
+            for vi, variant in enumerate(VARIANTS):
+                vdir = sdir / variant
+                cfg = _desk_config(clean_dir, vdir, variant, iterations,
+                                   derive_seed(seed, vi),
+                                   base_channels=base_channels, input_patch=input_patch,
+                                   learning_rate=learning_rate)
+                for fi, test_ids in enumerate(folds):
+                    train_ids = sorted(set(ids) - set(test_ids))
+                    jobs.append(pool.submit(run_fold, cfg, fi, train_ids, test_ids,
+                                            vdir, test_sets))
             for job in jobs:
-                _xval_job(job)
+                job.result()
 
         row = {"seed": seed, "variants": {}}
         for variant in VARIANTS:
-            vdir = sdir / variant
             row["variants"][variant] = {
-                "clean": _pooled(clean_dir, vdir / "pred_clean"),
-                "artifact_full": _pooled(art_dir, vdir / "pred_art_full"),
-                "artifact_drop": _pooled(art_dir, vdir / "pred_art_drop"),
+                key: pooled_row(evaluate_predictions(cohort, sdir / variant / name, EvalConfig()))
+                for key, (name, (cohort, _)) in zip(("clean", "artifact_full", "artifact_drop"),
+                                                    test_sets.items())
             }
         per_seed.append(row)
 

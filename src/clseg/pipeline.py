@@ -1,7 +1,9 @@
 """Pipeline plumbing: cohort loading, the training loop with checkpoints
 and a loss log, whole-subject inference, k-fold cross-validation, and
 report emission. Every step is a pure function of (config, input files,
-seed); repeated runs are byte-identical.
+seed); repeated runs are byte-identical on a machine with the same BLAS
+thread count (a different count reorders float32 sums, and the rounding
+differences grow through training).
 """
 
 from __future__ import annotations
@@ -199,8 +201,12 @@ def _lesion_records_by_subject(cohort_dir: Path) -> dict[str, list[dict]]:
     manifest_path = cohort_dir / "cohort_manifest.json"
     if not manifest_path.exists():
         return {}
-    doc = json.loads(manifest_path.read_text(encoding="utf-8"))
-    return {s["subject_id"]: s["lesions"] for s in doc.get("subjects", [])}
+    try:
+        doc = json.loads(manifest_path.read_text(encoding="utf-8"))
+        return {s["subject_id"]: s["lesions"] for s in doc.get("subjects", [])}
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as e:
+        raise volume_io.VolumeError(
+            f"malformed cohort manifest {manifest_path}: {type(e).__name__}: {e}") from e
 
 
 def evaluate_predictions(cohort_dir: str | Path, pred_dir: str | Path,
@@ -219,11 +225,35 @@ def evaluate_predictions(cohort_dir: str | Path, pred_dir: str | Path,
             raise volume_io.MissingVolumeFileError(
                 f"no prediction for {sid} under {pred_dir} (cohort coverage mismatch)")
         pred = volume_io.read_volume(pred_path)
+        if pred.header.dims != ref.header.dims:
+            raise volume_io.GeometryMismatchError(
+                f"prediction {pred_path} has dims {pred.header.dims}, "
+                f"reference has {ref.header.dims}")
         patients.append(evaluate_patient(
             sid, ref.data, pred.data, eval_cfg,
             spacing_mm=ref.header.spacing_mm,
             lesion_records=records.get(sid)))
     return patients
+
+
+def run_fold(cfg: RunConfig, fold_idx: int, train_ids: list[str], test_ids: list[str],
+             out_dir: str | Path,
+             test_sets: dict[str, tuple[str | Path, str | None]]) -> Path:
+    """Train fold i into out_dir/fold_<i>, seeded from (seed, fold_idx), then
+    predict every held-out subject into out_dir/<set>/<subject> for each set
+    of `test_sets`: set name -> (cohort_dir, drop_channel or None)."""
+    out_dir = Path(out_dir)
+    fold_cfg = dataclasses.replace(
+        cfg,
+        training=dataclasses.replace(cfg.training, seed=derive_seed(cfg.training.seed, fold_idx)),
+        sampler=dataclasses.replace(cfg.sampler, seed=derive_seed(cfg.sampler.seed, fold_idx)),
+    )
+    ckpt = run_training(fold_cfg, out_dir / f"fold_{fold_idx}", subject_ids=train_ids)
+    for sid in test_ids:
+        for name, (cohort_dir, drop_channel) in test_sets.items():
+            run_inference(ckpt, Path(cohort_dir) / sid, out_dir / name / sid,
+                          drop_channel=drop_channel)
+    return ckpt
 
 
 def run_xval(cfg: RunConfig, out_dir: str | Path, k: int | None = None) -> dict:
@@ -235,19 +265,12 @@ def run_xval(cfg: RunConfig, out_dir: str | Path, k: int | None = None) -> dict:
     folds = make_fold_split(subject_ids, k, cfg.training.seed)
     (out_dir / "folds.json").write_text(json.dumps(folds, indent=2) + "\n", encoding="utf-8")
 
-    pred_dir = out_dir / "predictions"
     for fi, test_ids in enumerate(folds):
         train_ids = sorted(set(subject_ids) - set(test_ids))
-        fold_cfg = dataclasses.replace(
-            cfg,
-            training=dataclasses.replace(cfg.training, seed=derive_seed(cfg.training.seed, fi)),
-            sampler=dataclasses.replace(cfg.sampler, seed=derive_seed(cfg.sampler.seed, fi)),
-        )
-        ckpt = run_training(fold_cfg, out_dir / f"fold_{fi}", subject_ids=train_ids)
-        for sid in test_ids:
-            run_inference(ckpt, Path(cfg.paths.cohort_dir) / sid, pred_dir / sid)
+        run_fold(cfg, fi, train_ids, test_ids, out_dir,
+                 {"predictions": (cfg.paths.cohort_dir, None)})
 
-    patients = evaluate_predictions(cfg.paths.cohort_dir, pred_dir, cfg.eval)
+    patients = evaluate_predictions(cfg.paths.cohort_dir, out_dir / "predictions", cfg.eval)
     report = build_report({cfg.variant: patients}, cfg.eval)
     write_report_files(report, out_dir / "report")
     return report

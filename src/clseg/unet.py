@@ -123,6 +123,17 @@ def param_specs(cfg: NetworkConfig) -> list[tuple[str, str, tuple]]:
     ]
 
 
+def param_shapes(cfg: NetworkConfig) -> dict[str, tuple]:
+    """`name.kernel` / `name.bias` -> shape, in checkpoint payload order. A
+    bias has one entry per output channel: dim 0 of a conv kernel, dim 1 of
+    a transposed-conv kernel."""
+    shapes = {}
+    for name, kind, kshape in param_specs(cfg):
+        shapes[f"{name}.kernel"] = kshape
+        shapes[f"{name}.bias"] = (kshape[0] if kind == "conv" else kshape[1],)
+    return shapes
+
+
 @dataclass
 class NetworkParams:
     config: NetworkConfig
@@ -147,15 +158,13 @@ def build_network(cfg: NetworkConfig, seed: int, dtype=np.float32) -> NetworkPar
     """
     cfg.validate()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    shapes = param_shapes(cfg)
     tensors: dict[str, np.ndarray] = {}
     for name, kind, shape in param_specs(cfg):
-        if kind == "conv":
-            out_ch, fan_in = shape[0], int(np.prod(shape[1:]))
-        else:
-            fan_in, out_ch = shape[0], shape[1]
+        fan_in = int(np.prod(shape[1:])) if kind == "conv" else shape[0]
         std = 0.0 if name.startswith("head_") else np.sqrt(2.0 / fan_in)
         tensors[f"{name}.kernel"] = (rng.standard_normal(shape) * std).astype(dtype)
-        tensors[f"{name}.bias"] = np.zeros(out_ch, dtype=dtype)
+        tensors[f"{name}.bias"] = np.zeros(shapes[f"{name}.bias"], dtype=dtype)
     return NetworkParams(cfg, seed, tensors)
 
 
@@ -459,22 +468,15 @@ class CheckpointError(ValueError):
     """A checkpoint is missing, unreadable, malformed or incomplete."""
 
 
-def _payload_order(params: NetworkParams) -> list[str]:
-    names = []
-    for name, _, _ in param_specs(params.config):
-        names.extend([f"{name}.kernel", f"{name}.bias"])
-    return names
-
-
 def save_checkpoint(path: str | Path, params: NetworkParams, state: AdamState,
                     iteration: int, sampler_draws: int) -> None:
-    """Parameters then Adam m then v, each in param_specs order, float32 LE.
+    """Parameters then Adam m then v, each in param_shapes order, float32 LE.
 
     The payload is written before the header, each atomically, so a header
     on disk implies its complete payload unless something later truncates it.
     """
     path = Path(path)
-    order = _payload_order(params)
+    order = list(param_shapes(params.config))
     header = {
         "format": "clseg-checkpoint-v1",
         "config": asdict(params.config),
@@ -520,10 +522,7 @@ def load_checkpoint(path: str | Path):
     try:
         cfg = NetworkConfig(**header["config"])
         order = header["payload_order"]
-        shapes = {}
-        for name, kind, kshape in param_specs(cfg):
-            shapes[f"{name}.kernel"] = kshape
-            shapes[f"{name}.bias"] = (kshape[0] if kind == "conv" else kshape[1],)
+        shapes = param_shapes(cfg)
         expected = 3 * sum(int(np.prod(shapes[k])) for k in order)
     except (KeyError, TypeError) as e:
         raise CheckpointError(f"malformed checkpoint header {json_path}: {e!r}") from e

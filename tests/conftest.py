@@ -1,9 +1,6 @@
-import sys
 from pathlib import Path
 
 import pytest
-
-sys.path.insert(0, str(Path(__file__).parent))  # brute_force oracles live here
 
 from clseg.phantom import PhantomSpec, generate_cohort
 

@@ -161,6 +161,45 @@ def test_cli_infer_bad_inputs_exit_2(tmp_path, tiny_cohort, capsys, damage):
     assert len(err) == 1 and err[0].startswith("data error: ")
 
 
+def _wrong_dims_prediction(cohort, pred):
+    vio.write_volume(vio.make_volume(np.zeros((8, 8, 8), np.uint8), "cl_labels", "subject_01"),
+                     pred / "subject_01" / "cl_pred")
+
+
+def _malformed_manifest(cohort, pred):
+    (cohort / "cohort_manifest.json").write_text("{not json")
+
+
+def _manifest_entry_without_id(cohort, pred):
+    path = cohort / "cohort_manifest.json"
+    doc = json.loads(path.read_text())
+    del doc["subjects"][0]["subject_id"]
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("damage", [_wrong_dims_prediction, _malformed_manifest,
+                                    _manifest_entry_without_id],
+                         ids=["prediction-dims", "malformed-manifest",
+                              "manifest-entry-without-id"])
+def test_cli_report_bad_data_exit_2(tmp_path, tiny_cohort, capsys, damage):
+    cohort = tmp_path / "cohort"
+    shutil.copytree(tiny_cohort, cohort)
+    pred = tmp_path / "pred"
+    for sid in ("subject_00", "subject_01"):
+        ref = vio.read_volume(cohort / sid / "cl_labels")
+        (pred / sid).mkdir(parents=True)
+        vio.write_volume(ref, pred / sid / "cl_pred")
+    cfg, path = _fast_config(tmp_path, cohort)
+    argv = ["report", "--config", str(path), "--out", str(tmp_path / "rep"),
+            "--pred", f"model={pred}"]
+    assert main(argv) == 0
+    damage(cohort, pred)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ")
+
+
 def test_cli_phantom_deterministic(tmp_path, capsys):
     cfg, path = _fast_config(tmp_path, tmp_path / "cohort")
     assert main(["phantom", "--config", str(path), "--n-subjects", "2"]) == 0

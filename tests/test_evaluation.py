@@ -264,6 +264,19 @@ def test_size_curves_recomputed_per_threshold():
         assert data["n_fp"] == want["n_fp"]
 
 
+def test_record_centroids_outside_the_grid_take_the_nearest_component():
+    # A sits at the origin corner, B at the far corner; a centroid at -1 must
+    # not wrap around into B, and one past the end must not index out of range
+    ref = np.zeros((10, 10, 10), np.uint8)
+    ref[:2, :2, :2] = 1
+    ref[8:, 8:, 8:] = 2
+    records = [{"centroid": [-1.0, -1.0, -1.0], "type": 3},
+               {"centroid": [10.2, 10.0, 9.6], "type": 4}]
+    pe = ev.evaluate_patient("s0", ref, ref.copy(), lesion_records=records)
+    assert [(r["class"], r["type"]) for r in pe.ref_records] == [(1, 3), (2, 4)]
+    assert [r["type"] for r in pe.by_threshold[6]["records"]] == [3, 4]
+
+
 def test_pooled_ltpr_equals_cohort_counts():
     pats = []
     for s in range(4):

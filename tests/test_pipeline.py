@@ -13,10 +13,12 @@ from clseg.volume_io import read_volume
 from conftest import TINY_SPEC
 
 
-def _cfg(cohort_dir, out_dir, iterations=4, variant="multitask_icd", **tr):
+def _cfg(cohort_dir, out_dir, iterations=4, variant="multitask_icd", instance_norm=False,
+         **tr):
     cfg = RunConfig(
         variant=variant,
-        network=dataclasses.replace(RunConfig().network, base_channels=2, input_patch=44),
+        network=dataclasses.replace(RunConfig().network, base_channels=2, input_patch=44,
+                                    instance_norm=instance_norm),
         sampler=dataclasses.replace(RunConfig().sampler, jitter_voxels=2, seed=5,
                                     icd_probability=0.5 if variant == "multitask_icd" else 0.0),
         loss=dataclasses.replace(RunConfig().loss,
@@ -42,13 +44,15 @@ def test_training_writes_log_and_checkpoints(tmp_path, tiny_cohort):
     assert first[0] == pytest.approx(np.log(3.0), rel=1e-5)
 
 
-def test_resume_reproduces_uninterrupted_run(tmp_path, tiny_cohort):
-    full = _cfg(tiny_cohort, tmp_path / "full", iterations=6)
+@pytest.mark.parametrize("axes", [{}, {"batch_size": 2, "instance_norm": True}],
+                         ids=["batch1", "batch2-instance-norm"])
+def test_resume_reproduces_uninterrupted_run(tmp_path, tiny_cohort, axes):
+    full = _cfg(tiny_cohort, tmp_path / "full", iterations=6, **axes)
     pipeline.run_training(full, tmp_path / "full")
 
-    part = _cfg(tiny_cohort, tmp_path / "part", iterations=4)
+    part = _cfg(tiny_cohort, tmp_path / "part", iterations=4, **axes)
     pipeline.run_training(part, tmp_path / "part")
-    cont = _cfg(tiny_cohort, tmp_path / "part", iterations=6)
+    cont = _cfg(tiny_cohort, tmp_path / "part", iterations=6, **axes)
     pipeline.run_training(cont, tmp_path / "part")
 
     assert (tmp_path / "full" / "loss.csv").read_bytes() == \
