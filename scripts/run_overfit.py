@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
-"""Train the multitask_icd variant on a tiny phantom cohort and score it on
-its own training subjects (expect lesion-wise TPR near 1, FPR near 0)."""
+"""Train the multitask_icd variant on a tiny phantom cohort and score it
+lesion-wise on its own training subjects; prints the result JSON.
+
+This is a sanity check of the training loop, not a proof of convergence:
+at the defaults (2000 iterations, seed 7, 2 subjects, C=4, 48^3 patch) it detects
+about a quarter of the training lesions (LTPR 0.27, LFPR 0.33)."""
 
 import argparse
 import json

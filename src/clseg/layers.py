@@ -18,7 +18,9 @@ gradient places grad_out on a zeroed full grid. Work is chunked over depth
 slabs whose unrolled input plus full-grid output, (C*k*k + Co)*H*W*(planes
 + k-1) elements, fit COL_BUDGET_ELEMS, or one plane if that is larger. The
 input gradient reuses the forward path as a full correlation of the
-zero-padded gradient with the flipped kernel.
+gradient with the flipped kernel: the gradient is laid on the input's
+(H, W) grid after a front pad of (k-1)*(H*W+W+1) zeros, where wrapped taps
+read zeros, so every full-grid output column is an input gradient.
 """
 
 from __future__ import annotations
@@ -56,40 +58,47 @@ def _slab_planes(Ci, Co, k, H, W, oD):
     return max(1, min(oD, COL_BUDGET_ELEMS // ((Ci * k * k + Co) * H * W) - (k - 1)))
 
 
-def _unroll(x, k, z0, z1):
-    """In-plane unrolling of output planes [z0, z1) of one (C, D, H, W) item.
+def _unroll(x, k, z0, n):
+    """In-plane unrolling of n full-grid output columns from plane z0 of one
+    (C, D, H, W) item.
 
-    x must be C-contiguous. Returns (U, n) with U of shape
-    (C*k*k, n + (k-1)*H*W) and U[(c, dy, dx), j] = x[c].flat[z0*H*W + j +
-    dy*W + dx], so depth tap dz of output column j is U[:, dz*H*W + j].
-    n = planes*H*W - (k-1)*(W+1) is one past the last valid output column,
-    which keeps the last read inside the slab's input planes.
+    x must be C-contiguous. Returns U of shape (C*k*k, n + (k-1)*H*W) with
+    U[(c, dy, dx), j] = x[c].flat[z0*H*W + j + dy*W + dx], so depth tap dz
+    of output column j is U[:, dz*H*W + j]. Raises ContractError if the
+    last read falls past x[c].
     """
-    C, _, H, W = x.shape
+    C, D, H, W = x.shape
     HW = H * W
-    n = (z1 - z0) * HW - (k - 1) * (W + 1)
+    if (z0 + k - 1) * HW + n + (k - 1) * (W + 1) > D * HW:
+        raise ContractError(f"conv3d: {n} columns from plane {z0} read past {x.shape}")
     s = x.itemsize
     view = as_strided(x[:, z0:], (C, k, k, n + (k - 1) * HW),
                       (x.strides[0], W * s, s, s), writeable=False)
-    return view.reshape(C * k * k, -1), n
+    return view.reshape(C * k * k, -1)
 
 
 def _conv_slabs(x, weight, out):
     """out[b,o,z,y,x] = sum_{i,dz,dy,dx} x[b,i,z+dz,y+dy,x+dx] * w[o,i,dz,dy,dx]
 
     x must be C-contiguous. A slab's outputs are computed on the full (H, W)
-    grid, one GEMM per depth tap, and the valid (oH, oW) corner is copied out.
+    grid, one GEMM per depth tap, and the (oH, oW) corner is copied out.
+    When out spans the whole grid, every column is an output; the last
+    (k-1)*(W+1) of them then read one plane past oD + k - 1, which x must
+    hold.
     """
     B, Ci, D, H, W = x.shape
     Co, _, k, _, _ = weight.shape
     oD, oH, oW = out.shape[2:]
     HW = H * W
+    # columns past the last valid output of a slab, when out is cropped
+    tail = 0 if (oH, oW) == (H, W) else (k - 1) * (W + 1)
     w_dz = np.ascontiguousarray(weight.transpose(2, 0, 1, 3, 4)).reshape(k, Co, -1)
     slab = _slab_planes(Ci, Co, k, H, W, oD)
     for b in range(B):
         for z0 in range(0, oD, slab):
             z1 = min(z0 + slab, oD)
-            U, n = _unroll(x[b], k, z0, z1)
+            n = (z1 - z0) * HW - tail
+            U = _unroll(x[b], k, z0, n)
             full = np.empty((Co, (z1 - z0) * HW), dtype=out.dtype)
             np.matmul(w_dz[0], U[:, :n], out=full[:, :n])
             for dz in range(1, k):
@@ -138,7 +147,8 @@ def conv3d_backward(x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray,
     for b in range(B):
         for z0 in range(0, oD, slab):
             z1 = min(z0 + slab, oD)
-            U, n = _unroll(x[b], k, z0, z1)
+            n = (z1 - z0) * HW - (k - 1) * (W + 1)
+            U = _unroll(x[b], k, z0, n)
             g = np.zeros((Co, z1 - z0, H, W), dtype=grad_out.dtype)
             g[:, :, :oH, :oW] = grad_out[b, :, z0:z1]
             g = g.reshape(Co, -1)[:, :n]
@@ -150,10 +160,13 @@ def conv3d_backward(x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray,
     if not need_grad_x:
         return None, grad_w, grad_bias
 
-    # input gradient: full correlation of grad_out with the flipped kernel
+    # input gradient: full correlation of grad_out with the flipped kernel,
+    # grad_out placed from plane, row and column k-1 of the input's grid (the
+    # front pad of the module docstring); the last plane is spare, for the
+    # reads of the last (k-1)*(W+1) columns
     p = k - 1
-    padded = np.zeros((B, Co, oD + 2 * p, oH + 2 * p, oW + 2 * p), dtype=grad_out.dtype)
-    padded[:, :, p:p + oD, p:p + oH, p:p + oW] = grad_out
+    padded = np.zeros((B, Co, D + k, H, W), dtype=grad_out.dtype)
+    padded[:, :, p:p + oD, p:, p:] = grad_out
     grad_x = np.empty_like(x)
     _conv_slabs(padded, weight[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4), grad_x)
     return grad_x, grad_w, grad_bias

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy import ndimage
 
 
 def conv3d_loops(x: np.ndarray, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -71,6 +72,19 @@ def maxpool3d_blocks(x: np.ndarray) -> np.ndarray:
                     for xx in range(W // 2):
                         out[b, c, z, y, xx] = x[b, c, 2*z:2*z+2, 2*y:2*y+2, 2*xx:2*xx+2].max()
     return out
+
+
+def rotate_window_reference(vol: np.ndarray, center, rot: np.ndarray, side: int,
+                            order: int) -> np.ndarray:
+    """side^3 window of one channel rotated by the matrix rot about its
+    midpoint center - 0.5, resampled by scipy (float64 interpolation,
+    mirror boundary): order 1 trilinear, order 0 nearest. This is the
+    sampler's former per-channel path."""
+    offs = np.arange(side) - (side - 1) / 2.0
+    grid = np.stack(np.meshgrid(offs, offs, offs, indexing="ij")).reshape(3, -1)
+    src = rot @ grid + (np.asarray(center, dtype=float) - 0.5)[:, None]
+    out = ndimage.map_coordinates(vol, src, order=order, mode="mirror", prefilter=False)
+    return out.reshape((side,) * 3)
 
 
 def _neighbors(connectivity: int):

@@ -4,9 +4,10 @@ from scipy import stats
 
 from clseg import sampling
 from clseg.sampling import (PatchSampler, SamplerConfig, TrainingSubject,
-                            build_lesion_index, choose_icd, draw_rng)
+                            build_lesion_index, choose_icd, draw_rng, rotation_matrix)
+from clseg.unet import reflect_indices
 
-from brute_force import flood_fill_components
+from brute_force import flood_fill_components, rotate_window_reference
 
 
 def _subject(cl=None, side=32, subject_id="s0", seed=0):
@@ -156,18 +157,132 @@ def test_zero_angles_no_flips_is_identity():
     assert out.provenance["flips"] == [False, False, False]
 
 
-def test_180_rotation_equals_double_flip():
+def _plain_window(vol, center, side):
+    """Unrotated side^3 window starting at center - side//2, mirror boundary."""
+    idx = [reflect_indices(vol.shape[a], int(center[a]) - side // 2, side) for a in range(3)]
+    return vol[np.ix_(*idx)]
+
+
+@pytest.mark.parametrize("angles,flips,center", [
+    ((180.0, 0.0, 0.0), (1, 2), (16, 16, 16)),
+    ((0.0, 180.0, 0.0), (0, 2), (16, 16, 16)),
+    ((0.0, 0.0, 180.0), (0, 1), (16, 16, 16)),
+    ((180.0, 0.0, 0.0), (1, 2), (0, 31, 5)),
+    ((0.0, 0.0, 0.0), (), (0, 0, 0)),
+    ((0.0, 0.0, 0.0), (), (31, 31, 31)),
+    ((0.0, 0.0, 0.0), (), (0, 17, 31)),
+], ids=["z180", "y180", "x180", "z180-edge", "zero-corner-lo", "zero-corner-hi",
+        "zero-faces"])
+def test_180_rotation_equals_double_flip(angles, flips, center):
+    # integral source coordinates give weights of exactly (1, 0): a 180
+    # degree turn is a double flip and zero angles the plain window, bit
+    # for bit, on every channel and at the mirror boundary
     subj = _subject(seed=11)
-    from clseg.sampling import _extract, _rotate_window
-    center = np.array([16, 16, 16])
-    for axis, flips in [(0, (1, 2)), (1, (0, 2)), (2, (0, 1))]:
-        angles = [0.0, 0.0, 0.0]
-        angles[axis] = 180.0
-        got = _rotate_window(subj.contrasts[0], center, angles, 12, order=1)
-        want = _extract(subj.contrasts[0], center, 12)
+    origin = (np.asarray(center) - 0.5)[:, None]
+    got = sampling._trilinear_window(subj.contrasts, origin, rotation_matrix(angles), 12)
+    for ch in range(3):
+        want = _plain_window(subj.contrasts[ch], center, 12)
         for f in flips:
             want = np.flip(want, axis=f)
-        assert np.array_equal(got, want), axis
+        assert np.array_equal(got[ch].reshape(12, 12, 12), want), ch
+
+
+class _FixedAngles:
+    """Stands in for the generator inside sample_patch: fixed angles."""
+
+    def __init__(self, angles):
+        self.angles = np.asarray(angles, dtype=float)
+
+    def uniform(self, low, high, size):
+        return self.angles
+
+
+def _labelled_subject(shape, seed):
+    r = np.random.default_rng(seed)
+    return TrainingSubject(
+        subject_id="s", contrasts=r.standard_normal((3,) + shape).astype(np.float32),
+        cl_labels=r.integers(0, 3, shape).astype(np.uint8),
+        tissue_labels=r.integers(1, 3, shape).astype(np.uint8),
+        wml_labels=r.integers(0, 2, shape).astype(np.uint8))
+
+
+def _poses(shape, kind, seed):
+    r = np.random.default_rng(seed)
+    hi = np.array(shape) - 1
+    if kind == "boundary":
+        centers = [np.array(c) * hi for c in np.ndindex(2, 2, 2)]
+        centers += [np.where(np.arange(3) == a, e * hi[a], hi // 2)
+                    for a in range(3) for e in (0, 1)]
+    else:
+        centers = [r.integers(0, hi + 1) for _ in range(8)]
+    return [(c, r.uniform(-180, 180, 3)) for c in centers]
+
+
+@pytest.mark.parametrize("shape,side,kind", [
+    ((32, 32, 32), 44, "random"),
+    ((32, 32, 32), 44, "boundary"),
+    ((24, 30, 36), 44, "random"),
+    ((20, 20, 20), 44, "boundary"),      # the mirror spans more than one period
+    ((20, 20, 20), 44, "random"),
+], ids=["random-poses", "corners-faces", "non-cubic", "multi-period-edges",
+        "multi-period"])
+def test_resampling_matches_per_channel_reference(shape, side, kind):
+    # one trilinear pass over all contrasts with float32 weights agrees with
+    # scipy's float64 per-channel interpolation; labels stay nearest and exact
+    subj = _labelled_subject(shape, seed=1)
+    sampler = PatchSampler(SamplerConfig(lesion_fraction=0.0), side, [subj])
+    ls = sampler.label_patch
+    for center, angles in _poses(shape, kind, seed=2):
+        sampler.choose_center = lambda rng, c=center: (0, c, None)
+        p = sampler.sample_patch(_FixedAngles(angles))
+        rot = rotation_matrix(angles)
+        want = np.stack([rotate_window_reference(subj.contrasts[c], center, rot, side, 1)
+                         for c in range(3)])
+        assert p.input.shape == want.shape
+        assert np.abs(p.input - want).max() <= 1e-5, (center, angles)
+        for got, vol in ((p.cl_labels, subj.cl_labels), (p.tissue_labels, subj.tissue_labels),
+                         (p.wml_labels, subj.wml_labels)):
+            assert np.array_equal(got, rotate_window_reference(vol, center, rot, ls, 0))
+
+
+def test_draw_stream_replays_reference_in_rng_order():
+    # the generator is read as center, angles, flips, dropped channel: a
+    # replay in that order through the per-channel reference gives every draw
+    cl = np.zeros((32, 32, 32), np.uint8)
+    cl[14:18, 10:13, 15:20] = 1
+    cl[3:5, 25:28, 2:4] = 2
+    subj = _subject(cl=cl, seed=17)
+    cfg = SamplerConfig(seed=23)
+    sampler = PatchSampler(cfg, 44, [subj])
+    s, ls = 44, sampler.label_patch
+    for i in range(20):
+        got = sampler.draw(i)
+        rng = draw_rng(cfg.seed, 0, i)
+        si, center, pick = sampler.choose_center(rng)
+        a = cfg.rotation_max_deg
+        angles = rng.uniform(-a, a, size=3)
+        flips = rng.random(3) < cfg.flip_probability
+        dropped = choose_icd(rng, cfg.icd_probability)
+        rot = rotation_matrix(angles)
+        inp = np.stack([rotate_window_reference(subj.contrasts[c], center, rot, s, 1)
+                        for c in range(3)])
+        labels = [rotate_window_reference(v, center, rot, ls, 0)
+                  for v in (subj.cl_labels, subj.tissue_labels, subj.wml_labels)]
+        axes = tuple(int(x) for x in np.flatnonzero(flips))
+        if axes:
+            inp = np.flip(inp, axis=tuple(x + 1 for x in axes))
+            labels = [np.flip(v, axis=axes) for v in labels]
+        if dropped is not None:
+            inp = inp.copy()
+            inp[{"t2s_epi": 1, "t2s_gre": 2}[dropped]] = 0.0
+        assert got.provenance == {
+            "subject_id": subj.subject_id, "subject_index": si,
+            "center": [int(c) for c in center], "lesion_pick": pick,
+            "angles_deg": [float(x) for x in angles], "flips": [bool(f) for f in flips],
+            "dropped_channel": dropped, "draw_index": i}
+        for g, w in zip((got.cl_labels, got.tissue_labels, got.wml_labels), labels):
+            assert np.array_equal(g, w), i
+        assert np.abs(got.input - inp).max() <= 1e-5, i
 
 
 def test_rotation_preserves_label_codes():
