@@ -14,17 +14,22 @@ Two experiments back the end-to-end claims:
   channel loss against the plain multi-task one.
 
 Every (variant, fold) job runs `pipeline.run_fold` in a process pool and
-writes its own directory; all variants see the same fold split. Results
-are byte-deterministic in (config, seeds) for a fixed BLAS thread count.
+writes its own directory; all variants see the same fold split. Each pool
+worker runs numpy's bundled OpenBLAS at one thread, so the workers do not
+oversubscribe the cores. Results are byte-deterministic in (config, seeds)
+for a fixed BLAS thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+
+import numpy as np
 
 from .config import VARIANTS, RunConfig
 from .evaluation import EvalConfig, pooled_row
@@ -42,6 +47,37 @@ DESK_PHANTOM = PhantomSpec(
     lesion_size_range=(6, 80),
     wml_count=2,
 )
+
+
+def _openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS bundled with numpy's wheels, or None for another BLAS."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    path = next(libs.glob("libscipy_openblas64_*.so"), None)
+    if path is None:
+        return None
+    lib = ctypes.CDLL(str(path))  # the copy numpy already loaded
+    lib.scipy_openblas_get_num_threads64_.argtypes = []
+    lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+    lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+    lib.scipy_openblas_set_num_threads64_.restype = None
+    return lib
+
+
+def blas_threads() -> int | None:
+    """numpy's OpenBLAS thread count, or None if numpy uses another BLAS."""
+    lib = _openblas()
+    return None if lib is None else lib.scipy_openblas_get_num_threads64_()
+
+
+def _one_blas_thread() -> None:
+    lib = _openblas()
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(1)
+
+
+def worker_pool(n_workers: int) -> ProcessPoolExecutor:
+    """A process pool whose workers each run numpy's OpenBLAS at one thread."""
+    return ProcessPoolExecutor(max_workers=n_workers, initializer=_one_blas_thread)
 
 
 def _desk_config(cohort_dir, out_dir, variant, iterations, seed,
@@ -114,7 +150,7 @@ def icd_robustness_experiment(workdir: str | Path, seeds=(0, 1, 2),
                      "pred_art_full": (art_dir, None),
                      "pred_art_drop": (art_dir, "t2s_gre")}
 
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        with worker_pool(n_workers) as pool:
             jobs = []
             for vi, variant in enumerate(VARIANTS):
                 vdir = sdir / variant

@@ -16,7 +16,13 @@ y >= H-k+1 or x >= W-k+1 wrap into the next row or plane and are discarded:
 the forward crops the full-grid output to its valid corner, and the weight
 gradient places grad_out on a zeroed full grid. Work is chunked over depth
 slabs whose unrolled input plus full-grid output, (C*k*k + Co)*H*W*(planes
-+ k-1) elements, fit COL_BUDGET_ELEMS, or one plane if that is larger. The
++ k-1) elements, fit SLAB_BUDGET_ELEMS, or one plane if that is larger.
+The budget, 16 MiB in float32, sits under glibc's 32 MiB mmap ceiling: a
+freed slab goes back to the heap and the next slab reuses its pages, where
+a larger one would be mmap'd and page-faulted afresh, and streamed from
+memory once per depth tap. Each depth tap's GEMM is written into one
+buffer per call and added in place. The weight gradient is accumulated as
+U_dz @ grad_out^T, (C*k*k, Co) per tap, and transposed once at the end. The
 input gradient reuses the forward path as a full correlation of the
 gradient with the flipped kernel: the gradient is laid on the input's
 (H, W) grid after a front pad of (k-1)*(H*W+W+1) zeros, where wrapped taps
@@ -29,9 +35,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 # Upper bound on one conv slab's unrolled input plus its full-grid output, in
-# elements (64 MB in float32). Whole-subject inference sizes its tiles by the
-# same bound.
-COL_BUDGET_ELEMS = 16 * 1024 * 1024
+# elements (16 MiB in float32, under glibc's 32 MiB mmap ceiling).
+SLAB_BUDGET_ELEMS = 4 * 1024 * 1024
 
 
 class ContractError(ValueError):
@@ -54,8 +59,8 @@ def check_finite(arr: np.ndarray, what: str) -> None:
 
 def _slab_planes(Ci, Co, k, H, W, oD):
     """Output planes per slab: the unrolled input plus the full-grid output
-    of a slab fit COL_BUDGET_ELEMS, or one plane if that is larger."""
-    return max(1, min(oD, COL_BUDGET_ELEMS // ((Ci * k * k + Co) * H * W) - (k - 1)))
+    of a slab fit SLAB_BUDGET_ELEMS, or one plane if that is larger."""
+    return max(1, min(oD, SLAB_BUDGET_ELEMS // ((Ci * k * k + Co) * H * W) - (k - 1)))
 
 
 def _unroll(x, k, z0, n):
@@ -81,7 +86,8 @@ def _conv_slabs(x, weight, out):
     """out[b,o,z,y,x] = sum_{i,dz,dy,dx} x[b,i,z+dz,y+dy,x+dx] * w[o,i,dz,dy,dx]
 
     x must be C-contiguous. A slab's outputs are computed on the full (H, W)
-    grid, one GEMM per depth tap, and the (oH, oW) corner is copied out.
+    grid, one GEMM per depth tap accumulated in place, and the (oH, oW)
+    corner is copied out.
     When out spans the whole grid, every column is an output; the last
     (k-1)*(W+1) of them then read one plane past oD + k - 1, which x must
     hold.
@@ -94,17 +100,19 @@ def _conv_slabs(x, weight, out):
     tail = 0 if (oH, oW) == (H, W) else (k - 1) * (W + 1)
     w_dz = np.ascontiguousarray(weight.transpose(2, 0, 1, 3, 4)).reshape(k, Co, -1)
     slab = _slab_planes(Ci, Co, k, H, W, oD)
+    full = np.empty((Co, slab * HW), dtype=out.dtype)
+    tap = np.empty_like(full)
     for b in range(B):
         for z0 in range(0, oD, slab):
             z1 = min(z0 + slab, oD)
             n = (z1 - z0) * HW - tail
             U = _unroll(x[b], k, z0, n)
-            full = np.empty((Co, (z1 - z0) * HW), dtype=out.dtype)
             np.matmul(w_dz[0], U[:, :n], out=full[:, :n])
             for dz in range(1, k):
-                full[:, :n] += w_dz[dz] @ U[:, dz * HW:dz * HW + n]
-            out[b, :, z0:z1] = full.reshape(Co, z1 - z0, H, W)[:, :, :oH, :oW]
-            del U, full  # free this slab before the next one is unrolled
+                np.matmul(w_dz[dz], U[:, dz * HW:dz * HW + n], out=tap[:, :n])
+                full[:, :n] += tap[:, :n]
+            out[b, :, z0:z1] = full[:, :(z1 - z0) * HW].reshape(Co, z1 - z0, H, W)[:, :, :oH, :oW]
+            del U  # free this slab before the next one is unrolled
     return out
 
 
@@ -139,24 +147,29 @@ def conv3d_backward(x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray,
     grad_bias = grad_out.sum(axis=(0, 2, 3, 4))
 
     # weight gradient: grad_out on the full (H, W) grid, zero outside the
-    # valid corner, contracted with the forward's unrolled input per depth tap
+    # valid corner, contracted with the forward's unrolled input per depth
+    # tap; only the valid corner of the grid is ever written, so its zeros
+    # outlive every slab
     x = np.ascontiguousarray(x)
     HW = H * W
-    grad_w = np.zeros((k, Co, Ci * k * k), dtype=weight.dtype)
+    grad_w = np.zeros((k, Ci * k * k, Co), dtype=weight.dtype)
+    tap = np.empty_like(grad_w[0])
     slab = _slab_planes(Ci, Co, k, H, W, oD)
+    g = np.zeros((Co, slab, H, W), dtype=grad_out.dtype)
     for b in range(B):
         for z0 in range(0, oD, slab):
             z1 = min(z0 + slab, oD)
             n = (z1 - z0) * HW - (k - 1) * (W + 1)
             U = _unroll(x[b], k, z0, n)
-            g = np.zeros((Co, z1 - z0, H, W), dtype=grad_out.dtype)
-            g[:, :, :oH, :oW] = grad_out[b, :, z0:z1]
-            g = g.reshape(Co, -1)[:, :n]
+            g[:, :z1 - z0, :oH, :oW] = grad_out[b, :, z0:z1]
+            gT = g.reshape(Co, -1)[:, :n].T
             for dz in range(k):
-                grad_w[dz] += g @ U[:, dz * HW:dz * HW + n].T
-            del U, g
+                np.matmul(U[:, dz * HW:dz * HW + n], gT, out=tap)
+                grad_w[dz] += tap
+            del U, gT
+    del g  # free the grid before the grad_x pass allocates its own
     grad_w = np.ascontiguousarray(
-        grad_w.reshape(k, Co, Ci, k, k).transpose(1, 2, 0, 3, 4))
+        grad_w.reshape(k, Ci, k, k, Co).transpose(4, 1, 0, 2, 3))
     if not need_grad_x:
         return None, grad_w, grad_bias
 

@@ -15,9 +15,9 @@ Channel plan for base width C (in channels 3):
 
 Without a cache, `forward` frees each activation once it is dead and
 applies ReLU in place, so its memory peak stays near the widest single
-activation plus one im2col slab. Whole subjects are predicted with
+activation plus one conv slab. Whole subjects are predicted with
 overlap tiles (U-Net's overlap-tile strategy): the largest cubic tile
-whose widest activation fits the im2col budget, placed on a grid that
+whose widest activation fits the activation budget, placed on a grid that
 keeps pooling aligned, so the tiled prediction equals one forward pass
 over the whole mirror-padded volume.
 
@@ -41,6 +41,9 @@ from .optim import AdamState, adam_step
 from .volume_io import write_atomic
 
 SHRINK_PER_SIDE = 40  # total valid-conv shrinkage of the 3-level network
+# Upper bound on the widest activation of an inference tile, in elements
+# (64 MiB in float32); see _tile_side.
+ACTIVATION_BUDGET_ELEMS = 16 * 1024 * 1024
 MIN_INPUT_SIDE = 44
 
 CONTRAST_CHANNELS = {"mp2rage": 0, "t2s_epi": 1, "t2s_gre": 2}
@@ -301,25 +304,6 @@ def backward(params: NetworkParams, cache: dict,
     return grads
 
 
-def activation_pattern(cache: dict) -> np.ndarray:
-    """Identify the active piecewise-linear region of a cached forward pass.
-
-    Concatenates ReLU sign-mask and pooling argmax summaries; two forward
-    passes lie in the same linear region iff their patterns are equal.
-    Used by the gradient checker to exclude kink/tie coordinates.
-    """
-    from .gradcheck import argmax_pattern, relu_pattern
-
-    parts: list[int] = []
-    for name in _ENCODER + _DECODER:
-        _, pre, _ = cache[name]
-        parts.extend(relu_pattern(pre))
-    am1, _, am2, _ = cache["pool"]
-    parts.extend(argmax_pattern(am1))
-    parts.extend(argmax_pattern(am2))
-    return np.array(parts, dtype=np.int64)
-
-
 @dataclass
 class StepResult:
     total_loss: float
@@ -389,16 +373,16 @@ def _tile_side(shape: tuple[int, ...], base_channels: int) -> int:
     """Output side t of the cubic tiles that cover a subject of `shape`.
 
     Takes the fewest tiles per axis, n, whose t = 4*ceil(max(shape)/(4n))
-    keeps the widest activation of a (t+40)^3 input within the im2col
-    budget. The widest is the enc1b output, 2C*(t+36)^3 elements, or for
-    t > 68 the dec1a input, 6C*(t+4)^3.
+    keeps the widest activation of a (t+40)^3 input within the activation
+    budget, ACTIVATION_BUDGET_ELEMS. The widest is the enc1b output,
+    2C*(t+36)^3 elements, or for t > 68 the dec1a input, 6C*(t+4)^3.
     """
     longest = max(shape)
     n = 1
     while True:
         t = 4 * -(-longest // (4 * n))
         widest = max(2 * base_channels * (t + 36) ** 3, 6 * base_channels * (t + 4) ** 3)
-        if widest <= layers.COL_BUDGET_ELEMS or t == 4:
+        if widest <= ACTIVATION_BUDGET_ELEMS or t == 4:
             return t
         n += 1
 

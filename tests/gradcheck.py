@@ -21,6 +21,8 @@ from typing import Callable
 
 import numpy as np
 
+from clseg.unet import _DECODER, _ENCODER
+
 DEFAULT_REL_STEP = 1e-5
 DEFAULT_TOLERANCE = 1e-6
 # fallback detector: one-sided differences disagreeing this badly can only
@@ -150,3 +152,20 @@ def argmax_pattern(argmax: np.ndarray) -> tuple[int, int]:
     a = argmax.astype(np.int64).ravel()
     pos = np.arange(1, a.size + 1, dtype=np.int64)
     return (int(a.sum()), int((a * pos).sum()))
+
+
+def activation_pattern(cache: dict) -> np.ndarray:
+    """Identify the active piecewise-linear region of a cached forward pass
+    of the U-Net.
+
+    Concatenates ReLU sign-mask and pooling argmax summaries; two forward
+    passes lie in the same linear region iff their patterns are equal.
+    """
+    parts: list[int] = []
+    for name in _ENCODER + _DECODER:
+        _, pre, _ = cache[name]
+        parts.extend(relu_pattern(pre))
+    am1, _, am2, _ = cache["pool"]
+    parts.extend(argmax_pattern(am1))
+    parts.extend(argmax_pattern(am2))
+    return np.array(parts, dtype=np.int64)

@@ -2,7 +2,7 @@ import json
 
 from clseg import pipeline
 from clseg.config import VARIANTS
-from clseg.experiments import icd_robustness_experiment
+from clseg.experiments import blas_threads, icd_robustness_experiment, worker_pool
 
 from conftest import TINY_SPEC
 
@@ -55,3 +55,11 @@ def test_icd_robustness_experiment_tiny(tmp_path):
                 assert predict(variant, fi, sid) == stored(variant, sid), (variant, fi, sid)
     # and the other fold's network predicts differently, so the check can fail
     assert predict(VARIANTS[0], 1, folds[0][0]) != stored(VARIANTS[0], folds[0][0])
+
+
+def test_pool_workers_run_one_blas_thread():
+    before = blas_threads()
+    assert before is not None and before >= 1
+    with worker_pool(2) as pool:
+        assert [f.result() for f in [pool.submit(blas_threads) for _ in range(4)]] == [1] * 4
+    assert blas_threads() == before

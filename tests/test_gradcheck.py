@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from clseg import layers as L
-from clseg.gradcheck import gradient_check
 from clseg.losses import combined_loss
-from clseg.unet import NetworkConfig, activation_pattern, backward, build_network, forward
+from clseg.unet import NetworkConfig, backward, build_network, forward
+
+from gradcheck import activation_pattern, gradient_check
 
 
 def _randomize_heads(params, rng):

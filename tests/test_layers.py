@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clseg import layers as L
-from clseg.gradcheck import argmax_pattern, gradient_check, relu_pattern
 
 from brute_force import conv3d_backward_loops, conv3d_loops, maxpool3d_blocks
+from gradcheck import argmax_pattern, gradient_check, relu_pattern
 
 rng = np.random.default_rng(20240917)
 
@@ -107,7 +107,7 @@ def test_conv_forward_and_backward_match_loop_oracles(monkeypatch, k, budget):
     # 2, non-cubic input, and budgets giving 1 or 2 planes per slab (with a
     # short last slab) as well as the default
     if budget is not None:
-        monkeypatch.setattr(L, "COL_BUDGET_ELEMS", budget)
+        monkeypatch.setattr(L, "SLAB_BUDGET_ELEMS", budget)
     r = np.random.default_rng(7 + k)
     x = r.standard_normal((2, 2, 7, 6, 9))
     w = r.standard_normal((3, 2, k, k, k))
@@ -121,6 +121,26 @@ def test_conv_forward_and_backward_match_loop_oracles(monkeypatch, k, budget):
     gx, gw, gb = L.conv3d_backward(x, w, g, need_grad_x=False)
     assert gx is None
     assert np.array_equal(gw, got[2]) and np.array_equal(gb, got[3])
+
+
+def test_conv_backward_memory_within_one_slab():
+    # paper-width enc1b backward: besides its outputs and the padded
+    # gradient, only one slab (unrolled input plus full-grid output) and the
+    # per-tap GEMM buffer of the grad_x pass are alive at any time
+    Ci, Co, k, s = 16, 32, 3, 66
+    r = np.random.default_rng(3)
+    x = r.standard_normal((1, Ci, s, s, s), dtype=np.float32)
+    w = r.standard_normal((Co, Ci, k, k, k), dtype=np.float32)
+    g = r.standard_normal((1, Co, s - 2, s - 2, s - 2), dtype=np.float32)
+    padded = Co * (s + k) * s * s * 4
+    tap = Ci * L._slab_planes(Co, Ci, k, s, s, s) * s * s * 4
+    tracemalloc.start()
+    try:
+        gx, gw, gb = L.conv3d_backward(x, w, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - gx.nbytes - gw.nbytes - gb.nbytes - padded <= L.SLAB_BUDGET_ELEMS * 4 + tap
 
 
 def test_conv_deterministic():

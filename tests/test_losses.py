@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from clseg import losses
 from clseg.layers import ContractError, channel_softmax
-from clseg.gradcheck import gradient_check
+
+from gradcheck import gradient_check
 
 rng = np.random.default_rng(5)
 

@@ -238,7 +238,7 @@ def _toy_contrasts(side=56, seed=0):
     (4, (96, 56, 40), 4, 88),
 ], ids=["C4-96", "C4-56", "C16-56", "C16-96", "C4-96x56x40"])
 def test_overlap_tiles_fewest_within_budget(monkeypatch, base, shape, n_tiles, side):
-    # the fewest tiles per axis whose widest activation fits the im2col budget
+    # the fewest tiles per axis whose widest activation fits the activation budget
     params = unet.build_network(unet.NetworkConfig(base_channels=base), seed=0)
     calls = []
 
@@ -255,7 +255,7 @@ def test_overlap_tiles_fewest_within_budget(monkeypatch, base, shape, n_tiles, s
     assert cl.shape == tis.shape == prob.shape == shape
 
 
-@pytest.mark.parametrize("budget", [layers.COL_BUDGET_ELEMS, 2 ** 20],
+@pytest.mark.parametrize("budget", [unet.ACTIVATION_BUDGET_ELEMS, 2 ** 20],
                          ids=["one-tile", "many-tiles"])
 @pytest.mark.parametrize("base, shape", [
     (2, (50, 50, 50)),   # side not a multiple of 4
@@ -266,7 +266,7 @@ def test_sliding_window_matches_single_big_forward(monkeypatch, budget, base, sh
     # valid convs and pooling-aligned tile origins make the tiled prediction
     # equal to one pass over the whole padded volume, for any tile side; the
     # small budget forces many small tiles
-    monkeypatch.setattr(layers, "COL_BUDGET_ELEMS", budget)
+    monkeypatch.setattr(unet, "ACTIVATION_BUDGET_ELEMS", budget)
     params = unet.build_network(unet.NetworkConfig(base_channels=base), seed=1)
     r = np.random.default_rng(8)
     params.tensors["head_cl.kernel"] += (0.5 * r.standard_normal(
@@ -286,15 +286,15 @@ def test_sliding_window_matches_single_big_forward(monkeypatch, budget, base, sh
 
 
 def test_forward_without_cache_frees_dead_activations():
-    # A no-cache forward keeps one im2col slab plus a few activations alive:
-    # at C=4 and a 68^3 input the widest activation (enc1b output) is
-    # 8 * 64^3 float32 = 8 MiB and the slab at most COL_BUDGET_ELEMS floats,
-    # 64 MiB. Holding every activation to the end, as a cached forward
-    # does, peaks near 120 MiB.
+    # A no-cache forward keeps one conv slab and its tap buffer plus a few
+    # activations alive: at C=4 and a 68^3 input the widest activation
+    # (enc1b output) is 8 * 64^3 float32 = 8 MiB and the slab at most
+    # SLAB_BUDGET_ELEMS floats, 16 MiB. Holding every activation to the end,
+    # as a cached forward does, peaks near 120 MiB.
     params = unet.build_network(unet.NetworkConfig(base_channels=4), seed=0)
     x = np.random.default_rng(2).standard_normal((1, 3, 68, 68, 68)).astype(np.float32)
     widest = 2 * 4 * 64 ** 3 * 4
-    slab = layers.COL_BUDGET_ELEMS * 4
+    slab = layers.SLAB_BUDGET_ELEMS * 4
     tracemalloc.start()
     try:
         unet.forward(params, x)
