@@ -270,7 +270,6 @@ class PatientEval:
     pred_total_ul: float
     avd: float | None
     by_threshold: dict[int, dict]     # min_voxels -> per-ref detection records
-    ref_records: list[dict]           # per ref component: size, class, detected, type
 
 
 def _ref_types_from_records(ref_comps: list[LesionComponent],
@@ -313,20 +312,15 @@ def evaluate_patient(subject_id: str, ref_labels: np.ndarray, pred_labels: np.nd
     pred_all = connected_components(pred_labels, cfg.connectivity, spacing_mm)
     ref_types = _ref_types_from_records(ref_all, lesion_records, ref_labels.shape)
 
-    def run(min_voxels):
-        ref = filter_min_size(ref_all, min_voxels)
-        pred = filter_min_size(pred_all, min_voxels)
-        matching = match_lesions(ref, pred, ref_labels.shape)
-        return ref, pred, matching
-
-    ref, pred, matching = run(cfg.min_lesion_voxels)
-    metrics = lesion_metrics(matching, ref, pred)
-    ref_total = sum(c.volume_ul for c in ref)
-    pred_total = sum(c.volume_ul for c in pred)
-
     by_threshold = {}
     for t in sorted(set(thresholds) | {cfg.min_lesion_voxels}):
-        rt, pt, mt = run(t)
+        rt = filter_min_size(ref_all, t)
+        pt = filter_min_size(pred_all, t)
+        mt = match_lesions(rt, pt, ref_labels.shape)
+        if t == cfg.min_lesion_voxels:
+            metrics = lesion_metrics(mt, rt, pt)
+            ref_total = sum(c.volume_ul for c in rt)
+            pred_total = sum(c.volume_ul for c in pt)
         by_threshold[t] = {
             "records": [
                 {"class": c.cl_class, "type": ref_types[c.id],
@@ -337,11 +331,6 @@ def evaluate_patient(subject_id: str, ref_labels: np.ndarray, pred_labels: np.nd
             "n_fp": len(mt.fp_pred_ids),
         }
 
-    ref_records = [
-        {"class": c.cl_class, "type": ref_types[c.id], "size_voxels": c.size_voxels,
-         "volume_ul": c.volume_ul, "detected": c.id in matching.detected_ref_ids}
-        for c in ref
-    ]
     return PatientEval(
         subject_id=subject_id,
         metrics=metrics,
@@ -349,7 +338,6 @@ def evaluate_patient(subject_id: str, ref_labels: np.ndarray, pred_labels: np.nd
         pred_total_ul=pred_total,
         avd=avd(ref_total, pred_total),
         by_threshold=by_threshold,
-        ref_records=ref_records,
     )
 
 

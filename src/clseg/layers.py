@@ -27,6 +27,15 @@ input gradient reuses the forward path as a full correlation of the
 gradient with the flipped kernel: the gradient is laid on the input's
 (H, W) grid after a front pad of (k-1)*(H*W+W+1) zeros, where wrapped taps
 read zeros, so every full-grid output column is an input gradient.
+
+The stride-2 layers (2x2x2 max pooling and the 2x2x2 transposed
+convolution) see an even-sized volume as 8 octants: octant i = dz*4 +
+dy*2 + dx is the strided view x[..., dz::2, dy::2, dx::2] (`_octant`), the
+voxels at offset (dz, dy, dx) of every 2x2x2 block. Pooling's argmax stores
+the winning octant index, and tap (dz, dy, dx) of a transposed-conv kernel
+paints octant i, so both backward passes read and write the same views.
+A center crop is a view too; the network adds each skip gradient into the
+cropped view of the pooled gradient in place.
 """
 
 from __future__ import annotations
@@ -45,11 +54,6 @@ class ContractError(ValueError):
 
 class NonFiniteError(ArithmeticError):
     """A NaN or Inf crossed a checked boundary."""
-
-
-def check_finite(arr: np.ndarray, what: str) -> None:
-    if not np.isfinite(arr).all():
-        raise NonFiniteError(f"non-finite values in {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -190,20 +194,25 @@ def conv3d_backward(x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
+def _octant(x: np.ndarray, i: int) -> np.ndarray:
+    """Strided view of offset i = dz*4 + dy*2 + dx of every 2x2x2 block of
+    the spatial axes of x."""
+    return x[:, :, i >> 2::2, (i >> 1) & 1::2, i & 1::2]
+
+
 def maxpool3d_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Max over the 8 strided views of each 2x2x2 block, plus the uint8 index
-    dz*4 + dy*2 + dx of the winner. Views are taken in lexicographic order
-    and replace the running max only when strictly greater, so ties keep
-    the lowest linear index."""
+    """Max over the 8 octants of each 2x2x2 block, plus the uint8 octant
+    index of the winner. Octants are taken in index order and replace the
+    running max only when strictly greater, so ties keep the lowest index."""
     B, C, D, H, W = x.shape
     if D % 2 or H % 2 or W % 2:
         raise ContractError(f"maxpool3d: spatial dims {(D, H, W)} must be even")
-    out = x[:, :, ::2, ::2, ::2].copy()
+    out = _octant(x, 0).copy()
     argmax = np.zeros(out.shape, dtype=np.uint8)
     v = np.empty_like(out)
     tag = np.empty(out.shape, dtype=np.uint8)
     for i in range(1, 8):
-        np.copyto(v, x[:, :, i >> 2::2, (i >> 1) & 1::2, i & 1::2])
+        np.copyto(v, _octant(x, i))
         np.greater(v, out, out=tag)
         np.maximum(v, out, out=out)  # returns its second operand on ties (signed zeros)
         tag *= np.uint8(i)
@@ -211,16 +220,17 @@ def maxpool3d_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, argmax
 
 
-def maxpool3d_backward(argmax: np.ndarray, grad_out: np.ndarray,
-                       input_shape: tuple) -> np.ndarray:
-    B, C, D, H, W = input_shape
-    if grad_out.shape != (B, C, D // 2, H // 2, W // 2):
-        raise ContractError(f"maxpool3d backward: grad_out shape {grad_out.shape}")
-    blocks = np.zeros((B, C, D // 2, H // 2, W // 2, 8), dtype=grad_out.dtype)
-    np.put_along_axis(blocks, argmax[..., None].astype(np.intp), grad_out[..., None], axis=-1)
-    blocks = blocks.reshape(B, C, D // 2, H // 2, W // 2, 2, 2, 2)
-    return np.ascontiguousarray(
-        blocks.transpose(0, 1, 2, 5, 3, 6, 4, 7).reshape(B, C, D, H, W))
+def maxpool3d_backward(argmax: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    """Routes each pooled gradient to the octant its argmax names; the input
+    is twice argmax's shape in every spatial dim."""
+    if grad_out.shape != argmax.shape:
+        raise ContractError(
+            f"maxpool3d backward: grad_out shape {grad_out.shape} != argmax {argmax.shape}")
+    B, C, D, H, W = argmax.shape
+    grad_x = np.zeros((B, C, 2 * D, 2 * H, 2 * W), dtype=grad_out.dtype)
+    for i in range(8):
+        np.copyto(_octant(grad_x, i), grad_out, where=argmax == i)
+    return grad_x
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +241,8 @@ def maxpool3d_backward(argmax: np.ndarray, grad_out: np.ndarray,
 def transposed_conv3d_forward(x: np.ndarray, weight: np.ndarray,
                               bias: np.ndarray) -> np.ndarray:
     """weight layout (in_ch, out_ch, 2, 2, 2); each input voxel paints one
-    disjoint 2x2x2 output block, the adjoint of a stride-2 valid conv."""
+    disjoint 2x2x2 output block, the adjoint of a stride-2 valid conv.
+    Octant i of the output is tap i of the kernel applied to x, one GEMM."""
     B, Ci, D, H, W = x.shape
     wCi, Co, k, kh, kw = weight.shape
     if wCi != Ci:
@@ -240,10 +251,13 @@ def transposed_conv3d_forward(x: np.ndarray, weight: np.ndarray,
         raise ContractError(f"tconv3d: kernel must be 2x2x2, got {weight.shape[2:]}")
     if bias.shape != (Co,):
         raise ContractError(f"tconv3d: bias shape {bias.shape} != ({Co},)")
-    t = np.tensordot(x, weight, axes=([1], [0]))        # (B,D,H,W,Co,2,2,2)
-    t = t.transpose(0, 4, 1, 5, 2, 6, 3, 7)             # (B,Co,D,dz,H,dy,W,dx)
-    out = np.ascontiguousarray(t).reshape(B, Co, 2 * D, 2 * H, 2 * W)
-    return out + bias.reshape(1, -1, 1, 1, 1).astype(x.dtype)
+    taps = weight.reshape(Ci, Co, 8)
+    xm = x.reshape(B, Ci, D * H * W)
+    out = np.empty((B, Co, 2 * D, 2 * H, 2 * W), dtype=x.dtype)
+    for i in range(8):
+        _octant(out, i)[...] = np.matmul(taps[:, :, i].T, xm).reshape(B, Co, D, H, W)
+    out += bias.reshape(1, -1, 1, 1, 1).astype(x.dtype)
+    return out
 
 
 def transposed_conv3d_backward(x: np.ndarray, weight: np.ndarray,
@@ -253,11 +267,18 @@ def transposed_conv3d_backward(x: np.ndarray, weight: np.ndarray,
     if grad_out.shape != (B, Co, 2 * D, 2 * H, 2 * W):
         raise ContractError(
             f"tconv3d backward: grad_out shape {grad_out.shape} != {(B, Co, 2*D, 2*H, 2*W)}")
-    g = grad_out.reshape(B, Co, D, 2, H, 2, W, 2).transpose(0, 1, 3, 5, 7, 2, 4, 6)
-    # g: (B, Co, dz, dy, dx, D, H, W)
-    grad_x = np.tensordot(g, weight, axes=([1, 2, 3, 4], [1, 2, 3, 4]))  # (B,D,H,W,Ci)
-    grad_x = np.ascontiguousarray(grad_x.transpose(0, 4, 1, 2, 3))
-    grad_w = np.tensordot(x, g, axes=([0, 2, 3, 4], [0, 5, 6, 7]))       # (Ci,Co,2,2,2)
+    # the 8 octants of grad_out gathered once as rows (o, i), tap-minor like
+    # the kernel's (Co, 2, 2, 2) axes, so that each gradient is one
+    # contraction over all taps. Float32 rounding depends on the operand
+    # order: a sum of 8 per-octant GEMMs, or grad_x as W @ g, rounds
+    # differently from (g^T @ W^T)^T
+    g = np.empty((B, Co, 8, D, H, W), dtype=grad_out.dtype)
+    for i in range(8):
+        g[:, :, i] = _octant(grad_out, i)
+    g = g.reshape(B, Co * 8, D * H * W)
+    grad_x = np.matmul(g.transpose(0, 2, 1), weight.reshape(Ci, Co * 8).T)
+    grad_x = np.ascontiguousarray(grad_x.transpose(0, 2, 1)).reshape(B, Ci, D, H, W)
+    grad_w = np.tensordot(x.reshape(B, Ci, -1), g, axes=([0, 2], [0, 2])).reshape(weight.shape)
     grad_b = grad_out.sum(axis=(0, 2, 3, 4))
     return grad_x, grad_w, grad_b
 
@@ -281,11 +302,6 @@ def channel_softmax(x: np.ndarray) -> np.ndarray:
     m = x.max(axis=1, keepdims=True)
     e = np.exp(x - m)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def channel_softmax_backward(probs: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    dot = (grad_out * probs).sum(axis=1, keepdims=True)
-    return probs * (grad_out - dot)
 
 
 def instance_norm_forward(x: np.ndarray, eps: float = 1e-5):
@@ -312,19 +328,10 @@ def instance_norm_backward(cache, grad_out: np.ndarray) -> np.ndarray:
 
 
 def crop_center3d(x: np.ndarray, target: tuple[int, int, int]) -> np.ndarray:
-    """Center crop of the spatial axes; offsets must be integral."""
+    """Center crop of the spatial axes, as a view of x; offsets must be integral."""
     _, _, D, H, W = x.shape
     tD, tH, tW = target
     if (D - tD) % 2 or (H - tH) % 2 or (W - tW) % 2 or tD > D or tH > H or tW > W:
         raise ContractError(f"crop_center3d: cannot center-crop {(D, H, W)} to {target}")
     oz, oy, ox = (D - tD) // 2, (H - tH) // 2, (W - tW) // 2
     return x[:, :, oz:oz + tD, oy:oy + tH, ox:ox + tW]
-
-
-def crop_center3d_backward(grad_out: np.ndarray, input_shape: tuple) -> np.ndarray:
-    B, C, D, H, W = input_shape
-    _, _, tD, tH, tW = grad_out.shape
-    g = np.zeros(input_shape, dtype=grad_out.dtype)
-    oz, oy, ox = (D - tD) // 2, (H - tH) // 2, (W - tW) // 2
-    g[:, :, oz:oz + tD, oy:oy + tH, ox:ox + tW] = grad_out
-    return g

@@ -60,10 +60,6 @@ class NetworkConfig:
     tissue_classes: int = 3
     instance_norm: bool = False
 
-    @property
-    def output_patch(self) -> int:
-        return self.input_patch - SHRINK_PER_SIDE
-
     def validate(self) -> None:
         if self.levels != 3:
             raise ContractError("the network is fixed at 3 resolution levels")
@@ -231,7 +227,7 @@ def forward(params: NetworkParams, x: np.ndarray, want_cache: bool = False):
     bottom = _unit_forward(params, "enc3b", e3, cache, norm)
     del e3
     if want_cache:
-        cache["pool"] = (am1, s1.shape, am2, s2.shape)
+        cache["pool"] = (am1, am2)
 
     u2 = layers.transposed_conv3d_forward(
         bottom, params.tensors["up2.kernel"], params.tensors["up2.bias"])
@@ -266,7 +262,7 @@ def backward(params: NetworkParams, cache: dict,
              grad_cl_logits: np.ndarray, grad_tissue_logits: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss given its gradients at both head logits."""
     c = params.config.base_channels
-    am1, s1_shape, am2, s2_shape = cache["pool"]
+    am1, am2 = cache["pool"]
     bottom, d2, d1 = cache["skips"]
     grads: dict[str, np.ndarray] = {}
 
@@ -280,7 +276,6 @@ def backward(params: NetworkParams, cache: dict,
     g = _unit_backward(params, "dec1b", g, cache, grads)
     g = _unit_backward(params, "dec1a", g, cache, grads)
     g_u1, g_c1 = g[:, :4 * c], g[:, 4 * c:]
-    g_s1_skip = layers.crop_center3d_backward(g_c1, s1_shape)
     gx, gw, gb = layers.transposed_conv3d_backward(d2, params.tensors["up1.kernel"], g_u1)
     grads["up1.kernel"], grads["up1.bias"] = gw, gb
 
@@ -288,17 +283,18 @@ def backward(params: NetworkParams, cache: dict,
     g = _unit_backward(params, "dec2b", g, cache, grads)
     g = _unit_backward(params, "dec2a", g, cache, grads)
     g_u2, g_c2 = g[:, :8 * c], g[:, 8 * c:]
-    g_s2_skip = layers.crop_center3d_backward(g_c2, s2_shape)
     gx, gw, gb = layers.transposed_conv3d_backward(bottom, params.tensors["up2.kernel"], g_u2)
     grads["up2.kernel"], grads["up2.bias"] = gw, gb
 
     g = gx
     g = _unit_backward(params, "enc3b", g, cache, grads)
     g = _unit_backward(params, "enc3a", g, cache, grads)
-    g = layers.maxpool3d_backward(am2, g, s2_shape) + g_s2_skip
+    g = layers.maxpool3d_backward(am2, g)
+    layers.crop_center3d(g, g_c2.shape[2:])[...] += g_c2
     g = _unit_backward(params, "enc2b", g, cache, grads)
     g = _unit_backward(params, "enc2a", g, cache, grads)
-    g = layers.maxpool3d_backward(am1, g, s1_shape) + g_s1_skip
+    g = layers.maxpool3d_backward(am1, g)
+    layers.crop_center3d(g, g_c1.shape[2:])[...] += g_c1
     g = _unit_backward(params, "enc1b", g, cache, grads)
     _unit_backward(params, "enc1a", g, cache, grads, need_grad_x=False)
     return grads

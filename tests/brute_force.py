@@ -74,6 +74,62 @@ def maxpool3d_blocks(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def maxpool3d_backward_loops(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of maxpool3d_blocks for upstream gradient g: each block's
+    gradient goes to its first maximum in (dz, dy, dx) order, found by
+    strict comparison, so ties (signed zeros too) keep the earlier voxel."""
+    B, C, D, H, W = x.shape
+    gx = np.zeros_like(g, shape=x.shape)
+    for b in range(B):
+        for c in range(C):
+            for z in range(D // 2):
+                for y in range(H // 2):
+                    for xx in range(W // 2):
+                        best = None
+                        for dz, dy, dx in itertools.product((0, 1), repeat=3):
+                            pos = (b, c, 2 * z + dz, 2 * y + dy, 2 * xx + dx)
+                            if best is None or x[pos] > x[best]:
+                                best = pos
+                        gx[best] = g[b, c, z, y, xx]
+    return gx
+
+
+def transposed_conv3d_loops(x: np.ndarray, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Stride-2 2x2x2 transposed convolution, w of shape (Ci, Co, 2, 2, 2):
+    every input voxel paints its output block tap by tap."""
+    B, Ci, D, H, W = x.shape
+    Co = w.shape[1]
+    out = np.zeros((B, Co, 2 * D, 2 * H, 2 * W), dtype=x.dtype)
+    out += bias.reshape(1, -1, 1, 1, 1)
+    for b in range(B):
+        for i in range(Ci):
+            for z in range(D):
+                for y in range(H):
+                    for xx in range(W):
+                        for dz, dy, dx in itertools.product((0, 1), repeat=3):
+                            out[b, :, 2 * z + dz, 2 * y + dy, 2 * xx + dx] += \
+                                x[b, i, z, y, xx] * w[i, :, dz, dy, dx]
+    return out
+
+
+def transposed_conv3d_backward_loops(x: np.ndarray, w: np.ndarray, g: np.ndarray):
+    """(grad_x, grad_w, grad_b) of transposed_conv3d_loops for upstream
+    gradient g, gathered tap by tap."""
+    B, Ci, D, H, W = x.shape
+    gx = np.zeros_like(x)
+    gw = np.zeros_like(w)
+    for b in range(B):
+        for i in range(Ci):
+            for z in range(D):
+                for y in range(H):
+                    for xx in range(W):
+                        for dz, dy, dx in itertools.product((0, 1), repeat=3):
+                            go = g[b, :, 2 * z + dz, 2 * y + dy, 2 * xx + dx]
+                            gx[b, i, z, y, xx] += (go * w[i, :, dz, dy, dx]).sum()
+                            gw[i, :, dz, dy, dx] += go * x[b, i, z, y, xx]
+    return gx, gw, g.sum(axis=(0, 2, 3, 4))
+
+
 def rotate_window_reference(vol: np.ndarray, center, rot: np.ndarray, side: int,
                             order: int) -> np.ndarray:
     """side^3 window of one channel rotated by the matrix rot about its

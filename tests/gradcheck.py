@@ -165,7 +165,7 @@ def activation_pattern(cache: dict) -> np.ndarray:
     for name in _ENCODER + _DECODER:
         _, pre, _ = cache[name]
         parts.extend(relu_pattern(pre))
-    am1, _, am2, _ = cache["pool"]
+    am1, am2 = cache["pool"]
     parts.extend(argmax_pattern(am1))
     parts.extend(argmax_pattern(am2))
     return np.array(parts, dtype=np.int64)

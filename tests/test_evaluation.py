@@ -273,8 +273,7 @@ def test_record_centroids_outside_the_grid_take_the_nearest_component():
     records = [{"centroid": [-1.0, -1.0, -1.0], "type": 3},
                {"centroid": [10.2, 10.0, 9.6], "type": 4}]
     pe = ev.evaluate_patient("s0", ref, ref.copy(), lesion_records=records)
-    assert [(r["class"], r["type"]) for r in pe.ref_records] == [(1, 3), (2, 4)]
-    assert [r["type"] for r in pe.by_threshold[6]["records"]] == [3, 4]
+    assert [(r["class"], r["type"]) for r in pe.by_threshold[6]["records"]] == [(1, 3), (2, 4)]
 
 
 def test_pooled_ltpr_equals_cohort_counts():
