@@ -182,7 +182,3 @@ def load_config(path: str | Path) -> RunConfig:
     except json.JSONDecodeError as e:
         raise ConfigError(f"malformed config JSON {path}: {e}") from e
     return config_from_dict(doc)
-
-
-def save_config(cfg: RunConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(cfg.to_dict(), indent=2) + "\n", encoding="utf-8")

@@ -1,5 +1,5 @@
-"""Lesion-wise evaluation: connected components, size filtering, detection
-matching, LTPR/LFPR/AVD/classification accuracy, patient-wise rates,
+"""Lesion-wise evaluation: labelled connected components, size thresholds,
+detection matching, LTPR/LFPR/AVD/classification accuracy, pooled rates,
 Wilcoxon signed-rank tests, Bland-Altman agreement, and LTPR-vs-size curves.
 
 Label volumes are numpy arrays indexed [z, y, x] (see volume_io). Lesion
@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +19,6 @@ from scipy import ndimage
 
 from .volume_io import DEFAULT_SPACING_MM
 
-# Matching is class-agnostic: a reference lesion counts as detected when any
-# predicted component overlaps it in at least one voxel.
 DEFAULT_MIN_LESION_VOXELS = 6
 SIZE_CURVE_THRESHOLDS = (6, 12, 24, 48)
 EXACT_WILCOXON_MAX_N = 25
@@ -41,20 +39,6 @@ class EvalConfig:
             raise ValueError("significance_alpha must be in (0, 1)")
 
 
-@dataclass
-class LesionComponent:
-    id: int
-    cl_class: int
-    voxels: np.ndarray          # (n, 3) int array of (z, y, x)
-    size_voxels: int
-    volume_ul: float
-    min_linear_index: int
-
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.voxels.mean(axis=0)
-
-
 class WilcoxonError(ValueError):
     """Too few nonzero paired differences for the signed-rank test."""
 
@@ -67,104 +51,46 @@ class WilcoxonResult:
     method: str                 # "exact" | "normal_approx"
 
 
-def _structure(connectivity: int) -> np.ndarray:
-    rank = {6: 1, 18: 2, 26: 3}[connectivity]
-    return ndimage.generate_binary_structure(3, rank)
+def label_lesions(labels: np.ndarray, connectivity: int = 26):
+    """Per-class connected components as one labelled volume.
 
-
-def connected_components(labels: np.ndarray, connectivity: int = 26,
-                         spacing_mm=DEFAULT_SPACING_MM) -> list[LesionComponent]:
-    """Per-class connected components, ids ordered by minimum linear index.
-
-    Components never span different class codes. Linear index means the
-    x-fastest flat index, i.e. the C-order flat index of the [z, y, x] array.
+    Returns (ids, classes, sizes): ids is an int32 volume, 0 on background
+    and k on component k; classes[k] and sizes[k] are the class code and
+    voxel count of component k, entry 0 being the background. Components
+    never span class codes. They are numbered 1..n by their first voxel in
+    x-fastest order, i.e. by the C-order flat index of the [z, y, x] array.
     """
     labels = np.asarray(labels)
     if labels.ndim != 3:
         raise ValueError(f"labels must be 3-D, got shape {labels.shape}")
-    voxel_ul = float(np.prod(spacing_mm))
-    structure = _structure(connectivity)
-    comps = []
-    for cls in np.unique(labels):
-        if cls == 0:
-            continue
+    structure = ndimage.generate_binary_structure(3, {6: 1, 18: 2, 26: 3}[connectivity])
+    at = np.flatnonzero(labels)             # lesion voxels, ascending
+    old = np.zeros(at.size, dtype=np.int32)  # per-class ids, offset to be unique
+    class_of = [0]
+    for cls in np.unique(labels.reshape(-1)[at]).tolist():
         lab, n = ndimage.label(labels == cls, structure=structure)
-        objects = ndimage.find_objects(lab)
-        for comp_id in range(1, n + 1):
-            slc = objects[comp_id - 1]
-            local = np.argwhere(lab[slc] == comp_id)
-            voxels = local + np.array([s.start for s in slc])
-            flat = np.ravel_multi_index(voxels.T, labels.shape)
-            comps.append(LesionComponent(
-                id=-1,
-                cl_class=int(cls),
-                voxels=voxels,
-                size_voxels=int(len(voxels)),
-                volume_ul=len(voxels) * voxel_ul,
-                min_linear_index=int(flat.min()),
-            ))
-    comps.sort(key=lambda c: c.min_linear_index)
-    for i, c in enumerate(comps):
-        c.id = i
-    return comps
+        lab = lab.reshape(-1)[at]
+        hit = lab > 0
+        old[hit] = lab[hit] + (len(class_of) - 1)
+        class_of += [cls] * n
+    # at is ascending, so each id's first index in old is its first voxel
+    _, first = np.unique(old, return_index=True)
+    renumber = np.zeros(len(class_of), dtype=np.int32)
+    renumber[np.argsort(first) + 1] = np.arange(1, len(class_of), dtype=np.int32)
+    new = renumber[old]
+    ids = np.zeros(labels.shape, dtype=np.int32)
+    ids.reshape(-1)[at] = new
+    classes = np.zeros(len(class_of), dtype=np.int64)
+    classes[renumber] = class_of
+    sizes = np.bincount(new, minlength=len(class_of))
+    sizes[0] = labels.size - at.size
+    return ids, classes, sizes
 
 
-def filter_min_size(components: list[LesionComponent],
-                    min_voxels: int) -> list[LesionComponent]:
-    return [c for c in components if c.size_voxels >= min_voxels]
-
-
-@dataclass
-class Matching:
-    detected_ref_ids: set[int]
-    fp_pred_ids: set[int]
-    majority_pred_class: dict[int, int]  # ref id -> majority class of overlapping pred voxels
-
-
-def match_lesions(ref: list[LesionComponent], pred: list[LesionComponent],
-                  shape: tuple[int, int, int]) -> Matching:
-    """Class-agnostic any-overlap matching; many-to-many overlaps allowed."""
-    pred_id_map = np.zeros(shape, dtype=np.int32)   # pred component id + 1
-    pred_class_map = np.zeros(shape, dtype=np.uint8)
-    for c in pred:
-        zi, yi, xi = c.voxels.T
-        pred_id_map[zi, yi, xi] = c.id + 1
-        pred_class_map[zi, yi, xi] = c.cl_class
-
-    detected: set[int] = set()
-    matched_pred: set[int] = set()
-    majority: dict[int, int] = {}
-    for c in ref:
-        zi, yi, xi = c.voxels.T
-        hit_ids = pred_id_map[zi, yi, xi]
-        hits = hit_ids[hit_ids > 0]
-        if hits.size == 0:
-            continue
-        detected.add(c.id)
-        matched_pred.update(int(i) - 1 for i in np.unique(hits))
-        classes = pred_class_map[zi, yi, xi]
-        classes = classes[classes > 0]
-        n1 = int((classes == 1).sum())
-        n2 = int((classes == 2).sum())
-        majority[c.id] = 1 if n1 >= n2 else 2  # tie breaks to class 1
-    fp = {c.id for c in pred} - matched_pred
-    return Matching(detected_ref_ids=detected, fp_pred_ids=fp, majority_pred_class=majority)
-
-
-def lesion_metrics(matching: Matching, ref: list[LesionComponent],
-                   pred: list[LesionComponent]) -> dict:
-    """LTPR, LFPR and classification accuracy with empty-denominator conventions
-    (no reference lesions -> LTPR 1, no predictions -> LFPR 0, nothing
-    detected -> accuracy 1), flagged in the output."""
-    n_ref = len(ref)
-    n_pred = len(pred)
-    n_detected = len(matching.detected_ref_ids)
-    n_fp = len(matching.fp_pred_ids)
-    ref_class = {c.id: c.cl_class for c in ref}
-    n_correct = sum(
-        1 for rid in matching.detected_ref_ids
-        if matching.majority_pred_class[rid] == ref_class[rid]
-    )
+def rates(n_ref: int, n_pred: int, n_detected: int, n_fp: int, n_correct: int) -> dict:
+    """LTPR, LFPR and classification accuracy from lesion counts, with the
+    empty-denominator conventions (no reference lesions -> LTPR 1, no
+    predictions -> LFPR 0, nothing detected -> accuracy 1) flagged."""
     flags = []
     if n_ref == 0:
         flags.append("ltpr_empty_reference")
@@ -272,32 +198,26 @@ class PatientEval:
     by_threshold: dict[int, dict]     # min_voxels -> per-ref detection records
 
 
-def _ref_types_from_records(ref_comps: list[LesionComponent],
-                            lesion_records: list[dict] | None,
-                            shape: tuple[int, int, int]) -> dict[int, int | None]:
-    """Assign a ground-truth lesion type to each reference component by
-    locating each record's centroid inside a component."""
-    types: dict[int, int | None] = {c.id: None for c in ref_comps}
-    if not lesion_records:
-        return types
-    id_map = np.zeros(shape, dtype=np.int32)   # ref component id + 1
-    for c in ref_comps:
-        zi, yi, xi = c.voxels.T
-        id_map[zi, yi, xi] = c.id + 1
-    for rec in lesion_records:
+def _ref_types(ids: np.ndarray, n_ids: int,
+               lesion_records: list[dict] | None) -> list[int | None]:
+    """Ground-truth lesion type of each reference id below n_ids (entry 0,
+    the background, stays None), found by locating each record's centroid
+    inside a component. The first record to land on a component wins."""
+    types: list[int | None] = [None] * n_ids
+    voxels = None
+    for rec in lesion_records or ():
         centroid = tuple(int(round(x)) for x in rec["centroid"])
         # bounds checked explicitly: a negative index would wrap around
-        inside = all(0 <= v < n for v, n in zip(centroid, shape))
-        cid = int(id_map[centroid]) - 1 if inside else -1
-        if cid < 0:
-            # centroid of a non-convex blob can fall outside; use nearest comp
-            best, best_d = None, None
-            for c in ref_comps:
-                d = float(np.min(np.sum((c.voxels - np.array(centroid)) ** 2, axis=1)))
-                if best_d is None or d < best_d:
-                    best, best_d = c.id, d
-            cid = best
-        if cid is not None and types[cid] is None:
+        inside = all(0 <= v < m for v, m in zip(centroid, ids.shape))
+        cid = int(ids[centroid]) if inside else 0
+        if cid == 0 and n_ids > 1:
+            # centroid of a non-convex blob can fall outside; use the nearest
+            # component, the lowest id among equally near ones
+            if voxels is None:
+                voxels = np.argwhere(ids)
+            d = np.sum((voxels - np.array(centroid)) ** 2, axis=1)
+            cid = int(ids[tuple(voxels[d == d.min()].T)].min())
+        if cid and types[cid] is None:
             types[cid] = int(rec["type"])
     return types
 
@@ -306,29 +226,54 @@ def evaluate_patient(subject_id: str, ref_labels: np.ndarray, pred_labels: np.nd
                      cfg: EvalConfig = EvalConfig(), spacing_mm=DEFAULT_SPACING_MM,
                      lesion_records: list[dict] | None = None,
                      thresholds=SIZE_CURVE_THRESHOLDS) -> PatientEval:
+    """Lesion-wise evaluation of one patient at cfg.min_lesion_voxels, plus
+    per-reference detection records at each size threshold.
+
+    At a threshold t only components of at least t voxels take part, on
+    both sides. Matching is class-agnostic and many-to-many: a reference
+    lesion is detected when any predicted component overlaps it in at least
+    one voxel, and a predicted component that overlaps no reference lesion
+    is a false positive. The predicted class of a detected lesion is the
+    majority class of the predicted voxels on it, ties going to class 1.
+    """
     if ref_labels.shape != pred_labels.shape:
         raise ValueError("reference and prediction shapes differ")
-    ref_all = connected_components(ref_labels, cfg.connectivity, spacing_mm)
-    pred_all = connected_components(pred_labels, cfg.connectivity, spacing_mm)
-    ref_types = _ref_types_from_records(ref_all, lesion_records, ref_labels.shape)
+    ref_ids, ref_classes, ref_sizes = label_lesions(ref_labels, cfg.connectivity)
+    pred_ids, pred_classes, pred_sizes = label_lesions(pred_labels, cfg.connectivity)
+    n_ref_ids, n_pred_ids = len(ref_sizes), len(pred_sizes)
+    ref_types = _ref_types(ref_ids, n_ref_ids, lesion_records)
+    voxel_ul = float(np.prod(spacing_mm))
+    both = (ref_ids != 0) & (pred_ids != 0)
+    ref_hit, pred_hit = ref_ids[both], pred_ids[both]   # one pair per overlapping voxel
+    pred_hit_class = pred_classes[pred_hit]
 
     by_threshold = {}
     for t in sorted(set(thresholds) | {cfg.min_lesion_voxels}):
-        rt = filter_min_size(ref_all, t)
-        pt = filter_min_size(pred_all, t)
-        mt = match_lesions(rt, pt, ref_labels.shape)
+        ref_kept = ref_sizes >= t
+        pred_kept = pred_sizes >= t
+        ref_kept[0] = pred_kept[0] = False
+        live = ref_kept[ref_hit] & pred_kept[pred_hit]
+        r, c = ref_hit[live], pred_hit_class[live]
+        detected = np.bincount(r, minlength=n_ref_ids) > 0
+        fp = pred_kept & (np.bincount(pred_hit[live], minlength=n_pred_ids) == 0)
+        majority = np.where(np.bincount(r[c == 1], minlength=n_ref_ids)
+                            >= np.bincount(r[c == 2], minlength=n_ref_ids), 1, 2)
+        kept = np.flatnonzero(ref_kept)
+        n_pred, n_fp = int(pred_kept.sum()), int(fp.sum())
         if t == cfg.min_lesion_voxels:
-            metrics = lesion_metrics(mt, rt, pt)
-            ref_total = sum(c.volume_ul for c in rt)
-            pred_total = sum(c.volume_ul for c in pt)
+            metrics = rates(len(kept), n_pred, int(detected.sum()), n_fp,
+                            int((detected & (majority == ref_classes)).sum()))
+            # summed in id order, as floats, so totals keep their rounding
+            ref_total = sum(int(n) * voxel_ul for n in ref_sizes[ref_kept])
+            pred_total = sum(int(n) * voxel_ul for n in pred_sizes[pred_kept])
         by_threshold[t] = {
             "records": [
-                {"class": c.cl_class, "type": ref_types[c.id],
-                 "size_voxels": c.size_voxels, "detected": c.id in mt.detected_ref_ids}
-                for c in rt
+                {"class": int(ref_classes[k]), "type": ref_types[k],
+                 "size_voxels": int(ref_sizes[k]), "detected": bool(detected[k])}
+                for k in kept
             ],
-            "n_pred": len(pt),
-            "n_fp": len(mt.fp_pred_ids),
+            "n_pred": n_pred,
+            "n_fp": n_fp,
         }
 
     return PatientEval(
@@ -342,21 +287,18 @@ def evaluate_patient(subject_id: str, ref_labels: np.ndarray, pred_labels: np.nd
 
 
 def pooled_row(patients: list[PatientEval]) -> dict:
-    n_ref = sum(p.metrics["n_ref"] for p in patients)
-    n_det = sum(p.metrics["n_detected"] for p in patients)
-    n_pred = sum(p.metrics["n_pred"] for p in patients)
-    n_fp = sum(p.metrics["n_fp"] for p in patients)
-    n_correct = sum(p.metrics["n_correct_class"] for p in patients)
+    pooled = rates(*(sum(p.metrics[k] for p in patients) for k in
+                     ("n_ref", "n_pred", "n_detected", "n_fp", "n_correct_class")))
     avds = [p.avd for p in patients if p.avd is not None]
     return {
-        "ltpr": n_det / n_ref if n_ref else 1.0,
-        "lfpr": n_fp / n_pred if n_pred else 0.0,
+        "ltpr": pooled["ltpr"],
+        "lfpr": pooled["lfpr"],
         "avd": float(np.mean(avds)) if avds else None,
-        "accuracy": n_correct / n_det if n_det else 1.0,
-        "n_ref": n_ref,
-        "n_detected": n_det,
-        "n_pred": n_pred,
-        "n_fp": n_fp,
+        "accuracy": pooled["accuracy"],
+        "n_ref": pooled["n_ref"],
+        "n_detected": pooled["n_detected"],
+        "n_pred": pooled["n_pred"],
+        "n_fp": pooled["n_fp"],
         "n_patients_avd_missing": sum(1 for p in patients if p.avd is None),
     }
 

@@ -41,13 +41,16 @@ def discover_subjects(cohort_dir: str | Path) -> list[str]:
     return ids
 
 
+def _normalized_contrasts(vols: dict[str, volume_io.Volume]) -> np.ndarray:
+    """(3, D, H, W) normalized contrasts in CONTRAST_NAMES order."""
+    return np.stack([normalize_volume(vols[name].data) for name in volume_io.CONTRAST_NAMES])
+
+
 def load_training_subject(cohort_dir: str | Path, subject_id: str) -> TrainingSubject:
     vols = volume_io.read_subject(Path(cohort_dir) / subject_id)
-    contrasts = np.stack([normalize_volume(vols[name].data)
-                          for name in volume_io.CONTRAST_NAMES])
     return TrainingSubject(
         subject_id=subject_id,
-        contrasts=contrasts,
+        contrasts=_normalized_contrasts(vols),
         cl_labels=vols["cl_labels"].data,
         tissue_labels=vols["tissue_labels"].data,
         wml_labels=vols["wml_labels"].data,
@@ -151,8 +154,10 @@ def run_training(cfg: RunConfig, out_dir: str | Path,
             log.write(f"{it},{result.cl_loss!r},{result.tissue_loss!r},"
                       f"{result.total_loss!r}\n")
             if it % tr.checkpoint_every == 0 or it == tr.iterations:
-                save_checkpoint(out_dir / f"checkpoint_{it:08d}", params, state, it, draws)
+                # rows first: a run killed once the checkpoint lands must
+                # find every row up to it on disk
                 log.flush()
+                save_checkpoint(out_dir / f"checkpoint_{it:08d}", params, state, it, draws)
     return out_dir / f"checkpoint_{tr.iterations:08d}"
 
 
@@ -167,10 +172,8 @@ def run_inference(checkpoint: str | Path, subject_dir: str | Path,
     params, _, _, _ = load_checkpoint(checkpoint)
     vols = volume_io.read_subject(subject_dir)
     header = vols["mp2rage"].header
-    contrasts = np.stack([normalize_volume(vols[name].data)
-                          for name in volume_io.CONTRAST_NAMES])
     cl_pred, tissue_pred, cl_prob = sliding_window_inference(
-        params, contrasts, drop_channel=drop_channel)
+        params, _normalized_contrasts(vols), drop_channel=drop_channel)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = {}

@@ -17,11 +17,15 @@ of 90 degrees), since the weights are then exactly (1, 0). Labels are
 resampled nearest-neighbour by scipy, with one coordinate array shared
 by the three label volumes.
 
+The lesions are the 26-connected components of each subject's
+cl_labels (evaluation.label_lesions), listed subject by subject in their
+label order, each with its voxels in C order.
+
 Every random decision of draw d comes from a generator seeded by
-(seed, worker_id, d), so the patch stream is bit-reproducible and
-independent of worker scheduling, and a resumed run continues the exact
-stream from its draw counter. A draw reads its generator in a fixed
-order: center, rotation angles, flips, dropped channel.
+(seed, d), so the patch stream is bit-reproducible, and a resumed run
+continues the exact stream from its draw counter. A draw reads its
+generator in a fixed order: center, rotation angles, flips, dropped
+channel.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from functools import lru_cache
 import numpy as np
 from scipy import ndimage
 
-from .evaluation import LesionComponent, connected_components
-from .unet import CONTRAST_CHANNELS, SHRINK_PER_SIDE, reflect_indices
+from .evaluation import label_lesions
+from .unet import CONTRAST_CHANNELS, DROPPABLE_CHANNELS, SHRINK_PER_SIDE, reflect_indices
 
 
 class CohortError(ValueError):
@@ -76,27 +80,6 @@ class TrainingSubject:
 
 
 @dataclass
-class LesionIndex:
-    per_subject: list[list[LesionComponent]]
-    pooled: list[tuple[int, int]] = field(init=False)  # (subject idx, lesion idx)
-
-    def __post_init__(self):
-        self.pooled = [(si, li) for si, comps in enumerate(self.per_subject)
-                       for li in range(len(comps))]
-
-    @property
-    def n_lesions(self) -> int:
-        return len(self.pooled)
-
-
-def build_lesion_index(subjects: list[TrainingSubject]) -> LesionIndex:
-    """26-connectivity components of each subject's cl_labels."""
-    if not subjects:
-        raise CohortError("empty cohort")
-    return LesionIndex([connected_components(s.cl_labels) for s in subjects])
-
-
-@dataclass
 class TrainingPatch:
     input: np.ndarray                  # (3, s, s, s) float32
     cl_labels: np.ndarray              # (s-40,)*3 uint8
@@ -105,32 +88,41 @@ class TrainingPatch:
     provenance: dict
 
 
-def draw_rng(seed: int, worker_id: int, draw_index: int) -> np.random.Generator:
+def draw_rng(seed: int, draw_index: int) -> np.random.Generator:
+    # the leading 0 of the spawn key keeps every recorded stream byte-identical
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(worker_id, draw_index)))
+        np.random.SeedSequence(entropy=seed, spawn_key=(0, draw_index)))
 
 
 class PatchSampler:
     def __init__(self, cfg: SamplerConfig, input_patch: int,
-                 subjects: list[TrainingSubject], index: LesionIndex | None = None):
+                 subjects: list[TrainingSubject]):
         cfg.validate()
+        if not subjects:
+            raise CohortError("empty cohort")
         self.cfg = cfg
         self.input_patch = input_patch
         self.label_patch = input_patch - SHRINK_PER_SIDE
         self.subjects = subjects
-        self.index = index if index is not None else build_lesion_index(subjects)
-        if self.index.n_lesions == 0 and cfg.lesion_fraction > 0:
+        # (subject idx, (n, 3) voxels in C order) per lesion of the cohort
+        self.lesions: list[tuple[int, np.ndarray]] = []
+        for si, subj in enumerate(subjects):
+            ids, _, sizes = label_lesions(subj.cl_labels)
+            at = np.flatnonzero(ids)
+            at = at[np.argsort(ids.reshape(-1)[at], kind="stable")]
+            voxels = np.stack(np.unravel_index(at, ids.shape), axis=1)
+            self.lesions += [(si, v) for v in np.split(voxels, np.cumsum(sizes[1:]))[:-1]]
+        if not self.lesions and cfg.lesion_fraction > 0:
             raise CohortError("lesion_fraction > 0 but the cohort has no lesions")
 
     # -- center selection (cheap, separable for sampling statistics) --------
 
     def choose_center(self, rng: np.random.Generator):
-        """Returns (subject idx, center zyx, lesion pooled-index or None)."""
-        if self.index.n_lesions > 0 and rng.random() < self.cfg.lesion_fraction:
-            pick = int(rng.integers(self.index.n_lesions))
-            si, li = self.index.pooled[pick]
-            comp = self.index.per_subject[si][li]
-            voxel = comp.voxels[int(rng.integers(len(comp.voxels)))]
+        """Returns (subject idx, center zyx, index into self.lesions or None)."""
+        if self.lesions and rng.random() < self.cfg.lesion_fraction:
+            pick = int(rng.integers(len(self.lesions)))
+            si, voxels = self.lesions[pick]
+            voxel = voxels[int(rng.integers(len(voxels)))]
             j = self.cfg.jitter_voxels
             jitter = rng.integers(-j, j + 1, size=3)
             side = self.subjects[si].cl_labels.shape
@@ -201,8 +193,8 @@ class PatchSampler:
             patch.provenance = dict(patch.provenance, dropped_channel=dropped)
         return patch
 
-    def draw(self, draw_index: int, worker_id: int = 0) -> TrainingPatch:
-        rng = draw_rng(self.cfg.seed, worker_id, draw_index)
+    def draw(self, draw_index: int) -> TrainingPatch:
+        rng = draw_rng(self.cfg.seed, draw_index)
         patch = self.sample_patch(rng)
         patch = self.augment_rotate_flip(patch, rng)
         patch = self.input_channel_dropout(patch, rng)
@@ -214,7 +206,7 @@ def choose_icd(rng: np.random.Generator, icd_probability: float) -> str | None:
     """With probability icd_probability pick exactly one T2* channel to zero;
     never MP2RAGE, never both."""
     if rng.random() < icd_probability:
-        return "t2s_epi" if rng.integers(2) == 0 else "t2s_gre"
+        return DROPPABLE_CHANNELS[int(rng.integers(2))]
     return None
 
 

@@ -38,7 +38,7 @@ from . import layers
 from .layers import ContractError
 from .losses import LossConfig, combined_loss
 from .optim import AdamState, adam_step
-from .volume_io import write_atomic
+from .volume_io import CONTRAST_NAMES, write_atomic
 
 SHRINK_PER_SIDE = 40  # total valid-conv shrinkage of the 3-level network
 # Upper bound on the widest activation of an inference tile, in elements
@@ -46,7 +46,7 @@ SHRINK_PER_SIDE = 40  # total valid-conv shrinkage of the 3-level network
 ACTIVATION_BUDGET_ELEMS = 16 * 1024 * 1024
 MIN_INPUT_SIDE = 44
 
-CONTRAST_CHANNELS = {"mp2rage": 0, "t2s_epi": 1, "t2s_gre": 2}
+CONTRAST_CHANNELS = {name: i for i, name in enumerate(CONTRAST_NAMES)}
 DROPPABLE_CHANNELS = ("t2s_epi", "t2s_gre")  # MP2RAGE is never dropped
 
 
@@ -138,9 +138,6 @@ class NetworkParams:
     config: NetworkConfig
     seed: int
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def n_parameters(self) -> int:
-        return int(sum(t.size for t in self.tensors.values()))
 
     def astype(self, dtype) -> "NetworkParams":
         return NetworkParams(self.config, self.seed,

@@ -25,8 +25,7 @@ LABEL_CODES = {
     "tissue_labels": (0, 1, 2),  # 0 background, 1 WM, 2 GM
     "wml_labels": (0, 1),        # 0 no, 1 WML
 }
-CL_BACKGROUND, CL_LEUKOCORTICAL, CL_SUBPIAL_INTRACORTICAL = 0, 1, 2
-TISSUE_BACKGROUND, TISSUE_WM, TISSUE_GM = 0, 1, 2
+TISSUE_WM, TISSUE_GM = 1, 2
 CL_CLASS_NAMES = {1: "leukocortical", 2: "subpial_intracortical"}
 
 KINDS = ("intensity",) + tuple(LABEL_CODES)
@@ -79,11 +78,6 @@ class VolumeHeader:
     dtype: str                          # "f32" | "u8"
     kind: str                           # "intensity" | label kinds
     subject_id: str
-
-    @property
-    def voxel_volume_ul(self) -> float:
-        # 1 mm^3 == 1 uL, so 0.5 mm isotropic voxels are 0.125 uL each.
-        return float(np.prod(self.spacing_mm))
 
 
 @dataclass
@@ -263,23 +257,21 @@ def read_subject(subject_dir: str | Path) -> dict[str, Volume]:
 
 def check_cohort(subject_dirs: list[str | Path]) -> CohortManifest:
     """Validate a cohort on disk and count its lesions per class."""
-    from .evaluation import connected_components
+    from .evaluation import label_lesions
 
     manifest = CohortManifest()
     for d in subject_dirs:
         vols = read_subject(d)
         cl = vols["cl_labels"]
-        comps = connected_components(cl.data)
-        counts = {name: 0 for name in CL_CLASS_NAMES.values()}
-        for c in comps:
-            counts[CL_CLASS_NAMES[c.cl_class]] += 1
+        classes = label_lesions(cl.data)[1][1:]
         manifest.subjects.append(SubjectEntry(
             subject_id=cl.header.subject_id,
             directory=str(d),
             dims=cl.header.dims,
             spacing_mm=cl.header.spacing_mm,
-            lesion_counts=counts,
-            n_lesions=len(comps),
+            lesion_counts={name: int((classes == code).sum())
+                           for code, name in CL_CLASS_NAMES.items()},
+            n_lesions=len(classes),
         ))
     manifest.total_lesions = sum(s.n_lesions for s in manifest.subjects)
     return manifest

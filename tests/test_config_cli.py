@@ -7,7 +7,7 @@ import pytest
 
 from clseg import volume_io as vio
 from clseg.cli import main
-from clseg.config import ConfigError, RunConfig, config_from_dict, load_config, save_config
+from clseg.config import ConfigError, RunConfig, config_from_dict, load_config
 from clseg.phantom import generate_cohort
 
 from conftest import TINY_SPEC
@@ -26,7 +26,7 @@ def _fast_config(tmp_path, cohort_dir, **overrides):
     )
     cfg = dataclasses.replace(cfg, **overrides)
     path = tmp_path / "config.json"
-    save_config(cfg, path)
+    path.write_text(json.dumps(cfg.to_dict(), indent=2) + "\n", encoding="utf-8")
     return cfg, path
 
 

@@ -19,6 +19,23 @@ def _random_labels(shape=(16, 16, 16), density=0.2, classes=(1, 2), seed=0):
 # --- connected components ----------------------------------------------------
 
 
+def _assert_labels_match_flood_fill(lab, connectivity=26):
+    """label_lesions(lab) against the flood-fill oracle: component k is the
+    oracle's k-th component (both ordered by first voxel), with its class
+    and size; entry 0 is the background."""
+    ids, classes, sizes = ev.label_lesions(lab, connectivity)
+    oracle = flood_fill_components(lab, connectivity)
+    assert ids.dtype == np.int32 and ids.shape == lab.shape
+    assert len(classes) == len(sizes) == len(oracle) + 1
+    assert classes[0] == 0 and sizes[0] == int((lab == 0).sum())
+    assert not ids[lab == 0].any()
+    for k, (cls, voxels) in enumerate(oracle, start=1):
+        assert classes[k] == cls
+        assert sizes[k] == len(voxels)
+        assert set(map(tuple, np.argwhere(ids == k))) == voxels
+    return ids, classes, sizes
+
+
 def test_cross_is_one_component():
     lab = np.zeros((5, 5, 5), np.uint8)
     lab[2, 2, 2] = 1
@@ -27,27 +44,26 @@ def test_cross_is_one_component():
         for off in (-1, 1):
             idx[d] = 2 + off
             lab[tuple(idx)] = 1
-    comps = ev.connected_components(lab)
-    assert len(comps) == 1
-    assert comps[0].size_voxels == 7
-    assert comps[0].cl_class == 1
+    _, classes, sizes = _assert_labels_match_flood_fill(lab)
+    assert list(classes) == [0, 1]
+    assert list(sizes) == [125 - 7, 7]
 
 
 def test_corner_touch_merges_under_26():
     lab = np.zeros((4, 4, 4), np.uint8)
     lab[0, 0, 0] = 1
     lab[1, 1, 1] = 1
-    assert len(ev.connected_components(lab, connectivity=26)) == 1
-    assert len(ev.connected_components(lab, connectivity=6)) == 2
+    assert len(_assert_labels_match_flood_fill(lab, connectivity=26)[1]) == 1 + 1
+    assert len(_assert_labels_match_flood_fill(lab, connectivity=6)[1]) == 1 + 2
 
 
 def test_components_never_span_classes():
     lab = np.zeros((4, 4, 4), np.uint8)
     lab[1, 1, 1] = 1
     lab[1, 1, 2] = 2
-    comps = ev.connected_components(lab)
-    assert len(comps) == 2
-    assert {c.cl_class for c in comps} == {1, 2}
+    ids, classes, _ = _assert_labels_match_flood_fill(lab)
+    assert sorted(classes[1:]) == [1, 2]
+    assert ids[1, 1, 1] != ids[1, 1, 2]
 
 
 def test_ids_ordered_by_min_linear_index():
@@ -55,28 +71,40 @@ def test_ids_ordered_by_min_linear_index():
     lab[3, 3, 3] = 1
     lab[0, 0, 1] = 2
     lab[2, 0, 0] = 1
-    comps = ev.connected_components(lab)
-    assert [c.id for c in comps] == [0, 1, 2]
-    assert [c.min_linear_index for c in comps] == sorted(c.min_linear_index for c in comps)
-    assert comps[0].cl_class == 2  # voxel (0,0,1) comes first in x-fastest order
+    ids, classes, _ = _assert_labels_match_flood_fill(lab)
+    assert (ids[0, 0, 1], ids[2, 0, 0], ids[3, 3, 3]) == (1, 2, 3)
+    assert classes[1] == 2  # voxel (0,0,1) comes first in x-fastest order
+
+
+def test_all_lesion_volume_is_labelled():
+    # no background voxel at all: each class must still be labelled
+    lab = np.ones((4, 5, 6), np.uint8)
+    lab[2:, :, :] = 2
+    ids, classes, sizes = _assert_labels_match_flood_fill(lab)
+    assert list(classes) == [0, 1, 2] and list(sizes) == [0, 60, 60]
+    ids, classes, sizes = _assert_labels_match_flood_fill(np.full((3, 3, 3), 2, np.uint8))
+    assert list(classes) == [0, 2] and list(sizes) == [0, 27]
+
+
+def test_empty_volume_has_only_background():
+    ids, classes, sizes = _assert_labels_match_flood_fill(np.zeros((3, 4, 5), np.uint8))
+    assert not ids.any()
+    assert list(classes) == [0] and list(sizes) == [60]
 
 
 def test_volume_ul_at_half_mm():
     lab = np.zeros((4, 4, 4), np.uint8)
     lab[0, 0, 0:3] = 1
-    comps = ev.connected_components(lab, spacing_mm=(0.5, 0.5, 0.5))
-    assert comps[0].volume_ul == pytest.approx(3 * 0.125)
+    pe = ev.evaluate_patient("s0", lab, lab.copy(), ev.EvalConfig(min_lesion_voxels=1),
+                             spacing_mm=(0.5, 0.5, 0.5))
+    assert pe.ref_total_ul == pytest.approx(3 * 0.125)
+    assert pe.pred_total_ul == pytest.approx(3 * 0.125)
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_components_match_flood_fill_oracle(seed):
     lab = _random_labels(density=0.15 + 0.03 * (seed % 5), seed=seed)
-    comps = ev.connected_components(lab)
-    oracle = flood_fill_components(lab)
-    assert len(comps) == len(oracle)
-    for got, (cls, voxels) in zip(comps, oracle):
-        assert got.cl_class == cls
-        assert set(map(tuple, got.voxels)) == voxels
+    _assert_labels_match_flood_fill(lab, connectivity=(26, 18, 6)[seed % 3])
 
 
 # --- size filter ---------------------------------------------------------------
@@ -86,26 +114,29 @@ def test_filter_min_size():
     lab = np.zeros((8, 8, 8), np.uint8)
     lab[0, 0, 0:6] = 1   # 6 voxels
     lab[4, 4, 0:5] = 2   # 5 voxels
-    comps = ev.connected_components(lab)
-    kept = ev.filter_min_size(comps, 6)
-    assert len(kept) == 1
-    assert kept[0].size_voxels == 6
-    assert kept[0].volume_ul == pytest.approx(0.75)
-    assert ev.filter_min_size(comps, 1) == comps
-    assert ev.filter_min_size(ev.filter_min_size(comps, 6), 6) == kept
+    pe = ev.evaluate_patient("s0", lab, lab.copy(), ev.EvalConfig(min_lesion_voxels=6),
+                             thresholds=(1, 6, 7))
+    assert pe.metrics["n_ref"] == pe.metrics["n_pred"] == 1
+    assert pe.ref_total_ul == pytest.approx(0.75)
+    assert [r["size_voxels"] for r in pe.by_threshold[6]["records"]] == [6]
+    assert [r["size_voxels"] for r in pe.by_threshold[1]["records"]] == [6, 5]
+    assert pe.by_threshold[7] == {"records": [], "n_pred": 0, "n_fp": 0}
 
 
 # --- matching and metrics -------------------------------------------------------
 
 
+def _eval1(ref_lab, pred_lab):
+    """Metrics with every component kept (min size 1)."""
+    return ev.evaluate_patient("s0", ref_lab, pred_lab,
+                               ev.EvalConfig(min_lesion_voxels=1)).metrics
+
+
 def test_identical_masks_fully_matched():
     lab = _random_labels(seed=3)
-    ref = ev.connected_components(lab)
-    pred = ev.connected_components(lab)
-    m = ev.match_lesions(ref, pred, lab.shape)
-    assert m.detected_ref_ids == {c.id for c in ref}
-    assert not m.fp_pred_ids
-    metrics = ev.lesion_metrics(m, ref, pred)
+    metrics = _eval1(lab, lab)
+    assert metrics["n_detected"] == metrics["n_ref"] == len(flood_fill_components(lab))
+    assert metrics["n_fp"] == 0
     assert metrics["ltpr"] == 1.0 and metrics["lfpr"] == 0.0 and metrics["accuracy"] == 1.0
 
 
@@ -115,11 +146,9 @@ def test_one_prediction_covering_two_refs():
     ref_lab[2, 2, 5] = 1
     pred_lab = np.zeros((8, 8, 8), np.uint8)
     pred_lab[2, 2, 0:7] = 1
-    ref = ev.connected_components(ref_lab)
-    pred = ev.connected_components(pred_lab)
-    m = ev.match_lesions(ref, pred, ref_lab.shape)
-    assert len(m.detected_ref_ids) == 2
-    assert not m.fp_pred_ids
+    metrics = _eval1(ref_lab, pred_lab)
+    assert metrics["n_detected"] == 2
+    assert metrics["n_fp"] == 0
 
 
 def test_partial_detection_rates():
@@ -131,10 +160,7 @@ def test_partial_detection_rates():
     pred_lab[2, 9, 9] = 1      # FP
     pred_lab[9, 2, 0] = 2      # FP
     pred_lab[9, 9, 9] = 2      # FP
-    ref = ev.connected_components(ref_lab)
-    pred = ev.connected_components(pred_lab)
-    m = ev.match_lesions(ref, pred, ref_lab.shape)
-    metrics = ev.lesion_metrics(m, ref, pred)
+    metrics = _eval1(ref_lab, pred_lab)
     assert metrics["ltpr"] == 0.5        # 2 refs, 1 detected
     assert metrics["lfpr"] == 0.75       # 4 predictions, 3 unmatched
     assert metrics["accuracy"] == 1.0
@@ -145,10 +171,7 @@ def test_class_mismatch_counts_in_ltpr_not_accuracy():
     ref_lab[2, 2, 2:4] = 1               # leukocortical reference
     pred_lab = np.zeros((6, 6, 6), np.uint8)
     pred_lab[2, 2, 2:4] = 2              # predicted subpial/intracortical
-    ref = ev.connected_components(ref_lab)
-    pred = ev.connected_components(pred_lab)
-    m = ev.match_lesions(ref, pred, ref_lab.shape)
-    metrics = ev.lesion_metrics(m, ref, pred)
+    metrics = _eval1(ref_lab, pred_lab)
     assert metrics["ltpr"] == 1.0
     assert metrics["accuracy"] == 0.0
 
@@ -159,25 +182,22 @@ def test_majority_tie_breaks_to_class_1():
     pred_lab = np.zeros((6, 6, 6), np.uint8)
     pred_lab[1, 1, 1] = 1
     pred_lab[1, 1, 2] = 2                # tie 1:1 over the ref support
-    ref = ev.connected_components(ref_lab)
-    pred = ev.connected_components(pred_lab)
-    m = ev.match_lesions(ref, pred, ref_lab.shape)
-    assert m.majority_pred_class[ref[0].id] == 1
-    assert ev.lesion_metrics(m, ref, pred)["accuracy"] == 0.0
+    assert _eval1(ref_lab, pred_lab)["accuracy"] == 0.0
+    # the same tie on a leukocortical reference is a correct class
+    assert _eval1(np.where(ref_lab > 0, 1, 0).astype(np.uint8), pred_lab)["accuracy"] == 1.0
 
 
 def test_empty_denominator_conventions_flagged():
     empty = np.zeros((4, 4, 4), np.uint8)
     some = np.zeros((4, 4, 4), np.uint8)
     some[0, 0, 0] = 1
-    ref = ev.connected_components(empty)
-    pred = ev.connected_components(some)
-    m = ev.match_lesions(ref, pred, empty.shape)
-    metrics = ev.lesion_metrics(m, ref, pred)
+    metrics = _eval1(empty, some)
     assert metrics["ltpr"] == 1.0 and "ltpr_empty_reference" in metrics["flags"]
-    m2 = ev.match_lesions(pred, ref, empty.shape)
-    metrics2 = ev.lesion_metrics(m2, pred, ref)
+    metrics2 = _eval1(some, empty)
     assert metrics2["lfpr"] == 0.0 and "lfpr_empty_prediction" in metrics2["flags"]
+    assert metrics2["accuracy"] == 1.0 and "accuracy_no_detections" in metrics2["flags"]
+    assert ev.rates(0, 0, 0, 0, 0)["flags"] == [
+        "ltpr_empty_reference", "lfpr_empty_prediction", "accuracy_no_detections"]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -185,13 +205,12 @@ def test_metrics_match_brute_force(seed):
     shape = (12, 12, 12)
     ref_lab = _random_labels(shape, density=0.08, seed=seed)
     pred_lab = _random_labels(shape, density=0.08, seed=seed + 1000)
-    ref = ev.connected_components(ref_lab)
-    pred = ev.connected_components(pred_lab)
-    m = ev.match_lesions(ref, pred, shape)
-    got = ev.lesion_metrics(m, ref, pred)
+    got = _eval1(ref_lab, pred_lab)
+    ref = flood_fill_components(ref_lab)
+    pred = flood_fill_components(pred_lab)
     want = detection_metrics_reference(
-        [set(map(tuple, c.voxels)) for c in ref], [c.cl_class for c in ref],
-        [set(map(tuple, c.voxels)) for c in pred], [c.cl_class for c in pred],
+        [v for _, v in ref], [c for c, _ in ref],
+        [v for _, v in pred], [c for c, _ in pred],
         pred_lab)
     for k in ("ltpr", "lfpr", "accuracy", "n_detected", "n_fp"):
         assert got[k] == pytest.approx(want[k]), (k, got, want)
@@ -223,10 +242,9 @@ def _phantom_like_pair(seed=0):
         blobs.append((z, y, x, cls, size))
     pred = ref.copy()
     # drop one component, add one spurious blob
-    comps = ev.connected_components(ref)
+    comps = flood_fill_components(ref)
     if comps:
-        vz, vy, vx = comps[0].voxels.T
-        pred[vz, vy, vx] = 0
+        pred[tuple(np.array(sorted(comps[0][1])).T)] = 0
     pred[18, 18, 18] = 1
     return ref, pred
 
@@ -251,13 +269,11 @@ def test_size_curves_recomputed_per_threshold():
     pe = ev.evaluate_patient("s0", ref, pred, cfg, thresholds=(1, 2, 4, 8))
     for t, data in pe.by_threshold.items():
         # recomputation oracle: re-derive detection flags independently
-        ref_comps = ev.filter_min_size(ev.connected_components(ref), t)
-        pred_comps = ev.filter_min_size(ev.connected_components(pred), t)
+        ref_comps = [(c, v) for c, v in flood_fill_components(ref) if len(v) >= t]
+        pred_comps = [(c, v) for c, v in flood_fill_components(pred) if len(v) >= t]
         want = detection_metrics_reference(
-            [set(map(tuple, c.voxels)) for c in ref_comps],
-            [c.cl_class for c in ref_comps],
-            [set(map(tuple, c.voxels)) for c in pred_comps],
-            [c.cl_class for c in pred_comps],
+            [v for _, v in ref_comps], [c for c, _ in ref_comps],
+            [v for _, v in pred_comps], [c for c, _ in pred_comps],
             pred)
         got_detected = sum(1 for rec in data["records"] if rec["detected"])
         assert got_detected == want["n_detected"]

@@ -6,7 +6,7 @@ import pytest
 from scipy import ndimage
 
 from clseg import phantom
-from clseg.evaluation import connected_components
+from clseg.evaluation import EvalConfig, evaluate_patient, label_lesions
 from clseg.phantom import PhantomSpec, counts_from_mix, generate_cohort, generate_subject
 
 from conftest import TINY_SPEC
@@ -73,13 +73,15 @@ def test_type_constraints_hold(subject):
 
 def test_components_recover_planted_records(subject):
     vols, recs = subject
-    comps = connected_components(vols["cl_labels"], spacing_mm=TINY_SPEC.spacing_mm)
-    assert len(comps) == len(recs)
-    got = sorted((c.size_voxels, c.cl_class) for c in comps)
+    cl = vols["cl_labels"]
+    _, classes, sizes = label_lesions(cl)
+    assert len(classes) - 1 == len(recs)
+    got = sorted(zip(sizes[1:].tolist(), classes[1:].tolist()))
     want = sorted((r["size_voxels"], r["class"]) for r in recs)
     assert got == want
-    for c in comps:
-        assert c.volume_ul == pytest.approx(c.size_voxels * 0.125)
+    pe = evaluate_patient("s", cl, cl, EvalConfig(min_lesion_voxels=1),
+                          spacing_mm=TINY_SPEC.spacing_mm)
+    assert pe.ref_total_ul == pytest.approx(int(sizes[1:].sum()) * 0.125)
 
 
 def test_cl_and_wml_disjoint(subject):

@@ -82,6 +82,24 @@ def test_resume_skips_truncated_checkpoint(tmp_path, tiny_cohort):
             (tmp_path / "part" / name).read_bytes()
 
 
+def test_loss_rows_on_disk_when_each_checkpoint_lands(tmp_path, tiny_cohort, monkeypatch):
+    # a run killed right after a checkpoint lands resumes from it, so every
+    # row up to that iteration must already be in loss.csv on disk
+    on_disk = {}
+    save = pipeline.save_checkpoint
+
+    def save_then_read_log(*args):
+        save(*args)
+        on_disk[args[3]] = (tmp_path / "loss.csv").read_text().splitlines()
+
+    monkeypatch.setattr(pipeline, "save_checkpoint", save_then_read_log)
+    pipeline.run_training(_cfg(tiny_cohort, tmp_path, iterations=4), tmp_path)
+    assert sorted(on_disk) == [2, 4]
+    for it, lines in on_disk.items():
+        assert lines[0] == "iteration,cl_loss,tissue_loss,total_loss"
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, it + 1))
+
+
 def test_baseline_variant_tissue_loss_zero(tmp_path, tiny_cohort):
     cfg = _cfg(tiny_cohort, tmp_path, variant="baseline")
     pipeline.run_training(cfg, tmp_path)

@@ -3,8 +3,9 @@ import pytest
 from scipy import stats
 
 from clseg import sampling
-from clseg.sampling import (PatchSampler, SamplerConfig, TrainingSubject,
-                            build_lesion_index, choose_icd, draw_rng, rotation_matrix)
+from clseg.evaluation import label_lesions
+from clseg.sampling import (CohortError, PatchSampler, SamplerConfig, TrainingSubject,
+                            choose_icd, draw_rng, rotation_matrix)
 from clseg.unet import reflect_indices
 
 from brute_force import flood_fill_components, rotate_window_reference
@@ -39,29 +40,37 @@ def test_lesion_index_matches_flood_fill():
     cl = np.zeros((16, 16, 16), np.uint8)
     mask = r.random(cl.shape) < 0.1
     cl[mask] = r.choice([1, 2], size=int(mask.sum()))
-    idx = build_lesion_index([_subject(cl=cl, side=16)])
+    subjects = [_subject(side=16, subject_id="empty"), _subject(cl=cl, side=16)]
+    sampler = PatchSampler(SamplerConfig(), 44, subjects)
     oracle = flood_fill_components(cl)
-    assert len(idx.per_subject[0]) == len(oracle)
-    for comp, (cls, voxels) in zip(idx.per_subject[0], oracle):
-        assert comp.cl_class == cls
-        assert set(map(tuple, comp.voxels)) == voxels
+    assert len(sampler.lesions) == len(oracle)
+    for (si, voxels), (cls, want) in zip(sampler.lesions, oracle):
+        assert si == 1
+        assert set(map(tuple, voxels)) == want
+        assert {int(cl[tuple(v)]) for v in voxels} == {cls}
+        # voxels in C order
+        flat = np.ravel_multi_index(voxels.T, cl.shape)
+        assert (np.diff(flat) > 0).all()
 
 
 def test_empty_subject_still_sampled_for_background():
     subj = _subject()
-    idx = build_lesion_index([subj])
-    assert idx.n_lesions == 0
+    assert len(label_lesions(subj.cl_labels)[1]) == 1   # background only
     sampler = PatchSampler(SamplerConfig(lesion_fraction=0.0, seed=1), 44, [subj])
+    assert sampler.lesions == []
     p = sampler.draw(0)
     assert p.input.shape == (3, 44, 44, 44)
     with pytest.raises(ValueError, match="no lesions"):
         PatchSampler(SamplerConfig(lesion_fraction=0.5, seed=1), 44, [subj])
+    with pytest.raises(CohortError, match="empty cohort"):
+        PatchSampler(SamplerConfig(lesion_fraction=0.0), 44, [])
 
 
 def test_face_touching_blobs_merge():
     cl = _lesion_at(16, [(5, 5, 5), (5, 5, 6)])
-    idx = build_lesion_index([_subject(cl=cl, side=16)])
-    assert idx.n_lesions == 1
+    sampler = PatchSampler(SamplerConfig(), 44, [_subject(cl=cl, side=16)])
+    assert len(sampler.lesions) == 1
+    assert len(sampler.lesions[0][1]) == 2
 
 
 # --- center selection -----------------------------------------------------------
@@ -73,7 +82,7 @@ def test_lesion_fraction_one_centers_near_lesion():
     cfg = SamplerConfig(lesion_fraction=1.0, jitter_voxels=8, seed=3)
     sampler = PatchSampler(cfg, 44, [subj])
     for i in range(50):
-        _, center, pick = sampler.choose_center(draw_rng(cfg.seed, 0, i))
+        _, center, pick = sampler.choose_center(draw_rng(cfg.seed, i))
         assert pick is not None
         assert np.abs(center - np.array(target)).max() <= 8
 
@@ -87,8 +96,8 @@ def test_size_unbiased_lesion_choice():
     subj = _subject(cl=cl)
     cfg = SamplerConfig(lesion_fraction=1.0, seed=5)
     sampler = PatchSampler(cfg, 44, [subj])
-    assert sampler.index.n_lesions == 2
-    picks = np.array([sampler.choose_center(draw_rng(cfg.seed, 0, i))[2]
+    assert len(sampler.lesions) == 2
+    picks = np.array([sampler.choose_center(draw_rng(cfg.seed, i))[2]
                       for i in range(10_000)])
     frac_small = float((picks == 0).mean())
     assert abs(frac_small - 0.5) <= 0.03
@@ -106,8 +115,8 @@ def test_pick_uniformity_chi_square_many_lesions():
         cl[z, y, x:min(32, x + size)] = 1 + (j % 2)
     subj = _subject(cl=cl)
     sampler = PatchSampler(SamplerConfig(lesion_fraction=1.0, seed=6), 44, [subj])
-    n = sampler.index.n_lesions
-    picks = np.array([sampler.choose_center(draw_rng(6, 0, i))[2] for i in range(10_000)])
+    n = len(sampler.lesions)
+    picks = np.array([sampler.choose_center(draw_rng(6, i))[2] for i in range(10_000)])
     counts = np.bincount(picks, minlength=n)
     assert stats.chisquare(counts).pvalue > 0.01
 
@@ -116,7 +125,7 @@ def test_background_centers_inside_brain_mask():
     subj = _subject()
     sampler = PatchSampler(SamplerConfig(lesion_fraction=0.0, seed=2), 44, [subj])
     for i in range(30):
-        si, center, pick = sampler.choose_center(draw_rng(2, 0, i))
+        si, center, pick = sampler.choose_center(draw_rng(2, i))
         assert pick is None
         assert subj.tissue_labels[tuple(center)] != 0
 
@@ -148,7 +157,7 @@ def test_zero_angles_no_flips_is_identity():
     cfg = SamplerConfig(lesion_fraction=1.0, jitter_voxels=0, rotation_max_deg=0.0,
                         flip_probability=0.0, icd_probability=0.0, seed=8)
     sampler = PatchSampler(cfg, 44, [subj])
-    rng = draw_rng(8, 0, 0)
+    rng = draw_rng(8, 0)
     raw = sampler.sample_patch(rng)
     before = raw.input.copy()
     out = sampler.augment_rotate_flip(raw, rng)
@@ -257,7 +266,7 @@ def test_draw_stream_replays_reference_in_rng_order():
     s, ls = 44, sampler.label_patch
     for i in range(20):
         got = sampler.draw(i)
-        rng = draw_rng(cfg.seed, 0, i)
+        rng = draw_rng(cfg.seed, i)
         si, center, pick = sampler.choose_center(rng)
         a = cfg.rotation_max_deg
         angles = rng.uniform(-a, a, size=3)
@@ -306,7 +315,7 @@ def test_flips_preserve_lesion_voxel_count():
     cfg = SamplerConfig(lesion_fraction=1.0, jitter_voxels=0, rotation_max_deg=0.0,
                         flip_probability=1.0, icd_probability=0.0, seed=14)
     sampler = PatchSampler(cfg, 44, [subj])
-    rng = draw_rng(14, 0, 0)
+    rng = draw_rng(14, 0)
     raw = sampler.sample_patch(rng)
     count_before = int((raw.cl_labels != 0).sum())
     out = sampler.augment_rotate_flip(raw, rng)
@@ -319,13 +328,13 @@ def test_flips_preserve_lesion_voxel_count():
 
 def test_icd_probability_zero_is_identity():
     for i in range(200):
-        assert choose_icd(draw_rng(0, 0, i), 0.0) is None
+        assert choose_icd(draw_rng(0, i), 0.0) is None
 
 
 def test_icd_statistics_at_probability_one():
     counts = {"t2s_epi": 0, "t2s_gre": 0}
     for i in range(10_000):
-        ch = choose_icd(draw_rng(1, 0, i), 1.0)
+        ch = choose_icd(draw_rng(1, i), 1.0)
         assert ch in counts  # never None, never mp2rage
         counts[ch] += 1
     assert counts["t2s_epi"] + counts["t2s_gre"] == 10_000
@@ -338,7 +347,7 @@ def test_icd_zeroes_exactly_one_channel():
     cfg = SamplerConfig(lesion_fraction=1.0, rotation_max_deg=0.0,
                         flip_probability=0.0, icd_probability=1.0, seed=15)
     sampler = PatchSampler(cfg, 44, [subj])
-    rng = draw_rng(15, 0, 0)
+    rng = draw_rng(15, 0)
     raw = sampler.sample_patch(rng)
     before = raw.input.copy()
     out = sampler.augment_rotate_flip(raw, rng)
@@ -366,6 +375,3 @@ def test_fixed_seed_stream_is_bit_reproducible():
         assert np.array_equal(a.input, b.input)
         assert np.array_equal(a.cl_labels, b.cl_labels)
         assert a.provenance == b.provenance
-    # worker id participates in the stream identity
-    c = s1.draw(0, worker_id=1)
-    assert not np.array_equal(c.input, s1.draw(0, worker_id=0).input)

@@ -144,7 +144,7 @@ def test_header_json_key_order_stable(tmp_path):
 def test_nonisotropic_spacing_accepted():
     v = vio.make_volume(np.zeros((2, 2, 2), np.float32), "intensity",
                         spacing_mm=(0.5, 0.7, 1.0))
-    assert v.header.voxel_volume_ul == pytest.approx(0.35)
+    assert v.header.spacing_mm == (0.5, 0.7, 1.0)
 
 
 # --- cohort checking -------------------------------------------------------
