@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
 failure. All outputs land under the out directory together with a
-run-manifest JSON recording the config hash and package version.
+run-manifest JSON recording the config hash and package version; train,
+infer and xval rewrite it when they finish, adding the wall time and the
+peak resident set size.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 from pathlib import Path
 
 from .config import VARIANTS, ConfigError, RunConfig, load_config
@@ -93,16 +96,19 @@ def _cmd_phantom(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    started = time.perf_counter()
     cfg = _load(args)
     out = Path(cfg.paths.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_run_manifest(out, cfg, "train")
     ckpt = run_training(cfg, out, resume=not args.no_resume)
+    write_run_manifest(out, cfg, "train", started)
     print(f"final checkpoint: {ckpt}")
     return 0
 
 
 def _cmd_infer(args) -> int:
+    started = time.perf_counter()
     cfg = _load(args)
     out = Path(cfg.paths.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -110,17 +116,20 @@ def _cmd_infer(args) -> int:
     subject = Path(args.subject)
     written = run_inference(args.checkpoint, subject, out / subject.name,
                             drop_channel=args.drop_channel)
+    write_run_manifest(out, cfg, "infer", started)
     for name, path in written.items():
         print(f"{name}: {path}")
     return 0
 
 
 def _cmd_xval(args) -> int:
+    started = time.perf_counter()
     cfg = _load(args)
     out = Path(cfg.paths.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_run_manifest(out, cfg, "xval")
     report = run_xval(cfg, out, k=args.k)
+    write_run_manifest(out, cfg, "xval", started)
     row = report["models"][cfg.variant]["table1"]
     print(f"{cfg.variant}: LTPR={row['ltpr']:.3f} LFPR={row['lfpr']:.3f} "
           f"AVD={row['avd'] if row['avd'] is not None else 'n/a'} "

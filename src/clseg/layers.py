@@ -36,6 +36,14 @@ the winning octant index, and tap (dz, dy, dx) of a transposed-conv kernel
 paints octant i, so both backward passes read and write the same views.
 A center crop is a view too; the network adds each skip gradient into the
 cropped view of the pooled gradient in place.
+
+The ReLU and pooling gradients are masks, and both are applied bitwise: a
+0/1 comparison result is negated into a 0/all-ones word of the gradient's
+width and ANDed with the gradient's bits. A masked select (np.where, or
+np.copyto with where=) branches per element, and on the random sign and
+argmax patterns of real activations most of those branches mispredict;
+the AND has no branch, and unlike multiplying by a 0/1 mask it keeps the
+result bit-identical to the select, signed zeros and NaN included.
 """
 
 from __future__ import annotations
@@ -46,6 +54,9 @@ from numpy.lib.stride_tricks import as_strided
 # Upper bound on one conv slab's unrolled input plus its full-grid output, in
 # elements (16 MiB in float32, under glibc's 32 MiB mmap ceiling).
 SLAB_BUDGET_ELEMS = 4 * 1024 * 1024
+# Elements per chunk of the ReLU gradient mask (256 KiB in float32), so the
+# chunk stays in cache across the mask's three passes.
+MASK_CHUNK_ELEMS = 64 * 1024
 
 
 class ContractError(ValueError):
@@ -196,8 +207,13 @@ def conv3d_backward(x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray,
 
 def _octant(x: np.ndarray, i: int) -> np.ndarray:
     """Strided view of offset i = dz*4 + dy*2 + dx of every 2x2x2 block of
-    the spatial axes of x."""
-    return x[:, :, i >> 2::2, (i >> 1) & 1::2, i & 1::2]
+    the last three (spatial) axes of x."""
+    return x[..., i >> 2::2, (i >> 1) & 1::2, i & 1::2]
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    """View of x as unsigned integers of its own width, for bitwise masks."""
+    return x.view(f"u{x.itemsize}")
 
 
 def maxpool3d_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,14 +238,21 @@ def maxpool3d_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def maxpool3d_backward(argmax: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """Routes each pooled gradient to the octant its argmax names; the input
-    is twice argmax's shape in every spatial dim."""
+    is twice argmax's shape in every spatial dim. Octant i of each channel
+    is written once, as the gradient ANDed with the mask argmax == i."""
     if grad_out.shape != argmax.shape:
         raise ContractError(
             f"maxpool3d backward: grad_out shape {grad_out.shape} != argmax {argmax.shape}")
     B, C, D, H, W = argmax.shape
-    grad_x = np.zeros((B, C, 2 * D, 2 * H, 2 * W), dtype=grad_out.dtype)
-    for i in range(8):
-        np.copyto(_octant(grad_x, i), grad_out, where=argmax == i)
+    grad_x = np.empty((B, C, 2 * D, 2 * H, 2 * W), dtype=grad_out.dtype)
+    g, gx = _bits(grad_out), _bits(grad_x)
+    mask = np.empty((D, H, W), dtype=g.dtype)
+    for b in range(B):
+        for c in range(C):
+            for i in range(8):
+                np.equal(argmax[b, c], i, out=mask)
+                np.negative(mask, out=mask)  # 1 -> all ones
+                np.bitwise_and(g[b, c], mask, out=_octant(gx[b, c], i))
     return grad_x
 
 
@@ -293,8 +316,24 @@ def relu_forward(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    # subgradient at exactly 0 is defined as 0
-    return np.where(x > 0, grad_out, 0)
+    """Zeroes grad_out in place wherever x > 0 fails and returns it, bit for
+    bit np.where(x > 0, grad_out, 0); the subgradient at exactly 0 is 0.
+
+    x may be the ReLU's input or its output, which is positive exactly
+    where the input is. Both must be C-contiguous and of one shape.
+    """
+    if x.shape != grad_out.shape:
+        raise ContractError(f"relu backward: x shape {x.shape} != grad_out {grad_out.shape}")
+    if not (x.flags.c_contiguous and grad_out.flags.c_contiguous):
+        raise ContractError("relu backward: x and grad_out must be C-contiguous")
+    xf, gf = x.reshape(-1), _bits(grad_out).reshape(-1)
+    mask = np.empty(min(xf.size, MASK_CHUNK_ELEMS), dtype=gf.dtype)
+    for s in range(0, xf.size, MASK_CHUNK_ELEMS):
+        m = mask[:min(MASK_CHUNK_ELEMS, xf.size - s)]
+        np.greater(xf[s:s + m.size], 0, out=m)
+        np.negative(m, out=m)  # 1 -> all ones
+        np.bitwise_and(gf[s:s + m.size], m, out=gf[s:s + m.size])
+    return grad_out
 
 
 def channel_softmax(x: np.ndarray) -> np.ndarray:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import resource
+import time
 from pathlib import Path
 
 import numpy as np
@@ -63,15 +65,24 @@ def load_training_data(cohort_dir: str | Path,
     return [load_training_subject(cohort_dir, sid) for sid in sorted(ids)]
 
 
-def write_run_manifest(out_dir: Path, cfg: RunConfig, command: str) -> None:
+def write_run_manifest(out_dir: Path, cfg: RunConfig, command: str,
+                       started: float | None = None) -> None:
+    """Write run_manifest.json atomically. Given `started`, the
+    time.perf_counter() reading taken when the command began, the command
+    has finished: its wall time and the process's peak resident set size
+    are added."""
     doc = {
         "command": command,
         "package_version": __version__,
         "config_hash": cfg.config_hash(),
         "config": cfg.to_dict(),
     }
-    (out_dir / "run_manifest.json").write_text(
-        json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    if started is not None:
+        doc["elapsed_s"] = round(time.perf_counter() - started, 3)
+        # ru_maxrss is in KiB on Linux
+        doc["peak_rss_mib"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    volume_io.write_atomic(out_dir / "run_manifest.json",
+                           (json.dumps(doc, indent=2) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +118,14 @@ def _stack_batch(patches) -> dict:
 
 
 def _truncate_loss_log(log_path: Path, keep_iterations: int) -> list[str]:
+    """The header and the rows up to `keep_iterations`. A row without its
+    newline was cut by a killed run and is dropped, whatever it reads as."""
     if not log_path.exists() or keep_iterations == 0:
         return ["iteration,cl_loss,tissue_loss,total_loss\n"]
     lines = log_path.read_text().splitlines(keepends=True)
     kept = lines[:1]
     for line in lines[1:]:
-        it = int(line.split(",", 1)[0])
-        if it <= keep_iterations:
+        if line.endswith("\n") and int(line.split(",", 1)[0]) <= keep_iterations:
             kept.append(line)
     return kept
 

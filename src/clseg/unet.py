@@ -13,13 +13,19 @@ Channel plan for base width C (in channels 3):
     enc3: 4C->4C, 4C->8C     heads: 2C->3 (x2)
     up2: 8C->8C, up1: 4C->4C (transposed)
 
-Without a cache, `forward` frees each activation once it is dead and
-applies ReLU in place, so its memory peak stays near the widest single
-activation plus one conv slab. Whole subjects are predicted with
-overlap tiles (U-Net's overlap-tile strategy): the largest cubic tile
-whose widest activation fits the activation budget, placed on a grid that
-keeps pooling aligned, so the tiled prediction equals one forward pass
-over the whole mirror-padded volume.
+Every ReLU runs in place on its conv's output, and `forward` frees each
+activation once it is dead, so without a cache its memory peak stays near
+the widest single activation plus one conv slab. For training the cache
+holds one array per activation: a unit keeps its input and its ReLU
+output, which is the next unit's input too and doubles as the ReLU mask.
+`backward` pops every entry as it consumes it, so each activation is
+released as soon as its gradients are done.
+
+Whole subjects are predicted with overlap tiles (U-Net's overlap-tile
+strategy): the largest cubic tile whose widest activation fits the
+activation budget, placed on a grid that keeps pooling aligned, so the
+tiled prediction equals one forward pass over the whole mirror-padded
+volume.
 
 Parameter serialization order is the order of `param_specs`, kernel then
 bias per layer, little-endian float32. Decoder concatenation order is
@@ -165,9 +171,13 @@ def build_network(cfg: NetworkConfig, seed: int, dtype=np.float32) -> NetworkPar
 
 
 def _unit_forward(params, name, x, cache, norm=False):
-    """conv (+ optional instance norm) + relu, caching for backward.
+    """conv (+ optional instance norm) + relu; with a cache, stores
+    (x, activation, norm_cache) under `name` for backward.
 
-    Without a cache the ReLU overwrites the pre-activation in place.
+    The ReLU overwrites the conv output in place; only with instance norm
+    and a cache, where the normalized output lives on in norm_cache, is the
+    activation a new array. The activation is the ReLU mask of backward: it
+    is positive exactly where its pre-activation is.
     """
     k = params.tensors[f"{name}.kernel"]
     b = params.tensors[f"{name}.bias"]
@@ -175,15 +185,18 @@ def _unit_forward(params, name, x, cache, norm=False):
     norm_cache = None
     if norm:
         pre, norm_cache = layers.instance_norm_forward(pre)
-    if cache is None:
-        return layers.relu_forward(pre, out=pre)
-    cache[name] = (x, pre, norm_cache)
-    return layers.relu_forward(pre)
+    act = layers.relu_forward(pre, out=None if norm and cache is not None else pre)
+    if cache is not None:
+        cache[name] = (x, act, norm_cache)
+    return act
 
 
 def _unit_backward(params, name, grad, cache, grads, need_grad_x=True):
-    x, pre, norm_cache = cache[name]
-    g = layers.relu_backward(pre, grad)
+    """Pops the unit's cache entry; masks `grad` in place (the caller's
+    array) and frees the activation before the conv backward."""
+    x, act, norm_cache = cache.pop(name)
+    g = layers.relu_backward(act, grad)
+    del act
     if norm_cache is not None:
         g = layers.instance_norm_backward(norm_cache, g)
     gx, gw, gb = layers.conv3d_backward(x, params.tensors[f"{name}.kernel"], g,
@@ -209,7 +222,7 @@ def forward(params: NetworkParams, x: np.ndarray, want_cache: bool = False):
     cache: dict | None = {} if want_cache else None
 
     # Each activation is released as soon as it is dead (`del`); with a
-    # cache the arrays stay alive through the cache for backward.
+    # cache the arrays stay alive through the cache until backward pops them.
     e1 = _unit_forward(params, "enc1a", x, cache, norm)
     s1 = _unit_forward(params, "enc1b", e1, cache, norm)
     del e1
@@ -249,49 +262,55 @@ def forward(params: NetworkParams, x: np.ndarray, want_cache: bool = False):
     cl_probs = layers.channel_softmax(cl_logits)
     tissue_probs = layers.channel_softmax(tissue_logits)
 
-    if want_cache:
-        cache["skips"] = (bottom, d2, d1)
-        cache["probs"] = (cl_probs, tissue_probs)
     return cl_probs, tissue_probs, cache
 
 
 def backward(params: NetworkParams, cache: dict,
              grad_cl_logits: np.ndarray, grad_tissue_logits: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss given its gradients at both head logits."""
+    """Gradients of a scalar loss given its gradients at both head logits.
+
+    Consumes the cache: every entry is popped when backward is done with
+    it, so each activation is freed once its gradients are computed and the
+    cache is empty on return. The skip gradients are copied out of the
+    decoder gradient, which is then freed.
+    """
     c = params.config.base_channels
-    am1, am2 = cache["pool"]
-    bottom, d2, d1 = cache["skips"]
+    am1, am2 = cache.pop("pool")
     grads: dict[str, np.ndarray] = {}
 
-    gx_cl, gw, gb = layers.conv3d_backward(d1, params.tensors["head_cl.kernel"], grad_cl_logits)
+    d1 = cache["dec1b"][1]
+    g, gw, gb = layers.conv3d_backward(d1, params.tensors["head_cl.kernel"], grad_cl_logits)
     grads["head_cl.kernel"], grads["head_cl.bias"] = gw, gb
     gx_t, gw, gb = layers.conv3d_backward(
         d1, params.tensors["head_tissue.kernel"], grad_tissue_logits)
     grads["head_tissue.kernel"], grads["head_tissue.bias"] = gw, gb
-    g = gx_cl + gx_t
+    g += gx_t
+    del d1, gx_t
 
     g = _unit_backward(params, "dec1b", g, cache, grads)
     g = _unit_backward(params, "dec1a", g, cache, grads)
-    g_u1, g_c1 = g[:, :4 * c], g[:, 4 * c:]
-    gx, gw, gb = layers.transposed_conv3d_backward(d2, params.tensors["up1.kernel"], g_u1)
+    g_c1 = g[:, 4 * c:].copy()
+    g, gw, gb = layers.transposed_conv3d_backward(
+        cache["dec2b"][1], params.tensors["up1.kernel"], g[:, :4 * c])
     grads["up1.kernel"], grads["up1.bias"] = gw, gb
 
-    g = gx
     g = _unit_backward(params, "dec2b", g, cache, grads)
     g = _unit_backward(params, "dec2a", g, cache, grads)
-    g_u2, g_c2 = g[:, :8 * c], g[:, 8 * c:]
-    gx, gw, gb = layers.transposed_conv3d_backward(bottom, params.tensors["up2.kernel"], g_u2)
+    g_c2 = g[:, 8 * c:].copy()
+    g, gw, gb = layers.transposed_conv3d_backward(
+        cache["enc3b"][1], params.tensors["up2.kernel"], g[:, :8 * c])
     grads["up2.kernel"], grads["up2.bias"] = gw, gb
 
-    g = gx
     g = _unit_backward(params, "enc3b", g, cache, grads)
     g = _unit_backward(params, "enc3a", g, cache, grads)
     g = layers.maxpool3d_backward(am2, g)
     layers.crop_center3d(g, g_c2.shape[2:])[...] += g_c2
+    del g_c2
     g = _unit_backward(params, "enc2b", g, cache, grads)
     g = _unit_backward(params, "enc2a", g, cache, grads)
     g = layers.maxpool3d_backward(am1, g)
     layers.crop_center3d(g, g_c1.shape[2:])[...] += g_c1
+    del g_c1
     g = _unit_backward(params, "enc1b", g, cache, grads)
     _unit_backward(params, "enc1a", g, cache, grads, need_grad_x=False)
     return grads

@@ -163,8 +163,8 @@ def activation_pattern(cache: dict) -> np.ndarray:
     """
     parts: list[int] = []
     for name in _ENCODER + _DECODER:
-        _, pre, _ = cache[name]
-        parts.extend(relu_pattern(pre))
+        _, act, _ = cache[name]  # positive exactly where the pre-activation is
+        parts.extend(relu_pattern(act))
     am1, am2 = cache["pool"]
     parts.extend(argmax_pattern(am1))
     parts.extend(argmax_pattern(am2))

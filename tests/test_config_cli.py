@@ -236,6 +236,38 @@ def test_cli_train_infer_report_flow(tmp_path, tiny_cohort, capsys):
     assert len(table) == 2  # header + one model row
 
 
+def test_cli_finished_runs_record_time_and_peak_rss(tmp_path, tiny_cohort, capsys):
+    from clseg.pipeline import run_inference, run_training
+
+    cfg, path = _fast_config(tmp_path, tiny_cohort)
+    out = tmp_path / "out"
+    ckpt = out / "checkpoint_00000003"
+    subject = tiny_cohort / "subject_00"
+    runs = {
+        "train": (["train", "--config", str(path)], out),
+        "infer": (["infer", "--config", str(path), "--checkpoint", str(ckpt),
+                   "--subject", str(subject), "--out", str(tmp_path / "pred")],
+                  tmp_path / "pred"),
+        "xval": (["xval", "--config", str(path), "--k", "2", "--out", str(tmp_path / "xv")],
+                 tmp_path / "xv"),
+    }
+    for command, (argv, run_dir) in runs.items():
+        assert main(argv) == 0
+        doc = json.loads((run_dir / "run_manifest.json").read_text())
+        assert doc["command"] == command
+        assert doc["elapsed_s"] > 0 and doc["peak_rss_mib"] > 0
+        assert not list(run_dir.glob("*.tmp"))
+
+    # the telemetry leaves every output as the pipeline alone writes it
+    ref_ckpt = run_training(cfg, tmp_path / "ref")
+    run_inference(ref_ckpt, subject, tmp_path / "ref_pred")
+    for name in ("loss.csv", "checkpoint_00000003.raw", "checkpoint_00000003.json"):
+        assert (out / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+    for name in ("cl_pred.raw", "tissue_pred.raw", "cl_prob.raw"):
+        assert (tmp_path / "pred" / "subject_00" / name).read_bytes() == \
+            (tmp_path / "ref_pred" / name).read_bytes()
+
+
 def test_cli_report_needs_pred(tmp_path, tiny_cohort):
     cfg, path = _fast_config(tmp_path, tiny_cohort)
     assert main(["report", "--config", str(path), "--pred", "noequals"]) == 1

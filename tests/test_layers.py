@@ -212,16 +212,23 @@ def test_maxpool_matches_block_oracle():
 
 def test_maxpool_backward_matches_loop_oracle_with_ties_and_signed_zeros():
     # values from a 5-level grid give ties inside most blocks, and the zero
-    # level is drawn as +0 or -0
+    # level is drawn as +0 or -0; channel 0 of item 0 is all tied. The
+    # gradient holds NaN, +-inf and +-0, and is checked contiguous and as a
+    # strided view
     r = np.random.default_rng(11)
     x = r.integers(-2, 3, (2, 3, 4, 6, 2)).astype(np.float32)
     x[x == 0] = np.where(r.random(int((x == 0).sum())) < 0.5, -0.0, 0.0)
+    x[0, 0] = 1.0
     g = r.standard_normal((2, 3, 2, 3, 1)).astype(np.float32)
+    g.flat[:6] = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0]
     _, am = L.maxpool3d_forward(x)
-    got = L.maxpool3d_backward(am, g)
+    assert not am[0, 0].any()
     want = maxpool3d_backward_loops(x, g)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    strided = np.repeat(g, 2, axis=-1)[..., ::2]
+    for grad in (g, strided):
+        got = L.maxpool3d_backward(am, grad)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_maxpool_odd_dims_rejected():
@@ -342,6 +349,46 @@ def test_relu_and_subgradient_at_zero():
     assert np.array_equal(L.relu_forward(x), [[0.0, 0.0, 2.0]])
     g = np.ones_like(x)
     assert np.array_equal(L.relu_backward(x, g), [[0.0, 0.0, 1.0]])
+
+
+def _special_values(r, n, dtype):
+    """n values of dtype: random bit patterns (every NaN payload, subnormals,
+    both infinities and zeros can occur) with the specials planted too."""
+    u = np.dtype(f"u{np.dtype(dtype).itemsize}")
+    v = r.integers(0, np.iinfo(u).max, n, dtype=u, endpoint=True).view(dtype)
+    specials = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0], dtype)
+    v[:min(n, 8)] = specials[:n]
+    return v
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n, chunk", [(5, None), (2 * L.MASK_CHUNK_ELEMS + 37, None),
+                                      (300, 7), (15, 7), (64, 64)])
+def test_relu_backward_is_the_select_bit_for_bit(monkeypatch, dtype, n, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(L, "MASK_CHUNK_ELEMS", chunk)
+    r = np.random.default_rng(n)
+    x = _special_values(r, n, dtype)
+    g = _special_values(r, n, dtype)
+    r.shuffle(x)
+    want = np.where(x > 0, g, 0)
+    got = L.relu_backward(x, g)
+    assert got is g  # the caller's gradient, overwritten
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # the ReLU output masks the same entries as its input
+    g2 = _special_values(np.random.default_rng(n), n, dtype)
+    want2 = np.where(x > 0, g2, 0)
+    assert L.relu_backward(L.relu_forward(x), g2).tobytes() == want2.tobytes()
+
+
+def test_relu_backward_rejects_strided_and_mismatched_arrays():
+    x = np.ones((4, 6), np.float32)
+    with pytest.raises(L.ContractError):
+        L.relu_backward(x[:, ::2], np.ones((4, 3), np.float32))
+    with pytest.raises(L.ContractError):
+        L.relu_backward(x[:, :3], np.ones((4, 6), np.float32)[:, :3])
+    with pytest.raises(L.ContractError):
+        L.relu_backward(x, np.ones((6, 4), np.float32))
 
 
 def test_softmax_uniform_logits():

@@ -82,6 +82,27 @@ def test_resume_skips_truncated_checkpoint(tmp_path, tiny_cohort):
             (tmp_path / "part" / name).read_bytes()
 
 
+def test_resume_drops_loss_row_cut_mid_write(tmp_path, tiny_cohort):
+    # rows reach the disk through a buffer that is flushed only at
+    # checkpoints, so a run killed between them can leave a row cut short;
+    # here row 11 is cut to "1", which reads as an iteration before the
+    # checkpoint at 10
+    full = _cfg(tiny_cohort, tmp_path / "full", iterations=12)
+    pipeline.run_training(full, tmp_path / "full")
+    full_log = (tmp_path / "full" / "loss.csv").read_bytes()
+
+    part = _cfg(tiny_cohort, tmp_path / "part", iterations=10)
+    pipeline.run_training(part, tmp_path / "part")
+    log = tmp_path / "part" / "loss.csv"
+    row11 = full_log.splitlines(keepends=True)[11]
+    assert row11.startswith(b"11,")
+    log.write_bytes(log.read_bytes() + row11[:1])
+    cont = _cfg(tiny_cohort, tmp_path / "part", iterations=12)
+    pipeline.run_training(cont, tmp_path / "part")
+
+    assert log.read_bytes() == full_log
+
+
 def test_loss_rows_on_disk_when_each_checkpoint_lands(tmp_path, tiny_cohort, monkeypatch):
     # a run killed right after a checkpoint lands resumes from it, so every
     # row up to that iteration must already be in loss.csv on disk

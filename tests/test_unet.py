@@ -5,7 +5,7 @@ import pytest
 
 from clseg import layers, unet
 from clseg.layers import ContractError, NonFiniteError
-from clseg.losses import LossConfig
+from clseg.losses import LossConfig, combined_loss
 from clseg.optim import AdamState
 
 rng = np.random.default_rng(31)
@@ -303,6 +303,64 @@ def test_forward_without_cache_frees_dead_activations():
     finally:
         tracemalloc.stop()
     assert peak <= slab + 3 * widest
+
+
+_UNIT_CHAINS = (("enc1a", "enc1b"), ("enc2a", "enc2b"), ("enc3a", "enc3b"),
+                ("dec2a", "dec2b"), ("dec1a", "dec1b"))
+
+
+def test_cache_holds_each_activation_once_and_backward_consumes_it():
+    cfg = unet.NetworkConfig(base_channels=2, input_patch=44)
+    params = unet.build_network(cfg, seed=3)
+    batch = _batch(seed=6)
+    cl, tis, cache = unet.forward(params, batch["input"], want_cache=True)
+    convs = [name for name, kind, _ in unet.param_specs(cfg)
+             if kind == "conv" and not name.startswith("head_")]
+    assert sorted(cache) == sorted(convs + ["pool"])
+    for first, second in _UNIT_CHAINS:
+        # the ReLU output is both the cached mask source and the next
+        # unit's input, one array
+        assert cache[first][1] is cache[second][0]
+    for name in convs:
+        act = cache[name][1]
+        assert cache[name][2] is None and act.flags.c_contiguous and (act >= 0).all()
+
+    _, _, (g_cl, g_t) = combined_loss(cl, tis, batch["cl_labels"], batch["tissue_labels"],
+                                      batch["wml_labels"], LossConfig())
+    grads = unet.backward(params, cache, g_cl, g_t)
+    assert cache == {}
+    assert sorted(grads) == sorted(unet.param_shapes(cfg))
+
+
+def test_instance_norm_cache_keeps_the_normalized_output():
+    # with instance norm, backward needs y = norm(conv(x)) unclipped, so
+    # the ReLU may not run in place on it
+    cfg = unet.NetworkConfig(base_channels=2, input_patch=44, instance_norm=True)
+    params = unet.build_network(cfg, seed=3)
+    _, _, cache = unet.forward(params, _batch(seed=6)["input"], want_cache=True)
+    for first, second in _UNIT_CHAINS:
+        x, act, (y, _) = cache[first]
+        assert act is cache[second][0] and act is not y
+        assert (y < 0).any()
+        assert np.array_equal(act, np.maximum(y, 0))
+
+
+def test_train_step_peak_memory_holds_each_activation_once():
+    # C=16, 48^3: the widest activation (enc1b, 32 x 44^3 float32) is
+    # 10.4 MiB and a conv slab at most 16 MiB. Caching pre- and
+    # post-activations and freeing nothing before backward returned peaked
+    # at 90 MiB; one array per activation, freed as backward consumes it,
+    # at 55 MiB
+    params = unet.build_network(unet.NetworkConfig(base_channels=16, input_patch=48), seed=0)
+    state = AdamState.for_params(params.tensors)
+    batch = _batch(side=48, seed=4)
+    tracemalloc.start()
+    try:
+        unet.train_step(params, state, batch, LossConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 65 * 2 ** 20
 
 
 def test_sliding_window_non_multiple_side():
