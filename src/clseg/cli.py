@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
 failure. All outputs land under the out directory together with a
-run-manifest JSON recording the config hash and package version; train,
-infer and xval rewrite it when they finish, adding the wall time and the
-peak resident set size.
+run-manifest JSON recording the config hash, package version and
+environment (numpy and scipy versions, usable cores, BLAS threads); infer
+writes its outputs and manifest to <out>/<subject>/, naming the subject
+directory and checkpoint. Train, infer and xval rewrite the manifest when
+they finish, adding the wall time and the peak resident set size.
 """
 
 from __future__ import annotations
@@ -110,13 +112,14 @@ def _cmd_train(args) -> int:
 def _cmd_infer(args) -> int:
     started = time.perf_counter()
     cfg = _load(args)
-    out = Path(cfg.paths.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_run_manifest(out, cfg, "infer")
     subject = Path(args.subject)
-    written = run_inference(args.checkpoint, subject, out / subject.name,
-                            drop_channel=args.drop_channel)
-    write_run_manifest(out, cfg, "infer", started)
+    out = Path(cfg.paths.out_dir) / subject.name
+    out.mkdir(parents=True, exist_ok=True)
+    inputs = {"subject_dir": str(subject.resolve()),
+              "checkpoint": str(Path(args.checkpoint).resolve())}
+    write_run_manifest(out, cfg, "infer", **inputs)
+    written = run_inference(args.checkpoint, subject, out, drop_channel=args.drop_channel)
+    write_run_manifest(out, cfg, "infer", started, **inputs)
     for name, path in written.items():
         print(f"{name}: {path}")
     return 0

@@ -22,15 +22,13 @@ for a fixed BLAS thread count.
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
+from .blas import set_blas_threads
 from .config import VARIANTS, RunConfig
 from .evaluation import EvalConfig, pooled_row
 from .phantom import PhantomSpec, generate_cohort
@@ -49,35 +47,10 @@ DESK_PHANTOM = PhantomSpec(
 )
 
 
-def _openblas() -> ctypes.CDLL | None:
-    """The OpenBLAS bundled with numpy's wheels, or None for another BLAS."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    path = next(libs.glob("libscipy_openblas64_*.so"), None)
-    if path is None:
-        return None
-    lib = ctypes.CDLL(str(path))  # the copy numpy already loaded
-    lib.scipy_openblas_get_num_threads64_.argtypes = []
-    lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
-    lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
-    lib.scipy_openblas_set_num_threads64_.restype = None
-    return lib
-
-
-def blas_threads() -> int | None:
-    """numpy's OpenBLAS thread count, or None if numpy uses another BLAS."""
-    lib = _openblas()
-    return None if lib is None else lib.scipy_openblas_get_num_threads64_()
-
-
-def _one_blas_thread() -> None:
-    lib = _openblas()
-    if lib is not None:
-        lib.scipy_openblas_set_num_threads64_(1)
-
-
 def worker_pool(n_workers: int) -> ProcessPoolExecutor:
     """A process pool whose workers each run numpy's OpenBLAS at one thread."""
-    return ProcessPoolExecutor(max_workers=n_workers, initializer=_one_blas_thread)
+    return ProcessPoolExecutor(max_workers=n_workers, initializer=set_blas_threads,
+                               initargs=(1,))
 
 
 def _desk_config(cohort_dir, out_dir, variant, iterations, seed,

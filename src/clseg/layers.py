@@ -26,7 +26,10 @@ U_dz @ grad_out^T, (C*k*k, Co) per tap, and transposed once at the end. The
 input gradient reuses the forward path as a full correlation of the
 gradient with the flipped kernel: the gradient is laid on the input's
 (H, W) grid after a front pad of (k-1)*(H*W+W+1) zeros, where wrapped taps
-read zeros, so every full-grid output column is an input gradient.
+read zeros, so every full-grid output column is an input gradient. That
+padded gradient is never built whole: each slab's planes of it are
+written into one reused (Co, slab + k, H, W) buffer before the slab is
+unrolled.
 
 The stride-2 layers (2x2x2 max pooling and the 2x2x2 transposed
 convolution) see an even-sized volume as 8 octants: octant i = dz*4 +
@@ -78,38 +81,41 @@ def _slab_planes(Ci, Co, k, H, W, oD):
     return max(1, min(oD, SLAB_BUDGET_ELEMS // ((Ci * k * k + Co) * H * W) - (k - 1)))
 
 
-def _unroll(x, k, z0, n):
-    """In-plane unrolling of n full-grid output columns from plane z0 of one
-    (C, D, H, W) item.
+def _unroll(x, k, n):
+    """In-plane unrolling of n full-grid output columns from plane 0 of one
+    (C, D, H, W) item whose planes are C-contiguous (its channel stride is
+    free, so x may be a depth slice of a larger item).
 
-    x must be C-contiguous. Returns U of shape (C*k*k, n + (k-1)*H*W) with
-    U[(c, dy, dx), j] = x[c].flat[z0*H*W + j + dy*W + dx], so depth tap dz
-    of output column j is U[:, dz*H*W + j]. Raises ContractError if the
-    last read falls past x[c].
+    Returns U of shape (C*k*k, n + (k-1)*H*W) with
+    U[(c, dy, dx), j] = x[c].flat[j + dy*W + dx], so depth tap dz of output
+    column j is U[:, dz*H*W + j]. Raises ContractError if the last read
+    falls past x[c].
     """
     C, D, H, W = x.shape
     HW = H * W
-    if (z0 + k - 1) * HW + n + (k - 1) * (W + 1) > D * HW:
-        raise ContractError(f"conv3d: {n} columns from plane {z0} read past {x.shape}")
+    if (k - 1) * HW + n + (k - 1) * (W + 1) > D * HW:
+        raise ContractError(f"conv3d: {n} columns read past {x.shape}")
     s = x.itemsize
-    view = as_strided(x[:, z0:], (C, k, k, n + (k - 1) * HW),
+    view = as_strided(x, (C, k, k, n + (k - 1) * HW),
                       (x.strides[0], W * s, s, s), writeable=False)
     return view.reshape(C * k * k, -1)
 
 
-def _conv_slabs(x, weight, out):
+def _conv_slabs(slab_input, grid, weight, out):
     """out[b,o,z,y,x] = sum_{i,dz,dy,dx} x[b,i,z+dz,y+dy,x+dx] * w[o,i,dz,dy,dx]
 
-    x must be C-contiguous. A slab's outputs are computed on the full (H, W)
-    grid, one GEMM per depth tap accumulated in place, and the (oH, oW)
-    corner is copied out.
+    for an input x on the (H, W) = grid, read one depth slab at a time:
+    slab_input(b, z0) returns x[b, :, z0:] with C-contiguous planes, or at
+    least the planes that the slab's output planes read. A slab's
+    outputs are computed on the full (H, W) grid, one GEMM per depth tap
+    accumulated in place, and the (oH, oW) corner is copied out.
     When out spans the whole grid, every column is an output; the last
-    (k-1)*(W+1) of them then read one plane past oD + k - 1, which x must
-    hold.
+    (k-1)*(W+1) of them then read into the plane after the slab's last
+    input plane, which the slab input must hold.
     """
-    B, Ci, D, H, W = x.shape
-    Co, _, k, _, _ = weight.shape
-    oD, oH, oW = out.shape[2:]
+    H, W = grid
+    Co, Ci, k, _, _ = weight.shape
+    B, _, oD, oH, oW = out.shape
     HW = H * W
     # columns past the last valid output of a slab, when out is cropped
     tail = 0 if (oH, oW) == (H, W) else (k - 1) * (W + 1)
@@ -121,7 +127,7 @@ def _conv_slabs(x, weight, out):
         for z0 in range(0, oD, slab):
             z1 = min(z0 + slab, oD)
             n = (z1 - z0) * HW - tail
-            U = _unroll(x[b], k, z0, n)
+            U = _unroll(slab_input(b, z0), k, n)
             np.matmul(w_dz[0], U[:, :n], out=full[:, :n])
             for dz in range(1, k):
                 np.matmul(w_dz[dz], U[:, dz * HW:dz * HW + n], out=tap[:, :n])
@@ -144,7 +150,8 @@ def conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.nd
         raise ContractError(f"conv3d: bias shape {bias.shape} != ({Co},)")
 
     out = np.empty((B, Co, D - k + 1, H - k + 1, W - k + 1), dtype=x.dtype)
-    _conv_slabs(np.ascontiguousarray(x), weight, out)
+    x = np.ascontiguousarray(x)
+    _conv_slabs(lambda b, z0: x[b, :, z0:], (H, W), weight, out)
     out += bias.reshape(1, -1, 1, 1, 1).astype(x.dtype)
     return out
 
@@ -175,7 +182,7 @@ def conv3d_backward(x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray,
         for z0 in range(0, oD, slab):
             z1 = min(z0 + slab, oD)
             n = (z1 - z0) * HW - (k - 1) * (W + 1)
-            U = _unroll(x[b], k, z0, n)
+            U = _unroll(x[b, :, z0:], k, n)
             g[:, :z1 - z0, :oH, :oW] = grad_out[b, :, z0:z1]
             gT = g.reshape(Co, -1)[:, :n].T
             for dz in range(k):
@@ -188,15 +195,26 @@ def conv3d_backward(x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray,
     if not need_grad_x:
         return None, grad_w, grad_bias
 
-    # input gradient: full correlation of grad_out with the flipped kernel,
-    # grad_out placed from plane, row and column k-1 of the input's grid (the
-    # front pad of the module docstring); the last plane is spare, for the
-    # reads of the last (k-1)*(W+1) columns
+    # input gradient: full correlation of grad_out with the flipped kernel
+    # over the padded gradient of the module docstring, grad_out laid from
+    # plane, row and column k-1 of the input's grid. Each slab's planes of
+    # it are written into one reused buffer: plane j holds padded plane
+    # z0 + j, and the one plane past the slab's reads is spare
     p = k - 1
-    padded = np.zeros((B, Co, D + k, H, W), dtype=grad_out.dtype)
-    padded[:, :, p:p + oD, p:, p:] = grad_out
+    slab = _slab_planes(Co, Ci, k, H, W, D)  # the slab _conv_slabs picks below
+    buf = np.zeros((Co, slab + k, H, W), dtype=grad_out.dtype)
+    inner = buf[:, :, p:, p:]  # outside it the buffer stays zero
+
+    def padded_slab(b, z0):
+        lo, hi = max(0, p - z0), min(slab + k, p + oD - z0)
+        inner[:, :lo] = 0
+        inner[:, lo:hi] = grad_out[b, :, z0 + lo - p:z0 + hi - p]
+        inner[:, hi:] = 0
+        return buf
+
     grad_x = np.empty_like(x)
-    _conv_slabs(padded, weight[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4), grad_x)
+    _conv_slabs(padded_slab, (H, W),
+                weight[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4), grad_x)
     return grad_x, grad_w, grad_bias
 
 
@@ -216,14 +234,20 @@ def _bits(x: np.ndarray) -> np.ndarray:
     return x.view(f"u{x.itemsize}")
 
 
-def maxpool3d_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def maxpool3d_forward(x: np.ndarray,
+                      want_argmax: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Max over the 8 octants of each 2x2x2 block, plus the uint8 octant
-    index of the winner. Octants are taken in index order and replace the
-    running max only when strictly greater, so ties keep the lowest index."""
+    index of the winner (None when `want_argmax` is False, which skips
+    its work). Octants are taken in index order and replace the running max
+    only when strictly greater, so ties keep the lowest index."""
     B, C, D, H, W = x.shape
     if D % 2 or H % 2 or W % 2:
         raise ContractError(f"maxpool3d: spatial dims {(D, H, W)} must be even")
     out = _octant(x, 0).copy()
+    if not want_argmax:
+        for i in range(1, 8):
+            np.maximum(_octant(x, i), out, out=out)  # same operands as below
+        return out, None
     argmax = np.zeros(out.shape, dtype=np.uint8)
     v = np.empty_like(out)
     tag = np.empty(out.shape, dtype=np.uint8)
@@ -320,17 +344,26 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     bit np.where(x > 0, grad_out, 0); the subgradient at exactly 0 is 0.
 
     x may be the ReLU's input or its output, which is positive exactly
-    where the input is. Both must be C-contiguous and of one shape.
+    where the input is; both must then be C-contiguous and of one shape.
+    x may also be the mask np.packbits(x > 0) of either, a uint8 array of
+    ceil(n/8) bytes for a gradient of n elements, unpacked a chunk at a time.
     """
-    if x.shape != grad_out.shape:
+    packed = x.dtype == np.uint8
+    if packed and x.shape != (-(-grad_out.size // 8),):
+        raise ContractError(
+            f"relu backward: packed mask shape {x.shape} does not fit grad_out {grad_out.shape}")
+    if not packed and x.shape != grad_out.shape:
         raise ContractError(f"relu backward: x shape {x.shape} != grad_out {grad_out.shape}")
     if not (x.flags.c_contiguous and grad_out.flags.c_contiguous):
         raise ContractError("relu backward: x and grad_out must be C-contiguous")
     xf, gf = x.reshape(-1), _bits(grad_out).reshape(-1)
-    mask = np.empty(min(xf.size, MASK_CHUNK_ELEMS), dtype=gf.dtype)
-    for s in range(0, xf.size, MASK_CHUNK_ELEMS):
-        m = mask[:min(MASK_CHUNK_ELEMS, xf.size - s)]
-        np.greater(xf[s:s + m.size], 0, out=m)
+    mask = np.empty(min(gf.size, MASK_CHUNK_ELEMS), dtype=gf.dtype)
+    for s in range(0, gf.size, MASK_CHUNK_ELEMS):
+        m = mask[:min(MASK_CHUNK_ELEMS, gf.size - s)]
+        if packed:
+            np.copyto(m, np.unpackbits(xf[s // 8:], count=s % 8 + m.size)[s % 8:])
+        else:
+            np.greater(xf[s:s + m.size], 0, out=m)
         np.negative(m, out=m)  # 1 -> all ones
         np.bitwise_and(gf[s:s + m.size], m, out=gf[s:s + m.size])
     return grad_out

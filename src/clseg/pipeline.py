@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import resource
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, volume_io
+from .blas import blas_threads
 from .config import ConfigError, RunConfig
 from .evaluation import EvalConfig, PatientEval, build_report, evaluate_patient, write_report_files
 from .optim import AdamState
@@ -66,16 +69,24 @@ def load_training_data(cohort_dir: str | Path,
 
 
 def write_run_manifest(out_dir: Path, cfg: RunConfig, command: str,
-                       started: float | None = None) -> None:
-    """Write run_manifest.json atomically. Given `started`, the
-    time.perf_counter() reading taken when the command began, the command
-    has finished: its wall time and the process's peak resident set size
-    are added."""
+                       started: float | None = None, **inputs: str) -> None:
+    """Write run_manifest.json atomically, with the given `inputs` (such as
+    the paths a command read) and the environment that produced the run.
+    Given `started`, the time.perf_counter() reading taken when the command
+    began, the command has finished: its wall time and the process's peak
+    resident set size are added."""
     doc = {
         "command": command,
+        **inputs,
         "package_version": __version__,
         "config_hash": cfg.config_hash(),
         "config": cfg.to_dict(),
+        "environment": {
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "nproc": len(os.sched_getaffinity(0)),
+            "blas_threads": blas_threads(),
+        },
     }
     if started is not None:
         doc["elapsed_s"] = round(time.perf_counter() - started, 3)
@@ -180,12 +191,15 @@ def run_training(cfg: RunConfig, out_dir: str | Path,
 
 def run_inference(checkpoint: str | Path, subject_dir: str | Path,
                   out_dir: str | Path, drop_channel: str | None = None) -> dict[str, Path]:
-    """Predict one subject and write cl_pred/tissue_pred/cl_prob volumes."""
+    """Predict one subject and write cl_pred/tissue_pred/cl_prob volumes.
+    Only the three contrasts are read, so the subject needs no labels."""
     params, _, _, _ = load_checkpoint(checkpoint)
-    vols = volume_io.read_subject(subject_dir)
+    vols = volume_io.read_subject(subject_dir, volume_io.CONTRAST_NAMES)
     header = vols["mp2rage"].header
+    contrasts = _normalized_contrasts(vols)
+    del vols  # the raw volumes
     cl_pred, tissue_pred, cl_prob = sliding_window_inference(
-        params, _normalized_contrasts(vols), drop_channel=drop_channel)
+        params, contrasts, drop_channel=drop_channel)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = {}

@@ -15,17 +15,23 @@ Channel plan for base width C (in channels 3):
 
 Every ReLU runs in place on its conv's output, and `forward` frees each
 activation once it is dead, so without a cache its memory peak stays near
-the widest single activation plus one conv slab. For training the cache
-holds one array per activation: a unit keeps its input and its ReLU
-output, which is the next unit's input too and doubles as the ReLU mask.
-`backward` pops every entry as it consumes it, so each activation is
-released as soon as its gradients are done.
+the widest single activation plus one conv slab. The decoder reads only
+the centre of the two pooled activations (enc1b, enc2b outputs), so right
+after pooling `forward` copies that crop and frees the activation. For
+training the cache holds one array per activation: a unit keeps its input
+and its ReLU output, which is the next unit's input too and doubles as the
+ReLU mask. The pooled units are the exception: nothing else reads their
+activation, so their entries keep the bit-packed ReLU mask instead (one
+bit per element). Without a cache, pooling skips the argmax. `backward`
+pops every entry as it consumes it, so each activation is released as
+soon as its gradients are done.
 
 Whole subjects are predicted with overlap tiles (U-Net's overlap-tile
 strategy): the largest cubic tile whose widest activation fits the
 activation budget, placed on a grid that keeps pooling aligned, so the
 tiled prediction equals one forward pass over the whole mirror-padded
-volume.
+volume. Each tile gathers its own mirrored input; the padded volume is
+never built.
 
 Parameter serialization order is the order of `param_specs`, kernel then
 bias per layer, little-endian float32. Decoder concatenation order is
@@ -170,14 +176,15 @@ def build_network(cfg: NetworkConfig, seed: int, dtype=np.float32) -> NetworkPar
     return NetworkParams(cfg, seed, tensors)
 
 
-def _unit_forward(params, name, x, cache, norm=False):
+def _unit_forward(params, name, x, cache, norm=False, pack_mask=False):
     """conv (+ optional instance norm) + relu; with a cache, stores
     (x, activation, norm_cache) under `name` for backward.
 
     The ReLU overwrites the conv output in place; only with instance norm
     and a cache, where the normalized output lives on in norm_cache, is the
     activation a new array. The activation is the ReLU mask of backward: it
-    is positive exactly where its pre-activation is.
+    is positive exactly where its pre-activation is. With `pack_mask` the
+    cache keeps that mask alone, bit-packed, in place of the activation.
     """
     k = params.tensors[f"{name}.kernel"]
     b = params.tensors[f"{name}.bias"]
@@ -187,7 +194,7 @@ def _unit_forward(params, name, x, cache, norm=False):
         pre, norm_cache = layers.instance_norm_forward(pre)
     act = layers.relu_forward(pre, out=None if norm and cache is not None else pre)
     if cache is not None:
-        cache[name] = (x, act, norm_cache)
+        cache[name] = (x, np.packbits(act > 0) if pack_mask else act, norm_cache)
     return act
 
 
@@ -210,28 +217,37 @@ def forward(params: NetworkParams, x: np.ndarray, want_cache: bool = False):
     """Run the network on a (B, in_channels, s, s, s) batch.
 
     Returns (cl_probs, tissue_probs, cache); both outputs are softmax
-    probability maps of shape (B, 3, s-40, s-40, s-40).
+    probability maps of shape (B, 3, s-40, s-40, s-40). The cache maps
+    each conv unit to (input, activation or, for enc1b and enc2b, the
+    np.packbits ReLU mask, norm cache) and "pool" to both argmaxes.
     """
     cfg = params.config
     if x.ndim != 5 or x.shape[1] != cfg.in_channels:
         raise ContractError(f"input shape {x.shape} != (B, {cfg.in_channels}, s, s, s)")
     if not (x.shape[2] == x.shape[3] == x.shape[4]):
         raise ContractError(f"input must be cubic, got {x.shape[2:]}")
-    output_shape(x.shape[2])
+    side = x.shape[2]
+    output_shape(side)
     norm = cfg.instance_norm
     cache: dict | None = {} if want_cache else None
 
     # Each activation is released as soon as it is dead (`del`); with a
     # cache the arrays stay alive through the cache until backward pops them.
+    # Of s1 and s2 the decoder reads only the centre crop, copied right
+    # after pooling (sides s-36 and (s-4)/2-12).
     e1 = _unit_forward(params, "enc1a", x, cache, norm)
-    s1 = _unit_forward(params, "enc1b", e1, cache, norm)
+    s1 = _unit_forward(params, "enc1b", e1, cache, norm, pack_mask=True)
     del e1
-    p1, am1 = layers.maxpool3d_forward(s1)
+    p1, am1 = layers.maxpool3d_forward(s1, want_argmax=want_cache)
+    c1 = layers.crop_center3d(s1, (side - 36,) * 3).copy()
+    del s1
     e2 = _unit_forward(params, "enc2a", p1, cache, norm)
     del p1
-    s2 = _unit_forward(params, "enc2b", e2, cache, norm)
+    s2 = _unit_forward(params, "enc2b", e2, cache, norm, pack_mask=True)
     del e2
-    p2, am2 = layers.maxpool3d_forward(s2)
+    p2, am2 = layers.maxpool3d_forward(s2, want_argmax=want_cache)
+    c2 = layers.crop_center3d(s2, ((side - 4) // 2 - 12,) * 3).copy()
+    del s2
     e3 = _unit_forward(params, "enc3a", p2, cache, norm)
     del p2
     bottom = _unit_forward(params, "enc3b", e3, cache, norm)
@@ -241,16 +257,16 @@ def forward(params: NetworkParams, x: np.ndarray, want_cache: bool = False):
 
     u2 = layers.transposed_conv3d_forward(
         bottom, params.tensors["up2.kernel"], params.tensors["up2.bias"])
-    cat2 = np.concatenate([u2, layers.crop_center3d(s2, u2.shape[2:])], axis=1)
-    del u2, s2
+    cat2 = np.concatenate([u2, c2], axis=1)
+    del u2, c2
     d2 = _unit_forward(params, "dec2a", cat2, cache, norm)
     del cat2
     d2 = _unit_forward(params, "dec2b", d2, cache, norm)
 
     u1 = layers.transposed_conv3d_forward(
         d2, params.tensors["up1.kernel"], params.tensors["up1.bias"])
-    cat1 = np.concatenate([u1, layers.crop_center3d(s1, u1.shape[2:])], axis=1)
-    del u1, s1
+    cat1 = np.concatenate([u1, c1], axis=1)
+    del u1, c1
     d1 = _unit_forward(params, "dec1a", cat1, cache, norm)
     del cat1
     d1 = _unit_forward(params, "dec1b", d1, cache, norm)
@@ -272,7 +288,8 @@ def backward(params: NetworkParams, cache: dict,
     Consumes the cache: every entry is popped when backward is done with
     it, so each activation is freed once its gradients are computed and the
     cache is empty on return. The skip gradients are copied out of the
-    decoder gradient, which is then freed.
+    decoder gradient, which is then freed. enc1b and enc2b are masked by
+    their packed ReLU masks.
     """
     c = params.config.base_channels
     am1, am2 = cache.pop("pool")
@@ -405,7 +422,9 @@ def sliding_window_inference(params: NetworkParams, contrasts: np.ndarray,
 
     The output side t comes from `_tile_side`; each tile reads a
     (t+40)^3 input that overlaps its neighbours by the 20-voxel margin of
-    the valid convs on each side. Tile origins are multiples of t, itself a
+    the valid convs on each side. The padded volume is never built: each
+    tile gathers its input from the contrasts through the index map of
+    `mirror_pad`. Tile origins are multiples of t, itself a
     multiple of 4, so both 2x2x2 pooling stages see the same voxel grid in
     every tile as in one forward pass over the whole padded volume, and
     valid convs read nothing outside a tile's input: the tiled prediction
@@ -414,7 +433,7 @@ def sliding_window_inference(params: NetworkParams, contrasts: np.ndarray,
     contrasts: (3, D, H, W) already-normalized float32. Returns
     (cl_labels u8, tissue_labels u8, cl_prob f32) at the input geometry;
     cl_prob is the per-voxel probability of any lesion class. If
-    drop_channel is set, that T2* channel is zeroed before inference.
+    drop_channel is set, that T2* channel is zeroed in every tile's input.
     """
     if contrasts.ndim != 4 or contrasts.shape[0] != params.config.in_channels:
         raise ContractError(f"contrasts shape {contrasts.shape} invalid")
@@ -422,20 +441,13 @@ def sliding_window_inference(params: NetworkParams, contrasts: np.ndarray,
         if drop_channel not in DROPPABLE_CHANNELS:
             raise ContractError(
                 f"drop_channel must be one of {DROPPABLE_CHANNELS}, got {drop_channel!r}")
-        contrasts = contrasts.copy()
-        contrasts[CONTRAST_CHANNELS[drop_channel]] = 0.0
+        drop = CONTRAST_CHANNELS[drop_channel]
 
     shape = contrasts.shape[1:]
     tile = _tile_side(shape, params.config.base_channels)
     window = tile + SHRINK_PER_SIDE
     margin = SHRINK_PER_SIDE // 2
     n_tiles = [-(-s // tile) for s in shape]
-    padded = np.stack([
-        mirror_pad(contrasts[c],
-                   (margin,) * 3,
-                   tuple(n_tiles[a] * tile - shape[a] + margin for a in range(3)))
-        for c in range(contrasts.shape[0])
-    ])
 
     covered = tuple(n * tile for n in n_tiles)
     cl_out = np.zeros(covered, dtype=np.uint8)
@@ -445,8 +457,13 @@ def sliding_window_inference(params: NetworkParams, contrasts: np.ndarray,
         for iy in range(n_tiles[1]):
             for ix in range(n_tiles[2]):
                 z0, y0, x0 = iz * tile, iy * tile, ix * tile
-                patch = padded[None, :, z0:z0 + window, y0:y0 + window, x0:x0 + window]
-                cl_p, tissue_p, _ = forward(params, np.ascontiguousarray(patch))
+                patch = contrasts
+                for a, origin in enumerate((z0, y0, x0)):
+                    idx = reflect_indices(shape[a], origin - margin, window)
+                    patch = np.take(patch, idx, axis=a + 1)
+                if drop_channel is not None:
+                    patch[drop] = 0.0
+                cl_p, tissue_p, _ = forward(params, patch[None])
                 blk = (slice(z0, z0 + tile), slice(y0, y0 + tile), slice(x0, x0 + tile))
                 cl_out[blk] = cl_p[0].argmax(axis=0).astype(np.uint8)
                 tissue_out[blk] = tissue_p[0].argmax(axis=0).astype(np.uint8)

@@ -240,11 +240,13 @@ class CohortManifest:
         }
 
 
-def read_subject(subject_dir: str | Path) -> dict[str, Volume]:
-    """Read the six volumes of one subject directory, checking geometry."""
+def read_subject(subject_dir: str | Path,
+                 names: tuple[str, ...] = SUBJECT_VOLUME_NAMES) -> dict[str, Volume]:
+    """Read the named volumes of one subject directory (all six by
+    default, mp2rage among them), checking their geometry against mp2rage."""
     subject_dir = Path(subject_dir)
     vols = {}
-    for name in SUBJECT_VOLUME_NAMES:
+    for name in names:
         vols[name] = read_volume(subject_dir / name)
     ref = vols["mp2rage"].header
     for name, v in vols.items():

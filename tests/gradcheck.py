@@ -164,6 +164,8 @@ def activation_pattern(cache: dict) -> np.ndarray:
     parts: list[int] = []
     for name in _ENCODER + _DECODER:
         _, act, _ = cache[name]  # positive exactly where the pre-activation is
+        if act.dtype == np.uint8:  # a bit-packed mask; its pad bits are 0
+            act = np.unpackbits(act)
         parts.extend(relu_pattern(act))
     am1, am2 = cache["pool"]
     parts.extend(argmax_pattern(am1))

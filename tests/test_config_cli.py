@@ -229,6 +229,12 @@ def test_cli_train_infer_report_flow(tmp_path, tiny_cohort, capsys):
     assert main(["infer", "--config", str(path), "--checkpoint", str(ckpt),
                  "--subject", str(tiny_cohort / "subject_01"),
                  "--out", str(tmp_path / "pred")]) == 0
+    # each infer call leaves its own manifest beside its predictions
+    assert not (tmp_path / "pred" / "run_manifest.json").exists()
+    for sid in ("subject_00", "subject_01"):
+        doc = json.loads((tmp_path / "pred" / sid / "run_manifest.json").read_text())
+        assert doc["subject_dir"] == str((tiny_cohort / sid).resolve())
+        assert doc["checkpoint"] == str(ckpt.resolve())
     assert main(["report", "--config", str(path),
                  "--out", str(tmp_path / "rep"),
                  "--pred", f"model={tmp_path / 'pred'}"]) == 0
@@ -247,7 +253,7 @@ def test_cli_finished_runs_record_time_and_peak_rss(tmp_path, tiny_cohort, capsy
         "train": (["train", "--config", str(path)], out),
         "infer": (["infer", "--config", str(path), "--checkpoint", str(ckpt),
                    "--subject", str(subject), "--out", str(tmp_path / "pred")],
-                  tmp_path / "pred"),
+                  tmp_path / "pred" / "subject_00"),
         "xval": (["xval", "--config", str(path), "--k", "2", "--out", str(tmp_path / "xv")],
                  tmp_path / "xv"),
     }
@@ -256,6 +262,9 @@ def test_cli_finished_runs_record_time_and_peak_rss(tmp_path, tiny_cohort, capsy
         doc = json.loads((run_dir / "run_manifest.json").read_text())
         assert doc["command"] == command
         assert doc["elapsed_s"] > 0 and doc["peak_rss_mib"] > 0
+        env = doc["environment"]
+        assert env["numpy"] == np.__version__ and env["scipy"]
+        assert env["nproc"] >= 1 and env["blas_threads"] >= 1
         assert not list(run_dir.glob("*.tmp"))
 
     # the telemetry leaves every output as the pipeline alone writes it
@@ -266,6 +275,26 @@ def test_cli_finished_runs_record_time_and_peak_rss(tmp_path, tiny_cohort, capsy
     for name in ("cl_pred.raw", "tissue_pred.raw", "cl_prob.raw"):
         assert (tmp_path / "pred" / "subject_00" / name).read_bytes() == \
             (tmp_path / "ref_pred" / name).read_bytes()
+
+
+def test_inference_needs_no_label_volumes(tmp_path, tiny_cohort):
+    from clseg.pipeline import run_inference, run_training
+
+    cfg, path = _fast_config(tmp_path, tiny_cohort)
+    ckpt = run_training(cfg, tmp_path / "out")
+    unlabelled = tmp_path / "unlabelled" / "subject_00"
+    shutil.copytree(tiny_cohort / "subject_00", unlabelled)
+    for name in vio.LABEL_NAMES:
+        for suffix in (".json", ".raw"):
+            (unlabelled / name).with_suffix(suffix).unlink()
+    run_inference(ckpt, tiny_cohort / "subject_00", tmp_path / "labelled")
+    run_inference(ckpt, unlabelled, tmp_path / "api")
+    assert main(["infer", "--config", str(path), "--checkpoint", str(ckpt),
+                 "--subject", str(unlabelled), "--out", str(tmp_path / "cli")]) == 0
+    for name in ("cl_pred.raw", "tissue_pred.raw", "cl_prob.raw"):
+        want = (tmp_path / "labelled" / name).read_bytes()
+        assert (tmp_path / "api" / name).read_bytes() == want
+        assert (tmp_path / "cli" / "subject_00" / name).read_bytes() == want
 
 
 def test_cli_report_needs_pred(tmp_path, tiny_cohort):

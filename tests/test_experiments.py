@@ -1,8 +1,9 @@
 import json
 
 from clseg import pipeline
+from clseg.blas import blas_threads
 from clseg.config import VARIANTS
-from clseg.experiments import blas_threads, icd_robustness_experiment, worker_pool
+from clseg.experiments import icd_robustness_experiment, worker_pool
 
 from conftest import TINY_SPEC
 

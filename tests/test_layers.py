@@ -126,16 +126,18 @@ def test_conv_forward_and_backward_match_loop_oracles(monkeypatch, k, budget):
 
 
 def test_conv_backward_memory_within_one_slab():
-    # paper-width enc1b backward: besides its outputs and the padded
-    # gradient, only one slab (unrolled input plus full-grid output) and the
-    # per-tap GEMM buffer of the grad_x pass are alive at any time
+    # paper-width enc1b backward: besides its outputs, only one slab
+    # (unrolled input plus full-grid output), the per-tap GEMM buffer of the
+    # grad_x pass and that pass's one slab of the padded gradient are alive
+    # at any time
     Ci, Co, k, s = 16, 32, 3, 66
     r = np.random.default_rng(3)
     x = r.standard_normal((1, Ci, s, s, s), dtype=np.float32)
     w = r.standard_normal((Co, Ci, k, k, k), dtype=np.float32)
     g = r.standard_normal((1, Co, s - 2, s - 2, s - 2), dtype=np.float32)
-    padded = Co * (s + k) * s * s * 4
-    tap = Ci * L._slab_planes(Co, Ci, k, s, s, s) * s * s * 4
+    slab = L._slab_planes(Co, Ci, k, s, s, s)
+    padded = Co * (slab + k) * s * s * 4
+    tap = Ci * slab * s * s * 4
     tracemalloc.start()
     try:
         gx, gw, gb = L.conv3d_backward(x, w, g)
@@ -229,6 +231,26 @@ def test_maxpool_backward_matches_loop_oracle_with_ties_and_signed_zeros():
         got = L.maxpool3d_backward(am, grad)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(2, 3, 8, 6, 10), (1, 2, 4, 8, 256)],
+                         ids=["short-rows", "long-rows"])
+def test_maxpool_without_argmax_is_the_same_max(dtype, shape):
+    # ties (a 5-level grid with +-0), NaN of both signs and every payload,
+    # +-inf and random bit patterns, in short rows and in rows long enough
+    # for vector loops: the max-only path returns the bytes of the first
+    # output of the argmax path
+    r = np.random.default_rng(12)
+    x = r.integers(-2, 3, shape).astype(dtype)
+    x[x == 0] = np.where(r.random(int((x == 0).sum())) < 0.5, -0.0, 0.0)
+    special = r.random(x.shape) < 0.3
+    x[special] = _special_values(r, int(special.sum()), dtype)
+    want, _ = L.maxpool3d_forward(x)
+    got, am = L.maxpool3d_forward(x, want_argmax=False)
+    assert am is None
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_maxpool_odd_dims_rejected():
@@ -363,7 +385,7 @@ def _special_values(r, n, dtype):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n, chunk", [(5, None), (2 * L.MASK_CHUNK_ELEMS + 37, None),
-                                      (300, 7), (15, 7), (64, 64)])
+                                      (300, 7), (15, 7), (64, 64), (301, 24)])
 def test_relu_backward_is_the_select_bit_for_bit(monkeypatch, dtype, n, chunk):
     if chunk is not None:
         monkeypatch.setattr(L, "MASK_CHUNK_ELEMS", chunk)
@@ -375,10 +397,13 @@ def test_relu_backward_is_the_select_bit_for_bit(monkeypatch, dtype, n, chunk):
     got = L.relu_backward(x, g)
     assert got is g  # the caller's gradient, overwritten
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    # the ReLU output masks the same entries as its input
-    g2 = _special_values(np.random.default_rng(n), n, dtype)
-    want2 = np.where(x > 0, g2, 0)
-    assert L.relu_backward(L.relu_forward(x), g2).tobytes() == want2.tobytes()
+    # the ReLU output masks the same entries as its input, and so does the
+    # bit-packed mask of either
+    for mask_of in (lambda: L.relu_forward(x), lambda: np.packbits(x > 0),
+                    lambda: np.packbits(L.relu_forward(x) > 0)):
+        g2 = _special_values(np.random.default_rng(n), n, dtype)
+        want2 = np.where(x > 0, g2, 0)
+        assert L.relu_backward(mask_of(), g2).tobytes() == want2.tobytes()
 
 
 def test_relu_backward_rejects_strided_and_mismatched_arrays():
@@ -389,6 +414,8 @@ def test_relu_backward_rejects_strided_and_mismatched_arrays():
         L.relu_backward(x[:, :3], np.ones((4, 6), np.float32)[:, :3])
     with pytest.raises(L.ContractError):
         L.relu_backward(x, np.ones((6, 4), np.float32))
+    with pytest.raises(L.ContractError):  # a packed mask of 24 + 1 elements
+        L.relu_backward(np.packbits(np.ones(25, bool)), np.ones((4, 6), np.float32))
 
 
 def test_softmax_uniform_logits():

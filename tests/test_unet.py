@@ -322,8 +322,14 @@ def test_cache_holds_each_activation_once_and_backward_consumes_it():
         # unit's input, one array
         assert cache[first][1] is cache[second][0]
     for name in convs:
-        act = cache[name][1]
-        assert cache[name][2] is None and act.flags.c_contiguous and (act >= 0).all()
+        x, act, norm_cache = cache[name]
+        assert norm_cache is None and act.flags.c_contiguous
+        if name in ("enc1b", "enc2b"):
+            # pooled units keep only their bit-packed ReLU mask
+            n = cfg.base_channels * (2 if name == "enc1b" else 4) * (x.shape[2] - 2) ** 3
+            assert act.dtype == np.uint8 and act.shape == (-(-n // 8),)
+        else:
+            assert (act >= 0).all()
 
     _, _, (g_cl, g_t) = combined_loss(cl, tis, batch["cl_labels"], batch["tissue_labels"],
                                       batch["wml_labels"], LossConfig())
@@ -350,13 +356,30 @@ def test_train_step_peak_memory_holds_each_activation_once():
     # 10.4 MiB and a conv slab at most 16 MiB. Caching pre- and
     # post-activations and freeing nothing before backward returned peaked
     # at 90 MiB; one array per activation, freed as backward consumes it,
-    # at 55 MiB
+    # at 55 MiB; with the skips cropped at pooling, packed masks for the
+    # pooled units and the padded gradient built one slab at a time, at
+    # 44 MiB
     params = unet.build_network(unet.NetworkConfig(base_channels=16, input_patch=48), seed=0)
     state = AdamState.for_params(params.tensors)
     batch = _batch(side=48, seed=4)
     tracemalloc.start()
     try:
         unet.train_step(params, state, batch, LossConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 50 * 2 ** 20
+
+
+def test_sliding_window_inference_builds_no_padded_subject():
+    # C=4, 96^3: 8 tiles of 88^3. A mirror-padded copy of the subject
+    # (3 x 136^3 float32, 29 MiB) beside the tile's forward peaked at
+    # 89 MiB; gathering each tile's input from the contrasts, at 60 MiB
+    params = unet.build_network(unet.NetworkConfig(base_channels=4), seed=0)
+    contrasts = _toy_contrasts(96, seed=5)
+    tracemalloc.start()
+    try:
+        unet.sliding_window_inference(params, contrasts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
