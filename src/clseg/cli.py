@@ -1,7 +1,9 @@
 """Command-line entry points: phantom | train | infer | xval | report.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
-failure. All outputs land under the out directory together with a
+Exit codes: 0 success, 1 usage/config error, 2 data error (including an
+output that cannot be created or written), 3 numerical failure. phantom
+writes the cohort to paths.cohort_dir and takes no --out. The other
+commands' outputs land under the out directory together with a
 run-manifest JSON recording the config hash, package version and
 environment (numpy and scipy versions, usable cores, BLAS threads); infer
 writes its outputs and manifest to <out>/<subject>/, naming the subject
@@ -40,15 +42,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="clseg", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, out=True):
         sp.add_argument("--config", required=True, help="run config JSON")
         sp.add_argument("--seed", type=int, help="override every seed (training/sampler/phantom)")
-        sp.add_argument("--out", help="override paths.out_dir")
+        if out:
+            sp.add_argument("--out", help="override paths.out_dir")
         sp.add_argument("--variant", choices=VARIANTS,
                         help="override the model variant (rewires icd/tissue head)")
 
-    sp = sub.add_parser("phantom", help="generate a synthetic cohort")
-    common(sp)
+    sp = sub.add_parser("phantom", help="generate a synthetic cohort into paths.cohort_dir")
+    common(sp, out=False)
     sp.add_argument("--n-subjects", type=int, help="override phantom.n_subjects")
 
     sp = sub.add_parser("train", help="train on the configured cohort")
@@ -79,7 +82,7 @@ def _load(args) -> RunConfig:
         cfg = cfg.apply_variant(args.variant)
     if args.seed is not None:
         cfg = cfg.with_master_seed(args.seed)
-    if args.out:
+    if getattr(args, "out", None):
         cfg = dataclasses.replace(cfg, paths=dataclasses.replace(cfg.paths, out_dir=args.out))
     return cfg.validate()
 
@@ -186,6 +189,9 @@ def main(argv=None) -> int:
     except ContractError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except OSError as e:  # creating or writing outputs
+        print(f"data error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -179,6 +179,8 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as e:
+        raise ConfigError(f"cannot read config file {path}: {e.strerror}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"malformed config JSON {path}: {e}") from e
     return config_from_dict(doc)

@@ -1,17 +1,12 @@
-"""Desk-scale experiment drivers.
+"""Desk-scale replication experiment.
 
-Two experiments back the end-to-end claims:
-
-* overfit_experiment: train the multitask_icd variant on a tiny cohort and
-  score it on its own training subjects; a correct pipeline drives the
-  lesion-wise detection rate toward 1 with few false positives.
-* icd_robustness_experiment: 3-fold cross-validation of all three model
-  variants over several seeds on a 12-subject cohort, scored on a clean
-  test set plus an artifact twin (GRE missing chunk at test time, with and
-  without zeroing a T2* channel at inference). Reports directional
-  comparisons: the multi-task variant's lesion-wise FPR against the
-  baseline's, and the dropout-trained variant's LTPR degradation under
-  channel loss against the plain multi-task one.
+One experiment backs the end-to-end claims: icd_robustness_experiment,
+3-fold cross-validation of all three model variants over several seeds on
+a 12-subject cohort, scored on a clean test set plus an artifact twin (GRE
+missing chunk at test time, with and without zeroing a T2* channel at
+inference). It reports directional comparisons: the multi-task variant's
+lesion-wise FPR against the baseline's, and the dropout-trained variant's
+LTPR degradation under channel loss against the plain multi-task one.
 
 Every (variant, fold) job runs `pipeline.run_fold` in a process pool and
 writes its own directory; all variants see the same fold split. Each pool
@@ -33,7 +28,7 @@ from .config import VARIANTS, RunConfig
 from .evaluation import EvalConfig, pooled_row
 from .phantom import PhantomSpec, generate_cohort
 from .pipeline import (derive_seed, discover_subjects, evaluate_predictions,
-                       make_fold_split, run_fold, run_inference, run_training)
+                       make_fold_split, run_fold)
 from .losses import LossConfig
 from .sampling import SamplerConfig
 from .unet import NetworkConfig
@@ -54,14 +49,12 @@ def worker_pool(n_workers: int) -> ProcessPoolExecutor:
 
 
 def _desk_config(cohort_dir, out_dir, variant, iterations, seed,
-                 base_channels=4, input_patch=48, learning_rate=1e-3,
-                 rotation_max_deg=180.0, jitter_voxels=4) -> RunConfig:
+                 base_channels=4, input_patch=48, learning_rate=1e-3) -> RunConfig:
     cfg = RunConfig(
         variant="multitask_icd",
         network=NetworkConfig(base_channels=base_channels, input_patch=input_patch),
         loss=LossConfig(),
-        sampler=SamplerConfig(jitter_voxels=jitter_voxels,
-                              rotation_max_deg=rotation_max_deg,
+        sampler=SamplerConfig(jitter_voxels=4, rotation_max_deg=180.0,
                               icd_probability=0.5, seed=seed),
         training=dataclasses.replace(
             RunConfig().training, iterations=iterations,
@@ -70,33 +63,6 @@ def _desk_config(cohort_dir, out_dir, variant, iterations, seed,
                                   out_dir=str(out_dir)),
     )
     return cfg.apply_variant(variant).validate()
-
-
-def overfit_experiment(workdir: str | Path, iterations: int = 2000, seed: int = 7,
-                       n_subjects: int = 2, phantom: PhantomSpec = DESK_PHANTOM,
-                       base_channels: int = 4, input_patch: int = 48,
-                       learning_rate: float = 1e-3) -> dict:
-    """Train multitask_icd on a tiny cohort, score on the training subjects."""
-    workdir = Path(workdir)
-    cohort = workdir / "cohort"
-    t0 = time.time()
-    generate_cohort(phantom, n_subjects, cohort, seed=seed)
-    cfg = _desk_config(cohort, workdir / "train", "multitask_icd",
-                       iterations, seed, base_channels=base_channels,
-                       input_patch=input_patch, learning_rate=learning_rate)
-    ckpt = run_training(cfg, workdir / "train")
-    pred = workdir / "pred"
-    for sid in discover_subjects(cohort):
-        run_inference(ckpt, cohort / sid, pred / sid)
-    result = {
-        "iterations": iterations,
-        "seed": seed,
-        "pooled": pooled_row(evaluate_predictions(cohort, pred, EvalConfig())),
-        "elapsed_s": round(time.time() - t0, 1),
-    }
-    (workdir / "overfit_result.json").write_text(
-        json.dumps(result, indent=2) + "\n", encoding="utf-8")
-    return result
 
 
 def icd_robustness_experiment(workdir: str | Path, seeds=(0, 1, 2),

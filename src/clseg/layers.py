@@ -376,24 +376,6 @@ def channel_softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def instance_norm_forward(x: np.ndarray, eps: float = 1e-5):
-    """Per-(batch, channel) standardization over the spatial axes."""
-    axes = (2, 3, 4)
-    mu = x.mean(axis=axes, keepdims=True)
-    var = x.var(axis=axes, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    y = (x - mu) * inv_std
-    return y, (y, inv_std)
-
-
-def instance_norm_backward(cache, grad_out: np.ndarray) -> np.ndarray:
-    y, inv_std = cache
-    axes = (2, 3, 4)
-    g_mean = grad_out.mean(axis=axes, keepdims=True)
-    gy_mean = (grad_out * y).mean(axis=axes, keepdims=True)
-    return inv_std * (grad_out - g_mean - y * gy_mean)
-
-
 # ---------------------------------------------------------------------------
 # Geometry helpers for skip connections
 # ---------------------------------------------------------------------------

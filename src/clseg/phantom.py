@@ -110,11 +110,11 @@ def _make_tissue(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
     n = spec.side_voxels
     center = n / 2.0 + rng.uniform(-1.5, 1.5, size=3)
     semi = n * rng.uniform(0.36, 0.42, size=3)
-    zz, yy, xx = np.meshgrid(*(np.arange(n),) * 3, indexing="ij")
-    r2 = (((zz - center[0]) / semi[0]) ** 2
-          + ((yy - center[1]) / semi[1]) ** 2
-          + ((xx - center[2]) / semi[2]) ** 2)
-    brain = ndimage.gaussian_filter((r2 <= 1.0).astype(np.float32), sigma=1.0) > 0.5
+    zz, yy, xx = np.ogrid[:n, :n, :n]
+    inside = (((zz - center[0]) / semi[0]) ** 2
+              + ((yy - center[1]) / semi[1]) ** 2
+              + ((xx - center[2]) / semi[2]) ** 2) <= 1.0
+    brain = ndimage.gaussian_filter(inside.astype(np.float32), sigma=1.0) > 0.5
     depth = ndimage.distance_transform_edt(brain)
     tissue = np.zeros((n, n, n), dtype=np.uint8)
     tissue[brain] = TISSUE_GM

@@ -24,7 +24,7 @@ from .config import ConfigError, RunConfig
 from .evaluation import EvalConfig, PatientEval, build_report, evaluate_patient, write_report_files
 from .optim import AdamState
 from .sampling import PatchSampler, TrainingSubject
-from .unet import (CheckpointError, NetworkParams, build_network, load_checkpoint,
+from .unet import (CheckpointError, CheckpointMismatchError, build_network, load_checkpoint,
                    normalize_volume, save_checkpoint, sliding_window_inference, train_step)
 
 PREDICTION_NAMES = ("cl_pred", "tissue_pred", "cl_prob")
@@ -104,7 +104,9 @@ def write_run_manifest(out_dir: Path, cfg: RunConfig, command: str,
 def _load_latest_checkpoint(out_dir: Path):
     """(path, load_checkpoint result) of the newest checkpoint that loads,
     or None. A run killed while writing one, or a truncated payload, leaves
-    an incomplete checkpoint, which is skipped."""
+    an incomplete checkpoint, which is skipped. A complete checkpoint of
+    another network raises CheckpointMismatchError: resuming past it would
+    overwrite its run's loss.csv."""
     found = []
     for p in out_dir.glob("checkpoint_*.json"):
         stem = p.name[len("checkpoint_"):-len(".json")]
@@ -113,6 +115,8 @@ def _load_latest_checkpoint(out_dir: Path):
     for _, path in sorted(found, reverse=True):
         try:
             return path, load_checkpoint(path)
+        except CheckpointMismatchError:
+            raise
         except CheckpointError:
             continue
     return None

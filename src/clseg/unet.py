@@ -7,7 +7,10 @@ followed by 2x2x2 max pooling; the decoder mirrors it with stride-2
 transposed convs and center-cropped skip concatenations; both 1x1x1 heads
 read the final full-resolution decoder features.
 
-Channel plan for base width C (in channels 3):
+The network is fixed but for its base width C and its training patch
+side. It reads the three contrasts of CONTRAST_NAMES, and each head has
+one output per class code of its label volume (volume_io.LABEL_CODES),
+three each. Channel plan:
     enc1: 3->C, C->2C        dec2: (8C+4C)->4C, 4C->4C
     enc2: 2C->2C, 2C->4C     dec1: (4C+2C)->2C, 2C->2C
     enc3: 4C->4C, 4C->8C     heads: 2C->3 (x2)
@@ -18,13 +21,13 @@ activation once it is dead, so without a cache its memory peak stays near
 the widest single activation plus one conv slab. The decoder reads only
 the centre of the two pooled activations (enc1b, enc2b outputs), so right
 after pooling `forward` copies that crop and frees the activation. For
-training the cache holds one array per activation: a unit keeps its input
-and its ReLU output, which is the next unit's input too and doubles as the
-ReLU mask. The pooled units are the exception: nothing else reads their
-activation, so their entries keep the bit-packed ReLU mask instead (one
-bit per element). Without a cache, pooling skips the argmax. `backward`
-pops every entry as it consumes it, so each activation is released as
-soon as its gradients are done.
+training the cache holds one array per activation: a unit's entry is
+(input, activation), and its ReLU output is the next unit's input too and
+doubles as the ReLU mask. The pooled units are the exception: nothing else
+reads their activation, so their entries keep the bit-packed ReLU mask in
+its place (one bit per element). Without a cache, pooling skips the
+argmax. `backward` pops every entry as it consumes it, so each activation
+is released as soon as its gradients are done.
 
 Whole subjects are predicted with overlap tiles (U-Net's overlap-tile
 strategy): the largest cubic tile whose widest activation fits the
@@ -50,7 +53,7 @@ from . import layers
 from .layers import ContractError
 from .losses import LossConfig, combined_loss
 from .optim import AdamState, adam_step
-from .volume_io import CONTRAST_NAMES, write_atomic
+from .volume_io import CONTRAST_NAMES, LABEL_CODES, write_atomic
 
 SHRINK_PER_SIDE = 40  # total valid-conv shrinkage of the 3-level network
 # Upper bound on the widest activation of an inference tile, in elements
@@ -64,20 +67,24 @@ DROPPABLE_CHANNELS = ("t2s_epi", "t2s_gre")  # MP2RAGE is never dropped
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    in_channels: int = 3
     base_channels: int = 16
-    levels: int = 3
     input_patch: int = 68
-    cl_classes: int = 3
-    tissue_classes: int = 3
-    instance_norm: bool = False
 
     def validate(self) -> None:
-        if self.levels != 3:
-            raise ContractError("the network is fixed at 3 resolution levels")
         output_shape(self.input_patch)
-        if self.in_channels < 1 or self.base_channels < 1:
-            raise ContractError("channel counts must be positive")
+        if self.base_channels < 1:
+            raise ContractError("base_channels must be positive")
+
+
+# Network keys that checkpoint headers carried while the network had them
+# as settings, with the one value this network has for each.
+_FIXED_NETWORK_KEYS = {
+    "in_channels": len(CONTRAST_NAMES),
+    "levels": 3,
+    "cl_classes": len(LABEL_CODES["cl_labels"]),
+    "tissue_classes": len(LABEL_CODES["tissue_labels"]),
+    "instance_norm": False,
+}
 
 
 def output_shape(input_side: int) -> int:
@@ -117,7 +124,7 @@ def param_specs(cfg: NetworkConfig) -> list[tuple[str, str, tuple]]:
     """Fixed, documented layer order: (name, kind, kernel_shape)."""
     c = cfg.base_channels
     return [
-        ("enc1a", "conv", (c, cfg.in_channels, 3, 3, 3)),
+        ("enc1a", "conv", (c, len(CONTRAST_NAMES), 3, 3, 3)),
         ("enc1b", "conv", (2 * c, c, 3, 3, 3)),
         ("enc2a", "conv", (2 * c, 2 * c, 3, 3, 3)),
         ("enc2b", "conv", (4 * c, 2 * c, 3, 3, 3)),
@@ -129,8 +136,8 @@ def param_specs(cfg: NetworkConfig) -> list[tuple[str, str, tuple]]:
         ("up1", "tconv", (4 * c, 4 * c, 2, 2, 2)),
         ("dec1a", "conv", (2 * c, 6 * c, 3, 3, 3)),
         ("dec1b", "conv", (2 * c, 2 * c, 3, 3, 3)),
-        ("head_cl", "conv", (cfg.cl_classes, 2 * c, 1, 1, 1)),
-        ("head_tissue", "conv", (cfg.tissue_classes, 2 * c, 1, 1, 1)),
+        ("head_cl", "conv", (len(LABEL_CODES["cl_labels"]), 2 * c, 1, 1, 1)),
+        ("head_tissue", "conv", (len(LABEL_CODES["tissue_labels"]), 2 * c, 1, 1, 1)),
     ]
 
 
@@ -176,36 +183,30 @@ def build_network(cfg: NetworkConfig, seed: int, dtype=np.float32) -> NetworkPar
     return NetworkParams(cfg, seed, tensors)
 
 
-def _unit_forward(params, name, x, cache, norm=False, pack_mask=False):
-    """conv (+ optional instance norm) + relu; with a cache, stores
-    (x, activation, norm_cache) under `name` for backward.
+def _unit_forward(params, name, x, cache, pack_mask=False):
+    """conv + relu; with a cache, stores (x, activation) under `name` for
+    backward.
 
-    The ReLU overwrites the conv output in place; only with instance norm
-    and a cache, where the normalized output lives on in norm_cache, is the
-    activation a new array. The activation is the ReLU mask of backward: it
-    is positive exactly where its pre-activation is. With `pack_mask` the
-    cache keeps that mask alone, bit-packed, in place of the activation.
+    The ReLU overwrites the conv output in place. The activation is the
+    ReLU mask of backward: it is positive exactly where its pre-activation
+    is. With `pack_mask` the cache keeps that mask alone, bit-packed, in
+    place of the activation.
     """
     k = params.tensors[f"{name}.kernel"]
     b = params.tensors[f"{name}.bias"]
     pre = layers.conv3d_forward(x, k, b)
-    norm_cache = None
-    if norm:
-        pre, norm_cache = layers.instance_norm_forward(pre)
-    act = layers.relu_forward(pre, out=None if norm and cache is not None else pre)
+    act = layers.relu_forward(pre, out=pre)
     if cache is not None:
-        cache[name] = (x, np.packbits(act > 0) if pack_mask else act, norm_cache)
+        cache[name] = (x, np.packbits(act > 0) if pack_mask else act)
     return act
 
 
 def _unit_backward(params, name, grad, cache, grads, need_grad_x=True):
     """Pops the unit's cache entry; masks `grad` in place (the caller's
     array) and frees the activation before the conv backward."""
-    x, act, norm_cache = cache.pop(name)
+    x, act = cache.pop(name)
     g = layers.relu_backward(act, grad)
     del act
-    if norm_cache is not None:
-        g = layers.instance_norm_backward(norm_cache, g)
     gx, gw, gb = layers.conv3d_backward(x, params.tensors[f"{name}.kernel"], g,
                                         need_grad_x=need_grad_x)
     grads[f"{name}.kernel"] = gw
@@ -214,43 +215,42 @@ def _unit_backward(params, name, grad, cache, grads, need_grad_x=True):
 
 
 def forward(params: NetworkParams, x: np.ndarray, want_cache: bool = False):
-    """Run the network on a (B, in_channels, s, s, s) batch.
+    """Run the network on a (B, 3, s, s, s) batch of the CONTRAST_NAMES.
 
     Returns (cl_probs, tissue_probs, cache); both outputs are softmax
     probability maps of shape (B, 3, s-40, s-40, s-40). The cache maps
-    each conv unit to (input, activation or, for enc1b and enc2b, the
-    np.packbits ReLU mask, norm cache) and "pool" to both argmaxes.
+    each conv unit to (input, activation), where enc1b and enc2b keep the
+    np.packbits ReLU mask in place of the activation, and "pool" to both
+    argmaxes.
     """
-    cfg = params.config
-    if x.ndim != 5 or x.shape[1] != cfg.in_channels:
-        raise ContractError(f"input shape {x.shape} != (B, {cfg.in_channels}, s, s, s)")
+    if x.ndim != 5 or x.shape[1] != len(CONTRAST_NAMES):
+        raise ContractError(f"input shape {x.shape} != (B, {len(CONTRAST_NAMES)}, s, s, s)")
     if not (x.shape[2] == x.shape[3] == x.shape[4]):
         raise ContractError(f"input must be cubic, got {x.shape[2:]}")
     side = x.shape[2]
     output_shape(side)
-    norm = cfg.instance_norm
     cache: dict | None = {} if want_cache else None
 
     # Each activation is released as soon as it is dead (`del`); with a
     # cache the arrays stay alive through the cache until backward pops them.
     # Of s1 and s2 the decoder reads only the centre crop, copied right
     # after pooling (sides s-36 and (s-4)/2-12).
-    e1 = _unit_forward(params, "enc1a", x, cache, norm)
-    s1 = _unit_forward(params, "enc1b", e1, cache, norm, pack_mask=True)
+    e1 = _unit_forward(params, "enc1a", x, cache)
+    s1 = _unit_forward(params, "enc1b", e1, cache, pack_mask=True)
     del e1
     p1, am1 = layers.maxpool3d_forward(s1, want_argmax=want_cache)
     c1 = layers.crop_center3d(s1, (side - 36,) * 3).copy()
     del s1
-    e2 = _unit_forward(params, "enc2a", p1, cache, norm)
+    e2 = _unit_forward(params, "enc2a", p1, cache)
     del p1
-    s2 = _unit_forward(params, "enc2b", e2, cache, norm, pack_mask=True)
+    s2 = _unit_forward(params, "enc2b", e2, cache, pack_mask=True)
     del e2
     p2, am2 = layers.maxpool3d_forward(s2, want_argmax=want_cache)
     c2 = layers.crop_center3d(s2, ((side - 4) // 2 - 12,) * 3).copy()
     del s2
-    e3 = _unit_forward(params, "enc3a", p2, cache, norm)
+    e3 = _unit_forward(params, "enc3a", p2, cache)
     del p2
-    bottom = _unit_forward(params, "enc3b", e3, cache, norm)
+    bottom = _unit_forward(params, "enc3b", e3, cache)
     del e3
     if want_cache:
         cache["pool"] = (am1, am2)
@@ -259,17 +259,17 @@ def forward(params: NetworkParams, x: np.ndarray, want_cache: bool = False):
         bottom, params.tensors["up2.kernel"], params.tensors["up2.bias"])
     cat2 = np.concatenate([u2, c2], axis=1)
     del u2, c2
-    d2 = _unit_forward(params, "dec2a", cat2, cache, norm)
+    d2 = _unit_forward(params, "dec2a", cat2, cache)
     del cat2
-    d2 = _unit_forward(params, "dec2b", d2, cache, norm)
+    d2 = _unit_forward(params, "dec2b", d2, cache)
 
     u1 = layers.transposed_conv3d_forward(
         d2, params.tensors["up1.kernel"], params.tensors["up1.bias"])
     cat1 = np.concatenate([u1, c1], axis=1)
     del u1, c1
-    d1 = _unit_forward(params, "dec1a", cat1, cache, norm)
+    d1 = _unit_forward(params, "dec1a", cat1, cache)
     del cat1
-    d1 = _unit_forward(params, "dec1b", d1, cache, norm)
+    d1 = _unit_forward(params, "dec1b", d1, cache)
 
     cl_logits = layers.conv3d_forward(
         d1, params.tensors["head_cl.kernel"], params.tensors["head_cl.bias"])
@@ -435,7 +435,7 @@ def sliding_window_inference(params: NetworkParams, contrasts: np.ndarray,
     cl_prob is the per-voxel probability of any lesion class. If
     drop_channel is set, that T2* channel is zeroed in every tile's input.
     """
-    if contrasts.ndim != 4 or contrasts.shape[0] != params.config.in_channels:
+    if contrasts.ndim != 4 or contrasts.shape[0] != len(CONTRAST_NAMES):
         raise ContractError(f"contrasts shape {contrasts.shape} invalid")
     if drop_channel is not None:
         if drop_channel not in DROPPABLE_CHANNELS:
@@ -481,6 +481,10 @@ class CheckpointError(ValueError):
     """A checkpoint is missing, unreadable, malformed or incomplete."""
 
 
+class CheckpointMismatchError(CheckpointError):
+    """A complete checkpoint of a network other than the one built here."""
+
+
 def save_checkpoint(path: str | Path, params: NetworkParams, state: AdamState,
                     iteration: int, sampler_draws: int) -> None:
     """Parameters then Adam m then v, each in param_shapes order, float32 LE.
@@ -518,7 +522,9 @@ def load_checkpoint(path: str | Path):
     """Returns (params, adam_state, iteration, sampler_draws).
 
     Raises CheckpointError when either file is missing or unreadable, the
-    header is malformed, or the payload size disagrees with the header.
+    header is malformed, or the payload size disagrees with the header, and
+    CheckpointMismatchError when the header's network is not this one. A
+    header may carry the keys of _FIXED_NETWORK_KEYS at their fixed values.
     """
     path = Path(path)
     json_path = path.with_suffix(path.suffix + ".json")
@@ -533,12 +539,18 @@ def load_checkpoint(path: str | Path):
     if not isinstance(header, dict) or header.get("format") != "clseg-checkpoint-v1":
         raise CheckpointError(f"not a checkpoint: {json_path}")
     try:
-        cfg = NetworkConfig(**header["config"])
+        doc = header["config"]
+        cfg = NetworkConfig(**{k: v for k, v in doc.items() if k not in _FIXED_NETWORK_KEYS})
         order = header["payload_order"]
         shapes = param_shapes(cfg)
         expected = 3 * sum(int(np.prod(shapes[k])) for k in order)
-    except (KeyError, TypeError) as e:
+    except (AttributeError, KeyError, TypeError) as e:
         raise CheckpointError(f"malformed checkpoint header {json_path}: {e!r}") from e
+    for key, fixed in _FIXED_NETWORK_KEYS.items():
+        if key in doc and doc[key] != fixed:
+            raise CheckpointMismatchError(
+                f"checkpoint {json_path} has network {key}={doc[key]!r}; "
+                f"this network has {key}={fixed!r}")
     if len(raw) != 4 * expected:
         raise CheckpointError(
             f"checkpoint payload {raw_path} has {len(raw)} bytes, expected {4 * expected}")

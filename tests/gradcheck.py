@@ -163,7 +163,7 @@ def activation_pattern(cache: dict) -> np.ndarray:
     """
     parts: list[int] = []
     for name in _ENCODER + _DECODER:
-        _, act, _ = cache[name]  # positive exactly where the pre-activation is
+        _, act = cache[name]  # positive exactly where the pre-activation is
         if act.dtype == np.uint8:  # a bit-packed mask; its pad bits are 0
             act = np.unpackbits(act)
         parts.extend(relu_pattern(act))

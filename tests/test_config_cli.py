@@ -102,6 +102,35 @@ def test_cli_bad_config_exit_1(tmp_path):
     bad.write_text("{broken")
     assert main(["train", "--config", str(bad)]) == 1
     assert main(["train", "--config", str(tmp_path / "missing.json")]) == 1
+    assert main(["train", "--config", str(tmp_path)]) == 1  # a directory
+
+
+@pytest.mark.parametrize("command", [
+    ["train"],
+    ["infer", "--checkpoint", "ck", "--subject", "subject_00"],
+    ["xval"],
+    ["report", "--pred", "model=pred"],
+], ids=lambda argv: argv[0])
+def test_cli_uncreatable_out_exit_2(tmp_path, tiny_cohort, capsys, command):
+    # the out directory would sit under a regular file
+    cfg, path = _fast_config(tmp_path, tiny_cohort)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    capsys.readouterr()
+    assert main(command + ["--config", str(path), "--out", str(blocker / "sub")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ") and str(blocker) in err[0]
+
+
+def test_cli_phantom_takes_no_out(tmp_path, capsys):
+    # phantom writes to paths.cohort_dir; an --out it would ignore is refused
+    cfg, path = _fast_config(tmp_path, tmp_path / "cohort")
+    capsys.readouterr()
+    assert main(["phantom", "--config", str(path), "--n-subjects", "1",
+                 "--out", str(tmp_path / "elsewhere")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "--out" in err[0]
+    assert not (tmp_path / "cohort").exists() and not (tmp_path / "elsewhere").exists()
 
 
 def test_cli_missing_cohort_exit_2(tmp_path):

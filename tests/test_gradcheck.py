@@ -79,26 +79,3 @@ def test_float32_rejected():
     x = np.zeros((2, 2), np.float32)
     with pytest.raises(TypeError):
         gradient_check(lambda: 0.0, {"x": x}, {"x": np.zeros((2, 2), np.float32)})
-
-
-def test_instance_norm_variant_gradients():
-    cfg = NetworkConfig(base_channels=1, input_patch=44, instance_norm=True)
-    params = build_network(cfg, seed=3, dtype=np.float64)
-    rng = np.random.default_rng(4)
-    _randomize_heads(params, rng)
-    x = rng.standard_normal((1, 3, 44, 44, 44))
-    cl = rng.integers(0, 3, (1, 4, 4, 4)).astype(np.uint8)
-    tis = rng.integers(0, 3, (1, 4, 4, 4)).astype(np.uint8)
-    wml = np.zeros((1, 4, 4, 4), np.uint8)
-
-    def loss_fn():
-        cp, tp, cache = forward(params, x, want_cache=True)
-        total, _, _ = combined_loss(cp, tp, cl, tis, wml)
-        return total, activation_pattern(cache)
-
-    cp, tp, cache = forward(params, x, want_cache=True)
-    _, _, (g_cl, g_t) = combined_loss(cp, tp, cl, tis, wml)
-    grads = backward(params, cache, g_cl, g_t)
-    rep = gradient_check(loss_fn, params.tensors, grads,
-                         max_coords_per_group=2, rng=np.random.default_rng(5))
-    assert rep.passed, rep.summary()

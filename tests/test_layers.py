@@ -449,30 +449,6 @@ def test_softmax_sums_to_one(seed, channels):
     assert np.abs(p32.sum(axis=1) - 1.0).max() < 1e-6
 
 
-# --- instance norm (optional flag) -------------------------------------------
-
-
-def test_instance_norm_standardizes():
-    x = 3.0 + 2.0 * rng.standard_normal((2, 3, 4, 4, 4))
-    y, _ = L.instance_norm_forward(x)
-    assert np.allclose(y.mean(axis=(2, 3, 4)), 0, atol=1e-12)
-    assert np.allclose(y.std(axis=(2, 3, 4)), 1, atol=1e-3)
-
-
-def test_instance_norm_backward_finite_differences():
-    x = rng.standard_normal((1, 2, 3, 3, 3))
-    proj = rng.standard_normal((1, 2, 3, 3, 3))
-
-    def loss():
-        y, _ = L.instance_norm_forward(x)
-        return float((y * proj).sum())
-
-    _, cache = L.instance_norm_forward(x)
-    gx = L.instance_norm_backward(cache, proj)
-    rep = gradient_check(loss, {"x": x}, {"x": gx}, rng=np.random.default_rng(4))
-    assert rep.passed, rep.summary()
-
-
 # --- crop --------------------------------------------------------------------
 
 

@@ -8,17 +8,16 @@ from clseg import pipeline
 from clseg.config import ConfigError, RunConfig
 from clseg.evaluation import EvalConfig
 from clseg.phantom import generate_cohort
+from clseg.unet import CheckpointMismatchError
 from clseg.volume_io import read_volume
 
-from conftest import TINY_SPEC
+from conftest import TINY_SPEC, write_old_network_keys
 
 
-def _cfg(cohort_dir, out_dir, iterations=4, variant="multitask_icd", instance_norm=False,
-         **tr):
+def _cfg(cohort_dir, out_dir, iterations=4, variant="multitask_icd", **tr):
     cfg = RunConfig(
         variant=variant,
-        network=dataclasses.replace(RunConfig().network, base_channels=2, input_patch=44,
-                                    instance_norm=instance_norm),
+        network=dataclasses.replace(RunConfig().network, base_channels=2, input_patch=44),
         sampler=dataclasses.replace(RunConfig().sampler, jitter_voxels=2, seed=5,
                                     icd_probability=0.5 if variant == "multitask_icd" else 0.0),
         loss=dataclasses.replace(RunConfig().loss,
@@ -44,8 +43,7 @@ def test_training_writes_log_and_checkpoints(tmp_path, tiny_cohort):
     assert first[0] == pytest.approx(np.log(3.0), rel=1e-5)
 
 
-@pytest.mark.parametrize("axes", [{}, {"batch_size": 2, "instance_norm": True}],
-                         ids=["batch1", "batch2-instance-norm"])
+@pytest.mark.parametrize("axes", [{}, {"batch_size": 2}], ids=["batch1", "batch2"])
 def test_resume_reproduces_uninterrupted_run(tmp_path, tiny_cohort, axes):
     full = _cfg(tiny_cohort, tmp_path / "full", iterations=6, **axes)
     pipeline.run_training(full, tmp_path / "full")
@@ -59,6 +57,33 @@ def test_resume_reproduces_uninterrupted_run(tmp_path, tiny_cohort, axes):
         (tmp_path / "part" / "loss.csv").read_bytes()
     assert (tmp_path / "full" / "checkpoint_00000006.raw").read_bytes() == \
         (tmp_path / "part" / "checkpoint_00000006.raw").read_bytes()
+
+
+def test_resume_from_checkpoint_with_old_network_keys(tmp_path, tiny_cohort):
+    full = _cfg(tiny_cohort, tmp_path / "full", iterations=6)
+    pipeline.run_training(full, tmp_path / "full")
+
+    part = _cfg(tiny_cohort, tmp_path / "part", iterations=4)
+    pipeline.run_training(part, tmp_path / "part")
+    write_old_network_keys(tmp_path / "part" / "checkpoint_00000004")
+    cont = _cfg(tiny_cohort, tmp_path / "part", iterations=6)
+    pipeline.run_training(cont, tmp_path / "part")
+
+    assert (tmp_path / "full" / "loss.csv").read_bytes() == \
+        (tmp_path / "part" / "loss.csv").read_bytes()
+    assert (tmp_path / "full" / "checkpoint_00000006.raw").read_bytes() == \
+        (tmp_path / "part" / "checkpoint_00000006.raw").read_bytes()
+
+
+def test_resume_refuses_checkpoint_of_another_network(tmp_path, tiny_cohort):
+    # skipping it like an incomplete checkpoint would restart the run and
+    # overwrite its loss.csv
+    pipeline.run_training(_cfg(tiny_cohort, tmp_path, iterations=4), tmp_path)
+    write_old_network_keys(tmp_path / "checkpoint_00000004", instance_norm=True)
+    log = (tmp_path / "loss.csv").read_bytes()
+    with pytest.raises(CheckpointMismatchError, match="instance_norm=True"):
+        pipeline.run_training(_cfg(tiny_cohort, tmp_path, iterations=6), tmp_path)
+    assert (tmp_path / "loss.csv").read_bytes() == log
 
 
 def test_resume_skips_truncated_checkpoint(tmp_path, tiny_cohort):

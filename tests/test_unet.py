@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,9 @@ from clseg import layers, unet
 from clseg.layers import ContractError, NonFiniteError
 from clseg.losses import LossConfig, combined_loss
 from clseg.optim import AdamState
+from clseg.volume_io import CONTRAST_NAMES, LABEL_CODES
+
+from conftest import write_old_network_keys
 
 rng = np.random.default_rng(31)
 
@@ -80,6 +84,23 @@ def test_channel_progression_and_parameter_count():
         by_rule += ci * co * 27 + co
     by_rule += 2 * (2*c * 3 + 3)
     assert n_parameters == by_rule
+
+
+def test_network_widths_come_from_the_volume_format(monkeypatch):
+    assert [f.name for f in dataclasses.fields(unet.NetworkConfig)] == \
+        ["base_channels", "input_patch"]
+    cfg = unet.NetworkConfig(base_channels=4)
+
+    def widths():
+        specs = {name: shape for name, _, shape in unet.param_specs(cfg)}
+        return specs["enc1a"][1], specs["head_cl"][0], specs["head_tissue"][0]
+
+    assert widths() == (len(CONTRAST_NAMES), len(LABEL_CODES["cl_labels"]),
+                        len(LABEL_CODES["tissue_labels"])) == (3, 3, 3)
+    monkeypatch.setattr(unet, "CONTRAST_NAMES", CONTRAST_NAMES + ("flair",))
+    monkeypatch.setitem(LABEL_CODES, "cl_labels", (0, 1, 2, 3))
+    monkeypatch.setitem(LABEL_CODES, "tissue_labels", (0, 1))
+    assert widths() == (4, 4, 2)
 
 
 def test_forward_outputs_are_distributions():
@@ -223,6 +244,30 @@ def test_checkpoint_roundtrip_exact(tmp_path):
     assert (tmp_path / "ck2.raw").read_bytes() == (tmp_path / "ck3.raw").read_bytes()
 
 
+def test_checkpoint_with_old_network_keys(tmp_path):
+    # headers written while NetworkConfig had these as settings carry them;
+    # at the values of this network they load, at any other they are refused
+    cfg = unet.NetworkConfig(base_channels=2, input_patch=44)
+    params = unet.build_network(cfg, seed=4)
+    state = AdamState.for_params(params.tensors)
+    unet.train_step(params, state, _batch(seed=1), LossConfig())
+    unet.save_checkpoint(tmp_path / "ck", params, state, iteration=1, sampler_draws=1)
+    write_old_network_keys(tmp_path / "ck")
+    p2, s2, it, draws = unet.load_checkpoint(tmp_path / "ck")
+    assert p2.config == cfg and (it, draws) == (1, 1)
+    for k in params.tensors:
+        assert np.array_equal(p2.tensors[k], params.tensors[k])
+        assert np.array_equal(s2.m[k], state.m[k]) and np.array_equal(s2.v[k], state.v[k])
+    for key, value in [("instance_norm", True), ("in_channels", 4), ("levels", 4),
+                       ("cl_classes", 2), ("tissue_classes", 4)]:
+        write_old_network_keys(tmp_path / "ck", **{key: value})
+        with pytest.raises(unet.CheckpointMismatchError, match=f"{key}={value}"):
+            unet.load_checkpoint(tmp_path / "ck")
+    write_old_network_keys(tmp_path / "ck", bogus=1)
+    with pytest.raises(unet.CheckpointError, match="malformed"):
+        unet.load_checkpoint(tmp_path / "ck")
+
+
 # --- sliding window -----------------------------------------------------------
 
 
@@ -322,8 +367,8 @@ def test_cache_holds_each_activation_once_and_backward_consumes_it():
         # unit's input, one array
         assert cache[first][1] is cache[second][0]
     for name in convs:
-        x, act, norm_cache = cache[name]
-        assert norm_cache is None and act.flags.c_contiguous
+        x, act = cache[name]
+        assert act.flags.c_contiguous
         if name in ("enc1b", "enc2b"):
             # pooled units keep only their bit-packed ReLU mask
             n = cfg.base_channels * (2 if name == "enc1b" else 4) * (x.shape[2] - 2) ** 3
@@ -336,19 +381,6 @@ def test_cache_holds_each_activation_once_and_backward_consumes_it():
     grads = unet.backward(params, cache, g_cl, g_t)
     assert cache == {}
     assert sorted(grads) == sorted(unet.param_shapes(cfg))
-
-
-def test_instance_norm_cache_keeps_the_normalized_output():
-    # with instance norm, backward needs y = norm(conv(x)) unclipped, so
-    # the ReLU may not run in place on it
-    cfg = unet.NetworkConfig(base_channels=2, input_patch=44, instance_norm=True)
-    params = unet.build_network(cfg, seed=3)
-    _, _, cache = unet.forward(params, _batch(seed=6)["input"], want_cache=True)
-    for first, second in _UNIT_CHAINS:
-        x, act, (y, _) = cache[first]
-        assert act is cache[second][0] and act is not y
-        assert (y < 0).any()
-        assert np.array_equal(act, np.maximum(y, 0))
 
 
 def test_train_step_peak_memory_holds_each_activation_once():
