@@ -121,8 +121,9 @@ def _cmd_infer(args) -> int:
     inputs = {"subject_dir": str(subject.resolve()),
               "checkpoint": str(Path(args.checkpoint).resolve())}
     write_run_manifest(out, cfg, "infer", **inputs)
-    written = run_inference(args.checkpoint, subject, out, drop_channel=args.drop_channel)
-    write_run_manifest(out, cfg, "infer", started, **inputs)
+    written, tiling = run_inference(args.checkpoint, subject, out,
+                                    drop_channel=args.drop_channel)
+    write_run_manifest(out, cfg, "infer", started, **inputs, **tiling)
     for name, path in written.items():
         print(f"{name}: {path}")
     return 0

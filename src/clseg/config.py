@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .evaluation import EvalConfig
+from .layers import ContractError
 from .losses import LossConfig
 from .phantom import PhantomSpec
 from .sampling import SamplerConfig
-from .unet import NetworkConfig
+from .unet import NetworkConfig, drop_fixed_network_keys
 
 CONFIG_VERSION = 1
 VARIANTS = ("baseline", "multitask", "multitask_icd")
@@ -169,7 +170,14 @@ def config_from_dict(doc: dict) -> RunConfig:
     kwargs = {k: doc[k] for k in scalar_names if k in doc}
     for name, cls in _SECTIONS.items():
         if name in doc:
-            kwargs[name] = _build(cls, doc[name], name)
+            section = doc[name]
+            if name == "network" and isinstance(section, dict):
+                # configs written while the network had more settings
+                try:
+                    section = drop_fixed_network_keys(section)
+                except ContractError as e:
+                    raise ConfigError(str(e)) from e
+            kwargs[name] = _build(cls, section, name)
     return RunConfig(**kwargs).validate()
 
 

@@ -25,7 +25,8 @@ from .evaluation import EvalConfig, PatientEval, build_report, evaluate_patient,
 from .optim import AdamState
 from .sampling import PatchSampler, TrainingSubject
 from .unet import (CheckpointError, CheckpointMismatchError, build_network, load_checkpoint,
-                   normalize_volume, save_checkpoint, sliding_window_inference, train_step)
+                   normalize_volume, save_checkpoint, sliding_window_inference, tile_grid,
+                   train_step)
 
 PREDICTION_NAMES = ("cl_pred", "tissue_pred", "cl_prob")
 
@@ -69,9 +70,10 @@ def load_training_data(cohort_dir: str | Path,
 
 
 def write_run_manifest(out_dir: Path, cfg: RunConfig, command: str,
-                       started: float | None = None, **inputs: str) -> None:
+                       started: float | None = None, **inputs) -> None:
     """Write run_manifest.json atomically, with the given `inputs` (such as
-    the paths a command read) and the environment that produced the run.
+    the paths a command read, or how it tiled a subject) and the
+    environment that produced the run.
     Given `started`, the time.perf_counter() reading taken when the command
     began, the command has finished: its wall time and the process's peak
     resident set size are added."""
@@ -193,10 +195,14 @@ def run_training(cfg: RunConfig, out_dir: str | Path,
 # ---------------------------------------------------------------------------
 
 
-def run_inference(checkpoint: str | Path, subject_dir: str | Path,
-                  out_dir: str | Path, drop_channel: str | None = None) -> dict[str, Path]:
+def run_inference(checkpoint: str | Path, subject_dir: str | Path, out_dir: str | Path,
+                  drop_channel: str | None = None) -> tuple[dict[str, Path], dict[str, int]]:
     """Predict one subject and write cl_pred/tissue_pred/cl_prob volumes.
-    Only the three contrasts are read, so the subject needs no labels."""
+    Only the three contrasts are read, so the subject needs no labels.
+
+    Returns the written volumes by name and the tiling that predicted
+    them: `tile_side`, the output side t of each tile, and `tiles`, their
+    number."""
     params, _, _, _ = load_checkpoint(checkpoint)
     vols = volume_io.read_subject(subject_dir, volume_io.CONTRAST_NAMES)
     header = vols["mp2rage"].header
@@ -213,7 +219,8 @@ def run_inference(checkpoint: str | Path, subject_dir: str | Path,
         v = volume_io.make_volume(arr, kind, header.subject_id, header.spacing_mm)
         volume_io.write_volume(v, out_dir / name)
         written[name] = out_dir / name
-    return written
+    tile, n_tiles = tile_grid(contrasts.shape[1:], params.config.base_channels)
+    return written, {"tile_side": tile, "tiles": int(np.prod(n_tiles))}
 
 
 # ---------------------------------------------------------------------------

@@ -17,24 +17,37 @@ three each. Channel plan:
     up2: 8C->8C, up1: 4C->4C (transposed)
 
 Every ReLU runs in place on its conv's output, and `forward` frees each
-activation once it is dead, so without a cache its memory peak stays near
-the widest single activation plus one conv slab. The decoder reads only
-the centre of the two pooled activations (enc1b, enc2b outputs), so right
-after pooling `forward` copies that crop and frees the activation. For
-training the cache holds one array per activation: a unit's entry is
-(input, activation), and its ReLU output is the next unit's input too and
-doubles as the ReLU mask. The pooled units are the exception: nothing else
-reads their activation, so their entries keep the bit-packed ReLU mask in
-its place (one bit per element). Without a cache, pooling skips the
-argmax. `backward` pops every entry as it consumes it, so each activation
-is released as soon as its gradients are done.
+activation once it is dead. The decoder reads only the centre of the two
+pooled activations (enc1b, enc2b outputs), so right after pooling
+`forward` copies that crop and frees the activation.
+
+Without a cache, the full-resolution level runs in depth chunks of the
+pooled grid, ACTIVATION_BUDGET_ELEMS / SLAB_BUDGET_ELEMS (4) of them. An
+encoder chunk runs enc1a and enc1b on its input planes plus a 4-plane
+halo, pools them and copies its planes of the skip crop; a decoder chunk
+up-convolves its planes of the dec2b output, concatenates them with its
+planes of the skip crop plus a 4-plane halo and runs dec1a and dec1b. An
+inference tile thus holds whole only its input, the pooled enc1b output,
+both skip crops, levels 2 and 3, the dec1b output and the heads, never an
+enc1b output or a dec1a input. The chunks compute the values of one pass;
+the BLAS rounds them alike while each chunk's products stay large enough
+for its general kernel (see the equivalence tests).
+
+For training the chunk is the whole patch and the cache holds one array
+per activation: a unit's entry is (input, activation), and its ReLU
+output is the next unit's input too and doubles as the ReLU mask. The
+pooled units are the exception: nothing else reads their activation, so
+their entries keep the bit-packed ReLU mask in its place (one bit per
+element). Without a cache, pooling skips the argmax. `backward` pops every
+entry as it consumes it, so each activation is released as soon as its
+gradients are done.
 
 Whole subjects are predicted with overlap tiles (U-Net's overlap-tile
-strategy): the largest cubic tile whose widest activation fits the
-activation budget, placed on a grid that keeps pooling aligned, so the
-tiled prediction equals one forward pass over the whole mirror-padded
-volume. Each tile gathers its own mirrored input; the padded volume is
-never built.
+strategy): the largest cubic tile whose widest level-1 activation, were
+it held whole, fits the activation budget, placed on a grid that keeps
+pooling aligned, so the tiled prediction equals one forward pass over the
+whole mirror-padded volume. Each tile gathers its own mirrored input; the
+padded volume is never built.
 
 Parameter serialization order is the order of `param_specs`, kernel then
 bias per layer, little-endian float32. Decoder concatenation order is
@@ -56,8 +69,10 @@ from .optim import AdamState, adam_step
 from .volume_io import CONTRAST_NAMES, LABEL_CODES, write_atomic
 
 SHRINK_PER_SIDE = 40  # total valid-conv shrinkage of the 3-level network
-# Upper bound on the widest activation of an inference tile, in elements
-# (64 MiB in float32); see _tile_side.
+# Upper bound, in elements (64 MiB in float32), on the widest level-1
+# activation an inference tile would hold if level 1 ran whole; see
+# _tile_side. Level 1 runs in ACTIVATION_BUDGET_ELEMS / SLAB_BUDGET_ELEMS
+# depth chunks, so a chunk of it spans at most one conv slab budget.
 ACTIVATION_BUDGET_ELEMS = 16 * 1024 * 1024
 MIN_INPUT_SIDE = 44
 
@@ -85,6 +100,16 @@ _FIXED_NETWORK_KEYS = {
     "tissue_classes": len(LABEL_CODES["tissue_labels"]),
     "instance_norm": False,
 }
+
+
+def drop_fixed_network_keys(doc: dict) -> dict:
+    """`doc`, a network section of a config or checkpoint header, without
+    the keys of _FIXED_NETWORK_KEYS. Raises ContractError naming the first
+    of them whose value is not the one this network has."""
+    for key, fixed in _FIXED_NETWORK_KEYS.items():
+        if key in doc and doc[key] != fixed:
+            raise ContractError(f"network {key}={doc[key]!r}; this network has {key}={fixed!r}")
+    return {k: v for k, v in doc.items() if k not in _FIXED_NETWORK_KEYS}
 
 
 def output_shape(input_side: int) -> int:
@@ -214,6 +239,18 @@ def _unit_backward(params, name, grad, cache, grads, need_grad_x=True):
     return gx
 
 
+def _place(whole, part, z0, depth):
+    """Writes `part` as planes [z0, z0 + its depth) of an array of `depth`
+    planes, allocated on first use. A part that spans every plane is
+    returned as is, so a single chunk copies nothing."""
+    if part.shape[2] == depth:
+        return part
+    if whole is None:
+        whole = np.empty(part.shape[:2] + (depth,) + part.shape[3:], dtype=part.dtype)
+    whole[:, :, z0:z0 + part.shape[2]] = part
+    return whole
+
+
 def forward(params: NetworkParams, x: np.ndarray, want_cache: bool = False):
     """Run the network on a (B, 3, s, s, s) batch of the CONTRAST_NAMES.
 
@@ -221,26 +258,47 @@ def forward(params: NetworkParams, x: np.ndarray, want_cache: bool = False):
     probability maps of shape (B, 3, s-40, s-40, s-40). The cache maps
     each conv unit to (input, activation), where enc1b and enc2b keep the
     np.packbits ReLU mask in place of the activation, and "pool" to both
-    argmaxes.
+    argmaxes; enc1a's input is a view of x.
+
+    Without a cache, level 1 runs in the depth chunks of the module
+    docstring: the enc1a, enc1b and dec1a activations and the dec1a input
+    are never held whole. With one, a single chunk covers the patch and
+    copies nothing beyond what the whole level would.
     """
     if x.ndim != 5 or x.shape[1] != len(CONTRAST_NAMES):
         raise ContractError(f"input shape {x.shape} != (B, {len(CONTRAST_NAMES)}, s, s, s)")
     if not (x.shape[2] == x.shape[3] == x.shape[4]):
         raise ContractError(f"input must be cubic, got {x.shape[2:]}")
     side = x.shape[2]
-    output_shape(side)
+    out_side = output_shape(side)
+    pooled = (side - 4) // 2
     cache: dict | None = {} if want_cache else None
+    chunks = 1 if want_cache else max(1, ACTIVATION_BUDGET_ELEMS // layers.SLAB_BUDGET_ELEMS)
+    step = -(-pooled // chunks)
 
-    # Each activation is released as soon as it is dead (`del`); with a
-    # cache the arrays stay alive through the cache until backward pops them.
-    # Of s1 and s2 the decoder reads only the centre crop, copied right
-    # after pooling (sides s-36 and (s-4)/2-12).
-    e1 = _unit_forward(params, "enc1a", x, cache)
-    s1 = _unit_forward(params, "enc1b", e1, cache, pack_mask=True)
-    del e1
-    p1, am1 = layers.maxpool3d_forward(s1, want_argmax=want_cache)
-    c1 = layers.crop_center3d(s1, (side - 36,) * 3).copy()
-    del s1
+    # Level 1, encoder: chunk [q0, q1) of the pooled grid reads input planes
+    # [2*q0, 2*q1 + 4), pools enc1b's planes [2*q0, 2*q1) and copies the
+    # planes of the decoder's centre crop (side s-36, from plane 16) among
+    # them. Each activation is released as soon as it is dead (`del`); with
+    # a cache the arrays stay alive through the cache until backward pops them
+    p1 = c1 = None
+    for q0 in range(0, pooled, step):
+        q1 = min(q0 + step, pooled)
+        e1 = _unit_forward(params, "enc1a", x[:, :, 2 * q0:2 * q1 + 4], cache)
+        s1 = _unit_forward(params, "enc1b", e1, cache, pack_mask=True)
+        del e1
+        p, am1 = layers.maxpool3d_forward(s1, want_argmax=want_cache)
+        p1 = _place(p1, p, q0, pooled)
+        del p
+        if c1 is None:
+            c1 = np.empty(s1.shape[:2] + (side - 36,) * 3, dtype=s1.dtype)
+        z0, z1 = max(2 * q0, 16), min(2 * q1, side - 20)
+        if z0 < z1:
+            c1[:, :, z0 - 16:z1 - 16] = s1[:, :, z0 - 2 * q0:z1 - 2 * q0, 16:-16, 16:-16]
+        del s1
+
+    # Levels 2 and 3, whole; of s2 the decoder reads only the centre crop
+    # (side (s-4)/2-12), copied right after pooling
     e2 = _unit_forward(params, "enc2a", p1, cache)
     del p1
     s2 = _unit_forward(params, "enc2b", e2, cache, pack_mask=True)
@@ -257,19 +315,29 @@ def forward(params: NetworkParams, x: np.ndarray, want_cache: bool = False):
 
     u2 = layers.transposed_conv3d_forward(
         bottom, params.tensors["up2.kernel"], params.tensors["up2.bias"])
+    del bottom
     cat2 = np.concatenate([u2, c2], axis=1)
     del u2, c2
     d2 = _unit_forward(params, "dec2a", cat2, cache)
     del cat2
     d2 = _unit_forward(params, "dec2b", d2, cache)
 
-    u1 = layers.transposed_conv3d_forward(
-        d2, params.tensors["up1.kernel"], params.tensors["up1.bias"])
-    cat1 = np.concatenate([u1, c1], axis=1)
-    del u1, c1
-    d1 = _unit_forward(params, "dec1a", cat1, cache)
-    del cat1
-    d1 = _unit_forward(params, "dec1b", d1, cache)
+    # Level 1, decoder: output planes [o0, o1) read the concatenation's
+    # planes [o0, o1 + 4), up-convolved from d2's planes [o0/2, o1/2 + 2)
+    d1 = None
+    for o0 in range(0, out_side, 2 * step):
+        o1 = min(o0 + 2 * step, out_side)
+        u1 = layers.transposed_conv3d_forward(
+            d2[:, :, o0 // 2:o1 // 2 + 2], params.tensors["up1.kernel"],
+            params.tensors["up1.bias"])
+        cat1 = np.concatenate([u1, c1[:, :, o0:o1 + 4]], axis=1)
+        del u1
+        if o1 == out_side:
+            del c1  # its last planes are read
+        d = _unit_forward(params, "dec1a", cat1, cache)
+        del cat1
+        d1 = _place(d1, _unit_forward(params, "dec1b", d, cache), o0, out_side)
+        del d
 
     cl_logits = layers.conv3d_forward(
         d1, params.tensors["head_cl.kernel"], params.tensors["head_cl.bias"])
@@ -345,16 +413,22 @@ def train_step(params: NetworkParams, state: AdamState, batch: dict,
     """One forward, combined weighted-CE loss, full backward, one Adam update.
 
     batch: input (B,3,s,s,s) float; cl/tissue/wml label crops (B,s-40,...)
-    uint8; optional provenance (reported on non-finite failures).
+    uint8; optional provenance (reported on non-finite failures). A
+    non-finite loss or gradient raises NonFiniteError before the update, so
+    the parameters and the Adam state are left as they were. Gradients are
+    checked in backward order: the first one named is where a NaN arose.
     """
+    prov = batch.get("provenance", "<unknown patch>")
     cl_probs, tissue_probs, cache = forward(params, batch["input"], want_cache=True)
     total, (cl_loss, tissue_loss), (g_cl, g_tissue) = combined_loss(
         cl_probs, tissue_probs,
         batch["cl_labels"], batch["tissue_labels"], batch["wml_labels"], loss_cfg)
     if not np.isfinite(total):
-        prov = batch.get("provenance", "<unknown patch>")
         raise layers.NonFiniteError(f"non-finite loss at patch {prov}")
     grads = backward(params, cache, g_cl, g_tissue)
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
+            raise layers.NonFiniteError(f"non-finite gradient of {name} at patch {prov}")
     adam_step(params.tensors, grads, state)
     return StepResult(total_loss=total, cl_loss=cl_loss, tissue_loss=tissue_loss)
 
@@ -402,9 +476,14 @@ def _tile_side(shape: tuple[int, ...], base_channels: int) -> int:
     """Output side t of the cubic tiles that cover a subject of `shape`.
 
     Takes the fewest tiles per axis, n, whose t = 4*ceil(max(shape)/(4n))
-    keeps the widest activation of a (t+40)^3 input within the activation
-    budget, ACTIVATION_BUDGET_ELEMS. The widest is the enc1b output,
+    keeps the widest level-1 activation of a (t+40)^3 input within the
+    activation budget, ACTIVATION_BUDGET_ELEMS: the enc1b output,
     2C*(t+36)^3 elements, or for t > 68 the dec1a input, 6C*(t+4)^3.
+    `forward` holds neither whole, only a depth chunk of each, about
+    SLAB_BUDGET_ELEMS when the tile fills the budget. What a tile holds
+    whole is far smaller: its (t+40)^3 input, the pooled enc1b output
+    2C*((t+36)/2)^3, the skip crop 2C*(t+4)^3, levels 2 and 3 and the
+    dec1b output 2C*t^3.
     """
     longest = max(shape)
     n = 1
@@ -414,6 +493,14 @@ def _tile_side(shape: tuple[int, ...], base_channels: int) -> int:
         if widest <= ACTIVATION_BUDGET_ELEMS or t == 4:
             return t
         n += 1
+
+
+def tile_grid(shape: tuple[int, ...], base_channels: int) -> tuple[int, tuple[int, ...]]:
+    """(t, tiles per axis): the output side of the overlap tiles that
+    `sliding_window_inference` covers a subject of `shape` with, and how
+    many it places along each axis."""
+    tile = _tile_side(shape, base_channels)
+    return tile, tuple(-(-s // tile) for s in shape)
 
 
 def sliding_window_inference(params: NetworkParams, contrasts: np.ndarray,
@@ -444,10 +531,9 @@ def sliding_window_inference(params: NetworkParams, contrasts: np.ndarray,
         drop = CONTRAST_CHANNELS[drop_channel]
 
     shape = contrasts.shape[1:]
-    tile = _tile_side(shape, params.config.base_channels)
+    tile, n_tiles = tile_grid(shape, params.config.base_channels)
     window = tile + SHRINK_PER_SIDE
     margin = SHRINK_PER_SIDE // 2
-    n_tiles = [-(-s // tile) for s in shape]
 
     covered = tuple(n * tile for n in n_tiles)
     cl_out = np.zeros(covered, dtype=np.uint8)
@@ -539,18 +625,15 @@ def load_checkpoint(path: str | Path):
     if not isinstance(header, dict) or header.get("format") != "clseg-checkpoint-v1":
         raise CheckpointError(f"not a checkpoint: {json_path}")
     try:
-        doc = header["config"]
-        cfg = NetworkConfig(**{k: v for k, v in doc.items() if k not in _FIXED_NETWORK_KEYS})
+        doc = drop_fixed_network_keys(header["config"])
+        cfg = NetworkConfig(**doc)
         order = header["payload_order"]
         shapes = param_shapes(cfg)
         expected = 3 * sum(int(np.prod(shapes[k])) for k in order)
+    except ContractError as e:
+        raise CheckpointMismatchError(f"checkpoint {json_path} has {e}") from e
     except (AttributeError, KeyError, TypeError) as e:
         raise CheckpointError(f"malformed checkpoint header {json_path}: {e!r}") from e
-    for key, fixed in _FIXED_NETWORK_KEYS.items():
-        if key in doc and doc[key] != fixed:
-            raise CheckpointMismatchError(
-                f"checkpoint {json_path} has network {key}={doc[key]!r}; "
-                f"this network has {key}={fixed!r}")
     if len(raw) != 4 * expected:
         raise CheckpointError(
             f"checkpoint payload {raw_path} has {len(raw)} bytes, expected {4 * expected}")

@@ -43,6 +43,28 @@ def test_unknown_keys_rejected():
         config_from_dict({"network": {"bogus_field": 2}})
 
 
+def test_old_network_keys_load_at_their_fixed_values(tmp_path, tiny_cohort):
+    # configs written while the network had these as settings carry them;
+    # at the values of this network they load to the same run, at any
+    # other they are refused with one line (exit 1)
+    cfg, path = _fast_config(tmp_path, tiny_cohort)
+    doc = cfg.to_dict()
+    doc["network"] = {"in_channels": 3, **doc["network"], "levels": 3, "cl_classes": 3,
+                      "tissue_classes": 3, "instance_norm": False}
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    assert load_config(path) == cfg
+    assert main(["train", "--config", str(path)]) == 0
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    assert manifest["config_hash"] == cfg.config_hash()
+    for key, value in [("instance_norm", True), ("in_channels", 4), ("levels", 2),
+                       ("cl_classes", 2), ("tissue_classes", 4)]:
+        with pytest.raises(ConfigError, match=f"{key}={value}"):
+            config_from_dict({"network": {**doc["network"], key: value}})
+    doc["network"]["levels"] = 4
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["train", "--config", str(path)]) == 1
+
+
 def test_version_mismatch_rejected():
     with pytest.raises(ConfigError, match="version"):
         config_from_dict({"version": 99})
@@ -264,6 +286,9 @@ def test_cli_train_infer_report_flow(tmp_path, tiny_cohort, capsys):
         doc = json.loads((tmp_path / "pred" / sid / "run_manifest.json").read_text())
         assert doc["subject_dir"] == str((tiny_cohort / sid).resolve())
         assert doc["checkpoint"] == str(ckpt.resolve())
+        # at C=2 one tile covers a 48^3 subject: 4 * 84^3 enc1b elements fit
+        # the activation budget
+        assert (doc["tile_side"], doc["tiles"]) == (48, 1)
     assert main(["report", "--config", str(path),
                  "--out", str(tmp_path / "rep"),
                  "--pred", f"model={tmp_path / 'pred'}"]) == 0
@@ -342,3 +367,22 @@ def test_cli_nonfinite_training_exit_3(tmp_path, tiny_cohort):
     vio.write_volume(v, bad_cohort / "subject_00" / "mp2rage")
     cfg, path = _fast_config(tmp_path, bad_cohort)
     assert main(["train", "--config", str(path)]) == 3
+
+
+def test_cli_nonfinite_gradient_exit_3(tmp_path, tiny_cohort, monkeypatch, capsys):
+    # a NaN gradient under a finite loss stops training before the update
+    from clseg import layers
+    conv3d_backward = layers.conv3d_backward
+
+    def nan_grad_w(x, weight, grad_out, need_grad_x=True):
+        gx, gw, gb = conv3d_backward(x, weight, grad_out, need_grad_x)
+        if weight.shape[:2] == (4, 12):  # dec1a at C=2
+            gw[...] = np.nan
+        return gx, gw, gb
+
+    monkeypatch.setattr(layers, "conv3d_backward", nan_grad_w)
+    cfg, path = _fast_config(tmp_path, tiny_cohort)
+    assert main(["train", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "non-finite gradient of dec1a.kernel at patch" in err
+    assert not list((tmp_path / "out").glob("checkpoint_*"))

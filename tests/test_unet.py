@@ -213,6 +213,34 @@ def test_train_step_nonfinite_loss_names_patch():
         unet.train_step(params, state, batch, LossConfig())
 
 
+def test_train_step_nonfinite_gradient_names_layer_and_leaves_state(monkeypatch):
+    # a NaN gradient under a finite loss is caught before Adam: named by its
+    # parameter and patch, with the parameters and the Adam state untouched
+    cfg = unet.NetworkConfig(base_channels=2, input_patch=44)
+    params = unet.build_network(cfg, seed=0)
+    state = AdamState.for_params(params.tensors)
+    unet.train_step(params, state, _batch(seed=2), LossConfig())
+    conv3d_backward = layers.conv3d_backward
+
+    def nan_grad_w(x, weight, grad_out, need_grad_x=True):
+        gx, gw, gb = conv3d_backward(x, weight, grad_out, need_grad_x)
+        if weight is params.tensors["dec2a.kernel"]:
+            gw[0, 0, 0, 0, 0] = np.nan
+        return gx, gw, gb
+
+    monkeypatch.setattr(layers, "conv3d_backward", nan_grad_w)
+    before = {k: v.copy() for k, v in params.tensors.items()}
+    m, v = ({k: a.copy() for k, a in d.items()} for d in (state.m, state.v))
+    batch = _batch(seed=3)
+    batch["provenance"] = ["patch-xyz"]
+    with pytest.raises(NonFiniteError, match=r"dec2a\.kernel at patch \['patch-xyz'\]"):
+        unet.train_step(params, state, batch, LossConfig())
+    assert state.step_count == 1
+    for k in before:
+        assert np.array_equal(params.tensors[k], before[k])
+        assert np.array_equal(state.m[k], m[k]) and np.array_equal(state.v[k], v[k])
+
+
 # --- checkpointing ------------------------------------------------------------
 
 
@@ -333,10 +361,13 @@ def test_sliding_window_matches_single_big_forward(monkeypatch, budget, base, sh
 
 def test_forward_without_cache_frees_dead_activations():
     # A no-cache forward keeps one conv slab and its tap buffer plus a few
-    # activations alive: at C=4 and a 68^3 input the widest activation
-    # (enc1b output) is 8 * 64^3 float32 = 8 MiB and the slab at most
-    # SLAB_BUDGET_ELEMS floats, 16 MiB. Holding every activation to the end,
-    # as a cached forward does, peaks near 120 MiB.
+    # activations alive, and level 1 only a depth chunk at a time: at C=4
+    # and a 68^3 input the enc1b output is 8 * 64^3 float32 = 8 MiB and the
+    # slab at most SLAB_BUDGET_ELEMS floats, 16 MiB. Holding every
+    # activation to the end, as a cached forward does, peaks near 120 MiB;
+    # freeing each once dead but running level 1 whole, at 30 MiB (the
+    # enc1b output beside its enc1a input and a slab); in four chunks, at
+    # 20 MiB
     params = unet.build_network(unet.NetworkConfig(base_channels=4), seed=0)
     x = np.random.default_rng(2).standard_normal((1, 3, 68, 68, 68)).astype(np.float32)
     widest = 2 * 4 * 64 ** 3 * 4
@@ -347,7 +378,45 @@ def test_forward_without_cache_frees_dead_activations():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= slab + 3 * widest
+    assert peak <= slab + widest
+
+
+@pytest.mark.parametrize("base", [2, 4])
+@pytest.mark.parametrize("side, chunks", [(44, (5,) * 4), (48, (6, 6, 6, 4)),
+                                          (68, (8,) * 4), (88, (11, 11, 11, 9)),
+                                          (96, (12, 12, 12, 10))])
+def test_chunked_forward_equals_one_pass(monkeypatch, base, side, chunks):
+    # Without a cache level 1 runs in ACTIVATION_BUDGET_ELEMS /
+    # SLAB_BUDGET_ELEMS = 4 depth chunks of the pooled grid (the last one
+    # short where 4 does not divide it); with a budget of one slab, in one.
+    # Either way the probabilities are those of the cached forward, which
+    # runs level 1 whole, byte for byte. That holds because each chunk's
+    # matrix products stay on the BLAS's general kernel wherever the whole
+    # level's do: OpenBLAS rounds a product of at most 1e6 multiply-adds
+    # through its small-matrix kernel, differently (seen at one and three
+    # pooled planes per chunk at these sides)
+    params = unet.build_network(unet.NetworkConfig(base_channels=base), seed=1)
+    r = np.random.default_rng(side)
+    for k in ("head_cl.kernel", "head_tissue.kernel"):
+        params.tensors[k] += (0.5 * r.standard_normal(params.tensors[k].shape)).astype(np.float32)
+    x = r.standard_normal((1, 3, side, side, side)).astype(np.float32)
+    cl, tis, _ = unet.forward(params, x, want_cache=True)
+    pooled = []
+    maxpool3d_forward = layers.maxpool3d_forward
+
+    def record(x, want_argmax=True):
+        pooled.append(x.shape[2] // 2)
+        return maxpool3d_forward(x, want_argmax)
+
+    monkeypatch.setattr(layers, "maxpool3d_forward", record)
+    for budget, want in ((unet.ACTIVATION_BUDGET_ELEMS, chunks),
+                         (layers.SLAB_BUDGET_ELEMS, ((side - 4) // 2,))):
+        monkeypatch.setattr(unet, "ACTIVATION_BUDGET_ELEMS", budget)
+        pooled.clear()
+        cl_c, tis_c, cache = unet.forward(params, x)
+        assert cache is None
+        assert tuple(pooled[:-1]) == want  # the last pooling is enc2b's
+        assert cl_c.tobytes() == cl.tobytes() and tis_c.tobytes() == tis.tobytes()
 
 
 _UNIT_CHAINS = (("enc1a", "enc1b"), ("enc2a", "enc2b"), ("enc3a", "enc3b"),
@@ -403,19 +472,31 @@ def test_train_step_peak_memory_holds_each_activation_once():
     assert peak <= 50 * 2 ** 20
 
 
-def test_sliding_window_inference_builds_no_padded_subject():
-    # C=4, 96^3: 8 tiles of 88^3. A mirror-padded copy of the subject
-    # (3 x 136^3 float32, 29 MiB) beside the tile's forward peaked at
-    # 89 MiB; gathering each tile's input from the contrasts, at 60 MiB
-    params = unet.build_network(unet.NetworkConfig(base_channels=4), seed=0)
-    contrasts = _toy_contrasts(96, seed=5)
+def _inference_peak(base, side):
+    params = unet.build_network(unet.NetworkConfig(base_channels=base), seed=0)
+    contrasts = _toy_contrasts(side, seed=5)
     tracemalloc.start()
     try:
         unet.sliding_window_inference(params, contrasts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 65 * 2 ** 20
+    return peak
+
+
+def test_sliding_window_inference_builds_no_padded_subject():
+    # C=4, 96^3: 8 tiles of 88^3. A mirror-padded copy of the subject
+    # (3 x 136^3 float32, 29 MiB) beside the tile's forward peaked at
+    # 89 MiB; gathering each tile's input from the contrasts, at 60 MiB;
+    # with level 1 in depth chunks, at 46 MiB
+    assert _inference_peak(4, 96) <= 50 * 2 ** 20
+
+
+def test_sliding_window_inference_at_paper_width_chunks_level_one():
+    # C=16, 56^3: 8 tiles of 68^3. With level 1 whole, the enc1b output
+    # (32 x 64^3 float32, 32 MiB) made the peak 70 MiB; in depth chunks,
+    # 41 MiB
+    assert _inference_peak(16, 56) <= 50 * 2 ** 20
 
 
 def test_sliding_window_non_multiple_side():
