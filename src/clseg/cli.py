@@ -7,13 +7,15 @@ commands' outputs land under the out directory together with a
 run-manifest JSON recording the config hash, package version and
 environment (numpy and scipy versions, usable cores, BLAS threads); infer
 writes its outputs and manifest to <out>/<subject>/, naming the subject
-directory and checkpoint. Train, infer and xval rewrite the manifest when
-they finish, adding the wall time and the peak resident set size.
+directory and checkpoint. Each rewrites its manifest when it ends, whether
+it succeeded or failed, adding the wall time, the peak resident set size and
+`exit_code`, the process's exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -23,10 +25,11 @@ from pathlib import Path
 from .config import VARIANTS, ConfigError, RunConfig, load_config
 from .layers import ContractError, NonFiniteError
 from .phantom import PhantomError, generate_cohort
-from .pipeline import run_inference, run_report, run_training, run_xval, write_run_manifest
+from .pipeline import (check_cohort, run_inference, run_report, run_training, run_xval,
+                       write_run_manifest)
 from .sampling import CohortError
 from .unet import DROPPABLE_CHANNELS, CheckpointError
-from .volume_io import VolumeError, check_cohort
+from .volume_io import VolumeError
 
 
 class _UsageError(ConfigError):
@@ -65,9 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--drop-channel", choices=DROPPABLE_CHANNELS,
                     help="zero one T2* channel before inference")
 
-    sp = sub.add_parser("xval", help="k-fold cross-validation with a pooled report")
+    sp = sub.add_parser("xval", help="k-fold cross-validation (k = config xval_folds) "
+                                     "with a pooled report")
     common(sp)
-    sp.add_argument("--k", type=int, help="number of folds (default config.xval_folds)")
 
     sp = sub.add_parser("report", help="evaluate prediction dirs against the cohort")
     common(sp)
@@ -87,6 +90,45 @@ def _load(args) -> RunConfig:
     return cfg.validate()
 
 
+# The exceptions reported in one line, matched in this order, with the exit
+# code and message prefix of each
+_FAILURES = (
+    (ConfigError, 1, "error"),
+    ((VolumeError, PhantomError, CheckpointError, CohortError), 2, "data error"),
+    (NonFiniteError, 3, "numerical failure"),
+    (ContractError, 1, "error"),
+    (OSError, 2, "data error"),  # creating or writing outputs
+)
+
+
+def _failure(e: Exception) -> tuple[int, str | None]:
+    """(exit code, message prefix) of `e`. The prefix is None for an
+    exception of none of _FAILURES' classes, which ends the process with a
+    traceback and exit code 1."""
+    for types, code, prefix in _FAILURES:
+        if isinstance(e, types):
+            return code, prefix
+    return 1, None
+
+
+@contextlib.contextmanager
+def _run_manifest(out: Path, cfg: RunConfig, command: str, **inputs):
+    """Creates `out` and writes its run manifest, then rewrites it when the
+    block ends, normally or by an exception, with the wall time, peak RSS
+    and exit code. The block may add to the dict it is given inputs that it
+    learns as it runs."""
+    started = time.perf_counter()
+    out.mkdir(parents=True, exist_ok=True)
+    write_run_manifest(out, cfg, command, **inputs)
+    learned = {}
+    try:
+        yield learned
+    except Exception as e:
+        write_run_manifest(out, cfg, command, started, _failure(e)[0], **inputs, **learned)
+        raise
+    write_run_manifest(out, cfg, command, started, 0, **inputs, **learned)
+
+
 def _cmd_phantom(args) -> int:
     cfg = _load(args)
     spec = cfg.phantom
@@ -95,48 +137,38 @@ def _cmd_phantom(args) -> int:
         raise _UsageError("--n-subjects must be >= 1")
     out = Path(cfg.paths.cohort_dir)
     generate_cohort(spec, n, out, seed=spec.seed)
-    manifest = check_cohort([out / f"subject_{i:02d}" for i in range(n)])
-    print(json.dumps(manifest.to_dict(), indent=2))
+    print(json.dumps(check_cohort([out / f"subject_{i:02d}" for i in range(n)]), indent=2))
     return 0
 
 
 def _cmd_train(args) -> int:
-    started = time.perf_counter()
     cfg = _load(args)
     out = Path(cfg.paths.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_run_manifest(out, cfg, "train")
-    ckpt = run_training(cfg, out, resume=not args.no_resume)
-    write_run_manifest(out, cfg, "train", started)
+    with _run_manifest(out, cfg, "train"):
+        ckpt = run_training(cfg, out, resume=not args.no_resume)
     print(f"final checkpoint: {ckpt}")
     return 0
 
 
 def _cmd_infer(args) -> int:
-    started = time.perf_counter()
     cfg = _load(args)
     subject = Path(args.subject)
     out = Path(cfg.paths.out_dir) / subject.name
-    out.mkdir(parents=True, exist_ok=True)
-    inputs = {"subject_dir": str(subject.resolve()),
-              "checkpoint": str(Path(args.checkpoint).resolve())}
-    write_run_manifest(out, cfg, "infer", **inputs)
-    written, tiling = run_inference(args.checkpoint, subject, out,
-                                    drop_channel=args.drop_channel)
-    write_run_manifest(out, cfg, "infer", started, **inputs, **tiling)
+    with _run_manifest(out, cfg, "infer", subject_dir=str(subject.resolve()),
+                       checkpoint=str(Path(args.checkpoint).resolve())) as learned:
+        written, tiling = run_inference(args.checkpoint, subject, out,
+                                        drop_channel=args.drop_channel)
+        learned.update(tiling)
     for name, path in written.items():
         print(f"{name}: {path}")
     return 0
 
 
 def _cmd_xval(args) -> int:
-    started = time.perf_counter()
     cfg = _load(args)
     out = Path(cfg.paths.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_run_manifest(out, cfg, "xval")
-    report = run_xval(cfg, out, k=args.k)
-    write_run_manifest(out, cfg, "xval", started)
+    with _run_manifest(out, cfg, "xval"):
+        report = run_xval(cfg, out)
     row = report["models"][cfg.variant]["table1"]
     print(f"{cfg.variant}: LTPR={row['ltpr']:.3f} LFPR={row['lfpr']:.3f} "
           f"AVD={row['avd'] if row['avd'] is not None else 'n/a'} "
@@ -155,9 +187,8 @@ def _cmd_report(args) -> int:
     if not pred_dirs:
         raise _UsageError("report needs at least one --pred NAME=DIR")
     out = Path(cfg.paths.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_run_manifest(out, cfg, "report")
-    report = run_report(cfg.paths.cohort_dir, pred_dirs, out, cfg.eval)
+    with _run_manifest(out, cfg, "report"):
+        report = run_report(cfg.paths.cohort_dir, pred_dirs, out, cfg.eval)
     for name in sorted(report["models"]):
         row = report["models"][name]["table1"]
         print(f"{name}: LTPR={row['ltpr']:.3f} LFPR={row['lfpr']:.3f}")
@@ -178,21 +209,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (VolumeError, PhantomError, CheckpointError, CohortError) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 2
-    except (NonFiniteError,) as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return 3
-    except ContractError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:  # creating or writing outputs
-        print(f"data error: {e}", file=sys.stderr)
-        return 2
+    except Exception as e:
+        code, prefix = _failure(e)
+        if prefix is None:
+            raise
+        print(f"{prefix}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

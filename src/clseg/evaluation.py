@@ -8,8 +8,6 @@ classes follow the cl_labels codes: 1 leukocortical, 2 subpial/intracortical.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .volume_io import DEFAULT_SPACING_MM
+from .volume_io import DEFAULT_SPACING_MM, write_csv, write_json
 
 DEFAULT_MIN_LESION_VOXELS = 6
 SIZE_CURVE_THRESHOLDS = (6, 12, 24, 48)
@@ -402,38 +400,26 @@ def write_report_files(report: dict, out_dir: str | Path) -> None:
     """Emit report.json plus flat table1/ltpr_by_size/bland_altman/wilcoxon CSVs."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    write_json(out_dir / "report.json", report)
+    models = [(name, report["models"][name]) for name in sorted(report["models"])]
 
-    with open(out_dir / "table1.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["model", "ltpr", "lfpr", "avd", "accuracy"])
-        for name in sorted(report["models"]):
-            row = report["models"][name]["table1"]
-            w.writerow([name, row["ltpr"], row["lfpr"], row["avd"], row["accuracy"]])
+    cols = ("ltpr", "lfpr", "avd", "accuracy")
+    write_csv(out_dir / "table1.csv", ("model",) + cols,
+              ([name] + [m["table1"][k] for k in cols] for name, m in models))
 
-    with open(out_dir / "ltpr_by_size.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["model", "min_voxels", "group", "detected", "total", "ltpr"])
-        for name in sorted(report["models"]):
-            for row in report["models"][name]["ltpr_by_size"]:
-                w.writerow([name, row["min_voxels"], row["group"],
-                            row["detected"], row["total"], row["ltpr"]])
+    cols = ("min_voxels", "group", "detected", "total", "ltpr")
+    write_csv(out_dir / "ltpr_by_size.csv", ("model",) + cols,
+              ([name] + [row[k] for k in cols]
+               for name, m in models for row in m["ltpr_by_size"]))
 
-    with open(out_dir / "bland_altman.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["model", "subject_id", "mean_ul", "diff_ul",
-                    "bias", "lower_limit", "upper_limit"])
-        for name in sorted(report["models"]):
-            ba = report["models"][name]["bland_altman"]
-            for q in ba["pairs"]:
-                w.writerow([name, q["subject_id"], q["mean_ul"], q["diff_ul"],
-                            ba["bias"], ba["lower_limit"], ba["upper_limit"]])
+    cols = ("bias", "lower_limit", "upper_limit")
+    write_csv(out_dir / "bland_altman.csv",
+              ("model", "subject_id", "mean_ul", "diff_ul") + cols,
+              ([name, q["subject_id"], q["mean_ul"], q["diff_ul"]]
+               + [m["bland_altman"][k] for k in cols]
+               for name, m in models for q in m["bland_altman"]["pairs"]))
 
-    with open(out_dir / "wilcoxon.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["metric", "model_a", "model_b", "n_effective",
-                    "w_statistic", "p_two_sided", "method", "significant", "note"])
-        for row in report["wilcoxon"]:
-            w.writerow([row["metric"], row["model_a"], row["model_b"],
-                        row["n_effective"], row["w_statistic"], row["p_two_sided"],
-                        row["method"], row["significant"], row["note"]])
+    cols = ("metric", "model_a", "model_b", "n_effective", "w_statistic", "p_two_sided",
+            "method", "significant", "note")
+    write_csv(out_dir / "wilcoxon.csv", cols,
+              ([row[k] for k in cols] for row in report["wilcoxon"]))

@@ -18,7 +18,6 @@ for a fixed BLAS thread count.
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -32,6 +31,7 @@ from .pipeline import (derive_seed, discover_subjects, evaluate_predictions,
 from .losses import LossConfig
 from .sampling import SamplerConfig
 from .unet import NetworkConfig
+from .volume_io import write_json
 
 DESK_PHANTOM = PhantomSpec(
     side_voxels=56,
@@ -129,6 +129,5 @@ def icd_robustness_experiment(workdir: str | Path, seeds=(0, 1, 2),
                 - v["multitask"]["artifact_drop"]["ltpr"])),
         "elapsed_s": round(time.time() - t0, 1),
     }
-    (workdir / "replication_result.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    write_json(workdir / "replication_result.json", summary)
     return summary

@@ -21,7 +21,6 @@ recovers exactly the planted records.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -377,6 +376,5 @@ def generate_cohort(spec: PhantomSpec, n_subjects: int, out_dir: str | Path,
             "lesions": records,
         })
         manifest["total_lesions"] += len(records)
-    (out_dir / "cohort_manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    volume_io.write_json(out_dir / "cohort_manifest.json", manifest)
     return manifest

@@ -21,7 +21,8 @@ import scipy
 from . import __version__, volume_io
 from .blas import blas_threads
 from .config import ConfigError, RunConfig
-from .evaluation import EvalConfig, PatientEval, build_report, evaluate_patient, write_report_files
+from .evaluation import (EvalConfig, PatientEval, build_report, evaluate_patient, label_lesions,
+                         write_report_files)
 from .optim import AdamState
 from .sampling import PatchSampler, TrainingSubject
 from .unet import (CheckpointError, CheckpointMismatchError, build_network, load_checkpoint,
@@ -47,6 +48,25 @@ def discover_subjects(cohort_dir: str | Path) -> list[str]:
     return ids
 
 
+def check_cohort(subject_dirs: list[str | Path]) -> dict:
+    """Validate a cohort on disk and count its lesions per class, per
+    subject and in all: the document `clseg phantom` prints."""
+    subjects = []
+    for d in subject_dirs:
+        cl = volume_io.read_subject(d)["cl_labels"]
+        classes = label_lesions(cl.data)[1][1:]
+        subjects.append({
+            "subject_id": cl.header.subject_id,
+            "directory": str(d),
+            "dims": list(cl.header.dims),
+            "spacing_mm": list(cl.header.spacing_mm),
+            "lesion_counts": {name: int((classes == code).sum())
+                              for code, name in volume_io.CL_CLASS_NAMES.items()},
+            "n_lesions": len(classes),
+        })
+    return {"subjects": subjects, "total_lesions": sum(s["n_lesions"] for s in subjects)}
+
+
 def _normalized_contrasts(vols: dict[str, volume_io.Volume]) -> np.ndarray:
     """(3, D, H, W) normalized contrasts in CONTRAST_NAMES order."""
     return np.stack([normalize_volume(vols[name].data) for name in volume_io.CONTRAST_NAMES])
@@ -70,13 +90,14 @@ def load_training_data(cohort_dir: str | Path,
 
 
 def write_run_manifest(out_dir: Path, cfg: RunConfig, command: str,
-                       started: float | None = None, **inputs) -> None:
+                       started: float | None = None, exit_code: int | None = None,
+                       **inputs) -> None:
     """Write run_manifest.json atomically, with the given `inputs` (such as
     the paths a command read, or how it tiled a subject) and the
     environment that produced the run.
     Given `started`, the time.perf_counter() reading taken when the command
-    began, the command has finished: its wall time and the process's peak
-    resident set size are added."""
+    began, the command has ended with `exit_code`: its wall time, the
+    process's peak resident set size and the exit code are added."""
     doc = {
         "command": command,
         **inputs,
@@ -94,8 +115,8 @@ def write_run_manifest(out_dir: Path, cfg: RunConfig, command: str,
         doc["elapsed_s"] = round(time.perf_counter() - started, 3)
         # ru_maxrss is in KiB on Linux
         doc["peak_rss_mib"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
-    volume_io.write_atomic(out_dir / "run_manifest.json",
-                           (json.dumps(doc, indent=2) + "\n").encode("utf-8"))
+        doc["exit_code"] = exit_code
+    volume_io.write_json(out_dir / "run_manifest.json", doc)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +234,8 @@ def run_inference(checkpoint: str | Path, subject_dir: str | Path, out_dir: str 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = {}
-    for name, arr, kind in (("cl_pred", cl_pred, "cl_labels"),
-                            ("tissue_pred", tissue_pred, "tissue_labels"),
-                            ("cl_prob", cl_prob, "intensity")):
+    for name, arr, kind in zip(PREDICTION_NAMES, (cl_pred, tissue_pred, cl_prob),
+                               ("cl_labels", "tissue_labels", "intensity")):
         v = volume_io.make_volume(arr, kind, header.subject_id, header.spacing_mm)
         volume_io.write_volume(v, out_dir / name)
         written[name] = out_dir / name
@@ -296,14 +316,14 @@ def run_fold(cfg: RunConfig, fold_idx: int, train_ids: list[str], test_ids: list
     return ckpt
 
 
-def run_xval(cfg: RunConfig, out_dir: str | Path, k: int | None = None) -> dict:
-    """Train/test each fold, then pool every held-out prediction into one report."""
+def run_xval(cfg: RunConfig, out_dir: str | Path) -> dict:
+    """Train/test each of the config's xval_folds folds, then pool every
+    held-out prediction into one report."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    k = k if k is not None else cfg.xval_folds
     subject_ids = discover_subjects(cfg.paths.cohort_dir)
-    folds = make_fold_split(subject_ids, k, cfg.training.seed)
-    (out_dir / "folds.json").write_text(json.dumps(folds, indent=2) + "\n", encoding="utf-8")
+    folds = make_fold_split(subject_ids, cfg.xval_folds, cfg.training.seed)
+    volume_io.write_json(out_dir / "folds.json", folds)
 
     for fi, test_ids in enumerate(folds):
         train_ids = sorted(set(subject_ids) - set(test_ids))

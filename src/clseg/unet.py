@@ -56,17 +56,16 @@ bias per layer, little-endian float32. Decoder concatenation order is
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 
-from . import layers
+from . import layers, volume_io
 from .layers import ContractError
 from .losses import LossConfig, combined_loss
 from .optim import AdamState, adam_step
-from .volume_io import CONTRAST_NAMES, LABEL_CODES, write_atomic
+from .volume_io import CONTRAST_NAMES, LABEL_CODES
 
 SHRINK_PER_SIDE = 40  # total valid-conv shrinkage of the 3-level network
 # Upper bound, in elements (64 MiB in float32), on the widest level-1
@@ -138,11 +137,6 @@ def output_shape(input_side: int) -> int:
         raise ContractError(f"input side {input_side} leaves no output")
     assert s == input_side - SHRINK_PER_SIDE
     return s
-
-
-# layer name -> (kind, in_ch multiplier expression resolved in param_specs)
-_ENCODER = ("enc1a", "enc1b", "enc2a", "enc2b", "enc3a", "enc3b")
-_DECODER = ("dec2a", "dec2b", "dec1a", "dec1b")
 
 
 def param_specs(cfg: NetworkConfig) -> list[tuple[str, str, tuple]]:
@@ -559,7 +553,8 @@ def sliding_window_inference(params: NetworkParams, contrasts: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Checkpointing: <path>.json header + <path>.raw float32 payload
+# Checkpointing: a volume_io record (see its module docstring) with a
+# float32 payload
 # ---------------------------------------------------------------------------
 
 
@@ -575,10 +570,9 @@ def save_checkpoint(path: str | Path, params: NetworkParams, state: AdamState,
                     iteration: int, sampler_draws: int) -> None:
     """Parameters then Adam m then v, each in param_shapes order, float32 LE.
 
-    The payload is written before the header, each atomically, so a header
-    on disk implies its complete payload unless something later truncates it.
+    Written as a volume_io record, so a header on disk implies its complete
+    payload unless something later truncates it.
     """
-    path = Path(path)
     order = list(param_shapes(params.config))
     header = {
         "format": "clseg-checkpoint-v1",
@@ -599,9 +593,7 @@ def save_checkpoint(path: str | Path, params: NetworkParams, state: AdamState,
     chunks += [state.m[k] for k in order]
     chunks += [state.v[k] for k in order]
     payload = np.concatenate([np.asarray(c, dtype="<f4").ravel() for c in chunks])
-    write_atomic(path.with_suffix(path.suffix + ".raw"), payload.tobytes())
-    write_atomic(path.with_suffix(path.suffix + ".json"),
-                  (json.dumps(header, indent=2) + "\n").encode("utf-8"))
+    volume_io.write_record(path, header, payload.tobytes())
 
 
 def load_checkpoint(path: str | Path):
@@ -612,18 +604,12 @@ def load_checkpoint(path: str | Path):
     CheckpointMismatchError when the header's network is not this one. A
     header may carry the keys of _FIXED_NETWORK_KEYS at their fixed values.
     """
-    path = Path(path)
-    json_path = path.with_suffix(path.suffix + ".json")
-    raw_path = path.with_suffix(path.suffix + ".raw")
     try:
-        header = json.loads(json_path.read_text(encoding="utf-8"))
-        raw = raw_path.read_bytes()
-    except OSError as e:
-        raise CheckpointError(f"cannot read checkpoint file {e.filename}: {e.strerror}") from e
-    except ValueError as e:
-        raise CheckpointError(f"malformed checkpoint header {json_path}: {e}") from e
-    if not isinstance(header, dict) or header.get("format") != "clseg-checkpoint-v1":
-        raise CheckpointError(f"not a checkpoint: {json_path}")
+        header, raw = volume_io.read_record(path)
+    except volume_io.VolumeError as e:
+        raise CheckpointError(f"checkpoint {path}: {e}") from e
+    if header.get("format") != "clseg-checkpoint-v1":
+        raise CheckpointError(f"not a checkpoint: {path}")
     try:
         doc = drop_fixed_network_keys(header["config"])
         cfg = NetworkConfig(**doc)
@@ -631,12 +617,12 @@ def load_checkpoint(path: str | Path):
         shapes = param_shapes(cfg)
         expected = 3 * sum(int(np.prod(shapes[k])) for k in order)
     except ContractError as e:
-        raise CheckpointMismatchError(f"checkpoint {json_path} has {e}") from e
+        raise CheckpointMismatchError(f"checkpoint {path} has {e}") from e
     except (AttributeError, KeyError, TypeError) as e:
-        raise CheckpointError(f"malformed checkpoint header {json_path}: {e!r}") from e
+        raise CheckpointError(f"malformed checkpoint header {path}: {e!r}") from e
     if len(raw) != 4 * expected:
         raise CheckpointError(
-            f"checkpoint payload {raw_path} has {len(raw)} bytes, expected {4 * expected}")
+            f"checkpoint payload {path} has {len(raw)} bytes, expected {4 * expected}")
     payload = np.frombuffer(raw, dtype="<f4")
     params = NetworkParams(cfg, header["seed"], {})
 

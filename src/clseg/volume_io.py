@@ -1,6 +1,20 @@
-"""Raw-binary volume format: `<path>.json` header + `<path>.raw` payload.
+"""Every file a run leaves is written here, through `write_atomic`: a
+reader sees the previous file or the whole new one, never a partial write.
+The one exception is `loss.csv`, which `pipeline.run_training` appends to.
 
-The payload is little-endian and x-fastest: the flat index of voxel
+Records. The record at `<path>` is a header, the JSON document
+`<path>.json`, plus a binary payload, `<path>.raw` (`write_record`,
+`read_record`). The payload is written first, so a header on disk implies
+its whole payload. Volumes and checkpoints are records: a volume's header
+has exactly the keys of _HEADER_KEYS and its payload holds the voxels (see
+below); `unet.save_checkpoint` describes a checkpoint's.
+
+Documents. `write_json` writes a JSON document indented by two spaces with
+a final newline, record headers included; `write_csv` writes a table in the
+csv module's default dialect (comma-separated, CRLF line ends). Both build
+the whole file in memory first.
+
+Volumes. The payload is little-endian and x-fastest: the flat index of voxel
 (z, y, x) is x + nx*(y + ny*z). In memory every volume is a numpy array
 of shape ``dims`` = (nz, ny, nx), so C-order flattening matches the file
 layout exactly and all modules index volumes as ``vol[z, y, x]``.
@@ -10,9 +24,11 @@ order.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -131,18 +147,6 @@ def make_volume(data: np.ndarray, kind: str, subject_id: str = "",
     return v
 
 
-def _header_json(h: VolumeHeader) -> str:
-    # Fixed key order keeps serialization byte-stable across runs.
-    doc = {
-        "dims": list(h.dims),
-        "spacing_mm": list(h.spacing_mm),
-        "dtype": h.dtype,
-        "kind": h.kind,
-        "subject_id": h.subject_id,
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def write_atomic(path: Path, data: bytes) -> None:
     """Readers see the old file or the whole new one, never a partial write."""
     tmp = path.with_name(path.name + ".tmp")
@@ -150,34 +154,74 @@ def write_atomic(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def write_volume(v: Volume, path: str | Path) -> None:
-    """Write `<path>.raw` then `<path>.json`, each atomically, so a header on
-    disk implies its whole payload. Round-trips byte-identically."""
-    validate_volume(v)
+def write_json(path: str | Path, doc) -> None:
+    """`doc` indented by two spaces, with a final newline."""
+    write_atomic(Path(path), (json.dumps(doc, indent=2) + "\n").encode("utf-8"))
+
+
+def write_csv(path: str | Path, header, rows) -> None:
+    """A header row then `rows`, in the csv module's default dialect."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    write_atomic(Path(path), buf.getvalue().encode("utf-8"))
+
+
+def _record_paths(path: str | Path) -> tuple[Path, Path]:
     path = Path(path)
+    return path.with_suffix(path.suffix + ".json"), path.with_suffix(path.suffix + ".raw")
+
+
+def write_record(path: str | Path, header: dict, payload: bytes) -> None:
+    """`<path>.raw` then `<path>.json`, each atomically; raises OSError."""
+    json_path, raw_path = _record_paths(path)
+    write_atomic(raw_path, payload)
+    write_json(json_path, header)
+
+
+def read_record(path: str | Path) -> tuple[dict, bytes]:
+    """(header document, payload bytes) of the record at `path`. Raises
+    MissingVolumeFileError when either file is missing, HeaderParseError when
+    the header is not a JSON object and VolumeError when a read fails."""
+    json_path, raw_path = _record_paths(path)
+    for p in (json_path, raw_path):
+        if not p.exists():
+            raise MissingVolumeFileError(f"missing file {p}")
     try:
-        payload = np.ascontiguousarray(v.data, dtype=DTYPES[v.header.dtype])
-        write_atomic(path.with_suffix(path.suffix + ".raw"), payload.tobytes())
-        write_atomic(path.with_suffix(path.suffix + ".json"),
-                     _header_json(v.header).encode("utf-8"))
+        doc = json.loads(json_path.read_text(encoding="utf-8"))
+        payload = raw_path.read_bytes()
+    except OSError as e:
+        raise VolumeError(f"I/O failure reading {e.filename}: {e.strerror}") from e
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise HeaderParseError(f"malformed header JSON {json_path}: {e}") from e
+    if not isinstance(doc, dict):
+        raise HeaderParseError(f"header {json_path} is not a JSON object")
+    return doc, payload
+
+
+def write_volume(v: Volume, path: str | Path) -> None:
+    """Write the volume as a record; round-trips byte-identically."""
+    validate_volume(v)
+    h = v.header
+    header = {  # in _HEADER_KEYS order, which keeps the header byte-stable
+        "dims": list(h.dims),
+        "spacing_mm": list(h.spacing_mm),
+        "dtype": h.dtype,
+        "kind": h.kind,
+        "subject_id": h.subject_id,
+    }
+    try:
+        write_record(path, header,
+                     np.ascontiguousarray(v.data, dtype=DTYPES[h.dtype]).tobytes())
     except OSError as e:
         raise VolumeError(f"I/O failure writing {path}: {e}") from e
 
 
 def read_volume(path: str | Path) -> Volume:
-    path = Path(path)
-    json_path = path.with_suffix(path.suffix + ".json")
-    raw_path = path.with_suffix(path.suffix + ".raw")
-    for p in (json_path, raw_path):
-        if not p.exists():
-            raise MissingVolumeFileError(f"missing volume file {p}")
-    try:
-        doc = json.loads(json_path.read_text(encoding="utf-8"))
-    except OSError as e:
-        raise VolumeError(f"I/O failure reading {json_path}: {e}") from e
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise HeaderParseError(f"malformed header JSON {json_path}: {e}") from e
-    if not isinstance(doc, dict) or set(doc) != set(_HEADER_KEYS):
+    doc, payload = read_record(path)
+    json_path, raw_path = _record_paths(path)
+    if set(doc) != set(_HEADER_KEYS):
         raise HeaderParseError(f"header {json_path} must have exactly keys {_HEADER_KEYS}")
     try:
         header = VolumeHeader(
@@ -194,10 +238,6 @@ def read_volume(path: str | Path) -> Volume:
     if header.kind not in KINDS:
         raise UnknownKindError(f"unknown kind {header.kind!r} in {json_path}")
 
-    try:
-        payload = raw_path.read_bytes()
-    except OSError as e:
-        raise VolumeError(f"I/O failure reading {raw_path}: {e}") from e
     expected = int(np.prod(header.dims)) * DTYPES[header.dtype].itemsize
     if len(payload) != expected:
         raise PayloadSizeError(
@@ -206,38 +246,6 @@ def read_volume(path: str | Path) -> Volume:
     v = Volume(header, data)
     validate_volume(v)
     return v
-
-
-@dataclass
-class SubjectEntry:
-    subject_id: str
-    directory: str
-    dims: tuple[int, int, int]
-    spacing_mm: tuple[float, float, float]
-    lesion_counts: dict[str, int]  # per CL class name
-    n_lesions: int
-
-
-@dataclass
-class CohortManifest:
-    subjects: list[SubjectEntry] = field(default_factory=list)
-    total_lesions: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "subjects": [
-                {
-                    "subject_id": s.subject_id,
-                    "directory": s.directory,
-                    "dims": list(s.dims),
-                    "spacing_mm": list(s.spacing_mm),
-                    "lesion_counts": s.lesion_counts,
-                    "n_lesions": s.n_lesions,
-                }
-                for s in self.subjects
-            ],
-            "total_lesions": self.total_lesions,
-        }
 
 
 def read_subject(subject_dir: str | Path,
@@ -255,25 +263,3 @@ def read_subject(subject_dir: str | Path,
                 f"{subject_dir}: {name} geometry {v.header.dims}/{v.header.spacing_mm} "
                 f"!= mp2rage {ref.dims}/{ref.spacing_mm}")
     return vols
-
-
-def check_cohort(subject_dirs: list[str | Path]) -> CohortManifest:
-    """Validate a cohort on disk and count its lesions per class."""
-    from .evaluation import label_lesions
-
-    manifest = CohortManifest()
-    for d in subject_dirs:
-        vols = read_subject(d)
-        cl = vols["cl_labels"]
-        classes = label_lesions(cl.data)[1][1:]
-        manifest.subjects.append(SubjectEntry(
-            subject_id=cl.header.subject_id,
-            directory=str(d),
-            dims=cl.header.dims,
-            spacing_mm=cl.header.spacing_mm,
-            lesion_counts={name: int((classes == code).sum())
-                           for code, name in CL_CLASS_NAMES.items()},
-            n_lesions=len(classes),
-        ))
-    manifest.total_lesions = sum(s.n_lesions for s in manifest.subjects)
-    return manifest

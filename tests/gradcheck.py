@@ -21,13 +21,14 @@ from typing import Callable
 
 import numpy as np
 
-from clseg.unet import _DECODER, _ENCODER
-
 DEFAULT_REL_STEP = 1e-5
 DEFAULT_TOLERANCE = 1e-6
 # fallback detector: one-sided differences disagreeing this badly can only
 # mean a kink crossed the interval
 KINK_REL_MISMATCH = 1e-3
+# the conv units of the U-Net followed by a ReLU: every conv but the heads
+RELU_UNITS = ("enc1a", "enc1b", "enc2a", "enc2b", "enc3a", "enc3b",
+              "dec2a", "dec2b", "dec1a", "dec1b")
 
 
 @dataclass
@@ -162,7 +163,7 @@ def activation_pattern(cache: dict) -> np.ndarray:
     passes lie in the same linear region iff their patterns are equal.
     """
     parts: list[int] = []
-    for name in _ENCODER + _DECODER:
+    for name in RELU_UNITS:
         _, act = cache[name]  # positive exactly where the pre-activation is
         if act.dtype == np.uint8:  # a bit-packed mask; its pad bits are 0
             act = np.unpackbits(act)

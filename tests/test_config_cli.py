@@ -117,6 +117,7 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
     assert main(["phantom", "--config", str(path), "--n-subjects", "0"]) == 1
     assert main(["infer", "--config", str(path), "--checkpoint", "x",
                  "--subject", "y", "--drop-channel", "mp2rage"]) == 1
+    assert main(["xval", "--config", str(path), "--k", "2"]) == 1  # folds are xval_folds
 
 
 def test_cli_bad_config_exit_1(tmp_path):
@@ -168,6 +169,8 @@ def test_cli_lesion_free_cohort_exit_2(tmp_path, capsys):
     assert main(["train", "--config", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("data error: ") and "no lesions" in err[0]
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    assert manifest["exit_code"] == 2 and manifest["elapsed_s"] > 0
 
 
 def _truncate_raw(ckpt, subject):
@@ -299,7 +302,7 @@ def test_cli_train_infer_report_flow(tmp_path, tiny_cohort, capsys):
 def test_cli_finished_runs_record_time_and_peak_rss(tmp_path, tiny_cohort, capsys):
     from clseg.pipeline import run_inference, run_training
 
-    cfg, path = _fast_config(tmp_path, tiny_cohort)
+    cfg, path = _fast_config(tmp_path, tiny_cohort, xval_folds=2)
     out = tmp_path / "out"
     ckpt = out / "checkpoint_00000003"
     subject = tiny_cohort / "subject_00"
@@ -308,14 +311,14 @@ def test_cli_finished_runs_record_time_and_peak_rss(tmp_path, tiny_cohort, capsy
         "infer": (["infer", "--config", str(path), "--checkpoint", str(ckpt),
                    "--subject", str(subject), "--out", str(tmp_path / "pred")],
                   tmp_path / "pred" / "subject_00"),
-        "xval": (["xval", "--config", str(path), "--k", "2", "--out", str(tmp_path / "xv")],
+        "xval": (["xval", "--config", str(path), "--out", str(tmp_path / "xv")],
                  tmp_path / "xv"),
     }
     for command, (argv, run_dir) in runs.items():
         assert main(argv) == 0
         doc = json.loads((run_dir / "run_manifest.json").read_text())
         assert doc["command"] == command
-        assert doc["elapsed_s"] > 0 and doc["peak_rss_mib"] > 0
+        assert doc["elapsed_s"] > 0 and doc["peak_rss_mib"] > 0 and doc["exit_code"] == 0
         env = doc["environment"]
         assert env["numpy"] == np.__version__ and env["scipy"]
         assert env["nproc"] >= 1 and env["blas_threads"] >= 1
@@ -386,3 +389,5 @@ def test_cli_nonfinite_gradient_exit_3(tmp_path, tiny_cohort, monkeypatch, capsy
     err = capsys.readouterr().err
     assert "non-finite gradient of dec1a.kernel at patch" in err
     assert not list((tmp_path / "out").glob("checkpoint_*"))
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    assert manifest["exit_code"] == 3

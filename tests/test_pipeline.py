@@ -1,16 +1,21 @@
 import dataclasses
+import errno
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from clseg import pipeline
+from clseg import volume_io as vio
 from clseg.config import ConfigError, RunConfig
-from clseg.evaluation import EvalConfig
+from clseg.evaluation import EvalConfig, build_report, evaluate_patient, write_report_files
 from clseg.phantom import generate_cohort
 from clseg.unet import CheckpointMismatchError
 from clseg.volume_io import read_volume
 
+from brute_force import flood_fill_components
 from conftest import TINY_SPEC, write_old_network_keys
 
 
@@ -73,6 +78,38 @@ def test_resume_from_checkpoint_with_old_network_keys(tmp_path, tiny_cohort):
         (tmp_path / "part" / "loss.csv").read_bytes()
     assert (tmp_path / "full" / "checkpoint_00000006.raw").read_bytes() == \
         (tmp_path / "part" / "checkpoint_00000006.raw").read_bytes()
+
+
+def test_resume_from_checkpoint_header_in_the_v1_bytes(tmp_path, tiny_cohort):
+    # the header bytes of a checkpoint written before checkpoints became
+    # volume_io records: the writer still writes them, and a run resumed
+    # from them reproduces the uninterrupted one
+    full = _cfg(tiny_cohort, tmp_path / "full", iterations=4)
+    pipeline.run_training(full, tmp_path / "full")
+
+    part = _cfg(tiny_cohort, tmp_path / "part", iterations=2)
+    pipeline.run_training(part, tmp_path / "part")
+    header = {
+        "format": "clseg-checkpoint-v1",
+        "config": {"base_channels": 2, "input_patch": 44},
+        "seed": 5,
+        "iteration": 2,
+        "sampler_draws": 2,
+        "adam": {"learning_rate": part.training.learning_rate, "beta1": 0.9, "beta2": 0.999,
+                 "epsilon": 1e-08, "step_count": 2},
+        "payload_order": [f"{layer}.{p}" for layer in (
+            "enc1a", "enc1b", "enc2a", "enc2b", "enc3a", "enc3b", "up2", "dec2a", "dec2b",
+            "up1", "dec1a", "dec1b", "head_cl", "head_tissue") for p in ("kernel", "bias")],
+    }
+    v1 = (json.dumps(header, indent=2) + "\n").encode("utf-8")
+    path = tmp_path / "part" / "checkpoint_00000002.json"
+    assert path.read_bytes() == v1
+    path.write_bytes(v1)
+    cont = _cfg(tiny_cohort, tmp_path / "part", iterations=4)
+    pipeline.run_training(cont, tmp_path / "part")
+
+    for name in ("loss.csv", "checkpoint_00000004.raw", "checkpoint_00000004.json"):
+        assert (tmp_path / "full" / name).read_bytes() == (tmp_path / "part" / name).read_bytes()
 
 
 def test_resume_refuses_checkpoint_of_another_network(tmp_path, tiny_cohort):
@@ -215,6 +252,39 @@ def test_xval_pools_all_subjects(tmp_path, xval_cohort):
         assert (tmp_path / f"fold_{fi}" / "loss.csv").exists()
 
 
+def _write_report(out_dir):
+    ref = np.zeros((8, 8, 8), np.uint8)
+    ref[2:4, 2:4, 2:4] = 1
+    write_report_files(build_report({"m": [evaluate_patient("s0", ref, ref, EvalConfig())]}),
+                       out_dir)
+
+
+@pytest.mark.parametrize("document", ["folds.json", "report.json", "table1.csv",
+                                      "cohort_manifest.json"])
+def test_failed_replace_keeps_previous_document(tmp_path, xval_cohort, monkeypatch, document):
+    # a run killed while it writes a document leaves the previous one whole
+    writers = {
+        "folds.json": lambda: pipeline.run_xval(
+            dataclasses.replace(_cfg(xval_cohort, tmp_path), xval_folds=2), tmp_path),
+        "report.json": lambda: _write_report(tmp_path),
+        "table1.csv": lambda: _write_report(tmp_path),
+        "cohort_manifest.json": lambda: generate_cohort(TINY_SPEC, 1, tmp_path, seed=1),
+    }
+    previous = b"previous\n"
+    (tmp_path / document).write_bytes(previous)
+    replace = os.replace
+
+    def fail_on_document(src, dst):
+        if Path(dst).name == document:
+            raise OSError(errno.EIO, "injected failure", str(dst))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_on_document)
+    with pytest.raises(OSError, match="injected failure"):
+        writers[document]()
+    assert (tmp_path / document).read_bytes() == previous
+
+
 def test_evaluate_predictions_coverage_mismatch(tmp_path, xval_cohort):
     from clseg.volume_io import MissingVolumeFileError
     with pytest.raises(MissingVolumeFileError, match="coverage"):
@@ -240,3 +310,64 @@ def test_size_curve_groups_include_types(tmp_path, xval_cohort):
     for r in rows:
         if r["min_voxels"] == 6:
             assert r["ltpr"] == 1.0
+
+
+# --- cohort checking -------------------------------------------------------
+
+
+def _write_subject(root, subject_id, dims=(8, 8, 8), cl=None):
+    sdir = root / subject_id
+    sdir.mkdir(parents=True, exist_ok=True)
+    for name in vio.CONTRAST_NAMES:
+        vio.write_volume(
+            vio.make_volume(np.zeros(dims, np.float32), "intensity", subject_id),
+            sdir / name)
+    cl_data = cl if cl is not None else np.zeros(dims, np.uint8)
+    vio.write_volume(vio.make_volume(cl_data, "cl_labels", subject_id), sdir / "cl_labels")
+    vio.write_volume(vio.make_volume(np.ones(dims, np.uint8), "tissue_labels", subject_id),
+                     sdir / "tissue_labels")
+    vio.write_volume(vio.make_volume(np.zeros(dims, np.uint8), "wml_labels", subject_id),
+                     sdir / "wml_labels")
+    return sdir
+
+
+def test_check_cohort_geometry_mismatch(tmp_path):
+    sdir = _write_subject(tmp_path, "s0")
+    vio.write_volume(vio.make_volume(np.zeros((6, 8, 8), np.float32), "intensity", "s0"),
+                     sdir / "mp2rage")
+    with pytest.raises(vio.GeometryMismatchError):
+        pipeline.check_cohort([sdir])
+
+
+def test_check_cohort_missing_volume(tmp_path):
+    sdir = _write_subject(tmp_path, "s0")
+    (sdir / "t2s_epi.raw").unlink()
+    with pytest.raises(vio.MissingVolumeFileError):
+        pipeline.check_cohort([sdir])
+
+
+def test_check_cohort_counts_match_flood_fill(tmp_path):
+    # three class-1 blobs and two class-2 blobs, mutually non-adjacent
+    cl = np.zeros((8, 8, 8), np.uint8)
+    cl[0, 0, 0] = 1
+    cl[3, 3, 3:5] = 1
+    cl[6, 0, 0:2] = 1
+    cl[0, 6, 6] = 2
+    cl[6, 6, 0] = 2
+    sdir = _write_subject(tmp_path, "s0", cl=cl)
+    manifest = pipeline.check_cohort([sdir])
+    oracle = flood_fill_components(cl)
+    assert manifest["subjects"][0]["lesion_counts"] == {
+        "leukocortical": sum(1 for c, _ in oracle if c == 1),
+        "subpial_intracortical": sum(1 for c, _ in oracle if c == 2),
+    }
+    assert manifest["subjects"][0]["lesion_counts"] == {
+        "leukocortical": 3, "subpial_intracortical": 2}
+    assert manifest["total_lesions"] == 5
+
+
+def test_check_cohort_many_subjects(tmp_path):
+    dirs = [_write_subject(tmp_path, f"s{i:02d}") for i in range(12)]
+    manifest = pipeline.check_cohort(dirs)
+    assert len(manifest["subjects"]) == 12
+    assert manifest["total_lesions"] == 0

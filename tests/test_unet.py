@@ -272,6 +272,27 @@ def test_checkpoint_roundtrip_exact(tmp_path):
     assert (tmp_path / "ck2.raw").read_bytes() == (tmp_path / "ck3.raw").read_bytes()
 
 
+def test_incomplete_checkpoint_raises_checkpoint_error(tmp_path):
+    # resume skips a checkpoint only on CheckpointError, so every way a
+    # killed or damaged run leaves one must raise it
+    params = unet.build_network(unet.NetworkConfig(base_channels=2, input_patch=44), seed=4)
+    state = AdamState.for_params(params.tensors)
+    damages = {
+        "no payload": lambda ck: ck.with_suffix(".raw").unlink(),
+        "no header": lambda ck: ck.with_suffix(".json").unlink(),
+        "garbled header": lambda ck: ck.with_suffix(".json").write_text("{not json"),
+        "header not an object": lambda ck: ck.with_suffix(".json").write_text("[]\n"),
+        "unreadable payload": lambda ck: (ck.with_suffix(".raw").unlink(),
+                                          ck.with_suffix(".raw").mkdir()),
+    }
+    for name, damage in damages.items():
+        ck = tmp_path / name.replace(" ", "_")
+        unet.save_checkpoint(ck, params, state, iteration=0, sampler_draws=0)
+        damage(ck)
+        with pytest.raises(unet.CheckpointError):
+            unet.load_checkpoint(ck)
+
+
 def test_checkpoint_with_old_network_keys(tmp_path):
     # headers written while NetworkConfig had these as settings carry them;
     # at the values of this network they load, at any other they are refused

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clseg import volume_io as vio
-
-from brute_force import flood_fill_components
 
 
 def test_zero_volume_payload_is_all_zero_bytes(tmp_path):
@@ -147,62 +149,11 @@ def test_nonisotropic_spacing_accepted():
     assert v.header.spacing_mm == (0.5, 0.7, 1.0)
 
 
-# --- cohort checking -------------------------------------------------------
-
-
-def _write_subject(root, subject_id, dims=(8, 8, 8), cl=None):
-    sdir = root / subject_id
-    sdir.mkdir(parents=True, exist_ok=True)
-    for name in vio.CONTRAST_NAMES:
-        vio.write_volume(
-            vio.make_volume(np.zeros(dims, np.float32), "intensity", subject_id),
-            sdir / name)
-    cl_data = cl if cl is not None else np.zeros(dims, np.uint8)
-    vio.write_volume(vio.make_volume(cl_data, "cl_labels", subject_id), sdir / "cl_labels")
-    vio.write_volume(vio.make_volume(np.ones(dims, np.uint8), "tissue_labels", subject_id),
-                     sdir / "tissue_labels")
-    vio.write_volume(vio.make_volume(np.zeros(dims, np.uint8), "wml_labels", subject_id),
-                     sdir / "wml_labels")
-    return sdir
-
-
-def test_check_cohort_geometry_mismatch(tmp_path):
-    sdir = _write_subject(tmp_path, "s0")
-    vio.write_volume(vio.make_volume(np.zeros((6, 8, 8), np.float32), "intensity", "s0"),
-                     sdir / "mp2rage")
-    with pytest.raises(vio.GeometryMismatchError):
-        vio.check_cohort([sdir])
-
-
-def test_check_cohort_missing_volume(tmp_path):
-    sdir = _write_subject(tmp_path, "s0")
-    (sdir / "t2s_epi.raw").unlink()
-    with pytest.raises(vio.MissingVolumeFileError):
-        vio.check_cohort([sdir])
-
-
-def test_check_cohort_counts_match_flood_fill(tmp_path):
-    # three class-1 blobs and two class-2 blobs, mutually non-adjacent
-    cl = np.zeros((8, 8, 8), np.uint8)
-    cl[0, 0, 0] = 1
-    cl[3, 3, 3:5] = 1
-    cl[6, 0, 0:2] = 1
-    cl[0, 6, 6] = 2
-    cl[6, 6, 0] = 2
-    sdir = _write_subject(tmp_path, "s0", cl=cl)
-    manifest = vio.check_cohort([sdir])
-    oracle = flood_fill_components(cl)
-    assert manifest.subjects[0].lesion_counts == {
-        "leukocortical": sum(1 for c, _ in oracle if c == 1),
-        "subpial_intracortical": sum(1 for c, _ in oracle if c == 2),
-    }
-    assert manifest.subjects[0].lesion_counts == {
-        "leukocortical": 3, "subpial_intracortical": 2}
-    assert manifest.total_lesions == 5
-
-
-def test_check_cohort_many_subjects(tmp_path):
-    dirs = [_write_subject(tmp_path, f"s{i:02d}") for i in range(12)]
-    manifest = vio.check_cohort(dirs)
-    assert len(manifest.subjects) == 12
-    assert manifest.total_lesions == 0
+def test_volume_io_imports_no_other_clseg_module():
+    # the modules whose files volume_io writes import it, so it must import
+    # none of them; a function-local import would hide such a cycle
+    code = "import sys, clseg.volume_io; print(*sorted(m for m in sys.modules if 'clseg' in m))"
+    env = {**os.environ, "PYTHONPATH": str(Path(vio.__file__).parents[1])}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert loaded == ["clseg", "clseg.volume_io"]
