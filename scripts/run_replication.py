@@ -4,7 +4,8 @@ baseline / multitask / multitask_icd over several seeds on 12-subject
 phantom cohorts, score clean and GRE-artifact test sets, and count the
 seeds where (a) the multi-task variant's lesion-wise FPR is at most the
 baseline's and (b) the dropout-trained variant degrades less when a T2*
-channel is zeroed at inference."""
+channel is zeroed at inference. Seeds where a compared run predicted no
+lesion support neither claim and are counted apart."""
 
 import argparse
 import json
@@ -25,10 +26,12 @@ def main():
         args.workdir, seeds=tuple(args.seeds), iterations=args.iterations,
         n_subjects=args.subjects, k=args.k, n_workers=args.workers)
     print(json.dumps({k: v for k, v in res.items() if k != "per_seed"}, indent=2))
-    print(f"(a) multitask LFPR <= baseline LFPR in "
-          f"{res['multitask_lfpr_le_baseline']}/{len(res['seeds'])} seeds")
+    n = len(res["seeds"])
+    print(f"(a) multitask LFPR <= baseline LFPR in {res['multitask_lfpr_le_baseline']}/{n} "
+          f"seeds; {res['multitask_lfpr_no_prediction']} without a prediction to compare")
     print(f"(b) ICD degradation <= multitask degradation in "
-          f"{res['icd_degradation_le_multitask']}/{len(res['seeds'])} seeds")
+          f"{res['icd_degradation_le_multitask']}/{n} seeds; "
+          f"{res['icd_degradation_no_prediction']} without a prediction to compare")
 
 
 if __name__ == "__main__":

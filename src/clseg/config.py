@@ -1,11 +1,11 @@
 """Run configuration: one JSON document drives every pipeline command.
 
-The model variant determines the wiring and must be consistent with the
-rest of the config: the baseline runs the lesion head only (tissue head
-weight zero) with no input-channel dropout, the multitask variant enables
-both heads, and multitask_icd additionally drops T2* channels during
-training. `apply_variant` rewires a config consistently; `validate`
-rejects hand-written contradictions.
+The variant is the one model switch: the baseline trains the lesion head
+only, multitask adds the tissue head, and multitask_icd also drops T2*
+channels in training. `RunConfig.loss` is derived from the variant;
+`validate` requires icd_probability > 0 exactly for multitask_icd, and
+`apply_variant` sets both. Documents written while more was settable load
+to the same run when each removed key holds its one value (`fixed_keys`).
 """
 
 from __future__ import annotations
@@ -16,16 +16,15 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .evaluation import EvalConfig
+from .evaluation import CONNECTIVITY, SIGNIFICANCE_ALPHA, EvalConfig
 from .layers import ContractError
-from .losses import LossConfig
+from .losses import CL_BACKGROUND_WEIGHT, CL_LESION_WEIGHT, CL_WML_WEIGHT, LossConfig
 from .phantom import PhantomSpec
 from .sampling import SamplerConfig
-from .unet import NetworkConfig, drop_fixed_network_keys
+from .unet import FIXED_NETWORK_KEYS, NetworkConfig, drop_fixed_keys
 
 CONFIG_VERSION = 1
 VARIANTS = ("baseline", "multitask", "multitask_icd")
-DEFAULT_ICD_PROBABILITY = 0.5
 
 
 class ConfigError(Exception):
@@ -59,7 +58,6 @@ class RunConfig:
     variant: str = "multitask_icd"
     xval_folds: int = 3
     network: NetworkConfig = field(default_factory=NetworkConfig)
-    loss: LossConfig = field(default_factory=LossConfig)
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
     phantom: PhantomSpec = field(default_factory=PhantomSpec)
@@ -75,7 +73,6 @@ class RunConfig:
             raise ConfigError("xval_folds must be >= 2")
         try:
             self.network.validate()
-            self.loss.validate()
             self.sampler.validate()
             self.eval.validate()
             self.phantom.validate()
@@ -84,33 +81,24 @@ class RunConfig:
             raise
         except Exception as e:
             raise ConfigError(str(e)) from e
-        icd = self.sampler.icd_probability
-        tissue_on = self.loss.tissue_head_enabled
-        if self.variant == "baseline" and (icd > 0 or tissue_on):
-            raise ConfigError(
-                "baseline variant requires icd_probability 0 and tissue head disabled")
-        if self.variant == "multitask" and (icd > 0 or not tissue_on):
-            raise ConfigError(
-                "multitask variant requires icd_probability 0 and tissue head enabled")
-        if self.variant == "multitask_icd" and (icd == 0 or not tissue_on):
-            raise ConfigError(
-                "multitask_icd variant requires icd_probability > 0 and tissue head enabled")
+        icd = self.variant == "multitask_icd"
+        if (self.sampler.icd_probability > 0) != icd:
+            raise ConfigError(f"{self.variant} variant requires icd_probability "
+                              + ("> 0" if icd else "0"))
         return self
 
+    @property
+    def loss(self) -> LossConfig:
+        """The loss wiring the variant implies: the baseline has no tissue head."""
+        return LossConfig(tissue_head_enabled=self.variant != "baseline")
+
     def apply_variant(self, variant: str) -> "RunConfig":
-        """Copy with the variant and its implied wiring set consistently."""
-        if variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
-        icd = self.sampler.icd_probability if self.sampler.icd_probability > 0 \
-            else DEFAULT_ICD_PROBABILITY
-        if variant != "multitask_icd":
-            icd = 0.0
-        return dataclasses.replace(
-            self,
-            variant=variant,
-            loss=dataclasses.replace(self.loss, tissue_head_enabled=variant != "baseline"),
-            sampler=dataclasses.replace(self.sampler, icd_probability=icd),
-        )
+        """Copy with the variant and its input-channel dropout set consistently."""
+        icd = 0.0
+        if variant == "multitask_icd":
+            icd = self.sampler.icd_probability or SamplerConfig.icd_probability  # the default
+        return dataclasses.replace(self, variant=variant,
+                                   sampler=dataclasses.replace(self.sampler, icd_probability=icd))
 
     def with_master_seed(self, seed: int) -> "RunConfig":
         """Override every seed (training, sampler, phantom) at once."""
@@ -136,13 +124,7 @@ def _build(cls, doc: dict, where: str):
     unknown = set(doc) - names
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name in doc:
-            v = doc[f.name]
-            if isinstance(v, list):
-                v = tuple(v)
-            kwargs[f.name] = v
+    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
     try:
         return cls(**kwargs)
     except TypeError as e:
@@ -151,13 +133,27 @@ def _build(cls, doc: dict, where: str):
 
 _SECTIONS = {
     "network": NetworkConfig,
-    "loss": LossConfig,
+    "loss": LossConfig,  # read only to check it: the variant sets the loss
     "sampler": SamplerConfig,
     "eval": EvalConfig,
     "phantom": PhantomSpec,
     "training": TrainingConfig,
     "paths": PathsConfig,
 }
+
+
+def fixed_keys(variant: str) -> dict[str, dict]:
+    """Per section, the keys that older configs carry, each with the one
+    value it now has: for the tissue head, the one `variant` implies."""
+    return {
+        "network": FIXED_NETWORK_KEYS,
+        "loss": {"cl_lesion_weight": CL_LESION_WEIGHT,
+                 "cl_background_weight": CL_BACKGROUND_WEIGHT,
+                 "cl_wml_weight": CL_WML_WEIGHT,
+                 "tissue_head_enabled": RunConfig(variant=variant).loss.tissue_head_enabled},
+        "eval": {"connectivity": CONNECTIVITY, "significance_alpha": SIGNIFICANCE_ALPHA},
+        "phantom": {"epi_banding": False},
+    }
 
 
 def config_from_dict(doc: dict) -> RunConfig:
@@ -168,16 +164,21 @@ def config_from_dict(doc: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown top-level config keys {sorted(unknown)}")
     kwargs = {k: doc[k] for k in scalar_names if k in doc}
+    variant = doc.get("variant", RunConfig.variant)
+    if variant not in VARIANTS:  # named before the loss section it decides
+        raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    fixed = fixed_keys(variant)
     for name, cls in _SECTIONS.items():
         if name in doc:
             section = doc[name]
-            if name == "network" and isinstance(section, dict):
-                # configs written while the network had more settings
+            if name in fixed and isinstance(section, dict):
                 try:
-                    section = drop_fixed_network_keys(section)
+                    section = drop_fixed_keys(section, fixed[name], name)
                 except ContractError as e:
                     raise ConfigError(str(e)) from e
-            kwargs[name] = _build(cls, section, name)
+            built = _build(cls, section, name)
+            if name != "loss":
+                kwargs[name] = built
     return RunConfig(**kwargs).validate()
 
 

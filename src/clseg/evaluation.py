@@ -4,6 +4,9 @@ Wilcoxon signed-rank tests, Bland-Altman agreement, and LTPR-vs-size curves.
 
 Label volumes are numpy arrays indexed [z, y, x] (see volume_io). Lesion
 classes follow the cl_labels codes: 1 leukocortical, 2 subpial/intracortical.
+
+Lesions are 26-connected components (CONNECTIVITY, a constant, as the
+sampler's lesion list and the cohort check share `label_lesions`).
 """
 
 from __future__ import annotations
@@ -20,21 +23,17 @@ from .volume_io import DEFAULT_SPACING_MM, write_csv, write_json
 DEFAULT_MIN_LESION_VOXELS = 6
 SIZE_CURVE_THRESHOLDS = (6, 12, 24, 48)
 EXACT_WILCOXON_MAX_N = 25
+CONNECTIVITY = 26
+SIGNIFICANCE_ALPHA = 0.05
 
 
 @dataclass(frozen=True)
 class EvalConfig:
     min_lesion_voxels: int = DEFAULT_MIN_LESION_VOXELS
-    connectivity: int = 26
-    significance_alpha: float = 0.05
 
     def validate(self) -> None:
         if self.min_lesion_voxels < 1:
             raise ValueError("min_lesion_voxels must be >= 1")
-        if self.connectivity not in (6, 18, 26):
-            raise ValueError("connectivity must be 6, 18, or 26")
-        if not (0.0 < self.significance_alpha < 1.0):
-            raise ValueError("significance_alpha must be in (0, 1)")
 
 
 class WilcoxonError(ValueError):
@@ -49,8 +48,8 @@ class WilcoxonResult:
     method: str                 # "exact" | "normal_approx"
 
 
-def label_lesions(labels: np.ndarray, connectivity: int = 26):
-    """Per-class connected components as one labelled volume.
+def label_lesions(labels: np.ndarray):
+    """Per-class 26-connected components as one labelled volume.
 
     Returns (ids, classes, sizes): ids is an int32 volume, 0 on background
     and k on component k; classes[k] and sizes[k] are the class code and
@@ -61,7 +60,7 @@ def label_lesions(labels: np.ndarray, connectivity: int = 26):
     labels = np.asarray(labels)
     if labels.ndim != 3:
         raise ValueError(f"labels must be 3-D, got shape {labels.shape}")
-    structure = ndimage.generate_binary_structure(3, {6: 1, 18: 2, 26: 3}[connectivity])
+    structure = np.ones((3, 3, 3), dtype=bool)  # 26-connectivity: faces, edges, corners
     at = np.flatnonzero(labels)             # lesion voxels, ascending
     old = np.zeros(at.size, dtype=np.int32)  # per-class ids, offset to be unique
     class_of = [0]
@@ -236,8 +235,8 @@ def evaluate_patient(subject_id: str, ref_labels: np.ndarray, pred_labels: np.nd
     """
     if ref_labels.shape != pred_labels.shape:
         raise ValueError("reference and prediction shapes differ")
-    ref_ids, ref_classes, ref_sizes = label_lesions(ref_labels, cfg.connectivity)
-    pred_ids, pred_classes, pred_sizes = label_lesions(pred_labels, cfg.connectivity)
+    ref_ids, ref_classes, ref_sizes = label_lesions(ref_labels)
+    pred_ids, pred_classes, pred_sizes = label_lesions(pred_labels)
     n_ref_ids, n_pred_ids = len(ref_sizes), len(pred_sizes)
     ref_types = _ref_types(ref_ids, n_ref_ids, lesion_records)
     voxel_ul = float(np.prod(spacing_mm))
@@ -354,8 +353,8 @@ def build_report(model_patients: dict[str, list[PatientEval]],
         raise ValueError(f"models cover different cohorts: {coverages}")
 
     report: dict = {"min_lesion_voxels": cfg.min_lesion_voxels,
-                    "connectivity": cfg.connectivity,
-                    "significance_alpha": cfg.significance_alpha,
+                    "connectivity": CONNECTIVITY,
+                    "significance_alpha": SIGNIFICANCE_ALPHA,
                     "models": {}, "wilcoxon": []}
     for name, pats in model_patients.items():
         report["models"][name] = {
@@ -383,7 +382,7 @@ def build_report(model_patients: dict[str, list[PatientEval]],
                         "w_statistic": res.w_statistic,
                         "p_two_sided": res.p_two_sided,
                         "method": res.method,
-                        "significant": bool(res.p_two_sided < cfg.significance_alpha),
+                        "significant": bool(res.p_two_sided < SIGNIFICANCE_ALPHA),
                         "note": "",
                     })
                 except WilcoxonError as e:

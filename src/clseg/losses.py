@@ -1,9 +1,10 @@
 """Voxel-wise weight maps and the weighted cross-entropy loss.
 
-The lesion head weights lesion voxels 15, background 1 and white-matter
-lesion voxels 0 (so segmenting a WML is never penalized); the tissue head
-zeroes every lesion voxel. Each head's loss is normalized by its weight
-sum, and the two head losses are combined by arithmetic mean.
+The lesion head's weights are constants: lesion voxels 15, background 1,
+white-matter lesion voxels 0 (so segmenting a WML is never penalized); the
+tissue head zeroes every lesion voxel, and the variant decides whether it
+trains (LossConfig). Each head's loss is normalized by its weight sum, and
+the two head losses are combined by arithmetic mean.
 """
 
 from __future__ import annotations
@@ -15,36 +16,28 @@ import numpy as np
 from .layers import ContractError
 
 LOG_FLOOR = 1e-12  # single-precision safety clamp inside the log
+CL_LESION_WEIGHT = 15.0
+CL_BACKGROUND_WEIGHT = 1.0
+CL_WML_WEIGHT = 0.0
 
 
 @dataclass(frozen=True)
 class LossConfig:
-    cl_lesion_weight: float = 15.0
-    cl_background_weight: float = 1.0
-    cl_wml_weight: float = 0.0
     tissue_head_enabled: bool = True  # baseline variant turns the tissue head off
 
-    def validate(self) -> None:
-        if min(self.cl_lesion_weight, self.cl_background_weight, self.cl_wml_weight) < 0:
-            raise ValueError("loss weights must be nonnegative")
-        if self.cl_lesion_weight <= self.cl_background_weight:
-            raise ValueError("lesion weight must exceed background weight")
 
-
-def build_cl_weight_map(cl_labels: np.ndarray, wml_labels: np.ndarray,
-                        cfg: LossConfig = LossConfig()) -> np.ndarray:
+def build_cl_weight_map(cl_labels: np.ndarray, wml_labels: np.ndarray) -> np.ndarray:
     """Lesion-head weights: lesion voxels 15, WML-only voxels 0, else 1.
     A voxel marked both CL and WML takes the CL weight."""
     if cl_labels.shape != wml_labels.shape:
         raise ContractError("cl and wml label crops must be congruent")
-    w = np.full(cl_labels.shape, cfg.cl_background_weight, dtype=np.float32)
-    w[wml_labels == 1] = cfg.cl_wml_weight
-    w[cl_labels != 0] = cfg.cl_lesion_weight
+    w = np.full(cl_labels.shape, CL_BACKGROUND_WEIGHT, dtype=np.float32)
+    w[wml_labels == 1] = CL_WML_WEIGHT
+    w[cl_labels != 0] = CL_LESION_WEIGHT
     return w
 
 
-def build_tissue_weight_map(cl_labels: np.ndarray, wml_labels: np.ndarray,
-                            cfg: LossConfig = LossConfig()) -> np.ndarray:
+def build_tissue_weight_map(cl_labels: np.ndarray, wml_labels: np.ndarray) -> np.ndarray:
     """Tissue-head weights: 0 on any lesion voxel (CL or WML), 1 elsewhere."""
     if cl_labels.shape != wml_labels.shape:
         raise ContractError("cl and wml label crops must be congruent")
@@ -93,8 +86,8 @@ def combined_loss(cl_probs: np.ndarray, tissue_probs: np.ndarray,
 
     Returns (total, (cl_loss, tissue_loss), (grad_cl_logits, grad_tissue_logits)).
     """
-    cl_w = build_cl_weight_map(cl_labels, wml_labels, cfg)
-    tissue_w = build_tissue_weight_map(cl_labels, wml_labels, cfg)
+    cl_w = build_cl_weight_map(cl_labels, wml_labels)
+    tissue_w = build_tissue_weight_map(cl_labels, wml_labels)
     if not cfg.tissue_head_enabled:
         tissue_w = np.zeros_like(tissue_w)
     cl_loss, g_cl = weighted_cross_entropy(cl_probs, cl_labels, cl_w)

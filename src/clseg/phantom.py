@@ -4,7 +4,8 @@ Each subject is a smoothed ellipsoid brain with a gray-matter shell of
 uniform voxel thickness over a white-matter core, three intensity
 contrasts with per-tissue means, planted cortical lesions of four
 geometric types, white-matter lesions, Gaussian noise inside the brain
-(background stays exactly zero), and two optional artifact modes.
+(background stays exactly zero), and one optional artifact: a GRE chunk
+zeroed out.
 
 Lesion types and their geometric contracts:
     type 1 (leukocortical)        straddles the GM/WM interface: the
@@ -28,6 +29,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import volume_io
+from .evaluation import DEFAULT_MIN_LESION_VOXELS
 from .volume_io import (CONTRAST_NAMES, DEFAULT_SPACING_MM, TISSUE_GM,
                         TISSUE_WM, make_volume, write_volume)
 
@@ -83,7 +85,6 @@ class PhantomSpec:
     wml_count: int = 2
     noise_sigma: tuple[float, float, float] = (0.02, 0.03, 0.03)
     gre_missing_chunk: bool = False
-    epi_banding: bool = False
     n_subjects: int = 12
     seed: int = 0
 
@@ -94,8 +95,9 @@ class PhantomSpec:
             raise PhantomError("cortex thickness must be >= 3 voxels")
         if min(self.lesion_counts) < 0 or self.wml_count < 0:
             raise PhantomError("lesion counts must be nonnegative")
-        if self.lesion_size_range[0] < 6:
-            raise PhantomError("minimum lesion size is 6 voxels (the evaluation floor)")
+        if self.lesion_size_range[0] < DEFAULT_MIN_LESION_VOXELS:
+            raise PhantomError(
+                f"minimum lesion size is the evaluation floor, {DEFAULT_MIN_LESION_VOXELS} voxels")
         if self.n_subjects < 1:
             raise PhantomError("n_subjects must be >= 1")
 
@@ -213,7 +215,7 @@ def inject_lesions(tissue: np.ndarray, spec: PhantomSpec, rng: np.random.Generat
             if blob is None or (blob & occupied_dil).any():
                 continue
             size = int(blob.sum())
-            if size < max(6, lo_sz):
+            if size < lo_sz:
                 continue
             if lesion_type == 1 and not ((blob & gm).any() and (blob & wm).any()):
                 continue
@@ -291,41 +293,27 @@ def _render_contrasts(tissue, cl, wml, spec: PhantomSpec, rng: np.random.Generat
 
 def apply_artifacts(volumes: dict[str, np.ndarray], spec: PhantomSpec,
                     rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """GRE missing chunk and/or EPI banding; labels are never touched.
+    """GRE missing chunk; labels and the other contrasts are never touched.
 
-    The rng is consumed identically whether or not each flag is set, so a
-    spec differing only in artifact flags yields an identical subject
+    `rng` is the artifact stream, which nothing else draws from, so a spec
+    differing only in gre_missing_chunk yields an identical subject
     otherwise (used to build clean/artifacted twin cohorts).
     """
-    volumes = dict(volumes)
+    if not spec.gre_missing_chunk:
+        return volumes
     brain = volumes["tissue_labels"] != 0
-
     axis = int(rng.integers(3))
     high_side = bool(rng.integers(2))
     frac = float(rng.uniform(0.05, 0.15))
-    if spec.gre_missing_chunk:
-        per_plane = brain.sum(axis=tuple(a for a in range(3) if a != axis))
-        cum = np.cumsum(per_plane[::-1] if high_side else per_plane)
-        total = int(cum[-1])
-        n_planes = int(np.searchsorted(cum, frac * total) + 1)
-        gre = volumes["t2s_gre"].copy()
-        sl = [slice(None)] * 3
-        sl[axis] = slice(-n_planes, None) if high_side else slice(0, n_planes)
-        gre[tuple(sl)] = 0.0
-        volumes["t2s_gre"] = gre
-
-    axis_b = int(rng.integers(3))
-    cycles = float(rng.uniform(2.0, 6.0))
-    phase = float(rng.uniform(0.0, 2 * np.pi))
-    amp = float(rng.uniform(0.10, 0.30))
-    if spec.epi_banding:
-        n = volumes["t2s_epi"].shape[axis_b]
-        field = 1.0 + amp * np.sin(2 * np.pi * cycles * np.arange(n) / n + phase)
-        shape = [1, 1, 1]
-        shape[axis_b] = n
-        volumes["t2s_epi"] = (volumes["t2s_epi"]
-                              * field.reshape(shape).astype(np.float32))
-    return volumes
+    per_plane = brain.sum(axis=tuple(a for a in range(3) if a != axis))
+    cum = np.cumsum(per_plane[::-1] if high_side else per_plane)
+    total = int(cum[-1])
+    n_planes = int(np.searchsorted(cum, frac * total) + 1)
+    gre = volumes["t2s_gre"].copy()
+    sl = [slice(None)] * 3
+    sl[axis] = slice(-n_planes, None) if high_side else slice(0, n_planes)
+    gre[tuple(sl)] = 0.0
+    return {**volumes, "t2s_gre": gre}
 
 
 def generate_subject(spec: PhantomSpec, subject_seed: int):

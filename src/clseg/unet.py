@@ -92,7 +92,7 @@ class NetworkConfig:
 
 # Network keys that checkpoint headers carried while the network had them
 # as settings, with the one value this network has for each.
-_FIXED_NETWORK_KEYS = {
+FIXED_NETWORK_KEYS = {
     "in_channels": len(CONTRAST_NAMES),
     "levels": 3,
     "cl_classes": len(LABEL_CODES["cl_labels"]),
@@ -101,14 +101,13 @@ _FIXED_NETWORK_KEYS = {
 }
 
 
-def drop_fixed_network_keys(doc: dict) -> dict:
-    """`doc`, a network section of a config or checkpoint header, without
-    the keys of _FIXED_NETWORK_KEYS. Raises ContractError naming the first
-    of them whose value is not the one this network has."""
-    for key, fixed in _FIXED_NETWORK_KEYS.items():
-        if key in doc and doc[key] != fixed:
-            raise ContractError(f"network {key}={doc[key]!r}; this network has {key}={fixed!r}")
-    return {k: v for k, v in doc.items() if k not in _FIXED_NETWORK_KEYS}
+def drop_fixed_keys(doc: dict, fixed: dict, section: str) -> dict:
+    """`doc`, a config or checkpoint header section, without the keys of
+    `fixed` (config.fixed_keys); ContractError names one at another value."""
+    for key, value in fixed.items():
+        if key in doc and doc[key] != value:
+            raise ContractError(f"{section} {key}={doc[key]!r}; this version has {key}={value!r}")
+    return {k: v for k, v in doc.items() if k not in fixed}
 
 
 def output_shape(input_side: int) -> int:
@@ -602,7 +601,7 @@ def load_checkpoint(path: str | Path):
     Raises CheckpointError when either file is missing or unreadable, the
     header is malformed, or the payload size disagrees with the header, and
     CheckpointMismatchError when the header's network is not this one. A
-    header may carry the keys of _FIXED_NETWORK_KEYS at their fixed values.
+    header may carry the keys of FIXED_NETWORK_KEYS at their fixed values.
     """
     try:
         header, raw = volume_io.read_record(path)
@@ -611,7 +610,7 @@ def load_checkpoint(path: str | Path):
     if header.get("format") != "clseg-checkpoint-v1":
         raise CheckpointError(f"not a checkpoint: {path}")
     try:
-        doc = drop_fixed_network_keys(header["config"])
+        doc = drop_fixed_keys(header["config"], FIXED_NETWORK_KEYS, "network")
         cfg = NetworkConfig(**doc)
         order = header["payload_order"]
         shapes = param_shapes(cfg)

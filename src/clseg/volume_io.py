@@ -24,6 +24,7 @@ order.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -148,10 +149,16 @@ def make_volume(data: np.ndarray, kind: str, subject_id: str = "",
 
 
 def write_atomic(path: Path, data: bytes) -> None:
-    """Readers see the old file or the whole new one, never a partial write."""
+    """Readers see the old file or the whole new one, never a partial write. A
+    failed write removes its `<name>.tmp`; a kill mid-write can leave it."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # the first error is the one to report
+            tmp.unlink()
+        raise
 
 
 def write_json(path: str | Path, doc) -> None:

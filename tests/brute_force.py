@@ -143,23 +143,12 @@ def rotate_window_reference(vol: np.ndarray, center, rot: np.ndarray, side: int,
     return out.reshape((side,) * 3)
 
 
-def _neighbors(connectivity: int):
-    offs = [d for d in itertools.product((-1, 0, 1), repeat=3) if any(d)]
-    if connectivity == 26:
-        return offs
-    if connectivity == 6:
-        return [d for d in offs if sum(map(abs, d)) == 1]
-    if connectivity == 18:
-        return [d for d in offs if sum(map(abs, d)) <= 2]
-    raise ValueError(connectivity)
-
-
-def flood_fill_components(labels: np.ndarray, connectivity: int = 26):
-    """Stack-based flood fill; returns a list of (class, voxel set) sorted by
-    the minimum x-fastest linear index of each component."""
+def flood_fill_components(labels: np.ndarray):
+    """Stack-based 26-connected flood fill; returns a list of (class, voxel
+    set) sorted by the minimum x-fastest linear index of each component."""
     labels = np.asarray(labels)
     nz, ny, nx = labels.shape
-    offsets = _neighbors(connectivity)
+    offsets = [d for d in itertools.product((-1, 0, 1), repeat=3) if any(d)]
     seen = np.zeros(labels.shape, dtype=bool)
     comps = []
     for z in range(nz):

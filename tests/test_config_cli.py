@@ -8,6 +8,7 @@ import pytest
 from clseg import volume_io as vio
 from clseg.cli import main
 from clseg.config import ConfigError, RunConfig, config_from_dict, load_config
+from clseg.losses import LossConfig
 from clseg.phantom import generate_cohort
 
 from conftest import TINY_SPEC
@@ -41,6 +42,8 @@ def test_unknown_keys_rejected():
         config_from_dict({"nonsense": 1})
     with pytest.raises(ConfigError, match="unknown"):
         config_from_dict({"network": {"bogus_field": 2}})
+    with pytest.raises(ConfigError, match="loss: unknown keys"):
+        config_from_dict({"loss": {"tissue_head_enabled": True, "bogus_field": 2}})
 
 
 def test_old_network_keys_load_at_their_fixed_values(tmp_path, tiny_cohort):
@@ -65,26 +68,101 @@ def test_old_network_keys_load_at_their_fixed_values(tmp_path, tiny_cohort):
     assert main(["train", "--config", str(path)]) == 1
 
 
+def test_settable_config_keys():
+    # a new setting has to be added here, on purpose
+    doc = RunConfig().to_dict()
+    keys = sorted(f"{name}.{key}" if isinstance(value, dict) else name
+                  for name, value in doc.items()
+                  for key in (value if isinstance(value, dict) else [None]))
+    assert keys == sorted([
+        "version", "variant", "xval_folds",
+        "network.base_channels", "network.input_patch",
+        "sampler.lesion_fraction", "sampler.jitter_voxels", "sampler.rotation_max_deg",
+        "sampler.flip_probability", "sampler.icd_probability", "sampler.seed",
+        "eval.min_lesion_voxels",
+        "phantom.side_voxels", "phantom.spacing_mm", "phantom.cortex_thickness_voxels",
+        "phantom.lesion_counts", "phantom.lesion_size_range", "phantom.wml_count",
+        "phantom.noise_sigma", "phantom.gre_missing_chunk", "phantom.n_subjects",
+        "phantom.seed",
+        "training.iterations", "training.checkpoint_every", "training.batch_size",
+        "training.learning_rate", "training.seed",
+        "paths.cohort_dir", "paths.out_dir",
+    ])
+    assert len(keys) == 29
+
+
+# A baseline config as written while the loss weights, the tissue head, the
+# evaluation connectivity and significance level and EPI banding were settings
+OLD_BASELINE_DOC = {
+    "version": 1, "variant": "baseline", "xval_folds": 3,
+    "network": {"base_channels": 16, "input_patch": 68},
+    "loss": {"cl_lesion_weight": 15.0, "cl_background_weight": 1.0, "cl_wml_weight": 0.0,
+             "tissue_head_enabled": False},
+    "sampler": {"lesion_fraction": 0.5, "jitter_voxels": 8, "rotation_max_deg": 180.0,
+                "flip_probability": 0.5, "icd_probability": 0.0, "seed": 0},
+    "eval": {"min_lesion_voxels": 6, "connectivity": 26, "significance_alpha": 0.05},
+    "phantom": {"side_voxels": 96, "spacing_mm": [0.5, 0.5, 0.5],
+                "cortex_thickness_voxels": 5, "lesion_counts": [5, 1, 5, 1],
+                "lesion_size_range": [6, 200], "wml_count": 2,
+                "noise_sigma": [0.02, 0.03, 0.03], "gre_missing_chunk": False,
+                "epi_banding": False, "n_subjects": 12, "seed": 0},
+    "training": {"iterations": 2000, "checkpoint_every": 500, "batch_size": 1,
+                 "learning_rate": 0.0001, "seed": 0},
+    "paths": {"cohort_dir": "cohort", "out_dir": "out"},
+}
+
+
+def test_old_config_keys_load_at_their_fixed_values(tmp_path):
+    want = RunConfig().apply_variant("baseline")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(OLD_BASELINE_DOC), encoding="utf-8")
+    loaded = load_config(path)
+    assert loaded == want and loaded.config_hash() == want.config_hash()
+    assert not loaded.loss.tissue_head_enabled
+    # a misspelt variant is named as such, not as a wrong tissue head
+    with pytest.raises(ConfigError, match="variant must be one of"):
+        config_from_dict({**OLD_BASELINE_DOC, "variant": "Baseline"})
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("loss", "cl_lesion_weight", 10.0),
+    ("loss", "cl_background_weight", 2.0),
+    ("loss", "cl_wml_weight", 0.5),
+    ("loss", "tissue_head_enabled", True),   # the baseline has no tissue head
+    ("eval", "significance_alpha", 0.01),
+    ("phantom", "epi_banding", True),
+    ("eval", "connectivity", 6),
+], ids=lambda v: str(v))
+def test_old_config_keys_at_other_values_exit_1(tmp_path, capsys, section, key, value):
+    doc = json.loads(json.dumps(OLD_BASELINE_DOC))
+    doc[section][key] = value
+    doc["paths"] = {"cohort_dir": str(tmp_path / "cohort"), "out_dir": str(tmp_path / "out")}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "--config", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and f"{key}={value!r}" in err[0]
+
+
 def test_version_mismatch_rejected():
     with pytest.raises(ConfigError, match="version"):
         config_from_dict({"version": 99})
 
 
 def test_variant_wiring_validation():
+    # icd_probability > 0 exactly for multitask_icd; the loss follows the variant
     base = RunConfig()
-    with pytest.raises(ConfigError, match="baseline"):
-        dataclasses.replace(base, variant="baseline").validate()  # icd still 0.5
-    bad = dataclasses.replace(
-        base, variant="baseline",
-        loss=dataclasses.replace(base.loss, tissue_head_enabled=False),
-        sampler=dataclasses.replace(base.sampler, icd_probability=0.3))
-    with pytest.raises(ConfigError, match="baseline"):
-        bad.validate()
+    no_icd = dataclasses.replace(base.sampler, icd_probability=0.0)
+    for variant in ("baseline", "multitask"):
+        with pytest.raises(ConfigError, match=f"{variant} variant"):
+            dataclasses.replace(base, variant=variant).validate()  # icd still 0.5
+        cfg = dataclasses.replace(base, variant=variant, sampler=no_icd).validate()
+        assert cfg.loss == LossConfig(tissue_head_enabled=variant != "baseline")
     with pytest.raises(ConfigError, match="multitask_icd"):
-        dataclasses.replace(
-            base, variant="multitask_icd",
-            sampler=dataclasses.replace(base.sampler, icd_probability=0.0)).validate()
+        dataclasses.replace(base, variant="multitask_icd", sampler=no_icd).validate()
     assert base.validate() is base
+    assert base.loss == LossConfig(tissue_head_enabled=True)
 
 
 def test_apply_variant_rewires():

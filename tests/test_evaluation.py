@@ -19,12 +19,12 @@ def _random_labels(shape=(16, 16, 16), density=0.2, classes=(1, 2), seed=0):
 # --- connected components ----------------------------------------------------
 
 
-def _assert_labels_match_flood_fill(lab, connectivity=26):
+def _assert_labels_match_flood_fill(lab):
     """label_lesions(lab) against the flood-fill oracle: component k is the
     oracle's k-th component (both ordered by first voxel), with its class
     and size; entry 0 is the background."""
-    ids, classes, sizes = ev.label_lesions(lab, connectivity)
-    oracle = flood_fill_components(lab, connectivity)
+    ids, classes, sizes = ev.label_lesions(lab)
+    oracle = flood_fill_components(lab)
     assert ids.dtype == np.int32 and ids.shape == lab.shape
     assert len(classes) == len(sizes) == len(oracle) + 1
     assert classes[0] == 0 and sizes[0] == int((lab == 0).sum())
@@ -53,8 +53,7 @@ def test_corner_touch_merges_under_26():
     lab = np.zeros((4, 4, 4), np.uint8)
     lab[0, 0, 0] = 1
     lab[1, 1, 1] = 1
-    assert len(_assert_labels_match_flood_fill(lab, connectivity=26)[1]) == 1 + 1
-    assert len(_assert_labels_match_flood_fill(lab, connectivity=6)[1]) == 1 + 2
+    assert len(_assert_labels_match_flood_fill(lab)[1]) == 1 + 1
 
 
 def test_components_never_span_classes():
@@ -104,7 +103,7 @@ def test_volume_ul_at_half_mm():
 @pytest.mark.parametrize("seed", range(25))
 def test_components_match_flood_fill_oracle(seed):
     lab = _random_labels(density=0.15 + 0.03 * (seed % 5), seed=seed)
-    _assert_labels_match_flood_fill(lab, connectivity=(26, 18, 6)[seed % 3])
+    _assert_labels_match_flood_fill(lab)
 
 
 # --- size filter ---------------------------------------------------------------

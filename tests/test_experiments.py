@@ -3,7 +3,7 @@ import json
 from clseg import pipeline
 from clseg.blas import blas_threads
 from clseg.config import VARIANTS
-from clseg.experiments import icd_robustness_experiment, worker_pool
+from clseg.experiments import count_claims, icd_robustness_experiment, worker_pool
 
 from conftest import TINY_SPEC
 
@@ -64,3 +64,39 @@ def test_pool_workers_run_one_blas_thread():
     with worker_pool(2) as pool:
         assert [f.result() for f in [pool.submit(blas_threads) for _ in range(4)]] == [1] * 4
     assert blas_threads() == before
+
+
+def _seed_row(baseline_clean, multitask_clean, multitask_drop, icd_drop):
+    """A per_seed row. The clean runs of the baseline and multitask are given
+    as (lfpr, n_pred), the artifact runs of multitask and multitask_icd as
+    (ltpr without the drop, ltpr with a T2* channel dropped, n_pred with it)."""
+    def run(ltpr, lfpr, n_pred):
+        return {"ltpr": ltpr, "lfpr": lfpr, "n_pred": n_pred}
+
+    def variant(clean, drop):
+        full_ltpr, drop_ltpr, drop_n_pred = drop
+        return {"clean": run(0.5, *clean), "artifact_full": run(full_ltpr, 0.2, 5),
+                "artifact_drop": run(drop_ltpr, 0.2, drop_n_pred)}
+
+    return {"variants": {"baseline": variant(baseline_clean, (0.5, 0.5, 5)),
+                         "multitask": variant(multitask_clean, multitask_drop),
+                         "multitask_icd": variant((0.3, 5), icd_drop)}}
+
+
+def test_count_claims_sets_empty_predictions_apart():
+    per_seed = [
+        # both claims hold
+        _seed_row((0.4, 5), (0.3, 5), (0.8, 0.4, 5), (0.8, 0.6, 5)),
+        # both fail
+        _seed_row((0.2, 5), (0.3, 5), (0.8, 0.7, 5), (0.8, 0.4, 5)),
+        # multitask predicts nothing on clean (LFPR 0 by convention) and
+        # multitask_icd nothing with the channel dropped (LTPR 0): neither is
+        # a win, however the numbers compare
+        _seed_row((0.4, 5), (0.0, 0), (0.8, 0.4, 5), (0.0, 0.0, 0)),
+        # the baseline predicts nothing on clean; multitask nothing when dropped
+        _seed_row((0.0, 0), (0.3, 5), (0.0, 0.0, 0), (0.8, 0.6, 5)),
+    ]
+    assert count_claims(per_seed) == {
+        "multitask_lfpr_le_baseline": 1, "multitask_lfpr_no_prediction": 2,
+        "icd_degradation_le_multitask": 1, "icd_degradation_no_prediction": 2,
+    }

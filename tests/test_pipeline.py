@@ -25,8 +25,6 @@ def _cfg(cohort_dir, out_dir, iterations=4, variant="multitask_icd", **tr):
         network=dataclasses.replace(RunConfig().network, base_channels=2, input_patch=44),
         sampler=dataclasses.replace(RunConfig().sampler, jitter_voxels=2, seed=5,
                                     icd_probability=0.5 if variant == "multitask_icd" else 0.0),
-        loss=dataclasses.replace(RunConfig().loss,
-                                 tissue_head_enabled=variant != "baseline"),
         phantom=TINY_SPEC,
         training=dataclasses.replace(RunConfig().training, iterations=iterations,
                                      checkpoint_every=2, seed=5, **tr),
@@ -262,7 +260,8 @@ def _write_report(out_dir):
 @pytest.mark.parametrize("document", ["folds.json", "report.json", "table1.csv",
                                       "cohort_manifest.json"])
 def test_failed_replace_keeps_previous_document(tmp_path, xval_cohort, monkeypatch, document):
-    # a run killed while it writes a document leaves the previous one whole
+    # a run killed while it writes a document leaves the previous one whole,
+    # and a write that fails leaves no temporary file beside it
     writers = {
         "folds.json": lambda: pipeline.run_xval(
             dataclasses.replace(_cfg(xval_cohort, tmp_path), xval_folds=2), tmp_path),
@@ -283,6 +282,7 @@ def test_failed_replace_keeps_previous_document(tmp_path, xval_cohort, monkeypat
     with pytest.raises(OSError, match="injected failure"):
         writers[document]()
     assert (tmp_path / document).read_bytes() == previous
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_evaluate_predictions_coverage_mismatch(tmp_path, xval_cohort):
