@@ -8,11 +8,13 @@ inference). It reports directional comparisons: the multi-task variant's
 lesion-wise FPR against the baseline's, and the dropout-trained variant's
 LTPR degradation under channel loss against the plain multi-task one.
 
-Every (variant, fold) job runs `pipeline.run_fold` in a process pool and
-writes its own directory; all variants see the same fold split. Each pool
-worker runs numpy's bundled OpenBLAS at one thread, so the workers do not
-oversubscribe the cores. Results are byte-deterministic in (config, seeds)
-for a fixed BLAS thread count.
+Every seed's cohorts are generated first. Then every (seed, variant, fold)
+job runs `pipeline.run_fold` in one process pool, so no core idles while a
+seed's last jobs finish. Each job writes its own directory; all variants of
+a seed see the same fold split. Each pool worker runs numpy's bundled
+OpenBLAS at one thread, so the workers do not oversubscribe the cores.
+Results are byte-deterministic in (config, seeds) for a fixed BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def icd_robustness_experiment(workdir: str | Path, seeds=(0, 1, 2),
     """Cross-validated three-variant comparison over seeds; see module doc."""
     workdir = Path(workdir)
     t0 = time.time()
-    per_seed = []
+    splits = {}  # seed -> (subject ids, folds, test sets)
     for seed in seeds:
         sdir = workdir / f"seed_{seed}"
         clean_dir = sdir / "cohort"
@@ -82,16 +84,18 @@ def icd_robustness_experiment(workdir: str | Path, seeds=(0, 1, 2),
         generate_cohort(dataclasses.replace(phantom, gre_missing_chunk=True),
                         n_subjects, art_dir, seed=seed)
         ids = discover_subjects(clean_dir)
-        folds = make_fold_split(ids, k, seed)
-        test_sets = {"pred_clean": (clean_dir, None),
-                     "pred_art_full": (art_dir, None),
-                     "pred_art_drop": (art_dir, "t2s_gre")}
+        splits[seed] = (ids, make_fold_split(ids, k, seed),
+                        {"pred_clean": (clean_dir, None),
+                         "pred_art_full": (art_dir, None),
+                         "pred_art_drop": (art_dir, "t2s_gre")})
 
-        with worker_pool(n_workers) as pool:
-            jobs = []
+    with worker_pool(n_workers) as pool:
+        jobs = []
+        for seed, (ids, folds, test_sets) in splits.items():
+            sdir = workdir / f"seed_{seed}"
             for vi, variant in enumerate(VARIANTS):
                 vdir = sdir / variant
-                cfg = _desk_config(clean_dir, vdir, variant, iterations,
+                cfg = _desk_config(sdir / "cohort", vdir, variant, iterations,
                                    derive_seed(seed, vi),
                                    base_channels=base_channels, input_patch=input_patch,
                                    learning_rate=learning_rate)
@@ -99,9 +103,13 @@ def icd_robustness_experiment(workdir: str | Path, seeds=(0, 1, 2),
                     train_ids = sorted(set(ids) - set(test_ids))
                     jobs.append(pool.submit(run_fold, cfg, fi, train_ids, test_ids,
                                             vdir, test_sets))
-            for job in jobs:
-                job.result()
+        for job in jobs:
+            job.result()
 
+    per_seed = []
+    for seed in seeds:
+        sdir = workdir / f"seed_{seed}"
+        test_sets = splits[seed][2]
         row = {"seed": seed, "variants": {}}
         for variant in VARIANTS:
             row["variants"][variant] = {

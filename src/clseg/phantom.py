@@ -18,6 +18,11 @@ Lesion types and their geometric contracts:
 Types 2-4 map to lesion class 2, type 1 to class 1. Planted lesions are
 pairwise non-adjacent (26-connectivity), so connected-component analysis
 recovers exactly the planted records.
+
+Placement is local to each blob: a candidate is built, labelled and checked
+inside its own bounding box, and its 1-voxel occupancy halo is dilated in
+that box grown by one voxel. The whole-volume masks (tissue classes, their
+dilations, the seed coordinates of each pool) are built once per subject.
 """
 
 from __future__ import annotations
@@ -128,28 +133,46 @@ def _make_tissue(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
 _FULL = np.ones((3, 3, 3), dtype=bool)
 
 
-def _ellipsoid_blob(shape, seed_voxel, radii, allowed, rng) -> np.ndarray | None:
-    """Random-orientation ellipsoid around seed_voxel, clipped to `allowed`.
-    Returns a boolean mask over the full volume, or None if empty."""
+def _dilate(mask: np.ndarray, r: int) -> np.ndarray:
+    """`r` iterations of the 3x3x3 binary dilation as one (2r+1)^3 maximum
+    filter; voxels beyond the volume faces count as False."""
+    return ndimage.maximum_filter(mask, size=2 * r + 1, mode="constant")
+
+
+def _ellipsoid_blob(shape, seed_voxel, radii, allowed,
+                    rng) -> tuple[tuple[slice, ...], np.ndarray] | None:
+    """Random-orientation ellipsoid around seed_voxel, clipped to `allowed`
+    and to the seed's connected piece. Returns (box, mask): the bounding
+    slices of the ellipsoid within the volume and the mask inside them
+    (zero outside), or None if the seed is not allowed."""
     r = np.asarray(radii, dtype=float)
     ext = int(np.ceil(r.max())) + 1
     lo = np.maximum(np.asarray(seed_voxel) - ext, 0)
     hi = np.minimum(np.asarray(seed_voxel) + ext + 1, shape)
+    box = tuple(slice(lo[a], hi[a]) for a in range(3))
     grids = np.meshgrid(*(np.arange(lo[a], hi[a]) for a in range(3)), indexing="ij")
     rel = np.stack([g - seed_voxel[a] for a, g in enumerate(grids)])
     # random rotation from QR keeps blob orientation varied
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     rot = np.einsum("ab,bzyx->azyx", q, rel.astype(float))
-    inside = ((rot / r[:, None, None, None]) ** 2).sum(axis=0) <= 1.0
-    mask = np.zeros(shape, dtype=bool)
-    mask[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = inside
-    mask &= allowed
-    if not mask[tuple(seed_voxel)]:
+    mask = ((rot / r[:, None, None, None]) ** 2).sum(axis=0) <= 1.0
+    mask &= allowed[box]
+    seed_local = tuple(np.asarray(seed_voxel) - lo)
+    if not mask[seed_local]:
         return None
     # keep only the piece connected to the seed
     lab, _ = ndimage.label(mask, structure=_FULL)
-    mask = lab == lab[tuple(seed_voxel)]
-    return mask if mask.any() else None
+    return box, lab == lab[seed_local]
+
+
+def _mark_halo(occupied: np.ndarray, box, blob: np.ndarray) -> None:
+    """OR the 3x3x3 dilation of `blob` (the mask inside `box`) into
+    `occupied`, dilating only within the box grown by one voxel per side."""
+    # numpy clips a stop beyond the volume face; a negative start would wrap
+    grown = tuple(slice(max(s.start - 1, 0), s.stop + 1) for s in box)
+    region = np.zeros(occupied[grown].shape, dtype=bool)
+    region[tuple(slice(s.start - g.start, s.stop - g.start) for s, g in zip(box, grown))] = blob
+    occupied[grown] |= _dilate(region, 1)
 
 
 def _radii_for_size(target: int, flatten_axis: int | None, max_flat: float,
@@ -171,62 +194,60 @@ def inject_lesions(tissue: np.ndarray, spec: PhantomSpec, rng: np.random.Generat
     brain = tissue != 0
     gm = tissue == TISSUE_GM
     wm = tissue == TISSUE_WM
-    bg_adjacent = ndimage.binary_dilation(~brain, structure=_FULL)
-    gm_adjacent = ndimage.binary_dilation(gm, structure=_FULL)
+    bg_adjacent = _dilate(~brain, 1)
+    gm_adjacent = _dilate(gm, 1)
 
     pial_gm = gm & bg_adjacent                      # GM touching background
     safe_gm = gm & ~bg_adjacent                     # GM not touching background
     interface_wm = wm & gm_adjacent                 # WM touching GM
-    deep_wm = wm & ~ndimage.binary_dilation(gm_adjacent, structure=_FULL, iterations=2)
-    juxta_wm = wm & ndimage.binary_dilation(gm, structure=_FULL, iterations=2)
+    deep_wm = wm & ~_dilate(gm_adjacent, 2)
+    juxta_wm = wm & _dilate(gm, 2)
 
     cl = np.zeros(shape, dtype=np.uint8)
     wml = np.zeros(shape, dtype=np.uint8)
     occupied_dil = np.zeros(shape, dtype=bool)  # 1-voxel halo keeps lesions non-adjacent
     records: list[dict] = []
 
-    def seeds_of(mask):
-        coords = np.argwhere(mask)
-        if len(coords) == 0:
-            raise PhantomError("no candidate seed voxels for a lesion type")
-        return coords
-
-    def place(lesion_type: int) -> dict:
-        nonlocal occupied_dil
+    def place(lesion_type: int, coords: np.ndarray) -> dict:
         lo_sz, hi_sz = spec.lesion_size_range
         for _ in range(_PLACEMENT_RETRIES):
             # log-uniform sizes so small lesions dominate, as in real cohorts
             target = int(np.exp(rng.uniform(np.log(lo_sz), np.log(hi_sz + 1))))
             if lesion_type == 1:
-                seed_pool, allowed = interface_wm, brain
+                allowed = brain
                 radii = _radii_for_size(target, None, 0, rng)
             elif lesion_type == 2:
-                seed_pool, allowed = safe_gm, safe_gm
+                allowed = safe_gm
                 target = min(target, 40)  # thin shell cannot hold big blobs
                 radii = _radii_for_size(target, 0, (spec.cortex_thickness_voxels - 2) / 2, rng)
             else:
-                seed_pool, allowed = pial_gm, gm
+                allowed = gm
                 if lesion_type == 4:
                     target = max(target, 2 * lo_sz)
                 radii = _radii_for_size(target, None, 0, rng)
-            coords = seeds_of(seed_pool)
             seed_voxel = tuple(coords[rng.integers(len(coords))])
-            blob = _ellipsoid_blob(shape, seed_voxel, radii, allowed, rng)
-            if blob is None or (blob & occupied_dil).any():
+            placed = _ellipsoid_blob(shape, seed_voxel, radii, allowed, rng)
+            if placed is None:
+                continue
+            box, blob = placed
+            if (blob & occupied_dil[box]).any():
                 continue
             size = int(blob.sum())
             if size < lo_sz:
                 continue
-            if lesion_type == 1 and not ((blob & gm).any() and (blob & wm).any()):
+            if lesion_type == 1 and not ((blob & gm[box]).any() and (blob & wm[box]).any()):
                 continue
-            if lesion_type == 2 and (blob & bg_adjacent).any():
+            touches_bg = (blob & bg_adjacent[box]).any()
+            if lesion_type == 2 and touches_bg:
                 continue
-            if lesion_type in (3, 4) and not (blob & bg_adjacent).any():
+            if lesion_type in (3, 4) and not touches_bg:
                 continue
             cls = TYPE_TO_CLASS[lesion_type]
-            cl[blob] = cls
-            occupied_dil |= ndimage.binary_dilation(blob, structure=_FULL)
-            centroid = np.argwhere(blob).mean(axis=0)
+            cl[box][blob] = cls
+            _mark_halo(occupied_dil, box, blob)
+            # the offset is added before the mean, so the float sums are
+            # those of whole-volume coordinates
+            centroid = (np.argwhere(blob) + [s.start for s in box]).mean(axis=0)
             return {
                 "type": lesion_type,
                 "class": cls,
@@ -237,32 +258,38 @@ def inject_lesions(tissue: np.ndarray, spec: PhantomSpec, rng: np.random.Generat
         raise PhantomError(
             f"could not place a type-{lesion_type} lesion after {_PLACEMENT_RETRIES} retries")
 
+    seed_pools = {1: interface_wm, 2: safe_gm, 3: pial_gm, 4: pial_gm}
     for lesion_type, count in zip((1, 2, 3, 4), spec.lesion_counts):
+        coords = np.argwhere(seed_pools[lesion_type])
+        if count and not len(coords):
+            raise PhantomError("no candidate seed voxels for a lesion type")
         for _ in range(count):
-            records.append(place(lesion_type))
+            records.append(place(lesion_type, coords))
 
     # WMLs: strictly in WM; odd indices juxtacortical (within 2 voxels of GM)
     # to exercise the zero-weight confusion case, the rest deep
+    deep_coords = np.argwhere(deep_wm)
+    if not len(deep_coords):
+        deep_coords = np.argwhere(wm)
+    juxta_coords = np.argwhere(juxta_wm)
+    if not len(juxta_coords):
+        juxta_coords = deep_coords
     for i in range(spec.wml_count):
-        pool = juxta_wm if (i % 2 == 1 and juxta_wm.any()) else deep_wm
-        if not pool.any():
-            pool = wm
-        placed = False
+        coords = juxta_coords if i % 2 == 1 else deep_coords
         for _ in range(_PLACEMENT_RETRIES):
             target = int(np.exp(rng.uniform(np.log(8), np.log(120))))
             radii = _radii_for_size(target, None, 0, rng)
-            coords = np.argwhere(pool)
             seed_voxel = tuple(coords[rng.integers(len(coords))])
-            blob = _ellipsoid_blob(shape, seed_voxel, radii, wm, rng)
-            if blob is None or (blob & occupied_dil).any():
+            placed = _ellipsoid_blob(shape, seed_voxel, radii, wm, rng)
+            if placed is None:
                 continue
-            if int(blob.sum()) < 6:
+            box, blob = placed
+            if (blob & occupied_dil[box]).any() or int(blob.sum()) < 6:
                 continue
-            wml[blob] = 1
-            occupied_dil |= ndimage.binary_dilation(blob, structure=_FULL)
-            placed = True
+            wml[box][blob] = 1
+            _mark_halo(occupied_dil, box, blob)
             break
-        if not placed:
+        else:
             raise PhantomError(f"could not place WML {i}")
     return cl, wml, records
 
@@ -341,16 +368,25 @@ def subject_seeds(cohort_seed: int, n: int) -> list[int]:
 
 def generate_cohort(spec: PhantomSpec, n_subjects: int, out_dir: str | Path,
                     seed: int | None = None) -> dict:
-    """Write n subjects plus a ground-truth manifest; byte-stable in the seed."""
+    """Write n subjects plus a ground-truth manifest; byte-stable in the seed.
+    Refuses, before writing anything, a directory that holds subjects beyond
+    the n to be written."""
     spec.validate()
     if n_subjects < 1:
         raise PhantomError("n_subjects must be >= 1")
     seed = spec.seed if seed is None else seed
     out_dir = Path(out_dir)
+    subject_ids = [f"subject_{i:02d}" for i in range(n_subjects)]
+    # subjects of an older, larger cohort would be discovered alongside the
+    # new ones while the manifest lists only the new ones
+    stray = sorted(p.parent.name for p in out_dir.glob("*/mp2rage.json")
+                   if p.parent.name not in subject_ids)
+    if stray:
+        raise PhantomError(f"{out_dir} holds subjects outside the {n_subjects}-subject "
+                           f"cohort to be written: {', '.join(stray)}")
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {"spec": asdict(spec), "seed": seed, "subjects": [], "total_lesions": 0}
-    for i, sseed in enumerate(subject_seeds(seed, n_subjects)):
-        subject_id = f"subject_{i:02d}"
+    for subject_id, sseed in zip(subject_ids, subject_seeds(seed, n_subjects)):
         volumes, records = generate_subject(spec, sseed)
         sdir = out_dir / subject_id
         sdir.mkdir(exist_ok=True)

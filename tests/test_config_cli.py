@@ -342,6 +342,16 @@ def test_cli_phantom_deterministic(tmp_path, capsys):
     assert (tmp_path / "cohort" / "subject_00" / "mp2rage.raw").read_bytes() == raw1
 
 
+def test_cli_phantom_refuses_stray_subjects(tmp_path, capsys):
+    cfg, path = _fast_config(tmp_path, tmp_path / "cohort")
+    assert main(["phantom", "--config", str(path), "--n-subjects", "3"]) == 0
+    capsys.readouterr()
+    assert main(["phantom", "--config", str(path), "--n-subjects", "2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ") and err[0].endswith("subject_02")
+    assert (tmp_path / "cohort" / "subject_02" / "mp2rage.raw").exists()
+
+
 def test_cli_train_infer_report_flow(tmp_path, tiny_cohort, capsys):
     cfg, path = _fast_config(tmp_path, tiny_cohort)
     assert main(["train", "--config", str(path)]) == 0

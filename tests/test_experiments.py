@@ -1,6 +1,6 @@
 import json
 
-from clseg import pipeline
+from clseg import experiments, pipeline
 from clseg.blas import blas_threads
 from clseg.config import VARIANTS
 from clseg.experiments import count_claims, icd_robustness_experiment, worker_pool
@@ -10,10 +10,44 @@ from conftest import TINY_SPEC
 TEST_SETS = ("pred_clean", "pred_art_full", "pred_art_drop")
 
 
-def test_icd_robustness_experiment_tiny(tmp_path):
-    res = icd_robustness_experiment(tmp_path, seeds=(0,), iterations=2, n_subjects=2, k=2,
-                                    phantom=TINY_SPEC, base_channels=2, input_patch=44,
-                                    n_workers=2)
+def _tiny_experiment(workdir, seeds):
+    return icd_robustness_experiment(workdir, seeds=seeds, iterations=2, n_subjects=2, k=2,
+                                     phantom=TINY_SPEC, base_channels=2, input_patch=44,
+                                     n_workers=2)
+
+
+def _tree_bytes(root):
+    """Every file under `root` by relative path; cohort manifests without the
+    directory each subject was written to."""
+    files = {}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "cohort_manifest.json":
+            doc = json.loads(data)
+            doc["subjects"] = [dict(s, directory="") for s in doc["subjects"]]
+            data = json.dumps(doc).encode()
+        files[str(path.relative_to(root))] = data
+    return files
+
+
+def test_icd_robustness_experiment_tiny(tmp_path, monkeypatch):
+    pools = []
+
+    def counting_pool(n_workers):
+        pools.append(n_workers)
+        return worker_pool(n_workers)
+
+    monkeypatch.setattr(experiments, "worker_pool", counting_pool)
+    res = _tiny_experiment(tmp_path, (0, 1))
+    assert pools == [2]  # one pool runs every seed's jobs
+    assert [row["seed"] for row in res["per_seed"]] == [0, 1]
+    # a seed's files do not depend on the seeds run beside it
+    _tiny_experiment(tmp_path / "alone", (1,))
+    seed_1 = _tree_bytes(tmp_path / "seed_1")
+    assert seed_1 == _tree_bytes(tmp_path / "alone" / "seed_1")
+    assert {"cohort/cohort_manifest.json", "baseline/fold_1/loss.csv",
+            "multitask_icd/pred_art_drop/subject_01/cl_prob.raw"} <= set(seed_1)
+
     sdir = tmp_path / "seed_0"
     ids = pipeline.discover_subjects(sdir / "cohort")
     assert len(ids) == 2

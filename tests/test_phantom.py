@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import itertools
 import json
 import tracemalloc
 
@@ -6,8 +8,9 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from clseg import phantom
+from clseg import phantom, volume_io
 from clseg.evaluation import EvalConfig, evaluate_patient, label_lesions
+from clseg.experiments import DESK_PHANTOM
 from clseg.phantom import PhantomSpec, counts_from_mix, generate_cohort, generate_subject
 
 from conftest import TINY_SPEC
@@ -198,3 +201,139 @@ def test_cohort_regeneration_byte_identical(tmp_path):
     ma["subjects"] = [dict(s, directory="") for s in ma["subjects"]]
     mb["subjects"] = [dict(s, directory="") for s in mb["subjects"]]
     assert ma == mb
+
+
+def test_regenerating_a_smaller_cohort_refuses_stray_subjects(tmp_path):
+    out = tmp_path / "c"
+    generate_cohort(TINY_SPEC, 4, out, seed=1)
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    with pytest.raises(phantom.PhantomError, match="subject_02, subject_03$"):
+        generate_cohort(TINY_SPEC, 2, out, seed=2)
+    # nothing written, nothing deleted
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    # the same or a larger cohort may overwrite
+    assert len(generate_cohort(TINY_SPEC, 4, out, seed=2)["subjects"]) == 4
+
+
+# --- golden output ---------------------------------------------------------------
+
+# sha256 of the six .raw payloads and of json.dumps(records) of one subject,
+# pinned from the generator that placed lesions with whole-volume masks.
+# "t2s_gre_chunk" is the GRE payload of the gre_missing_chunk twin, which
+# differs from the clean subject in that volume only.
+GOLDEN = {
+    ("tiny", 7): {
+        "mp2rage": "c0e1544a2f1b556752dbb260e62de0058c224c1e9ff08003103249b1e6b93887",
+        "t2s_epi": "24e17a3ff4e23005776d7378722050cb803ff7297ecaabf371d0ca6b36c24237",
+        "t2s_gre": "c043e5dbf8e31557f4567e4a0889ffa91010daeffaaa679730ecd6e1370c14a9",
+        "cl_labels": "37e92060057aa99c509f53024256bda9992e99036332909f34474db30aeb20fa",
+        "tissue_labels": "ea807979786e9adfef03f30b5b493cbb0c44f62181af30ae628d9b0bc62c96a1",
+        "wml_labels": "cc0a980e1918b53b4b53fc1e7420e6e7ade6cb3bc34cfcbc6bdfec4cad2a2409",
+        "lesions": "443ced465e3f7d9e1758a12cc220a2a605514165814c48ebe92bba74179dc6be",
+        "t2s_gre_chunk": "9bdea18c3cde8fae4fbc08cd37549e64e4074467afde2968efb1e81540542f4f",
+    },
+    ("tiny", 31337): {
+        "mp2rage": "b3cc28d2286aeb8918d9287227999f10ace3f5d549dfcac2c99cb6e623dd5934",
+        "t2s_epi": "cbd7e8407c018d57cd42fd03b709d2a9d2516b542174a261ad0a634040998d79",
+        "t2s_gre": "980f3b374702f7f0d18767dd8279f62d7d54640e8f372b5f93262a06a938ae70",
+        "cl_labels": "95f1dabac7b7f2b4fbb6a752a627ef3aefd942ec28c6be018c561b81aee48732",
+        "tissue_labels": "482ced32068393066f356cd0842fb00c8c9e4e4bc16761f730bca3de661e0f6d",
+        "wml_labels": "3780372c0dd8f5f7400f9ec63274d0434935288ff166c35f9d5d69cc8740bc7b",
+        "lesions": "0a2a774f7017a990ab2f4945e7714d6776eba97e5d97a4ec7c81c5d529ee2ade",
+        "t2s_gre_chunk": "ce3f1e89849156922428bd4cb0d1ed0a049741b034063e3c89fd883c305483bb",
+    },
+    ("desk", 7): {
+        "mp2rage": "5e4690dc40fa1b58d755b4ae0cc5357c79e69ee1f4b8679fb8dfebdbaf9614e6",
+        "t2s_epi": "86c1e549b48c79e5a56e76558270ad8089e0e17efac7a8ba267878ca08815fe9",
+        "t2s_gre": "a5ddb2efef321abff2e413b830150a51e087c82e3b3b06ef95670cc5476f59bc",
+        "cl_labels": "27299346e14b51ff5a14f1935b6d3d37c375f19afba54727f85bd97aac73291a",
+        "tissue_labels": "a40f4542a47ade2dda8260ee23adce645cdb24ddc0eed578319dfe39319452d4",
+        "wml_labels": "7fb9c5ff52eb1e6cb1c5ef9b9ada5e196acb41e8ad8ca3635b922a00cea5ee85",
+        "lesions": "8ae8ced53bd2af0d63db576bbd059f3db2c06fefd7ae0b1c1db6105a6afbd031",
+        "t2s_gre_chunk": "0c2a9ee0021d629ff8edfa10e5a2783e8ee89205c5e82859705726605dcb664b",
+    },
+    ("desk", 31337): {
+        "mp2rage": "8722e1813908bbb2510febc3d7eb27a03c0f56138a0ddd293849df8c119a47cf",
+        "t2s_epi": "2b07f3354e814f9838be51e8bf70399ef1d1b44467083e572b2173a394085fc4",
+        "t2s_gre": "acf45e7534e20351e31ba141c15575cf9ab0876c1374c573cf4cb00a23a37f97",
+        "cl_labels": "70f0cc98f3a19ce3ec2a5251bf465e2313647216d351cc3748616f88fb6f5087",
+        "tissue_labels": "70ff07de76b75708072536cd21507b484ee6d18c9795437fcb96fa39dc69c367",
+        "wml_labels": "8dcba2aabfd465cf52793f5b34d550d15d2f86cc30545a9497c581ff929dbf25",
+        "lesions": "d453dc457530fafabd046e48c7984832c6e1774edb7dbf10bed734dfe587cc45",
+        "t2s_gre_chunk": "58898f064e18295e457bfa2c249da33119ae2451db1ede5fe150bf7cab6f00e4",
+    },
+}
+
+
+@pytest.mark.parametrize("gre_missing_chunk", [False, True])
+@pytest.mark.parametrize("name,seed", list(GOLDEN))
+def test_phantom_matches_golden_hashes(name, seed, gre_missing_chunk):
+    spec = {"tiny": TINY_SPEC, "desk": DESK_PHANTOM}[name]
+    vols, recs = generate_subject(
+        dataclasses.replace(spec, gre_missing_chunk=gre_missing_chunk), seed)
+    got = {k: hashlib.sha256(volume_io.make_volume(
+        v, k if k in volume_io.LABEL_CODES else "intensity").data.tobytes()).hexdigest()
+        for k, v in vols.items()}
+    got["lesions"] = hashlib.sha256(json.dumps(recs).encode()).hexdigest()
+    want = dict(GOLDEN[name, seed])
+    chunk = want.pop("t2s_gre_chunk")
+    if gre_missing_chunk:
+        want["t2s_gre"] = chunk
+    assert got == want
+
+
+# --- local placement at the volume border ----------------------------------------
+
+BORDER_SHAPE = (20, 24, 28)
+
+
+def _border_seeds():
+    """Every seed voxel whose index on each axis is 0, the middle or n-1,
+    and on at least one axis 0 or n-1."""
+    middle = tuple(n // 2 for n in BORDER_SHAPE)
+    return [v for v in itertools.product(*((0, n // 2, n - 1) for n in BORDER_SHAPE))
+            if v != middle]
+
+
+@pytest.mark.parametrize("seed_voxel", _border_seeds())
+def test_local_blob_and_halo_match_whole_volume_ops(seed_voxel):
+    rng = np.random.default_rng(sum(seed_voxel))
+    allowed = rng.random(BORDER_SHAPE) < 0.55  # several pieces within one box
+    allowed[seed_voxel] = True
+    radii = (3.2, 4.1, 5.3)
+    draw = rng.bit_generator.state
+
+    def blob_with(mask):
+        rng.bit_generator.state = draw
+        return phantom._ellipsoid_blob(BORDER_SHAPE, seed_voxel, radii, mask, rng)
+
+    box, blob = blob_with(allowed)
+    # the whole ellipsoid: convex, so allowing every voxel keeps all of it
+    ebox, ellipsoid = blob_with(np.ones(BORDER_SHAPE, bool))
+    assert box == ebox
+    assert any(s.start == 0 or s.stop == n for s, n in zip(box, BORDER_SHAPE))
+    want = np.zeros(BORDER_SHAPE, bool)
+    want[box] = ellipsoid
+    lab, _ = ndimage.label(want & allowed, structure=FULL)
+    want = lab == lab[seed_voxel]
+    got = np.zeros(BORDER_SHAPE, bool)
+    got[box] = blob
+    assert np.array_equal(got, want)
+
+    occupied = np.zeros(BORDER_SHAPE, bool)
+    occupied[0, 0, -1] = True  # what is there already stays
+    phantom._mark_halo(occupied, box, blob)
+    halo = ndimage.binary_dilation(want, structure=FULL)
+    halo[0, 0, -1] = True
+    assert np.array_equal(occupied, halo)
+
+
+def test_max_filter_dilation_matches_iterated_binary_dilation():
+    rng = np.random.default_rng(3)
+    tissue = phantom._make_tissue(PhantomSpec(side_voxels=32), rng)
+    masks = [tissue == 0, tissue == 1, tissue == 2, rng.random(BORDER_SHAPE) < 0.02]
+    masks[-1][0, :, -1] = True  # a whole edge of the volume
+    for mask in masks:
+        for r in (1, 2, 3):
+            want = ndimage.binary_dilation(mask, structure=FULL, iterations=r)
+            assert np.array_equal(phantom._dilate(mask, r), want), r
