@@ -19,10 +19,15 @@ Types 2-4 map to lesion class 2, type 1 to class 1. Planted lesions are
 pairwise non-adjacent (26-connectivity), so connected-component analysis
 recovers exactly the planted records.
 
-Placement is local to each blob: a candidate is built, labelled and checked
-inside its own bounding box, and its 1-voxel occupancy halo is dilated in
-that box grown by one voxel. The whole-volume masks (tissue classes, their
-dilations, the seed coordinates of each pool) are built once per subject.
+Geometry runs on boxes, never on the whole volume. The ellipsoid and its
+smoothing run on the ellipsoid's bounding box grown by the filter's reach;
+the cortex depth, the placement masks (tissue classes, their dilations, the
+seed coordinates of each pool) and all lesion placement run on the brain box,
+the brain's bounding box grown by one voxel and clipped at the volume faces.
+Each result equals the whole-volume operation's, so cohorts are the same
+bytes. Placement is local to each blob: a candidate is built, labelled and
+checked inside its own bounding box, and its 1-voxel occupancy halo is
+dilated in that box grown by one voxel.
 """
 
 from __future__ import annotations
@@ -111,22 +116,58 @@ def _child_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
 
 
+def _brain_box(brain: np.ndarray) -> tuple[slice, ...]:
+    """The brain box: the bounding slices of `brain`'s True voxels grown by
+    one voxel per side and clipped at the volume faces. Every voxel outside
+    it is background, and every voxel within 1 of the brain is inside it."""
+    box = []
+    for axis, n in enumerate(brain.shape):
+        hit = np.flatnonzero(brain.any(axis=tuple(a for a in range(3) if a != axis)))
+        box.append(slice(max(int(hit[0]) - 1, 0), min(int(hit[-1]) + 2, n)))
+    return tuple(box)
+
+
+# ndimage.gaussian_filter reads int(truncate * sigma + 0.5) voxels to each side
+_SMOOTH_SIGMA = 1.0
+_SMOOTH_REACH = int(4.0 * _SMOOTH_SIGMA + 0.5)
+
+
 def _make_tissue(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
-    """Brain geometry: 0 background, 1 WM core, 2 GM shell."""
+    """Brain geometry: 0 background, 1 WM core, 2 GM shell.
+
+    The ellipsoid is built and smoothed on its bounding box grown by the
+    filter's reach, whose outer layers are zero as in the whole volume (at a
+    clipped face the filter reflects the same voxels either way); the shell
+    is split by `_label_shell` on the brain box."""
     n = spec.side_voxels
     center = n / 2.0 + rng.uniform(-1.5, 1.5, size=3)
     semi = n * rng.uniform(0.36, 0.42, size=3)
-    zz, yy, xx = np.ogrid[:n, :n, :n]
+    # |z - c| <= s for every inside voxel, so floor/ceil bound the ellipsoid
+    lo = np.maximum(np.floor(center - semi).astype(int) - _SMOOTH_REACH, 0)
+    hi = np.minimum(np.ceil(center + semi).astype(int) + 1 + _SMOOTH_REACH, n)
+    box = tuple(slice(lo[a], hi[a]) for a in range(3))
+    zz, yy, xx = np.ogrid[box]
     inside = (((zz - center[0]) / semi[0]) ** 2
               + ((yy - center[1]) / semi[1]) ** 2
               + ((xx - center[2]) / semi[2]) ** 2) <= 1.0
-    brain = ndimage.gaussian_filter(inside.astype(np.float32), sigma=1.0) > 0.5
-    depth = ndimage.distance_transform_edt(brain)
-    tissue = np.zeros((n, n, n), dtype=np.uint8)
-    tissue[brain] = TISSUE_GM
-    tissue[depth > spec.cortex_thickness_voxels] = TISSUE_WM
+    brain = np.zeros((n, n, n), dtype=bool)
+    brain[box] = ndimage.gaussian_filter(inside.astype(np.float32), sigma=_SMOOTH_SIGMA) > 0.5
+    tissue = _label_shell(brain, spec.cortex_thickness_voxels)
     if not (tissue == TISSUE_WM).any():
         raise PhantomError("brain too small for the requested cortex thickness")
+    return tissue
+
+
+def _label_shell(brain: np.ndarray, thickness: int) -> np.ndarray:
+    """GM on `brain`, WM where the Euclidean distance to the nearest non-brain
+    voxel exceeds `thickness`, 0 elsewhere. The distance transform runs on
+    the brain box: its outer layers are background wherever it does not
+    meet a volume face, so no voxel outside it is nearer to the brain."""
+    tissue = np.zeros(brain.shape, dtype=np.uint8)
+    box = _brain_box(brain)
+    sub, out = brain[box], tissue[box]
+    out[sub] = TISSUE_GM
+    out[ndimage.distance_transform_edt(sub) > thickness] = TISSUE_WM
     return tissue
 
 
@@ -187,21 +228,42 @@ def _radii_for_size(target: int, flatten_axis: int | None, max_flat: float,
     return np.maximum(radii, 1.1)
 
 
-def inject_lesions(tissue: np.ndarray, spec: PhantomSpec, rng: np.random.Generator):
-    """Plant CLs of all four types plus WMLs; returns (cl, wml, records)."""
-    shape = tissue.shape
-    voxel_ul = float(np.prod(spec.spacing_mm))
+def _placement_masks(tissue: np.ndarray) -> dict[str, np.ndarray]:
+    """The masks that lesion placement reads, by name. Each lies in the brain
+    and is read from voxels within 3 of it, so computed on the brain box it
+    equals the whole-volume mask restricted to the box."""
     brain = tissue != 0
     gm = tissue == TISSUE_GM
     wm = tissue == TISSUE_WM
-    bg_adjacent = _dilate(~brain, 1)
+    # a brain voxel's 3x3x3 window stays in the brain box or meets a volume
+    # face, beyond which _dilate reads False as on the whole volume
+    pial = brain & _dilate(~brain, 1)               # brain touching background
     gm_adjacent = _dilate(gm, 1)
+    return {
+        "brain": brain,
+        "gm": gm,
+        "wm": wm,
+        "pial": pial,
+        "pial_gm": gm & pial,
+        "safe_gm": gm & ~pial,                      # GM not touching background
+        "interface_wm": wm & gm_adjacent,           # WM touching GM
+        "deep_wm": wm & ~_dilate(gm_adjacent, 2),
+        "juxta_wm": wm & _dilate(gm, 2),
+    }
 
-    pial_gm = gm & bg_adjacent                      # GM touching background
-    safe_gm = gm & ~bg_adjacent                     # GM not touching background
-    interface_wm = wm & gm_adjacent                 # WM touching GM
-    deep_wm = wm & ~_dilate(gm_adjacent, 2)
-    juxta_wm = wm & _dilate(gm, 2)
+
+def inject_lesions(tissue: np.ndarray, spec: PhantomSpec, rng: np.random.Generator):
+    """Plant CLs of all four types plus WMLs; returns (cl, wml, records).
+
+    Placement runs in the coordinates of the brain box: every lesion, halo
+    and seed voxel lies in it, and C order within it is the whole volume's,
+    so the same seeds are drawn. Centroids add the box offset."""
+    voxel_ul = float(np.prod(spec.spacing_mm))
+    brain_box = _brain_box(tissue != 0)
+    offset = [s.start for s in brain_box]
+    masks = _placement_masks(tissue[brain_box])
+    brain, gm, wm, pial, safe_gm = (masks[k] for k in ("brain", "gm", "wm", "pial", "safe_gm"))
+    shape = brain.shape
 
     cl = np.zeros(shape, dtype=np.uint8)
     wml = np.zeros(shape, dtype=np.uint8)
@@ -237,7 +299,7 @@ def inject_lesions(tissue: np.ndarray, spec: PhantomSpec, rng: np.random.Generat
                 continue
             if lesion_type == 1 and not ((blob & gm[box]).any() and (blob & wm[box]).any()):
                 continue
-            touches_bg = (blob & bg_adjacent[box]).any()
+            touches_bg = (blob & pial[box]).any()
             if lesion_type == 2 and touches_bg:
                 continue
             if lesion_type in (3, 4) and not touches_bg:
@@ -245,9 +307,9 @@ def inject_lesions(tissue: np.ndarray, spec: PhantomSpec, rng: np.random.Generat
             cls = TYPE_TO_CLASS[lesion_type]
             cl[box][blob] = cls
             _mark_halo(occupied_dil, box, blob)
-            # the offset is added before the mean, so the float sums are
+            # the offsets are added before the mean, so the float sums are
             # those of whole-volume coordinates
-            centroid = (np.argwhere(blob) + [s.start for s in box]).mean(axis=0)
+            centroid = (np.argwhere(blob) + [s.start + o for s, o in zip(box, offset)]).mean(axis=0)
             return {
                 "type": lesion_type,
                 "class": cls,
@@ -258,9 +320,9 @@ def inject_lesions(tissue: np.ndarray, spec: PhantomSpec, rng: np.random.Generat
         raise PhantomError(
             f"could not place a type-{lesion_type} lesion after {_PLACEMENT_RETRIES} retries")
 
-    seed_pools = {1: interface_wm, 2: safe_gm, 3: pial_gm, 4: pial_gm}
+    seed_pools = {1: "interface_wm", 2: "safe_gm", 3: "pial_gm", 4: "pial_gm"}
     for lesion_type, count in zip((1, 2, 3, 4), spec.lesion_counts):
-        coords = np.argwhere(seed_pools[lesion_type])
+        coords = np.argwhere(masks[seed_pools[lesion_type]])
         if count and not len(coords):
             raise PhantomError("no candidate seed voxels for a lesion type")
         for _ in range(count):
@@ -268,10 +330,10 @@ def inject_lesions(tissue: np.ndarray, spec: PhantomSpec, rng: np.random.Generat
 
     # WMLs: strictly in WM; odd indices juxtacortical (within 2 voxels of GM)
     # to exercise the zero-weight confusion case, the rest deep
-    deep_coords = np.argwhere(deep_wm)
+    deep_coords = np.argwhere(masks["deep_wm"])
     if not len(deep_coords):
         deep_coords = np.argwhere(wm)
-    juxta_coords = np.argwhere(juxta_wm)
+    juxta_coords = np.argwhere(masks["juxta_wm"])
     if not len(juxta_coords):
         juxta_coords = deep_coords
     for i in range(spec.wml_count):
@@ -291,29 +353,34 @@ def inject_lesions(tissue: np.ndarray, spec: PhantomSpec, rng: np.random.Generat
             break
         else:
             raise PhantomError(f"could not place WML {i}")
-    return cl, wml, records
+    cl_whole = np.zeros(tissue.shape, dtype=np.uint8)
+    wml_whole = np.zeros(tissue.shape, dtype=np.uint8)
+    cl_whole[brain_box] = cl
+    wml_whole[brain_box] = wml
+    return cl_whole, wml_whole, records
 
 
 def _render_contrasts(tissue, cl, wml, spec: PhantomSpec, rng: np.random.Generator):
     """Tissue means + lesion pulls + in-brain Gaussian noise per contrast."""
     brain = tissue != 0
+    wm, gm = tissue == TISSUE_WM, tissue == TISSUE_GM
+    lesions = [(np.nonzero(cl == cls), LESION_VISIBILITY[cls], LESION_TARGETS)
+               for cls in (1, 2)]
+    lesions.append((np.nonzero(wml == 1), WML_VISIBILITY, WML_TARGETS))
+    # each contrast's noise is a whole-volume draw, in contrast order, taken
+    # before scaling so sigma changes never shift the stream
+    noise = np.empty(tissue.shape)
     out = {}
-    noise = {name: rng.standard_normal(tissue.shape).astype(np.float32)
-             for name in CONTRAST_NAMES}  # drawn before scaling so sigma
-    # changes never shift the stream
     for ci, name in enumerate(CONTRAST_NAMES):
         means = TISSUE_MEANS[name]
         img = np.zeros(tissue.shape, dtype=np.float32)
-        img[tissue == TISSUE_WM] = means["wm"]
-        img[tissue == TISSUE_GM] = means["gm"]
-        for cls in (1, 2):
-            m = cl == cls
-            vis = LESION_VISIBILITY[cls][name]
-            img[m] = (1 - vis) * img[m] + vis * LESION_TARGETS[name]
-        m = wml == 1
-        vis = WML_VISIBILITY[name]
-        img[m] = (1 - vis) * img[m] + vis * WML_TARGETS[name]
-        img[brain] += spec.noise_sigma[ci] * noise[name][brain]
+        img[wm] = means["wm"]
+        img[gm] = means["gm"]
+        for m, visibility, targets in lesions:
+            vis = visibility[name]
+            img[m] = (1 - vis) * img[m] + vis * targets[name]
+        rng.standard_normal(out=noise)
+        img[brain] += spec.noise_sigma[ci] * noise[brain].astype(np.float32)
         out[name] = img
     return out
 

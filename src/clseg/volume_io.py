@@ -36,7 +36,7 @@ import numpy as np
 
 DTYPES = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}
 
-# Label code sets per volume kind. Values outside these sets are rejected.
+# Label code sets per volume kind, each 0..k. Values outside them are rejected.
 LABEL_CODES = {
     "cl_labels": (0, 1, 2),      # 0 background, 1 leukocortical, 2 subpial/intracortical
     "tissue_labels": (0, 1, 2),  # 0 background, 1 WM, 2 GM
@@ -125,10 +125,12 @@ def validate_volume(v: Volume) -> None:
         if v.data.dtype.newbyteorder("<") != DTYPES[h.dtype]:
             raise VolumeValidationError(f"data dtype {v.data.dtype} != header dtype {h.dtype}")
     if h.kind in LABEL_CODES:
-        codes = np.asarray(LABEL_CODES[h.kind], dtype=v.data.dtype)
-        if not np.isin(v.data, codes).all():
-            bad = sorted(set(np.unique(v.data)) - set(int(c) for c in codes))
-            raise VolumeValidationError(f"{h.kind} contains codes outside {LABEL_CODES[h.kind]}: {bad}")
+        # every code set is 0..k and u8 has no negatives, so the largest voxel
+        # decides: one pass, no temporary
+        codes = LABEL_CODES[h.kind]
+        if int(v.data.max()) > codes[-1]:
+            bad = sorted(set(np.unique(v.data).tolist()) - set(codes))
+            raise VolumeValidationError(f"{h.kind} contains codes outside {codes}: {bad}")
 
 
 def make_volume(data: np.ndarray, kind: str, subject_id: str = "",

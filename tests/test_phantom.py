@@ -165,18 +165,33 @@ def test_gre_missing_chunk():
 # --- cohort ----------------------------------------------------------------------
 
 
-def test_make_tissue_peak_memory():
-    # 96^3: an int64 meshgrid of the voxel coordinates and float64
-    # distances kept through the distance transform peaked at 69 MiB; open
-    # grids, with only the inside mask kept, at 43 MiB, most of it in
-    # distance_transform_edt (41 MiB alone)
+def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:
-        phantom._make_tissue(PhantomSpec(side_voxels=96), np.random.default_rng(0))
+        fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 50 * 2 ** 20
+    return peak
+
+
+def test_make_tissue_peak_memory():
+    # 96^3: an int64 meshgrid of the voxel coordinates and float64
+    # distances kept through the distance transform peaked at 69 MiB; open
+    # grids, with only the inside mask kept, at 43 MiB, most of it in a
+    # whole-volume distance_transform_edt; the ellipsoid on its own box and
+    # the transform on the brain box at 24.4 MiB
+    peak = _traced_peak(lambda: phantom._make_tissue(PhantomSpec(side_voxels=96),
+                                                     np.random.default_rng(0)))
+    assert peak <= 30 * 2 ** 20
+
+
+def test_generate_subject_peak_memory():
+    # 96^3: 43 MiB while _make_tissue ran its transform on the whole volume;
+    # 25.2 MiB with brain-box geometry, one float64 noise buffer reused by
+    # the three contrasts
+    peak = _traced_peak(lambda: generate_subject(PhantomSpec(side_voxels=96), 0))
+    assert peak <= 30 * 2 ** 20
 
 
 def test_generate_cohort_files_and_manifest(tmp_path):
@@ -218,9 +233,12 @@ def test_regenerating_a_smaller_cohort_refuses_stray_subjects(tmp_path):
 # --- golden output ---------------------------------------------------------------
 
 # sha256 of the six .raw payloads and of json.dumps(records) of one subject,
-# pinned from the generator that placed lesions with whole-volume masks.
-# "t2s_gre_chunk" is the GRE payload of the gre_missing_chunk twin, which
-# differs from the clean subject in that volume only.
+# pinned from the generator that placed lesions with whole-volume masks; the
+# "paper" entries (96^3) from the generator that still ran the distance
+# transform, dilations and seed pools on the whole volume, before they moved
+# to the brain box. "t2s_gre_chunk" is the GRE payload of the
+# gre_missing_chunk twin, which differs from the clean subject in that
+# volume only.
 GOLDEN = {
     ("tiny", 7): {
         "mp2rage": "c0e1544a2f1b556752dbb260e62de0058c224c1e9ff08003103249b1e6b93887",
@@ -262,13 +280,33 @@ GOLDEN = {
         "lesions": "d453dc457530fafabd046e48c7984832c6e1774edb7dbf10bed734dfe587cc45",
         "t2s_gre_chunk": "58898f064e18295e457bfa2c249da33119ae2451db1ede5fe150bf7cab6f00e4",
     },
+    ("paper", 7): {
+        "mp2rage": "9322951a5a38388b99c28dfbfcd47ffb0fb9b810a4178c210df80649abf60ba3",
+        "t2s_epi": "f9e526105077804bf124ca039638a612b07a676668126be583932e8def98aad1",
+        "t2s_gre": "3bdfe8d403a98e12704a539f68999566f492d42ad91dff5f9ef21e2454fc3d65",
+        "cl_labels": "a5c6410f972e9be971289056c1c3e9d5a9af1d1fdea02d4fadd65b9d427fddf3",
+        "tissue_labels": "a82b1506b37afec55e59ec6e5e63e6a0650a530341555ff7fc13e74a46cdbf46",
+        "wml_labels": "d2c236d4ddfd2a060b020ffd23a827f2100e80ae80901ad0b68bcba15d297631",
+        "lesions": "c3ef7b574820ee99947a0c1f4be4e056fec768b7c394c0bc7b33205d293b177f",
+        "t2s_gre_chunk": "1b9d899beb8a3d4dd5a55228a7ef6ad59e188c173d7211f0cfc11a440bb8b8bf",
+    },
+    ("paper", 31337): {
+        "mp2rage": "4a4ed5493320c227db46589b928e62fe874e5e1a54bfdc9ad2bbcef2ef529f36",
+        "t2s_epi": "cf63b5add897e71dff7d4e927890aacda0e6c3d6f77310f248892746da55ff2f",
+        "t2s_gre": "107ecfdc7ae46517adea294d373611a9dd522403c4e9368acbc43074c39680d8",
+        "cl_labels": "9907c227d2bdee4c83243032c30f038046cf64dc2bd83f3f358dc143e9055abd",
+        "tissue_labels": "95357c38009409d6a86e27ff52f6126838238b4e23ea60dfa23d6dcaf515f666",
+        "wml_labels": "52ba29b3ef7df4996851e2749bb904351866b8062a229e08d9f9862176ecc1a1",
+        "lesions": "ef20803618483f3d211fb08ddbb8366ba43196c1c1ffcbbd955576f164e47a64",
+        "t2s_gre_chunk": "dc0ea83253b21d577705da490d62682a9365990c23e75879951f8b42baaa23ef",
+    },
 }
 
 
 @pytest.mark.parametrize("gre_missing_chunk", [False, True])
 @pytest.mark.parametrize("name,seed", list(GOLDEN))
 def test_phantom_matches_golden_hashes(name, seed, gre_missing_chunk):
-    spec = {"tiny": TINY_SPEC, "desk": DESK_PHANTOM}[name]
+    spec = {"tiny": TINY_SPEC, "desk": DESK_PHANTOM, "paper": PhantomSpec(side_voxels=96)}[name]
     vols, recs = generate_subject(
         dataclasses.replace(spec, gre_missing_chunk=gre_missing_chunk), seed)
     got = {k: hashlib.sha256(volume_io.make_volume(
@@ -337,3 +375,78 @@ def test_max_filter_dilation_matches_iterated_binary_dilation():
         for r in (1, 2, 3):
             want = ndimage.binary_dilation(mask, structure=FULL, iterations=r)
             assert np.array_equal(phantom._dilate(mask, r), want), r
+
+
+# --- brain-box geometry at the volume faces ----------------------------------------
+
+
+def _whole_volume_tissue(spec, rng):
+    """The phantom's tissue labels with every pass on the whole volume."""
+    n = spec.side_voxels
+    center = n / 2.0 + rng.uniform(-1.5, 1.5, size=3)
+    semi = n * rng.uniform(0.36, 0.42, size=3)
+    zz, yy, xx = np.ogrid[:n, :n, :n]
+    inside = (((zz - center[0]) / semi[0]) ** 2
+              + ((yy - center[1]) / semi[1]) ** 2
+              + ((xx - center[2]) / semi[2]) ** 2) <= 1.0
+    brain = ndimage.gaussian_filter(inside.astype(np.float32), sigma=1.0) > 0.5
+    return _whole_volume_shell(brain, spec.cortex_thickness_voxels)
+
+
+def _whole_volume_shell(brain, thickness):
+    tissue = np.where(brain, np.uint8(2), np.uint8(0))
+    tissue[ndimage.distance_transform_edt(brain) > thickness] = 1
+    return tissue
+
+
+@pytest.mark.parametrize("side", [32, 37, 56, 96])
+def test_make_tissue_matches_whole_volume_geometry(side):
+    # at 32-56 the ellipsoid's smoothing box meets the volume faces, at 96 not
+    for seed in range(3):
+        spec = PhantomSpec(side_voxels=side, cortex_thickness_voxels=3 + seed)
+        got = phantom._make_tissue(spec, np.random.default_rng(seed))
+        assert np.array_equal(got, _whole_volume_tissue(spec, np.random.default_rng(seed)))
+
+
+def _whole_volume_masks(tissue):
+    """Placement masks by whole-volume binary dilations (outside is False)."""
+    brain, gm, wm = tissue != 0, tissue == 2, tissue == 1
+    bg_adjacent = ndimage.binary_dilation(~brain, structure=FULL)
+    gm_adjacent = ndimage.binary_dilation(gm, structure=FULL)
+    return {
+        "brain": brain, "gm": gm, "wm": wm,
+        "pial": brain & bg_adjacent,
+        "pial_gm": gm & bg_adjacent,
+        "safe_gm": gm & ~bg_adjacent,
+        "interface_wm": wm & gm_adjacent,
+        "deep_wm": wm & ~ndimage.binary_dilation(gm_adjacent, structure=FULL, iterations=2),
+        "juxta_wm": wm & ndimage.binary_dilation(gm, structure=FULL, iterations=2),
+    }
+
+
+@pytest.mark.parametrize("radius", [7, 11])
+@pytest.mark.parametrize("anchor", _border_seeds())
+def test_brain_box_geometry_matches_whole_volume_ops(anchor, radius):
+    # a ball centred on a face, edge or corner voxel, with interior holes;
+    # radius 11 also reaches both faces of the axes it is centred on
+    rng = np.random.default_rng(sum(anchor) + radius)
+    offsets = np.indices(BORDER_SHAPE) - np.reshape(anchor, (3, 1, 1, 1))
+    brain = ((offsets ** 2).sum(axis=0) <= radius ** 2) & (rng.random(BORDER_SHAPE) < 0.97)
+    box = phantom._brain_box(brain)
+    assert any(s.start == 0 or s.stop == n for s, n in zip(box, BORDER_SHAPE))
+    assert not brain.sum() - brain[box].sum()
+    for thickness in (3, 2, 1):  # the thinnest shell, which leaves WM, is kept
+        tissue = phantom._label_shell(brain, thickness)
+        assert np.array_equal(tissue, _whole_volume_shell(brain, thickness)), thickness
+    assert (tissue == 1).any()
+
+    want = _whole_volume_masks(tissue)
+    got = phantom._placement_masks(tissue[box])
+    assert sorted(got) == sorted(want)
+    offset = [s.start for s in box]
+    for name, mask in got.items():
+        whole = np.zeros(BORDER_SHAPE, bool)
+        whole[box] = mask
+        assert np.array_equal(whole, want[name]), name
+        # seed pools: box coordinates plus the offset, in the same order
+        assert np.array_equal(np.argwhere(mask) + offset, np.argwhere(want[name])), name

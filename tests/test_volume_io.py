@@ -59,6 +59,33 @@ def test_label_code_out_of_range_rejected():
         vio.make_volume(bad, "cl_labels")
 
 
+def test_label_code_sets_are_ranges_from_zero():
+    # validate_volume checks a label volume by its largest voxel alone
+    for kind, codes in vio.LABEL_CODES.items():
+        assert codes == tuple(range(len(codes))), kind
+
+
+BAD_LABEL_CODES = [("wml_labels", 2), ("tissue_labels", 255), ("cl_labels", 3)]
+
+
+@pytest.mark.parametrize("kind,code", BAD_LABEL_CODES)
+def test_make_volume_rejects_a_code_outside_the_kind(kind, code):
+    data = np.ones((3, 4, 5), np.uint8)
+    data[2, 3, 4] = code
+    with pytest.raises(vio.VolumeValidationError, match=rf"{kind} .*: \[{code}\]$"):
+        vio.make_volume(data, kind)
+
+
+@pytest.mark.parametrize("kind,code", BAD_LABEL_CODES)
+def test_read_volume_rejects_a_code_outside_the_kind(tmp_path, kind, code):
+    data = np.zeros((3, 4, 5), np.uint8)
+    data[0, 0, 0] = code
+    _write_header(tmp_path, dims=[3, 4, 5], dtype="u8", kind=kind)
+    (tmp_path / "v.raw").write_bytes(data.tobytes())
+    with pytest.raises(vio.VolumeValidationError, match=rf"{kind} .*: \[{code}\]$"):
+        vio.read_volume(tmp_path / "v")
+
+
 def test_intensity_requires_f32():
     h = vio.VolumeHeader((2, 2, 2), (0.5,) * 3, "u8", "intensity", "s")
     v = vio.Volume(h, np.zeros((2, 2, 2), np.uint8))
