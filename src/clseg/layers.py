@@ -9,27 +9,40 @@ for gradient checking.
 Convolution uses a flat-offset unrolling. Within one batch item's
 contiguous (C, D, H, W) input, output column j = z*H*W + y*W + x runs over
 the full (H, W) grid, and tap (dz, dy, dx) of column j reads flat input
-j + dz*H*W + dy*W + dx. Only the k*k in-plane shifts are unrolled, as C*k*k
-contiguous rows; each depth tap dz is then a column window of that matrix,
-shifted by dz*H*W, so a slab of output planes costs k GEMMs. Columns with
-y >= H-k+1 or x >= W-k+1 wrap into the next row or plane and are discarded:
-the forward crops the full-grid output to its valid corner, and the weight
-gradient places grad_out on a zeroed full grid. Work is chunked over depth
-slabs whose unrolled input plus full-grid output, (C*k*k + Co)*H*W*(planes
-+ k-1) elements, fit SLAB_BUDGET_ELEMS, or one plane if that is larger.
-The budget, 16 MiB in float32, sits under glibc's 32 MiB mmap ceiling: a
-freed slab goes back to the heap and the next slab reuses its pages, where
-a larger one would be mmap'd and page-faulted afresh, and streamed from
-memory once per depth tap. Each depth tap's GEMM is written into one
-buffer per call and added in place. The weight gradient is accumulated as
-U_dz @ grad_out^T, (C*k*k, Co) per tap, and transposed once at the end. The
-input gradient reuses the forward path as a full correlation of the
-gradient with the flipped kernel: the gradient is laid on the input's
-(H, W) grid after a front pad of (k-1)*(H*W+W+1) zeros, where wrapped taps
-read zeros, so every full-grid output column is an input gradient. That
-padded gradient is never built whole: each slab's planes of it are
-written into one reused (Co, slab + k, H, W) buffer before the slab is
-unrolled.
+j + dz*H*W + dy*W + dx. Only the k*k in-plane shifts are unrolled: input
+plane q becomes C*k*k rows of H*W columns, row (c, dy, dx) reading channel
+c from flat offset q*H*W + dy*W + dx on. Columns with y >= H-k+1 or
+x >= W-k+1 wrap into the next row or plane and are discarded: the forward
+crops the full-grid output to its valid corner, and the weight gradient
+places grad_out on a zeroed full grid.
+
+Work goes in depth slabs of P input planes, and each input plane is
+unrolled once per pass. One GEMM per slab applies all k depth taps'
+kernels at once, (k*Co, C*k*k) @ the unrolled slab, so the unrolled data
+is read once. Tap dz of input plane q belongs to output plane q - dz; the
+k tap outputs of plane q go to slot q mod R of a ring of R = P + k - 1
+full-grid planes, enough to hold every tap that an output plane still
+lacks. After each slab, output plane z is complete once plane z + k - 1
+is in, and it sums tap dz of slot (z + dz) mod R in tap order,
+((t0 + t1) + t2) + bias, on its valid corner. The up to P planes a slab
+completes read, per tap, that many consecutive slots; they wrap past slot
+R-1 at most once, so the planes split into at most k + 1 ranges with
+contiguous slots for every tap. P is the largest count whose unrolled slab
+plus tap ring, (C*k*k*P + k*Co*R)*H*W elements, fits SLAB_BUDGET_ELEMS, or
+one plane if that is larger. The budget, 16 MiB in float32, sits under
+glibc's 32 MiB mmap ceiling: freed buffers go back to the heap and the
+next call reuses their pages, where larger ones would be mmap'd and
+page-faulted afresh. The weight gradient unrolls each slab of the input
+once the same way and contracts it, per tap, with grad_out laid on a
+zeroed full grid in a ring of R planes, (C*k*k, Co) per tap and run of
+slots, transposed once at the end; its sum over columns splits where a
+slab or a run ends. The input gradient reuses the forward path as a full
+correlation of the gradient with the flipped kernel: the gradient is laid
+on the input's (H, W) grid after a front pad of (k-1)*(H*W+W+1) zeros,
+where wrapped taps read zeros, so every full-grid output column is an
+input gradient. That padded gradient is never built whole: each slab of
+it is written into one reused (Co, P + 1, H, W) buffer and unrolled from
+there.
 
 The stride-2 layers (2x2x2 max pooling and the 2x2x2 transposed
 convolution) see an even-sized volume as 8 octants: octant i = dz*4 +
@@ -54,9 +67,13 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-# Upper bound on one conv slab's unrolled input plus its full-grid output, in
-# elements (16 MiB in float32, under glibc's 32 MiB mmap ceiling).
+# Upper bound on a conv pass's unrolled slab of input planes plus its ring
+# of full-grid tap outputs, in elements (16 MiB in float32, under glibc's
+# 32 MiB mmap ceiling).
 SLAB_BUDGET_ELEMS = 4 * 1024 * 1024
+# Input elements per channel group of max pooling (1 MiB in float32), so the
+# group's pooled arrays stay in cache through the octant rounds.
+POOL_GROUP_ELEMS = 256 * 1024
 # Elements per chunk of the ReLU gradient mask (256 KiB in float32), so the
 # chunk stays in cache across the mask's three passes.
 MASK_CHUNK_ELEMS = 64 * 1024
@@ -75,65 +92,105 @@ class NonFiniteError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 
-def _slab_planes(Ci, Co, k, H, W, oD):
-    """Output planes per slab: the unrolled input plus the full-grid output
-    of a slab fit SLAB_BUDGET_ELEMS, or one plane if that is larger."""
-    return max(1, min(oD, SLAB_BUDGET_ELEMS // ((Ci * k * k + Co) * H * W) - (k - 1)))
+def _slab_planes(Ci, Co, k, H, W, D):
+    """Input planes P per slab: P unrolled planes of a (Ci, D, H, W) input
+    plus a ring of R = P + k - 1 planes of the k taps' full-grid outputs,
+    the planes from the oldest output plane a slab completes to the
+    slab's last, fit SLAB_BUDGET_ELEMS, or P is one plane if that is
+    larger."""
+    room = SLAB_BUDGET_ELEMS // (H * W) - k * Co * (k - 1)
+    return max(1, min(D, room // (Ci * k * k + k * Co)))
 
 
-def _unroll(x, k, n):
-    """In-plane unrolling of n full-grid output columns from plane 0 of one
-    (C, D, H, W) item whose planes are C-contiguous (its channel stride is
-    free, so x may be a depth slice of a larger item).
+def _runs(c, n, N):
+    """(offset, start, count) runs of n consecutive ring positions from
+    position c on, in a ring of N: one run, or two where they pass the
+    ring's end."""
+    m = min(n, N - c)
+    return ((0, c, m),) if m == n else ((0, c, m), (m, 0, n - m))
 
-    Returns U of shape (C*k*k, n + (k-1)*H*W) with
-    U[(c, dy, dx), j] = x[c].flat[j + dy*W + dx], so depth tap dz of output
-    column j is U[:, dz*H*W + j]. Raises ContractError if the last read
-    falls past x[c].
-    """
+
+def _unroll(U, x, m, k):
+    """Unrolls planes 0..m-1 of one (C, D, H, W) item x in-plane into the
+    (C*k*k, P*H*W) buffer U: U[(c, dy, dx), j*H*W + i] =
+    x[c, j].flat[i + dy*W + dx], where reads past a plane's end run on into
+    the next plane. x's planes must be C-contiguous (its channel stride is
+    free, so x may be a depth slice of a larger item). When x has no plane
+    m, the last (k-1)*(W+1) columns of plane m-1, which would read it, are
+    left out: a cropped output reads none of them. Returns the number of
+    columns written."""
     C, D, H, W = x.shape
-    HW = H * W
-    if (k - 1) * HW + n + (k - 1) * (W + 1) > D * HW:
-        raise ContractError(f"conv3d: {n} columns read past {x.shape}")
+    n = min(m * H * W, D * H * W - (k - 1) * (W + 1))
     s = x.itemsize
-    view = as_strided(x, (C, k, k, n + (k - 1) * HW),
-                      (x.strides[0], W * s, s, s), writeable=False)
-    return view.reshape(C * k * k, -1)
+    flat = x.reshape(C, -1)
+    np.copyto(U.reshape(C, k, k, -1)[..., :n],
+              as_strided(flat, (C, k, k, n), (flat.strides[0], W * s, s, s), writeable=False))
+    return n
 
 
-def _conv_slabs(slab_input, grid, weight, out):
+def _conv_slabs(planes, grid, weight, out, bias=None):
     """out[b,o,z,y,x] = sum_{i,dz,dy,dx} x[b,i,z+dz,y+dy,x+dx] * w[o,i,dz,dy,dx]
+    (+ bias[o])
 
-    for an input x on the (H, W) = grid, read one depth slab at a time:
-    slab_input(b, z0) returns x[b, :, z0:] with C-contiguous planes, or at
-    least the planes that the slab's output planes read. A slab's
-    outputs are computed on the full (H, W) grid, one GEMM per depth tap
-    accumulated in place, and the (oH, oW) corner is copied out.
-    When out spans the whole grid, every column is an output; the last
-    (k-1)*(W+1) of them then read into the plane after the slab's last
-    input plane, which the slab input must hold.
+    for an input x on the (H, W) = grid, read in slabs of P input planes
+    (_slab_planes): planes(b, q0, q1) returns x[b, :, q0:] with
+    C-contiguous planes, or at least planes q0..q1-1 of it and the first
+    (k-1)*(W+1) elements of plane q1. Each slab is unrolled once, and one
+    GEMM per run of ring slots applies all k depth taps' kernels to it,
+    (k*Co, Ci*k*k) @ U, writing input plane q's k tap outputs into slot
+    q % R of a ring of R = P + k - 1 planes: the planes from the oldest
+    output plane that a slab completes to the slab's last. Output plane
+    z sums tap dz of slot (z + dz) % R in tap order, then the bias is
+    added, on the (oH, oW) corner. A slab completes up to P output planes,
+    whose taps each read that many consecutive slots; P <= R, so each
+    tap's slots pass the ring's end at most once, and the completed planes
+    split into at most k + 1 ranges over which every tap's slots are
+    contiguous.
     """
     H, W = grid
+    HW = H * W
     Co, Ci, k, _, _ = weight.shape
     B, _, oD, oH, oW = out.shape
-    HW = H * W
-    # columns past the last valid output of a slab, when out is cropped
-    tail = 0 if (oH, oW) == (H, W) else (k - 1) * (W + 1)
-    w_dz = np.ascontiguousarray(weight.transpose(2, 0, 1, 3, 4)).reshape(k, Co, -1)
-    slab = _slab_planes(Ci, Co, k, H, W, oD)
-    full = np.empty((Co, slab * HW), dtype=out.dtype)
-    tap = np.empty_like(full)
+    D = oD + k - 1
+    w = np.ascontiguousarray(weight.transpose(2, 0, 1, 3, 4)).reshape(k * Co, -1)
+    P = _slab_planes(Ci, Co, k, H, W, D)
+    R = P + k - 1
+    # the unrolled slab, the tap ring and the partial sums in one block: as
+    # three arrays, the desk step page-faulted ~3,200 times (12 MiB) afresh
+    # in its first two convs, against none as one
+    work = np.empty((Ci * k * k * P + k * Co * R + Co * P) * HW, dtype=out.dtype)
+    U = work[:Ci * k * k * P * HW].reshape(Ci * k * k, P * HW)
+    taps = work[U.size:U.size + k * Co * R * HW].reshape(k, Co, R * HW)
+    acc = work[U.size + taps.size:].reshape(Co, P * HW)
+
+    def corner(a, j):  # the (oH, oW) corners of the first j full-grid planes of a
+        return a[:, :j * HW].reshape(Co, j, H, W)[:, :, :oH, :oW]
+
     for b in range(B):
-        for z0 in range(0, oD, slab):
-            z1 = min(z0 + slab, oD)
-            n = (z1 - z0) * HW - tail
-            U = _unroll(slab_input(b, z0), k, n)
-            np.matmul(w_dz[0], U[:, :n], out=full[:, :n])
-            for dz in range(1, k):
-                np.matmul(w_dz[dz], U[:, dz * HW:dz * HW + n], out=tap[:, :n])
-                full[:, :n] += tap[:, :n]
-            out[b, :, z0:z1] = full[:, :(z1 - z0) * HW].reshape(Co, z1 - z0, H, W)[:, :, :oH, :oW]
-            del U  # free this slab before the next one is unrolled
+        for q0 in range(0, D, P):
+            q1 = min(q0 + P, D)
+            for o, c, m in _runs(q0 % R * HW, _unroll(U, planes(b, q0, q1), q1 - q0, k), R * HW):
+                np.matmul(w, U[:, o:o + m], out=taps.reshape(k * Co, -1)[:, c:c + m])
+            z0, z1 = max(0, q0 - k + 1), q1 - k + 1  # the output planes completed
+            if z1 <= z0:
+                continue
+            ends = sorted({z1 - z0} | {j for j in (R - (z0 + dz) % R for dz in range(k))
+                                       if 0 < j < z1 - z0})
+            for j0, j1 in zip([0] + ends, ends):
+                j = j1 - j0
+                t = [taps[dz, :, (z0 + j0 + dz) % R * HW:] for dz in range(k)]
+                if k > 2:
+                    np.add(t[0][:, :j * HW], t[1][:, :j * HW], out=acc[:, :j * HW])
+                    for tap in t[2:-1]:
+                        acc[:, :j * HW] += tap[:, :j * HW]
+                    t = [acc, t[-1]]
+                res = out[b, :, z0 + j0:z0 + j1]
+                if k > 1:
+                    np.add(corner(t[0], j), corner(t[1], j), out=res)
+                else:
+                    res[...] = corner(t[0], j)
+                if bias is not None:
+                    res += bias
     return out
 
 
@@ -151,8 +208,8 @@ def conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.nd
 
     out = np.empty((B, Co, D - k + 1, H - k + 1, W - k + 1), dtype=x.dtype)
     x = np.ascontiguousarray(x)
-    _conv_slabs(lambda b, z0: x[b, :, z0:], (H, W), weight, out)
-    out += bias.reshape(1, -1, 1, 1, 1).astype(x.dtype)
+    _conv_slabs(lambda b, q0, q1: x[b, :, q0:], (H, W), weight, out,
+                bias.reshape(-1, 1, 1, 1).astype(x.dtype))
     return out
 
 
@@ -168,28 +225,36 @@ def conv3d_backward(x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray,
 
     grad_bias = grad_out.sum(axis=(0, 2, 3, 4))
 
-    # weight gradient: grad_out on the full (H, W) grid, zero outside the
-    # valid corner, contracted with the forward's unrolled input per depth
-    # tap; only the valid corner of the grid is ever written, so its zeros
-    # outlive every slab
+    # weight gradient: each slab of the input is unrolled once as in the
+    # forward, and tap dz contracts its planes q with grad_out planes q - dz
+    # on the full (H, W) grid, per run of slots of a ring of R such planes
+    # (plane z in slot z % R), zero outside the valid corner; only the corner
+    # is ever written, so the zeros outlive every slab
     x = np.ascontiguousarray(x)
     HW = H * W
+    tail = (k - 1) * (W + 1)  # the junk columns after a plane's last valid one
     grad_w = np.zeros((k, Ci * k * k, Co), dtype=weight.dtype)
     tap = np.empty_like(grad_w[0])
-    slab = _slab_planes(Ci, Co, k, H, W, oD)
-    g = np.zeros((Co, slab, H, W), dtype=grad_out.dtype)
+    P = _slab_planes(Ci, Co, k, H, W, D)
+    R = P + k - 1
+    U = np.empty((Ci * k * k, P * HW), dtype=x.dtype)
+    g = np.zeros((Co, R, H, W), dtype=grad_out.dtype)
+    gT = g.reshape(Co, -1).T
     for b in range(B):
-        for z0 in range(0, oD, slab):
-            z1 = min(z0 + slab, oD)
-            n = (z1 - z0) * HW - (k - 1) * (W + 1)
-            U = _unroll(x[b, :, z0:], k, n)
-            g[:, :z1 - z0, :oH, :oW] = grad_out[b, :, z0:z1]
-            gT = g.reshape(Co, -1)[:, :n].T
+        for q0 in range(0, D, P):
+            q1 = min(q0 + P, D)
+            _unroll(U, x[b, :, q0:], q1 - q0, k)
+            for o, c, m in _runs(q0 % R, max(0, min(q1, oD) - q0), R):
+                g[:, c:c + m, :oH, :oW] = grad_out[b, :, q0 + o:q0 + o + m]
             for dz in range(k):
-                np.matmul(U[:, dz * HW:dz * HW + n], gT, out=tap)
-                grad_w[dz] += tap
-            del U, gT
-    del g  # free the grid before the grad_x pass allocates its own
+                z0, z1 = max(0, q0 - dz), min(oD, q1 - dz)
+                if z0 >= z1:
+                    continue
+                u0 = (z0 + dz - q0) * HW  # U's column of plane z0 + dz
+                for o, c, m in _runs(z0 % R * HW, (z1 - z0) * HW - tail, R * HW):
+                    np.matmul(U[:, u0 + o:u0 + o + m], gT[c:c + m], out=tap)
+                    grad_w[dz] += tap
+    del U, g, gT  # free them before the grad_x pass allocates its own
     grad_w = np.ascontiguousarray(
         grad_w.reshape(k, Ci, k, k, Co).transpose(4, 1, 0, 2, 3))
     if not need_grad_x:
@@ -197,24 +262,24 @@ def conv3d_backward(x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray,
 
     # input gradient: full correlation of grad_out with the flipped kernel
     # over the padded gradient of the module docstring, grad_out laid from
-    # plane, row and column k-1 of the input's grid. Each slab's planes of
-    # it are written into one reused buffer: plane j holds padded plane
-    # z0 + j, and the one plane past the slab's reads is spare
+    # plane, row and column k-1 of the input's grid. Each slab of it is
+    # written into one reused buffer: plane j holds padded plane q0 + j. Its
+    # first k-1 rows and columns stay zero, which is all that the last
+    # plane's reads into the next one see
     p = k - 1
-    slab = _slab_planes(Co, Ci, k, H, W, D)  # the slab _conv_slabs picks below
-    buf = np.zeros((Co, slab + k, H, W), dtype=grad_out.dtype)
-    inner = buf[:, :, p:, p:]  # outside it the buffer stays zero
+    buf = np.zeros((Co, _slab_planes(Co, Ci, k, H, W, D + p) + 1, H, W), dtype=grad_out.dtype)
+    inner = buf[:, :, p:, p:]
 
-    def padded_slab(b, z0):
-        lo, hi = max(0, p - z0), min(slab + k, p + oD - z0)
+    def padded(b, q0, q1):
+        lo = min(q1, max(q0, p)) - q0  # planes before grad_out's first
+        hi = max(lo, min(q1, p + oD) - q0)
         inner[:, :lo] = 0
-        inner[:, lo:hi] = grad_out[b, :, z0 + lo - p:z0 + hi - p]
-        inner[:, hi:] = 0
+        inner[:, lo:hi] = grad_out[b, :, q0 + lo - p:q0 + hi - p]
+        inner[:, hi:q1 - q0] = 0
         return buf
 
     grad_x = np.empty_like(x)
-    _conv_slabs(padded_slab, (H, W),
-                weight[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4), grad_x)
+    _conv_slabs(padded, (H, W), weight[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4), grad_x)
     return grad_x, grad_w, grad_bias
 
 
@@ -239,25 +304,36 @@ def maxpool3d_forward(x: np.ndarray,
     """Max over the 8 octants of each 2x2x2 block, plus the uint8 octant
     index of the winner (None when `want_argmax` is False, which skips
     its work). Octants are taken in index order and replace the running max
-    only when strictly greater, so ties keep the lowest index."""
+    only when strictly greater, so ties keep the lowest index. The rounds
+    run over groups of (item, channel) volumes of at most POOL_GROUP_ELEMS
+    input elements (one volume if it is larger), so a group's pooled arrays
+    stay in cache through all eight."""
     B, C, D, H, W = x.shape
     if D % 2 or H % 2 or W % 2:
         raise ContractError(f"maxpool3d: spatial dims {(D, H, W)} must be even")
-    out = _octant(x, 0).copy()
-    if not want_argmax:
+    x = x.reshape((B * C, D, H, W))
+    out = np.empty((B * C, D // 2, H // 2, W // 2), dtype=x.dtype)
+    argmax = np.empty(out.shape, dtype=np.uint8) if want_argmax else None
+    group = max(1, min(B * C, POOL_GROUP_ELEMS // (D * H * W)))
+    v = np.empty((group,) + out.shape[1:], dtype=x.dtype)
+    tag = np.empty(v.shape, dtype=np.uint8)
+    for c in range(0, B * C, group):
+        xs, m = x[c:c + group], out[c:c + group]
+        np.copyto(m, _octant(xs, 0))
+        if argmax is None:
+            for i in range(1, 8):
+                np.maximum(_octant(xs, i), m, out=m)  # same operands as below
+            continue
+        am, vs, ts = argmax[c:c + group], v[:len(m)], tag[:len(m)]
+        am.fill(0)
         for i in range(1, 8):
-            np.maximum(_octant(x, i), out, out=out)  # same operands as below
-        return out, None
-    argmax = np.zeros(out.shape, dtype=np.uint8)
-    v = np.empty_like(out)
-    tag = np.empty(out.shape, dtype=np.uint8)
-    for i in range(1, 8):
-        np.copyto(v, _octant(x, i))
-        np.greater(v, out, out=tag)
-        np.maximum(v, out, out=out)  # returns its second operand on ties (signed zeros)
-        tag *= np.uint8(i)
-        np.maximum(argmax, tag, out=argmax)  # i exceeds every earlier index
-    return out, argmax
+            np.copyto(vs, _octant(xs, i))
+            np.greater(vs, m, out=ts)
+            np.maximum(vs, m, out=m)  # returns its second operand on ties (signed zeros)
+            ts *= np.uint8(i)
+            np.maximum(am, ts, out=am)  # i exceeds every earlier index
+    shape = (B, C) + out.shape[1:]
+    return out.reshape(shape), None if argmax is None else argmax.reshape(shape)
 
 
 def maxpool3d_backward(argmax: np.ndarray, grad_out: np.ndarray) -> np.ndarray:

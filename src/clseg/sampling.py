@@ -248,9 +248,10 @@ def _trilinear_window(vols: np.ndarray, origin: np.ndarray, rot: np.ndarray,
 
     The window's floor indices span a small range per axis, bounded by its
     rotated corners, so the two corners per axis are mapped through one
-    mirror lookup table over that range, scaled to flat offsets. Indices
-    and the eight corner weights (float32) are computed once per point and
-    shared by the channels. Points go in chunks of _CHUNK_POINTS.
+    mirror lookup table over that range, scaled to flat offsets. The eight
+    corner indices and weights (float32) of a chunk of _CHUNK_POINTS points
+    are computed once into reused buffers and shared by the channels, each
+    of which then gathers and adds its eight corners in turn.
     """
     C, *shape = vols.shape
     grid = _centered_grid(side)
@@ -262,8 +263,12 @@ def _trilinear_window(vols: np.ndarray, origin: np.ndarray, rot: np.ndarray,
             for a in range(3)]
     flat = vols.reshape(C, -1)
     out = np.zeros((C, grid.shape[1]), dtype=np.result_type(vols, np.float32))
+    idx = np.empty((8, _CHUNK_POINTS), dtype=np.intp)
+    wts = np.empty((8, _CHUNK_POINTS), dtype=np.float32)
+    val = np.empty(_CHUNK_POINTS, dtype=np.result_type(flat, wts))
     for j in range(0, grid.shape[1], _CHUNK_POINTS):
         coords = rot @ grid[:, j:j + _CHUNK_POINTS] + origin
+        n = coords.shape[1]
         base = np.floor(coords)
         frac = (coords - base).astype(np.float32)
         base = base.astype(np.intp) - lo
@@ -271,14 +276,19 @@ def _trilinear_window(vols: np.ndarray, origin: np.ndarray, rot: np.ndarray,
         offsets = [(np.take(lut[:-1], b, mode="clip"), np.take(lut[1:], b, mode="clip"))
                    for lut, b in zip(luts, base)]
         weights = [(1 - f, f) for f in frac]
-        acc = out[:, j:j + _CHUNK_POINTS]
         for dz in (0, 1):
             for dy in (0, 1):
                 zy = offsets[0][dz] + offsets[1][dy]
                 wzy = weights[0][dz] * weights[1][dy]
                 for dx in (0, 1):
-                    idx = zy + offsets[2][dx]
-                    w = wzy * weights[2][dx]
-                    for c in range(C):
-                        acc[c] += np.take(flat[c], idx, mode="clip") * w
+                    i = dz * 4 + dy * 2 + dx
+                    np.add(zy, offsets[2][dx], out=idx[i, :n])
+                    np.multiply(wzy, weights[2][dx], out=wts[i, :n])
+        v = val[:n]
+        for c in range(C):
+            acc = out[c, j:j + n]
+            for i in range(8):
+                np.take(flat[c], idx[i, :n], mode="clip", out=v)
+                v *= wts[i, :n]
+                acc += v
     return out

@@ -74,6 +74,28 @@ def maxpool3d_blocks(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def maxpool3d_loops(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """2x2x2 stride-2 max pooling and the winning octant index, one block at
+    a time in (dz, dy, dx) order: an octant replaces the running max when it
+    is strictly greater (its index becomes the argmax) or NaN (the max
+    becomes NaN, the argmax stays), so ties, signed zeros too, keep the
+    earlier octant and no octant after a NaN wins."""
+    B, C, D, H, W = x.shape
+    out = np.empty((B, C, D // 2, H // 2, W // 2), dtype=x.dtype)
+    argmax = np.zeros(out.shape, dtype=np.uint8)
+    for b, c, z, y, xx in itertools.product(range(B), range(C), range(D // 2),
+                                            range(H // 2), range(W // 2)):
+        best = None
+        for i, (dz, dy, dx) in enumerate(itertools.product((0, 1), repeat=3)):
+            v = x[b, c, 2 * z + dz, 2 * y + dy, 2 * xx + dx]
+            if best is None or np.isnan(v) or v > best:
+                if best is not None and v > best:
+                    argmax[b, c, z, y, xx] = i
+                best = v
+        out[b, c, z, y, xx] = best
+    return out, argmax
+
+
 def maxpool3d_backward_loops(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient of maxpool3d_blocks for upstream gradient g: each block's
     gradient goes to its first maximum in (dz, dy, dx) order, found by

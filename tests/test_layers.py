@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from clseg import layers as L
 
 from brute_force import (conv3d_backward_loops, conv3d_loops, maxpool3d_backward_loops,
-                         maxpool3d_blocks, transposed_conv3d_backward_loops,
+                         maxpool3d_blocks, maxpool3d_loops, transposed_conv3d_backward_loops,
                          transposed_conv3d_loops)
 from gradcheck import argmax_pattern, gradient_check, relu_pattern
 
@@ -102,12 +102,15 @@ def test_conv_backward_matches_finite_differences():
     assert rep.passed, rep.summary()
 
 
-@pytest.mark.parametrize("budget", [None, 1, 5000], ids=["default", "one-plane", "two-plane"])
+@pytest.mark.parametrize("budget", [None, 1, 5000, 6000],
+                         ids=["default", "one-plane", "two-plane", "three-plane"])
 @pytest.mark.parametrize("k", [1, 3])
 def test_conv_forward_and_backward_match_loop_oracles(monkeypatch, k, budget):
-    # flat offsets depend on W and H*W separately and on slab edges: batch of
-    # 2, non-cubic input, and budgets giving 1 or 2 planes per slab (with a
-    # short last slab) as well as the default
+    # flat offsets depend on W and H*W separately and on slab edges: batch
+    # of 2, non-cubic input, and budgets giving 1, 2 or 3 input planes per
+    # slab (with a short last slab: 7 input planes, 9 in the grad_x pass)
+    # as well as the default. At k=3 the taps go to a ring of P + 2 planes,
+    # whose runs then wrap at different offsets
     if budget is not None:
         monkeypatch.setattr(L, "SLAB_BUDGET_ELEMS", budget)
     r = np.random.default_rng(7 + k)
@@ -125,18 +128,39 @@ def test_conv_forward_and_backward_match_loop_oracles(monkeypatch, k, budget):
     assert np.array_equal(gw, got[2]) and np.array_equal(gb, got[3])
 
 
+def test_conv_float32_paper_enc1b_bytes_do_not_depend_on_the_slabs(monkeypatch):
+    # paper enc1b: slabs of 3 input planes in the forward and 2 in the
+    # grad_x pass, where ring runs wrap, against one slab of every plane.
+    # These GEMMs are too large for OpenBLAS's small-matrix kernel, whose
+    # bits depend on the column count, so how the columns are split changes
+    # no byte
+    Ci, Co, k, s = 16, 32, 3, 66
+    r = np.random.default_rng(4)
+    x = r.standard_normal((1, Ci, s, s, s), dtype=np.float32)
+    w = (r.standard_normal((Co, Ci, k, k, k)) * 0.05).astype(np.float32)
+    b = r.standard_normal(Co).astype(np.float32)
+    g = r.standard_normal((1, Co, s - 2, s - 2, s - 2), dtype=np.float32)
+    assert (L._slab_planes(Ci, Co, k, s, s, s), L._slab_planes(Co, Ci, k, s, s, s + 2)) == (3, 2)
+    want = [L.conv3d_forward(x, w, b), L.conv3d_backward(x, w, g)[0]]
+    monkeypatch.setattr(L, "SLAB_BUDGET_ELEMS", 2 ** 27)
+    assert L._slab_planes(Ci, Co, k, s, s, s) == s
+    assert L._slab_planes(Co, Ci, k, s, s, s + 2) == s + 2
+    assert L.conv3d_forward(x, w, b).tobytes() == want[0].tobytes()
+    assert L.conv3d_backward(x, w, g)[0].tobytes() == want[1].tobytes()
+
+
 def test_conv_backward_memory_within_one_slab():
-    # paper-width enc1b backward: besides its outputs, only one slab
-    # (unrolled input plus full-grid output), the per-tap GEMM buffer of the
-    # grad_x pass and that pass's one slab of the padded gradient are alive
-    # at any time
+    # paper-width enc1b backward: besides its outputs, only one slab's
+    # unrolled input plus the ring of tap outputs, the partial-sum buffer of
+    # the grad_x pass and that pass's one slab of the padded gradient (with
+    # the plane its last row reads into) are alive at any time
     Ci, Co, k, s = 16, 32, 3, 66
     r = np.random.default_rng(3)
     x = r.standard_normal((1, Ci, s, s, s), dtype=np.float32)
     w = r.standard_normal((Co, Ci, k, k, k), dtype=np.float32)
     g = r.standard_normal((1, Co, s - 2, s - 2, s - 2), dtype=np.float32)
-    slab = L._slab_planes(Co, Ci, k, s, s, s)
-    padded = Co * (slab + k) * s * s * 4
+    slab = L._slab_planes(Co, Ci, k, s, s, s + 2)
+    padded = Co * (slab + 1) * s * s * 4
     tap = Ci * slab * s * s * 4
     tracemalloc.start()
     try:
@@ -206,10 +230,28 @@ def test_maxpool_backward_temporaries_below_a_quarter_of_the_input():
     assert peak - gx.nbytes < x.nbytes / 4
 
 
-def test_maxpool_matches_block_oracle():
+def test_maxpool_matches_block_oracle(monkeypatch):
     x = rng.standard_normal((2, 3, 6, 6, 6))
     out, _ = L.maxpool3d_forward(x)
     assert np.array_equal(out, maxpool3d_blocks(x))
+    # ties from a 5-level grid, +-0 and NaN against the block loop in octant
+    # order, whose argmax keeps the lowest octant of a tie and never names an
+    # octant after a NaN; channel 0 of item 0 is all tied. The channels run
+    # in one group, then in groups of two and one (192 elements each)
+    r = np.random.default_rng(13)
+    for dtype in (np.float32, np.float64):
+        x = r.integers(-2, 3, (2, 3, 6, 4, 8)).astype(dtype)
+        zero = x == 0
+        x[zero] = np.where(r.random(int(zero.sum())) < 0.5, -0.0, 0.0)
+        x[r.random(x.shape) < 0.05] = np.nan
+        x[0, 0] = 1.0
+        want_out, want_am = maxpool3d_loops(x)
+        assert not want_am[0, 0].any() and np.isnan(want_out).any()
+        for group in (L.POOL_GROUP_ELEMS, 400):
+            monkeypatch.setattr(L, "POOL_GROUP_ELEMS", group)
+            out, am = L.maxpool3d_forward(x)
+            assert out.tobytes() == want_out.tobytes()
+            assert am.tobytes() == want_am.tobytes()
 
 
 def test_maxpool_backward_matches_loop_oracle_with_ties_and_signed_zeros():
