@@ -183,6 +183,8 @@ def _cmd_report(args) -> int:
         if "=" not in item:
             raise _UsageError(f"--pred expects NAME=DIR, got {item!r}")
         name, pdir = item.split("=", 1)
+        if name in pred_dirs:
+            raise _UsageError(f"--pred {name} given twice")
         pred_dirs[name] = pdir
     if not pred_dirs:
         raise _UsageError("report needs at least one --pred NAME=DIR")

@@ -4,8 +4,10 @@ The variant is the one model switch: the baseline trains the lesion head
 only, multitask adds the tissue head, and multitask_icd also drops T2*
 channels in training. `RunConfig.loss` is derived from the variant;
 `validate` requires icd_probability > 0 exactly for multitask_icd, and
-`apply_variant` sets both. Documents written while more was settable load
-to the same run when each removed key holds its one value (`fixed_keys`).
+`apply_variant` sets both. A document holds only the current keys, each of
+its default's type: a float setting also takes an integer, and a list has
+its default's length. Any other key or value, such as the sections and
+settings removed since, is refused with a ConfigError.
 """
 
 from __future__ import annotations
@@ -16,12 +18,11 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .evaluation import CONNECTIVITY, SIGNIFICANCE_ALPHA, EvalConfig
-from .layers import ContractError
-from .losses import CL_BACKGROUND_WEIGHT, CL_LESION_WEIGHT, CL_WML_WEIGHT, LossConfig
+from .evaluation import EvalConfig
+from .losses import LossConfig
 from .phantom import PhantomSpec
 from .sampling import SamplerConfig
-from .unet import FIXED_NETWORK_KEYS, NetworkConfig, drop_fixed_keys
+from .unet import NetworkConfig
 
 CONFIG_VERSION = 1
 VARIANTS = ("baseline", "multitask", "multitask_icd")
@@ -117,69 +118,42 @@ class RunConfig:
         return hashlib.sha256(doc.encode()).hexdigest()
 
 
+def _typed(value, default, where: str):
+    """`value` checked against the type of `default`, its setting's default,
+    and returned as that type: a list as a tuple, an integer as a float."""
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)) or len(value) != len(default):
+            raise ConfigError(f"{where}: expected a list of {len(default)}, got {value!r}")
+        return tuple(_typed(v, d, f"{where}[{i}]")
+                     for i, (v, d) in enumerate(zip(value, default)))
+    kind = type(default)
+    if isinstance(value, bool) != (kind is bool) or \
+            not isinstance(value, (int, float) if kind is float else kind):
+        raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def _build(cls, doc: dict, where: str):
+    """An instance of the dataclass `cls` from `doc`, whose keys are some of
+    its fields, nested sections included; `where` names `doc` in errors."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: expected an object, got {type(doc).__name__}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(doc) - names
+    defaults = cls()
+    unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
-    try:
-        return cls(**kwargs)
-    except TypeError as e:
-        raise ConfigError(f"{where}: {e}") from e
-
-
-_SECTIONS = {
-    "network": NetworkConfig,
-    "loss": LossConfig,  # read only to check it: the variant sets the loss
-    "sampler": SamplerConfig,
-    "eval": EvalConfig,
-    "phantom": PhantomSpec,
-    "training": TrainingConfig,
-    "paths": PathsConfig,
-}
-
-
-def fixed_keys(variant: str) -> dict[str, dict]:
-    """Per section, the keys that older configs carry, each with the one
-    value it now has: for the tissue head, the one `variant` implies."""
-    return {
-        "network": FIXED_NETWORK_KEYS,
-        "loss": {"cl_lesion_weight": CL_LESION_WEIGHT,
-                 "cl_background_weight": CL_BACKGROUND_WEIGHT,
-                 "cl_wml_weight": CL_WML_WEIGHT,
-                 "tissue_head_enabled": RunConfig(variant=variant).loss.tissue_head_enabled},
-        "eval": {"connectivity": CONNECTIVITY, "significance_alpha": SIGNIFICANCE_ALPHA},
-        "phantom": {"epi_banding": False},
-    }
+    kwargs = {}
+    for key, value in doc.items():
+        default = getattr(defaults, key)
+        if dataclasses.is_dataclass(default):
+            kwargs[key] = _build(type(default), value, key)
+        else:
+            kwargs[key] = _typed(value, default, f"{where}.{key}")
+    return cls(**kwargs)
 
 
 def config_from_dict(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    scalar_names = {"version", "variant", "xval_folds"}
-    unknown = set(doc) - scalar_names - set(_SECTIONS)
-    if unknown:
-        raise ConfigError(f"unknown top-level config keys {sorted(unknown)}")
-    kwargs = {k: doc[k] for k in scalar_names if k in doc}
-    variant = doc.get("variant", RunConfig.variant)
-    if variant not in VARIANTS:  # named before the loss section it decides
-        raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    fixed = fixed_keys(variant)
-    for name, cls in _SECTIONS.items():
-        if name in doc:
-            section = doc[name]
-            if name in fixed and isinstance(section, dict):
-                try:
-                    section = drop_fixed_keys(section, fixed[name], name)
-                except ContractError as e:
-                    raise ConfigError(str(e)) from e
-            built = _build(cls, section, name)
-            if name != "loss":
-                kwargs[name] = built
-    return RunConfig(**kwargs).validate()
+    return _build(RunConfig, doc, "config").validate()
 
 
 def load_config(path: str | Path) -> RunConfig:

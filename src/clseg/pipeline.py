@@ -126,10 +126,12 @@ def write_run_manifest(out_dir: Path, cfg: RunConfig, command: str,
 
 def _load_latest_checkpoint(out_dir: Path):
     """(path, load_checkpoint result) of the newest checkpoint that loads,
-    or None. A run killed while writing one, or a truncated payload, leaves
-    an incomplete checkpoint, which is skipped. A complete checkpoint of
-    another network raises CheckpointMismatchError: resuming past it would
-    overwrite its run's loss.csv."""
+    or None. A checkpoint that is not whole (a file missing or unreadable, a
+    header field missing or unparsable, a truncated payload) is skipped: a
+    killed or damaged run leaves one. A whole header of another network, an
+    older format's included, raises CheckpointMismatchError before anything
+    is written: resuming past it would overwrite its run's loss.csv and
+    checkpoints."""
     found = []
     for p in out_dir.glob("checkpoint_*.json"):
         stem = p.name[len("checkpoint_"):-len(".json")]

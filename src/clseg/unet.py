@@ -56,7 +56,7 @@ bias per layer, little-endian float32. Decoder concatenation order is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -85,29 +85,11 @@ class NetworkConfig:
     input_patch: int = 68
 
     def validate(self) -> None:
+        if type(self.base_channels) is not int or type(self.input_patch) is not int:
+            raise ContractError(f"network {asdict(self)} is not of integers")
         output_shape(self.input_patch)
         if self.base_channels < 1:
             raise ContractError("base_channels must be positive")
-
-
-# Network keys that checkpoint headers carried while the network had them
-# as settings, with the one value this network has for each.
-FIXED_NETWORK_KEYS = {
-    "in_channels": len(CONTRAST_NAMES),
-    "levels": 3,
-    "cl_classes": len(LABEL_CODES["cl_labels"]),
-    "tissue_classes": len(LABEL_CODES["tissue_labels"]),
-    "instance_norm": False,
-}
-
-
-def drop_fixed_keys(doc: dict, fixed: dict, section: str) -> dict:
-    """`doc`, a config or checkpoint header section, without the keys of
-    `fixed` (config.fixed_keys); ContractError names one at another value."""
-    for key, value in fixed.items():
-        if key in doc and doc[key] != value:
-            raise ContractError(f"{section} {key}={doc[key]!r}; this version has {key}={value!r}")
-    return {k: v for k, v in doc.items() if k not in fixed}
 
 
 def output_shape(input_side: int) -> int:
@@ -598,10 +580,13 @@ def save_checkpoint(path: str | Path, params: NetworkParams, state: AdamState,
 def load_checkpoint(path: str | Path):
     """Returns (params, adam_state, iteration, sampler_draws).
 
-    Raises CheckpointError when either file is missing or unreadable, the
-    header is malformed, or the payload size disagrees with the header, and
-    CheckpointMismatchError when the header's network is not this one. A
-    header may carry the keys of FIXED_NETWORK_KEYS at their fixed values.
+    Raises CheckpointError, which resume skips, for a checkpoint that is not
+    whole: a file missing or unreadable, a header field missing or
+    unparsable, or a payload whose size disagrees with the header. Raises
+    CheckpointMismatchError, which resume refuses, for a whole header of
+    another network: network keys other than NetworkConfig's fields, values
+    that are not a valid network, or a payload_order other than
+    param_shapes'. That holds whatever the payload of such a header holds.
     """
     try:
         header, raw = volume_io.read_record(path)
@@ -610,20 +595,34 @@ def load_checkpoint(path: str | Path):
     if header.get("format") != "clseg-checkpoint-v1":
         raise CheckpointError(f"not a checkpoint: {path}")
     try:
-        doc = drop_fixed_keys(header["config"], FIXED_NETWORK_KEYS, "network")
-        cfg = NetworkConfig(**doc)
-        order = header["payload_order"]
-        shapes = param_shapes(cfg)
-        expected = 3 * sum(int(np.prod(shapes[k])) for k in order)
+        net, order, a = dict(header["config"]), list(header["payload_order"]), header["adam"]
+        adam = {k: float(a[k]) for k in ("learning_rate", "beta1", "beta2", "epsilon")}
+        adam["step_count"] = int(a["step_count"])
+        seed, iteration, draws = (header["seed"], int(header["iteration"]),
+                                  int(header["sampler_draws"]))
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"malformed checkpoint header {path}: {e!r}") from e
+    names = {f.name for f in fields(NetworkConfig)}
+    if set(net) != names:
+        raise CheckpointMismatchError(f"checkpoint {path} is of another network: its network "
+                                      f"keys differ from this one's in {sorted(set(net) ^ names)}")
+    cfg = NetworkConfig(**net)
+    try:
+        cfg.validate()
     except ContractError as e:
         raise CheckpointMismatchError(f"checkpoint {path} has {e}") from e
-    except (AttributeError, KeyError, TypeError) as e:
-        raise CheckpointError(f"malformed checkpoint header {path}: {e!r}") from e
+    shapes = param_shapes(cfg)
+    want = list(shapes)
+    if order != want:
+        foreign = [k for k in order if k not in want] + [k for k in want if k not in order]
+        raise CheckpointMismatchError(f"checkpoint {path} is of another network: its payload_"
+                                      f"order differs from this one's in {foreign or 'order'}")
+    expected = 3 * sum(int(np.prod(shape)) for shape in shapes.values())
     if len(raw) != 4 * expected:
         raise CheckpointError(
             f"checkpoint payload {path} has {len(raw)} bytes, expected {4 * expected}")
     payload = np.frombuffer(raw, dtype="<f4")
-    params = NetworkParams(cfg, header["seed"], {})
+    params = NetworkParams(cfg, seed, {})
 
     def take(offset):
         tensors = {}
@@ -636,7 +635,4 @@ def load_checkpoint(path: str | Path):
     params.tensors, off = take(0)
     m, off = take(off)
     v, off = take(off)
-    a = header["adam"]
-    state = AdamState(learning_rate=a["learning_rate"], beta1=a["beta1"], beta2=a["beta2"],
-                      epsilon=a["epsilon"], step_count=a["step_count"], m=m, v=v)
-    return params, state, int(header["iteration"]), int(header["sampler_draws"])
+    return params, AdamState(**adam, m=m, v=v), iteration, draws

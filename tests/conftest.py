@@ -15,17 +15,24 @@ TINY_SPEC = PhantomSpec(
 )
 
 
+def edit_header(ckpt: Path, edit) -> None:
+    """Rewrite a checkpoint header as `edit` changes its document."""
+    path = ckpt.with_suffix(".json")
+    header = json.loads(path.read_text())
+    edit(header)
+    path.write_text(json.dumps(header, indent=2) + "\n")
+
+
 def write_old_network_keys(ckpt: Path, **changes) -> None:
     """Rewrite a checkpoint header's network as headers written while
     NetworkConfig had seven fields carry it: in that key order, with the
     values every such run had, then `changes`."""
-    path = ckpt.with_suffix(".json")
-    header = json.loads(path.read_text())
-    net = header["config"]
-    header["config"] = {"in_channels": 3, "base_channels": net["base_channels"], "levels": 3,
-                        "input_patch": net["input_patch"], "cl_classes": 3,
-                        "tissue_classes": 3, "instance_norm": False, **changes}
-    path.write_text(json.dumps(header, indent=2) + "\n")
+    def old(header):
+        net = header["config"]
+        header["config"] = {"in_channels": 3, "base_channels": net["base_channels"],
+                            "levels": 3, "input_patch": net["input_patch"], "cl_classes": 3,
+                            "tissue_classes": 3, "instance_norm": False, **changes}
+    edit_header(ckpt, old)
 
 
 @pytest.fixture(scope="session")

@@ -1,17 +1,25 @@
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from clseg import unet
 from clseg import volume_io as vio
 from clseg.cli import main
 from clseg.config import ConfigError, RunConfig, config_from_dict, load_config
 from clseg.losses import LossConfig
+from clseg.optim import AdamState
 from clseg.phantom import generate_cohort
 
-from conftest import TINY_SPEC
+from conftest import TINY_SPEC, write_old_network_keys
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _fast_config(tmp_path, cohort_dir, **overrides):
@@ -42,30 +50,31 @@ def test_unknown_keys_rejected():
         config_from_dict({"nonsense": 1})
     with pytest.raises(ConfigError, match="unknown"):
         config_from_dict({"network": {"bogus_field": 2}})
-    with pytest.raises(ConfigError, match="loss: unknown keys"):
-        config_from_dict({"loss": {"tissue_head_enabled": True, "bogus_field": 2}})
+    with pytest.raises(ConfigError, match=r"config: unknown keys \['loss'\]"):
+        config_from_dict({"loss": {"tissue_head_enabled": True}})  # the variant sets it
 
 
-def test_old_network_keys_load_at_their_fixed_values(tmp_path, tiny_cohort):
-    # configs written while the network had these as settings carry them;
-    # at the values of this network they load to the same run, at any
-    # other they are refused with one line (exit 1)
-    cfg, path = _fast_config(tmp_path, tiny_cohort)
-    doc = cfg.to_dict()
-    doc["network"] = {"in_channels": 3, **doc["network"], "levels": 3, "cl_classes": 3,
-                      "tissue_classes": 3, "instance_norm": False}
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    assert load_config(path) == cfg
-    assert main(["train", "--config", str(path)]) == 0
-    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
-    assert manifest["config_hash"] == cfg.config_hash()
-    for key, value in [("instance_norm", True), ("in_channels", 4), ("levels", 2),
-                       ("cl_classes", 2), ("tissue_classes", 4)]:
-        with pytest.raises(ConfigError, match=f"{key}={value}"):
-            config_from_dict({"network": {**doc["network"], key: value}})
-    doc["network"]["levels"] = 4
+def _exit_1_naming(tmp_path, capsys, doc, name):
+    """Runs train on `doc` and checks that it exits 1 with one line naming
+    `name`, writing nothing."""
+    doc = {"paths": {"cohort_dir": str(tmp_path / "cohort"),
+                     "out_dir": str(tmp_path / "out")}, **doc}
+    path = tmp_path / "config.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
     assert main(["train", "--config", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and name in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [("in_channels", 3), ("levels", 3), ("cl_classes", 3),
+                                        ("tissue_classes", 3), ("instance_norm", False)])
+def test_old_network_keys_exit_1(tmp_path, capsys, key, value):
+    # configs written while the network had these as settings carry them,
+    # at this network's values too; they are refused, naming the key
+    doc = {"network": {"base_channels": 2, "input_patch": 44, key: value}}
+    _exit_1_naming(tmp_path, capsys, doc, repr(key))
 
 
 def test_settable_config_keys():
@@ -112,16 +121,11 @@ OLD_BASELINE_DOC = {
 }
 
 
-def test_old_config_keys_load_at_their_fixed_values(tmp_path):
-    want = RunConfig().apply_variant("baseline")
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(OLD_BASELINE_DOC), encoding="utf-8")
-    loaded = load_config(path)
-    assert loaded == want and loaded.config_hash() == want.config_hash()
-    assert not loaded.loss.tissue_head_enabled
-    # a misspelt variant is named as such, not as a wrong tissue head
-    with pytest.raises(ConfigError, match="variant must be one of"):
-        config_from_dict({**OLD_BASELINE_DOC, "variant": "Baseline"})
+def test_old_config_exits_1(tmp_path, capsys):
+    _exit_1_naming(tmp_path, capsys, OLD_BASELINE_DOC, "['loss']")
+    # without its loss section, the next old keys are named
+    doc = {k: v for k, v in OLD_BASELINE_DOC.items() if k != "loss"}
+    _exit_1_naming(tmp_path, capsys, doc, "['connectivity', 'significance_alpha']")
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -134,20 +138,50 @@ def test_old_config_keys_load_at_their_fixed_values(tmp_path):
     ("eval", "connectivity", 6),
 ], ids=lambda v: str(v))
 def test_old_config_keys_at_other_values_exit_1(tmp_path, capsys, section, key, value):
-    doc = json.loads(json.dumps(OLD_BASELINE_DOC))
-    doc[section][key] = value
-    doc["paths"] = {"cohort_dir": str(tmp_path / "cohort"), "out_dir": str(tmp_path / "out")}
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    capsys.readouterr()
-    assert main(["train", "--config", str(path)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and f"{key}={value!r}" in err[0]
+    # the loss section is unknown as a whole; the others name the old key
+    _exit_1_naming(tmp_path, capsys, {section: {key: value}},
+                   repr("loss" if section == "loss" else key))
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("training", "iterations", 2.5),
+    ("network", "input_patch", 68.0),
+    ("phantom", "side_voxels", 32.5),
+    ("training", "batch_size", True),
+    ("phantom", "gre_missing_chunk", 1),
+    ("sampler", "icd_probability", "0.5"),
+    ("paths", "out_dir", 3),
+    ("phantom", "lesion_size_range", [6]),
+    ("phantom", "noise_sigma", [0.02]),
+    ("phantom", "noise_sigma", 0.02),
+    ("phantom", "lesion_counts", [1, 0, 1]),
+    ("phantom", "lesion_counts", [1, 0, 1, 0.5]),
+    ("phantom", "spacing_mm", [0.5, 0.5]),
+], ids=lambda v: str(v))
+def test_config_values_of_wrong_type_or_length_exit_1(tmp_path, capsys, section, key, value):
+    _exit_1_naming(tmp_path, capsys, {section: {key: value}}, f"{section}.{key}")
+
+
+def test_config_values_keep_their_defaults_types():
+    # a float setting takes an integer, as a float; every default
+    # round-trips through JSON
+    cfg = config_from_dict({"training": {"learning_rate": 1},
+                            "phantom": {"spacing_mm": [1, 1, 1]}})
+    assert [type(v) for v in (cfg.training.learning_rate, *cfg.phantom.spacing_mm)] == [float] * 4
+    assert config_from_dict(json.loads(json.dumps(RunConfig().to_dict()))) == RunConfig()
+    with pytest.raises(ConfigError, match=r"config.xval_folds: expected int, got 2.0"):
+        config_from_dict({"xval_folds": 2.0})
+    with pytest.raises(ConfigError, match=r"phantom.lesion_counts\[3\]: expected int, got 0.5"):
+        config_from_dict({"phantom": {"lesion_counts": [1, 0, 1, 0.5]}})
+    with pytest.raises(ConfigError, match="config: expected an object, got list"):
+        config_from_dict([])
 
 
 def test_version_mismatch_rejected():
     with pytest.raises(ConfigError, match="version"):
         config_from_dict({"version": 99})
+    with pytest.raises(ConfigError, match="variant must be one of"):
+        config_from_dict({"variant": "Baseline"})
 
 
 def test_variant_wiring_validation():
@@ -442,10 +476,16 @@ def test_inference_needs_no_label_volumes(tmp_path, tiny_cohort):
         assert (tmp_path / "cli" / "subject_00" / name).read_bytes() == want
 
 
-def test_cli_report_needs_pred(tmp_path, tiny_cohort):
+def test_cli_report_needs_pred(tmp_path, tiny_cohort, capsys):
     cfg, path = _fast_config(tmp_path, tiny_cohort)
     assert main(["report", "--config", str(path), "--pred", "noequals"]) == 1
     assert main(["report", "--config", str(path)]) == 1
+    # a repeated name would silently drop the first directory
+    capsys.readouterr()
+    assert main(["report", "--config", str(path), "--pred", f"m={tmp_path / 'a'}",
+                 "--pred", f"m={tmp_path / 'b'}"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: --pred m given twice"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_nonfinite_training_exit_3(tmp_path, tiny_cohort):
@@ -479,3 +519,31 @@ def test_cli_nonfinite_gradient_exit_3(tmp_path, tiny_cohort, monkeypatch, capsy
     assert not list((tmp_path / "out").glob("checkpoint_*"))
     manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
     assert manifest["exit_code"] == 3
+
+
+def test_cli_faults_exit_in_one_line_as_a_process(tmp_path, tiny_cohort):
+    # as a user runs it: a wrong-typed config and an old-format checkpoint
+    # each end in one line and their exit code, never a traceback
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "clseg.cli", *argv], capture_output=True,
+                              text=True, env=env, timeout=300)
+
+    cfg, path = _fast_config(tmp_path, tiny_cohort)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"training": {"iterations": 2.5}}), encoding="utf-8")
+    r = run("train", "--config", str(bad))
+    assert r.returncode == 1 and "Traceback" not in r.stderr
+    assert r.stderr.splitlines() == ["error: training.iterations: expected int, got 2.5"]
+
+    ckpt = tmp_path / "ck"
+    params = unet.build_network(cfg.network, seed=0)
+    unet.save_checkpoint(ckpt, params, AdamState.for_params(params.tensors), 0, 0)
+    write_old_network_keys(ckpt)
+    r = run("infer", "--config", str(path), "--checkpoint", str(ckpt),
+            "--subject", str(tiny_cohort / "subject_00"), "--out", str(tmp_path / "pred"))
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+    err = r.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ") and "instance_norm" in err[0]

@@ -16,7 +16,7 @@ from clseg.unet import CheckpointMismatchError
 from clseg.volume_io import read_volume
 
 from brute_force import flood_fill_components
-from conftest import TINY_SPEC, write_old_network_keys
+from conftest import TINY_SPEC, edit_header, write_old_network_keys
 
 
 def _cfg(cohort_dir, out_dir, iterations=4, variant="multitask_icd", **tr):
@@ -62,22 +62,6 @@ def test_resume_reproduces_uninterrupted_run(tmp_path, tiny_cohort, axes):
         (tmp_path / "part" / "checkpoint_00000006.raw").read_bytes()
 
 
-def test_resume_from_checkpoint_with_old_network_keys(tmp_path, tiny_cohort):
-    full = _cfg(tiny_cohort, tmp_path / "full", iterations=6)
-    pipeline.run_training(full, tmp_path / "full")
-
-    part = _cfg(tiny_cohort, tmp_path / "part", iterations=4)
-    pipeline.run_training(part, tmp_path / "part")
-    write_old_network_keys(tmp_path / "part" / "checkpoint_00000004")
-    cont = _cfg(tiny_cohort, tmp_path / "part", iterations=6)
-    pipeline.run_training(cont, tmp_path / "part")
-
-    assert (tmp_path / "full" / "loss.csv").read_bytes() == \
-        (tmp_path / "part" / "loss.csv").read_bytes()
-    assert (tmp_path / "full" / "checkpoint_00000006.raw").read_bytes() == \
-        (tmp_path / "part" / "checkpoint_00000006.raw").read_bytes()
-
-
 def test_resume_from_checkpoint_header_in_the_v1_bytes(tmp_path, tiny_cohort):
     # the header bytes of a checkpoint written before checkpoints became
     # volume_io records: the writer still writes them, and a run resumed
@@ -110,15 +94,27 @@ def test_resume_from_checkpoint_header_in_the_v1_bytes(tmp_path, tiny_cohort):
         assert (tmp_path / "full" / name).read_bytes() == (tmp_path / "part" / name).read_bytes()
 
 
-def test_resume_refuses_checkpoint_of_another_network(tmp_path, tiny_cohort):
-    # skipping it like an incomplete checkpoint would restart the run and
-    # overwrite its loss.csv
+@pytest.mark.parametrize("rewrite, named", [
+    (write_old_network_keys, "instance_norm"),
+    (lambda ck: write_old_network_keys(ck, instance_norm=True), "instance_norm"),
+    (lambda ck: write_old_network_keys(ck, dropout=0.0), "dropout"),
+    (lambda ck: edit_header(ck, lambda h: h["payload_order"].insert(0, "enc1a.weight")),
+     "enc1a.weight"),
+], ids=["instance_norm_false", "instance_norm_true", "unknown_key", "foreign_payload_order"])
+def test_resume_refuses_checkpoint_of_another_network(tmp_path, tiny_cohort, rewrite, named):
+    # a header of an older format or of another network is refused: skipping
+    # it like an incomplete checkpoint would restart the run and overwrite
+    # its loss.csv and checkpoints
     pipeline.run_training(_cfg(tiny_cohort, tmp_path, iterations=4), tmp_path)
-    write_old_network_keys(tmp_path / "checkpoint_00000004", instance_norm=True)
-    log = (tmp_path / "loss.csv").read_bytes()
-    with pytest.raises(CheckpointMismatchError, match="instance_norm=True"):
+    ckpt = tmp_path / "checkpoint_00000004"
+    rewrite(ckpt)
+    files = [tmp_path / "loss.csv", ckpt.with_suffix(".json"), ckpt.with_suffix(".raw")]
+    before = [f.read_bytes() for f in files]
+    with pytest.raises(CheckpointMismatchError, match=named):
         pipeline.run_training(_cfg(tiny_cohort, tmp_path, iterations=6), tmp_path)
-    assert (tmp_path / "loss.csv").read_bytes() == log
+    assert [f.read_bytes() for f in files] == before
+    assert sorted(p.name for p in tmp_path.glob("checkpoint_*.json")) == \
+        ["checkpoint_00000002.json", "checkpoint_00000004.json"]
 
 
 def test_resume_skips_truncated_checkpoint(tmp_path, tiny_cohort):

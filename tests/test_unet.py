@@ -10,7 +10,7 @@ from clseg.losses import LossConfig, combined_loss
 from clseg.optim import AdamState
 from clseg.volume_io import CONTRAST_NAMES, LABEL_CODES
 
-from conftest import write_old_network_keys
+from conftest import edit_header, write_old_network_keys
 
 rng = np.random.default_rng(31)
 
@@ -284,37 +284,57 @@ def test_incomplete_checkpoint_raises_checkpoint_error(tmp_path):
         "header not an object": lambda ck: ck.with_suffix(".json").write_text("[]\n"),
         "unreadable payload": lambda ck: (ck.with_suffix(".raw").unlink(),
                                           ck.with_suffix(".raw").mkdir()),
+        "truncated payload": lambda ck: ck.with_suffix(".raw").write_bytes(
+            ck.with_suffix(".raw").read_bytes()[:-4]),
     }
+    for field in ("config", "seed", "iteration", "sampler_draws", "adam", "payload_order"):
+        damages[f"no {field}"] = lambda ck, field=field: edit_header(ck, lambda h: h.pop(field))
+    damages["no adam epsilon"] = lambda ck: edit_header(ck, lambda h: h["adam"].pop("epsilon"))
+    damages["adam not an object"] = lambda ck: edit_header(ck, lambda h: h.update(adam=[]))
+    damages["iteration not a number"] = lambda ck: edit_header(
+        ck, lambda h: h.update(iteration="four"))
+    damages["learning rate not a number"] = lambda ck: edit_header(
+        ck, lambda h: h["adam"].update(learning_rate=[1e-4]))
     for name, damage in damages.items():
         ck = tmp_path / name.replace(" ", "_")
         unet.save_checkpoint(ck, params, state, iteration=0, sampler_draws=0)
         damage(ck)
-        with pytest.raises(unet.CheckpointError):
+        with pytest.raises(unet.CheckpointError) as caught:
             unet.load_checkpoint(ck)
+        assert not isinstance(caught.value, unet.CheckpointMismatchError), name
 
 
 def test_checkpoint_with_old_network_keys(tmp_path):
     # headers written while NetworkConfig had these as settings carry them;
-    # at the values of this network they load, at any other they are refused
+    # whatever their values, such a header is of another network, as is one
+    # with an unknown key, an invalid network or a foreign payload order
     cfg = unet.NetworkConfig(base_channels=2, input_patch=44)
     params = unet.build_network(cfg, seed=4)
     state = AdamState.for_params(params.tensors)
-    unet.train_step(params, state, _batch(seed=1), LossConfig())
     unet.save_checkpoint(tmp_path / "ck", params, state, iteration=1, sampler_draws=1)
+    old_keys = "['cl_classes', 'in_channels', 'instance_norm', 'levels', 'tissue_classes']"
     write_old_network_keys(tmp_path / "ck")
-    p2, s2, it, draws = unet.load_checkpoint(tmp_path / "ck")
-    assert p2.config == cfg and (it, draws) == (1, 1)
-    for k in params.tensors:
-        assert np.array_equal(p2.tensors[k], params.tensors[k])
-        assert np.array_equal(s2.m[k], state.m[k]) and np.array_equal(s2.v[k], state.v[k])
-    for key, value in [("instance_norm", True), ("in_channels", 4), ("levels", 4),
-                       ("cl_classes", 2), ("tissue_classes", 4)]:
-        write_old_network_keys(tmp_path / "ck", **{key: value})
-        with pytest.raises(unet.CheckpointMismatchError, match=f"{key}={value}"):
-            unet.load_checkpoint(tmp_path / "ck")
-    write_old_network_keys(tmp_path / "ck", bogus=1)
-    with pytest.raises(unet.CheckpointError, match="malformed"):
+    with pytest.raises(unet.CheckpointMismatchError) as caught:
         unet.load_checkpoint(tmp_path / "ck")
+    assert str(caught.value).endswith(f"its network keys differ from this one's in {old_keys}")
+    for key, value in [("instance_norm", True), ("in_channels", 4), ("levels", 4),
+                       ("cl_classes", 2), ("tissue_classes", 4), ("bogus", 1)]:
+        write_old_network_keys(tmp_path / "ck", **{key: value})
+        with pytest.raises(unet.CheckpointMismatchError, match=key):
+            unet.load_checkpoint(tmp_path / "ck")
+    for edit, named in [
+        (lambda h: h.update(config={"base_channels": 2}), "input_patch"),
+        (lambda h: h.update(config={"base_channels": 2, "input_patch": 44, "bogus": 1}),
+         "bogus"),
+        (lambda h: h.update(config={"base_channels": 2.0, "input_patch": 44}), "not of integers"),
+        (lambda h: h.update(config={"base_channels": 2, "input_patch": 45}), "input side 45"),
+        (lambda h: h["payload_order"].append("enc1a.gamma"), "enc1a.gamma"),
+        (lambda h: h["payload_order"].reverse(), "in order"),
+    ]:
+        unet.save_checkpoint(tmp_path / "ck", params, state, iteration=1, sampler_draws=1)
+        edit_header(tmp_path / "ck", edit)
+        with pytest.raises(unet.CheckpointMismatchError, match=named):
+            unet.load_checkpoint(tmp_path / "ck")
 
 
 # --- sliding window -----------------------------------------------------------
