@@ -262,7 +262,7 @@ def inject_lesions(tissue: np.ndarray, spec: PhantomSpec, rng: np.random.Generat
     brain_box = _brain_box(tissue != 0)
     offset = [s.start for s in brain_box]
     masks = _placement_masks(tissue[brain_box])
-    brain, gm, wm, pial, safe_gm = (masks[k] for k in ("brain", "gm", "wm", "pial", "safe_gm"))
+    brain, gm, wm, pial = (masks[k] for k in ("brain", "gm", "wm", "pial"))
     shape = brain.shape
 
     cl = np.zeros(shape, dtype=np.uint8)
@@ -270,55 +270,43 @@ def inject_lesions(tissue: np.ndarray, spec: PhantomSpec, rng: np.random.Generat
     occupied_dil = np.zeros(shape, dtype=bool)  # 1-voxel halo keeps lesions non-adjacent
     records: list[dict] = []
 
-    def place(lesion_type: int, coords: np.ndarray) -> dict:
-        lo_sz, hi_sz = spec.lesion_size_range
+    lo_sz, hi_sz = spec.lesion_size_range
+    cl_sizes = (np.log(lo_sz), np.log(hi_sz + 1))
+
+    def touches_bg(box, blob):
+        return (blob & pial[box]).any()
+
+    # per kind (CL type 1-4, or WML): log-size range, size clamp, allowed
+    # mask, flattened axis, smallest size, and a test the blob must pass
+    rules = {
+        1: (cl_sizes, (0, np.inf), brain, None, lo_sz,
+            lambda box, blob: (blob & gm[box]).any() and (blob & wm[box]).any()),
+        # a thin shell cannot hold big blobs
+        2: (cl_sizes, (0, 40), masks["safe_gm"], 0, lo_sz,
+            lambda box, blob: not touches_bg(box, blob)),
+        3: (cl_sizes, (0, np.inf), gm, None, lo_sz, touches_bg),
+        4: (cl_sizes, (2 * lo_sz, np.inf), gm, None, lo_sz, touches_bg),
+        "wml": ((np.log(8), np.log(120)), (0, np.inf), wm, None, 6, lambda box, blob: True),
+    }
+
+    def place(kind, coords: np.ndarray):
+        """(box, mask) of a new lesion of `kind`, its halo marked."""
+        sizes, clamp, allowed, flatten, min_size, accept = rules[kind]
         for _ in range(_PLACEMENT_RETRIES):
             # log-uniform sizes so small lesions dominate, as in real cohorts
-            target = int(np.exp(rng.uniform(np.log(lo_sz), np.log(hi_sz + 1))))
-            if lesion_type == 1:
-                allowed = brain
-                radii = _radii_for_size(target, None, 0, rng)
-            elif lesion_type == 2:
-                allowed = safe_gm
-                target = min(target, 40)  # thin shell cannot hold big blobs
-                radii = _radii_for_size(target, 0, (spec.cortex_thickness_voxels - 2) / 2, rng)
-            else:
-                allowed = gm
-                if lesion_type == 4:
-                    target = max(target, 2 * lo_sz)
-                radii = _radii_for_size(target, None, 0, rng)
+            target = int(np.clip(int(np.exp(rng.uniform(*sizes))), *clamp))
+            radii = _radii_for_size(target, flatten, (spec.cortex_thickness_voxels - 2) / 2, rng)
             seed_voxel = tuple(coords[rng.integers(len(coords))])
             placed = _ellipsoid_blob(shape, seed_voxel, radii, allowed, rng)
             if placed is None:
                 continue
             box, blob = placed
-            if (blob & occupied_dil[box]).any():
-                continue
-            size = int(blob.sum())
-            if size < lo_sz:
-                continue
-            if lesion_type == 1 and not ((blob & gm[box]).any() and (blob & wm[box]).any()):
-                continue
-            touches_bg = (blob & pial[box]).any()
-            if lesion_type == 2 and touches_bg:
-                continue
-            if lesion_type in (3, 4) and not touches_bg:
-                continue
-            cls = TYPE_TO_CLASS[lesion_type]
-            cl[box][blob] = cls
-            _mark_halo(occupied_dil, box, blob)
-            # the offsets are added before the mean, so the float sums are
-            # those of whole-volume coordinates
-            centroid = (np.argwhere(blob) + [s.start + o for s, o in zip(box, offset)]).mean(axis=0)
-            return {
-                "type": lesion_type,
-                "class": cls,
-                "size_voxels": size,
-                "volume_ul": size * voxel_ul,
-                "centroid": [float(c) for c in centroid],
-            }
+            if (not (blob & occupied_dil[box]).any() and blob.sum() >= min_size
+                    and accept(box, blob)):
+                _mark_halo(occupied_dil, box, blob)
+                return box, blob
         raise PhantomError(
-            f"could not place a type-{lesion_type} lesion after {_PLACEMENT_RETRIES} retries")
+            f"could not place a lesion of kind {kind!r} after {_PLACEMENT_RETRIES} retries")
 
     seed_pools = {1: "interface_wm", 2: "safe_gm", 3: "pial_gm", 4: "pial_gm"}
     for lesion_type, count in zip((1, 2, 3, 4), spec.lesion_counts):
@@ -326,7 +314,20 @@ def inject_lesions(tissue: np.ndarray, spec: PhantomSpec, rng: np.random.Generat
         if count and not len(coords):
             raise PhantomError("no candidate seed voxels for a lesion type")
         for _ in range(count):
-            records.append(place(lesion_type, coords))
+            box, blob = place(lesion_type, coords)
+            cls = TYPE_TO_CLASS[lesion_type]
+            cl[box][blob] = cls
+            size = int(blob.sum())
+            # the offsets are added before the mean, so the float sums are
+            # those of whole-volume coordinates
+            centroid = (np.argwhere(blob) + [s.start + o for s, o in zip(box, offset)]).mean(axis=0)
+            records.append({
+                "type": lesion_type,
+                "class": cls,
+                "size_voxels": size,
+                "volume_ul": size * voxel_ul,
+                "centroid": [float(c) for c in centroid],
+            })
 
     # WMLs: strictly in WM; odd indices juxtacortical (within 2 voxels of GM)
     # to exercise the zero-weight confusion case, the rest deep
@@ -337,22 +338,8 @@ def inject_lesions(tissue: np.ndarray, spec: PhantomSpec, rng: np.random.Generat
     if not len(juxta_coords):
         juxta_coords = deep_coords
     for i in range(spec.wml_count):
-        coords = juxta_coords if i % 2 == 1 else deep_coords
-        for _ in range(_PLACEMENT_RETRIES):
-            target = int(np.exp(rng.uniform(np.log(8), np.log(120))))
-            radii = _radii_for_size(target, None, 0, rng)
-            seed_voxel = tuple(coords[rng.integers(len(coords))])
-            placed = _ellipsoid_blob(shape, seed_voxel, radii, wm, rng)
-            if placed is None:
-                continue
-            box, blob = placed
-            if (blob & occupied_dil[box]).any() or int(blob.sum()) < 6:
-                continue
-            wml[box][blob] = 1
-            _mark_halo(occupied_dil, box, blob)
-            break
-        else:
-            raise PhantomError(f"could not place WML {i}")
+        box, blob = place("wml", juxta_coords if i % 2 == 1 else deep_coords)
+        wml[box][blob] = 1
     cl_whole = np.zeros(tissue.shape, dtype=np.uint8)
     wml_whole = np.zeros(tissue.shape, dtype=np.uint8)
     cl_whole[brain_box] = cl
@@ -434,14 +421,13 @@ def subject_seeds(cohort_seed: int, n: int) -> list[int]:
 
 
 def generate_cohort(spec: PhantomSpec, n_subjects: int, out_dir: str | Path,
-                    seed: int | None = None) -> dict:
+                    seed: int) -> dict:
     """Write n subjects plus a ground-truth manifest; byte-stable in the seed.
     Refuses, before writing anything, a directory that holds subjects beyond
     the n to be written."""
     spec.validate()
     if n_subjects < 1:
         raise PhantomError("n_subjects must be >= 1")
-    seed = spec.seed if seed is None else seed
     out_dir = Path(out_dir)
     subject_ids = [f"subject_{i:02d}" for i in range(n_subjects)]
     # subjects of an older, larger cohort would be discovered alongside the
@@ -462,7 +448,6 @@ def generate_cohort(spec: PhantomSpec, n_subjects: int, out_dir: str | Path,
             write_volume(make_volume(arr, kind, subject_id, spec.spacing_mm), sdir / name)
         manifest["subjects"].append({
             "subject_id": subject_id,
-            "directory": str(sdir),
             "subject_seed": sseed,
             "lesions": records,
         })

@@ -191,6 +191,9 @@ def run_training(cfg: RunConfig, out_dir: str | Path,
         ckpt, (params, state, start_iter, draws) = latest
         if params.config != cfg.network:
             raise ConfigError(f"checkpoint {ckpt} config differs from run config")
+        if state.learning_rate != tr.learning_rate:
+            raise ConfigError(f"checkpoint {ckpt} trained at learning_rate "
+                              f"{state.learning_rate!r}, the run config sets {tr.learning_rate!r}")
     else:
         params = build_network(cfg.network, seed=tr.seed)
         state = AdamState.for_params(params.tensors, learning_rate=tr.learning_rate)

@@ -188,7 +188,7 @@ class PatchSampler:
                               rng: np.random.Generator) -> TrainingPatch:
         dropped = choose_icd(rng, self.cfg.icd_probability)
         if dropped is not None:
-            patch.input = patch.input.copy()
+            # in place: the input is sample_patch's or the flip's fresh array
             patch.input[CONTRAST_CHANNELS[dropped]] = 0.0
             patch.provenance = dict(patch.provenance, dropped_channel=dropped)
         return patch

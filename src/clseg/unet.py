@@ -70,7 +70,7 @@ from .volume_io import CONTRAST_NAMES, LABEL_CODES
 SHRINK_PER_SIDE = 40  # total valid-conv shrinkage of the 3-level network
 # Upper bound, in elements (64 MiB in float32), on the widest level-1
 # activation an inference tile would hold if level 1 ran whole; see
-# _tile_side. Level 1 runs in ACTIVATION_BUDGET_ELEMS / SLAB_BUDGET_ELEMS
+# tile_grid. Level 1 runs in ACTIVATION_BUDGET_ELEMS / SLAB_BUDGET_ELEMS
 # depth chunks, so a chunk of it spans at most one conv slab budget.
 ACTIVATION_BUDGET_ELEMS = 16 * 1024 * 1024
 MIN_INPUT_SIDE = 44
@@ -93,31 +93,21 @@ class NetworkConfig:
 
 
 def output_shape(input_side: int) -> int:
-    """Output side for a cubic input, traced through the actual layer stack.
+    """Output side for a cubic input of side `input_side`.
 
-    Requires input_side >= 44 and divisible by 4 (two pooling stages must
-    see even sizes and every conv must see at least its kernel).
+    Every conv is a valid 3x3x3 one and loses 2 voxels: the two convs of
+    level 1 cost 4 voxels at full resolution, those of level 2 cost 4 at
+    half (8 at full) and the bottom two cost 4 at quarter (16); the
+    decoder's level-2 and level-1 conv pairs cost 8 and 4 more. So the
+    output is input - 40 for any side divisible by 4, which both 2x2x2
+    pooling stages need. The smallest such side with a positive output
+    is 44, which gives 4 voxels out.
     """
     if input_side % 4 != 0 or input_side < MIN_INPUT_SIDE:
         raise ContractError(
             f"input side {input_side} invalid: must be divisible by 4 "
             f"(two 2x pooling stages) and >= {MIN_INPUT_SIDE}")
-    s = input_side
-    sizes = []
-    for _ in range(2):          # encoder levels 1-2
-        s -= 4                  # two valid 3x3x3 convs
-        sizes.append(s)
-        s //= 2                 # 2x2x2 max pool
-    s -= 4                      # bottom convs
-    for skip in reversed(sizes):
-        s *= 2                  # transposed conv
-        if s > skip:
-            raise ContractError(f"decoder size {s} exceeds skip size {skip}")
-        s -= 4                  # two decoder convs
-    if s < 1:
-        raise ContractError(f"input side {input_side} leaves no output")
-    assert s == input_side - SHRINK_PER_SIDE
-    return s
+    return input_side - SHRINK_PER_SIDE
 
 
 def param_specs(cfg: NetworkConfig) -> list[tuple[str, str, tuple]]:
@@ -425,13 +415,9 @@ def reflect_indices(n: int, start: int, length: int) -> np.ndarray:
 
 def mirror_pad(vol: np.ndarray, before: tuple[int, int, int],
                after: tuple[int, int, int]) -> np.ndarray:
-    """Mirror padding without the edge-repeat, any pad size."""
-    out = vol
-    for ax in range(3):
-        n = out.shape[ax]
-        idx = reflect_indices(n, -before[ax], before[ax] + n + after[ax])
-        out = np.take(out, idx, axis=ax)
-    return out
+    """Mirror padding without the edge-repeat, any pad size: the gather by
+    `reflect_indices` along each axis."""
+    return np.pad(vol, tuple(zip(before, after)), mode="reflect")
 
 
 def normalize_volume(vol: np.ndarray) -> np.ndarray:
@@ -447,8 +433,10 @@ def normalize_volume(vol: np.ndarray) -> np.ndarray:
     return (vol - mu) / sd
 
 
-def _tile_side(shape: tuple[int, ...], base_channels: int) -> int:
-    """Output side t of the cubic tiles that cover a subject of `shape`.
+def tile_grid(shape: tuple[int, ...], base_channels: int) -> tuple[int, tuple[int, ...]]:
+    """(t, tiles per axis): the output side of the overlap tiles that
+    `sliding_window_inference` covers a subject of `shape` with, and how
+    many it places along each axis.
 
     Takes the fewest tiles per axis, n, whose t = 4*ceil(max(shape)/(4n))
     keeps the widest level-1 activation of a (t+40)^3 input within the
@@ -466,23 +454,15 @@ def _tile_side(shape: tuple[int, ...], base_channels: int) -> int:
         t = 4 * -(-longest // (4 * n))
         widest = max(2 * base_channels * (t + 36) ** 3, 6 * base_channels * (t + 4) ** 3)
         if widest <= ACTIVATION_BUDGET_ELEMS or t == 4:
-            return t
+            return t, tuple(-(-s // t) for s in shape)
         n += 1
-
-
-def tile_grid(shape: tuple[int, ...], base_channels: int) -> tuple[int, tuple[int, ...]]:
-    """(t, tiles per axis): the output side of the overlap tiles that
-    `sliding_window_inference` covers a subject of `shape` with, and how
-    many it places along each axis."""
-    tile = _tile_side(shape, base_channels)
-    return tile, tuple(-(-s // tile) for s in shape)
 
 
 def sliding_window_inference(params: NetworkParams, contrasts: np.ndarray,
                              drop_channel: str | None = None):
     """Predict a whole subject with overlap tiles over a mirror-padded volume.
 
-    The output side t comes from `_tile_side`; each tile reads a
+    The output side t comes from `tile_grid`; each tile reads a
     (t+40)^3 input that overlaps its neighbours by the 20-voxel margin of
     the valid convs on each side. The padded volume is never built: each
     tile gathers its input from the contrasts through the index map of

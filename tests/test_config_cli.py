@@ -521,6 +521,27 @@ def test_cli_nonfinite_gradient_exit_3(tmp_path, tiny_cohort, monkeypatch, capsy
     assert manifest["exit_code"] == 3
 
 
+def test_cli_resume_refuses_a_changed_learning_rate(tmp_path, tiny_cohort, capsys):
+    # Adam's learning rate is resumed from the checkpoint: a run resumed
+    # under another rate would train at the old one while its manifest
+    # records the new
+    training = dataclasses.replace(RunConfig().training, iterations=2, checkpoint_every=1,
+                                   seed=3, learning_rate=1e-4)
+    cfg, path = _fast_config(tmp_path, tiny_cohort, training=training)
+    assert main(["train", "--config", str(path)]) == 0
+    out = tmp_path / "out"
+    kept = sorted(p for p in out.iterdir() if p.name != "run_manifest.json")
+    before = [p.read_bytes() for p in kept]
+    capsys.readouterr()
+    _fast_config(tmp_path, tiny_cohort, training=dataclasses.replace(
+        training, iterations=4, learning_rate=1e-2))
+    assert main(["train", "--config", str(path)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and "learning_rate 0.0001" in err and "sets 0.01" in err
+    assert sorted(p for p in out.iterdir() if p.name != "run_manifest.json") == kept
+    assert [p.read_bytes() for p in kept] == before
+
+
 def test_cli_faults_exit_in_one_line_as_a_process(tmp_path, tiny_cohort):
     # as a user runs it: a wrong-typed config and an old-format checkpoint
     # each end in one line and their exit code, never a traceback

@@ -17,17 +17,9 @@ def _tiny_experiment(workdir, seeds):
 
 
 def _tree_bytes(root):
-    """Every file under `root` by relative path; cohort manifests without the
-    directory each subject was written to."""
-    files = {}
-    for path in sorted(p for p in root.rglob("*") if p.is_file()):
-        data = path.read_bytes()
-        if path.name == "cohort_manifest.json":
-            doc = json.loads(data)
-            doc["subjects"] = [dict(s, directory="") for s in doc["subjects"]]
-            data = json.dumps(doc).encode()
-        files[str(path.relative_to(root))] = data
-    return files
+    """Every file under `root` by relative path."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def test_icd_robustness_experiment_tiny(tmp_path, monkeypatch):

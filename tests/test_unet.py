@@ -400,6 +400,26 @@ def test_sliding_window_matches_single_big_forward(monkeypatch, budget, base, sh
     assert np.array_equal(tis, tis_p[0].argmax(axis=0).astype(np.uint8)[crop])
 
 
+@pytest.mark.parametrize("side", range(1, 12))
+def test_mirror_pad_is_the_reflect_indices_gather(side):
+    # sliding_window_inference gathers each tile's input by reflect_indices,
+    # and the tiled-equals-whole check above pads with mirror_pad: the two
+    # are one map, for pads smaller and far larger than the side
+    rng = np.random.default_rng(side)
+    for axis in range(3):
+        shape = [2, 3, 4]
+        shape[axis] = side
+        vol = rng.standard_normal(shape).astype(np.float32)
+        for before in range(45):
+            for after in (before, 44 - before):
+                pads = [[0, 0, 0], [0, 0, 0]]
+                pads[0][axis], pads[1][axis] = before, after
+                got = unet.mirror_pad(vol, tuple(pads[0]), tuple(pads[1]))
+                idx = unet.reflect_indices(side, -before, before + side + after)
+                want = np.take(vol, idx, axis=axis)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (axis, before, after)
+
+
 def test_forward_without_cache_frees_dead_activations():
     # A no-cache forward keeps one conv slab and its tap buffer plus a few
     # activations alive, and level 1 only a depth chunk at a time: at C=4
