@@ -156,9 +156,9 @@ def _cmd_infer(args) -> int:
     out = Path(cfg.paths.out_dir) / subject.name
     with _run_manifest(out, cfg, "infer", subject_dir=str(subject.resolve()),
                        checkpoint=str(Path(args.checkpoint).resolve())) as learned:
-        written, tiling = run_inference(args.checkpoint, subject, out,
-                                        drop_channel=args.drop_channel)
-        learned.update(tiling)
+        written, run = run_inference(args.checkpoint, subject, out,
+                                     drop_channel=args.drop_channel)
+        learned.update(run)
     for name, path in written.items():
         print(f"{name}: {path}")
     return 0

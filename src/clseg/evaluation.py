@@ -62,11 +62,17 @@ def label_lesions(labels: np.ndarray):
         raise ValueError(f"labels must be 3-D, got shape {labels.shape}")
     structure = np.ones((3, 3, 3), dtype=bool)  # 26-connectivity: faces, edges, corners
     at = np.flatnonzero(labels)             # lesion voxels, ascending
+    # the lesion voxels' bounding box holds every component whole, and its
+    # C order is theirs: labelling it finds the components of the whole
+    # volume, at a fraction of the cost
+    box = labels[tuple(slice(c.min(), c.max() + 1)
+                       for c in np.unravel_index(at, labels.shape)) if at.size else ()]
+    box_at = np.flatnonzero(box)            # the lesion voxels again, in the box
     old = np.zeros(at.size, dtype=np.int32)  # per-class ids, offset to be unique
     class_of = [0]
     for cls in np.unique(labels.reshape(-1)[at]).tolist():
-        lab, n = ndimage.label(labels == cls, structure=structure)
-        lab = lab.reshape(-1)[at]
+        lab, n = ndimage.label(box == cls, structure=structure)
+        lab = lab.reshape(-1)[box_at]
         hit = lab > 0
         old[hit] = lab[hit] + (len(class_of) - 1)
         class_of += [cls] * n

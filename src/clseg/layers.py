@@ -117,41 +117,67 @@ def _unroll(U, x, m, k):
     the next plane. x's planes must be C-contiguous (its channel stride is
     free, so x may be a depth slice of a larger item). When x has no plane
     m, the last (k-1)*(W+1) columns of plane m-1, which would read it, are
-    left out: a cropped output reads none of them. Returns the number of
-    columns written."""
+    zeroed: a cropped output reads none of them. Returns the number of
+    columns, m*H*W: every product then spans whole planes, so its last
+    columns, which OpenBLAS's small-matrix kernel rounds differently from
+    the rest, fall on the discarded rows whatever the depth of x."""
     C, D, H, W = x.shape
     n = min(m * H * W, D * H * W - (k - 1) * (W + 1))
     s = x.itemsize
     flat = x.reshape(C, -1)
-    np.copyto(U.reshape(C, k, k, -1)[..., :n],
+    cols = U.reshape(C, k, k, -1)
+    np.copyto(cols[..., :n],
               as_strided(flat, (C, k, k, n), (flat.strides[0], W * s, s, s), writeable=False))
-    return n
+    cols[..., n:m * H * W] = 0
+    return m * H * W
 
 
-def _conv_slabs(planes, grid, weight, out, bias=None):
+class ConvCarry:
+    """What a conv fed its input in depth keeps between conv3d_forward
+    calls: how many input planes it has had, and per batch item the
+    full-grid partial sums of the k-1 output planes those leave pending."""
+
+    def __init__(self):
+        self.planes = 0
+        self.sums = None
+
+
+def _conv_slabs(planes, D, grid, weight, out, bias=None, carry=None):
     """out[b,o,z,y,x] = sum_{i,dz,dy,dx} x[b,i,z+dz,y+dy,x+dx] * w[o,i,dz,dy,dx]
     (+ bias[o])
 
-    for an input x on the (H, W) = grid, read in slabs of P input planes
-    (_slab_planes): planes(b, q0, q1) returns x[b, :, q0:] with
-    C-contiguous planes, or at least planes q0..q1-1 of it and the first
-    (k-1)*(W+1) elements of plane q1. Each slab is unrolled once, and one
-    GEMM per run of ring slots applies all k depth taps' kernels to it,
-    (k*Co, Ci*k*k) @ U, writing input plane q's k tap outputs into slot
-    q % R of a ring of R = P + k - 1 planes: the planes from the oldest
-    output plane that a slab completes to the slab's last. Output plane
-    z sums tap dz of slot (z + dz) % R in tap order, then the bias is
-    added, on the (oH, oW) corner. A slab completes up to P output planes,
-    whose taps each read that many consecutive slots; P <= R, so each
-    tap's slots pass the ring's end at most once, and the completed planes
-    split into at most k + 1 ranges over which every tap's slots are
-    contiguous.
+    for an input x of D planes on the (H, W) = grid, read in slabs of P
+    input planes (_slab_planes): planes(b, q0, q1) returns x[b, :, q0:]
+    with C-contiguous planes, or at least planes q0..q1-1 of it. Each slab
+    is unrolled once, and one GEMM per run of ring slots applies all k
+    depth taps' kernels to it, (k*Co, Ci*k*k) @ U, writing input plane q's
+    k tap outputs into slot q % R of a ring of R = P + k - 1 planes: the
+    planes from the oldest output plane that a slab completes to the
+    slab's last. Output plane z sums tap dz of slot (z + dz) % R in tap
+    order, then the bias is added, on the (oH, oW) corner. A slab
+    completes up to P output planes, whose taps each read that many
+    consecutive slots; P <= R, so each tap's slots pass the ring's end at
+    most once, and the completed planes split into at most k + 1 ranges
+    over which every tap's slots are contiguous.
+
+    With a ConvCarry, x follows the carry's planes: plane q of x is input
+    plane carry.planes + q, and out holds the output planes from the first
+    one x completes. A pending output plane's partial sum, its taps so far
+    added in tap order, goes back as tap 0 of its slot, and the taps it
+    holds of later carried planes become -0.0, which adds nothing to any
+    float (-0.0 included), so the sums run in the one order.
+    Every product spans whole planes (see _unroll), so the split of the
+    input into slabs or calls does not change a bit of the output. At
+    k = 1 no column is discarded, and that holds where a plane has a
+    multiple of 16 columns, as the network's heads have (every output side
+    is a multiple of 4).
     """
     H, W = grid
     HW = H * W
     Co, Ci, k, _, _ = weight.shape
-    B, _, oD, oH, oW = out.shape
-    D = oD + k - 1
+    B, _, _, oH, oW = out.shape
+    Q = 0 if carry is None else carry.planes  # input planes before x
+    base = max(0, Q - k + 1)  # out's first plane
     w = np.ascontiguousarray(weight.transpose(2, 0, 1, 3, 4)).reshape(k * Co, -1)
     P = _slab_planes(Ci, Co, k, H, W, D)
     R = P + k - 1
@@ -166,10 +192,21 @@ def _conv_slabs(planes, grid, weight, out, bias=None):
     def corner(a, j):  # the (oH, oW) corners of the first j full-grid planes of a
         return a[:, :j * HW].reshape(Co, j, H, W)[:, :, :oH, :oW]
 
+    def slot(q):  # the full-grid taps of input plane q
+        return taps[:, :, q % R * HW:(q % R + 1) * HW]
+
+    kept = []
     for b in range(B):
-        for q0 in range(0, D, P):
-            q1 = min(q0 + P, D)
-            for o, c, m in _runs(q0 % R * HW, _unroll(U, planes(b, q0, q1), q1 - q0, k), R * HW):
+        if carry is not None and carry.sums is not None:
+            for z, s in zip(range(Q - len(carry.sums[b]), Q), carry.sums[b]):
+                slot(z)[0] = s
+                for dz in range(1, Q - z):
+                    slot(z + dz)[dz] = -0.0
+            carry.sums[b] = None  # free before the item's new sums are kept
+        for q0 in range(Q, Q + D, P):
+            q1 = min(q0 + P, Q + D)
+            for o, c, m in _runs(q0 % R * HW, _unroll(U, planes(b, q0 - Q, q1 - Q), q1 - q0, k),
+                                 R * HW):
                 np.matmul(w, U[:, o:o + m], out=taps.reshape(k * Co, -1)[:, c:c + m])
             z0, z1 = max(0, q0 - k + 1), q1 - k + 1  # the output planes completed
             if z1 <= z0:
@@ -184,32 +221,50 @@ def _conv_slabs(planes, grid, weight, out, bias=None):
                     for tap in t[2:-1]:
                         acc[:, :j * HW] += tap[:, :j * HW]
                     t = [acc, t[-1]]
-                res = out[b, :, z0 + j0:z0 + j1]
+                res = out[b, :, z0 - base + j0:z0 - base + j1]
                 if k > 1:
                     np.add(corner(t[0], j), corner(t[1], j), out=res)
                 else:
                     res[...] = corner(t[0], j)
                 if bias is not None:
                     res += bias
+        if carry is not None:
+            end, sums = Q + D, []
+            for z in range(max(0, end - k + 1), end):  # the planes not yet out
+                s = slot(z)[0].copy()
+                for dz in range(1, end - z):
+                    s += slot(z + dz)[dz]
+                sums.append(s)
+            kept.append(sums)
+    if carry is not None:
+        carry.planes, carry.sums = Q + D, kept
     return out
 
 
-def conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                   carry: ConvCarry | None = None) -> np.ndarray:
+    """Valid convolution of x. With a `carry`, x is the next planes of an
+    input fed in depth: the output holds the planes they complete, and each
+    input plane is multiplied once over all calls."""
     B, Ci, D, H, W = x.shape
     Co, wCi, k, kh, kw = weight.shape
     if wCi != Ci:
         raise ContractError(f"conv3d: input has {Ci} channels, kernel expects {wCi}")
     if not (k == kh == kw):
         raise ContractError(f"conv3d: kernel must be cubic, got {weight.shape[2:]}")
-    if min(D, H, W) < k:
+    if min(H, W) < k or (carry is None and D < k):
         raise ContractError(f"conv3d: spatial dims {(D, H, W)} smaller than kernel {k}")
     if bias.shape != (Co,):
         raise ContractError(f"conv3d: bias shape {bias.shape} != ({Co},)")
 
-    out = np.empty((B, Co, D - k + 1, H - k + 1, W - k + 1), dtype=x.dtype)
+    if carry is None:
+        oD = D - k + 1
+    else:
+        oD = max(0, carry.planes + D - k + 1) - max(0, carry.planes - k + 1)
+    out = np.empty((B, Co, oD, H - k + 1, W - k + 1), dtype=x.dtype)
     x = np.ascontiguousarray(x)
-    _conv_slabs(lambda b, q0, q1: x[b, :, q0:], (H, W), weight, out,
-                bias.reshape(-1, 1, 1, 1).astype(x.dtype))
+    _conv_slabs(lambda b, q0, q1: x[b, :, q0:], D, (H, W), weight, out,
+                bias.reshape(-1, 1, 1, 1).astype(x.dtype), carry)
     return out
 
 
@@ -279,7 +334,8 @@ def conv3d_backward(x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray,
         return buf
 
     grad_x = np.empty_like(x)
-    _conv_slabs(padded, (H, W), weight[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4), grad_x)
+    _conv_slabs(padded, D + p, (H, W), weight[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4),
+                grad_x)
     return grad_x, grad_w, grad_bias
 
 
@@ -361,11 +417,12 @@ def maxpool3d_backward(argmax: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def transposed_conv3d_forward(x: np.ndarray, weight: np.ndarray,
-                              bias: np.ndarray) -> np.ndarray:
+def transposed_conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                              out: np.ndarray | None = None) -> np.ndarray:
     """weight layout (in_ch, out_ch, 2, 2, 2); each input voxel paints one
     disjoint 2x2x2 output block, the adjoint of a stride-2 valid conv.
-    Octant i of the output is tap i of the kernel applied to x, one GEMM."""
+    Octant i of the output is tap i of the kernel applied to x, one GEMM.
+    The output is written into `out` when given (any view of its shape)."""
     B, Ci, D, H, W = x.shape
     wCi, Co, k, kh, kw = weight.shape
     if wCi != Ci:
@@ -376,7 +433,11 @@ def transposed_conv3d_forward(x: np.ndarray, weight: np.ndarray,
         raise ContractError(f"tconv3d: bias shape {bias.shape} != ({Co},)")
     taps = weight.reshape(Ci, Co, 8)
     xm = x.reshape(B, Ci, D * H * W)
-    out = np.empty((B, Co, 2 * D, 2 * H, 2 * W), dtype=x.dtype)
+    shape = (B, Co, 2 * D, 2 * H, 2 * W)
+    if out is None:
+        out = np.empty(shape, dtype=x.dtype)
+    elif out.shape != shape:
+        raise ContractError(f"tconv3d: out shape {out.shape} != {shape}")
     for i in range(8):
         _octant(out, i)[...] = np.matmul(taps[:, :, i].T, xm).reshape(B, Co, D, H, W)
     out += bias.reshape(1, -1, 1, 1, 1).astype(x.dtype)

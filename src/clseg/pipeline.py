@@ -26,8 +26,7 @@ from .evaluation import (EvalConfig, PatientEval, build_report, evaluate_patient
 from .optim import AdamState
 from .sampling import PatchSampler, TrainingSubject
 from .unet import (CheckpointError, CheckpointMismatchError, build_network, load_checkpoint,
-                   normalize_volume, save_checkpoint, sliding_window_inference, tile_grid,
-                   train_step)
+                   normalize_volume, save_checkpoint, sliding_window_inference, train_step)
 
 PREDICTION_NAMES = ("cl_pred", "tissue_pred", "cl_prob")
 
@@ -93,7 +92,7 @@ def write_run_manifest(out_dir: Path, cfg: RunConfig, command: str,
                        started: float | None = None, exit_code: int | None = None,
                        **inputs) -> None:
     """Write run_manifest.json atomically, with the given `inputs` (such as
-    the paths a command read, or how it tiled a subject) and the
+    the paths a command read, or how its inference ran) and the
     environment that produced the run.
     Given `started`, the time.perf_counter() reading taken when the command
     began, the command has ended with `exit_code`: its wall time, the
@@ -222,19 +221,19 @@ def run_training(cfg: RunConfig, out_dir: str | Path,
 
 
 def run_inference(checkpoint: str | Path, subject_dir: str | Path, out_dir: str | Path,
-                  drop_channel: str | None = None) -> tuple[dict[str, Path], dict[str, int]]:
+                  drop_channel: str | None = None) -> tuple[dict[str, Path], dict]:
     """Predict one subject and write cl_pred/tissue_pred/cl_prob volumes.
     Only the three contrasts are read, so the subject needs no labels.
 
-    Returns the written volumes by name and the tiling that predicted
-    them: `tile_side`, the output side t of each tile, and `tiles`, their
-    number."""
+    Returns the written volumes by name and what the inference did:
+    `padded_shape`, the mirror-padded input streamed through the network,
+    and `forward_calls`, the depth chunks it was fed in."""
     params, _, _, _ = load_checkpoint(checkpoint)
     vols = volume_io.read_subject(subject_dir, volume_io.CONTRAST_NAMES)
     header = vols["mp2rage"].header
     contrasts = _normalized_contrasts(vols)
     del vols  # the raw volumes
-    cl_pred, tissue_pred, cl_prob = sliding_window_inference(
+    cl_pred, tissue_pred, cl_prob, run = sliding_window_inference(
         params, contrasts, drop_channel=drop_channel)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -244,8 +243,7 @@ def run_inference(checkpoint: str | Path, subject_dir: str | Path, out_dir: str 
         v = volume_io.make_volume(arr, kind, header.subject_id, header.spacing_mm)
         volume_io.write_volume(v, out_dir / name)
         written[name] = out_dir / name
-    tile, n_tiles = tile_grid(contrasts.shape[1:], params.config.base_channels)
-    return written, {"tile_side": tile, "tiles": int(np.prod(n_tiles))}
+    return written, run
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Three-level volumetric U-Net with two softmax heads.
 
-Valid convolutions only, so a cubic input of side s yields both head
-outputs at side s - 40 (68 -> 28 with the default patch). Each encoder
+Valid convolutions only, so an input of shape (D, H, W), each side
+divisible by 4 and at least 44, yields both head outputs at
+(D-40, H-40, W-40) (68^3 -> 28^3 with the default patch). Each encoder
 level applies two 3x3x3 convs (the second doubling the channel width),
 followed by 2x2x2 max pooling; the decoder mirrors it with stride-2
 transposed convs and center-cropped skip concatenations; both 1x1x1 heads
@@ -16,24 +17,26 @@ three each. Channel plan:
     enc3: 4C->4C, 4C->8C     heads: 2C->3 (x2)
     up2: 8C->8C, up1: 4C->4C (transposed)
 
-Every ReLU runs in place on its conv's output, and `forward` frees each
-activation once it is dead. The decoder reads only the centre of the two
-pooled activations (enc1b, enc2b outputs), so right after pooling
-`forward` copies that crop and frees the activation.
+`forward` runs the network as a DepthStream: its input is pushed in
+depth, a few planes at a time, and each stage computes every output plane
+as soon as the planes it reads are in, keeping only what later planes
+need (fused-layer evaluation; Alwani et al., MICRO 2016):
+  - a 3x3x3 conv keeps in a layers.ConvCarry the partial sums of the two
+    output planes its input so far leaves pending, so each input plane is
+    multiplied once;
+  - a pooling keeps an odd trailing plane;
+  - the decoder reads only the centre of the two pooled activations
+    (enc1b, enc2b outputs): that crop is copied as their planes come out
+    and waits in a FIFO until the decoder reads it, some 20 enc1b planes
+    later;
+  - the transposed convs and the heads keep nothing; level 1 of the
+    decoder, the widest, runs one dec2b plane at a time.
+Every ReLU runs in place on its conv's output, and each array is freed
+once it is dead. Every conv product spans whole planes, so the stream
+computes the bytes of one whole pass however its input is pushed (see
+the equivalence tests).
 
-Without a cache, the full-resolution level runs in depth chunks of the
-pooled grid, ACTIVATION_BUDGET_ELEMS / SLAB_BUDGET_ELEMS (4) of them. An
-encoder chunk runs enc1a and enc1b on its input planes plus a 4-plane
-halo, pools them and copies its planes of the skip crop; a decoder chunk
-up-convolves its planes of the dec2b output, concatenates them with its
-planes of the skip crop plus a 4-plane halo and runs dec1a and dec1b. An
-inference tile thus holds whole only its input, the pooled enc1b output,
-both skip crops, levels 2 and 3, the dec1b output and the heads, never an
-enc1b output or a dec1a input. The chunks compute the values of one pass;
-the BLAS rounds them alike while each chunk's products stay large enough
-for its general kernel (see the equivalence tests).
-
-For training the chunk is the whole patch and the cache holds one array
+For training the push is the whole patch and the cache holds one array
 per activation: a unit's entry is (input, activation), and its ReLU
 output is the next unit's input too and doubles as the ReLU mask. The
 pooled units are the exception: nothing else reads their activation, so
@@ -42,12 +45,11 @@ element). Without a cache, pooling skips the argmax. `backward` pops every
 entry as it consumes it, so each activation is released as soon as its
 gradients are done.
 
-Whole subjects are predicted with overlap tiles (U-Net's overlap-tile
-strategy): the largest cubic tile whose widest level-1 activation, were
-it held whole, fits the activation budget, placed on a grid that keeps
-pooling aligned, so the tiled prediction equals one forward pass over the
-whole mirror-padded volume. Each tile gathers its own mirrored input; the
-padded volume is never built.
+A whole subject is predicted by one pass over it, mirror-padded by the
+network's 20-voxel valid-conv margin on every side and up to 3 voxels
+more after, so that each side divides by 4. The padded volume is never
+built: each push is gathered from the contrasts, and no level-1
+activation but the enc1b crop in its FIFO is held more than a push deep.
 
 Parameter serialization order is the order of `param_specs`, kernel then
 bias per layer, little-endian float32. Decoder concatenation order is
@@ -68,11 +70,6 @@ from .optim import AdamState, adam_step
 from .volume_io import CONTRAST_NAMES, LABEL_CODES
 
 SHRINK_PER_SIDE = 40  # total valid-conv shrinkage of the 3-level network
-# Upper bound, in elements (64 MiB in float32), on the widest level-1
-# activation an inference tile would hold if level 1 ran whole; see
-# tile_grid. Level 1 runs in ACTIVATION_BUDGET_ELEMS / SLAB_BUDGET_ELEMS
-# depth chunks, so a chunk of it spans at most one conv slab budget.
-ACTIVATION_BUDGET_ELEMS = 16 * 1024 * 1024
 MIN_INPUT_SIDE = 44
 
 CONTRAST_CHANNELS = {name: i for i, name in enumerate(CONTRAST_NAMES)}
@@ -93,7 +90,7 @@ class NetworkConfig:
 
 
 def output_shape(input_side: int) -> int:
-    """Output side for a cubic input of side `input_side`.
+    """Output side for an input side `input_side`.
 
     Every conv is a valid 3x3x3 one and loses 2 voxels: the two convs of
     level 1 cost 4 voxels at full resolution, those of level 2 cost 4 at
@@ -173,9 +170,9 @@ def build_network(cfg: NetworkConfig, seed: int, dtype=np.float32) -> NetworkPar
     return NetworkParams(cfg, seed, tensors)
 
 
-def _unit_forward(params, name, x, cache, pack_mask=False):
-    """conv + relu; with a cache, stores (x, activation) under `name` for
-    backward.
+def _unit_forward(params, name, x, cache, pack_mask=False, carry=None):
+    """conv + relu, with conv3d_forward's `carry`; with a cache, stores
+    (x, activation) under `name` for backward.
 
     The ReLU overwrites the conv output in place. The activation is the
     ReLU mask of backward: it is positive exactly where its pre-activation
@@ -184,7 +181,7 @@ def _unit_forward(params, name, x, cache, pack_mask=False):
     """
     k = params.tensors[f"{name}.kernel"]
     b = params.tensors[f"{name}.bias"]
-    pre = layers.conv3d_forward(x, k, b)
+    pre = layers.conv3d_forward(x, k, b, carry=carry)
     act = layers.relu_forward(pre, out=pre)
     if cache is not None:
         cache[name] = (x, np.packbits(act > 0) if pack_mask else act)
@@ -204,114 +201,206 @@ def _unit_backward(params, name, grad, cache, grads, need_grad_x=True):
     return gx
 
 
-def _place(whole, part, z0, depth):
-    """Writes `part` as planes [z0, z0 + its depth) of an array of `depth`
-    planes, allocated on first use. A part that spans every plane is
-    returned as is, so a single chunk copies nothing."""
-    if part.shape[2] == depth:
-        return part
-    if whole is None:
-        whole = np.empty(part.shape[:2] + (depth,) + part.shape[3:], dtype=part.dtype)
-    whole[:, :, z0:z0 + part.shape[2]] = part
-    return whole
+class _Fifo:
+    """Skip planes waiting for the decoder, first in first out, in a
+    circular array that grows to the most planes ever waiting."""
+
+    def __init__(self):
+        self.buf, self.first, self.held = None, 0, 0
+
+    def put(self, planes: np.ndarray) -> None:
+        n = planes.shape[2]
+        if self.buf is None or self.held + n > self.buf.shape[2]:
+            buf = np.empty(planes.shape[:2] + (self.held + n,) + planes.shape[3:],
+                           dtype=planes.dtype)
+            held = self.held
+            if held:
+                self.take(buf[:, :, :held])
+            self.buf, self.first, self.held = buf, 0, held
+        cap = self.buf.shape[2]
+        for o, c, m in layers._runs((self.first + self.held) % cap, n, cap):
+            self.buf[:, :, c:c + m] = planes[:, :, o:o + m]
+        self.held += n
+
+    def take(self, out: np.ndarray) -> None:
+        """Moves the first out.shape[2] planes into `out`."""
+        n, cap = out.shape[2], self.buf.shape[2]
+        for o, c, m in layers._runs(self.first, n, cap):
+            out[:, :, o:o + m] = self.buf[:, :, c:c + m]
+        self.first = (self.first + n) % cap
+        self.held -= n
 
 
-def forward(params: NetworkParams, x: np.ndarray, want_cache: bool = False):
-    """Run the network on a (B, 3, s, s, s) batch of the CONTRAST_NAMES.
+class DepthStream:
+    """A forward pass over an input of shape (D, H, W) fed in depth.
+
+    `forward(params, x, stream=s)` pushes x's planes as the next input
+    planes, and every stage computes each output plane that the planes in
+    so far complete (see the module docstring). With `keep`, a (d, h, w)
+    corner of the output of a batch of 1, `outputs` is (cl labels u8,
+    tissue labels u8, cl_prob f32) over that corner; without it, the two
+    heads' (B, 3, ...) probability maps over the whole output. `cache` is
+    forward's, for a stream that gets its whole input in one push.
+    """
+
+    def __init__(self, params: NetworkParams, shape: tuple, batch: int = 1,
+                 keep: tuple | None = None, cache: dict | None = None):
+        self.out_shape = tuple(output_shape(s) for s in shape)
+        self.params, self.shape, self.batch, self.keep, self.cache = (
+            params, tuple(shape), batch, keep, cache)
+        n = shape[0]
+        # per pooling: the planes its input has in all, how many it has had,
+        # an odd plane kept from the last push, and the decoder's skip FIFO
+        self.pool_planes = {"pool1": n - 4, "pool2": (n - 4) // 2 - 4}
+        self.pool_got = {"pool1": 0, "pool2": 0}
+        self.odd = {"pool1": None, "pool2": None}
+        self.skips = {"pool1": _Fifo(), "pool2": _Fifo()}
+        self.carries = {name: layers.ConvCarry() for name, kind, _ in param_specs(params.config)
+                        if kind == "conv" and not name.startswith("head_")}
+        self.pushed = self.emitted = 0
+        self.whole = False
+        if keep is None:
+            self.outputs = None  # allocated by the first head planes, in their dtype
+        else:
+            self.outputs = (np.empty(keep, np.uint8), np.empty(keep, np.uint8),
+                            np.empty(keep, np.float32))
+        self.depth = _push_depth(params.config.base_channels, shape)
+
+    def push(self, x: np.ndarray) -> None:
+        if x.shape[:2] != (self.batch, len(CONTRAST_NAMES)) or x.shape[3:] != self.shape[1:]:
+            raise ContractError(f"planes {x.shape} do not fit a stream of "
+                                f"{(self.batch, len(CONTRAST_NAMES)) + self.shape}")
+        if not 0 < x.shape[2] <= self.shape[0] - self.pushed:
+            raise ContractError(f"{x.shape[2]} planes pushed into a stream of depth "
+                                f"{self.shape[0]} that has had {self.pushed}")
+        self.whole = x.shape[2] == self.shape[0]
+        self.pushed += x.shape[2]
+        e = self._conv("enc1b", self._conv("enc1a", x), pack=True)
+        e = self._conv("enc2a", self._pool("pool1", e, 16))
+        e = self._pool("pool2", self._conv("enc2b", e, pack=True), 4)
+        e = self._conv("enc3b", self._conv("enc3a", e))
+        d = self._conv("dec2b", self._conv("dec2a", self._up("up2", e, "dec2a", "pool2")))
+        if d is None:
+            return
+        step = d.shape[2] if self.whole else 1
+        for z in range(0, d.shape[2], step):
+            e = self._conv("dec1a", self._up("up1", d[:, :, z:z + step], "dec1a", "pool1"))
+            self._heads(self._conv("dec1b", e))
+
+    def _conv(self, name, x, pack=False):
+        """Unit `name` on the new planes x: the output planes they
+        complete, or None."""
+        if x is None:
+            return None
+        act = _unit_forward(self.params, name, x, self.cache, pack,
+                            None if self.whole else self.carries[name])
+        return act if act.shape[2] else None
+
+    def _pool(self, name, x, m):
+        """Pooling `name` of the new planes x, after an odd plane kept from
+        the last push; keeps an odd trailing plane. Queues the decoder's
+        crop of x first: a margin of m planes, rows and columns on every
+        side of the pooling's input."""
+        if x is None:
+            return None
+        z = self.pool_got[name]  # x's first plane
+        self.pool_got[name] += x.shape[2]
+        lo, hi = max(z, m), min(z + x.shape[2], self.pool_planes[name] - m)
+        if lo < hi:
+            self.skips[name].put(x[:, :, lo - z:hi - z, m:-m, m:-m])
+        if self.odd[name] is not None:
+            x = np.concatenate([self.odd[name], x], axis=2)
+        n = x.shape[2] // 2 * 2
+        self.odd[name] = x[:, :, n:].copy() if n < x.shape[2] else None
+        if n == 0:
+            return None
+        p, am = layers.maxpool3d_forward(x[:, :, :n], want_argmax=self.cache is not None)
+        if self.cache is not None:
+            self.cache["pool"] = self.cache.get("pool", ()) + (am,)
+        return p
+
+    def _up(self, name, x, to, skip):
+        """Transposed conv `name` of x beside the next planes of skip FIFO
+        `skip`: the input of unit `to`, the decoder's concatenation
+        [up-convolved features, cropped skip features]."""
+        if x is None:
+            return None
+        t = self.params.tensors
+        c = t[f"{name}.kernel"].shape[1]
+        B, _, D, H, W = x.shape
+        cat = np.empty((B, t[f"{to}.kernel"].shape[1], 2 * D, 2 * H, 2 * W), dtype=x.dtype)
+        layers.transposed_conv3d_forward(x, t[f"{name}.kernel"], t[f"{name}.bias"],
+                                         out=cat[:, :c])
+        self.skips[skip].take(cat[:, c:])
+        return cat
+
+    def _heads(self, d1):
+        if d1 is None:
+            return
+        t = self.params.tensors
+        cl, tissue = (layers.channel_softmax(layers.conv3d_forward(
+            d1, t[f"{head}.kernel"], t[f"{head}.bias"])) for head in ("head_cl", "head_tissue"))
+        z0 = self.emitted
+        self.emitted += d1.shape[2]
+        if self.keep is None:
+            if self.outputs is None:
+                self.outputs = tuple(np.empty(p.shape[:2] + self.out_shape, dtype=p.dtype)
+                                     for p in (cl, tissue))
+            self.outputs[0][:, :, z0:self.emitted] = cl
+            self.outputs[1][:, :, z0:self.emitted] = tissue
+            return
+        d, h, w = self.keep
+        n = max(0, min(self.emitted, d) - z0)
+        cl, tissue = cl[0, :, :n, :h, :w], tissue[0, :, :n, :h, :w]
+        cl_labels, tissue_labels, prob = self.outputs
+        cl_labels[z0:z0 + n] = cl.argmax(axis=0)
+        tissue_labels[z0:z0 + n] = tissue.argmax(axis=0)
+        prob[z0:z0 + n] = cl[1] + cl[2]
+
+
+def _push_depth(base_channels: int, shape: tuple) -> int:
+    """Input planes per push of a stream over an input of `shape`: the
+    most, in a multiple of 4 and at least 4, whose new planes of the five
+    level-1 activations (the enc1a and enc1b outputs, the dec1a input and
+    the dec1a and dec1b outputs) take a quarter of SLAB_BUDGET_ELEMS at
+    most, so that a conv's slab stays the largest array of a push. A
+    multiple of 4 keeps every push in whole pooling pairs down to level 3.
+    """
+    _, h, w = shape
+    plane = sum(ch * base_channels * (h - m) * (w - m)
+                for ch, m in ((1, 2), (2, 4), (6, 36), (2, 38), (2, 40)))
+    return max(4, layers.SLAB_BUDGET_ELEMS // (4 * plane) // 4 * 4)
+
+
+def forward(params: NetworkParams, x: np.ndarray, want_cache: bool = False,
+            stream: DepthStream | None = None):
+    """Run the network on a (B, 3, D, H, W) batch of the CONTRAST_NAMES,
+    each side divisible by 4 and at least 44.
 
     Returns (cl_probs, tissue_probs, cache); both outputs are softmax
-    probability maps of shape (B, 3, s-40, s-40, s-40). The cache maps
+    probability maps of shape (B, 3, D-40, H-40, W-40). The cache maps
     each conv unit to (input, activation), where enc1b and enc2b keep the
     np.packbits ReLU mask in place of the activation, and "pool" to both
     argmaxes; enc1a's input is a view of x.
 
-    Without a cache, level 1 runs in the depth chunks of the module
-    docstring: the enc1a, enc1b and dec1a activations and the dec1a input
-    are never held whole. With one, a single chunk covers the patch and
-    copies nothing beyond what the whole level would.
+    Every call runs the stages of a DepthStream. With a cache they get x
+    in one push; without one, in pushes of the stream's depth, so that no
+    level-1 activation is held whole. With `stream`, x is instead the next
+    planes of that stream's input, the outputs go to the stream, and
+    forward returns None.
     """
     if x.ndim != 5 or x.shape[1] != len(CONTRAST_NAMES):
-        raise ContractError(f"input shape {x.shape} != (B, {len(CONTRAST_NAMES)}, s, s, s)")
-    if not (x.shape[2] == x.shape[3] == x.shape[4]):
-        raise ContractError(f"input must be cubic, got {x.shape[2:]}")
-    side = x.shape[2]
-    out_side = output_shape(side)
-    pooled = (side - 4) // 2
-    cache: dict | None = {} if want_cache else None
-    chunks = 1 if want_cache else max(1, ACTIVATION_BUDGET_ELEMS // layers.SLAB_BUDGET_ELEMS)
-    step = -(-pooled // chunks)
-
-    # Level 1, encoder: chunk [q0, q1) of the pooled grid reads input planes
-    # [2*q0, 2*q1 + 4), pools enc1b's planes [2*q0, 2*q1) and copies the
-    # planes of the decoder's centre crop (side s-36, from plane 16) among
-    # them. Each activation is released as soon as it is dead (`del`); with
-    # a cache the arrays stay alive through the cache until backward pops them
-    p1 = c1 = None
-    for q0 in range(0, pooled, step):
-        q1 = min(q0 + step, pooled)
-        e1 = _unit_forward(params, "enc1a", x[:, :, 2 * q0:2 * q1 + 4], cache)
-        s1 = _unit_forward(params, "enc1b", e1, cache, pack_mask=True)
-        del e1
-        p, am1 = layers.maxpool3d_forward(s1, want_argmax=want_cache)
-        p1 = _place(p1, p, q0, pooled)
-        del p
-        if c1 is None:
-            c1 = np.empty(s1.shape[:2] + (side - 36,) * 3, dtype=s1.dtype)
-        z0, z1 = max(2 * q0, 16), min(2 * q1, side - 20)
-        if z0 < z1:
-            c1[:, :, z0 - 16:z1 - 16] = s1[:, :, z0 - 2 * q0:z1 - 2 * q0, 16:-16, 16:-16]
-        del s1
-
-    # Levels 2 and 3, whole; of s2 the decoder reads only the centre crop
-    # (side (s-4)/2-12), copied right after pooling
-    e2 = _unit_forward(params, "enc2a", p1, cache)
-    del p1
-    s2 = _unit_forward(params, "enc2b", e2, cache, pack_mask=True)
-    del e2
-    p2, am2 = layers.maxpool3d_forward(s2, want_argmax=want_cache)
-    c2 = layers.crop_center3d(s2, ((side - 4) // 2 - 12,) * 3).copy()
-    del s2
-    e3 = _unit_forward(params, "enc3a", p2, cache)
-    del p2
-    bottom = _unit_forward(params, "enc3b", e3, cache)
-    del e3
-    if want_cache:
-        cache["pool"] = (am1, am2)
-
-    u2 = layers.transposed_conv3d_forward(
-        bottom, params.tensors["up2.kernel"], params.tensors["up2.bias"])
-    del bottom
-    cat2 = np.concatenate([u2, c2], axis=1)
-    del u2, c2
-    d2 = _unit_forward(params, "dec2a", cat2, cache)
-    del cat2
-    d2 = _unit_forward(params, "dec2b", d2, cache)
-
-    # Level 1, decoder: output planes [o0, o1) read the concatenation's
-    # planes [o0, o1 + 4), up-convolved from d2's planes [o0/2, o1/2 + 2)
-    d1 = None
-    for o0 in range(0, out_side, 2 * step):
-        o1 = min(o0 + 2 * step, out_side)
-        u1 = layers.transposed_conv3d_forward(
-            d2[:, :, o0 // 2:o1 // 2 + 2], params.tensors["up1.kernel"],
-            params.tensors["up1.bias"])
-        cat1 = np.concatenate([u1, c1[:, :, o0:o1 + 4]], axis=1)
-        del u1
-        if o1 == out_side:
-            del c1  # its last planes are read
-        d = _unit_forward(params, "dec1a", cat1, cache)
-        del cat1
-        d1 = _place(d1, _unit_forward(params, "dec1b", d, cache), o0, out_side)
-        del d
-
-    cl_logits = layers.conv3d_forward(
-        d1, params.tensors["head_cl.kernel"], params.tensors["head_cl.bias"])
-    tissue_logits = layers.conv3d_forward(
-        d1, params.tensors["head_tissue.kernel"], params.tensors["head_tissue.bias"])
-    cl_probs = layers.channel_softmax(cl_logits)
-    tissue_probs = layers.channel_softmax(tissue_logits)
-
-    return cl_probs, tissue_probs, cache
+        raise ContractError(f"input shape {x.shape} != (B, {len(CONTRAST_NAMES)}, D, H, W)")
+    if stream is not None:
+        stream.push(x)
+        return None
+    stream = DepthStream(params, x.shape[2:], batch=x.shape[0],
+                         cache={} if want_cache else None)
+    step = x.shape[2] if want_cache else stream.depth
+    for z in range(0, x.shape[2], step):
+        stream.push(x[:, :, z:z + step])
+    cl_probs, tissue_probs = stream.outputs
+    return cl_probs, tissue_probs, stream.cache
 
 
 def backward(params: NetworkParams, cache: dict,
@@ -433,49 +522,21 @@ def normalize_volume(vol: np.ndarray) -> np.ndarray:
     return (vol - mu) / sd
 
 
-def tile_grid(shape: tuple[int, ...], base_channels: int) -> tuple[int, tuple[int, ...]]:
-    """(t, tiles per axis): the output side of the overlap tiles that
-    `sliding_window_inference` covers a subject of `shape` with, and how
-    many it places along each axis.
-
-    Takes the fewest tiles per axis, n, whose t = 4*ceil(max(shape)/(4n))
-    keeps the widest level-1 activation of a (t+40)^3 input within the
-    activation budget, ACTIVATION_BUDGET_ELEMS: the enc1b output,
-    2C*(t+36)^3 elements, or for t > 68 the dec1a input, 6C*(t+4)^3.
-    `forward` holds neither whole, only a depth chunk of each, about
-    SLAB_BUDGET_ELEMS when the tile fills the budget. What a tile holds
-    whole is far smaller: its (t+40)^3 input, the pooled enc1b output
-    2C*((t+36)/2)^3, the skip crop 2C*(t+4)^3, levels 2 and 3 and the
-    dec1b output 2C*t^3.
-    """
-    longest = max(shape)
-    n = 1
-    while True:
-        t = 4 * -(-longest // (4 * n))
-        widest = max(2 * base_channels * (t + 36) ** 3, 6 * base_channels * (t + 4) ** 3)
-        if widest <= ACTIVATION_BUDGET_ELEMS or t == 4:
-            return t, tuple(-(-s // t) for s in shape)
-        n += 1
-
-
 def sliding_window_inference(params: NetworkParams, contrasts: np.ndarray,
                              drop_channel: str | None = None):
-    """Predict a whole subject with overlap tiles over a mirror-padded volume.
+    """Predict a whole subject with one forward pass over it, mirror-padded
+    by 20 voxels before and 20 to 23 after on each axis (a multiple of 4).
 
-    The output side t comes from `tile_grid`; each tile reads a
-    (t+40)^3 input that overlaps its neighbours by the 20-voxel margin of
-    the valid convs on each side. The padded volume is never built: each
-    tile gathers its input from the contrasts through the index map of
-    `mirror_pad`. Tile origins are multiples of t, itself a
-    multiple of 4, so both 2x2x2 pooling stages see the same voxel grid in
-    every tile as in one forward pass over the whole padded volume, and
-    valid convs read nothing outside a tile's input: the tiled prediction
-    equals that single pass, whatever t is.
+    The padded subject goes through a DepthStream, one `forward` call per
+    push of the stream's depth; each push is gathered from the contrasts
+    through the index map of `mirror_pad`, so the padded volume is never
+    built. The name recalls the overlap tiles this pass replaced.
 
     contrasts: (3, D, H, W) already-normalized float32. Returns
-    (cl_labels u8, tissue_labels u8, cl_prob f32) at the input geometry;
-    cl_prob is the per-voxel probability of any lesion class. If
-    drop_channel is set, that T2* channel is zeroed in every tile's input.
+    (cl_labels u8, tissue_labels u8, cl_prob f32, run): the first three at
+    the input geometry, cl_prob the per-voxel probability of any lesion
+    class, and run is {"padded_shape", "forward_calls"}. If drop_channel is
+    set, that T2* channel is zeroed in every push.
     """
     if contrasts.ndim != 4 or contrasts.shape[0] != len(CONTRAST_NAMES):
         raise ContractError(f"contrasts shape {contrasts.shape} invalid")
@@ -486,31 +547,20 @@ def sliding_window_inference(params: NetworkParams, contrasts: np.ndarray,
         drop = CONTRAST_CHANNELS[drop_channel]
 
     shape = contrasts.shape[1:]
-    tile, n_tiles = tile_grid(shape, params.config.base_channels)
-    window = tile + SHRINK_PER_SIDE
     margin = SHRINK_PER_SIDE // 2
-
-    covered = tuple(n * tile for n in n_tiles)
-    cl_out = np.zeros(covered, dtype=np.uint8)
-    tissue_out = np.zeros(covered, dtype=np.uint8)
-    prob_out = np.zeros(covered, dtype=np.float32)
-    for iz in range(n_tiles[0]):
-        for iy in range(n_tiles[1]):
-            for ix in range(n_tiles[2]):
-                z0, y0, x0 = iz * tile, iy * tile, ix * tile
-                patch = contrasts
-                for a, origin in enumerate((z0, y0, x0)):
-                    idx = reflect_indices(shape[a], origin - margin, window)
-                    patch = np.take(patch, idx, axis=a + 1)
-                if drop_channel is not None:
-                    patch[drop] = 0.0
-                cl_p, tissue_p, _ = forward(params, patch[None])
-                blk = (slice(z0, z0 + tile), slice(y0, y0 + tile), slice(x0, x0 + tile))
-                cl_out[blk] = cl_p[0].argmax(axis=0).astype(np.uint8)
-                tissue_out[blk] = tissue_p[0].argmax(axis=0).astype(np.uint8)
-                prob_out[blk] = cl_p[0, 1] + cl_p[0, 2]
-    sl = tuple(slice(0, s) for s in shape)
-    return cl_out[sl], tissue_out[sl], prob_out[sl]
+    padded = tuple(s + SHRINK_PER_SIDE + (-s) % 4 for s in shape)
+    stream = DepthStream(params, padded, keep=shape)
+    iy, ix = (reflect_indices(s, -margin, p) for s, p in zip(shape[1:], padded[1:]))
+    calls = 0
+    for z0 in range(0, padded[0], stream.depth):
+        iz = reflect_indices(shape[0], z0 - margin, min(stream.depth, padded[0] - z0))
+        chunk = np.take(np.take(contrasts[:, iz], iy, axis=2), ix, axis=3)
+        if drop_channel is not None:
+            chunk[drop] = 0.0
+        forward(params, chunk[None], stream=stream)
+        calls += 1
+    cl, tissue, prob = stream.outputs
+    return cl, tissue, prob, {"padded_shape": list(padded), "forward_calls": calls}
 
 
 # ---------------------------------------------------------------------------

@@ -411,9 +411,9 @@ def test_cli_train_infer_report_flow(tmp_path, tiny_cohort, capsys):
         doc = json.loads((tmp_path / "pred" / sid / "run_manifest.json").read_text())
         assert doc["subject_dir"] == str((tiny_cohort / sid).resolve())
         assert doc["checkpoint"] == str(ckpt.resolve())
-        # at C=2 one tile covers a 48^3 subject: 4 * 84^3 enc1b elements fit
-        # the activation budget
-        assert (doc["tile_side"], doc["tiles"]) == (48, 1)
+        # a 48^3 subject is streamed through the network mirror-padded to
+        # 88^3, at C=2 in pushes of 8 planes
+        assert (doc["padded_shape"], doc["forward_calls"]) == ([88, 88, 88], 11)
     assert main(["report", "--config", str(path),
                  "--out", str(tmp_path / "rep"),
                  "--pred", f"model={tmp_path / 'pred'}"]) == 0

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from scipy import ndimage
+
 from clseg import evaluation as ev
 
 from brute_force import detection_metrics_reference, flood_fill_components
@@ -89,6 +91,54 @@ def test_empty_volume_has_only_background():
     ids, classes, sizes = _assert_labels_match_flood_fill(np.zeros((3, 4, 5), np.uint8))
     assert not ids.any()
     assert list(classes) == [0] and list(sizes) == [60]
+
+
+def _label_whole_volume(lab):
+    """label_lesions as it was before it labelled the lesions' bounding box:
+    each class labelled over the whole volume, components numbered by
+    their first voxel in C order."""
+    structure = np.ones((3, 3, 3), bool)
+    comps = []
+    for cls in np.unique(lab[lab != 0]).tolist():
+        comp, n = ndimage.label(lab == cls, structure=structure)
+        first = [int(np.flatnonzero(comp == k)[0]) for k in range(1, n + 1)]
+        comps += [(f, cls, comp == k) for f, k in zip(first, range(1, n + 1))]
+    ids = np.zeros(lab.shape, np.int32)
+    classes, sizes = [0], [int((lab == 0).sum())]
+    for k, (_, cls, mask) in enumerate(sorted(comps, key=lambda c: c[0]), start=1):
+        ids[mask] = k
+        classes.append(cls)
+        sizes.append(int(mask.sum()))
+    return ids, np.array(classes, np.int64), np.array(sizes, np.int64)
+
+
+@pytest.mark.parametrize("case", ["faces", "edges", "corners", "inner", "empty", "all"])
+def test_bounding_box_labelling_equals_whole_volume(case):
+    # lesions touching the volume's faces, running along its edges or
+    # sitting in its corners put the bounding box on the volume's border
+    lab = np.zeros((9, 10, 11), np.uint8)
+    if case == "faces":
+        lab[0, 3:5, 4:6] = 1
+        lab[4, 9, 2:4] = 2
+        lab[5:7, 5, 10] = 1
+    elif case == "edges":
+        lab[0, 0, :] = 2
+        lab[3:8, 9, 10] = 1
+        lab[8, 2:5, 0] = 2
+    elif case == "corners":
+        for z, y, x in np.ndindex(2, 2, 2):
+            lab[z * 8, y * 9, x * 10] = 1 + (z + y + x) % 2
+        lab[1, 1, 1] = 1  # 26-touches the corner at the origin
+    elif case == "inner":
+        lab[3:6, 4:7, 5] = 2
+        lab[4, 2, 7:9] = 1
+    elif case == "all":
+        lab[:] = 1
+        lab[:, :, 5:] = 2
+    got = ev.label_lesions(lab)
+    want = _label_whole_volume(lab)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 def test_volume_ul_at_half_mm():

@@ -149,6 +149,34 @@ def test_conv_float32_paper_enc1b_bytes_do_not_depend_on_the_slabs(monkeypatch):
     assert L.conv3d_backward(x, w, g)[0].tobytes() == want[1].tobytes()
 
 
+def test_conv_float32_bytes_do_not_depend_on_the_split_of_the_input(monkeypatch):
+    # 24 x 72 kernel rows over 90-column planes: products of fewer than
+    # 1e6 multiply-adds, which OpenBLAS's small-matrix kernel takes and
+    # whose last few columns it rounds differently from the rest. Every
+    # product spans whole planes, so those are discarded columns however
+    # the input is split: into slabs of 1, 2 or 3 planes, or into calls
+    # that a ConvCarry links
+    Ci, Co, k = 8, 8, 3
+    r = np.random.default_rng(12)
+    x = r.standard_normal((1, Ci, 12, 9, 10), dtype=np.float32)
+    w = (r.standard_normal((Co, Ci, k, k, k)) * 0.1).astype(np.float32)
+    b = r.standard_normal(Co).astype(np.float32)
+    want = L.conv3d_forward(x, w, b).tobytes()
+    for planes, budget in ((1, 12960), (2, 21600), (3, 30240)):
+        monkeypatch.setattr(L, "SLAB_BUDGET_ELEMS", budget)
+        assert L._slab_planes(Ci, Co, k, 9, 10, 12) == planes
+        assert L.conv3d_forward(x, w, b).tobytes() == want, planes
+    monkeypatch.undo()
+    for pieces in ((1,) * 12, (2, 5, 5), (3, 3, 3, 3), (4, 1, 7), (12,)):
+        carry, outs, z = L.ConvCarry(), [], 0
+        for n in pieces:
+            outs.append(L.conv3d_forward(x[:, :, z:z + n], w, b, carry=carry))
+            z += n
+        ends = np.cumsum(pieces)
+        assert [o.shape[2] for o in outs] == list(np.diff(np.maximum(0, ends - 2), prepend=0))
+        assert np.concatenate(outs, axis=2).tobytes() == want, pieces
+
+
 def test_conv_backward_memory_within_one_slab():
     # paper-width enc1b backward: besides its outputs, only one slab's
     # unrolled input plus the ring of tap outputs, the partial-sum buffer of

@@ -345,66 +345,108 @@ def _toy_contrasts(side=56, seed=0):
     return r.standard_normal((3, side, side, side)).astype(np.float32)
 
 
-@pytest.mark.parametrize("base, shape, n_tiles, side", [
-    (4, (96, 96, 96), 8, 88),
-    (4, (56, 56, 56), 1, 96),
-    (16, (56, 56, 56), 8, 68),
-    (16, (96, 96, 96), 27, 72),
-    (4, (96, 56, 40), 4, 88),
+@pytest.mark.parametrize("base, shape", [
+    (4, (96, 96, 96)),
+    (4, (56, 56, 56)),
+    (16, (56, 56, 56)),
+    (16, (96, 96, 96)),
+    (4, (96, 56, 40)),
 ], ids=["C4-96", "C4-56", "C16-56", "C16-96", "C4-96x56x40"])
-def test_overlap_tiles_fewest_within_budget(monkeypatch, base, shape, n_tiles, side):
-    # the fewest tiles per axis whose widest activation fits the activation budget
+def test_inference_feeds_the_padded_subject_through_forward(monkeypatch, base, shape):
+    # perfbench's tracer times the unet.forward calls made inside
+    # sliding_window_inference and divides their input voxels by the
+    # subject's. An inference that does not reach unet.forward through the
+    # module global with (1, 3, d, h, w) arrays leaves its per-call time a
+    # NaN, and the benchmark's result line is then not strict JSON
     params = unet.build_network(unet.NetworkConfig(base_channels=base), seed=0)
     calls = []
+    forward = unet.forward
 
-    def shape_only(params_, x, want_cache=False):
-        calls.append(x.shape)
-        out = np.full((x.shape[0], 3) + tuple(s - 40 for s in x.shape[2:]), 1 / 3, np.float32)
-        return out, out, None
+    def recorder(params_, x, *args, **kwargs):
+        calls.append(x.shape if isinstance(x, np.ndarray) else type(x))
+        return forward(params_, x, *args, **kwargs)
 
-    monkeypatch.setattr(unet, "forward", shape_only)
-    contrasts = np.zeros((3,) + shape, np.float32)
-    cl, tis, prob = unet.sliding_window_inference(params, contrasts)
-    assert len(calls) == n_tiles
-    assert all(s == (1, 3, side, side, side) for s in calls)
+    monkeypatch.setattr(unet, "forward", recorder)
+    cl, tis, prob, run = unet.sliding_window_inference(params, np.zeros((3,) + shape, np.float32))
+    padded = tuple(s + 40 + (-s) % 4 for s in shape)
+    assert calls, "sliding_window_inference never called unet.forward"
+    bad = [c for c in calls if not isinstance(c, tuple) or c[:2] != (1, 3) or c[3:] != padded[1:]]
+    assert not bad, f"unet.forward got {bad}, not (1, 3, d) + {padded[1:]} arrays"
+    voxels = sum(int(np.prod(c[2:])) for c in calls)
+    assert voxels == int(np.prod(padded)), \
+        f"unet.forward got {voxels} input voxels, the padded subject has {int(np.prod(padded))}"
+    assert run == {"padded_shape": list(padded), "forward_calls": len(calls)}
     assert cl.shape == tis.shape == prob.shape == shape
 
 
-@pytest.mark.parametrize("budget", [unet.ACTIVATION_BUDGET_ELEMS, 2 ** 20],
-                         ids=["one-tile", "many-tiles"])
+def _padded_subject(contrasts, drop_channel=None):
+    """The input of one pass over the whole subject: each side mirror-padded
+    by 20 before and 20 to 23 after, to a multiple of 4."""
+    shape = contrasts.shape[1:]
+    padded = np.stack([unet.mirror_pad(c, (20, 20, 20), tuple(20 + (-s) % 4 for s in shape))
+                       for c in contrasts])
+    if drop_channel is not None:
+        padded[unet.CONTRAST_CHANNELS[drop_channel]] = 0.0
+    return padded[None]
+
+
+def _assert_predicts(got, cl_p, tis_p):
+    crop = (0,) + tuple(slice(0, s) for s in got[0].shape)
+    assert got[0].tobytes() == cl_p.argmax(axis=1).astype(np.uint8)[crop].tobytes()
+    assert got[1].tobytes() == tis_p.argmax(axis=1).astype(np.uint8)[crop].tobytes()
+    assert got[2].tobytes() == (cl_p[:, 1] + cl_p[:, 2])[crop].tobytes()
+
+
+@pytest.mark.parametrize("depth", [10 ** 6, 4], ids=["one-tile", "many-tiles"])
 @pytest.mark.parametrize("base, shape", [
     (2, (50, 50, 50)),   # side not a multiple of 4
     (2, (56, 44, 30)),   # non-cubic
     (3, (40, 52, 36)),
 ], ids=["C2-50", "C2-56x44x30", "C3-40x52x36"])
-def test_sliding_window_matches_single_big_forward(monkeypatch, budget, base, shape):
-    # valid convs and pooling-aligned tile origins make the tiled prediction
-    # equal to one pass over the whole padded volume, for any tile side; the
-    # small budget forces many small tiles
-    monkeypatch.setattr(unet, "ACTIVATION_BUDGET_ELEMS", budget)
+def test_sliding_window_matches_single_big_forward(monkeypatch, depth, base, shape):
+    # the streamed prediction is one forward pass over the whole padded
+    # subject, byte for byte, whether the subject goes in as one push
+    # ("one-tile") or in pushes of 4 planes
+    monkeypatch.setattr(unet, "_push_depth", lambda base_channels, shape: depth)
     params = unet.build_network(unet.NetworkConfig(base_channels=base), seed=1)
     r = np.random.default_rng(8)
     params.tensors["head_cl.kernel"] += (0.5 * r.standard_normal(
         params.tensors["head_cl.kernel"].shape)).astype(np.float32)
     contrasts = r.standard_normal((3,) + shape).astype(np.float32)
-    cl, tis, prob = unet.sliding_window_inference(params, contrasts)
-    # pad to a cube whose side is a multiple of 4; mirror padding is defined
-    # per index, so the extra far padding leaves the subject's voxels alone
-    cube = 4 * -(-max(shape) // 4)
-    padded = np.stack([unet.mirror_pad(c, (20, 20, 20), tuple(20 + cube - s for s in shape))
-                       for c in contrasts])
-    cl_p, tis_p, _ = unet.forward(params, padded[None])
-    crop = tuple(slice(0, s) for s in shape)
-    assert np.allclose(prob, (cl_p[0, 1] + cl_p[0, 2])[crop], atol=1e-5)
-    assert np.array_equal(cl, cl_p[0].argmax(axis=0).astype(np.uint8)[crop])
-    assert np.array_equal(tis, tis_p[0].argmax(axis=0).astype(np.uint8)[crop])
+    got = unet.sliding_window_inference(params, contrasts)
+    padded = _padded_subject(contrasts)
+    assert got[3]["forward_calls"] == -(-padded.shape[2] // depth)
+    cl_p, tis_p, _ = unet.forward(params, padded)
+    _assert_predicts(got, cl_p, tis_p)
+
+
+@pytest.mark.parametrize("base, shape, drop", [
+    (2, (50, 44, 30), None),
+    (4, (40, 52, 36), "t2s_gre"),
+    (2, (96, 56, 40), "t2s_epi"),
+], ids=["C2-50x44x30", "C4-40x52x36-gre", "C2-96x56x40-epi"])
+def test_streamed_inference_is_the_cached_pass_over_the_padded_subject(
+        monkeypatch, base, shape, drop):
+    # pushes of one plane and of an odd count give the labels and cl_prob
+    # of the cached forward, which takes the padded subject (its dropped
+    # channel zeroed) in one push, byte for byte
+    params = unet.build_network(unet.NetworkConfig(base_channels=base), seed=2)
+    r = np.random.default_rng(base)
+    for k in ("head_cl.kernel", "head_tissue.kernel"):
+        params.tensors[k] += (0.5 * r.standard_normal(params.tensors[k].shape)).astype(np.float32)
+    contrasts = r.standard_normal((3,) + shape).astype(np.float32)
+    cl_p, tis_p, _ = unet.forward(params, _padded_subject(contrasts, drop), want_cache=True)
+    for depth in (1, 7):
+        monkeypatch.setattr(unet, "_push_depth", lambda base_channels, shape: depth)
+        _assert_predicts(unet.sliding_window_inference(params, contrasts, drop_channel=drop),
+                         cl_p, tis_p)
 
 
 @pytest.mark.parametrize("side", range(1, 12))
 def test_mirror_pad_is_the_reflect_indices_gather(side):
-    # sliding_window_inference gathers each tile's input by reflect_indices,
-    # and the tiled-equals-whole check above pads with mirror_pad: the two
-    # are one map, for pads smaller and far larger than the side
+    # sliding_window_inference gathers each push by reflect_indices, and
+    # the checks above pad the whole subject with mirror_pad: the two are
+    # one map, for pads smaller and far larger than the side
     rng = np.random.default_rng(side)
     for axis in range(3):
         shape = [2, 3, 4]
@@ -422,13 +464,13 @@ def test_mirror_pad_is_the_reflect_indices_gather(side):
 
 def test_forward_without_cache_frees_dead_activations():
     # A no-cache forward keeps one conv slab and its tap buffer plus a few
-    # activations alive, and level 1 only a depth chunk at a time: at C=4
-    # and a 68^3 input the enc1b output is 8 * 64^3 float32 = 8 MiB and the
-    # slab at most SLAB_BUDGET_ELEMS floats, 16 MiB. Holding every
+    # activations alive, and level 1 only a push of planes at a time: at
+    # C=4 and a 68^3 input the enc1b output is 8 * 64^3 float32 = 8 MiB and
+    # the slab at most SLAB_BUDGET_ELEMS floats, 16 MiB. Holding every
     # activation to the end, as a cached forward does, peaks near 120 MiB;
     # freeing each once dead but running level 1 whole, at 30 MiB (the
-    # enc1b output beside its enc1a input and a slab); in four chunks, at
-    # 20 MiB
+    # enc1b output beside its enc1a input and a slab); streamed in pushes
+    # of 8 planes, at 14 MiB
     params = unet.build_network(unet.NetworkConfig(base_channels=4), seed=0)
     x = np.random.default_rng(2).standard_normal((1, 3, 68, 68, 68)).astype(np.float32)
     widest = 2 * 4 * 64 ** 3 * 4
@@ -443,41 +485,46 @@ def test_forward_without_cache_frees_dead_activations():
 
 
 @pytest.mark.parametrize("base", [2, 4])
-@pytest.mark.parametrize("side, chunks", [(44, (5,) * 4), (48, (6, 6, 6, 4)),
-                                          (68, (8,) * 4), (88, (11, 11, 11, 9)),
-                                          (96, (12, 12, 12, 10))])
-def test_chunked_forward_equals_one_pass(monkeypatch, base, side, chunks):
-    # Without a cache level 1 runs in ACTIVATION_BUDGET_ELEMS /
-    # SLAB_BUDGET_ELEMS = 4 depth chunks of the pooled grid (the last one
-    # short where 4 does not divide it); with a budget of one slab, in one.
-    # Either way the probabilities are those of the cached forward, which
-    # runs level 1 whole, byte for byte. That holds because each chunk's
-    # matrix products stay on the BLAS's general kernel wherever the whole
-    # level's do: OpenBLAS rounds a product of at most 1e6 multiply-adds
-    # through its small-matrix kernel, differently (seen at one and three
-    # pooled planes per chunk at these sides)
+@pytest.mark.parametrize("side, chunks", [(44, (1, 5, 45)), (48, (1, 3, 100)),
+                                          (68, (1, 7, 69)), (88, (2, 9, 89)),
+                                          (96, (1, 11, 97))])
+def test_chunked_forward_equals_one_pass(base, side, chunks):
+    # A stream pushed one plane, an odd number of planes or more planes
+    # than the input has at a time, and forward without a cache, which
+    # pushes the stream's depth, give the probabilities of the cached
+    # forward, which pushes the whole input, byte for byte. Each conv
+    # multiplies every input plane once, and every product spans whole
+    # planes: its last columns, which OpenBLAS's small-matrix kernel
+    # rounds differently from the rest, are discarded ones. (Products that
+    # ended on the last valid columns of a chunk made the level-1 chunks
+    # this replaced differ at one and three pooled planes per chunk.)
     params = unet.build_network(unet.NetworkConfig(base_channels=base), seed=1)
     r = np.random.default_rng(side)
     for k in ("head_cl.kernel", "head_tissue.kernel"):
         params.tensors[k] += (0.5 * r.standard_normal(params.tensors[k].shape)).astype(np.float32)
     x = r.standard_normal((1, 3, side, side, side)).astype(np.float32)
     cl, tis, _ = unet.forward(params, x, want_cache=True)
-    pooled = []
-    maxpool3d_forward = layers.maxpool3d_forward
+    cl_c, tis_c, cache = unet.forward(params, x)
+    assert cache is None
+    assert cl_c.tobytes() == cl.tobytes() and tis_c.tobytes() == tis.tobytes()
+    for depth in chunks:
+        stream = unet.DepthStream(params, x.shape[2:])
+        for z in range(0, side, depth):
+            assert unet.forward(params, x[:, :, z:z + depth], stream=stream) is None
+        cl_s, tis_s = stream.outputs
+        assert cl_s.tobytes() == cl.tobytes() and tis_s.tobytes() == tis.tobytes(), depth
 
-    def record(x, want_argmax=True):
-        pooled.append(x.shape[2] // 2)
-        return maxpool3d_forward(x, want_argmax)
 
-    monkeypatch.setattr(layers, "maxpool3d_forward", record)
-    for budget, want in ((unet.ACTIVATION_BUDGET_ELEMS, chunks),
-                         (layers.SLAB_BUDGET_ELEMS, ((side - 4) // 2,))):
-        monkeypatch.setattr(unet, "ACTIVATION_BUDGET_ELEMS", budget)
-        pooled.clear()
-        cl_c, tis_c, cache = unet.forward(params, x)
-        assert cache is None
-        assert tuple(pooled[:-1]) == want  # the last pooling is enc2b's
-        assert cl_c.tobytes() == cl.tobytes() and tis_c.tobytes() == tis.tobytes()
+def test_stream_refuses_planes_that_do_not_fit():
+    params = unet.build_network(unet.NetworkConfig(base_channels=2), seed=0)
+    stream = unet.DepthStream(params, (44, 48, 52))
+    with pytest.raises(ContractError, match="do not fit"):
+        unet.forward(params, np.zeros((1, 3, 4, 48, 48), np.float32), stream=stream)
+    unet.forward(params, np.zeros((1, 3, 40, 48, 52), np.float32), stream=stream)
+    with pytest.raises(ContractError, match="has had 40"):
+        unet.forward(params, np.zeros((1, 3, 5, 48, 52), np.float32), stream=stream)
+    with pytest.raises(ContractError, match="divisible by 4"):
+        unet.DepthStream(params, (44, 46, 44))
 
 
 _UNIT_CHAINS = (("enc1a", "enc1b"), ("enc2a", "enc2b"), ("enc3a", "enc3b"),
@@ -546,17 +593,19 @@ def _inference_peak(base, side):
 
 
 def test_sliding_window_inference_builds_no_padded_subject():
-    # C=4, 96^3: 8 tiles of 88^3. A mirror-padded copy of the subject
-    # (3 x 136^3 float32, 29 MiB) beside the tile's forward peaked at
-    # 89 MiB; gathering each tile's input from the contrasts, at 60 MiB;
-    # with level 1 in depth chunks, at 46 MiB
+    # C=4, 96^3, padded to 136^3. A mirror-padded copy of the subject
+    # (3 x 136^3 float32, 29 MiB) beside the forward of an 88^3 overlap
+    # tile peaked at 89 MiB; streamed in pushes of 4 planes gathered from
+    # the contrasts, with a 16 MiB conv slab, the skip FIFOs and the conv
+    # carries beside them, at 38 MiB
     assert _inference_peak(4, 96) <= 50 * 2 ** 20
 
 
 def test_sliding_window_inference_at_paper_width_chunks_level_one():
-    # C=16, 56^3: 8 tiles of 68^3. With level 1 whole, the enc1b output
-    # (32 x 64^3 float32, 32 MiB) made the peak 70 MiB; in depth chunks,
-    # 41 MiB
+    # C=16, 56^3, padded to 96^3. Level 1 whole, the enc1b output of a
+    # 68^3 overlap tile (32 x 64^3 float32, 32 MiB) made the peak 70 MiB;
+    # streamed in pushes of 4 planes, 42 MiB: a 16 MiB conv slab, 8 MiB of
+    # conv carries and 10.5 MiB of skip FIFOs (about 19 enc1b crop planes)
     assert _inference_peak(16, 56) <= 50 * 2 ** 20
 
 
@@ -564,8 +613,9 @@ def test_sliding_window_non_multiple_side():
     cfg = unet.NetworkConfig(base_channels=2)
     params = unet.build_network(cfg, seed=1)
     contrasts = _toy_contrasts(50, seed=3)
-    cl, tis, prob = unet.sliding_window_inference(params, contrasts)
-    assert cl.shape == (50, 50, 50)
+    cl, tis, prob, run = unet.sliding_window_inference(params, contrasts)
+    assert cl.shape == tis.shape == prob.shape == (50, 50, 50)
+    assert run["padded_shape"] == [92, 92, 92]
 
 
 def test_drop_channel_rules():
