@@ -22,12 +22,14 @@ recovers exactly the planted records.
 Geometry runs on boxes, never on the whole volume. The ellipsoid and its
 smoothing run on the ellipsoid's bounding box grown by the filter's reach;
 the cortex depth, the placement masks (tissue classes, their dilations, the
-seed coordinates of each pool) and all lesion placement run on the brain box,
-the brain's bounding box grown by one voxel and clipped at the volume faces.
-Each result equals the whole-volume operation's, so cohorts are the same
-bytes. Placement is local to each blob: a candidate is built, labelled and
-checked inside its own bounding box, and its 1-voxel occupancy halo is
-dilated in that box grown by one voxel.
+flat seed indices of each pool) and all lesion placement run on the brain
+box, the brain's bounding box grown by one voxel and clipped at the volume
+faces. Each result equals the whole-volume operation's, so cohorts are the
+same bytes. The cortex depth and the dilations are exact small-integer and
+boolean passes along each axis, not a distance transform or a filter.
+Placement is local to each blob: a candidate is built, labelled and checked
+inside its own bounding box, and its 1-voxel occupancy halo is dilated in
+that box grown by one voxel.
 """
 
 from __future__ import annotations
@@ -137,8 +139,10 @@ def _make_tissue(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
 
     The ellipsoid is built and smoothed on its bounding box grown by the
     filter's reach, whose outer layers are zero as in the whole volume (at a
-    clipped face the filter reflects the same voxels either way); the shell
-    is split by `_label_shell` on the brain box."""
+    clipped face the filter reflects the same voxels either way). The only
+    whole-volume arrays are the boolean brain and the uint8 labels:
+    `_label_shell` splits the shell on the brain box with small-integer
+    passes, never a float distance map."""
     n = spec.side_voxels
     center = n / 2.0 + rng.uniform(-1.5, 1.5, size=3)
     semi = n * rng.uniform(0.36, 0.42, size=3)
@@ -160,24 +164,56 @@ def _make_tissue(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
 
 def _label_shell(brain: np.ndarray, thickness: int) -> np.ndarray:
     """GM on `brain`, WM where the Euclidean distance to the nearest non-brain
-    voxel exceeds `thickness`, 0 elsewhere. The distance transform runs on
-    the brain box: its outer layers are background wherever it does not
-    meet a volume face, so no voxel outside it is nearer to the brain."""
+    voxel of the volume exceeds `thickness`, 0 elsewhere.
+
+    Runs on the brain box, whose outer layers are non-brain wherever the box
+    does not meet a volume face, so no voxel outside it is nearer. Voxels
+    beyond the volume faces are not non-brain, as in scipy's
+    `distance_transform_edt`; so a brain without a single non-brain voxel in
+    the volume (one filling it) is all WM, its distance being infinite."""
     tissue = np.zeros(brain.shape, dtype=np.uint8)
     box = _brain_box(brain)
     sub, out = brain[box], tissue[box]
     out[sub] = TISSUE_GM
-    out[ndimage.distance_transform_edt(sub) > thickness] = TISSUE_WM
+    out[_beyond(sub, thickness)] = TISSUE_WM
     return tissue
 
 
 _FULL = np.ones((3, 3, 3), dtype=bool)
 
 
+def _beyond(mask: np.ndarray, t: int) -> np.ndarray:
+    """Voxels of `mask` whose squared Euclidean distance to every False voxel
+    of the array exceeds t*t; voxels beyond the faces count as True.
+
+    The squared distance separates per axis (Saito & Toriwaki, 1994): pass a
+    takes, for each voxel, the least of s*s plus the previous pass's value s
+    voxels along axis a. Only |s| <= t can bring a sum to t*t or less, and
+    every value is capped at t*t + 1 ("farther"), which keeps the test exact
+    and the sums within a small unsigned type."""
+    far = t * t + 1
+    d = mask.astype(np.min_scalar_type(2 * far))
+    d *= far
+    for axis in range(3):
+        prev, d = d, d.copy()
+        p, q = np.moveaxis(prev, axis, 0), np.moveaxis(d, axis, 0)
+        for s in range(1, t + 1):
+            np.minimum(q[:-s], p[s:] + s * s, out=q[:-s])
+            np.minimum(q[s:], p[:-s] + s * s, out=q[s:])
+    return d == far
+
+
 def _dilate(mask: np.ndarray, r: int) -> np.ndarray:
-    """`r` iterations of the 3x3x3 binary dilation as one (2r+1)^3 maximum
-    filter; voxels beyond the volume faces count as False."""
-    return ndimage.maximum_filter(mask, size=2 * r + 1, mode="constant")
+    """`r` iterations of the 3x3x3 binary dilation: the (2r+1)^3 box, as the
+    OR of shifts by -r..r along each axis in turn; voxels beyond the volume
+    faces read False."""
+    for axis in range(3):
+        prev, mask = mask, mask.copy()
+        p, q = np.moveaxis(prev, axis, 0), np.moveaxis(mask, axis, 0)
+        for s in range(1, r + 1):
+            q[:-s] |= p[s:]
+            q[s:] |= p[:-s]
+    return mask
 
 
 def _ellipsoid_blob(shape, seed_voxel, radii, allowed,
@@ -289,14 +325,15 @@ def inject_lesions(tissue: np.ndarray, spec: PhantomSpec, rng: np.random.Generat
         "wml": ((np.log(8), np.log(120)), (0, np.inf), wm, None, 6, lambda box, blob: True),
     }
 
-    def place(kind, coords: np.ndarray):
-        """(box, mask) of a new lesion of `kind`, its halo marked."""
+    def place(kind, pool: np.ndarray):
+        """(box, mask) of a new lesion of `kind` seeded from `pool`, its
+        halo marked."""
         sizes, clamp, allowed, flatten, min_size, accept = rules[kind]
         for _ in range(_PLACEMENT_RETRIES):
             # log-uniform sizes so small lesions dominate, as in real cohorts
             target = int(np.clip(int(np.exp(rng.uniform(*sizes))), *clamp))
             radii = _radii_for_size(target, flatten, (spec.cortex_thickness_voxels - 2) / 2, rng)
-            seed_voxel = tuple(coords[rng.integers(len(coords))])
+            seed_voxel = np.unravel_index(pool[rng.integers(len(pool))], shape)
             placed = _ellipsoid_blob(shape, seed_voxel, radii, allowed, rng)
             if placed is None:
                 continue
@@ -308,13 +345,18 @@ def inject_lesions(tissue: np.ndarray, spec: PhantomSpec, rng: np.random.Generat
         raise PhantomError(
             f"could not place a lesion of kind {kind!r} after {_PLACEMENT_RETRIES} retries")
 
+    # seed pools: the flat C-order indices of a mask's voxels, so the k-th
+    # entry is the k-th voxel of the mask as on the whole volume and a draw
+    # picks the same seed; types 3 and 4 share theirs
+    pools = {name: np.flatnonzero(masks[name])
+             for name in ("interface_wm", "safe_gm", "pial_gm", "deep_wm", "juxta_wm")}
     seed_pools = {1: "interface_wm", 2: "safe_gm", 3: "pial_gm", 4: "pial_gm"}
     for lesion_type, count in zip((1, 2, 3, 4), spec.lesion_counts):
-        coords = np.argwhere(masks[seed_pools[lesion_type]])
-        if count and not len(coords):
+        pool = pools[seed_pools[lesion_type]]
+        if count and not len(pool):
             raise PhantomError("no candidate seed voxels for a lesion type")
         for _ in range(count):
-            box, blob = place(lesion_type, coords)
+            box, blob = place(lesion_type, pool)
             cls = TYPE_TO_CLASS[lesion_type]
             cl[box][blob] = cls
             size = int(blob.sum())
@@ -331,14 +373,14 @@ def inject_lesions(tissue: np.ndarray, spec: PhantomSpec, rng: np.random.Generat
 
     # WMLs: strictly in WM; odd indices juxtacortical (within 2 voxels of GM)
     # to exercise the zero-weight confusion case, the rest deep
-    deep_coords = np.argwhere(masks["deep_wm"])
-    if not len(deep_coords):
-        deep_coords = np.argwhere(wm)
-    juxta_coords = np.argwhere(masks["juxta_wm"])
-    if not len(juxta_coords):
-        juxta_coords = deep_coords
+    deep_pool = pools["deep_wm"]
+    if not len(deep_pool):
+        deep_pool = np.flatnonzero(wm)
+    juxta_pool = pools["juxta_wm"]
+    if not len(juxta_pool):
+        juxta_pool = deep_pool
     for i in range(spec.wml_count):
-        box, blob = place("wml", juxta_coords if i % 2 == 1 else deep_coords)
+        box, blob = place("wml", juxta_pool if i % 2 == 1 else deep_pool)
         wml[box][blob] = 1
     cl_whole = np.zeros(tissue.shape, dtype=np.uint8)
     wml_whole = np.zeros(tissue.shape, dtype=np.uint8)

@@ -71,10 +71,12 @@ class TrainingSubject:
     cl_labels: np.ndarray            # uint8
     tissue_labels: np.ndarray
     wml_labels: np.ndarray
-    brain_voxels: np.ndarray = field(init=False)  # (n, 3) where tissue != 0
+    # flat C-order indices of the voxels where tissue != 0: the k-th is the
+    # k-th row of np.argwhere(tissue_labels), at a third of its bytes
+    brain_voxels: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.brain_voxels = np.argwhere(self.tissue_labels != 0)
+        self.brain_voxels = np.flatnonzero(self.tissue_labels)
         if len(self.brain_voxels) == 0:
             raise CohortError(f"{self.subject_id}: empty brain mask")
 
@@ -129,9 +131,9 @@ class PatchSampler:
             center = np.clip(voxel + jitter, 0, np.array(side) - 1)
             return si, center.astype(int), pick
         si = int(rng.integers(len(self.subjects)))
-        bv = self.subjects[si].brain_voxels
-        center = bv[int(rng.integers(len(bv)))]
-        return si, center.astype(int), None
+        subj = self.subjects[si]
+        at = subj.brain_voxels[int(rng.integers(len(subj.brain_voxels)))]
+        return si, np.array(np.unravel_index(at, subj.tissue_labels.shape)), None
 
     # -- pipeline stages ------------------------------------------------------
 

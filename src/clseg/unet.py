@@ -510,16 +510,20 @@ def mirror_pad(vol: np.ndarray, before: tuple[int, int, int],
 
 
 def normalize_volume(vol: np.ndarray) -> np.ndarray:
-    """Z-score over nonzero (brain) voxels; falls back to the whole volume."""
+    """A float32 copy of `vol` z-scored by the mean and standard deviation of
+    its nonzero (brain) voxels, or of all voxels if none is nonzero; a
+    standard deviation of 0 divides by 1. The brain voxels are gathered once
+    for both statistics, and the copy is shifted and scaled in place, which
+    gives the bytes of `(vol - mu) / sd`."""
     vol = vol.astype(np.float32)
-    mask = vol != 0
-    if not mask.any():
-        mask = np.ones_like(vol, dtype=bool)
-    mu = float(vol[mask].mean())
-    sd = float(vol[mask].std())
-    if sd == 0:
-        sd = 1.0
-    return (vol - mu) / sd
+    brain = vol[vol != 0]
+    if not brain.size:
+        brain = vol.reshape(-1)
+    mu = float(brain.mean())
+    sd = float(brain.std()) or 1.0
+    vol -= mu
+    vol /= sd
+    return vol
 
 
 def sliding_window_inference(params: NetworkParams, contrasts: np.ndarray,

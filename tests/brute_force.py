@@ -1,9 +1,9 @@
 """Brute-force reference implementations used as test oracles.
 
 Deliberately naive and independent of the package implementations:
-nested loops, recursive region growing, exhaustive enumeration. Kept
-separate so the production path and the oracle can only agree by both
-being right.
+nested loops, recursive region growing, exhaustive enumeration, or the
+scipy routine a hand-written fast path replaced. Kept separate so the
+production path and the oracle can only agree by both being right.
 """
 
 from __future__ import annotations
@@ -163,6 +163,20 @@ def rotate_window_reference(vol: np.ndarray, center, rot: np.ndarray, side: int,
     src = rot @ grid + (np.asarray(center, dtype=float) - 0.5)[:, None]
     out = ndimage.map_coordinates(vol, src, order=order, mode="mirror", prefilter=False)
     return out.reshape((side,) * 3)
+
+
+def beyond_distance_reference(mask: np.ndarray, t: int) -> np.ndarray:
+    """Voxels of `mask` farther than `t` from every False voxel of the array,
+    by scipy's exact Euclidean distance transform (voxels beyond the faces
+    are not False). This is the cortex shell's former path; it needs at
+    least one False voxel."""
+    return ndimage.distance_transform_edt(mask) > t
+
+
+def dilate_reference(mask: np.ndarray, r: int) -> np.ndarray:
+    """The (2r+1)^3 box dilation of a boolean mask by scipy's maximum
+    filter, False beyond the faces: the placement masks' former path."""
+    return ndimage.maximum_filter(mask, size=2 * r + 1, mode="constant")
 
 
 def flood_fill_components(labels: np.ndarray):

@@ -13,6 +13,7 @@ from clseg.evaluation import EvalConfig, evaluate_patient, label_lesions
 from clseg.experiments import DESK_PHANTOM
 from clseg.phantom import PhantomSpec, counts_from_mix, generate_cohort, generate_subject
 
+from brute_force import beyond_distance_reference, dilate_reference
 from conftest import TINY_SPEC
 
 FULL = np.ones((3, 3, 3), bool)
@@ -180,10 +181,12 @@ def test_make_tissue_peak_memory():
     # distances kept through the distance transform peaked at 69 MiB; open
     # grids, with only the inside mask kept, at 43 MiB, most of it in a
     # whole-volume distance_transform_edt; the ellipsoid on its own box and
-    # the transform on the brain box at 24.4 MiB
+    # the transform on the brain box at 24.4 MiB; the windowed uint8 shell
+    # test in place of the transform at 6.3 MiB, most of it the smoothed
+    # float32 ellipsoid box
     peak = _traced_peak(lambda: phantom._make_tissue(PhantomSpec(side_voxels=96),
                                                      np.random.default_rng(0)))
-    assert peak <= 30 * 2 ** 20
+    assert peak <= 7.5 * 2 ** 20
 
 
 def test_generate_subject_peak_memory():
@@ -375,6 +378,56 @@ def test_max_filter_dilation_matches_iterated_binary_dilation():
         for r in (1, 2, 3):
             want = ndimage.binary_dilation(mask, structure=FULL, iterations=r)
             assert np.array_equal(phantom._dilate(mask, r), want), r
+
+
+# --- windowed shell and shifted-OR dilation against scipy -------------------------
+
+
+def _oracle_masks(shape, rng):
+    """Masks that fill their array, so they touch every face, edge and
+    corner: sparse and denser interior holes, and one lone False voxel in a
+    corner or in the middle, whose distance reaches every thickness."""
+    masks = [rng.random(shape) > p for p in (0.003, 0.02, 0.1)]
+    for at in ((0, 0, 0), tuple(n - 1 for n in shape), tuple(n // 2 for n in shape)):
+        lone = np.ones(shape, bool)
+        lone[at] = False
+        masks.append(lone)
+    return masks
+
+
+@pytest.mark.parametrize("shape", [(17, 17, 17), (9, 14, 23), (21, 6, 12), (3, 19, 16)])
+def test_windowed_shell_matches_distance_transform(shape):
+    rng = np.random.default_rng(sum(shape))
+    for mask in _oracle_masks(shape, rng):
+        for t in range(1, 9):
+            want = beyond_distance_reference(mask, t)
+            assert np.array_equal(phantom._beyond(mask, t), want), t
+            # the shell itself: the brain box is the whole array here
+            tissue = phantom._label_shell(mask, t)
+            assert np.array_equal(tissue == 1, want), t
+            assert np.array_equal(tissue == 2, mask & ~want), t
+
+
+def test_label_shell_without_background_is_all_wm():
+    # a brain filling its volume touches all six faces and has no hole; its
+    # distance to a non-brain voxel is infinite (scipy's transform reads
+    # 1..11 here, as if voxel (-1, 0, 0) were background)
+    brain = np.ones((6, 7, 8), bool)
+    for t in (1, 3, 5):
+        assert (phantom._label_shell(brain, t) == 1).all()
+
+
+@pytest.mark.parametrize("shape", [(1, 9, 6), (2, 5, 7), (11, 3, 13), (8, 12, 2)])
+def test_dilate_matches_maximum_filter(shape):
+    # includes axes shorter than r, where every shift runs off both faces
+    rng = np.random.default_rng(sum(shape))
+    masks = [rng.random(shape) < p for p in (0.03, 0.15)]
+    corners = np.zeros(shape, bool)
+    corners[0, 0, 0] = corners[-1, -1, -1] = corners[0, -1, 0] = True
+    masks.append(corners)
+    for mask in masks:
+        for r in (1, 2):
+            assert np.array_equal(phantom._dilate(mask, r), dilate_reference(mask, r)), r
 
 
 # --- brain-box geometry at the volume faces ----------------------------------------

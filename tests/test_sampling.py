@@ -130,6 +130,30 @@ def test_background_centers_inside_brain_mask():
         assert subj.tissue_labels[tuple(center)] != 0
 
 
+def test_background_pick_is_argwhere_row():
+    # the k-th brain voxel in C order, k the generator's integers(n) draw: a
+    # replay of choose_center would not catch a pool in another order
+    r = np.random.default_rng(8)
+    subjects = []
+    for side in (16, 20):
+        tissue = np.where(r.random((side,) * 3) < 0.6, r.integers(1, 3, (side,) * 3), 0)
+        subjects.append(TrainingSubject(
+            subject_id=f"s{side}", contrasts=np.zeros((3,) + (side,) * 3, np.float32),
+            cl_labels=_lesion_at(side, [(8, 8, 8)]), tissue_labels=tissue.astype(np.uint8),
+            wml_labels=np.zeros((side,) * 3, np.uint8)))
+    cfg = SamplerConfig(lesion_fraction=0.0, seed=4)
+    sampler = PatchSampler(cfg, 44, subjects)
+    assert sampler.lesions
+    for i in range(50):
+        si, center, pick = sampler.choose_center(draw_rng(cfg.seed, i))
+        rng = draw_rng(cfg.seed, i)
+        rng.random()  # the lesion-or-background draw, made while lesions exist
+        want_si = int(rng.integers(len(subjects)))
+        voxels = np.argwhere(subjects[want_si].tissue_labels != 0)
+        assert (si, pick) == (want_si, None)
+        assert np.array_equal(center, voxels[int(rng.integers(len(voxels)))]), i
+
+
 # --- patch geometry --------------------------------------------------------------
 
 

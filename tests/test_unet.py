@@ -636,6 +636,38 @@ def test_drop_channel_rules():
     assert contrasts[2].any()
 
 
+def _normalize_two_gathers(vol):
+    """normalize_volume as it was: one gather per statistic, then a new
+    array from (vol - mu) / sd."""
+    vol = vol.astype(np.float32)
+    mask = vol != 0
+    if not mask.any():
+        mask = np.ones_like(vol, dtype=bool)
+    mu = float(vol[mask].mean())
+    sd = float(vol[mask].std())
+    if sd == 0:
+        sd = 1.0
+    return (vol - mu) / sd
+
+
+def test_normalize_volume_matches_two_gathers_bit_for_bit():
+    r = np.random.default_rng(12)
+    brain = np.zeros((9, 10, 11), np.float32)
+    brain[2:7, 1:9, 3:10] = r.uniform(0.2, 1.3, (5, 8, 7))
+    constant = np.where(brain != 0, np.float32(0.55), np.float32(0))
+    volumes = [brain, brain.astype(np.float64), np.zeros((5, 6, 7), np.float32), constant,
+               r.standard_normal((8, 8, 8))]
+    for vol in volumes:
+        before = vol.copy()
+        got, want = unet.normalize_volume(vol), _normalize_two_gathers(vol)
+        assert got.dtype == want.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(vol, before)  # the input is not normalized in place
+    assert not unet.normalize_volume(volumes[2]).any()
+    # sd 0: the volume is shifted by the brain's mean and divided by 1
+    assert np.array_equal(unet.normalize_volume(constant), constant - np.float32(0.55))
+
+
 def test_normalize_volume_zscore_over_nonzero():
     vol = np.zeros((6, 6, 6), np.float32)
     vol[2:5, 2:5, 2:5] = np.random.default_rng(0).uniform(1, 2, (3, 3, 3)).astype(np.float32)
