@@ -44,14 +44,18 @@ input gradient. That padded gradient is never built whole: each slab of
 it is written into one reused (Co, P + 1, H, W) buffer and unrolled from
 there.
 
-The stride-2 layers (2x2x2 max pooling and the 2x2x2 transposed
-convolution) see an even-sized volume as 8 octants: octant i = dz*4 +
-dy*2 + dx is the strided view x[..., dz::2, dy::2, dx::2] (`_octant`), the
-voxels at offset (dz, dy, dx) of every 2x2x2 block. Pooling's argmax stores
-the winning octant index, and tap (dz, dy, dx) of a transposed-conv kernel
-paints octant i, so both backward passes read and write the same views.
-A center crop is a view too; the network adds each skip gradient into the
-cropped view of the pooled gradient in place.
+The stride-2 layers see an even-sized volume as 8 octants: octant i =
+dz*4 + dy*2 + dx is the strided view x[..., dz::2, dy::2, dx::2]
+(`_octant`), the voxels at offset (dz, dy, dx) of every 2x2x2 block.
+Pooling's argmax stores the winning octant index, and its backward routes
+each gradient to that view. The network's decoder reads octants too: it
+never runs a 2x2x2 transposed convolution, but folds each into the conv
+that reads it, and the resulting conv of the low-resolution input writes
+one channel group per octant of the decoder's output (see unet). The
+transposed convolution here, whose tap i paints octant i, is the
+reference that decoder is tested against. A center crop is a view too;
+the network adds each skip gradient into the cropped view of the pooled
+gradient in place.
 
 The ReLU and pooling gradients are masks, and both are applied bitwise: a
 0/1 comparison result is negated into a 0/all-ones word of the gradient's
@@ -77,6 +81,10 @@ POOL_GROUP_ELEMS = 256 * 1024
 # Elements per chunk of the ReLU gradient mask (256 KiB in float32), so the
 # chunk stays in cache across the mask's three passes.
 MASK_CHUNK_ELEMS = 64 * 1024
+# Trailing columns of a float32 product that OpenBLAS's small-matrix kernel
+# may round differently from the rest: the last n % 16 of n columns, when
+# that is 1 to 8 (measured on AVX-512; 16 columns fill one register).
+PRODUCT_TAIL = 8
 
 
 class ContractError(ValueError):
@@ -119,8 +127,10 @@ def _unroll(U, x, m, k):
     m, the last (k-1)*(W+1) columns of plane m-1, which would read it, are
     zeroed: a cropped output reads none of them. Returns the number of
     columns, m*H*W: every product then spans whole planes, so its last
-    columns, which OpenBLAS's small-matrix kernel rounds differently from
-    the rest, fall on the discarded rows whatever the depth of x."""
+    PRODUCT_TAIL columns, which OpenBLAS's small-matrix kernel may round
+    differently from the rest, fall on discarded columns whatever the depth
+    of x, as long as (k-1)*(W+1) >= PRODUCT_TAIL; conv3d_forward adds zero
+    rows to planes too narrow for that."""
     C, D, H, W = x.shape
     n = min(m * H * W, D * H * W - (k - 1) * (W + 1))
     s = x.itemsize
@@ -241,11 +251,12 @@ def _conv_slabs(planes, D, grid, weight, out, bias=None, carry=None):
     return out
 
 
-def conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+def conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
                    carry: ConvCarry | None = None) -> np.ndarray:
-    """Valid convolution of x. With a `carry`, x is the next planes of an
-    input fed in depth: the output holds the planes they complete, and each
-    input plane is multiplied once over all calls."""
+    """Valid convolution of x, plus `bias` unless it is None. With a
+    `carry`, x is the next planes of an input fed in depth: the output holds
+    the planes they complete, and each input plane is multiplied once over
+    all calls."""
     B, Ci, D, H, W = x.shape
     Co, wCi, k, kh, kw = weight.shape
     if wCi != Ci:
@@ -254,7 +265,7 @@ def conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
         raise ContractError(f"conv3d: kernel must be cubic, got {weight.shape[2:]}")
     if min(H, W) < k or (carry is None and D < k):
         raise ContractError(f"conv3d: spatial dims {(D, H, W)} smaller than kernel {k}")
-    if bias.shape != (Co,):
+    if bias is not None and bias.shape != (Co,):
         raise ContractError(f"conv3d: bias shape {bias.shape} != ({Co},)")
 
     if carry is None:
@@ -262,9 +273,12 @@ def conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
     else:
         oD = max(0, carry.planes + D - k + 1) - max(0, carry.planes - k + 1)
     out = np.empty((B, Co, oD, H - k + 1, W - k + 1), dtype=x.dtype)
+    short = PRODUCT_TAIL - (k - 1) * (W + 1)  # see _unroll
+    if k > 1 and short > 0:  # planes under 7 columns wide at k = 2: add zero rows
+        x = np.pad(x, ((0, 0), (0, 0), (0, 0), (0, -(-short // W)), (0, 0)))
     x = np.ascontiguousarray(x)
-    _conv_slabs(lambda b, q0, q1: x[b, :, q0:], D, (H, W), weight, out,
-                bias.reshape(-1, 1, 1, 1).astype(x.dtype), carry)
+    _conv_slabs(lambda b, q0, q1: x[b, :, q0:], D, x.shape[3:], weight, out,
+                None if bias is None else bias.reshape(-1, 1, 1, 1).astype(x.dtype), carry)
     return out
 
 
@@ -417,12 +431,11 @@ def maxpool3d_backward(argmax: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def transposed_conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
-                              out: np.ndarray | None = None) -> np.ndarray:
+def transposed_conv3d_forward(x: np.ndarray, weight: np.ndarray,
+                              bias: np.ndarray) -> np.ndarray:
     """weight layout (in_ch, out_ch, 2, 2, 2); each input voxel paints one
     disjoint 2x2x2 output block, the adjoint of a stride-2 valid conv.
-    Octant i of the output is tap i of the kernel applied to x, one GEMM.
-    The output is written into `out` when given (any view of its shape)."""
+    Octant i of the output is tap i of the kernel applied to x, one GEMM."""
     B, Ci, D, H, W = x.shape
     wCi, Co, k, kh, kw = weight.shape
     if wCi != Ci:
@@ -433,11 +446,7 @@ def transposed_conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarra
         raise ContractError(f"tconv3d: bias shape {bias.shape} != ({Co},)")
     taps = weight.reshape(Ci, Co, 8)
     xm = x.reshape(B, Ci, D * H * W)
-    shape = (B, Co, 2 * D, 2 * H, 2 * W)
-    if out is None:
-        out = np.empty(shape, dtype=x.dtype)
-    elif out.shape != shape:
-        raise ContractError(f"tconv3d: out shape {out.shape} != {shape}")
+    out = np.empty((B, Co, 2 * D, 2 * H, 2 * W), dtype=x.dtype)
     for i in range(8):
         _octant(out, i)[...] = np.matmul(taps[:, :, i].T, xm).reshape(B, Co, D, H, W)
     out += bias.reshape(1, -1, 1, 1, 1).astype(x.dtype)

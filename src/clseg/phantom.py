@@ -390,19 +390,24 @@ def inject_lesions(tissue: np.ndarray, spec: PhantomSpec, rng: np.random.Generat
 
 
 def _render_contrasts(tissue, cl, wml, spec: PhantomSpec, rng: np.random.Generator):
-    """Tissue means + lesion pulls + in-brain Gaussian noise per contrast."""
-    brain = tissue != 0
-    wm, gm = tissue == TISSUE_WM, tissue == TISSUE_GM
-    lesions = [(np.nonzero(cl == cls), LESION_VISIBILITY[cls], LESION_TARGETS)
+    """Tissue means + lesion pulls + in-brain Gaussian noise per contrast.
+
+    Every voxel set is a C-order flat index: the brain's, its WM and GM
+    subsets and each lesion class's, so each assignment, gather and add
+    touches only its voxels, and the brain is found in one scan."""
+    brain = np.flatnonzero(tissue != 0)  # scans a bool mask ~4x faster than uint8 labels
+    in_brain = tissue.reshape(-1)[brain]
+    wm, gm = brain[in_brain == TISSUE_WM], brain[in_brain == TISSUE_GM]
+    lesions = [(np.flatnonzero(cl == cls), LESION_VISIBILITY[cls], LESION_TARGETS)
                for cls in (1, 2)]
-    lesions.append((np.nonzero(wml == 1), WML_VISIBILITY, WML_TARGETS))
+    lesions.append((np.flatnonzero(wml == 1), WML_VISIBILITY, WML_TARGETS))
     # each contrast's noise is a whole-volume draw, in contrast order, taken
     # before scaling so sigma changes never shift the stream
-    noise = np.empty(tissue.shape)
+    noise = np.empty(tissue.size)
     out = {}
     for ci, name in enumerate(CONTRAST_NAMES):
         means = TISSUE_MEANS[name]
-        img = np.zeros(tissue.shape, dtype=np.float32)
+        img = np.zeros(tissue.size, dtype=np.float32)
         img[wm] = means["wm"]
         img[gm] = means["gm"]
         for m, visibility, targets in lesions:
@@ -410,7 +415,7 @@ def _render_contrasts(tissue, cl, wml, spec: PhantomSpec, rng: np.random.Generat
             img[m] = (1 - vis) * img[m] + vis * targets[name]
         rng.standard_normal(out=noise)
         img[brain] += spec.noise_sigma[ci] * noise[brain].astype(np.float32)
-        out[name] = img
+        out[name] = img.reshape(tissue.shape)
     return out
 
 

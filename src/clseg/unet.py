@@ -8,6 +8,26 @@ followed by 2x2x2 max pooling; the decoder mirrors it with stride-2
 transposed convs and center-cropped skip concatenations; both 1x1x1 heads
 read the final full-resolution decoder features.
 
+The decoder never builds a transposed conv's output. No ReLU lies between
+a transposed conv (`up2`, `up1`) and the 3x3x3 conv that reads its
+concatenation with the skip crop (`dec2a`, `dec1a`), so the two are one
+linear map, run as the sum, before the ReLU, of two convs (the sub-pixel
+convolution of Shi et al., CVPR 2016):
+  - the skip part of the decoder kernel, kernel[:, c_up:], on the skip
+    crop, with the bias b_dec + sum_t W_dec[:, :c_up, t] @ b_up;
+  - per output parity p (the octant of layers._octant), a 2x2x2 conv of
+    the low-resolution input: on each axis, output voxel 2y + p reads at
+    decoder tap t the up-convolved voxel 2y + p + t, which is input voxel
+    y + (p + t) // 2 through transposed-conv tap (p + t) % 2. The eight
+    parities' kernels are the channel groups of one (8*Co, Ci, 2, 2, 2)
+    kernel composed from both layers' kernels (`_compose`), applied in
+    one conv whose channel group p is added onto octant p of the skip
+    conv's output.
+That replaces a 3x3x3 conv over c_up up-convolved channels at twice the
+resolution with a 2x2x2 one over Ci input channels at the input's: about
+a quarter fewer FLOPs in a paper-width whole-subject pass. The parameters,
+their order and the checkpoint format stay those of the two layers.
+
 The network is fixed but for its base width C and its training patch
 side. It reads the three contrasts of CONTRAST_NAMES, and each head has
 one output per class code of its label volume (volume_io.LABEL_CODES),
@@ -29,8 +49,10 @@ need (fused-layer evaluation; Alwani et al., MICRO 2016):
     (enc1b, enc2b outputs): that crop is copied as their planes come out
     and waits in a FIFO until the decoder reads it, some 20 enc1b planes
     later;
-  - the transposed convs and the heads keep nothing; level 1 of the
-    decoder, the widest, runs one dec2b plane at a time.
+  - a decoder unit's composed conv, a 2x2x2 one, keeps one pending plane
+    in its own ConvCarry, beside the skip conv's;
+  - the heads keep nothing; level 1 of the decoder, the widest, runs one
+    dec2b plane at a time.
 Every ReLU runs in place on its conv's output, and each array is freed
 once it is dead. Every conv product spans whole planes, so the stream
 computes the bytes of one whole pass however its input is pushed (see
@@ -41,9 +63,12 @@ per activation: a unit's entry is (input, activation), and its ReLU
 output is the next unit's input too and doubles as the ReLU mask. The
 pooled units are the exception: nothing else reads their activation, so
 their entries keep the bit-packed ReLU mask in its place (one bit per
-element). Without a cache, pooling skips the argmax. `backward` pops every
-entry as it consumes it, so each activation is released as soon as its
-gradients are done.
+element). A decoder unit's input is its skip crop (its low-resolution
+input is the entry of the unit before), and each transposed conv's entry
+is the composed kernel. Without a cache, pooling skips the argmax.
+`backward` pops every entry as it consumes it, so each activation is
+released as soon as its gradients are done. It maps the gradient of a
+composed kernel back onto both layers' kernels, one GEMM each.
 
 A whole subject is predicted by one pass over it, mirror-padded by the
 network's 20-voxel valid-conv margin on every side and up to 3 voxels
@@ -52,8 +77,9 @@ built: each push is gathered from the contrasts, and no level-1
 activation but the enc1b crop in its FIFO is held more than a push deep.
 
 Parameter serialization order is the order of `param_specs`, kernel then
-bias per layer, little-endian float32. Decoder concatenation order is
-[up-convolved features, cropped skip features].
+bias per layer, little-endian float32. A decoder kernel's input channels
+are in concatenation order [up-convolved features, cropped skip
+features].
 """
 
 from __future__ import annotations
@@ -201,6 +227,124 @@ def _unit_backward(params, name, grad, cache, grads, need_grad_x=True):
     return gx
 
 
+def _tap_tables():
+    """Which decoder tap each entry of a composed kernel sums.
+
+    On each axis, output voxel 2y + p of a decoder conv reads at its tap t
+    the up-convolved voxel 2y + p + t, which is input voxel y + l through
+    transposed-conv tap a, l = (p + t) // 2 and a = (p + t) % 2: so
+    t = 2l + a - p. In 3D, p, l and a are indices z*4 + y*2 + x, like an
+    octant's, and t is a flat index into a 3x3x3 kernel. Returns
+    dec_tap[p, l, a], that triple's t, or 27 where t leaves 0..2 on some
+    axis; and parity[t, a], low_tap[t, a], the one (p, l) that each of the
+    216 pairs (t, a) meets.
+    """
+    offsets = (np.arange(8)[:, None] >> np.arange(2, -1, -1)) & 1  # (z, y, x) of each index
+    t = 2 * offsets[None, :, None] + offsets[None, None, :] - offsets[:, None, None]
+    dec_tap = np.where(((t >= 0) & (t <= 2)).all(axis=-1), t @ (9, 3, 1), 27)
+    p, low, a = np.nonzero(dec_tap < 27)
+    parity, low_tap = np.empty((2, 27, 8), dtype=np.intp)
+    parity[dec_tap[p, low, a], a], low_tap[dec_tap[p, low, a], a] = p, low
+    return dec_tap, parity, low_tap
+
+
+_DEC_TAP, _PARITY, _LOW_TAP = _tap_tables()
+
+
+def _pair_factors(params, up, dec):
+    """The two factors of the products of every pair (t, a): the up part
+    of W_dec as rows (t, o) and W_up as rows (a, i), both over columns m."""
+    t = params.tensors
+    w_up, w_dec = t[f"{up}.kernel"], t[f"{dec}.kernel"]
+    ci, cm = w_up.shape[:2]
+    w_t = w_dec[:, :cm].reshape(-1, cm, 27).transpose(2, 0, 1).reshape(-1, cm)
+    w_a = w_up.reshape(ci, cm, 8).transpose(2, 0, 1).reshape(-1, cm)
+    return w_t, w_a
+
+
+def _compose(params, up, dec):
+    """Decoder unit `dec` and the transposed conv `up` it reads as two
+    convs (module docstring): (skip kernel, bias, composed kernel).
+
+    The skip kernel is the view kernel[:, c_up:] of `dec`'s kernel, and the
+    bias is b_dec + sum_t W_dec[:, :c_up, t] @ b_up. Channel group p of the
+    (8*Co, Ci, 2, 2, 2) composed kernel is the k = 2 conv of the
+    low-resolution input that output parity p reads:
+    K[p, o, i, l] = sum over m and over the pairs (t, a) that meet (p, l)
+    of W_dec[o, m, t] * W_up[i, m, a]. One GEMM makes the products of all
+    216 pairs, and a gather sums them per (p, l).
+    """
+    w_t, w_a = _pair_factors(params, up, dec)
+    co, ci = w_t.shape[0] // 27, w_a.shape[0] // 8
+    pairs = np.empty((28 * co, 8 * ci), dtype=w_t.dtype)  # rows (t, o); t = 27 is zero
+    np.matmul(w_t, w_a.T, out=pairs[:27 * co])
+    pairs[27 * co:] = 0
+    k = pairs.reshape(28, co, 8, ci)[_DEC_TAP, :, np.arange(8)].sum(axis=2)  # (p, l, o, i)
+    composed = np.ascontiguousarray(k.transpose(0, 2, 3, 1)).reshape(8 * co, ci, 2, 2, 2)
+    t = params.tensors
+    bias = t[f"{dec}.bias"] + (w_t @ t[f"{up}.bias"]).reshape(27, co).sum(axis=0)
+    return t[f"{dec}.kernel"][:, w_t.shape[1]:], bias, composed
+
+
+def _dec_forward(composed, x, crop, low_carry=None, skip_carry=None):
+    """The pre-activation of a decoder unit from _compose's `composed`: the
+    skip conv of the skip crop, with channel group p of the composed conv
+    of x, the transposed conv's low-resolution input, added onto its octant
+    p. Each conv takes its own conv3d_forward `carry`."""
+    skip_kernel, bias, kernel = composed
+    pre = layers.conv3d_forward(crop, skip_kernel, bias, carry=skip_carry)
+    low = layers.conv3d_forward(x, kernel, None, carry=low_carry)
+    co = skip_kernel.shape[0]
+    for i in range(8):
+        octant = layers._octant(pre, i)
+        octant += low[:, i * co:(i + 1) * co]
+    return pre
+
+
+def _dec_backward(params, up, dec, grad, x, cache, grads):
+    """Pops the cache entries of unit `dec` and of `up`, its composed
+    kernel, and returns the gradients of its low-resolution input x and of
+    its skip crop, with those of `dec`'s and `up`'s parameters in `grads`;
+    masks `grad` in place.
+
+    The composed conv's input gradient and dK come from its conv3d_backward
+    on the eight octants of the masked gradient. dK goes back onto the up
+    part of W_dec and onto W_up through the pairs (t, a) of each (p, l), one
+    GEMM each, and the skip conv's bias gradient onto b_up and W_dec.
+    """
+    skip, act = cache.pop(dec)
+    composed = cache.pop(up)
+    g = layers.relu_backward(act, grad)
+    del act
+    t = params.tensors
+    w_up, b_up = t[f"{up}.kernel"], t[f"{up}.bias"]
+    ci, cm = w_up.shape[:2]
+    g_skip, g_skip_kernel, g_bias = layers.conv3d_backward(skip, t[f"{dec}.kernel"][:, cm:], g)
+    del skip
+    B, co = g.shape[:2]
+    octants = np.empty((B, 8, co) + tuple(n // 2 for n in g.shape[2:]), dtype=g.dtype)
+    for i in range(8):
+        octants[:, i] = layers._octant(g, i)
+    del g
+    g_x, g_composed, _ = layers.conv3d_backward(
+        x, composed, octants.reshape((B, 8 * co) + octants.shape[3:]))
+    del octants
+
+    w_t, w_a = _pair_factors(params, up, dec)
+    # dK at every pair (t, a): rows (t, o), columns (a, i)
+    pairs = g_composed.reshape(8, co, ci, 8)[
+        _PARITY[:, None], np.arange(co)[:, None], :, _LOW_TAP[:, None]].reshape(27 * co, -1)
+    g_t = (pairs @ w_a).reshape(27, co, cm)
+    g_t += np.outer(g_bias, b_up)
+    grads[f"{dec}.kernel"] = np.concatenate(
+        [g_t.transpose(1, 2, 0).reshape(co, cm, 3, 3, 3), g_skip_kernel], axis=1)
+    grads[f"{dec}.bias"] = g_bias
+    grads[f"{up}.kernel"] = (pairs.T @ w_t).reshape(8, ci, cm).transpose(1, 2, 0).reshape(
+        w_up.shape)
+    grads[f"{up}.bias"] = g_bias @ w_t.reshape(27, co, cm).sum(axis=0)
+    return g_x, g_skip
+
+
 class _Fifo:
     """Skip planes waiting for the decoder, first in first out, in a
     circular array that grows to the most planes ever waiting."""
@@ -255,8 +399,12 @@ class DepthStream:
         self.pool_got = {"pool1": 0, "pool2": 0}
         self.odd = {"pool1": None, "pool2": None}
         self.skips = {"pool1": _Fifo(), "pool2": _Fifo()}
-        self.carries = {name: layers.ConvCarry() for name, kind, _ in param_specs(params.config)
-                        if kind == "conv" and not name.startswith("head_")}
+        self.carries = {name: layers.ConvCarry() for name, _, _ in param_specs(params.config)
+                        if not name.startswith("head_")}
+        self.composed = {up: _compose(params, up, dec)
+                         for up, dec in (("up2", "dec2a"), ("up1", "dec1a"))}
+        if cache is not None:
+            cache.update((up, c[2]) for up, c in self.composed.items())
         self.pushed = self.emitted = 0
         self.whole = False
         if keep is None:
@@ -279,21 +427,39 @@ class DepthStream:
         e = self._conv("enc2a", self._pool("pool1", e, 16))
         e = self._pool("pool2", self._conv("enc2b", e, pack=True), 4)
         e = self._conv("enc3b", self._conv("enc3a", e))
-        d = self._conv("dec2b", self._conv("dec2a", self._up("up2", e, "dec2a", "pool2")))
+        d = self._conv("dec2b", self._dec("up2", "dec2a", e, "pool2"))
         if d is None:
             return
         step = d.shape[2] if self.whole else 1
         for z in range(0, d.shape[2], step):
-            e = self._conv("dec1a", self._up("up1", d[:, :, z:z + step], "dec1a", "pool1"))
-            self._heads(self._conv("dec1b", e))
+            self._heads(self._conv("dec1b", self._dec("up1", "dec1a", d[:, :, z:z + step],
+                                                      "pool1")))
+
+    def _carry(self, name):
+        return None if self.whole else self.carries[name]
 
     def _conv(self, name, x, pack=False):
         """Unit `name` on the new planes x: the output planes they
         complete, or None."""
         if x is None:
             return None
-        act = _unit_forward(self.params, name, x, self.cache, pack,
-                            None if self.whole else self.carries[name])
+        act = _unit_forward(self.params, name, x, self.cache, pack, self._carry(name))
+        return act if act.shape[2] else None
+
+    def _dec(self, up, name, x, skip):
+        """Decoder unit `name` (_dec_forward) on the new planes x of the
+        input of the transposed conv `up` and the next planes of skip FIFO
+        `skip`. Caches (skip crop, activation) under `name`; returns the
+        output planes the new planes complete, or None."""
+        if x is None:
+            return None
+        B, _, D, H, W = x.shape
+        crop = np.empty((B, self.composed[up][0].shape[1], 2 * D, 2 * H, 2 * W), dtype=x.dtype)
+        self.skips[skip].take(crop)
+        pre = _dec_forward(self.composed[up], x, crop, self._carry(up), self._carry(name))
+        act = layers.relu_forward(pre, out=pre)
+        if self.cache is not None:
+            self.cache[name] = (crop, act)
         return act if act.shape[2] else None
 
     def _pool(self, name, x, m):
@@ -318,21 +484,6 @@ class DepthStream:
         if self.cache is not None:
             self.cache["pool"] = self.cache.get("pool", ()) + (am,)
         return p
-
-    def _up(self, name, x, to, skip):
-        """Transposed conv `name` of x beside the next planes of skip FIFO
-        `skip`: the input of unit `to`, the decoder's concatenation
-        [up-convolved features, cropped skip features]."""
-        if x is None:
-            return None
-        t = self.params.tensors
-        c = t[f"{name}.kernel"].shape[1]
-        B, _, D, H, W = x.shape
-        cat = np.empty((B, t[f"{to}.kernel"].shape[1], 2 * D, 2 * H, 2 * W), dtype=x.dtype)
-        layers.transposed_conv3d_forward(x, t[f"{name}.kernel"], t[f"{name}.bias"],
-                                         out=cat[:, :c])
-        self.skips[skip].take(cat[:, c:])
-        return cat
 
     def _heads(self, d1):
         if d1 is None:
@@ -409,11 +560,10 @@ def backward(params: NetworkParams, cache: dict,
 
     Consumes the cache: every entry is popped when backward is done with
     it, so each activation is freed once its gradients are computed and the
-    cache is empty on return. The skip gradients are copied out of the
-    decoder gradient, which is then freed. enc1b and enc2b are masked by
-    their packed ReLU masks.
+    cache is empty on return. Each skip gradient is the input gradient of
+    its decoder unit's skip conv, added into the crop of the pooled
+    gradient. enc1b and enc2b are masked by their packed ReLU masks.
     """
-    c = params.config.base_channels
     am1, am2 = cache.pop("pool")
     grads: dict[str, np.ndarray] = {}
 
@@ -427,19 +577,9 @@ def backward(params: NetworkParams, cache: dict,
     del d1, gx_t
 
     g = _unit_backward(params, "dec1b", g, cache, grads)
-    g = _unit_backward(params, "dec1a", g, cache, grads)
-    g_c1 = g[:, 4 * c:].copy()
-    g, gw, gb = layers.transposed_conv3d_backward(
-        cache["dec2b"][1], params.tensors["up1.kernel"], g[:, :4 * c])
-    grads["up1.kernel"], grads["up1.bias"] = gw, gb
-
+    g, g_c1 = _dec_backward(params, "up1", "dec1a", g, cache["dec2b"][1], cache, grads)
     g = _unit_backward(params, "dec2b", g, cache, grads)
-    g = _unit_backward(params, "dec2a", g, cache, grads)
-    g_c2 = g[:, 8 * c:].copy()
-    g, gw, gb = layers.transposed_conv3d_backward(
-        cache["enc3b"][1], params.tensors["up2.kernel"], g[:, :8 * c])
-    grads["up2.kernel"], grads["up2.bias"] = gw, gb
-
+    g, g_c2 = _dec_backward(params, "up2", "dec2a", g, cache["enc3b"][1], cache, grads)
     g = _unit_backward(params, "enc3b", g, cache, grads)
     g = _unit_backward(params, "enc3a", g, cache, grads)
     g = layers.maxpool3d_backward(am2, g)

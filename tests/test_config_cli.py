@@ -502,16 +502,14 @@ def test_cli_nonfinite_training_exit_3(tmp_path, tiny_cohort):
 
 def test_cli_nonfinite_gradient_exit_3(tmp_path, tiny_cohort, monkeypatch, capsys):
     # a NaN gradient under a finite loss stops training before the update
-    from clseg import layers
-    conv3d_backward = layers.conv3d_backward
+    backward = unet.backward
 
-    def nan_grad_w(x, weight, grad_out, need_grad_x=True):
-        gx, gw, gb = conv3d_backward(x, weight, grad_out, need_grad_x)
-        if weight.shape[:2] == (4, 12):  # dec1a at C=2
-            gw[...] = np.nan
-        return gx, gw, gb
+    def nan_grad_w(*args):
+        grads = backward(*args)
+        grads["dec1a.kernel"][...] = np.nan
+        return grads
 
-    monkeypatch.setattr(layers, "conv3d_backward", nan_grad_w)
+    monkeypatch.setattr(unet, "backward", nan_grad_w)
     cfg, path = _fast_config(tmp_path, tiny_cohort)
     assert main(["train", "--config", str(path)]) == 3
     err = capsys.readouterr().err

@@ -66,6 +66,19 @@ def test_full_small_network_passes():
     assert rep.n_checked > 0
 
 
+def test_decoder_at_an_odd_low_resolution_side_passes():
+    # at 44^3 every level-3 side is even; at 48^3 enc3b's output is 5^3, so
+    # up2's composed stage sees an odd side. More coordinates of the groups
+    # that the decoder's composed kernels are made of
+    loss_fn, params, grads = _small_net_case(side=48)
+    decoder = {k: t for k, t in params.tensors.items()
+               if k.split(".")[0] in ("up1", "up2", "dec1a", "dec2a")}
+    rep = gradient_check(loss_fn, decoder, grads, max_coords_per_group=12,
+                         rng=np.random.default_rng(3))
+    assert rep.passed, rep.summary()
+    assert len(rep.groups) == 8 and all(g.n_checked > 0 for g in rep.groups), rep.summary()
+
+
 def test_corrupted_backward_detected():
     loss_fn, params, grads = _small_net_case()
     grads = dict(grads)

@@ -104,13 +104,14 @@ def test_conv_backward_matches_finite_differences():
 
 @pytest.mark.parametrize("budget", [None, 1, 5000, 6000],
                          ids=["default", "one-plane", "two-plane", "three-plane"])
-@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_conv_forward_and_backward_match_loop_oracles(monkeypatch, k, budget):
     # flat offsets depend on W and H*W separately and on slab edges: batch
     # of 2, non-cubic input, and budgets giving 1, 2 or 3 input planes per
-    # slab (with a short last slab: 7 input planes, 9 in the grad_x pass)
-    # as well as the default. At k=3 the taps go to a ring of P + 2 planes,
-    # whose runs then wrap at different offsets
+    # slab at k=3 (with a short last slab: 7 input planes, 9 in the grad_x
+    # pass) as well as the default; at k=2 they give 1, 6 (5 in the grad_x
+    # pass) or 7 (6) planes. At k > 1 the taps go to a ring of P + k - 1
+    # planes, whose runs then wrap at different offsets
     if budget is not None:
         monkeypatch.setattr(L, "SLAB_BUDGET_ELEMS", budget)
     r = np.random.default_rng(7 + k)
@@ -167,14 +168,20 @@ def test_conv_float32_bytes_do_not_depend_on_the_split_of_the_input(monkeypatch)
         assert L._slab_planes(Ci, Co, k, 9, 10, 12) == planes
         assert L.conv3d_forward(x, w, b).tobytes() == want, planes
     monkeypatch.undo()
-    for pieces in ((1,) * 12, (2, 5, 5), (3, 3, 3, 3), (4, 1, 7), (12,)):
-        carry, outs, z = L.ConvCarry(), [], 0
-        for n in pieces:
-            outs.append(L.conv3d_forward(x[:, :, z:z + n], w, b, carry=carry))
-            z += n
-        ends = np.cumsum(pieces)
-        assert [o.shape[2] for o in outs] == list(np.diff(np.maximum(0, ends - 2), prepend=0))
-        assert np.concatenate(outs, axis=2).tobytes() == want, pieces
+    # and at k=2, also on planes 5 columns wide, whose 6 discarded columns
+    # at a plane's end conv3d_forward lengthens with a zero row
+    for x, w in ((x, w), (x, w[..., :2, :2, :2]), (x[..., :5], w[..., :2, :2, :2])):
+        k = w.shape[2]
+        want = L.conv3d_forward(x, w, b).tobytes()
+        for pieces in ((1,) * 12, (2, 5, 5), (3, 3, 3, 3), (4, 1, 7), (12,)):
+            carry, outs, z = L.ConvCarry(), [], 0
+            for n in pieces:
+                outs.append(L.conv3d_forward(x[:, :, z:z + n], w, b, carry=carry))
+                z += n
+            ends = np.cumsum(pieces)
+            assert ([o.shape[2] for o in outs]
+                    == list(np.diff(np.maximum(0, ends - (k - 1)), prepend=0)))
+            assert np.concatenate(outs, axis=2).tobytes() == want, (x.shape, pieces)
 
 
 def test_conv_backward_memory_within_one_slab():

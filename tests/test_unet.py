@@ -10,6 +10,8 @@ from clseg.losses import LossConfig, combined_loss
 from clseg.optim import AdamState
 from clseg.volume_io import CONTRAST_NAMES, LABEL_CODES
 
+from brute_force import (conv3d_backward_loops, conv3d_loops, transposed_conv3d_backward_loops,
+                         transposed_conv3d_loops)
 from conftest import edit_header, write_old_network_keys
 
 rng = np.random.default_rng(31)
@@ -158,6 +160,83 @@ def test_impulse_response_stays_in_receptive_field():
             assert np.all(np.abs(o + 20 - np.array(v)) <= 23), (v, o)
 
 
+# --- decoder stage: transposed conv folded into the conv that reads it --------
+
+
+def _decoder_params(ci, cm, cs, co, seed, dtype=np.float64):
+    r = np.random.default_rng(seed)
+    tensors = {"up1.kernel": r.standard_normal((ci, cm, 2, 2, 2)),
+               "up1.bias": r.standard_normal(cm),
+               "dec1a.kernel": r.standard_normal((co, cm + cs, 3, 3, 3)),
+               "dec1a.bias": r.standard_normal(co)}
+    return unet.NetworkParams(unet.NetworkConfig(), 0,
+                              {k: t.astype(dtype) for k, t in tensors.items()})
+
+
+@pytest.mark.parametrize("batch, low", [(1, (4, 4, 4)), (1, (3, 3, 3)), (2, (3, 4, 5))],
+                         ids=["even", "odd", "non-cubic"])
+def test_composed_decoder_stage_matches_loop_oracles(batch, low):
+    # the skip conv plus the composed conv, as the network runs dec2a and
+    # dec1a, against the transposed conv, the concatenation [up-convolved,
+    # skip] and the 3x3x3 conv in loops, forward and every gradient
+    ci, cm, cs, co = 3, 2, 2, 3
+    params = _decoder_params(ci, cm, cs, co, seed=sum(low))
+    t = params.tensors
+    r = np.random.default_rng(batch)
+    x = r.standard_normal((batch, ci) + low)
+    crop = r.standard_normal((batch, cs) + tuple(2 * n for n in low))
+    cat = np.concatenate([transposed_conv3d_loops(x, t["up1.kernel"], t["up1.bias"]), crop],
+                         axis=1)
+    want = conv3d_loops(cat, t["dec1a.kernel"], t["dec1a.bias"])
+    composed = unet._compose(params, "up1", "dec1a")
+    got = unet._dec_forward(composed, x, crop)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() / np.abs(want).max() < 1e-12
+
+    g = r.standard_normal(want.shape)
+    g_cat, g_dec, g_dec_bias = conv3d_backward_loops(cat, t["dec1a.kernel"], g)
+    g_x, g_up, g_up_bias = transposed_conv3d_backward_loops(x, t["up1.kernel"], g_cat[:, :cm])
+    # an all-positive activation: the ReLU mask passes the gradient whole
+    cache = {"dec1a": (crop, np.ones_like(g)), "up1": composed[2]}
+    grads = {}
+    got = unet._dec_backward(params, "up1", "dec1a", g.copy(), x, cache, grads)
+    assert cache == {}
+    expected = {"x": g_x, "skip": g_cat[:, cm:], "dec1a.kernel": g_dec,
+                "dec1a.bias": g_dec_bias, "up1.kernel": g_up, "up1.bias": g_up_bias}
+    for name, a in zip(expected, got + tuple(grads[k] for k in list(expected)[2:])):
+        e = expected[name]
+        assert a.shape == e.shape, name
+        assert np.abs(a - e).max() / np.abs(e).max() < 1e-12, name
+
+
+def test_composed_decoder_stage_float32_tolerance():
+    # paper-width dec1a (C=16: up1 64->64, dec1a 96->32) at a 30^3
+    # low-resolution side, on ReLU-like inputs: the composed stage in
+    # float32 against the transposed conv, concatenation and conv that it
+    # replaced, and against the float64 stage. Measured over three seeds:
+    # 5.8-6.9e-7 and 3.6-4.5e-7 of the largest output magnitude (the
+    # replaced path: 5.0-5.3e-7 from float64)
+    params = _decoder_params(64, 64, 32, 32, seed=3, dtype=np.float32)
+    t = params.tensors
+    t["up1.kernel"] *= np.float32(np.sqrt(2 / 64))
+    t["dec1a.kernel"] *= np.float32(np.sqrt(2 / (96 * 27)))
+    t["up1.bias"] *= np.float32(0.1)
+    t["dec1a.bias"] *= np.float32(0.1)
+    r = np.random.default_rng(0)
+    x = np.maximum(r.standard_normal((1, 64, 30, 30, 30), dtype=np.float32), 0)
+    crop = np.maximum(r.standard_normal((1, 32, 60, 60, 60), dtype=np.float32), 0)
+    got = unet._dec_forward(unet._compose(params, "up1", "dec1a"), x, crop)
+    cat = np.concatenate([layers.transposed_conv3d_forward(x, t["up1.kernel"], t["up1.bias"]),
+                          crop], axis=1)
+    replaced = layers.conv3d_forward(cat, t["dec1a.kernel"], t["dec1a.bias"])
+    del cat
+    exact = unet._dec_forward(unet._compose(params.astype(np.float64), "up1", "dec1a"),
+                              x.astype(np.float64), crop.astype(np.float64))
+    scale = np.abs(exact).max()
+    assert np.abs(got - replaced).max() <= 1.5e-6 * scale
+    assert np.abs(got - exact).max() <= 1e-6 * scale
+
+
 # --- train step ---------------------------------------------------------------
 
 
@@ -220,15 +299,14 @@ def test_train_step_nonfinite_gradient_names_layer_and_leaves_state(monkeypatch)
     params = unet.build_network(cfg, seed=0)
     state = AdamState.for_params(params.tensors)
     unet.train_step(params, state, _batch(seed=2), LossConfig())
-    conv3d_backward = layers.conv3d_backward
+    backward = unet.backward
 
-    def nan_grad_w(x, weight, grad_out, need_grad_x=True):
-        gx, gw, gb = conv3d_backward(x, weight, grad_out, need_grad_x)
-        if weight is params.tensors["dec2a.kernel"]:
-            gw[0, 0, 0, 0, 0] = np.nan
-        return gx, gw, gb
+    def nan_grad_w(*args):
+        grads = backward(*args)
+        grads["dec2a.kernel"][0, 0, 0, 0, 0] = np.nan
+        return grads
 
-    monkeypatch.setattr(layers, "conv3d_backward", nan_grad_w)
+    monkeypatch.setattr(unet, "backward", nan_grad_w)
     before = {k: v.copy() for k, v in params.tensors.items()}
     m, v = ({k: a.copy() for k, a in d.items()} for d in (state.m, state.v))
     batch = _batch(seed=3)
@@ -538,7 +616,11 @@ def test_cache_holds_each_activation_once_and_backward_consumes_it():
     cl, tis, cache = unet.forward(params, batch["input"], want_cache=True)
     convs = [name for name, kind, _ in unet.param_specs(cfg)
              if kind == "conv" and not name.startswith("head_")]
-    assert sorted(cache) == sorted(convs + ["pool"])
+    # a transposed conv's entry is the decoder's composed kernel
+    assert sorted(cache) == sorted(convs + ["up1", "up2", "pool"])
+    for up, c_in, c_out in (("up2", 8, 4), ("up1", 4, 2)):
+        assert cache[up].shape == (8 * c_out * cfg.base_channels, c_in * cfg.base_channels,
+                                   2, 2, 2)
     for first, second in _UNIT_CHAINS:
         # the ReLU output is both the cached mask source and the next
         # unit's input, one array
