@@ -33,16 +33,16 @@ one plane if that is larger. The budget, 16 MiB in float32, sits under
 glibc's 32 MiB mmap ceiling: freed buffers go back to the heap and the
 next call reuses their pages, where larger ones would be mmap'd and
 page-faulted afresh. The weight gradient unrolls each slab of the input
-once the same way and contracts it, per tap, with grad_out laid on a
-zeroed full grid in a ring of R planes, (C*k*k, Co) per tap and run of
-slots, transposed once at the end; its sum over columns splits where a
-slab or a run ends. The input gradient reuses the forward path as a full
-correlation of the gradient with the flipped kernel: the gradient is laid
-on the input's (H, W) grid after a front pad of (k-1)*(H*W+W+1) zeros,
-where wrapped taps read zeros, so every full-grid output column is an
-input gradient. That padded gradient is never built whole: each slab of
-it is written into one reused (Co, P + 1, H, W) buffer and unrolled from
-there.
+once the same way and contracts it, per tap, with grad_out laid
+channel-last on a zeroed full grid in a ring of R planes, (C*k*k, Co) per
+tap and run of slots, transposed once at the end; its sum over columns
+splits where a slab or a run ends. The input gradient reuses the forward
+path as a full correlation of the gradient with the flipped kernel: the
+gradient is laid on the input's (H, W) grid after a front pad of
+(k-1)*(H*W+W+1) zeros, where wrapped taps read zeros, so every full-grid
+output column is an input gradient. That padded gradient is never built
+whole: each slab of it is written into one reused (Co, P + 1, H, W)
+buffer and unrolled from there.
 
 The stride-2 layers see an even-sized volume as 8 octants: octant i =
 dz*4 + dy*2 + dx is the strided view x[..., dz::2, dy::2, dx::2]
@@ -298,7 +298,9 @@ def conv3d_backward(x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray,
     # forward, and tap dz contracts its planes q with grad_out planes q - dz
     # on the full (H, W) grid, per run of slots of a ring of R such planes
     # (plane z in slot z % R), zero outside the valid corner; only the corner
-    # is ever written, so the zeros outlive every slab
+    # is ever written, so the zeros outlive every slab. The ring is channel-
+    # last, (R, H, W, Co), filled by one transposing copy per run of slots,
+    # so each tap's GEMM reads a contiguous (columns, Co) operand
     x = np.ascontiguousarray(x)
     HW = H * W
     tail = (k - 1) * (W + 1)  # the junk columns after a plane's last valid one
@@ -307,14 +309,14 @@ def conv3d_backward(x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray,
     P = _slab_planes(Ci, Co, k, H, W, D)
     R = P + k - 1
     U = np.empty((Ci * k * k, P * HW), dtype=x.dtype)
-    g = np.zeros((Co, R, H, W), dtype=grad_out.dtype)
-    gT = g.reshape(Co, -1).T
+    g = np.zeros((R, H, W, Co), dtype=grad_out.dtype)
+    gT = g.reshape(-1, Co)
     for b in range(B):
         for q0 in range(0, D, P):
             q1 = min(q0 + P, D)
             _unroll(U, x[b, :, q0:], q1 - q0, k)
             for o, c, m in _runs(q0 % R, max(0, min(q1, oD) - q0), R):
-                g[:, c:c + m, :oH, :oW] = grad_out[b, :, q0 + o:q0 + o + m]
+                g[c:c + m, :oH, :oW] = grad_out[b, :, q0 + o:q0 + o + m].transpose(1, 2, 3, 0)
             for dz in range(k):
                 z0, z1 = max(0, q0 - dz), min(oD, q1 - dz)
                 if z0 >= z1:

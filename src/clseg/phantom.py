@@ -394,16 +394,20 @@ def _render_contrasts(tissue, cl, wml, spec: PhantomSpec, rng: np.random.Generat
 
     Every voxel set is a C-order flat index: the brain's, its WM and GM
     subsets and each lesion class's, so each assignment, gather and add
-    touches only its voxels, and the brain is found in one scan."""
+    touches only its voxels, and the brain is found in one scan. The noise
+    is drawn for the brain voxels only: per contrast, in `CONTRAST_NAMES`
+    order, one block of `brain.size` standard normals from `rng`, the k-th
+    normal added to the k-th brain voxel in C order. The background stays
+    exactly zero."""
     brain = np.flatnonzero(tissue != 0)  # scans a bool mask ~4x faster than uint8 labels
     in_brain = tissue.reshape(-1)[brain]
     wm, gm = brain[in_brain == TISSUE_WM], brain[in_brain == TISSUE_GM]
     lesions = [(np.flatnonzero(cl == cls), LESION_VISIBILITY[cls], LESION_TARGETS)
                for cls in (1, 2)]
     lesions.append((np.flatnonzero(wml == 1), WML_VISIBILITY, WML_TARGETS))
-    # each contrast's noise is a whole-volume draw, in contrast order, taken
-    # before scaling so sigma changes never shift the stream
-    noise = np.empty(tissue.size)
+    # one buffer reused by the three draws; each draw is taken before
+    # scaling, so a change of sigma never shifts the stream
+    noise = np.empty(brain.size)
     out = {}
     for ci, name in enumerate(CONTRAST_NAMES):
         means = TISSUE_MEANS[name]
@@ -414,7 +418,7 @@ def _render_contrasts(tissue, cl, wml, spec: PhantomSpec, rng: np.random.Generat
             vis = visibility[name]
             img[m] = (1 - vis) * img[m] + vis * targets[name]
         rng.standard_normal(out=noise)
-        img[brain] += spec.noise_sigma[ci] * noise[brain].astype(np.float32)
+        img[brain] += spec.noise_sigma[ci] * noise.astype(np.float32)
         out[name] = img.reshape(tissue.shape)
     return out
 

@@ -115,6 +115,26 @@ def test_noise_sigma_within_five_percent():
         assert 0.95 <= ratio <= 1.05, (name, ratio)
 
 
+def test_noise_is_one_in_brain_block_per_contrast_drawn_before_scaling():
+    # the residual of each contrast over the noiseless subject, over the
+    # brain voxels in C order and divided by sigma, is the next block of
+    # n_brain standard normals of the noise stream, for any sigma
+    seed = 77
+    noiseless = dataclasses.replace(TINY_SPEC, noise_sigma=(0.0, 0.0, 0.0))
+    v0, _ = generate_subject(noiseless, seed)
+    brain = v0["tissue_labels"] != 0
+    n_brain = int(brain.sum())
+    rng = phantom._child_rng(seed, 2)
+    blocks = [rng.standard_normal(n_brain) for _ in phantom.CONTRAST_NAMES]
+    for factor in (1.0, 2.0):
+        sigma = tuple(factor * s for s in TINY_SPEC.noise_sigma)
+        v1, _ = generate_subject(dataclasses.replace(TINY_SPEC, noise_sigma=sigma), seed)
+        for ci, name in enumerate(phantom.CONTRAST_NAMES):
+            resid = (v1[name].astype(np.float64) - v0[name])[brain] / sigma[ci]
+            np.testing.assert_allclose(resid, blocks[ci], rtol=0, atol=1e-5, err_msg=name)
+            assert not v1[name][~brain].any()
+
+
 def test_type_mix_over_100_lesion_subject():
     spec = dataclasses.replace(
         TINY_SPEC, side_voxels=96, lesion_counts=counts_from_mix(100),
@@ -191,10 +211,11 @@ def test_make_tissue_peak_memory():
 
 def test_generate_subject_peak_memory():
     # 96^3: 43 MiB while _make_tissue ran its transform on the whole volume;
-    # 25.2 MiB with brain-box geometry, one float64 noise buffer reused by
-    # the three contrasts
+    # 26.0 MiB with brain-box geometry and one whole-volume float64 noise
+    # buffer reused by the three contrasts; 20.1 MiB with the noise drawn
+    # for the brain voxels only
     peak = _traced_peak(lambda: generate_subject(PhantomSpec(side_voxels=96), 0))
-    assert peak <= 30 * 2 ** 20
+    assert peak <= 22 * 2 ** 20
 
 
 def test_generate_cohort_files_and_manifest(tmp_path):
@@ -239,69 +260,72 @@ def test_regenerating_a_smaller_cohort_refuses_stray_subjects(tmp_path):
 # pinned from the generator that placed lesions with whole-volume masks; the
 # "paper" entries (96^3) from the generator that still ran the distance
 # transform, dilations and seed pools on the whole volume, before they moved
-# to the brain box. "t2s_gre_chunk" is the GRE payload of the
-# gre_missing_chunk twin, which differs from the clean subject in that
-# volume only.
+# to the brain box. The four intensity payloads ("mp2rage", "t2s_epi",
+# "t2s_gre", "t2s_gre_chunk") were re-pinned in every row when the noise
+# moved from whole-volume draws to one draw per contrast over the brain
+# voxels only; the label payloads and records were unchanged by that move.
+# "t2s_gre_chunk" is the GRE payload of the gre_missing_chunk twin, which
+# differs from the clean subject in that volume only.
 GOLDEN = {
     ("tiny", 7): {
-        "mp2rage": "c0e1544a2f1b556752dbb260e62de0058c224c1e9ff08003103249b1e6b93887",
-        "t2s_epi": "24e17a3ff4e23005776d7378722050cb803ff7297ecaabf371d0ca6b36c24237",
-        "t2s_gre": "c043e5dbf8e31557f4567e4a0889ffa91010daeffaaa679730ecd6e1370c14a9",
+        "mp2rage": "d0753f1db984ae42688c5f1a1e03a7216231b813a298092d91cd382559118cde",
+        "t2s_epi": "0b7e641b0deb2f83f0f12e78d016d887c210c42d4904c2999ee6317cd3773a19",
+        "t2s_gre": "8ed9ea5cac26b9d933b13ba3c49bac1be4982f921963b223d2d7bef323a09e46",
         "cl_labels": "37e92060057aa99c509f53024256bda9992e99036332909f34474db30aeb20fa",
         "tissue_labels": "ea807979786e9adfef03f30b5b493cbb0c44f62181af30ae628d9b0bc62c96a1",
         "wml_labels": "cc0a980e1918b53b4b53fc1e7420e6e7ade6cb3bc34cfcbc6bdfec4cad2a2409",
         "lesions": "443ced465e3f7d9e1758a12cc220a2a605514165814c48ebe92bba74179dc6be",
-        "t2s_gre_chunk": "9bdea18c3cde8fae4fbc08cd37549e64e4074467afde2968efb1e81540542f4f",
+        "t2s_gre_chunk": "f5cb66b6971d95010c8cafae39cf5c24839d82d3bc835d825809f24091ed5a4c",
     },
     ("tiny", 31337): {
-        "mp2rage": "b3cc28d2286aeb8918d9287227999f10ace3f5d549dfcac2c99cb6e623dd5934",
-        "t2s_epi": "cbd7e8407c018d57cd42fd03b709d2a9d2516b542174a261ad0a634040998d79",
-        "t2s_gre": "980f3b374702f7f0d18767dd8279f62d7d54640e8f372b5f93262a06a938ae70",
+        "mp2rage": "b3449865c8b576d3ba42482c4abc7a0f977c1bfdbca6de6fafb73971d4a74c42",
+        "t2s_epi": "d5e9e151805322e13e3dde143d1600d706ad6454c5c0f6f5a25f3c397fd1a71e",
+        "t2s_gre": "398012af0a6b17663c5733dc35bf7be635b40463718d91abc00a8d7a01df258b",
         "cl_labels": "95f1dabac7b7f2b4fbb6a752a627ef3aefd942ec28c6be018c561b81aee48732",
         "tissue_labels": "482ced32068393066f356cd0842fb00c8c9e4e4bc16761f730bca3de661e0f6d",
         "wml_labels": "3780372c0dd8f5f7400f9ec63274d0434935288ff166c35f9d5d69cc8740bc7b",
         "lesions": "0a2a774f7017a990ab2f4945e7714d6776eba97e5d97a4ec7c81c5d529ee2ade",
-        "t2s_gre_chunk": "ce3f1e89849156922428bd4cb0d1ed0a049741b034063e3c89fd883c305483bb",
+        "t2s_gre_chunk": "fd271e8f633d3e2aad3039281d653211634866e59b38ae8b59f55045f72e3452",
     },
     ("desk", 7): {
-        "mp2rage": "5e4690dc40fa1b58d755b4ae0cc5357c79e69ee1f4b8679fb8dfebdbaf9614e6",
-        "t2s_epi": "86c1e549b48c79e5a56e76558270ad8089e0e17efac7a8ba267878ca08815fe9",
-        "t2s_gre": "a5ddb2efef321abff2e413b830150a51e087c82e3b3b06ef95670cc5476f59bc",
+        "mp2rage": "3b343c548e90302030f332d883a2d356dcc8a4cd7ad1803a9addcb32e865eeb1",
+        "t2s_epi": "de613f6117106690493b5a25a6010b41f889688ad7ba8562ff91fd466f1ba991",
+        "t2s_gre": "29bcaf1d0b2b68456c69b2eea98c2d44f353de3fc6a4dc51ae1d1b3923024db2",
         "cl_labels": "27299346e14b51ff5a14f1935b6d3d37c375f19afba54727f85bd97aac73291a",
         "tissue_labels": "a40f4542a47ade2dda8260ee23adce645cdb24ddc0eed578319dfe39319452d4",
         "wml_labels": "7fb9c5ff52eb1e6cb1c5ef9b9ada5e196acb41e8ad8ca3635b922a00cea5ee85",
         "lesions": "8ae8ced53bd2af0d63db576bbd059f3db2c06fefd7ae0b1c1db6105a6afbd031",
-        "t2s_gre_chunk": "0c2a9ee0021d629ff8edfa10e5a2783e8ee89205c5e82859705726605dcb664b",
+        "t2s_gre_chunk": "da6031d631f33a44ce697cdfdb5e6d427d5fd5ecc22afbe2945ac6b100c8e77a",
     },
     ("desk", 31337): {
-        "mp2rage": "8722e1813908bbb2510febc3d7eb27a03c0f56138a0ddd293849df8c119a47cf",
-        "t2s_epi": "2b07f3354e814f9838be51e8bf70399ef1d1b44467083e572b2173a394085fc4",
-        "t2s_gre": "acf45e7534e20351e31ba141c15575cf9ab0876c1374c573cf4cb00a23a37f97",
+        "mp2rage": "3717f24cfe403bc9fce3dc307eda6b93e7cb4cacad51ab858cfc71d364b2e0f5",
+        "t2s_epi": "696dd6d8037225cc654eee41782f3c19df10093e11d42ad3217f5ff45f0713a6",
+        "t2s_gre": "0acbbb36fb5930347866876444e96ed82dc9a3ae160dfe91d04230e0506fb0e3",
         "cl_labels": "70f0cc98f3a19ce3ec2a5251bf465e2313647216d351cc3748616f88fb6f5087",
         "tissue_labels": "70ff07de76b75708072536cd21507b484ee6d18c9795437fcb96fa39dc69c367",
         "wml_labels": "8dcba2aabfd465cf52793f5b34d550d15d2f86cc30545a9497c581ff929dbf25",
         "lesions": "d453dc457530fafabd046e48c7984832c6e1774edb7dbf10bed734dfe587cc45",
-        "t2s_gre_chunk": "58898f064e18295e457bfa2c249da33119ae2451db1ede5fe150bf7cab6f00e4",
+        "t2s_gre_chunk": "a3b853ba7feb7e4310d31cb41331d3e6a9747de8fc20a848aad870b5e3e6cfeb",
     },
     ("paper", 7): {
-        "mp2rage": "9322951a5a38388b99c28dfbfcd47ffb0fb9b810a4178c210df80649abf60ba3",
-        "t2s_epi": "f9e526105077804bf124ca039638a612b07a676668126be583932e8def98aad1",
-        "t2s_gre": "3bdfe8d403a98e12704a539f68999566f492d42ad91dff5f9ef21e2454fc3d65",
+        "mp2rage": "4535e53f84ae27f452a18e9fbaa6ca3bc82e5687540cd5d195bf7343db1e7987",
+        "t2s_epi": "4d3231ad3b210b1d104440087eae831dd0a92a585cd227adf25fda797237e839",
+        "t2s_gre": "aa53b69183bc35ee763945f85cdf5fa2e920a3f0f678f91c9b2cb6a310726454",
         "cl_labels": "a5c6410f972e9be971289056c1c3e9d5a9af1d1fdea02d4fadd65b9d427fddf3",
         "tissue_labels": "a82b1506b37afec55e59ec6e5e63e6a0650a530341555ff7fc13e74a46cdbf46",
         "wml_labels": "d2c236d4ddfd2a060b020ffd23a827f2100e80ae80901ad0b68bcba15d297631",
         "lesions": "c3ef7b574820ee99947a0c1f4be4e056fec768b7c394c0bc7b33205d293b177f",
-        "t2s_gre_chunk": "1b9d899beb8a3d4dd5a55228a7ef6ad59e188c173d7211f0cfc11a440bb8b8bf",
+        "t2s_gre_chunk": "f020cf3763ce99ec7ec34d740446fb4ac6a4de7cb049c41f6d9e9f276cabb2a1",
     },
     ("paper", 31337): {
-        "mp2rage": "4a4ed5493320c227db46589b928e62fe874e5e1a54bfdc9ad2bbcef2ef529f36",
-        "t2s_epi": "cf63b5add897e71dff7d4e927890aacda0e6c3d6f77310f248892746da55ff2f",
-        "t2s_gre": "107ecfdc7ae46517adea294d373611a9dd522403c4e9368acbc43074c39680d8",
+        "mp2rage": "30b51b789a1514b470533a53e13d5d9a8718aaa85322cfff8d180c30609fa9be",
+        "t2s_epi": "32afdd9e1fc925893602eae18bba564d5331ccf3a9ce3cd65ebe8406509cd220",
+        "t2s_gre": "685516fb8d03c36031df491181fe8e462647250b95faac580505198393e1fc33",
         "cl_labels": "9907c227d2bdee4c83243032c30f038046cf64dc2bd83f3f358dc143e9055abd",
         "tissue_labels": "95357c38009409d6a86e27ff52f6126838238b4e23ea60dfa23d6dcaf515f666",
         "wml_labels": "52ba29b3ef7df4996851e2749bb904351866b8062a229e08d9f9862176ecc1a1",
         "lesions": "ef20803618483f3d211fb08ddbb8366ba43196c1c1ffcbbd955576f164e47a64",
-        "t2s_gre_chunk": "dc0ea83253b21d577705da490d62682a9365990c23e75879951f8b42baaa23ef",
+        "t2s_gre_chunk": "061c15c281d785458c1de695a38c9685d0bb8593ccd89102ca880bbd4e579b05",
     },
 }
 
