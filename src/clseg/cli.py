@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .config import VARIANTS, ConfigError, RunConfig, load_config
 from .layers import ContractError, NonFiniteError
-from .phantom import PhantomError, generate_cohort
+from .phantom import PhantomError, cohort_subject_ids, generate_cohort
 from .pipeline import (check_cohort, run_inference, run_report, run_training, run_xval,
                        write_run_manifest)
 from .sampling import CohortError
@@ -137,7 +137,7 @@ def _cmd_phantom(args) -> int:
         raise _UsageError("--n-subjects must be >= 1")
     out = Path(cfg.paths.cohort_dir)
     generate_cohort(spec, n, out, seed=spec.seed)
-    print(json.dumps(check_cohort([out / f"subject_{i:02d}" for i in range(n)]), indent=2))
+    print(json.dumps(check_cohort([out / sid for sid in cohort_subject_ids(n)]), indent=2))
     return 0
 
 

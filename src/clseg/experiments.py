@@ -8,13 +8,14 @@ inference). It reports directional comparisons: the multi-task variant's
 lesion-wise FPR against the baseline's, and the dropout-trained variant's
 LTPR degradation under channel loss against the plain multi-task one.
 
-Every seed's cohorts are generated first. Then every (seed, variant, fold)
-job runs `pipeline.run_fold` in one process pool, so no core idles while a
-seed's last jobs finish. Each job writes its own directory; all variants of
-a seed see the same fold split. Each pool worker runs numpy's bundled
-OpenBLAS at one thread, so the workers do not oversubscribe the cores.
-Results are byte-deterministic in (config, seeds) for a fixed BLAS thread
-count.
+Fold splits, job configs and the worker pool are built first, so a bad
+argument is refused before anything is written. Then every seed's cohorts
+are generated, and every (seed, variant, fold) job runs `pipeline.run_fold`
+in one pool of one-BLAS-thread workers, so no core idles while a seed's
+last jobs finish; all variants of a seed share its fold split. Each seed's
+test sets are scored by `pipeline.run_report` into seed_<s>/report/<clean|
+artifact_full|artifact_drop>/, whose table1 rows make its per_seed cells.
+Results are byte-deterministic in (config, seeds) at fixed BLAS threads.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .blas import set_blas_threads
-from .config import VARIANTS, RunConfig
-from .evaluation import EvalConfig, pooled_row
-from .phantom import PhantomSpec, generate_cohort
-from .pipeline import (derive_seed, discover_subjects, evaluate_predictions,
-                       make_fold_split, run_fold)
+from .config import VARIANTS, ConfigError, RunConfig
+from .evaluation import EvalConfig
+from .phantom import PhantomSpec, cohort_subject_ids, generate_cohort
+from .pipeline import derive_seed, make_fold_split, run_fold, run_report
 from .sampling import SamplerConfig
 from .unet import NetworkConfig
 from .volume_io import write_json
@@ -42,6 +42,13 @@ DESK_PHANTOM = PhantomSpec(
     wml_count=2,
 )
 
+# per_seed key -> (prediction directory, cohort, channel zeroed at inference)
+TEST_SETS = {
+    "clean": ("pred_clean", "cohort", None),
+    "artifact_full": ("pred_art_full", "cohort_artifact", None),
+    "artifact_drop": ("pred_art_drop", "cohort_artifact", "t2s_gre"),
+}
+
 
 def worker_pool(n_workers: int) -> ProcessPoolExecutor:
     """A process pool whose workers each run numpy's OpenBLAS at one thread."""
@@ -51,7 +58,7 @@ def worker_pool(n_workers: int) -> ProcessPoolExecutor:
 
 def _desk_config(cohort_dir, out_dir, variant, iterations, seed,
                  base_channels=4, input_patch=48, learning_rate=1e-3) -> RunConfig:
-    cfg = RunConfig(
+    return RunConfig(
         variant="multitask_icd",
         network=NetworkConfig(base_channels=base_channels, input_patch=input_patch),
         sampler=SamplerConfig(jitter_voxels=4, rotation_max_deg=180.0,
@@ -61,8 +68,7 @@ def _desk_config(cohort_dir, out_dir, variant, iterations, seed,
             checkpoint_every=max(1, iterations), learning_rate=learning_rate, seed=seed),
         paths=dataclasses.replace(RunConfig().paths, cohort_dir=str(cohort_dir),
                                   out_dir=str(out_dir)),
-    )
-    return cfg.apply_variant(variant).validate()
+    ).apply_variant(variant).validate()
 
 
 def icd_robustness_experiment(workdir: str | Path, seeds=(0, 1, 2),
@@ -74,50 +80,42 @@ def icd_robustness_experiment(workdir: str | Path, seeds=(0, 1, 2),
     """Cross-validated three-variant comparison over seeds; see module doc."""
     workdir = Path(workdir)
     t0 = time.time()
-    splits = {}  # seed -> (subject ids, folds, test sets)
-    for seed in seeds:
-        sdir = workdir / f"seed_{seed}"
-        clean_dir = sdir / "cohort"
-        art_dir = sdir / "cohort_artifact"
-        generate_cohort(phantom, n_subjects, clean_dir, seed=seed)
-        # artifact twin: identical geometry/labels, GRE chunk zeroed at test
-        generate_cohort(dataclasses.replace(phantom, gre_missing_chunk=True),
-                        n_subjects, art_dir, seed=seed)
-        ids = discover_subjects(clean_dir)
-        splits[seed] = (ids, make_fold_split(ids, k, seed),
-                        {"pred_clean": (clean_dir, None),
-                         "pred_art_full": (art_dir, None),
-                         "pred_art_drop": (art_dir, "t2s_gre")})
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"seeds {list(seeds)} repeat a seed")
+    ids = cohort_subject_ids(n_subjects)
+    sdirs = {seed: workdir / f"seed_{seed}" for seed in seeds}
+    jobs = []  # run_fold's arguments per (seed, variant, fold)
+    for seed, sdir in sdirs.items():
+        folds = make_fold_split(ids, k, seed)
+        test_sets = {pred: (sdir / cohort, drop) for pred, cohort, drop in TEST_SETS.values()}
+        for vi, variant in enumerate(VARIANTS):
+            vdir = sdir / variant
+            cfg = _desk_config(sdir / "cohort", vdir, variant, iterations,
+                               derive_seed(seed, vi),
+                               base_channels=base_channels, input_patch=input_patch,
+                               learning_rate=learning_rate)
+            for fi, test_ids in enumerate(folds):
+                train_ids = sorted(set(ids) - set(test_ids))
+                jobs.append((cfg, fi, train_ids, test_ids, vdir, test_sets))
 
     with worker_pool(n_workers) as pool:
-        jobs = []
-        for seed, (ids, folds, test_sets) in splits.items():
-            sdir = workdir / f"seed_{seed}"
-            for vi, variant in enumerate(VARIANTS):
-                vdir = sdir / variant
-                cfg = _desk_config(sdir / "cohort", vdir, variant, iterations,
-                                   derive_seed(seed, vi),
-                                   base_channels=base_channels, input_patch=input_patch,
-                                   learning_rate=learning_rate)
-                for fi, test_ids in enumerate(folds):
-                    train_ids = sorted(set(ids) - set(test_ids))
-                    jobs.append(pool.submit(run_fold, cfg, fi, train_ids, test_ids,
-                                            vdir, test_sets))
-        for job in jobs:
+        for seed, sdir in sdirs.items():
+            generate_cohort(phantom, n_subjects, sdir / "cohort", seed=seed)
+            # artifact twin: identical geometry/labels, GRE chunk zeroed at test
+            generate_cohort(dataclasses.replace(phantom, gre_missing_chunk=True),
+                            n_subjects, sdir / "cohort_artifact", seed=seed)
+        for job in [pool.submit(run_fold, *args) for args in jobs]:
             job.result()
 
     per_seed = []
-    for seed in seeds:
-        sdir = workdir / f"seed_{seed}"
-        test_sets = splits[seed][2]
-        row = {"seed": seed, "variants": {}}
-        for variant in VARIANTS:
-            row["variants"][variant] = {
-                key: pooled_row(evaluate_predictions(cohort, sdir / variant / name, EvalConfig()))
-                for key, (name, (cohort, _)) in zip(("clean", "artifact_full", "artifact_drop"),
-                                                    test_sets.items())
-            }
-        per_seed.append(row)
+    for seed, sdir in sdirs.items():
+        reports = {
+            key: run_report(sdir / cohort, {v: sdir / v / pred for v in VARIANTS},
+                            sdir / "report" / key, EvalConfig())["models"]
+            for key, (pred, cohort, _) in TEST_SETS.items()
+        }
+        per_seed.append({"seed": seed, "variants": {
+            v: {key: models[v]["table1"] for key, models in reports.items()} for v in VARIANTS}})
 
     summary = {
         "seeds": list(seeds),

@@ -34,7 +34,7 @@ that box grown by one voxel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -471,16 +471,20 @@ def subject_seeds(cohort_seed: int, n: int) -> list[int]:
     return [int(child.generate_state(1)[0]) for child in ss.spawn(n)]
 
 
+def cohort_subject_ids(n_subjects: int) -> list[str]:
+    """The ids of the subjects generate_cohort writes for n_subjects, in order."""
+    return [f"subject_{i:02d}" for i in range(n_subjects)]
+
+
 def generate_cohort(spec: PhantomSpec, n_subjects: int, out_dir: str | Path,
                     seed: int) -> dict:
-    """Write n subjects plus a ground-truth manifest; byte-stable in the seed.
-    Refuses, before writing anything, a directory that holds subjects beyond
-    the n to be written."""
+    """Write n subjects plus a ground-truth manifest whose spec holds this n
+    and seed; byte-stable in the seed. Refuses, before writing anything, a
+    directory that holds subjects beyond the n to be written."""
+    spec = replace(spec, n_subjects=n_subjects, seed=seed)
     spec.validate()
-    if n_subjects < 1:
-        raise PhantomError("n_subjects must be >= 1")
     out_dir = Path(out_dir)
-    subject_ids = [f"subject_{i:02d}" for i in range(n_subjects)]
+    subject_ids = cohort_subject_ids(n_subjects)
     # subjects of an older, larger cohort would be discovered alongside the
     # new ones while the manifest lists only the new ones
     stray = sorted(p.parent.name for p in out_dir.glob("*/mp2rage.json")

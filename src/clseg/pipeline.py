@@ -1,9 +1,11 @@
 """Pipeline plumbing: cohort loading, the training loop with checkpoints
 and a loss log, whole-subject inference, k-fold cross-validation, and
-report emission. Every step is a pure function of (config, input files,
-seed); repeated runs are byte-identical on a machine with the same BLAS
-thread count (a different count reorders float32 sums, and the rounding
-differences grow through training).
+report emission. `run_report` is the one scoring path: `clseg report`,
+`run_xval` and the replication experiment all turn prediction directories
+into report files through it. Every step is a pure function of (config,
+input files, seed); repeated runs are byte-identical on a machine with the
+same BLAS thread count (a different count reorders float32 sums, and the
+rounding differences grow through training).
 """
 
 from __future__ import annotations
@@ -273,15 +275,13 @@ def _lesion_records_by_subject(cohort_dir: Path) -> dict[str, list[dict]]:
 
 
 def evaluate_predictions(cohort_dir: str | Path, pred_dir: str | Path,
-                         eval_cfg: EvalConfig,
-                         subject_ids: list[str] | None = None) -> list[PatientEval]:
+                         eval_cfg: EvalConfig) -> list[PatientEval]:
     """Per-patient evaluation of a prediction directory against the cohort."""
     cohort_dir = Path(cohort_dir)
     pred_dir = Path(pred_dir)
-    ids = sorted(subject_ids if subject_ids is not None else discover_subjects(cohort_dir))
     records = _lesion_records_by_subject(cohort_dir)
     patients = []
-    for sid in ids:
+    for sid in discover_subjects(cohort_dir):
         ref = volume_io.read_volume(cohort_dir / sid / "cl_labels")
         pred_path = pred_dir / sid / "cl_pred"
         if not pred_path.with_suffix(".json").exists():
@@ -333,17 +333,13 @@ def run_xval(cfg: RunConfig, out_dir: str | Path) -> dict:
         run_fold(cfg, fi, train_ids, test_ids, out_dir,
                  {"predictions": (cfg.paths.cohort_dir, None)})
 
-    patients = evaluate_predictions(cfg.paths.cohort_dir, out_dir / "predictions", cfg.eval)
-    report = build_report({cfg.variant: patients}, cfg.eval)
-    write_report_files(report, out_dir / "report")
-    return report
+    return run_report(cfg.paths.cohort_dir, {cfg.variant: out_dir / "predictions"},
+                      out_dir / "report", cfg.eval)
 
 
 def run_report(cohort_dir: str | Path, pred_dirs: dict[str, str | Path],
                out_dir: str | Path, eval_cfg: EvalConfig) -> dict:
-    """Evaluate one or more variants' prediction dirs into a single report."""
-    if not pred_dirs:
-        raise ConfigError("report needs at least one prediction directory")
+    """Evaluate one or more variants' prediction dirs into one report in out_dir."""
     model_patients = {
         name: evaluate_predictions(cohort_dir, pdir, eval_cfg)
         for name, pdir in sorted(pred_dirs.items())

@@ -511,15 +511,16 @@ class DepthStream:
 
 def _push_depth(base_channels: int, shape: tuple) -> int:
     """Input planes per push of a stream over an input of `shape`: the
-    most, in a multiple of 4 and at least 4, whose new planes of the five
-    level-1 activations (the enc1a and enc1b outputs, the dec1a input and
-    the dec1a and dec1b outputs) take a quarter of SLAB_BUDGET_ELEMS at
-    most, so that a conv's slab stays the largest array of a push. A
-    multiple of 4 keeps every push in whole pooling pairs down to level 3.
+    most, in a multiple of 4 and at least 4, whose new planes of the six
+    level-1 arrays (the enc1a and enc1b outputs; the skip crop, composed conv
+    output, 2C channels a plane in octants, and dec1a output of `_dec`; the
+    dec1b output) take a quarter of SLAB_BUDGET_ELEMS at most, so that a
+    conv's slab stays the largest array of a push. A multiple of 4 keeps
+    every push in whole pooling pairs down to level 3.
     """
     _, h, w = shape
     plane = sum(ch * base_channels * (h - m) * (w - m)
-                for ch, m in ((1, 2), (2, 4), (6, 36), (2, 38), (2, 40)))
+                for ch, m in ((1, 2), (2, 4), (2, 36), (2, 38), (2, 38), (2, 40)))
     return max(4, layers.SLAB_BUDGET_ELEMS // (4 * plane) // 4 * 4)
 
 

@@ -412,8 +412,8 @@ def test_cli_train_infer_report_flow(tmp_path, tiny_cohort, capsys):
         assert doc["subject_dir"] == str((tiny_cohort / sid).resolve())
         assert doc["checkpoint"] == str(ckpt.resolve())
         # a 48^3 subject is streamed through the network mirror-padded to
-        # 88^3, at C=2 in pushes of 8 planes
-        assert (doc["padded_shape"], doc["forward_calls"]) == ([88, 88, 88], 11)
+        # 88^3, at C=2 in pushes of 12 planes
+        assert (doc["padded_shape"], doc["forward_calls"]) == ([88, 88, 88], 8)
     assert main(["report", "--config", str(path),
                  "--out", str(tmp_path / "rep"),
                  "--pred", f"model={tmp_path / 'pred'}"]) == 0

@@ -1,13 +1,14 @@
 import json
 
+import pytest
+
 from clseg import experiments, pipeline
 from clseg.blas import blas_threads
-from clseg.config import VARIANTS
-from clseg.experiments import count_claims, icd_robustness_experiment, worker_pool
+from clseg.config import VARIANTS, ConfigError
+from clseg.evaluation import EvalConfig, pooled_row
+from clseg.experiments import TEST_SETS, count_claims, icd_robustness_experiment, worker_pool
 
 from conftest import TINY_SPEC
-
-TEST_SETS = ("pred_clean", "pred_art_full", "pred_art_drop")
 
 
 def _tiny_experiment(workdir, seeds):
@@ -38,7 +39,23 @@ def test_icd_robustness_experiment_tiny(tmp_path, monkeypatch):
     seed_1 = _tree_bytes(tmp_path / "seed_1")
     assert seed_1 == _tree_bytes(tmp_path / "alone" / "seed_1")
     assert {"cohort/cohort_manifest.json", "baseline/fold_1/loss.csv",
-            "multitask_icd/pred_art_drop/subject_01/cl_prob.raw"} <= set(seed_1)
+            "multitask_icd/pred_art_drop/subject_01/cl_prob.raw",
+            "report/artifact_drop/report.json", "report/clean/wilcoxon.csv"} <= set(seed_1)
+
+    # each seed's test sets are scored by run_report over the three variants;
+    # the per_seed cells are its table1 rows, which pool its per-patient rows
+    for row in res["per_seed"]:
+        sdir = tmp_path / f"seed_{row['seed']}"
+        for key, (pred, cohort, _) in TEST_SETS.items():
+            report = json.loads((sdir / "report" / key / "report.json").read_text())
+            assert sorted(report["models"]) == sorted(VARIANTS)
+            for variant in VARIANTS:
+                model = report["models"][variant]
+                assert model["table1"] == pooled_row(pipeline.evaluate_predictions(
+                    sdir / cohort, sdir / variant / pred, EvalConfig()))
+                assert row["variants"][variant][key] == model["table1"]
+                for count in ("n_ref", "n_detected", "n_pred", "n_fp"):
+                    assert sum(p[count] for p in model["per_patient"]) == model["table1"][count]
 
     sdir = tmp_path / "seed_0"
     ids = pipeline.discover_subjects(sdir / "cohort")
@@ -46,7 +63,7 @@ def test_icd_robustness_experiment_tiny(tmp_path, monkeypatch):
 
     # every variant predicts every subject in all three test sets
     for variant in VARIANTS:
-        for name in TEST_SETS:
+        for name, _, _ in TEST_SETS.values():
             pred_dir = sdir / variant / name
             assert sorted(d.name for d in pred_dir.iterdir()) == ids
             for sid in ids:
@@ -82,6 +99,22 @@ def test_icd_robustness_experiment_tiny(tmp_path, monkeypatch):
                 assert predict(variant, fi, sid) == stored(variant, sid), (variant, fi, sid)
     # and the other fold's network predicts differently, so the check can fail
     assert predict(VARIANTS[0], 1, folds[0][0]) != stored(VARIANTS[0], folds[0][0])
+
+
+@pytest.mark.parametrize("bad, error", [
+    ({"seeds": (0, 1, 0)}, ConfigError),  # a seed's row would be counted twice
+    ({"k": 1}, ConfigError),
+    ({"k": 3}, ConfigError),  # more folds than subjects
+    ({"iterations": 0}, ConfigError),
+    ({"input_patch": 46}, ConfigError),
+    ({"n_workers": 0}, ValueError),
+], ids=["repeated-seed", "k-1", "k-above-subjects", "no-iterations", "bad-patch", "no-workers"])
+def test_bad_arguments_refused_before_anything_is_written(tmp_path, bad, error):
+    with pytest.raises(error):
+        icd_robustness_experiment(tmp_path / "work", **{
+            "seeds": (0, 1), "iterations": 2, "n_subjects": 2, "k": 2, "phantom": TINY_SPEC,
+            "base_channels": 2, "input_patch": 44, "n_workers": 1, **bad})
+    assert not (tmp_path / "work").exists()
 
 
 def test_pool_workers_run_one_blas_thread():

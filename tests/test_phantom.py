@@ -229,6 +229,15 @@ def test_generate_cohort_files_and_manifest(tmp_path):
     assert on_disk["total_lesions"] == total
 
 
+def test_cohort_manifest_spec_is_the_generated_cohort(tmp_path):
+    # the arguments, not the spec's own n_subjects and seed, make the cohort
+    assert (TINY_SPEC.n_subjects, TINY_SPEC.seed) != (2, 5)
+    generate_cohort(TINY_SPEC, 2, tmp_path, seed=5)
+    manifest = json.loads((tmp_path / "cohort_manifest.json").read_text())
+    assert manifest["spec"]["seed"] == manifest["seed"] == 5
+    assert manifest["spec"]["n_subjects"] == len(manifest["subjects"]) == 2
+
+
 def test_cohort_regeneration_byte_identical(tmp_path):
     # the same cohort written under two directories: every file, the
     # manifest included, is byte-identical

@@ -548,7 +548,7 @@ def test_forward_without_cache_frees_dead_activations():
     # activation to the end, as a cached forward does, peaks near 120 MiB;
     # freeing each once dead but running level 1 whole, at 30 MiB (the
     # enc1b output beside its enc1a input and a slab); streamed in pushes
-    # of 8 planes, at 14 MiB
+    # of 12 planes, at 19 MiB
     params = unet.build_network(unet.NetworkConfig(base_channels=4), seed=0)
     x = np.random.default_rng(2).standard_normal((1, 3, 68, 68, 68)).astype(np.float32)
     widest = 2 * 4 * 64 ** 3 * 4
