@@ -1,4 +1,4 @@
-"""Command-line entry points: phantom | train | infer | xval | report.
+"""Command-line entry points: phantom | train | infer | xval | report | replicate.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (including an
 output that cannot be created or written), 3 numerical failure. phantom
@@ -7,9 +7,11 @@ commands' outputs land under the out directory together with a
 run-manifest JSON recording the config hash, package version and
 environment (numpy and scipy versions, usable cores, BLAS threads); infer
 writes its outputs and manifest to <out>/<subject>/, naming the subject
-directory and checkpoint. Each rewrites its manifest when it ends, whether
-it succeeded or failed, adding the wall time, the peak resident set size and
-`exit_code`, the process's exit code.
+directory and checkpoint. replicate runs the three-variant replication
+(`clseg replicate --config configs/replication.json`) over --seeds in a
+pool of --workers processes. Each rewrites its manifest when it ends,
+whether it succeeded or failed, adding the wall time, the peak resident set
+size and `exit_code`, the process's exit code.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import time
 from pathlib import Path
 
 from .config import VARIANTS, ConfigError, RunConfig, load_config
+from .experiments import TEST_SETS, icd_robustness_experiment
 from .layers import ContractError, NonFiniteError
 from .phantom import PhantomError, cohort_subject_ids, generate_cohort
 from .pipeline import (check_cohort, run_inference, run_report, run_training, run_xval,
@@ -76,14 +79,22 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--pred", action="append", default=[], metavar="NAME=DIR",
                     help="prediction directory per variant; repeatable")
+
+    sp = sub.add_parser("replicate", help="cross-validate every variant over seeds on "
+                                          "generated cohorts and count the paper's claims")
+    sp.add_argument("--config", required=True, help="run config JSON")
+    sp.add_argument("--out", help="override paths.out_dir")
+    sp.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2],
+                    help="one cohort pair and fold split per seed")
+    sp.add_argument("--workers", type=int, default=2, help="training processes")
     return p
 
 
 def _load(args) -> RunConfig:
     cfg = load_config(args.config)
-    if args.variant:
+    if getattr(args, "variant", None):
         cfg = cfg.apply_variant(args.variant)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg = cfg.with_master_seed(args.seed)
     if getattr(args, "out", None):
         cfg = dataclasses.replace(cfg, paths=dataclasses.replace(cfg.paths, out_dir=args.out))
@@ -197,12 +208,29 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _cmd_replicate(args) -> int:
+    cfg = _load(args)
+    out = Path(cfg.paths.out_dir)
+    with _run_manifest(out, cfg, "replicate", seeds=args.seeds, workers=args.workers):
+        res = icd_robustness_experiment(cfg, out, args.seeds, args.workers)
+    n = len(res["seeds"])
+    print(f"(a) multitask LFPR <= baseline LFPR in {res['multitask_lfpr_le_baseline']}/{n} "
+          f"seeds; {res['multitask_lfpr_no_prediction']} without a prediction to compare")
+    print(f"(b) ICD degradation <= multitask degradation in "
+          f"{res['icd_degradation_le_multitask']}/{n} seeds; "
+          f"{res['icd_degradation_no_prediction']} without a prediction to compare")
+    print(f"summary: {out / 'replication_result.json'}")
+    print(f"per-seed reports: {out}/seed_<s>/report/<{'|'.join(TEST_SETS)}>/")
+    return 0
+
+
 _COMMANDS = {
     "phantom": _cmd_phantom,
     "train": _cmd_train,
     "infer": _cmd_infer,
     "xval": _cmd_xval,
     "report": _cmd_report,
+    "replicate": _cmd_replicate,
 }
 
 

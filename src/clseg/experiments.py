@@ -1,21 +1,24 @@
 """Desk-scale replication experiment.
 
 One experiment backs the end-to-end claims: icd_robustness_experiment,
-3-fold cross-validation of all three model variants over several seeds on
-a 12-subject cohort, scored on a clean test set plus an artifact twin (GRE
-missing chunk at test time, with and without zeroing a T2* channel at
+k-fold cross-validation of all three model variants over several seeds on
+generated phantom cohorts, scored on a clean test set plus an artifact twin
+(GRE missing chunk at test time, with and without zeroing a T2* channel at
 inference). It reports directional comparisons: the multi-task variant's
 lesion-wise FPR against the baseline's, and the dropout-trained variant's
-LTPR degradation under channel loss against the plain multi-task one.
+LTPR degradation under channel loss against the plain multi-task one. Its
+entry point is `clseg replicate --config configs/replication.json`; the
+config sets the network, sampler, training, phantom and k (xval_folds).
 
-Fold splits, job configs and the worker pool are built first, so a bad
-argument is refused before anything is written. Then every seed's cohorts
-are generated, and every (seed, variant, fold) job runs `pipeline.run_fold`
-in one pool of one-BLAS-thread workers, so no core idles while a seed's
-last jobs finish; all variants of a seed share its fold split. Each seed's
-test sets are scored by `pipeline.run_report` into seed_<s>/report/<clean|
-artifact_full|artifact_drop>/, whose table1 rows make its per_seed cells.
-Results are byte-deterministic in (config, seeds) at fixed BLAS threads.
+Fold splits and job configs are built and the arguments checked first, so
+a bad argument is refused before anything is written. Then every seed's
+cohorts are generated, and every (seed, variant, fold) job runs
+`pipeline.run_fold` in one pool of one-BLAS-thread workers, so no core
+idles while a seed's last jobs finish; all variants of a seed share its
+fold split. Each seed's test sets are scored by `pipeline.run_report` into
+seed_<s>/report/<clean|artifact_full|artifact_drop>/, whose table1 rows
+make its per_seed cells. Results are byte-deterministic in (config, seeds)
+at fixed BLAS threads.
 """
 
 from __future__ import annotations
@@ -26,21 +29,10 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .blas import set_blas_threads
-from .config import VARIANTS, ConfigError, RunConfig
-from .evaluation import EvalConfig
-from .phantom import PhantomSpec, cohort_subject_ids, generate_cohort
+from .config import VARIANTS, ConfigError, PathsConfig, RunConfig
+from .phantom import cohort_subject_ids, generate_cohort
 from .pipeline import derive_seed, make_fold_split, run_fold, run_report
-from .sampling import SamplerConfig
-from .unet import NetworkConfig
 from .volume_io import write_json
-
-DESK_PHANTOM = PhantomSpec(
-    side_voxels=56,
-    cortex_thickness_voxels=5,
-    lesion_counts=(4, 1, 5, 1),
-    lesion_size_range=(6, 80),
-    wml_count=2,
-)
 
 # per_seed key -> (prediction directory, cohort, channel zeroed at inference)
 TEST_SETS = {
@@ -56,53 +48,39 @@ def worker_pool(n_workers: int) -> ProcessPoolExecutor:
                                initargs=(1,))
 
 
-def _desk_config(cohort_dir, out_dir, variant, iterations, seed,
-                 base_channels=4, input_patch=48, learning_rate=1e-3) -> RunConfig:
-    return RunConfig(
-        variant="multitask_icd",
-        network=NetworkConfig(base_channels=base_channels, input_patch=input_patch),
-        sampler=SamplerConfig(jitter_voxels=4, rotation_max_deg=180.0,
-                              icd_probability=0.5, seed=seed),
-        training=dataclasses.replace(
-            RunConfig().training, iterations=iterations,
-            checkpoint_every=max(1, iterations), learning_rate=learning_rate, seed=seed),
-        paths=dataclasses.replace(RunConfig().paths, cohort_dir=str(cohort_dir),
-                                  out_dir=str(out_dir)),
-    ).apply_variant(variant).validate()
-
-
-def icd_robustness_experiment(workdir: str | Path, seeds=(0, 1, 2),
-                              iterations: int = 400, n_subjects: int = 12,
-                              k: int = 3, phantom: PhantomSpec = DESK_PHANTOM,
-                              base_channels: int = 4, input_patch: int = 48,
-                              learning_rate: float = 1e-3,
-                              n_workers: int = 2) -> dict:
-    """Cross-validated three-variant comparison over seeds; see module doc."""
+def icd_robustness_experiment(cfg: RunConfig, workdir: str | Path, seeds,
+                              n_workers: int) -> dict:
+    """Cross-validated three-variant comparison over seeds; see module doc.
+    Each (seed, variant) trains `cfg.apply_variant(variant)` with its
+    training and sampler seeds set to derive_seed(seed, variant index)."""
     workdir = Path(workdir)
     t0 = time.time()
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"seeds {list(seeds)} repeat a seed")
+    if len(set(seeds)) != len(seeds) or min(seeds, default=0) < 0:
+        raise ConfigError(f"seeds {list(seeds)} must be distinct and >= 0")
+    if n_workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {n_workers}")
+    n_subjects = cfg.phantom.n_subjects
     ids = cohort_subject_ids(n_subjects)
     sdirs = {seed: workdir / f"seed_{seed}" for seed in seeds}
     jobs = []  # run_fold's arguments per (seed, variant, fold)
     for seed, sdir in sdirs.items():
-        folds = make_fold_split(ids, k, seed)
+        folds = make_fold_split(ids, cfg.xval_folds, seed)
         test_sets = {pred: (sdir / cohort, drop) for pred, cohort, drop in TEST_SETS.values()}
         for vi, variant in enumerate(VARIANTS):
             vdir = sdir / variant
-            cfg = _desk_config(sdir / "cohort", vdir, variant, iterations,
-                               derive_seed(seed, vi),
-                               base_channels=base_channels, input_patch=input_patch,
-                               learning_rate=learning_rate)
+            job_cfg = dataclasses.replace(
+                cfg.with_master_seed(derive_seed(seed, vi)).apply_variant(variant),
+                paths=PathsConfig(cohort_dir=str(sdir / "cohort"), out_dir=str(vdir)),
+            ).validate()
             for fi, test_ids in enumerate(folds):
                 train_ids = sorted(set(ids) - set(test_ids))
-                jobs.append((cfg, fi, train_ids, test_ids, vdir, test_sets))
+                jobs.append((job_cfg, fi, train_ids, test_ids, vdir, test_sets))
 
     with worker_pool(n_workers) as pool:
         for seed, sdir in sdirs.items():
-            generate_cohort(phantom, n_subjects, sdir / "cohort", seed=seed)
+            generate_cohort(cfg.phantom, n_subjects, sdir / "cohort", seed=seed)
             # artifact twin: identical geometry/labels, GRE chunk zeroed at test
-            generate_cohort(dataclasses.replace(phantom, gre_missing_chunk=True),
+            generate_cohort(dataclasses.replace(cfg.phantom, gre_missing_chunk=True),
                             n_subjects, sdir / "cohort_artifact", seed=seed)
         for job in [pool.submit(run_fold, *args) for args in jobs]:
             job.result()
@@ -111,7 +89,7 @@ def icd_robustness_experiment(workdir: str | Path, seeds=(0, 1, 2),
     for seed, sdir in sdirs.items():
         reports = {
             key: run_report(sdir / cohort, {v: sdir / v / pred for v in VARIANTS},
-                            sdir / "report" / key, EvalConfig())["models"]
+                            sdir / "report" / key, cfg.eval)["models"]
             for key, (pred, cohort, _) in TEST_SETS.items()
         }
         per_seed.append({"seed": seed, "variants": {
@@ -119,7 +97,7 @@ def icd_robustness_experiment(workdir: str | Path, seeds=(0, 1, 2),
 
     summary = {
         "seeds": list(seeds),
-        "iterations": iterations,
+        "iterations": cfg.training.iterations,
         "per_seed": per_seed,
         **count_claims(per_seed),
         "elapsed_s": round(time.time() - t0, 1),

@@ -1,8 +1,9 @@
 """Pipeline plumbing: cohort loading, the training loop with checkpoints
 and a loss log, whole-subject inference, k-fold cross-validation, and
 report emission. `run_report` is the one scoring path: `clseg report`,
-`run_xval` and the replication experiment all turn prediction directories
-into report files through it. Every step is a pure function of (config,
+`run_xval` and the replication experiment (`clseg replicate --config
+configs/replication.json`) all turn prediction directories into report
+files through it. Every step is a pure function of (config,
 input files, seed); repeated runs are byte-identical on a machine with the
 same BLAS thread count (a different count reorders float32 sums, and the
 rounding differences grow through training).

@@ -1,9 +1,13 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+from clseg.config import RunConfig, load_config
 from clseg.phantom import PhantomSpec, generate_cohort
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TINY_SPEC = PhantomSpec(
     side_voxels=48,
@@ -13,6 +17,19 @@ TINY_SPEC = PhantomSpec(
     wml_count=2,
     seed=402,
 )
+
+
+def tiny_replication_config(**overrides) -> RunConfig:
+    """configs/replication.json at a tiny scale: two-subject TINY_SPEC
+    cohorts in 2 folds, C=2, a 44^3 patch and 2 iterations; then
+    `overrides`, without validation."""
+    cfg = load_config(ROOT / "configs" / "replication.json")
+    cfg = dataclasses.replace(
+        cfg, xval_folds=2,
+        network=dataclasses.replace(cfg.network, base_channels=2, input_patch=44),
+        training=dataclasses.replace(cfg.training, iterations=2, checkpoint_every=2),
+        phantom=dataclasses.replace(TINY_SPEC, n_subjects=2))
+    return dataclasses.replace(cfg, **overrides)
 
 
 def edit_header(ckpt: Path, edit) -> None:

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -11,15 +12,16 @@ import pytest
 
 from clseg import unet
 from clseg import volume_io as vio
-from clseg.cli import main
+from clseg.cli import build_parser, main
 from clseg.config import ConfigError, RunConfig, config_from_dict, load_config
 from clseg.losses import LossConfig
 from clseg.optim import AdamState
 from clseg.phantom import generate_cohort
 
-from conftest import TINY_SPEC, write_old_network_keys
+from conftest import ROOT, TINY_SPEC, tiny_replication_config, write_old_network_keys
 
-ROOT = Path(__file__).resolve().parent.parent
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 def _fast_config(tmp_path, cohort_dir, **overrides):
@@ -543,12 +545,9 @@ def test_cli_resume_refuses_a_changed_learning_rate(tmp_path, tiny_cohort, capsy
 def test_cli_faults_exit_in_one_line_as_a_process(tmp_path, tiny_cohort):
     # as a user runs it: a wrong-typed config and an old-format checkpoint
     # each end in one line and their exit code, never a traceback
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-
     def run(*argv):
         return subprocess.run([sys.executable, "-m", "clseg.cli", *argv], capture_output=True,
-                              text=True, env=env, timeout=300)
+                              text=True, env=ENV, timeout=300)
 
     cfg, path = _fast_config(tmp_path, tiny_cohort)
     bad = tmp_path / "bad.json"
@@ -566,3 +565,46 @@ def test_cli_faults_exit_in_one_line_as_a_process(tmp_path, tiny_cohort):
     assert r.returncode == 2 and "Traceback" not in r.stderr
     err = r.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("data error: ") and "instance_norm" in err[0]
+
+
+def _commands():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return sorted(subparsers.choices)
+
+
+@pytest.mark.parametrize("command", _commands())
+def test_cli_command_help_exits_0(command):
+    # --help runs after every import of the package, so a command left
+    # importing deleted code fails here
+    r = subprocess.run([sys.executable, "-m", "clseg.cli", command, "--help"],
+                       capture_output=True, text=True, env=ENV, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("usage: ")
+
+
+@pytest.mark.parametrize("argv, changes", [
+    (["--seeds", "0", "0"], {}),  # a seed's row would be counted twice
+    (["--seeds", "-1"], {}),  # numpy's SeedSequence takes no negative seed
+    ([], {"xval_folds": 1}),
+    ([], {"xval_folds": 3}),  # more folds than phantom.n_subjects
+    (["--workers", "0"], {}),
+    ([], {"training": {"iterations": 0}}),
+], ids=["repeated-seed", "negative-seed", "k-1", "k-above-subjects", "no-workers",
+        "no-iterations"])
+def test_cli_replicate_refuses_bad_arguments(tmp_path, capsys, argv, changes):
+    doc = tiny_replication_config().to_dict()
+    for key, value in changes.items():
+        doc[key] = {**doc[key], **value} if isinstance(value, dict) else value
+    path = tmp_path / "replication.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "work"
+    capsys.readouterr()
+    assert main(["replicate", "--config", str(path), "--out", str(out), *argv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    # no cohort or run; at most the manifest of the failed run
+    written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    assert written in ([], ["run_manifest.json"]), written
+    if written:
+        assert json.loads((out / "run_manifest.json").read_text())["exit_code"] == 1

@@ -1,20 +1,20 @@
+import dataclasses
 import json
 
 import pytest
 
 from clseg import experiments, pipeline
 from clseg.blas import blas_threads
+from clseg.cli import main
 from clseg.config import VARIANTS, ConfigError
 from clseg.evaluation import EvalConfig, pooled_row
 from clseg.experiments import TEST_SETS, count_claims, icd_robustness_experiment, worker_pool
 
-from conftest import TINY_SPEC
+from conftest import tiny_replication_config
 
 
 def _tiny_experiment(workdir, seeds):
-    return icd_robustness_experiment(workdir, seeds=seeds, iterations=2, n_subjects=2, k=2,
-                                     phantom=TINY_SPEC, base_channels=2, input_patch=44,
-                                     n_workers=2)
+    return icd_robustness_experiment(tiny_replication_config(), workdir, seeds, 2)
 
 
 def _tree_bytes(root):
@@ -34,8 +34,15 @@ def test_icd_robustness_experiment_tiny(tmp_path, monkeypatch):
     res = _tiny_experiment(tmp_path, (0, 1))
     assert pools == [2]  # one pool runs every seed's jobs
     assert [row["seed"] for row in res["per_seed"]] == [0, 1]
-    # a seed's files do not depend on the seeds run beside it
-    _tiny_experiment(tmp_path / "alone", (1,))
+    # a seed's files do not depend on the seeds run beside it, nor on whether
+    # `clseg replicate` runs the experiment
+    path = tmp_path / "replication.json"
+    path.write_text(json.dumps(tiny_replication_config().to_dict()), encoding="utf-8")
+    assert main(["replicate", "--config", str(path), "--out", str(tmp_path / "alone"),
+                 "--seeds", "1"]) == 0
+    manifest = json.loads((tmp_path / "alone" / "run_manifest.json").read_text())
+    assert (manifest["command"], manifest["seeds"], manifest["exit_code"]) == \
+        ("replicate", [1], 0)
     seed_1 = _tree_bytes(tmp_path / "seed_1")
     assert seed_1 == _tree_bytes(tmp_path / "alone" / "seed_1")
     assert {"cohort/cohort_manifest.json", "baseline/fold_1/loss.csv",
@@ -101,19 +108,24 @@ def test_icd_robustness_experiment_tiny(tmp_path, monkeypatch):
     assert predict(VARIANTS[0], 1, folds[0][0]) != stored(VARIANTS[0], folds[0][0])
 
 
-@pytest.mark.parametrize("bad, error", [
-    ({"seeds": (0, 1, 0)}, ConfigError),  # a seed's row would be counted twice
-    ({"k": 1}, ConfigError),
-    ({"k": 3}, ConfigError),  # more folds than subjects
-    ({"iterations": 0}, ConfigError),
-    ({"input_patch": 46}, ConfigError),
-    ({"n_workers": 0}, ValueError),
+def _tiny_with(section, **changes):
+    cfg = tiny_replication_config()
+    return dataclasses.replace(cfg, **{section: dataclasses.replace(getattr(cfg, section),
+                                                                    **changes)})
+
+
+@pytest.mark.parametrize("cfg, seeds, n_workers", [
+    (tiny_replication_config(), (0, 1, 0), 1),  # a seed's row would be counted twice
+    (tiny_replication_config(xval_folds=1), (0, 1), 1),
+    (tiny_replication_config(xval_folds=3), (0, 1), 1),  # more folds than subjects
+    (_tiny_with("training", iterations=0), (0, 1), 1),
+    (_tiny_with("network", input_patch=46), (0, 1), 1),
+    (tiny_replication_config(), (0, 1), 0),
 ], ids=["repeated-seed", "k-1", "k-above-subjects", "no-iterations", "bad-patch", "no-workers"])
-def test_bad_arguments_refused_before_anything_is_written(tmp_path, bad, error):
-    with pytest.raises(error):
-        icd_robustness_experiment(tmp_path / "work", **{
-            "seeds": (0, 1), "iterations": 2, "n_subjects": 2, "k": 2, "phantom": TINY_SPEC,
-            "base_channels": 2, "input_patch": 44, "n_workers": 1, **bad})
+def test_bad_arguments_refused_before_anything_is_written(tmp_path, cfg, seeds, n_workers):
+    # the configs are built unvalidated, so each is the function's own check
+    with pytest.raises(ConfigError):
+        icd_robustness_experiment(cfg, tmp_path / "work", seeds, n_workers)
     assert not (tmp_path / "work").exists()
 
 

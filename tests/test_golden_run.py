@@ -1,0 +1,90 @@
+"""Golden run hashes: the bytes that a tiny training and inference write.
+
+A change to training or inference bytes (the sampler, the network, the
+loss, Adam, the checkpoint or volume format) fails here. A change that
+alters them on purpose re-pins GOLDEN_RUN and states the drift."""
+
+import hashlib
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from conftest import ROOT
+
+# multitask_icd at C=4 with a 44^3 patch, so the composed decoder, the slab
+# code, the rotation and input-channel dropout are all on the path: 4
+# iterations on subject_00 of the tiny cohort, then subject_01 inferred.
+# It prints the sha256 of 256 more sampled patches: a change that rounds
+# one float32 weight in one draw of 60-100 (as a one-ulp change of the
+# rotation does) would rarely touch the run's own 4 draws.
+RUN = """
+import hashlib
+import sys
+from pathlib import Path
+
+from clseg.blas import blas_threads
+from clseg.config import config_from_dict
+from clseg.pipeline import load_training_data, run_inference, run_training
+from clseg.sampling import PatchSampler
+
+assert blas_threads() == 1, blas_threads()
+cohort, out = map(Path, sys.argv[1:])
+cfg = config_from_dict({
+    "network": {"base_channels": 4, "input_patch": 44},
+    "sampler": {"jitter_voxels": 4, "rotation_max_deg": 180.0, "seed": 5},
+    "training": {"iterations": 4, "checkpoint_every": 4, "learning_rate": 1e-3, "seed": 5},
+    "paths": {"cohort_dir": str(cohort)},
+})
+ckpt = run_training(cfg, out / "train", subject_ids=["subject_00"])
+run_inference(ckpt, cohort / "subject_01", out / "pred")
+sampler = PatchSampler(cfg.sampler, cfg.network.input_patch,
+                       load_training_data(cohort, ["subject_00"]))
+draws = hashlib.sha256()
+for i in range(256):
+    patch = sampler.draw(i)
+    for a in (patch.input, patch.cl_labels, patch.tissue_labels, patch.wml_labels):
+        draws.update(a.tobytes())
+print(draws.hexdigest())
+"""
+
+FILES = ("train/loss.csv", "train/checkpoint_00000004.raw", "pred/cl_prob.raw",
+         "pred/cl_pred.raw", "pred/tissue_pred.raw")
+
+# sha256 of FILES and of the draws per environment: (numpy's BLAS, by np.show_config's name
+# and version; the highest SIMD extension numpy found on the CPU). OpenBLAS
+# picks its kernels by the CPU, so another environment may round otherwise.
+GOLDEN_RUN = {
+    ("scipy-openblas 0.3.31.188.0", "AVX512_SPR"): {
+        "train/loss.csv": "a818937060c1ece4d04bb641fedcc61a2e923d9f79cceb7801335c44ae330ff4",
+        "train/checkpoint_00000004.raw":
+            "67b9cda1d8dc578f1177f504534508d8a50068be69b0a2c431a3ea186c96ac88",
+        "pred/cl_prob.raw": "ab006479f29583ef678c08f19ba1184925fc90d503ccee251f33942ea316dc30",
+        "pred/cl_pred.raw": "7c98d2da7afa2bdee9765910c81cb588e14781b77538fb54df84f7e7039e4348",
+        "pred/tissue_pred.raw": "1dd10919c137683ead3b0ded59413138f85147117937a896167682b1b57644be",
+        "draws": "ea503c72c6119f01a6a7df263feb80188e0682a4e94f2b4f79c21f49534e17bd",
+    },
+}
+
+
+def environment_key() -> tuple[str, str]:
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    simd = config["SIMD Extensions"]["found"] or ["none"]
+    return f"{blas['name']} {blas['version']}", simd[-1]
+
+
+def test_tiny_run_matches_golden_hashes(tmp_path, tiny_cohort):
+    key = environment_key()
+    if key not in GOLDEN_RUN:
+        pytest.skip(f"no golden run hashes pinned for {key}")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    r = subprocess.run([sys.executable, "-c", RUN, str(tiny_cohort), str(tmp_path)],
+                       capture_output=True, text=True, env=env, timeout=300)
+    assert r.returncode == 0, r.stderr
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in FILES}
+    got["draws"] = r.stdout.strip()
+    assert got == GOLDEN_RUN[key]

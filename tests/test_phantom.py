@@ -10,11 +10,11 @@ from scipy import ndimage
 
 from clseg import phantom, volume_io
 from clseg.evaluation import EvalConfig, evaluate_patient, label_lesions
-from clseg.experiments import DESK_PHANTOM
+from clseg.config import load_config
 from clseg.phantom import PhantomSpec, counts_from_mix, generate_cohort, generate_subject
 
 from brute_force import beyond_distance_reference, dilate_reference
-from conftest import TINY_SPEC
+from conftest import ROOT, TINY_SPEC
 
 FULL = np.ones((3, 3, 3), bool)
 
@@ -274,7 +274,8 @@ def test_regenerating_a_smaller_cohort_refuses_stray_subjects(tmp_path):
 # moved from whole-volume draws to one draw per contrast over the brain
 # voxels only; the label payloads and records were unchanged by that move.
 # "t2s_gre_chunk" is the GRE payload of the gre_missing_chunk twin, which
-# differs from the clean subject in that volume only.
+# differs from the clean subject in that volume only. The "desk" spec is the
+# phantom section of configs/replication.json, so these rows pin that file.
 GOLDEN = {
     ("tiny", 7): {
         "mp2rage": "d0753f1db984ae42688c5f1a1e03a7216231b813a298092d91cd382559118cde",
@@ -342,7 +343,8 @@ GOLDEN = {
 @pytest.mark.parametrize("gre_missing_chunk", [False, True])
 @pytest.mark.parametrize("name,seed", list(GOLDEN))
 def test_phantom_matches_golden_hashes(name, seed, gre_missing_chunk):
-    spec = {"tiny": TINY_SPEC, "desk": DESK_PHANTOM, "paper": PhantomSpec(side_voxels=96)}[name]
+    spec = {"tiny": TINY_SPEC, "desk": load_config(ROOT / "configs" / "replication.json").phantom,
+            "paper": PhantomSpec(side_voxels=96)}[name]
     vols, recs = generate_subject(
         dataclasses.replace(spec, gre_missing_chunk=gre_missing_chunk), seed)
     got = {k: hashlib.sha256(volume_io.make_volume(
