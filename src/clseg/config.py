@@ -45,6 +45,8 @@ class TrainingConfig:
             raise ConfigError("iterations, checkpoint_every and batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"training.seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

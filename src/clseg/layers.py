@@ -42,13 +42,26 @@ gradient is laid on the input's (H, W) grid after a front pad of
 (k-1)*(H*W+W+1) zeros, where wrapped taps read zeros, so every full-grid
 output column is an input gradient. That padded gradient is never built
 whole: each slab of it is written into one reused (Co, P + 1, H, W)
-buffer and unrolled from there.
+buffer and unrolled from there; that pass's budget counts the buffer and
+its partial sums too. Its output columns are all kept, so where
+OpenBLAS's small-matrix kernel takes its products (under 1e6
+multiply-adds), their bytes depend on the slab size; the budget cuts a
+slab short only where the products are far larger.
+
+conv3d_backward reads grad_out only a slab of planes at a time, so it
+also takes a function that returns those planes, and a gradient that is
+never whole costs one slab per pass: the network builds enc1b's output
+gradient, and the octants of a decoder gradient, that way. Its input
+gradient can go into a given buffer, x's own included: x is read only by
+the weight gradient, which comes first.
 
 The stride-2 layers see an even-sized volume as 8 octants: octant i =
 dz*4 + dy*2 + dx is the strided view x[..., dz::2, dy::2, dx::2]
 (`_octant`), the voxels at offset (dz, dy, dx) of every 2x2x2 block.
 Pooling's argmax stores the winning octant index, and its backward routes
-each gradient to that view. The network's decoder reads octants too: it
+each gradient to that view, for any range of input planes
+(`_maxpool_grad_planes`): each plane parity is written by the four
+octants that hold it. The network's decoder reads octants too: it
 never runs a 2x2x2 transposed convolution, but folds each into the conv
 that reads it, and the resulting conv of the low-resolution input writes
 one channel group per octant of the decoder's output (see unet). The
@@ -63,7 +76,9 @@ width and ANDed with the gradient's bits. A masked select (np.where, or
 np.copyto with where=) branches per element, and on the random sign and
 argmax patterns of real activations most of those branches mispredict;
 the AND has no branch, and unlike multiplying by a 0/1 mask it keeps the
-result bit-identical to the select, signed zeros and NaN included.
+result bit-identical to the select, signed zeros and NaN included. A
+stored ReLU mask is bit-packed per row (np.packbits along the last axis),
+so that a depth slice of it masks a slab of planes.
 """
 
 from __future__ import annotations
@@ -100,14 +115,14 @@ class NonFiniteError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 
-def _slab_planes(Ci, Co, k, H, W, D):
+def _slab_planes(Ci, Co, k, H, W, D, extra=0):
     """Input planes P per slab: P unrolled planes of a (Ci, D, H, W) input
     plus a ring of R = P + k - 1 planes of the k taps' full-grid outputs,
     the planes from the oldest output plane a slab completes to the
-    slab's last, fit SLAB_BUDGET_ELEMS, or P is one plane if that is
-    larger."""
+    slab's last, and `extra` more elements per plane of the slab, fit
+    SLAB_BUDGET_ELEMS, or P is one plane if that is larger."""
     room = SLAB_BUDGET_ELEMS // (H * W) - k * Co * (k - 1)
-    return max(1, min(D, room // (Ci * k * k + k * Co)))
+    return max(1, min(D, room // (Ci * k * k + k * Co + extra)))
 
 
 def _runs(c, n, N):
@@ -151,14 +166,20 @@ class ConvCarry:
         self.planes = 0
         self.sums = None
 
+    def outputs(self, n: int, k: int) -> tuple[int, int]:
+        """The output planes (z0, z1) that n more input planes complete in
+        a conv of kernel side k."""
+        return max(0, self.planes - k + 1), max(0, self.planes + n - k + 1)
 
-def _conv_slabs(planes, D, grid, weight, out, bias=None, carry=None):
+
+def _conv_slabs(planes, D, grid, weight, out, bias=None, carry=None, P=None):
     """out[b,o,z,y,x] = sum_{i,dz,dy,dx} x[b,i,z+dz,y+dy,x+dx] * w[o,i,dz,dy,dx]
     (+ bias[o])
 
     for an input x of D planes on the (H, W) = grid, read in slabs of P
-    input planes (_slab_planes): planes(b, q0, q1) returns x[b, :, q0:]
-    with C-contiguous planes, or at least planes q0..q1-1 of it. Each slab
+    input planes (from _slab_planes unless given): planes(b, q0, q1)
+    returns x[b, :, q0:] with C-contiguous planes, or at least planes
+    q0..q1-1 of it. Each slab
     is unrolled once, and one GEMM per run of ring slots applies all k
     depth taps' kernels to it, (k*Co, Ci*k*k) @ U, writing input plane q's
     k tap outputs into slot q % R of a ring of R = P + k - 1 planes: the
@@ -189,15 +210,16 @@ def _conv_slabs(planes, D, grid, weight, out, bias=None, carry=None):
     Q = 0 if carry is None else carry.planes  # input planes before x
     base = max(0, Q - k + 1)  # out's first plane
     w = np.ascontiguousarray(weight.transpose(2, 0, 1, 3, 4)).reshape(k * Co, -1)
-    P = _slab_planes(Ci, Co, k, H, W, D)
+    P = _slab_planes(Ci, Co, k, H, W, D) if P is None else max(1, min(D, P))
     R = P + k - 1
-    # the unrolled slab, the tap ring and the partial sums in one block: as
-    # three arrays, the desk step page-faulted ~3,200 times (12 MiB) afresh
-    # in its first two convs, against none as one
-    work = np.empty((Ci * k * k * P + k * Co * R + Co * P) * HW, dtype=out.dtype)
+    # the unrolled slab, the tap ring and the partial sums (of k > 2 taps) in
+    # one block: as three arrays, the desk step page-faulted ~3,200 times
+    # (12 MiB) afresh in its first two convs, against none as one
+    work = np.empty((Ci * k * k * P + k * Co * R + (Co * P if k > 2 else 0)) * HW,
+                    dtype=out.dtype)
     U = work[:Ci * k * k * P * HW].reshape(Ci * k * k, P * HW)
     taps = work[U.size:U.size + k * Co * R * HW].reshape(k, Co, R * HW)
-    acc = work[U.size + taps.size:].reshape(Co, P * HW)
+    acc = work[U.size + taps.size:].reshape(-1, P * HW)
 
     def corner(a, j):  # the (oH, oW) corners of the first j full-grid planes of a
         return a[:, :j * HW].reshape(Co, j, H, W)[:, :, :oH, :oW]
@@ -252,11 +274,11 @@ def _conv_slabs(planes, D, grid, weight, out, bias=None, carry=None):
 
 
 def conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
-                   carry: ConvCarry | None = None) -> np.ndarray:
-    """Valid convolution of x, plus `bias` unless it is None. With a
-    `carry`, x is the next planes of an input fed in depth: the output holds
-    the planes they complete, and each input plane is multiplied once over
-    all calls."""
+                   carry: ConvCarry | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """Valid convolution of x, plus `bias` unless it is None, into `out`
+    when given (any strides) or a new array. With a `carry`, x is the next
+    planes of an input fed in depth: the output holds the planes they
+    complete, and each input plane is multiplied once over all calls."""
     B, Ci, D, H, W = x.shape
     Co, wCi, k, kh, kw = weight.shape
     if wCi != Ci:
@@ -268,31 +290,58 @@ def conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
     if bias is not None and bias.shape != (Co,):
         raise ContractError(f"conv3d: bias shape {bias.shape} != ({Co},)")
 
-    if carry is None:
-        oD = D - k + 1
-    else:
-        oD = max(0, carry.planes + D - k + 1) - max(0, carry.planes - k + 1)
-    out = np.empty((B, Co, oD, H - k + 1, W - k + 1), dtype=x.dtype)
+    z0, z1 = (0, D - k + 1) if carry is None else carry.outputs(D, k)
+    shape = (B, Co, z1 - z0, H - k + 1, W - k + 1)
+    if out is None:
+        out = np.empty(shape, dtype=x.dtype)
+    elif out.shape != shape:
+        raise ContractError(f"conv3d: out shape {out.shape} != {shape}")
     short = PRODUCT_TAIL - (k - 1) * (W + 1)  # see _unroll
     if k > 1 and short > 0:  # planes under 7 columns wide at k = 2: add zero rows
         x = np.pad(x, ((0, 0), (0, 0), (0, 0), (0, -(-short // W)), (0, 0)))
-    x = np.ascontiguousarray(x)
+    s = x.itemsize
+    if x.strides[2:] != (x.shape[3] * x.shape[4] * s, x.shape[4] * s, s):
+        x = np.ascontiguousarray(x)  # _unroll needs C-contiguous planes only
     _conv_slabs(lambda b, q0, q1: x[b, :, q0:], D, x.shape[3:], weight, out,
                 None if bias is None else bias.reshape(-1, 1, 1, 1).astype(x.dtype), carry)
     return out
 
 
-def conv3d_backward(x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray,
-                    need_grad_x: bool = True):
-    """(grad_x, grad_w, grad_b); grad_x is None when need_grad_x is False."""
+def conv3d_backward(x: np.ndarray, weight: np.ndarray, grad_out, need_grad_x: bool = True,
+                    out: np.ndarray | None = None):
+    """(grad_x, grad_w, grad_b); grad_x is None when need_grad_x is False.
+
+    grad_out is the (B, Co, oD, oH, oW) gradient of the output, or a
+    function planes(b, z0, z1) that returns planes z0..z1-1 of item b's
+    gradient as a (Co, z1 - z0, oH, oW) array. Each pass below asks for
+    the planes of one slab at a time, in depth order, so a function's
+    gradient is never whole: each plane is built once per pass, and grad_b
+    is then summed per slab in float64 where a whole array is summed in
+    one call. grad_x goes into `out` when given, which may be x itself: x
+    is read only by the weight gradient, which is done before grad_x is
+    written.
+    """
     B, Ci, D, H, W = x.shape
     Co, _, k, _, _ = weight.shape
     oD, oH, oW = D - k + 1, H - k + 1, W - k + 1
-    if grad_out.shape != (B, Co, oD, oH, oW):
-        raise ContractError(
-            f"conv3d backward: grad_out shape {grad_out.shape} != {(B, Co, oD, oH, oW)}")
+    if out is not None and out.shape != x.shape:
+        raise ContractError(f"conv3d backward: out shape {out.shape} != x {x.shape}")
+    if callable(grad_out):
+        def planes(b, z0, z1):
+            g = grad_out(b, z0, z1)
+            if g.shape != (Co, z1 - z0, oH, oW):
+                raise ContractError(f"conv3d backward: planes {z0}..{z1 - 1} of grad_out have "
+                                    f"shape {g.shape} != {(Co, z1 - z0, oH, oW)}")
+            return g
+        dtype, grad_bias = x.dtype, np.zeros(Co)
+    else:
+        if grad_out.shape != (B, Co, oD, oH, oW):
+            raise ContractError(
+                f"conv3d backward: grad_out shape {grad_out.shape} != {(B, Co, oD, oH, oW)}")
 
-    grad_bias = grad_out.sum(axis=(0, 2, 3, 4))
+        def planes(b, z0, z1):
+            return grad_out[b, :, z0:z1]
+        dtype, grad_bias = grad_out.dtype, grad_out.sum(axis=(0, 2, 3, 4))
 
     # weight gradient: each slab of the input is unrolled once as in the
     # forward, and tap dz contracts its planes q with grad_out planes q - dz
@@ -309,14 +358,19 @@ def conv3d_backward(x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray,
     P = _slab_planes(Ci, Co, k, H, W, D)
     R = P + k - 1
     U = np.empty((Ci * k * k, P * HW), dtype=x.dtype)
-    g = np.zeros((R, H, W, Co), dtype=grad_out.dtype)
+    g = np.zeros((R, H, W, Co), dtype=dtype)
     gT = g.reshape(-1, Co)
     for b in range(B):
         for q0 in range(0, D, P):
             q1 = min(q0 + P, D)
             _unroll(U, x[b, :, q0:], q1 - q0, k)
-            for o, c, m in _runs(q0 % R, max(0, min(q1, oD) - q0), R):
-                g[c:c + m, :oH, :oW] = grad_out[b, :, q0 + o:q0 + o + m].transpose(1, 2, 3, 0)
+            if q0 < oD:
+                new = planes(b, q0, min(q1, oD))
+                if callable(grad_out):
+                    grad_bias += new.sum(axis=(1, 2, 3), dtype=np.float64)
+                for o, c, m in _runs(q0 % R, new.shape[1], R):
+                    g[c:c + m, :oH, :oW] = new[:, o:o + m].transpose(1, 2, 3, 0)
+                del new
             for dz in range(k):
                 z0, z1 = max(0, q0 - dz), min(oD, q1 - dz)
                 if z0 >= z1:
@@ -328,6 +382,7 @@ def conv3d_backward(x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray,
     del U, g, gT  # free them before the grad_x pass allocates its own
     grad_w = np.ascontiguousarray(
         grad_w.reshape(k, Ci, k, k, Co).transpose(4, 1, 0, 2, 3))
+    grad_bias = grad_bias.astype(dtype, copy=False)
     if not need_grad_x:
         return None, grad_w, grad_bias
 
@@ -336,22 +391,26 @@ def conv3d_backward(x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray,
     # plane, row and column k-1 of the input's grid. Each slab of it is
     # written into one reused buffer: plane j holds padded plane q0 + j. Its
     # first k-1 rows and columns stay zero, which is all that the last
-    # plane's reads into the next one see
+    # plane's reads into the next one see. The budget of a slab counts its
+    # partial sums, its planes of the buffer and those a function hands over
     p = k - 1
-    buf = np.zeros((Co, _slab_planes(Co, Ci, k, H, W, D + p) + 1, H, W), dtype=grad_out.dtype)
+    extra = (Ci if k > 2 else 0) + Co + (Co if callable(grad_out) else 0)
+    Px = _slab_planes(Co, Ci, k, H, W, D + p, extra)
+    buf = np.zeros((Co, Px + 1, H, W), dtype=dtype)
     inner = buf[:, :, p:, p:]
 
     def padded(b, q0, q1):
         lo = min(q1, max(q0, p)) - q0  # planes before grad_out's first
         hi = max(lo, min(q1, p + oD) - q0)
         inner[:, :lo] = 0
-        inner[:, lo:hi] = grad_out[b, :, q0 + lo - p:q0 + hi - p]
+        if hi > lo:
+            inner[:, lo:hi] = planes(b, q0 + lo - p, q0 + hi - p)
         inner[:, hi:q1 - q0] = 0
         return buf
 
-    grad_x = np.empty_like(x)
+    grad_x = np.empty_like(x) if out is None else out
     _conv_slabs(padded, D + p, (H, W), weight[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4),
-                grad_x)
+                grad_x, P=Px)
     return grad_x, grad_w, grad_bias
 
 
@@ -410,21 +469,36 @@ def maxpool3d_forward(x: np.ndarray,
 
 def maxpool3d_backward(argmax: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """Routes each pooled gradient to the octant its argmax names; the input
-    is twice argmax's shape in every spatial dim. Octant i of each channel
-    is written once, as the gradient ANDed with the mask argmax == i."""
+    is twice argmax's shape in every spatial dim."""
+    return _maxpool_grad_planes(argmax, grad_out, 0, 2 * argmax.shape[2])
+
+
+def _maxpool_grad_planes(argmax, grad_out, z0, z1):
+    """Planes z0..z1-1 of maxpool3d_backward's result. Each parity of plane
+    is written by the four octants that hold it, each as the gradient
+    ANDed with the mask argmax == i over every item and channel at once; a
+    plane of the other parity costs nothing, so slabs that split pooling
+    pairs cost no more than the whole."""
     if grad_out.shape != argmax.shape:
         raise ContractError(
             f"maxpool3d backward: grad_out shape {grad_out.shape} != argmax {argmax.shape}")
     B, C, D, H, W = argmax.shape
-    grad_x = np.empty((B, C, 2 * D, 2 * H, 2 * W), dtype=grad_out.dtype)
+    if not 0 <= z0 <= z1 <= 2 * D:
+        raise ContractError(f"maxpool3d backward: planes {z0}..{z1 - 1} outside 0..{2 * D - 1}")
+    grad_x = np.empty((B, C, z1 - z0, 2 * H, 2 * W), dtype=grad_out.dtype)
     g, gx = _bits(grad_out), _bits(grad_x)
-    mask = np.empty((D, H, W), dtype=g.dtype)
-    for b in range(B):
-        for c in range(C):
-            for i in range(8):
-                np.equal(argmax[b, c], i, out=mask)
-                np.negative(mask, out=mask)  # 1 -> all ones
-                np.bitwise_and(g[b, c], mask, out=_octant(gx[b, c], i))
+    masks = np.empty((B, C, (z1 - z0 + 1) // 2, H, W), dtype=g.dtype)
+    for dz in range(2):
+        j = (dz - z0) % 2  # grad_x's first plane of parity dz
+        n = len(range(j, z1 - z0, 2))
+        if not n:
+            continue
+        p = (z0 + j) // 2  # its pooled plane
+        am, gs, mask = argmax[:, :, p:p + n], g[:, :, p:p + n], masks[:, :, :n]
+        for i in range(4 * dz, 4 * dz + 4):
+            np.equal(am, i, out=mask)
+            np.negative(mask, out=mask)  # 1 -> all ones
+            np.bitwise_and(gs, mask, out=_octant(gx[:, :, j:], i & 3))
     return grad_x
 
 
@@ -492,28 +566,33 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     bit np.where(x > 0, grad_out, 0); the subgradient at exactly 0 is 0.
 
     x may be the ReLU's input or its output, which is positive exactly
-    where the input is; both must then be C-contiguous and of one shape.
-    x may also be the mask np.packbits(x > 0) of either, a uint8 array of
-    ceil(n/8) bytes for a gradient of n elements, unpacked a chunk at a time.
+    where the input is, of grad_out's shape. x may also be the mask
+    np.packbits(x > 0, axis=-1) of either, packed per row: a uint8 array of
+    grad_out's shape but for ceil(W/8) bytes in place of the last axis's W
+    elements, so that a depth slice of it masks that slice of planes. Any
+    strides do for x; grad_out must be C-contiguous. The mask is built a
+    chunk of rows at a time.
     """
+    W = grad_out.shape[-1]
     packed = x.dtype == np.uint8
-    if packed and x.shape != (-(-grad_out.size // 8),):
+    if packed and x.shape != grad_out.shape[:-1] + (-(-W // 8),):
         raise ContractError(
             f"relu backward: packed mask shape {x.shape} does not fit grad_out {grad_out.shape}")
     if not packed and x.shape != grad_out.shape:
         raise ContractError(f"relu backward: x shape {x.shape} != grad_out {grad_out.shape}")
-    if not (x.flags.c_contiguous and grad_out.flags.c_contiguous):
-        raise ContractError("relu backward: x and grad_out must be C-contiguous")
-    xf, gf = x.reshape(-1), _bits(grad_out).reshape(-1)
-    mask = np.empty(min(gf.size, MASK_CHUNK_ELEMS), dtype=gf.dtype)
-    for s in range(0, gf.size, MASK_CHUNK_ELEMS):
-        m = mask[:min(MASK_CHUNK_ELEMS, gf.size - s)]
+    if not grad_out.flags.c_contiguous:
+        raise ContractError("relu backward: grad_out must be C-contiguous")
+    xr, gr = x.reshape(-1, x.shape[-1]), _bits(grad_out).reshape(-1, W)
+    rows = max(1, MASK_CHUNK_ELEMS // W)
+    mask = np.empty((min(len(gr), rows), W), dtype=gr.dtype)
+    for s in range(0, len(gr), rows):
+        m = mask[:min(rows, len(gr) - s)]
         if packed:
-            np.copyto(m, np.unpackbits(xf[s // 8:], count=s % 8 + m.size)[s % 8:])
+            np.copyto(m, np.unpackbits(xr[s:s + len(m)], axis=-1, count=W))
         else:
-            np.greater(xf[s:s + m.size], 0, out=m)
+            np.greater(xr[s:s + len(m)], 0, out=m)
         np.negative(m, out=m)  # 1 -> all ones
-        np.bitwise_and(gf[s:s + m.size], m, out=gf[s:s + m.size])
+        np.bitwise_and(gr[s:s + len(m)], m, out=gr[s:s + len(m)])
     return grad_out
 
 

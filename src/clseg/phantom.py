@@ -112,6 +112,8 @@ class PhantomSpec:
                 f"minimum lesion size is the evaluation floor, {DEFAULT_MIN_LESION_VOXELS} voxels")
         if self.n_subjects < 1:
             raise PhantomError("n_subjects must be >= 1")
+        if self.seed < 0:
+            raise PhantomError(f"phantom.seed must be >= 0, got {self.seed}")
 
 
 def _child_rng(seed: int, stream: int) -> np.random.Generator:

@@ -62,6 +62,8 @@ class SamplerConfig:
             raise ValueError("jitter_voxels must be >= 0")
         if not (0.0 <= self.rotation_max_deg <= 180.0):
             raise ValueError("rotation_max_deg must be in [0, 180]")
+        if self.seed < 0:
+            raise ValueError(f"sampler.seed must be >= 0, got {self.seed}")
 
 
 @dataclass

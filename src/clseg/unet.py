@@ -51,24 +51,35 @@ need (fused-layer evaluation; Alwani et al., MICRO 2016):
     later;
   - a decoder unit's composed conv, a 2x2x2 one, keeps one pending plane
     in its own ConvCarry, beside the skip conv's;
-  - the heads keep nothing; level 1 of the decoder, the widest, runs one
-    dec2b plane at a time.
+  - the heads keep nothing; level 1 of the decoder, the widest, runs on
+    the dec2b planes of a push, a quarter of its depth.
 Every ReLU runs in place on its conv's output, and each array is freed
 once it is dead. Every conv product spans whole planes, so the stream
 computes the bytes of one whole pass however its input is pushed (see
 the equivalence tests).
 
-For training the push is the whole patch and the cache holds one array
-per activation: a unit's entry is (input, activation), and its ReLU
-output is the next unit's input too and doubles as the ReLU mask. The
-pooled units are the exception: nothing else reads their activation, so
-their entries keep the bit-packed ReLU mask in its place (one bit per
-element). A decoder unit's input is its skip crop (its low-resolution
-input is the entry of the unit before), and each transposed conv's entry
-is the composed kernel. Without a cache, pooling skips the argmax.
-`backward` pops every entry as it consumes it, so each activation is
-released as soon as its gradients are done. It maps the gradient of a
-composed kernel back onto both layers' kernels, one GEMM each.
+For training the push is the whole patch, and the cache keeps each conv
+unit's input and its ReLU mask, bit-packed per row so that a depth slice
+of it masks that slice of planes. A unit's output is cached once, as the
+input of what reads it: the next unit, the heads ("heads"), or a
+transposed conv, whose entry is (its input, the composed kernel). A
+decoder unit's input is its skip crop; the pooled outputs are the inputs
+of enc2a and enc3a, and "pool" holds both argmaxes. Without a cache,
+pooling skips the argmax. Even then the LEVEL_1 (full-resolution) units
+run in depth chunks of a push's size, with their carries, and write their
+planes of those arrays into whole ones; levels 2 and 3 run once, on whole
+arrays. So of level 1 only enc1a's activation (enc1b's input) and the
+decoder's arrays are held whole: enc1b's output, twice enc1a's size,
+lives a chunk at a time until its pooling.
+`backward` pops every entry as it consumes it, so each array is released
+as soon as its gradients are done, and writes each conv's input gradient
+over that conv's input, which only its weight gradient reads. It maps
+the gradient of a composed kernel back onto both layers' kernels, one
+GEMM each, and reads the composed conv's output gradient from the
+octants of the decoder gradient a slab at a time. enc1b's output gradient
+is never whole either: its conv backward builds it a slab of planes at a
+time from the pooled gradient, the skip gradient and the packed mask
+(_enc1b_grad).
 
 A whole subject is predicted by one pass over it, mirror-padded by the
 network's 20-voxel valid-conv margin on every side and up to 3 voxels
@@ -85,6 +96,7 @@ features].
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +112,8 @@ MIN_INPUT_SIDE = 44
 
 CONTRAST_CHANNELS = {name: i for i, name in enumerate(CONTRAST_NAMES)}
 DROPPABLE_CHANNELS = ("t2s_epi", "t2s_gre")  # MP2RAGE is never dropped
+# the full-resolution units, which a cached pass runs in depth chunks
+LEVEL_1 = ("enc1a", "enc1b", "up1", "dec1a", "dec1b")
 
 
 @dataclass(frozen=True)
@@ -196,32 +210,43 @@ def build_network(cfg: NetworkConfig, seed: int, dtype=np.float32) -> NetworkPar
     return NetworkParams(cfg, seed, tensors)
 
 
-def _unit_forward(params, name, x, cache, pack_mask=False, carry=None):
-    """conv + relu, with conv3d_forward's `carry`; with a cache, stores
-    (x, activation) under `name` for backward.
+def _row_mask(act):
+    """The ReLU mask of an activation, bit-packed per row (relu_backward):
+    its rows padded with zero bits to whole bytes, then packed at once,
+    which is 2-3 times faster than np.packbits along a short last axis."""
+    w = act.shape[-1]
+    bits = np.zeros(act.shape[:-1] + (-(-w // 8) * 8,), dtype=bool)
+    np.greater(act, 0, out=bits[..., :w])
+    return np.packbits(bits.reshape(-1)).reshape(bits.shape[:-1] + (bits.shape[-1] // 8,))
 
-    The ReLU overwrites the conv output in place. The activation is the
-    ReLU mask of backward: it is positive exactly where its pre-activation
-    is. With `pack_mask` the cache keeps that mask alone, bit-packed, in
-    place of the activation.
-    """
+
+def _mask_array(shape):
+    """An empty row-packed mask for an activation of `shape`."""
+    return np.empty(shape[:-1] + (-(-shape[-1] // 8),), dtype=np.uint8)
+
+
+def _unit_forward(params, name, x, cache, carry=None, out=None):
+    """conv + relu, with conv3d_forward's `carry` and `out`; with a cache,
+    stores (x, row-packed ReLU mask) under `name` for backward. The ReLU
+    overwrites the conv output in place."""
     k = params.tensors[f"{name}.kernel"]
     b = params.tensors[f"{name}.bias"]
-    pre = layers.conv3d_forward(x, k, b, carry=carry)
+    pre = layers.conv3d_forward(x, k, b, carry=carry, out=out)
     act = layers.relu_forward(pre, out=pre)
     if cache is not None:
-        cache[name] = (x, np.packbits(act > 0) if pack_mask else act)
+        cache[name] = (x, _row_mask(act))
     return act
 
 
 def _unit_backward(params, name, grad, cache, grads, need_grad_x=True):
-    """Pops the unit's cache entry; masks `grad` in place (the caller's
-    array) and frees the activation before the conv backward."""
-    x, act = cache.pop(name)
-    g = layers.relu_backward(act, grad)
-    del act
+    """Pops the unit's cache entry and masks `grad` in place (the caller's
+    array); the input gradient overwrites the unit's input, which nothing
+    reads after this unit's weight gradient."""
+    x, mask = cache.pop(name)
+    g = layers.relu_backward(mask, grad)
+    del mask
     gx, gw, gb = layers.conv3d_backward(x, params.tensors[f"{name}.kernel"], g,
-                                        need_grad_x=need_grad_x)
+                                        need_grad_x=need_grad_x, out=x if need_grad_x else None)
     grads[f"{name}.kernel"] = gw
     grads[f"{name}.bias"] = gb
     return gx
@@ -286,13 +311,14 @@ def _compose(params, up, dec):
     return t[f"{dec}.kernel"][:, w_t.shape[1]:], bias, composed
 
 
-def _dec_forward(composed, x, crop, low_carry=None, skip_carry=None):
+def _dec_forward(composed, x, crop, low_carry=None, skip_carry=None, out=None):
     """The pre-activation of a decoder unit from _compose's `composed`: the
-    skip conv of the skip crop, with channel group p of the composed conv
-    of x, the transposed conv's low-resolution input, added onto its octant
-    p. Each conv takes its own conv3d_forward `carry`."""
+    skip conv of the skip crop, into `out` when given, with channel group p
+    of the composed conv of x, the transposed conv's low-resolution input,
+    added onto its octant p. Each conv takes its own conv3d_forward
+    `carry`."""
     skip_kernel, bias, kernel = composed
-    pre = layers.conv3d_forward(crop, skip_kernel, bias, carry=skip_carry)
+    pre = layers.conv3d_forward(crop, skip_kernel, bias, carry=skip_carry, out=out)
     low = layers.conv3d_forward(x, kernel, None, carry=low_carry)
     co = skip_kernel.shape[0]
     for i in range(8):
@@ -301,34 +327,41 @@ def _dec_forward(composed, x, crop, low_carry=None, skip_carry=None):
     return pre
 
 
-def _dec_backward(params, up, dec, grad, x, cache, grads):
-    """Pops the cache entries of unit `dec` and of `up`, its composed
-    kernel, and returns the gradients of its low-resolution input x and of
-    its skip crop, with those of `dec`'s and `up`'s parameters in `grads`;
-    masks `grad` in place.
+def _octant_planes(g, b, z0, z1):
+    """Planes z0..z1-1 of batch item b's gradient at the composed conv's
+    output: channel group i is octant i of the decoder unit's gradient g."""
+    co = g.shape[1]
+    out = np.empty((8 * co, z1 - z0) + tuple(n // 2 for n in g.shape[3:]), dtype=g.dtype)
+    for i in range(8):
+        out[i * co:(i + 1) * co] = layers._octant(g[b], i)[:, z0:z1]
+    return out
+
+
+def _dec_backward(params, up, dec, grad, cache, grads):
+    """Pops the cache entries of unit `dec` and of `up`, (low-resolution
+    input x, composed kernel), and returns the gradients of x and of the
+    skip crop, written over them, with those of `dec`'s and `up`'s
+    parameters in `grads`; masks `grad` in place.
 
     The composed conv's input gradient and dK come from its conv3d_backward
-    on the eight octants of the masked gradient. dK goes back onto the up
-    part of W_dec and onto W_up through the pairs (t, a) of each (p, l), one
-    GEMM each, and the skip conv's bias gradient onto b_up and W_dec.
+    on the eight octants of the masked gradient, gathered a slab of planes
+    at a time; the skip conv's follow. dK goes back onto the up part of
+    W_dec and onto W_up through the pairs (t, a) of each (p, l), one GEMM
+    each, and the skip conv's bias gradient onto b_up and W_dec.
     """
-    skip, act = cache.pop(dec)
-    composed = cache.pop(up)
-    g = layers.relu_backward(act, grad)
-    del act
+    skip, mask = cache.pop(dec)
+    x, composed = cache.pop(up)
+    g = layers.relu_backward(mask, grad)
+    del mask
+    g_x, g_composed, _ = layers.conv3d_backward(x, composed, partial(_octant_planes, g), out=x)
+    del composed
     t = params.tensors
     w_up, b_up = t[f"{up}.kernel"], t[f"{up}.bias"]
     ci, cm = w_up.shape[:2]
-    g_skip, g_skip_kernel, g_bias = layers.conv3d_backward(skip, t[f"{dec}.kernel"][:, cm:], g)
-    del skip
-    B, co = g.shape[:2]
-    octants = np.empty((B, 8, co) + tuple(n // 2 for n in g.shape[2:]), dtype=g.dtype)
-    for i in range(8):
-        octants[:, i] = layers._octant(g, i)
+    g_skip, g_skip_kernel, g_bias = layers.conv3d_backward(skip, t[f"{dec}.kernel"][:, cm:], g,
+                                                           out=skip)
+    co = g.shape[1]
     del g
-    g_x, g_composed, _ = layers.conv3d_backward(
-        x, composed, octants.reshape((B, 8 * co) + octants.shape[3:]))
-    del octants
 
     w_t, w_a = _pair_factors(params, up, dec)
     # dK at every pair (t, a): rows (t, o), columns (a, i)
@@ -367,12 +400,15 @@ class _Fifo:
         self.held += n
 
     def take(self, out: np.ndarray) -> None:
-        """Moves the first out.shape[2] planes into `out`."""
+        """Moves the first out.shape[2] planes into `out`; frees the array
+        once it is empty."""
         n, cap = out.shape[2], self.buf.shape[2]
         for o, c, m in layers._runs(self.first, n, cap):
             out[:, :, o:o + m] = self.buf[:, :, c:c + m]
         self.first = (self.first + n) % cap
         self.held -= n
+        if not self.held:
+            self.buf, self.first = None, 0
 
 
 class DepthStream:
@@ -384,7 +420,9 @@ class DepthStream:
     corner of the output of a batch of 1, `outputs` is (cl labels u8,
     tissue labels u8, cl_prob f32) over that corner; without it, the two
     heads' (B, 3, ...) probability maps over the whole output. `cache` is
-    forward's, for a stream that gets its whole input in one push.
+    forward's, for a stream that gets its whole input in one push: the
+    LEVEL_1 units then run in depth chunks and write their planes into the
+    cache's whole arrays, and levels 2 and 3 run once on whole arrays.
     """
 
     def __init__(self, params: NetworkParams, shape: tuple, batch: int = 1,
@@ -394,19 +432,20 @@ class DepthStream:
             params, tuple(shape), batch, keep, cache)
         n = shape[0]
         # per pooling: the planes its input has in all, how many it has had,
-        # an odd plane kept from the last push, and the decoder's skip FIFO
+        # an odd plane kept from the last push, the decoder's skip FIFO, and
+        # with a cache the whole (pooled, argmax) arrays
         self.pool_planes = {"pool1": n - 4, "pool2": (n - 4) // 2 - 4}
         self.pool_got = {"pool1": 0, "pool2": 0}
         self.odd = {"pool1": None, "pool2": None}
         self.skips = {"pool1": _Fifo(), "pool2": _Fifo()}
+        self.pooled = {}
         self.carries = {name: layers.ConvCarry() for name, _, _ in param_specs(params.config)
-                        if not name.startswith("head_")}
+                        if not name.startswith("head_") and (cache is None or name in LEVEL_1)}
+        # with a cache: the whole arrays that a LEVEL_1 unit's output planes go to
+        self.kept = {}
         self.composed = {up: _compose(params, up, dec)
                          for up, dec in (("up2", "dec2a"), ("up1", "dec1a"))}
-        if cache is not None:
-            cache.update((up, c[2]) for up, c in self.composed.items())
         self.pushed = self.emitted = 0
-        self.whole = False
         if keep is None:
             self.outputs = None  # allocated by the first head planes, in their dtype
         else:
@@ -421,52 +460,103 @@ class DepthStream:
         if not 0 < x.shape[2] <= self.shape[0] - self.pushed:
             raise ContractError(f"{x.shape[2]} planes pushed into a stream of depth "
                                 f"{self.shape[0]} that has had {self.pushed}")
-        self.whole = x.shape[2] == self.shape[0]
         self.pushed += x.shape[2]
-        e = self._conv("enc1b", self._conv("enc1a", x), pack=True)
-        e = self._conv("enc2a", self._pool("pool1", e, 16))
-        e = self._pool("pool2", self._conv("enc2b", e, pack=True), 4)
+        if self.cache is None:
+            self._lower(self._level1(x))
+            return
+        if self.pushed < self.shape[0]:
+            raise ContractError("a stream with a cache takes its whole input in one push")
+        B, _, D, H, W = x.shape
+        c = self.params.config.base_channels
+        act = self.kept["enc1a"] = np.empty((B, c, D - 2, H - 2, W - 2), dtype=x.dtype)
+        self.cache["enc1a"] = (x, _mask_array(act.shape))
+        self.cache["enc1b"] = (act, _mask_array((B, 2 * c, D - 4, H - 4, W - 4)))
+        for z in range(0, D, self.depth):
+            p = self._level1(x[:, :, z:z + self.depth])
+        del self.carries["enc1a"], self.carries["enc1b"]  # their pending sums are dead
+        self._lower(p)
+
+    def _level1(self, x):
+        """enc1a, enc1b and pool1 on the next input planes x."""
+        return self._pool("pool1", self._conv("enc1b", self._conv("enc1a", x)), 16)
+
+    def _lower(self, p):
+        """Levels 2 and 3 on the next pooled planes p, then level 1 of the
+        decoder and the heads on depth // 4 dec2b planes at a time, the
+        planes of a push."""
+        e = self._conv("enc2a", p)
+        e = self._pool("pool2", self._conv("enc2b", e), 4)
         e = self._conv("enc3b", self._conv("enc3a", e))
         d = self._conv("dec2b", self._dec("up2", "dec2a", e, "pool2"))
         if d is None:
             return
-        step = d.shape[2] if self.whole else 1
-        for z in range(0, d.shape[2], step):
-            self._heads(self._conv("dec1b", self._dec("up1", "dec1a", d[:, :, z:z + step],
-                                                      "pool1")))
+        if self.cache is not None:  # the whole arrays of the decoder's level 1
+            B, c = d.shape[0], 2 * self.params.config.base_channels
+            od, oh, ow = self.out_shape
+            a = self.kept["dec1a"] = np.empty((B, c, od + 2, oh + 2, ow + 2), dtype=d.dtype)
+            d1 = self.kept["dec1b"] = self.cache["heads"] = np.empty((B, c, od, oh, ow), d.dtype)
+            self.cache["up1"] = (d, self.composed["up1"][2])
+            self.cache["dec1a"] = (np.empty((B, c, od + 4, oh + 4, ow + 4), dtype=d.dtype),
+                                   _mask_array(a.shape))
+            self.cache["dec1b"] = (a, _mask_array(d1.shape))
+        n = max(1, self.depth // 4)
+        for z in range(0, d.shape[2], n):
+            self._heads(self._conv("dec1b", self._dec("up1", "dec1a", d[:, :, z:z + n], "pool1")))
 
-    def _carry(self, name):
-        return None if self.whole else self.carries[name]
-
-    def _conv(self, name, x, pack=False):
+    def _conv(self, name, x):
         """Unit `name` on the new planes x: the output planes they
-        complete, or None."""
+        complete, or None. A LEVEL_1 unit of a cached pass writes its
+        planes into the whole arrays of its output (if kept) and mask."""
         if x is None:
             return None
-        act = _unit_forward(self.params, name, x, self.cache, pack, self._carry(name))
+        carry = self.carries.get(name)
+        if self.cache is None or carry is None:
+            act = _unit_forward(self.params, name, x, self.cache, carry)
+        else:
+            z0, z1 = carry.outputs(x.shape[2], 3)
+            out = self.kept.get(name)
+            act = _unit_forward(self.params, name, x, None, carry,
+                                None if out is None else out[:, :, z0:z1])
+            self.cache[name][1][:, :, z0:z1] = _row_mask(act)
         return act if act.shape[2] else None
 
     def _dec(self, up, name, x, skip):
         """Decoder unit `name` (_dec_forward) on the new planes x of the
         input of the transposed conv `up` and the next planes of skip FIFO
-        `skip`. Caches (skip crop, activation) under `name`; returns the
-        output planes the new planes complete, or None."""
+        `skip`: the output planes the new planes complete, or None. With a
+        cache, a whole unit caches (skip crop, mask) under `name` and (x,
+        composed kernel) under `up`; a LEVEL_1 one writes its planes of the
+        crop, output and mask into the cache's whole arrays."""
         if x is None:
             return None
         B, _, D, H, W = x.shape
-        crop = np.empty((B, self.composed[up][0].shape[1], 2 * D, 2 * H, 2 * W), dtype=x.dtype)
+        carry = self.carries.get(name)
+        if self.cache is None or carry is None:
+            crop = np.empty((B, self.composed[up][0].shape[1], 2 * D, 2 * H, 2 * W),
+                            dtype=x.dtype)
+            out = None
+        else:
+            crop = self.cache[name][0][:, :, carry.planes:carry.planes + 2 * D]
+            z0, z1 = carry.outputs(2 * D, 3)
+            out = self.kept[name][:, :, z0:z1]
         self.skips[skip].take(crop)
-        pre = _dec_forward(self.composed[up], x, crop, self._carry(up), self._carry(name))
+        pre = _dec_forward(self.composed[up], x, crop, self.carries.get(up), carry, out)
         act = layers.relu_forward(pre, out=pre)
         if self.cache is not None:
-            self.cache[name] = (crop, act)
+            if carry is None:
+                self.cache[up] = (x, self.composed[up][2])
+                self.cache[name] = (crop, _row_mask(act))
+            else:
+                self.cache[name][1][:, :, z0:z1] = _row_mask(act)
         return act if act.shape[2] else None
 
     def _pool(self, name, x, m):
         """Pooling `name` of the new planes x, after an odd plane kept from
         the last push; keeps an odd trailing plane. Queues the decoder's
         crop of x first: a margin of m planes, rows and columns on every
-        side of the pooling's input."""
+        side of the pooling's input. With a cache, the pooled planes and
+        their argmax go into whole arrays: returns the pooled one once it
+        is complete, else None."""
         if x is None:
             return None
         z = self.pool_got[name]  # x's first plane
@@ -476,14 +566,25 @@ class DepthStream:
             self.skips[name].put(x[:, :, lo - z:hi - z, m:-m, m:-m])
         if self.odd[name] is not None:
             x = np.concatenate([self.odd[name], x], axis=2)
+            z -= 1
         n = x.shape[2] // 2 * 2
         self.odd[name] = x[:, :, n:].copy() if n < x.shape[2] else None
         if n == 0:
             return None
         p, am = layers.maxpool3d_forward(x[:, :, :n], want_argmax=self.cache is not None)
-        if self.cache is not None:
-            self.cache["pool"] = self.cache.get("pool", ()) + (am,)
-        return p
+        if self.cache is None:
+            return p
+        if name not in self.pooled:
+            self.pooled[name] = tuple(
+                np.empty(a.shape[:2] + (self.pool_planes[name] // 2,) + a.shape[3:], a.dtype)
+                for a in (p, am))
+        whole, argmax = self.pooled[name]
+        whole[:, :, z // 2:z // 2 + p.shape[2]] = p
+        argmax[:, :, z // 2:z // 2 + p.shape[2]] = am
+        if z + n < self.pool_planes[name]:
+            return None
+        self.cache["pool"] = self.cache.get("pool", ()) + (argmax,)
+        return whole
 
     def _heads(self, d1):
         if d1 is None:
@@ -531,15 +632,15 @@ def forward(params: NetworkParams, x: np.ndarray, want_cache: bool = False,
 
     Returns (cl_probs, tissue_probs, cache); both outputs are softmax
     probability maps of shape (B, 3, D-40, H-40, W-40). The cache maps
-    each conv unit to (input, activation), where enc1b and enc2b keep the
-    np.packbits ReLU mask in place of the activation, and "pool" to both
-    argmaxes; enc1a's input is a view of x.
+    each conv unit to (input, ReLU mask packed per row), each transposed
+    conv to (input, composed kernel), "heads" to the heads' input and
+    "pool" to both argmaxes; enc1a's input is a view of x.
 
     Every call runs the stages of a DepthStream. With a cache they get x
-    in one push; without one, in pushes of the stream's depth, so that no
-    level-1 activation is held whole. With `stream`, x is instead the next
-    planes of that stream's input, the outputs go to the stream, and
-    forward returns None.
+    in one push, which the level-1 units run in chunks; without one, in
+    pushes of the stream's depth, so that no level-1 activation is held
+    whole. With `stream`, x is instead the next planes of that stream's
+    input, the outputs go to the stream, and forward returns None.
     """
     if x.ndim != 5 or x.shape[1] != len(CONTRAST_NAMES):
         raise ContractError(f"input shape {x.shape} != (B, {len(CONTRAST_NAMES)}, D, H, W)")
@@ -560,27 +661,29 @@ def backward(params: NetworkParams, cache: dict,
     """Gradients of a scalar loss given its gradients at both head logits.
 
     Consumes the cache: every entry is popped when backward is done with
-    it, so each activation is freed once its gradients are computed and the
-    cache is empty on return. Each skip gradient is the input gradient of
-    its decoder unit's skip conv, added into the crop of the pooled
-    gradient. enc1b and enc2b are masked by their packed ReLU masks.
+    it, so each array is freed once its gradients are computed and the
+    cache is empty on return. Each unit's gradient is masked by its
+    row-packed ReLU mask, and each conv's input gradient is written over
+    its input. Each skip gradient is the input gradient of its decoder
+    unit's skip conv, added into the crop of the pooled gradient; at level
+    1 that happens a slab of planes at a time (_enc1b_grad).
     """
     am1, am2 = cache.pop("pool")
     grads: dict[str, np.ndarray] = {}
 
-    d1 = cache["dec1b"][1]
-    g, gw, gb = layers.conv3d_backward(d1, params.tensors["head_cl.kernel"], grad_cl_logits)
+    d1 = cache.pop("heads")
+    g_cl, gw, gb = layers.conv3d_backward(d1, params.tensors["head_cl.kernel"], grad_cl_logits)
     grads["head_cl.kernel"], grads["head_cl.bias"] = gw, gb
-    gx_t, gw, gb = layers.conv3d_backward(
-        d1, params.tensors["head_tissue.kernel"], grad_tissue_logits)
+    g, gw, gb = layers.conv3d_backward(
+        d1, params.tensors["head_tissue.kernel"], grad_tissue_logits, out=d1)
     grads["head_tissue.kernel"], grads["head_tissue.bias"] = gw, gb
-    g += gx_t
-    del d1, gx_t
+    g += g_cl
+    del d1, g_cl
 
     g = _unit_backward(params, "dec1b", g, cache, grads)
-    g, g_c1 = _dec_backward(params, "up1", "dec1a", g, cache["dec2b"][1], cache, grads)
+    g, g_c1 = _dec_backward(params, "up1", "dec1a", g, cache, grads)
     g = _unit_backward(params, "dec2b", g, cache, grads)
-    g, g_c2 = _dec_backward(params, "up2", "dec2a", g, cache["enc3b"][1], cache, grads)
+    g, g_c2 = _dec_backward(params, "up2", "dec2a", g, cache, grads)
     g = _unit_backward(params, "enc3b", g, cache, grads)
     g = _unit_backward(params, "enc3a", g, cache, grads)
     g = layers.maxpool3d_backward(am2, g)
@@ -588,12 +691,28 @@ def backward(params: NetworkParams, cache: dict,
     del g_c2
     g = _unit_backward(params, "enc2b", g, cache, grads)
     g = _unit_backward(params, "enc2a", g, cache, grads)
-    g = layers.maxpool3d_backward(am1, g)
-    layers.crop_center3d(g, g_c1.shape[2:])[...] += g_c1
-    del g_c1
-    g = _unit_backward(params, "enc1b", g, cache, grads)
+    # enc1b's output gradient is built a slab of planes at a time inside
+    # its conv backward
+    x, mask = cache.pop("enc1b")
+    g, grads["enc1b.kernel"], grads["enc1b.bias"] = layers.conv3d_backward(
+        x, params.tensors["enc1b.kernel"], partial(_enc1b_grad, am1, g, g_c1, mask), out=x)
+    del x, mask, am1, g_c1
     _unit_backward(params, "enc1a", g, cache, grads, need_grad_x=False)
     return grads
+
+
+def _enc1b_grad(argmax, grad, skip, mask, b, z0, z1):
+    """Planes z0..z1-1 of batch item b's gradient at enc1b's output: the
+    pooled gradient `grad` routed to the octants that `argmax` names, plus
+    the skip gradient `skip` where the decoder's centre crop covers them,
+    masked by enc1b's row-packed ReLU `mask`."""
+    g = layers._maxpool_grad_planes(argmax[b:b + 1], grad[b:b + 1], z0, z1)
+    _, _, d, h, w = skip.shape
+    oz, oy, ox = ((2 * n - s) // 2 for n, s in zip(argmax.shape[2:], (d, h, w)))
+    lo, hi = max(z0, oz), min(z1, oz + d)
+    if lo < hi:
+        g[0, :, lo - z0:hi - z0, oy:oy + h, ox:ox + w] += skip[b, :, lo - oz:hi - oz]
+    return layers.relu_backward(mask[b:b + 1, :, z0:z1], g)[0]
 
 
 @dataclass

@@ -583,6 +583,30 @@ def test_cli_command_help_exits_0(command):
     assert r.stdout.startswith("usage: ")
 
 
+@pytest.mark.parametrize("argv, section", [
+    (["phantom", "--n-subjects", "1", "--seed", "-1"], None),
+    (["train", "--seed", "-1"], None),
+    (["xval", "--seed", "-1"], None),
+    (["train"], "training"),
+    (["train"], "sampler"),
+    (["phantom", "--n-subjects", "1"], "phantom"),
+], ids=["phantom-flag", "train-flag", "xval-flag", "training-seed", "sampler-seed",
+        "phantom-seed"])
+def test_cli_negative_seed_exits_1(tmp_path, capsys, argv, section):
+    # numpy's SeedSequence takes no negative seed; the config refuses it
+    # before a cohort, run directory or manifest is written
+    cfg, path = _fast_config(tmp_path, tmp_path / "cohort")
+    if section is not None:
+        doc = json.loads(path.read_text())
+        doc[section]["seed"] = -1
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv + ["--config", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "seed must be >= 0" in err[0], err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 @pytest.mark.parametrize("argv, changes", [
     (["--seeds", "0", "0"], {}),  # a seed's row would be counted twice
     (["--seeds", "-1"], {}),  # numpy's SeedSequence takes no negative seed

@@ -108,10 +108,11 @@ def test_conv_backward_matches_finite_differences():
 def test_conv_forward_and_backward_match_loop_oracles(monkeypatch, k, budget):
     # flat offsets depend on W and H*W separately and on slab edges: batch
     # of 2, non-cubic input, and budgets giving 1, 2 or 3 input planes per
-    # slab at k=3 (with a short last slab: 7 input planes, 9 in the grad_x
-    # pass) as well as the default; at k=2 they give 1, 6 (5 in the grad_x
-    # pass) or 7 (6) planes. At k > 1 the taps go to a ring of P + k - 1
-    # planes, whose runs then wrap at different offsets
+    # slab at k=3 (1, 2 or 2 in the grad_x pass, with a short last slab: 7
+    # input planes, 9 in the grad_x pass) as well as the default; at k=2
+    # they give 1, 6 (4 in the grad_x pass) or 7 (5) planes. At k > 1 the
+    # taps go to a ring of P + k - 1 planes, whose runs then wrap at
+    # different offsets
     if budget is not None:
         monkeypatch.setattr(L, "SLAB_BUDGET_ELEMS", budget)
     r = np.random.default_rng(7 + k)
@@ -141,11 +142,13 @@ def test_conv_float32_paper_enc1b_bytes_do_not_depend_on_the_slabs(monkeypatch):
     w = (r.standard_normal((Co, Ci, k, k, k)) * 0.05).astype(np.float32)
     b = r.standard_normal(Co).astype(np.float32)
     g = r.standard_normal((1, Co, s - 2, s - 2, s - 2), dtype=np.float32)
-    assert (L._slab_planes(Ci, Co, k, s, s, s), L._slab_planes(Co, Ci, k, s, s, s + 2)) == (3, 2)
+    extra = Ci + Co  # the grad_x pass's partial sums and padded planes
+    assert (L._slab_planes(Ci, Co, k, s, s, s), L._slab_planes(Co, Ci, k, s, s, s + 2, extra)) \
+        == (3, 2)
     want = [L.conv3d_forward(x, w, b), L.conv3d_backward(x, w, g)[0]]
     monkeypatch.setattr(L, "SLAB_BUDGET_ELEMS", 2 ** 27)
     assert L._slab_planes(Ci, Co, k, s, s, s) == s
-    assert L._slab_planes(Co, Ci, k, s, s, s + 2) == s + 2
+    assert L._slab_planes(Co, Ci, k, s, s, s + 2, extra) == s + 2
     assert L.conv3d_forward(x, w, b).tobytes() == want[0].tobytes()
     assert L.conv3d_backward(x, w, g)[0].tobytes() == want[1].tobytes()
 
@@ -186,24 +189,60 @@ def test_conv_float32_bytes_do_not_depend_on_the_split_of_the_input(monkeypatch)
 
 def test_conv_backward_memory_within_one_slab():
     # paper-width enc1b backward: besides its outputs, only one slab's
-    # unrolled input plus the ring of tap outputs, the partial-sum buffer of
-    # the grad_x pass and that pass's one slab of the padded gradient (with
-    # the plane its last row reads into) are alive at any time
+    # unrolled input plus the ring of tap outputs, or in the grad_x pass
+    # that plus its partial sums and its planes of the padded gradient, are
+    # alive at any time: the slab budget, and the plane the padded slab's
+    # last row reads into. With `out`, grad_x goes into the caller's array
     Ci, Co, k, s = 16, 32, 3, 66
     r = np.random.default_rng(3)
     x = r.standard_normal((1, Ci, s, s, s), dtype=np.float32)
     w = r.standard_normal((Co, Ci, k, k, k), dtype=np.float32)
     g = r.standard_normal((1, Co, s - 2, s - 2, s - 2), dtype=np.float32)
-    slab = L._slab_planes(Co, Ci, k, s, s, s + 2)
-    padded = Co * (slab + 1) * s * s * 4
-    tap = Ci * slab * s * s * 4
+    want = L.conv3d_backward(x, w, g)
     tracemalloc.start()
     try:
-        gx, gw, gb = L.conv3d_backward(x, w, g)
+        gx, gw, gb = L.conv3d_backward(x, w, g, out=x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - gx.nbytes - gw.nbytes - gb.nbytes - padded <= L.SLAB_BUDGET_ELEMS * 4 + tap
+    assert gx is x and gx.tobytes() == want[0].tobytes()
+    assert peak - gw.nbytes - gb.nbytes <= (L.SLAB_BUDGET_ELEMS + Co * s * s) * 4
+
+
+def test_conv_backward_takes_the_gradient_by_slabs(monkeypatch):
+    # grad_out as a function of (item, planes): each pass asks for every
+    # plane once, in depth order, and the bytes of grad_x and grad_w are
+    # those of the whole array; grad_b is summed per slab in float64. The
+    # budgets give one slab of every plane, slabs of 3 planes (2 in the
+    # grad_x pass) and of 1
+    r = np.random.default_rng(5)
+    x = r.standard_normal((2, 3, 9, 8, 7), dtype=np.float32)
+    w = r.standard_normal((4, 3, 3, 3, 3), dtype=np.float32)
+    g = r.standard_normal((2, 4, 7, 6, 5), dtype=np.float32)
+    for budget in (L.SLAB_BUDGET_ELEMS, 8000, 60):
+        monkeypatch.setattr(L, "SLAB_BUDGET_ELEMS", budget)
+        asked = []
+
+        def planes(b, z0, z1):
+            asked.append((b, z0, z1))
+            return g[b, :, z0:z1].copy()
+
+        want = L.conv3d_backward(x, w, g)
+        out = np.empty_like(x)
+        got = L.conv3d_backward(x, w, planes, out=out)
+        assert got[0] is out
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        assert np.abs(got[2] - want[2]).max() <= 1e-6 * np.abs(g).sum(axis=(0, 2, 3, 4)).max()
+        for b in range(2):  # the grad_w pass, then the grad_x pass, each in order
+            runs = [(z0, z1) for i, z0, z1 in asked if i == b]
+            split = [z1 for _, z1 in runs].index(7) + 1
+            for part in (runs[:split], runs[split:]):
+                assert [z0 for z0, _ in part] == [0] + [z1 for _, z1 in part[:-1]], budget
+                assert part[-1][1] == 7
+    with pytest.raises(L.ContractError, match="grad_out have shape"):
+        L.conv3d_backward(x, w, lambda b, z0, z1: g[b, 1:, z0:z1])
+    with pytest.raises(L.ContractError, match="out shape"):
+        L.conv3d_backward(x, w, g, out=x[:, :, 1:])
 
 
 def test_conv_deterministic():
@@ -308,6 +347,22 @@ def test_maxpool_backward_matches_loop_oracle_with_ties_and_signed_zeros():
         got = L.maxpool3d_backward(am, grad)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def test_maxpool_backward_planes_are_slices_of_the_whole():
+    # any range of input planes, odd edges that split pooling pairs and
+    # empty ranges included, is that slice of the whole routing
+    r = np.random.default_rng(8)
+    x = r.standard_normal((2, 3, 10, 6, 4), dtype=np.float32)
+    _, am = L.maxpool3d_forward(x)
+    g = r.standard_normal(am.shape, dtype=np.float32)
+    whole = L.maxpool3d_backward(am, g)
+    for z0, z1 in ((0, 10), (1, 10), (3, 4), (4, 5), (3, 8), (9, 10), (5, 5), (0, 1)):
+        got = L._maxpool_grad_planes(am, g, z0, z1)
+        assert got.tobytes() == whole[:, :, z0:z1].tobytes(), (z0, z1)
+    for z0, z1 in ((-1, 2), (3, 11), (4, 3)):
+        with pytest.raises(L.ContractError, match="outside"):
+            L._maxpool_grad_planes(am, g, z0, z1)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -460,39 +515,61 @@ def _special_values(r, n, dtype):
     return v
 
 
+# each n as a shape: rows of 3973, 25, 5, 15, 8 and 43 elements, of which
+# all but 8 leave pad bits in the last byte of each packed row
+_RELU_SHAPES = {5: (5,), 2 * L.MASK_CHUNK_ELEMS + 37: (3, 11, 3973), 300: (2, 3, 2, 25),
+                15: (15,), 64: (8, 8), 301: (7, 43)}
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n, chunk", [(5, None), (2 * L.MASK_CHUNK_ELEMS + 37, None),
                                       (300, 7), (15, 7), (64, 64), (301, 24)])
 def test_relu_backward_is_the_select_bit_for_bit(monkeypatch, dtype, n, chunk):
+    # chunks of whole rows: one row where a row is wider than the chunk
+    # (chunk 7 or 24), 8 rows in one chunk (64), and 16-row chunks with a
+    # last one of a single row (the default chunk)
     if chunk is not None:
         monkeypatch.setattr(L, "MASK_CHUNK_ELEMS", chunk)
+    shape = _RELU_SHAPES[n]
     r = np.random.default_rng(n)
     x = _special_values(r, n, dtype)
-    g = _special_values(r, n, dtype)
+    g = _special_values(r, n, dtype).reshape(shape)
     r.shuffle(x)
+    x = x.reshape(shape)
     want = np.where(x > 0, g, 0)
     got = L.relu_backward(x, g)
     assert got is g  # the caller's gradient, overwritten
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     # the ReLU output masks the same entries as its input, and so does the
-    # bit-packed mask of either
-    for mask_of in (lambda: L.relu_forward(x), lambda: np.packbits(x > 0),
-                    lambda: np.packbits(L.relu_forward(x) > 0)):
-        g2 = _special_values(np.random.default_rng(n), n, dtype)
+    # per-row packed mask of either
+    for mask_of in (lambda: L.relu_forward(x), lambda: np.packbits(x > 0, axis=-1),
+                    lambda: np.packbits(L.relu_forward(x) > 0, axis=-1)):
+        g2 = _special_values(np.random.default_rng(n), n, dtype).reshape(shape)
         want2 = np.where(x > 0, g2, 0)
         assert L.relu_backward(mask_of(), g2).tobytes() == want2.tobytes()
+    if len(shape) > 2:
+        # a depth slice of a packed mask, a strided view, masks that slice
+        # of planes; so does a strided slice of the activation
+        g3 = np.ascontiguousarray(g2[:, 1:])
+        want3 = np.where(x[:, 1:] > 0, g3, 0)
+        for mask in (np.packbits(x > 0, axis=-1)[:, 1:], x[:, 1:]):
+            assert not mask.flags.c_contiguous
+            assert L.relu_backward(mask, g3.copy()).tobytes() == want3.tobytes()
 
 
 def test_relu_backward_rejects_strided_and_mismatched_arrays():
     x = np.ones((4, 6), np.float32)
-    with pytest.raises(L.ContractError):
-        L.relu_backward(x[:, ::2], np.ones((4, 3), np.float32))
+    with pytest.raises(L.ContractError):  # the gradient is masked in place
+        L.relu_backward(x[:, ::2], np.ones((4, 6), np.float32)[:, ::2])
     with pytest.raises(L.ContractError):
         L.relu_backward(x[:, :3], np.ones((4, 6), np.float32)[:, :3])
     with pytest.raises(L.ContractError):
         L.relu_backward(x, np.ones((6, 4), np.float32))
-    with pytest.raises(L.ContractError):  # a packed mask of 24 + 1 elements
-        L.relu_backward(np.packbits(np.ones(25, bool)), np.ones((4, 6), np.float32))
+    with pytest.raises(L.ContractError):  # packed whole, not per row
+        L.relu_backward(np.packbits(np.ones(24, bool)), np.ones((4, 6), np.float32))
+    with pytest.raises(L.ContractError):  # rows of 8 elements, not 6
+        L.relu_backward(np.packbits(np.ones((4, 8), bool), axis=-1)[:, :1].T,
+                        np.ones((4, 6), np.float32))
 
 
 def test_softmax_uniform_logits():

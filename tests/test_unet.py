@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -197,9 +198,9 @@ def test_composed_decoder_stage_matches_loop_oracles(batch, low):
     g_cat, g_dec, g_dec_bias = conv3d_backward_loops(cat, t["dec1a.kernel"], g)
     g_x, g_up, g_up_bias = transposed_conv3d_backward_loops(x, t["up1.kernel"], g_cat[:, :cm])
     # an all-positive activation: the ReLU mask passes the gradient whole
-    cache = {"dec1a": (crop, np.ones_like(g)), "up1": composed[2]}
+    cache = {"dec1a": (crop.copy(), np.ones_like(g)), "up1": (x.copy(), composed[2])}
     grads = {}
-    got = unet._dec_backward(params, "up1", "dec1a", g.copy(), x, cache, grads)
+    got = unet._dec_backward(params, "up1", "dec1a", g.copy(), cache, grads)
     assert cache == {}
     expected = {"x": g_x, "skip": g_cat[:, cm:], "dec1a.kernel": g_dec,
                 "dec1a.bias": g_dec_bias, "up1.kernel": g_up, "up1.bias": g_up_bias}
@@ -616,30 +617,89 @@ def test_cache_holds_each_activation_once_and_backward_consumes_it():
     cl, tis, cache = unet.forward(params, batch["input"], want_cache=True)
     convs = [name for name, kind, _ in unet.param_specs(cfg)
              if kind == "conv" and not name.startswith("head_")]
-    # a transposed conv's entry is the decoder's composed kernel
-    assert sorted(cache) == sorted(convs + ["up1", "up2", "pool"])
+    assert sorted(cache) == sorted(convs + ["up1", "up2", "heads", "pool"])
+    # a transposed conv's entry is its low-resolution input and the
+    # decoder's composed kernel
     for up, c_in, c_out in (("up2", 8, 4), ("up1", 4, 2)):
-        assert cache[up].shape == (8 * c_out * cfg.base_channels, c_in * cfg.base_channels,
-                                   2, 2, 2)
-    for first, second in _UNIT_CHAINS:
-        # the ReLU output is both the cached mask source and the next
-        # unit's input, one array
-        assert cache[first][1] is cache[second][0]
+        assert cache[up][1].shape == (8 * c_out * cfg.base_channels,
+                                      c_in * cfg.base_channels, 2, 2, 2)
+    # each unit keeps its input and its ReLU mask packed per row; a unit's
+    # output is cached once, as the input of what reads it, so each mask
+    # is the packed sign of that input
+    readers = dict(_UNIT_CHAINS, enc3b="up2", dec2b="up1")
     for name in convs:
-        x, act = cache[name]
-        assert act.flags.c_contiguous
-        if name in ("enc1b", "enc2b"):
-            # pooled units keep only their bit-packed ReLU mask
-            n = cfg.base_channels * (2 if name == "enc1b" else 4) * (x.shape[2] - 2) ** 3
-            assert act.dtype == np.uint8 and act.shape == (-(-n // 8),)
-        else:
-            assert (act >= 0).all()
+        x, mask = cache[name]
+        assert mask.dtype == np.uint8 and mask.flags.c_contiguous
+        out = tuple(n - 2 for n in x.shape[2:])  # a decoder unit's x is its skip crop
+        width = params.tensors[f"{name}.kernel"].shape[0]
+        assert mask.shape == (1, width) + out[:2] + (-(-out[2] // 8),)
+        if name in readers or name == "dec1b":
+            act = cache["heads"] if name == "dec1b" else cache[readers[name]][0]
+            assert (act >= 0).all() and act.shape[2:] == out
+            assert np.array_equal(mask, np.packbits(act > 0, axis=-1)), name
+    x = cache["enc1a"][0]
+    assert x.shape == batch["input"].shape and np.shares_memory(x, batch["input"])
 
     _, _, (g_cl, g_t) = combined_loss(cl, tis, batch["cl_labels"], batch["tissue_labels"],
                                       batch["wml_labels"], LossConfig())
     grads = unet.backward(params, cache, g_cl, g_t)
     assert cache == {}
     assert sorted(grads) == sorted(unet.param_shapes(cfg))
+
+
+@pytest.mark.parametrize("base, side", [(2, 44), (4, 48), (16, 68)])
+def test_enc1b_gradient_by_slabs_is_the_whole_composition(base, side):
+    # enc1b's output gradient built a slab of planes at a time, against the
+    # whole composition it replaced: the pooled gradient routed to the
+    # octant its argmax names (here a select over the 2x2x2 blocks), the
+    # skip gradient added into its crop, the ReLU mask, then
+    # conv3d_backward on the whole array. Slabs of 3 planes split pooling
+    # pairs and end in a shorter one; in the conv backward, the weight
+    # gradient's slabs are 3 planes at C=16 and one or two elsewhere.
+    # grad_x and grad_w are the same bytes; grad_b, summed per slab in
+    # float64, is within 1e-6 of the channel's absolute sum
+    r = np.random.default_rng(base * side)
+    n = side - 4
+    x = np.maximum(r.standard_normal((1, base) + (n + 2,) * 3, dtype=np.float32), 0)
+    w = (r.standard_normal((2 * base, base, 3, 3, 3)) * 0.2).astype(np.float32)
+    act = np.maximum(r.standard_normal((1, 2 * base) + (n,) * 3, dtype=np.float32), 0)
+    _, argmax = layers.maxpool3d_forward(act)
+    g_pool = r.standard_normal(argmax.shape, dtype=np.float32)
+    g_skip = r.standard_normal((1, 2 * base) + (n - 32,) * 3, dtype=np.float32)
+    blocks = (slice(None), slice(None), slice(None), None, slice(None), None, slice(None), None)
+    octant = np.arange(8).reshape(1, 1, 1, 2, 1, 2, 1, 2)  # dz*4 + dy*2 + dx
+    g = np.where(argmax[blocks] == octant, g_pool[blocks], np.float32(0)).reshape(act.shape)
+    layers.crop_center3d(g, g_skip.shape[2:])[...] += g_skip
+    g = np.where(act > 0, g, np.float32(0))
+    want = layers.conv3d_backward(x, w, g)
+
+    planes = functools.partial(unet._enc1b_grad, argmax, g_pool, g_skip,
+                               np.packbits(act > 0, axis=-1))
+    slabs = [planes(0, z, min(z + 3, n)) for z in range(0, n, 3)]
+    assert slabs[-1].shape[1] < 3
+    assert np.concatenate(slabs, axis=1).tobytes() == g[0].tobytes()
+    got = layers.conv3d_backward(x, w, planes, out=x)
+    assert got[0] is x
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    assert np.all(np.abs(got[2] - want[2]) <= 1e-6 * np.abs(g).sum(axis=(0, 2, 3, 4)))
+
+
+def _step_peaks(base, side):
+    """tracemalloc peaks of a cached forward and of a train_step."""
+    params = unet.build_network(unet.NetworkConfig(base_channels=base, input_patch=side), seed=0)
+    state = AdamState.for_params(params.tensors)
+    batch = _batch(side=side, seed=4)
+    tracemalloc.start()
+    try:
+        cl, tis, cache = unet.forward(params, batch["input"], want_cache=True)
+        forward = tracemalloc.get_traced_memory()[1]
+        del cl, tis, cache
+        tracemalloc.reset_peak()
+        unet.train_step(params, state, batch, LossConfig())
+        step = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return forward, step
 
 
 def test_train_step_peak_memory_holds_each_activation_once():
@@ -649,17 +709,22 @@ def test_train_step_peak_memory_holds_each_activation_once():
     # at 90 MiB; one array per activation, freed as backward consumes it,
     # at 55 MiB; with the skips cropped at pooling, packed masks for the
     # pooled units and the padded gradient built one slab at a time, at
-    # 44 MiB
-    params = unet.build_network(unet.NetworkConfig(base_channels=16, input_patch=48), seed=0)
-    state = AdamState.for_params(params.tensors)
-    batch = _batch(side=48, seed=4)
-    tracemalloc.start()
-    try:
-        unet.train_step(params, state, batch, LossConfig())
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 50 * 2 ** 20
+    # 44 MiB; with level 1 in depth chunks, every mask packed and each
+    # input gradient written over its input, at 31.1 MiB
+    assert _step_peaks(16, 48)[1] <= 36 * 2 ** 20
+
+
+def test_paper_width_train_step_peak_memory():
+    # C=16, 68^3, batch 1. Level 1 held whole made the cached forward peak
+    # at 82.6 MiB beside enc1b's 32 MiB output, and the step at 88.6 MiB
+    # in enc1b's conv backward beside its 32 MiB output gradient. With the
+    # full-resolution units run in depth chunks and enc1b's gradient built
+    # by slabs, the forward peaks at 57.9 MiB in dec2b's conv, and the step
+    # at 62.6 MiB in dec1b's conv backward: enc1a's 17.5 MiB activation, the
+    # other cached arrays and one conv's work block
+    forward, step = _step_peaks(16, 68)
+    assert forward <= 60 * 2 ** 20
+    assert step <= 64 * 2 ** 20
 
 
 def _inference_peak(base, side):
