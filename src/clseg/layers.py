@@ -160,10 +160,11 @@ def _unroll(U, x, m, k):
 class ConvCarry:
     """What a conv fed its input in depth keeps between conv3d_forward
     calls: how many input planes it has had, and per batch item the
-    full-grid partial sums of the k-1 output planes those leave pending."""
+    full-grid partial sums of the k-1 output planes those leave pending,
+    until the last of the input's `depth` planes, if given, is in."""
 
-    def __init__(self):
-        self.planes = 0
+    def __init__(self, depth: int | None = None):
+        self.planes, self.depth = 0, depth
         self.sums = None
 
     def outputs(self, n: int, k: int) -> tuple[int, int]:
@@ -260,7 +261,7 @@ def _conv_slabs(planes, D, grid, weight, out, bias=None, carry=None, P=None):
                     res[...] = corner(t[0], j)
                 if bias is not None:
                     res += bias
-        if carry is not None:
+        if carry is not None and Q + D != carry.depth:
             end, sums = Q + D, []
             for z in range(max(0, end - k + 1), end):  # the planes not yet out
                 s = slot(z)[0].copy()
@@ -269,7 +270,7 @@ def _conv_slabs(planes, D, grid, weight, out, bias=None, carry=None, P=None):
                 sums.append(s)
             kept.append(sums)
     if carry is not None:
-        carry.planes, carry.sums = Q + D, kept
+        carry.planes, carry.sums = Q + D, kept or None
     return out
 
 

@@ -103,6 +103,8 @@ class PhantomSpec:
     def validate(self) -> None:
         if self.side_voxels < 32:
             raise PhantomError("side_voxels must be >= 32")
+        if not all(np.isfinite(s) and s > 0 for s in self.spacing_mm):
+            raise PhantomError(f"spacing_mm must be 3 positive finite reals, got {self.spacing_mm}")
         if self.cortex_thickness_voxels < 3:
             raise PhantomError("cortex thickness must be >= 3 voxels")
         if min(self.lesion_counts) < 0 or self.wml_count < 0:

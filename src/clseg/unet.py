@@ -52,25 +52,27 @@ need (fused-layer evaluation; Alwani et al., MICRO 2016):
   - a decoder unit's composed conv, a 2x2x2 one, keeps one pending plane
     in its own ConvCarry, beside the skip conv's;
   - the heads keep nothing; level 1 of the decoder, the widest, runs on
-    the dec2b planes of a push, a quarter of its depth.
-Every ReLU runs in place on its conv's output, and each array is freed
-once it is dead. Every conv product spans whole planes, so the stream
-computes the bytes of one whole pass however its input is pushed (see
-the equivalence tests).
+    a quarter of the stream's depth of dec2b planes at a time.
+A push runs level 1 in chunks of the stream's depth (_push_depth), then
+the lower levels once on all the planes those pooled. Every ReLU runs in
+place on its conv's output, and each array is freed once it is dead (a
+carry's pending sums once its last input plane is in). Every conv product
+spans whole planes, so the stream computes the bytes of one whole pass
+however its input is pushed (see the equivalence tests).
 
-For training the push is the whole patch, and the cache keeps each conv
-unit's input and its ReLU mask, bit-packed per row so that a depth slice
-of it masks that slice of planes. A unit's output is cached once, as the
-input of what reads it: the next unit, the heads ("heads"), or a
-transposed conv, whose entry is (its input, the composed kernel). A
-decoder unit's input is its skip crop; the pooled outputs are the inputs
-of enc2a and enc3a, and "pool" holds both argmaxes. Without a cache,
-pooling skips the argmax. Even then the LEVEL_1 (full-resolution) units
-run in depth chunks of a push's size, with their carries, and write their
-planes of those arrays into whole ones; levels 2 and 3 run once, on whole
-arrays. So of level 1 only enc1a's activation (enc1b's input) and the
-decoder's arrays are held whole: enc1b's output, twice enc1a's size,
-lives a chunk at a time until its pooling.
+For training, forward pushes the whole patch into a stream with a cache:
+level 1 runs through it before the lower levels make their arrays, which
+at C=16 and 68^3 keeps the forward's peak at 58 MiB, against 70 MiB in
+pushes of the depth. The cache keeps each conv unit's input and its ReLU
+mask, bit-packed per row so that a depth slice of it masks that slice of
+planes. A unit's output is cached once, as the input of what reads it:
+the next unit, the heads ("heads"), or a transposed conv, whose entry is
+(its input, the composed kernel). A decoder unit's input is its skip
+crop, which the pooling writes there in place of the FIFO; the pooled
+outputs are the inputs of enc2a and enc3a, and "pool" holds both
+argmaxes. Each whole array is made at its first planes; enc1b's output,
+twice enc1a's size, is never whole. Without a cache, pooling skips the
+argmax.
 `backward` pops every entry as it consumes it, so each array is released
 as soon as its gradients are done, and writes each conv's input gradient
 over that conv's input, which only its weight gradient reads. It maps
@@ -112,8 +114,7 @@ MIN_INPUT_SIDE = 44
 
 CONTRAST_CHANNELS = {name: i for i, name in enumerate(CONTRAST_NAMES)}
 DROPPABLE_CHANNELS = ("t2s_epi", "t2s_gre")  # MP2RAGE is never dropped
-# the full-resolution units, which a cached pass runs in depth chunks
-LEVEL_1 = ("enc1a", "enc1b", "up1", "dec1a", "dec1b")
+_SKIP_READERS = {"pool1": "dec1a", "pool2": "dec2a"}  # the decoder unit each crop feeds
 
 
 @dataclass(frozen=True)
@@ -218,24 +219,6 @@ def _row_mask(act):
     bits = np.zeros(act.shape[:-1] + (-(-w // 8) * 8,), dtype=bool)
     np.greater(act, 0, out=bits[..., :w])
     return np.packbits(bits.reshape(-1)).reshape(bits.shape[:-1] + (bits.shape[-1] // 8,))
-
-
-def _mask_array(shape):
-    """An empty row-packed mask for an activation of `shape`."""
-    return np.empty(shape[:-1] + (-(-shape[-1] // 8),), dtype=np.uint8)
-
-
-def _unit_forward(params, name, x, cache, carry=None, out=None):
-    """conv + relu, with conv3d_forward's `carry` and `out`; with a cache,
-    stores (x, row-packed ReLU mask) under `name` for backward. The ReLU
-    overwrites the conv output in place."""
-    k = params.tensors[f"{name}.kernel"]
-    b = params.tensors[f"{name}.bias"]
-    pre = layers.conv3d_forward(x, k, b, carry=carry, out=out)
-    act = layers.relu_forward(pre, out=pre)
-    if cache is not None:
-        cache[name] = (x, _row_mask(act))
-    return act
 
 
 def _unit_backward(params, name, grad, cache, grads, need_grad_x=True):
@@ -379,36 +362,26 @@ def _dec_backward(params, up, dec, grad, cache, grads):
 
 
 class _Fifo:
-    """Skip planes waiting for the decoder, first in first out, in a
-    circular array that grows to the most planes ever waiting."""
+    """Skip planes waiting for the decoder, first in first out: a copy of
+    the planes of each put, oldest first."""
 
     def __init__(self):
-        self.buf, self.first, self.held = None, 0, 0
+        self.parts = []
 
     def put(self, planes: np.ndarray) -> None:
-        n = planes.shape[2]
-        if self.buf is None or self.held + n > self.buf.shape[2]:
-            buf = np.empty(planes.shape[:2] + (self.held + n,) + planes.shape[3:],
-                           dtype=planes.dtype)
-            held = self.held
-            if held:
-                self.take(buf[:, :, :held])
-            self.buf, self.first, self.held = buf, 0, held
-        cap = self.buf.shape[2]
-        for o, c, m in layers._runs((self.first + self.held) % cap, n, cap):
-            self.buf[:, :, c:c + m] = planes[:, :, o:o + m]
-        self.held += n
+        self.parts.append(planes.copy())
 
-    def take(self, out: np.ndarray) -> None:
-        """Moves the first out.shape[2] planes into `out`; frees the array
-        once it is empty."""
-        n, cap = out.shape[2], self.buf.shape[2]
-        for o, c, m in layers._runs(self.first, n, cap):
-            out[:, :, o:o + m] = self.buf[:, :, c:c + m]
-        self.first = (self.first + n) % cap
-        self.held -= n
-        if not self.held:
-            self.buf, self.first = None, 0
+    def take(self, n: int) -> np.ndarray:
+        """The first n planes, which leave the FIFO."""
+        got = []
+        while n:
+            part = self.parts.pop(0)
+            if part.shape[2] > n:
+                self.parts.insert(0, part[:, :, n:])
+                part = part[:, :, :n]
+            got.append(part)
+            n -= part.shape[2]
+        return got[0] if len(got) == 1 else np.concatenate(got, axis=2)
 
 
 class DepthStream:
@@ -419,10 +392,9 @@ class DepthStream:
     so far complete (see the module docstring). With `keep`, a (d, h, w)
     corner of the output of a batch of 1, `outputs` is (cl labels u8,
     tissue labels u8, cl_prob f32) over that corner; without it, the two
-    heads' (B, 3, ...) probability maps over the whole output. `cache` is
-    forward's, for a stream that gets its whole input in one push: the
-    LEVEL_1 units then run in depth chunks and write their planes into the
-    cache's whole arrays, and levels 2 and 3 run once on whole arrays.
+    heads' (B, 3, ...) probability maps over the whole output. With
+    `cache`, forward's, the stream writes its entries' planes into whole
+    arrays and fills it once the last plane is in, all but enc1a's input.
     """
 
     def __init__(self, params: NetworkParams, shape: tuple, batch: int = 1,
@@ -432,19 +404,20 @@ class DepthStream:
             params, tuple(shape), batch, keep, cache)
         n = shape[0]
         # per pooling: the planes its input has in all, how many it has had,
-        # an odd plane kept from the last push, the decoder's skip FIFO, and
-        # with a cache the whole (pooled, argmax) arrays
+        # an odd plane kept from the last push and the decoder's skip FIFO
         self.pool_planes = {"pool1": n - 4, "pool2": (n - 4) // 2 - 4}
         self.pool_got = {"pool1": 0, "pool2": 0}
         self.odd = {"pool1": None, "pool2": None}
         self.skips = {"pool1": _Fifo(), "pool2": _Fifo()}
-        self.pooled = {}
-        self.carries = {name: layers.ConvCarry() for name, _, _ in param_specs(params.config)
-                        if not name.startswith("head_") and (cache is None or name in LEVEL_1)}
-        # with a cache: the whole arrays that a LEVEL_1 unit's output planes go to
-        self.kept = {}
         self.composed = {up: _compose(params, up, dec)
                          for up, dec in (("up2", "dec2a"), ("up1", "dec1a"))}
+        # the shape of each array of a cache (each unit's input depth sizes its
+        # carry), with a cache those made so far, and the input that each
+        # unit's or pooling's output planes go to
+        self.shapes, self.arrays, self.writes = {}, {}, {}
+        self._shapes()
+        self.carries = {name: layers.ConvCarry(self.shapes[name][2])
+                        for name, _, _ in param_specs(params.config)[:-2]}
         self.pushed = self.emitted = 0
         if keep is None:
             self.outputs = None  # allocated by the first head planes, in their dtype
@@ -461,20 +434,53 @@ class DepthStream:
             raise ContractError(f"{x.shape[2]} planes pushed into a stream of depth "
                                 f"{self.shape[0]} that has had {self.pushed}")
         self.pushed += x.shape[2]
-        if self.cache is None:
-            self._lower(self._level1(x))
-            return
-        if self.pushed < self.shape[0]:
-            raise ContractError("a stream with a cache takes its whole input in one push")
-        B, _, D, H, W = x.shape
-        c = self.params.config.base_channels
-        act = self.kept["enc1a"] = np.empty((B, c, D - 2, H - 2, W - 2), dtype=x.dtype)
-        self.cache["enc1a"] = (x, _mask_array(act.shape))
-        self.cache["enc1b"] = (act, _mask_array((B, 2 * c, D - 4, H - 4, W - 4)))
-        for z in range(0, D, self.depth):
-            p = self._level1(x[:, :, z:z + self.depth])
-        del self.carries["enc1a"], self.carries["enc1b"]  # their pending sums are dead
-        self._lower(p)
+        first = self.pool_got["pool1"] // 2  # the push's first pooled plane
+        pooled = [p for z in range(0, x.shape[2], self.depth)
+                  if (p := self._level1(x[:, :, z:z + self.depth])) is not None]
+        if pooled and self.cache is not None:  # its planes of enc2a's whole input
+            pooled = [self.arrays["enc2a"][:, :, first:self.pool_got["pool1"] // 2]]
+        if pooled:
+            self._lower(pooled[0] if len(pooled) == 1 else np.concatenate(pooled, axis=2))
+        if self.pushed == self.shape[0] and self.cache is not None:
+            a = self.arrays
+            for name, kind, _ in param_specs(self.params.config)[:-2]:
+                self.cache[name] = (a.get(name), self.composed[name][2] if kind == "tconv"
+                                    else a[f"{name}.mask"])
+            self.cache["heads"] = a["heads"]
+            self.cache["pool"] = (a["pool1.argmax"], a["pool2.argmax"])
+
+    def _shapes(self):
+        """Sizes, from the stream's shape, the arrays of a cache: each
+        unit's input (a decoder unit's is its skip crop) under its name,
+        its row-packed ReLU mask (`unit.mask`), each pooling's argmax
+        (`pooling.argmax`) and the heads' input ("heads"). `writes` names
+        the input that each unit and pooling writes."""
+        side, writer, up = np.array(self.shape), None, 0  # up: channels of a transposed conv
+        for name, kind, k in param_specs(self.params.config)[:-2]:
+            # a conv kernel is (out, in, ...), a transposed conv's (in, out, ...)
+            channels = k[0] if kind == "tconv" else k[1] - up
+            self.shapes[name] = (self.batch, channels) + tuple(side)
+            if writer is not None:
+                self.writes[writer] = name
+            if kind == "tconv":
+                side, writer, up = 2 * side, None, k[1]
+                continue
+            side, writer, up = side - 2, name, 0
+            self.shapes[f"{name}.mask"] = (self.batch, k[0], *side[:2], -(-side[2] // 8))
+            if name in ("enc1b", "enc2b"):
+                side, writer = side // 2, "pool1" if name == "enc1b" else "pool2"
+                self.shapes[f"{writer}.argmax"] = (self.batch, k[0]) + tuple(side)
+        self.shapes["heads"] = (self.batch, k[0]) + tuple(side)  # dec1b's output
+        self.writes[writer] = "heads"
+
+    def _whole(self, key, z0, z1, dtype):
+        """With a cache, planes z0..z1-1 of the whole array `key`, made at
+        its first planes; None without one or for no key."""
+        if self.cache is None or key is None:
+            return None
+        if key not in self.arrays:
+            self.arrays[key] = np.empty(self.shapes[key], dtype)
+        return self.arrays[key][:, :, z0:z1]
 
     def _level1(self, x):
         """enc1a, enc1b and pool1 on the next input planes x."""
@@ -482,88 +488,71 @@ class DepthStream:
 
     def _lower(self, p):
         """Levels 2 and 3 on the next pooled planes p, then level 1 of the
-        decoder and the heads on depth // 4 dec2b planes at a time, the
-        planes of a push."""
+        decoder and the heads on depth // 4 dec2b planes at a time."""
         e = self._conv("enc2a", p)
         e = self._pool("pool2", self._conv("enc2b", e), 4)
         e = self._conv("enc3b", self._conv("enc3a", e))
         d = self._conv("dec2b", self._dec("up2", "dec2a", e, "pool2"))
         if d is None:
             return
-        if self.cache is not None:  # the whole arrays of the decoder's level 1
-            B, c = d.shape[0], 2 * self.params.config.base_channels
-            od, oh, ow = self.out_shape
-            a = self.kept["dec1a"] = np.empty((B, c, od + 2, oh + 2, ow + 2), dtype=d.dtype)
-            d1 = self.kept["dec1b"] = self.cache["heads"] = np.empty((B, c, od, oh, ow), d.dtype)
-            self.cache["up1"] = (d, self.composed["up1"][2])
-            self.cache["dec1a"] = (np.empty((B, c, od + 4, oh + 4, ow + 4), dtype=d.dtype),
-                                   _mask_array(a.shape))
-            self.cache["dec1b"] = (a, _mask_array(d1.shape))
         n = max(1, self.depth // 4)
         for z in range(0, d.shape[2], n):
             self._heads(self._conv("dec1b", self._dec("up1", "dec1a", d[:, :, z:z + n], "pool1")))
 
     def _conv(self, name, x):
-        """Unit `name` on the new planes x: the output planes they
-        complete, or None. A LEVEL_1 unit of a cached pass writes its
-        planes into the whole arrays of its output (if kept) and mask."""
+        """Unit `name`, conv + ReLU in place, on the new planes x: the
+        output planes they complete, or None. With a cache, they go into
+        the input the unit writes, if any, and their mask into its entry."""
         if x is None:
             return None
-        carry = self.carries.get(name)
-        if self.cache is None or carry is None:
-            act = _unit_forward(self.params, name, x, self.cache, carry)
-        else:
-            z0, z1 = carry.outputs(x.shape[2], 3)
-            out = self.kept.get(name)
-            act = _unit_forward(self.params, name, x, None, carry,
-                                None if out is None else out[:, :, z0:z1])
-            self.cache[name][1][:, :, z0:z1] = _row_mask(act)
+        carry = self.carries[name]
+        z0, z1 = carry.outputs(x.shape[2], 3)
+        t = self.params.tensors
+        act = layers.conv3d_forward(x, t[f"{name}.kernel"], t[f"{name}.bias"], carry=carry,
+                                    out=self._whole(self.writes.get(name), z0, z1, x.dtype))
+        layers.relu_forward(act, out=act)
+        if self.cache is not None:
+            self._whole(f"{name}.mask", z0, z1, np.uint8)[...] = _row_mask(act)
         return act if act.shape[2] else None
 
     def _dec(self, up, name, x, skip):
         """Decoder unit `name` (_dec_forward) on the new planes x of the
         input of the transposed conv `up` and the next planes of skip FIFO
         `skip`: the output planes the new planes complete, or None. With a
-        cache, a whole unit caches (skip crop, mask) under `name` and (x,
-        composed kernel) under `up`; a LEVEL_1 one writes its planes of the
-        crop, output and mask into the cache's whole arrays."""
+        cache, the crop planes are those the pooling wrote into the unit's
+        entry, and the output planes and their mask go into whole arrays."""
         if x is None:
             return None
-        B, _, D, H, W = x.shape
-        carry = self.carries.get(name)
-        if self.cache is None or carry is None:
-            crop = np.empty((B, self.composed[up][0].shape[1], 2 * D, 2 * H, 2 * W),
-                            dtype=x.dtype)
-            out = None
-        else:
-            crop = self.cache[name][0][:, :, carry.planes:carry.planes + 2 * D]
-            z0, z1 = carry.outputs(2 * D, 3)
-            out = self.kept[name][:, :, z0:z1]
-        self.skips[skip].take(crop)
-        pre = _dec_forward(self.composed[up], x, crop, self.carries.get(up), carry, out)
-        act = layers.relu_forward(pre, out=pre)
+        carry = self.carries[name]
+        n = 2 * x.shape[2]
+        z0, z1 = carry.outputs(n, 3)
+        crop = (self.skips[skip].take(n) if self.cache is None
+                else self._whole(name, carry.planes, carry.planes + n, x.dtype))
+        act = _dec_forward(self.composed[up], x, crop, self.carries[up], carry,
+                           self._whole(self.writes.get(name), z0, z1, x.dtype))
+        layers.relu_forward(act, out=act)
         if self.cache is not None:
-            if carry is None:
-                self.cache[up] = (x, self.composed[up][2])
-                self.cache[name] = (crop, _row_mask(act))
-            else:
-                self.cache[name][1][:, :, z0:z1] = _row_mask(act)
+            self._whole(f"{name}.mask", z0, z1, np.uint8)[...] = _row_mask(act)
         return act if act.shape[2] else None
 
     def _pool(self, name, x, m):
         """Pooling `name` of the new planes x, after an odd plane kept from
         the last push; keeps an odd trailing plane. Queues the decoder's
         crop of x first: a margin of m planes, rows and columns on every
-        side of the pooling's input. With a cache, the pooled planes and
-        their argmax go into whole arrays: returns the pooled one once it
-        is complete, else None."""
+        side of the pooling's input; with a cache, it goes straight into
+        the crop of the decoder unit's entry. Returns the new pooled planes,
+        or None; with a cache, they and their argmax go into whole arrays."""
         if x is None:
             return None
         z = self.pool_got[name]  # x's first plane
         self.pool_got[name] += x.shape[2]
         lo, hi = max(z, m), min(z + x.shape[2], self.pool_planes[name] - m)
         if lo < hi:
-            self.skips[name].put(x[:, :, lo - z:hi - z, m:-m, m:-m])
+            crop = x[:, :, lo - z:hi - z, m:-m, m:-m]
+            if self.cache is None:
+                self.skips[name].put(crop)
+            else:  # straight into the crop that the decoder reads
+                self._whole(_SKIP_READERS[name], lo - m, hi - m, x.dtype)[...] = crop
         if self.odd[name] is not None:
             x = np.concatenate([self.odd[name], x], axis=2)
             z -= 1
@@ -572,19 +561,13 @@ class DepthStream:
         if n == 0:
             return None
         p, am = layers.maxpool3d_forward(x[:, :, :n], want_argmax=self.cache is not None)
-        if self.cache is None:
-            return p
-        if name not in self.pooled:
-            self.pooled[name] = tuple(
-                np.empty(a.shape[:2] + (self.pool_planes[name] // 2,) + a.shape[3:], a.dtype)
-                for a in (p, am))
-        whole, argmax = self.pooled[name]
-        whole[:, :, z // 2:z // 2 + p.shape[2]] = p
-        argmax[:, :, z // 2:z // 2 + p.shape[2]] = am
-        if z + n < self.pool_planes[name]:
-            return None
-        self.cache["pool"] = self.cache.get("pool", ()) + (argmax,)
-        return whole
+        if self.cache is not None:
+            z0, z1 = z // 2, (z + n) // 2
+            self._whole(f"{name}.argmax", z0, z1, np.uint8)[...] = am
+            out = self._whole(self.writes[name], z0, z1, p.dtype)
+            out[...] = p
+            p = out  # the planes are kept once
+        return p
 
     def _heads(self, d1):
         if d1 is None:
@@ -611,7 +594,8 @@ class DepthStream:
 
 
 def _push_depth(base_channels: int, shape: tuple) -> int:
-    """Input planes per push of a stream over an input of `shape`: the
+    """The depth of a stream over an input of `shape`: the input planes of
+    each push of inference, and of each level-1 chunk of a longer push. The
     most, in a multiple of 4 and at least 4, whose new planes of the six
     level-1 arrays (the enc1a and enc1b outputs; the skip crop, composed conv
     output, 2C channels a plane in octants, and dec1a output of `_dec`; the
@@ -636,24 +620,27 @@ def forward(params: NetworkParams, x: np.ndarray, want_cache: bool = False,
     conv to (input, composed kernel), "heads" to the heads' input and
     "pool" to both argmaxes; enc1a's input is a view of x.
 
-    Every call runs the stages of a DepthStream. With a cache they get x
-    in one push, which the level-1 units run in chunks; without one, in
-    pushes of the stream's depth, so that no level-1 activation is held
-    whole. With `stream`, x is instead the next planes of that stream's
-    input, the outputs go to the stream, and forward returns None.
+    Every call runs a DepthStream. With a cache, x goes in as one push,
+    which runs level 1 through it before the lower levels (module
+    docstring); without one, in pushes of the stream's depth, so that no
+    activation is held whole. With `stream`, x is instead the next planes
+    of that stream's input, the outputs go to the stream, and forward
+    returns None.
     """
     if x.ndim != 5 or x.shape[1] != len(CONTRAST_NAMES):
         raise ContractError(f"input shape {x.shape} != (B, {len(CONTRAST_NAMES)}, D, H, W)")
     if stream is not None:
         stream.push(x)
         return None
-    stream = DepthStream(params, x.shape[2:], batch=x.shape[0],
-                         cache={} if want_cache else None)
+    cache = {} if want_cache else None
+    stream = DepthStream(params, x.shape[2:], batch=x.shape[0], cache=cache)
     step = x.shape[2] if want_cache else stream.depth
     for z in range(0, x.shape[2], step):
         stream.push(x[:, :, z:z + step])
+    if cache is not None:
+        cache["enc1a"] = (x, cache["enc1a"][1])
     cl_probs, tissue_probs = stream.outputs
-    return cl_probs, tissue_probs, stream.cache
+    return cl_probs, tissue_probs, cache
 
 
 def backward(params: NetworkParams, cache: dict,
@@ -876,7 +863,9 @@ def load_checkpoint(path: str | Path):
 
     Raises CheckpointError, which resume skips, for a checkpoint that is not
     whole: a file missing or unreadable, a header field missing or
-    unparsable, or a payload whose size disagrees with the header. Raises
+    unparsable (seed, iteration, sampler_draws and Adam's step_count are
+    non-negative integers), or a payload whose size disagrees with the
+    header. Raises
     CheckpointMismatchError, which resume refuses, for a whole header of
     another network: network keys other than NetworkConfig's fields, values
     that are not a valid network, or a payload_order other than
@@ -891,9 +880,11 @@ def load_checkpoint(path: str | Path):
     try:
         net, order, a = dict(header["config"]), list(header["payload_order"]), header["adam"]
         adam = {k: float(a[k]) for k in ("learning_rate", "beta1", "beta2", "epsilon")}
-        adam["step_count"] = int(a["step_count"])
-        seed, iteration, draws = (header["seed"], int(header["iteration"]),
-                                  int(header["sampler_draws"]))
+        counts = [header["seed"], header["iteration"], header["sampler_draws"], a["step_count"]]
+        if any(type(n) is not int or n < 0 for n in counts):
+            raise ValueError(f"seed, iteration, sampler_draws, adam step_count {counts} "
+                             "are not all non-negative integers")
+        seed, iteration, draws, adam["step_count"] = counts
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"malformed checkpoint header {path}: {e!r}") from e
     names = {f.name for f in fields(NetworkConfig)}

@@ -234,12 +234,24 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
     assert main(["xval", "--config", str(path), "--k", "2"]) == 1  # folds are xval_folds
 
 
-def test_cli_bad_config_exit_1(tmp_path):
+def test_cli_bad_config_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     assert main(["train", "--config", str(bad)]) == 1
     assert main(["train", "--config", str(tmp_path / "missing.json")]) == 1
     assert main(["train", "--config", str(tmp_path)]) == 1  # a directory
+    # a phantom spacing that is not positive and finite is refused before
+    # the cohort is written
+    cfg, path = _fast_config(tmp_path, tmp_path / "cohort")
+    doc = json.loads(path.read_text())
+    for spacing in ([0.0, 0.5, 0.5], [0.5, -0.5, 0.5], [0.5, 0.5, float("inf")]):
+        doc["phantom"]["spacing_mm"] = spacing
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["phantom", "--config", str(path), "--n-subjects", "1"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "spacing_mm" in err[0], err
+        assert not (tmp_path / "cohort").exists()
 
 
 @pytest.mark.parametrize("command", [

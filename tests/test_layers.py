@@ -159,7 +159,8 @@ def test_conv_float32_bytes_do_not_depend_on_the_split_of_the_input(monkeypatch)
     # whose last few columns it rounds differently from the rest. Every
     # product spans whole planes, so those are discarded columns however
     # the input is split: into slabs of 1, 2 or 3 planes, or into calls
-    # that a ConvCarry links
+    # that a ConvCarry links, which keeps no pending sums once its input's
+    # last plane is in
     Ci, Co, k = 8, 8, 3
     r = np.random.default_rng(12)
     x = r.standard_normal((1, Ci, 12, 9, 10), dtype=np.float32)
@@ -177,10 +178,11 @@ def test_conv_float32_bytes_do_not_depend_on_the_split_of_the_input(monkeypatch)
         k = w.shape[2]
         want = L.conv3d_forward(x, w, b).tobytes()
         for pieces in ((1,) * 12, (2, 5, 5), (3, 3, 3, 3), (4, 1, 7), (12,)):
-            carry, outs, z = L.ConvCarry(), [], 0
+            carry, outs, z = L.ConvCarry(x.shape[2]), [], 0
             for n in pieces:
                 outs.append(L.conv3d_forward(x[:, :, z:z + n], w, b, carry=carry))
                 z += n
+            assert carry.sums is None
             ends = np.cumsum(pieces)
             assert ([o.shape[2] for o in outs]
                     == list(np.diff(np.maximum(0, ends - (k - 1)), prepend=0)))

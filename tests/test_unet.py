@@ -370,12 +370,14 @@ def test_incomplete_checkpoint_raises_checkpoint_error(tmp_path):
         damages[f"no {field}"] = lambda ck, field=field: edit_header(ck, lambda h: h.pop(field))
     damages["no adam epsilon"] = lambda ck: edit_header(ck, lambda h: h["adam"].pop("epsilon"))
     damages["adam not an object"] = lambda ck: edit_header(ck, lambda h: h.update(adam=[]))
-    damages["iteration not a number"] = lambda ck: edit_header(
-        ck, lambda h: h.update(iteration="four"))
+    for field in ("seed", "iteration", "sampler_draws", "step_count"):
+        for value in ("four", None, [1], -3, 2.5, True):
+            damages[f"{field} {value!r}"] = lambda ck, field=field, value=value: edit_header(
+                ck, lambda h: (h["adam"] if field == "step_count" else h).update({field: value}))
     damages["learning rate not a number"] = lambda ck: edit_header(
         ck, lambda h: h["adam"].update(learning_rate=[1e-4]))
-    for name, damage in damages.items():
-        ck = tmp_path / name.replace(" ", "_")
+    for i, (name, damage) in enumerate(damages.items()):
+        ck = tmp_path / f"ck{i}"  # names may hold a dot, which a suffix would replace
         unet.save_checkpoint(ck, params, state, iteration=0, sampler_draws=0)
         damage(ck)
         with pytest.raises(unet.CheckpointError) as caught:
@@ -563,10 +565,17 @@ def test_forward_without_cache_frees_dead_activations():
     assert peak <= slab + widest
 
 
+def _arrays(cache):
+    """The bytes of every array of a cache, by entry."""
+    return {k: tuple(None if a is None else a.tobytes() for a in
+                     (v if isinstance(v, tuple) else (v,))) for k, v in cache.items()}
+
+
 @pytest.mark.parametrize("base", [2, 4])
 @pytest.mark.parametrize("side, chunks", [(44, (1, 5, 45)), (48, (1, 3, 100)),
                                           (68, (1, 7, 69)), (88, (2, 9, 89)),
-                                          (96, (1, 11, 97))])
+                                          (96, (1, 11, 97)),
+                                          pytest.param((52, 44, 60), (1, 5, 53), id="52x44x60")])
 def test_chunked_forward_equals_one_pass(base, side, chunks):
     # A stream pushed one plane, an odd number of planes or more planes
     # than the input has at a time, and forward without a cache, which
@@ -577,21 +586,39 @@ def test_chunked_forward_equals_one_pass(base, side, chunks):
     # rounds differently from the rest, are discarded ones. (Products that
     # ended on the last valid columns of a chunk made the level-1 chunks
     # this replaced differ at one and three pooled planes per chunk.)
+    # A stream with a cache pushed so, or in pushes of its depth, also
+    # records the cached forward's entries and so gives its gradients
+    shape = (side,) * 3 if isinstance(side, int) else side
     params = unet.build_network(unet.NetworkConfig(base_channels=base), seed=1)
     r = np.random.default_rng(side)
     for k in ("head_cl.kernel", "head_tissue.kernel"):
         params.tensors[k] += (0.5 * r.standard_normal(params.tensors[k].shape)).astype(np.float32)
-    x = r.standard_normal((1, 3, side, side, side)).astype(np.float32)
-    cl, tis, _ = unet.forward(params, x, want_cache=True)
+    x = r.standard_normal((1, 3) + shape).astype(np.float32)
+    out = (1, 3) + tuple(n - 40 for n in shape)
+    g = [r.standard_normal(out).astype(np.float32) for _ in range(2)]
+    cl, tis, cache = unet.forward(params, x, want_cache=True)
+    entries = _arrays(cache)
+    grads = unet.backward(params, cache, *(a.copy() for a in g))
     cl_c, tis_c, cache = unet.forward(params, x)
-    assert cache is None
+    assert cache is None and cl.shape == out
     assert cl_c.tobytes() == cl.tobytes() and tis_c.tobytes() == tis.tobytes()
     for depth in chunks:
-        stream = unet.DepthStream(params, x.shape[2:])
-        for z in range(0, side, depth):
+        stream = unet.DepthStream(params, shape)
+        for z in range(0, shape[0], depth):
             assert unet.forward(params, x[:, :, z:z + depth], stream=stream) is None
         cl_s, tis_s = stream.outputs
         assert cl_s.tobytes() == cl.tobytes() and tis_s.tobytes() == tis.tobytes(), depth
+    for depth in chunks + (unet._push_depth(base, shape),):
+        stream = unet.DepthStream(params, shape, cache={})
+        for z in range(0, shape[0], depth):
+            stream.push(x[:, :, z:z + depth])
+        cl_s, tis_s = stream.outputs
+        assert cl_s.tobytes() == cl.tobytes() and tis_s.tobytes() == tis.tobytes(), depth
+        stream.cache["enc1a"] = (x, stream.cache["enc1a"][1])
+        assert _arrays(stream.cache) == entries, depth
+        got = unet.backward(params, stream.cache, *(a.copy() for a in g))
+        assert {k: v.tobytes() for k, v in got.items()} == \
+            {k: v.tobytes() for k, v in grads.items()}, depth
 
 
 def test_stream_refuses_planes_that_do_not_fit():
