@@ -7,11 +7,13 @@ commands' outputs land under the out directory together with a
 run-manifest JSON recording the config hash, package version and
 environment (numpy and scipy versions, usable cores, BLAS threads); infer
 writes its outputs and manifest to <out>/<subject>/, naming the subject
-directory and checkpoint. replicate runs the three-variant replication
-(`clseg replicate --config configs/replication.json`) over --seeds in a
-pool of --workers processes. Each rewrites its manifest when it ends,
-whether it succeeded or failed, adding the wall time, the peak resident set
-size and `exit_code`, the process's exit code.
+directory and checkpoint, and the padded shape, forward calls and height
+slices of its pass (pipeline.run_inference). replicate runs the
+three-variant replication (`clseg replicate --config
+configs/replication.json`) over --seeds in a pool of --workers processes.
+Each rewrites its manifest when it ends, whether it succeeded or failed,
+adding the wall time, the peak resident set size and `exit_code`, the
+process's exit code.
 """
 
 from __future__ import annotations

@@ -18,7 +18,8 @@ idles while a seed's last jobs finish; all variants of a seed share its
 fold split. Each seed's test sets are scored by `pipeline.run_report` into
 seed_<s>/report/<clean|artifact_full|artifact_drop>/, whose table1 rows
 make its per_seed cells. Results are byte-deterministic in (config, seeds)
-at fixed BLAS threads.
+at fixed BLAS threads: the workers' training depends on their count,
+though inference from a given checkpoint does not.
 """
 
 from __future__ import annotations

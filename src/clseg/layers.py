@@ -115,13 +115,15 @@ class NonFiniteError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 
-def _slab_planes(Ci, Co, k, H, W, D, extra=0):
+def _slab_planes(Ci, Co, k, H, W, D, extra=0, budget=None):
     """Input planes P per slab: P unrolled planes of a (Ci, D, H, W) input
     plus a ring of R = P + k - 1 planes of the k taps' full-grid outputs,
     the planes from the oldest output plane a slab completes to the
     slab's last, and `extra` more elements per plane of the slab, fit
-    SLAB_BUDGET_ELEMS, or P is one plane if that is larger."""
-    room = SLAB_BUDGET_ELEMS // (H * W) - k * Co * (k - 1)
+    `budget` elements (SLAB_BUDGET_ELEMS if None), or P is one plane if
+    that is larger."""
+    budget = SLAB_BUDGET_ELEMS if budget is None else budget
+    room = budget // (H * W) - k * Co * (k - 1)
     return max(1, min(D, room // (Ci * k * k + k * Co + extra)))
 
 
@@ -161,10 +163,12 @@ class ConvCarry:
     """What a conv fed its input in depth keeps between conv3d_forward
     calls: how many input planes it has had, and per batch item the
     full-grid partial sums of the k-1 output planes those leave pending,
-    until the last of the input's `depth` planes, if given, is in."""
+    until the last of the input's `depth` planes, if given, is in. Its
+    calls size their slabs to `budget` elements (SLAB_BUDGET_ELEMS if
+    None), which changes no byte of the output."""
 
-    def __init__(self, depth: int | None = None):
-        self.planes, self.depth = 0, depth
+    def __init__(self, depth: int | None = None, budget: int | None = None):
+        self.planes, self.depth, self.budget = 0, depth, budget
         self.sums = None
 
     def outputs(self, n: int, k: int) -> tuple[int, int]:
@@ -211,7 +215,8 @@ def _conv_slabs(planes, D, grid, weight, out, bias=None, carry=None, P=None):
     Q = 0 if carry is None else carry.planes  # input planes before x
     base = max(0, Q - k + 1)  # out's first plane
     w = np.ascontiguousarray(weight.transpose(2, 0, 1, 3, 4)).reshape(k * Co, -1)
-    P = _slab_planes(Ci, Co, k, H, W, D) if P is None else max(1, min(D, P))
+    budget = None if carry is None else carry.budget
+    P = _slab_planes(Ci, Co, k, H, W, D, budget=budget) if P is None else max(1, min(D, P))
     R = P + k - 1
     # the unrolled slab, the tap ring and the partial sums (of k > 2 taps) in
     # one block: as three arrays, the desk step page-faulted ~3,200 times

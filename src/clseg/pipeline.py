@@ -4,9 +4,10 @@ report emission. `run_report` is the one scoring path: `clseg report`,
 `run_xval` and the replication experiment (`clseg replicate --config
 configs/replication.json`) all turn prediction directories into report
 files through it. Every step is a pure function of (config,
-input files, seed); repeated runs are byte-identical on a machine with the
-same BLAS thread count (a different count reorders float32 sums, and the
-rounding differences grow through training).
+input files, seed). Predictions from a given checkpoint are byte-identical
+at any BLAS thread count (unet.sliding_window_inference). Training bytes
+are so only at the same count: another count reorders the float32 sums of
+the weight gradients, and the rounding differences grow through training.
 """
 
 from __future__ import annotations
@@ -230,7 +231,8 @@ def run_inference(checkpoint: str | Path, subject_dir: str | Path, out_dir: str 
 
     Returns the written volumes by name and what the inference did:
     `padded_shape`, the mirror-padded input streamed through the network,
-    and `forward_calls`, the depth chunks it was fed in."""
+    `forward_calls`, the depth chunks it was fed in, and `slices`, the
+    height slices those streamed as."""
     params, _, _, _ = load_checkpoint(checkpoint)
     vols = volume_io.read_subject(subject_dir, volume_io.CONTRAST_NAMES)
     header = vols["mp2rage"].header

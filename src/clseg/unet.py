@@ -83,11 +83,22 @@ is never whole either: its conv backward builds it a slab of planes at a
 time from the pooled gradient, the skip gradient and the packed mask
 (_enc1b_grad).
 
-A whole subject is predicted by one pass over it, mirror-padded by the
+A whole subject is predicted as one pass over it, mirror-padded by the
 network's 20-voxel valid-conv margin on every side and up to 3 voxels
-more after, so that each side divides by 4. The padded volume is never
-built: each push is gathered from the contrasts, and no level-1
-activation but the enc1b crop in its FIFO is held more than a push deep.
+more after, so that each side divides by 4. The pass runs as height
+slices, each a multiple of 4 output rows, on as many threads as OpenBLAS
+has, with OpenBLAS at one thread meanwhile: the overlap-tile strategy of
+Ronneberger et al. (MICCAI 2015) along one axis. A slice streams the
+padded rows it reads, its rows plus the 40 of the margin, through a
+DepthStream of its own. Its output rows are those of the whole pass byte
+for byte: a valid conv's output row reads only the rows it covers, a
+slice starting on a multiple of 4 keeps both poolings' pairs, a forward
+GEMM reduces over Ci*k*k, which OpenBLAS does not split between threads,
+and every product spans whole planes of the slice. The slices' streams
+share one stream's conv budget (sliding_window_inference). The padded
+volume is never built: each push is gathered from the contrasts, and no
+level-1 activation but the enc1b crop in its FIFO is held more than a
+push deep.
 
 Parameter serialization order is the order of `param_specs`, kernel then
 bias per layer, little-endian float32. A decoder kernel's input channels
@@ -97,6 +108,8 @@ features].
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
 from functools import partial
 from pathlib import Path
@@ -104,6 +117,7 @@ from pathlib import Path
 import numpy as np
 
 from . import layers, volume_io
+from .blas import blas_threads, set_blas_threads
 from .layers import ContractError
 from .losses import LossConfig, combined_loss
 from .optim import AdamState, adam_step
@@ -389,19 +403,21 @@ class DepthStream:
 
     `forward(params, x, stream=s)` pushes x's planes as the next input
     planes, and every stage computes each output plane that the planes in
-    so far complete (see the module docstring). With `keep`, a (d, h, w)
-    corner of the output of a batch of 1, `outputs` is (cl labels u8,
-    tissue labels u8, cl_prob f32) over that corner; without it, the two
-    heads' (B, 3, ...) probability maps over the whole output. With
-    `cache`, forward's, the stream writes its entries' planes into whole
-    arrays and fills it once the last plane is in, all but enc1a's input.
+    so far complete (see the module docstring). With `keep`, (cl labels
+    u8, tissue labels u8, cl_prob f32) arrays of one (d, h, w) shape, the
+    stream of a batch of 1 writes that corner of its output into them, and
+    they are its `outputs`; without it, `outputs` are the two heads'
+    (B, 3, ...) probability maps over the whole output. With `cache`,
+    forward's, the stream writes its entries' planes into whole arrays and
+    fills it once the last plane is in, all but enc1a's input. Its convs
+    size their slabs to `budget` elements (layers.ConvCarry).
     """
 
     def __init__(self, params: NetworkParams, shape: tuple, batch: int = 1,
-                 keep: tuple | None = None, cache: dict | None = None):
+                 keep: tuple | None = None, cache: dict | None = None,
+                 budget: int | None = None):
         self.out_shape = tuple(output_shape(s) for s in shape)
-        self.params, self.shape, self.batch, self.keep, self.cache = (
-            params, tuple(shape), batch, keep, cache)
+        self.params, self.shape, self.batch, self.cache = params, tuple(shape), batch, cache
         n = shape[0]
         # per pooling: the planes its input has in all, how many it has had,
         # an odd plane kept from the last push and the decoder's skip FIFO
@@ -416,14 +432,11 @@ class DepthStream:
         # unit's or pooling's output planes go to
         self.shapes, self.arrays, self.writes = {}, {}, {}
         self._shapes()
-        self.carries = {name: layers.ConvCarry(self.shapes[name][2])
+        self.carries = {name: layers.ConvCarry(self.shapes[name][2], budget)
                         for name, _, _ in param_specs(params.config)[:-2]}
         self.pushed = self.emitted = 0
-        if keep is None:
-            self.outputs = None  # allocated by the first head planes, in their dtype
-        else:
-            self.outputs = (np.empty(keep, np.uint8), np.empty(keep, np.uint8),
-                            np.empty(keep, np.float32))
+        # without keep, allocated by the first head planes, in their dtype
+        self.keep = self.outputs = keep
         self.depth = _push_depth(params.config.base_channels, shape)
 
     def push(self, x: np.ndarray) -> None:
@@ -584,10 +597,10 @@ class DepthStream:
             self.outputs[0][:, :, z0:self.emitted] = cl
             self.outputs[1][:, :, z0:self.emitted] = tissue
             return
-        d, h, w = self.keep
+        cl_labels, tissue_labels, prob = self.outputs
+        d, h, w = prob.shape
         n = max(0, min(self.emitted, d) - z0)
         cl, tissue = cl[0, :, :n, :h, :w], tissue[0, :, :n, :h, :w]
-        cl_labels, tissue_labels, prob = self.outputs
         cl_labels[z0:z0 + n] = cl.argmax(axis=0)
         tissue_labels[z0:z0 + n] = tissue.argmax(axis=0)
         prob[z0:z0 + n] = cl[1] + cl[2]
@@ -773,21 +786,45 @@ def normalize_volume(vol: np.ndarray) -> np.ndarray:
     return vol
 
 
+def _height_slices(out_height: int) -> int:
+    """The height slices of an inference whose padded subject gives
+    `out_height` output rows: one per BLAS thread of the process, but no
+    more than leave every slice SHRINK_PER_SIDE rows, so that no slice
+    computes more margin than output. So a 56^3 subject takes one slice,
+    a 96^3 one two on two threads, and a process whose OpenBLAS runs at
+    one thread, as a replication worker's does, one."""
+    return max(1, min(blas_threads() or 1, out_height // SHRINK_PER_SIDE))
+
+
 def sliding_window_inference(params: NetworkParams, contrasts: np.ndarray,
                              drop_channel: str | None = None):
     """Predict a whole subject with one forward pass over it, mirror-padded
     by 20 voxels before and 20 to 23 after on each axis (a multiple of 4).
 
-    The padded subject goes through a DepthStream, one `forward` call per
-    push of the stream's depth; each push is gathered from the contrasts
-    through the index map of `mirror_pad`, so the padded volume is never
-    built. The name recalls the overlap tiles this pass replaced.
+    The pass is split along the height into n slices (_height_slices) of
+    whole multiples of 4 output rows. Each slice streams the padded rows
+    it reads, its rows plus 40, through a DepthStream of its own, one
+    `forward` call per push of the stream's depth; each push is gathered
+    from the contrasts through the index map of `mirror_pad`, so the
+    padded volume is never built. The caller's thread runs the first
+    slice and a worker thread each other one, with OpenBLAS at one thread
+    for the whole call and at its count again after it, on an error too;
+    a slice that raises stops the others at their next push, and its
+    error is raised once all have ended. With n > 1 the streams' convs
+    size their slabs to SLAB_BUDGET_ELEMS // n^2, so that at C=4 the n
+    streams together peak no higher than one does (96^3: 33 MiB in two
+    slices, 37.8 MiB in one). At C=16 a conv of a slice needs more than
+    its share for one plane, and two slices of 96^3 peak at 118 MiB,
+    against 98 MiB for one stream. The bytes are those of one pass however
+    many slices run (module docstring). The name recalls the overlap tiles
+    this pass replaced.
 
     contrasts: (3, D, H, W) already-normalized float32. Returns
     (cl_labels u8, tissue_labels u8, cl_prob f32, run): the first three at
     the input geometry, cl_prob the per-voxel probability of any lesion
-    class, and run is {"padded_shape", "forward_calls"}. If drop_channel is
-    set, that T2* channel is zeroed in every push.
+    class, and run is {"padded_shape", "forward_calls", "slices"}, the
+    calls summed over the slices. If drop_channel is set, that T2*
+    channel is zeroed in every push.
     """
     if contrasts.ndim != 4 or contrasts.shape[0] != len(CONTRAST_NAMES):
         raise ContractError(f"contrasts shape {contrasts.shape} invalid")
@@ -800,18 +837,48 @@ def sliding_window_inference(params: NetworkParams, contrasts: np.ndarray,
     shape = contrasts.shape[1:]
     margin = SHRINK_PER_SIDE // 2
     padded = tuple(s + SHRINK_PER_SIDE + (-s) % 4 for s in shape)
-    stream = DepthStream(params, padded, keep=shape)
-    iy, ix = (reflect_indices(s, -margin, p) for s, p in zip(shape[1:], padded[1:]))
-    calls = 0
-    for z0 in range(0, padded[0], stream.depth):
-        iz = reflect_indices(shape[0], z0 - margin, min(stream.depth, padded[0] - z0))
-        chunk = np.take(np.take(contrasts[:, iz], iy, axis=2), ix, axis=3)
-        if drop_channel is not None:
-            chunk[drop] = 0.0
-        forward(params, chunk[None], stream=stream)
-        calls += 1
-    cl, tissue, prob = stream.outputs
-    return cl, tissue, prob, {"padded_shape": list(padded), "forward_calls": calls}
+    fours = output_shape(padded[1]) // 4  # output rows, in fours
+    n = min(_height_slices(4 * fours), fours)
+    rows = [4 * (fours * i // n) for i in range(n + 1)]  # slice i: output rows[i]:rows[i + 1]
+    outputs = (np.empty(shape, np.uint8), np.empty(shape, np.uint8), np.empty(shape, np.float32))
+    ix = reflect_indices(shape[2], -margin, padded[2])
+    calls = [0] * n
+    failed = threading.Event()
+
+    def run(i):
+        y0, y1 = rows[i], rows[i + 1]
+        try:
+            stream = DepthStream(params, (padded[0], y1 - y0 + SHRINK_PER_SIDE, padded[2]),
+                                 keep=tuple(o[:, y0:y1] for o in outputs),
+                                 budget=layers.SLAB_BUDGET_ELEMS // n ** 2)
+            iy = reflect_indices(shape[1], y0 - margin, y1 - y0 + SHRINK_PER_SIDE)
+            for z0 in range(0, padded[0], stream.depth):
+                if failed.is_set():
+                    return
+                iz = reflect_indices(shape[0], z0 - margin, min(stream.depth, padded[0] - z0))
+                chunk = np.take(np.take(contrasts[:, iz], iy, axis=2), ix, axis=3)
+                if drop_channel is not None:
+                    chunk[drop] = 0.0
+                forward(params, chunk[None], stream=stream)
+                calls[i] += 1
+        except BaseException:
+            failed.set()
+            raise
+
+    if n == 1:
+        run(0)
+    else:
+        threads = blas_threads()
+        set_blas_threads(1)
+        try:
+            with ThreadPoolExecutor(n - 1) as pool:
+                workers = [pool.submit(run, i) for i in range(1, n)]
+                run(0)
+                for w in workers:
+                    w.result()
+        finally:
+            set_blas_threads(threads)
+    return (*outputs, {"padded_shape": list(padded), "forward_calls": sum(calls), "slices": n})
 
 
 # ---------------------------------------------------------------------------

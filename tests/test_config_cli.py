@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,10 @@ import pytest
 
 from clseg import unet
 from clseg import volume_io as vio
+from clseg.blas import blas_threads
 from clseg.cli import build_parser, main
 from clseg.config import ConfigError, RunConfig, config_from_dict, load_config
+from clseg.layers import NonFiniteError
 from clseg.losses import LossConfig
 from clseg.optim import AdamState
 from clseg.phantom import generate_cohort
@@ -426,8 +429,10 @@ def test_cli_train_infer_report_flow(tmp_path, tiny_cohort, capsys):
         assert doc["subject_dir"] == str((tiny_cohort / sid).resolve())
         assert doc["checkpoint"] == str(ckpt.resolve())
         # a 48^3 subject is streamed through the network mirror-padded to
-        # 88^3, at C=2 in pushes of 12 planes
-        assert (doc["padded_shape"], doc["forward_calls"]) == ([88, 88, 88], 8)
+        # 88^3, at C=2 in pushes of 12 planes, in one height slice: its 48
+        # output rows leave no second slice its 40
+        assert (doc["padded_shape"], doc["forward_calls"], doc["slices"]) == \
+            ([88, 88, 88], 8, 1)
     assert main(["report", "--config", str(path),
                  "--out", str(tmp_path / "rep"),
                  "--pred", f"model={tmp_path / 'pred'}"]) == 0
@@ -531,6 +536,36 @@ def test_cli_nonfinite_gradient_exit_3(tmp_path, tiny_cohort, monkeypatch, capsy
     assert not list((tmp_path / "out").glob("checkpoint_*"))
     manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
     assert manifest["exit_code"] == 3
+
+
+def test_cli_infer_failure_in_a_slice_exits_in_one_line(tmp_path, tiny_cohort, monkeypatch,
+                                                        capsys):
+    # a slice that raises on its worker thread ends `clseg infer` as an
+    # error on the caller's thread does: the exit code of its class, one
+    # stderr line, no prediction volume, and the BLAS thread count as it was
+    cfg, path = _fast_config(tmp_path, tiny_cohort)
+    ckpt = tmp_path / "ck"
+    params = unet.build_network(cfg.network, seed=0)
+    unet.save_checkpoint(ckpt, params, AdamState.for_params(params.tensors), 0, 0)
+    forward = unet.forward
+
+    def second_slice_fails(params_, x, *args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise NonFiniteError("non-finite activation in the second slice")
+        return forward(params_, x, *args, **kwargs)
+
+    monkeypatch.setattr(unet, "forward", second_slice_fails)
+    monkeypatch.setattr(unet, "_height_slices", lambda out_height: 2)
+    before = blas_threads()
+    assert main(["infer", "--config", str(path), "--checkpoint", str(ckpt), "--subject",
+                 str(tiny_cohort / "subject_00"), "--out", str(tmp_path / "pred")]) == 3
+    assert blas_threads() == before
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["numerical failure: non-finite activation in the second slice"]
+    out = tmp_path / "pred" / "subject_00"
+    assert sorted(p.name for p in out.iterdir()) == ["run_manifest.json"]
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["exit_code"] == 3 and "slices" not in manifest
 
 
 def test_cli_resume_refuses_a_changed_learning_rate(tmp_path, tiny_cohort, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from clseg import layers, unet
+from clseg.blas import blas_threads, set_blas_threads
 from clseg.layers import ContractError, NonFiniteError
 from clseg.losses import LossConfig, combined_loss
 from clseg.optim import AdamState
@@ -426,6 +427,11 @@ def _toy_contrasts(side=56, seed=0):
     return r.standard_normal((3, side, side, side)).astype(np.float32)
 
 
+def _pin_slices(monkeypatch, n):
+    """Inference in n height slices, whatever the machine's BLAS threads."""
+    monkeypatch.setattr(unet, "_height_slices", lambda out_height: n)
+
+
 @pytest.mark.parametrize("base, shape", [
     (4, (96, 96, 96)),
     (4, (56, 56, 56)),
@@ -438,7 +444,9 @@ def test_inference_feeds_the_padded_subject_through_forward(monkeypatch, base, s
     # sliding_window_inference and divides their input voxels by the
     # subject's. An inference that does not reach unet.forward through the
     # module global with (1, 3, d, h, w) arrays leaves its per-call time a
-    # NaN, and the benchmark's result line is then not strict JSON
+    # NaN, and the benchmark's result line is then not strict JSON. In two
+    # height slices, each call feeds one slice's padded rows, its output
+    # rows plus 40, so the calls' voxels are the two slices' padded volumes
     params = unet.build_network(unet.NetworkConfig(base_channels=base), seed=0)
     calls = []
     forward = unet.forward
@@ -448,15 +456,19 @@ def test_inference_feeds_the_padded_subject_through_forward(monkeypatch, base, s
         return forward(params_, x, *args, **kwargs)
 
     monkeypatch.setattr(unet, "forward", recorder)
+    _pin_slices(monkeypatch, 2)
     cl, tis, prob, run = unet.sliding_window_inference(params, np.zeros((3,) + shape, np.float32))
     padded = tuple(s + 40 + (-s) % 4 for s in shape)
+    rows = padded[1] - 40
+    heights = {rows // 8 * 4 + 40, rows - rows // 8 * 4 + 40}  # each slice's padded rows
     assert calls, "sliding_window_inference never called unet.forward"
-    bad = [c for c in calls if not isinstance(c, tuple) or c[:2] != (1, 3) or c[3:] != padded[1:]]
-    assert not bad, f"unet.forward got {bad}, not (1, 3, d) + {padded[1:]} arrays"
+    bad = [c for c in calls if not isinstance(c, tuple) or c[:2] != (1, 3)
+           or c[3] not in heights or c[4] != padded[2]]
+    assert not bad, f"unet.forward got {bad}, not (1, 3, d, h, {padded[2]}) arrays, h in {heights}"
     voxels = sum(int(np.prod(c[2:])) for c in calls)
-    assert voxels == int(np.prod(padded)), \
-        f"unet.forward got {voxels} input voxels, the padded subject has {int(np.prod(padded))}"
-    assert run == {"padded_shape": list(padded), "forward_calls": len(calls)}
+    assert voxels == padded[0] * (rows + 2 * 40) * padded[2], \
+        f"unet.forward got {voxels} input voxels, not the two slices' padded volumes"
+    assert run == {"padded_shape": list(padded), "forward_calls": len(calls), "slices": 2}
     assert cl.shape == tis.shape == prob.shape == shape
 
 
@@ -754,9 +766,10 @@ def test_paper_width_train_step_peak_memory():
     assert step <= 64 * 2 ** 20
 
 
-def _inference_peak(base, side):
+def _inference_peak(monkeypatch, base, side, slices=1):
     params = unet.build_network(unet.NetworkConfig(base_channels=base), seed=0)
     contrasts = _toy_contrasts(side, seed=5)
+    _pin_slices(monkeypatch, slices)
     tracemalloc.start()
     try:
         unet.sliding_window_inference(params, contrasts)
@@ -766,21 +779,68 @@ def _inference_peak(base, side):
     return peak
 
 
-def test_sliding_window_inference_builds_no_padded_subject():
+def test_sliding_window_inference_builds_no_padded_subject(monkeypatch):
     # C=4, 96^3, padded to 136^3. A mirror-padded copy of the subject
     # (3 x 136^3 float32, 29 MiB) beside the forward of an 88^3 overlap
     # tile peaked at 89 MiB; streamed in pushes of 4 planes gathered from
     # the contrasts, with a 16 MiB conv slab, the skip FIFOs and the conv
     # carries beside them, at 38 MiB
-    assert _inference_peak(4, 96) <= 50 * 2 ** 20
+    assert _inference_peak(monkeypatch, 4, 96) <= 50 * 2 ** 20
 
 
-def test_sliding_window_inference_at_paper_width_chunks_level_one():
+def test_sliding_window_inference_at_paper_width_chunks_level_one(monkeypatch):
     # C=16, 56^3, padded to 96^3. Level 1 whole, the enc1b output of a
     # 68^3 overlap tile (32 x 64^3 float32, 32 MiB) made the peak 70 MiB;
     # streamed in pushes of 4 planes, 42 MiB: a 16 MiB conv slab, 8 MiB of
     # conv carries and 10.5 MiB of skip FIFOs (about 19 enc1b crop planes)
-    assert _inference_peak(16, 56) <= 50 * 2 ** 20
+    assert _inference_peak(monkeypatch, 16, 56) <= 50 * 2 ** 20
+
+
+def test_sliced_inference_keeps_one_streams_memory(monkeypatch):
+    # C=4, 96^3 in two height slices of 48 output rows, each streaming its
+    # 88 padded rows on a thread of its own, its conv slabs sized to a
+    # quarter of SLAB_BUDGET_ELEMS: the two streams together peak at 33 MiB,
+    # under one stream's 37.8 MiB (above). With half the budget each they
+    # peaked at 36 MiB, with the whole budget each at 51 MiB
+    assert _inference_peak(monkeypatch, 4, 96, slices=2) <= 40 * 2 ** 20
+
+
+@pytest.fixture
+def blas_threads_kept():
+    """The process's BLAS thread count, set again after the test."""
+    threads = blas_threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS is not the OpenBLAS whose threads clseg.blas sets")
+    yield threads
+    set_blas_threads(threads)
+
+
+@pytest.mark.parametrize("base, shape, drop", [
+    (2, (52, 92, 84), None),        # 92 rows: slices of 44 + 48 and of 28 + 32 + 32
+    (3, (48, 61, 48), "t2s_epi"),   # 61 rows, padded to 64: the last slice is cut short
+    (4, (44, 88, 56), "t2s_gre"),
+], ids=["C2-52x92x84", "C3-48x61x48-epi", "C4-44x88x56-gre"])
+def test_inference_bytes_do_not_depend_on_blas_threads_or_slices(
+        monkeypatch, blas_threads_kept, base, shape, drop):
+    # The labels and cl_prob are those of one cached pass over the padded
+    # subject, byte for byte, at 1 and 2 BLAS threads and in 1, 2 or 3
+    # height slices: a forward GEMM reduces over Ci*k*k, which OpenBLAS does
+    # not split between threads, and every product spans whole planes of a
+    # slice. Each call leaves the BLAS thread count as it found it
+    params = unet.build_network(unet.NetworkConfig(base_channels=base), seed=3)
+    r = np.random.default_rng(base)
+    for k, t in params.tensors.items():
+        if k.endswith(".bias") or k.startswith("head_"):
+            t += (0.3 * r.standard_normal(t.shape)).astype(np.float32)
+    contrasts = r.standard_normal((3,) + shape).astype(np.float32)
+    cl_p, tis_p, _ = unet.forward(params, _padded_subject(contrasts, drop), want_cache=True)
+    for threads in (1, 2):
+        set_blas_threads(threads)
+        for n in (1, 2, 3):
+            _pin_slices(monkeypatch, n)
+            got = unet.sliding_window_inference(params, contrasts, drop_channel=drop)
+            assert got[3]["slices"] == n and blas_threads() == threads, (threads, n)
+            _assert_predicts(got, cl_p, tis_p)
 
 
 def test_sliding_window_non_multiple_side():
