@@ -48,6 +48,15 @@ OpenBLAS's small-matrix kernel takes its products (under 1e6
 multiply-adds), their bytes depend on the slab size; the budget cuts a
 slab short only where the products are far larger.
 
+A conv may also take its input in depth, over several conv3d_forward
+calls that a ConvCarry links. The carry packs the weight as the GEMM reads
+it, (k*Co, C*k*k), at its first call, and keeps the partial sums of the
+k-1 output planes that the planes so far leave pending. A later call reads
+such a sum in place as the first operand of the plane's remaining taps,
+so the sums run in the order of one call, and builds the sums that it
+leaves pending in the buffers of those it used up. The carry drops its
+weight and sums at its input's last plane.
+
 conv3d_backward reads grad_out only a slab of planes at a time, so it
 also takes a function that returns those planes, and a gradient that is
 never whole costs one slab per pass: the network builds enc1b's output
@@ -161,15 +170,18 @@ def _unroll(U, x, m, k):
 
 class ConvCarry:
     """What a conv fed its input in depth keeps between conv3d_forward
-    calls: how many input planes it has had, and per batch item the
-    full-grid partial sums of the k-1 output planes those leave pending,
-    until the last of the input's `depth` planes, if given, is in. Its
-    calls size their slabs to `budget` elements (SLAB_BUDGET_ELEMS if
-    None), which changes no byte of the output."""
+    calls: how many input planes it has had, its weight packed for the
+    calls' GEMMs (made at the first call, so every call must pass the same
+    weight), and per batch item the full-grid partial sums of the k-1
+    output planes those planes leave pending. It drops the packed weight
+    and the sums once the last of the input's `depth` planes, if given, is
+    in, so a conv called once on its whole input keeps nothing. Its calls
+    size their slabs to `budget` elements (SLAB_BUDGET_ELEMS if None),
+    which changes no byte of the output."""
 
     def __init__(self, depth: int | None = None, budget: int | None = None):
         self.planes, self.depth, self.budget = 0, depth, budget
-        self.sums = None
+        self.weight = self.sums = None
 
     def outputs(self, n: int, k: int) -> tuple[int, int]:
         """The output planes (z0, z1) that n more input planes complete in
@@ -197,11 +209,13 @@ def _conv_slabs(planes, D, grid, weight, out, bias=None, carry=None, P=None):
     over which every tap's slots are contiguous.
 
     With a ConvCarry, x follows the carry's planes: plane q of x is input
-    plane carry.planes + q, and out holds the output planes from the first
-    one x completes. A pending output plane's partial sum, its taps so far
-    added in tap order, goes back as tap 0 of its slot, and the taps it
-    holds of later carried planes become -0.0, which adds nothing to any
-    float (-0.0 included), so the sums run in the one order.
+    plane carry.planes + q, out holds the output planes from the first
+    one x completes, and the GEMMs read the carry's packed weight. A
+    pending output plane's partial sum, its taps so far added in tap
+    order, is read in place as the first operand of its taps from x, so
+    the sums run in the one order. A plane that x first reaches keeps its
+    taps as one np.add of the first two (a copy of one), then += of the
+    rest, written into the buffer of a pending sum that x used up.
     Every product spans whole planes (see _unroll), so the split of the
     input into slabs or calls does not change a bit of the output. At
     k = 1 no column is discarded, and that holds where a plane has a
@@ -214,7 +228,9 @@ def _conv_slabs(planes, D, grid, weight, out, bias=None, carry=None, P=None):
     B, _, _, oH, oW = out.shape
     Q = 0 if carry is None else carry.planes  # input planes before x
     base = max(0, Q - k + 1)  # out's first plane
-    w = np.ascontiguousarray(weight.transpose(2, 0, 1, 3, 4)).reshape(k * Co, -1)
+    w = None if carry is None else carry.weight
+    if w is None:
+        w = np.ascontiguousarray(weight.transpose(2, 0, 1, 3, 4)).reshape(k * Co, -1)
     budget = None if carry is None else carry.budget
     P = _slab_planes(Ci, Co, k, H, W, D, budget=budget) if P is None else max(1, min(D, P))
     R = P + k - 1
@@ -230,23 +246,30 @@ def _conv_slabs(planes, D, grid, weight, out, bias=None, carry=None, P=None):
     def corner(a, j):  # the (oH, oW) corners of the first j full-grid planes of a
         return a[:, :j * HW].reshape(Co, j, H, W)[:, :, :oH, :oW]
 
-    def slot(q):  # the full-grid taps of input plane q
-        return taps[:, :, q % R * HW:(q % R + 1) * HW]
+    def tap(q, dz):  # the full-grid tap dz of input plane q
+        return taps[dz, :, q % R * HW:(q % R + 1) * HW]
 
     kept = []
     for b in range(B):
-        if carry is not None and carry.sums is not None:
-            for z, s in zip(range(Q - len(carry.sums[b]), Q), carry.sums[b]):
-                slot(z)[0] = s
-                for dz in range(1, Q - z):
-                    slot(z + dz)[dz] = -0.0
-            carry.sums[b] = None  # free before the item's new sums are kept
+        pending = [] if carry is None or carry.sums is None else carry.sums[b]
+        p0 = Q - len(pending)  # the first pending output plane
+        spare = []  # the buffers of the pending sums used up
         for q0 in range(Q, Q + D, P):
             q1 = min(q0 + P, Q + D)
             for o, c, m in _runs(q0 % R * HW, _unroll(U, planes(b, q0 - Q, q1 - Q), q1 - q0, k),
                                  R * HW):
                 np.matmul(w, U[:, o:o + m], out=taps.reshape(k * Co, -1)[:, c:c + m])
             z0, z1 = max(0, q0 - k + 1), q1 - k + 1  # the output planes completed
+            for z in range(z0, min(z1, Q)):  # a pending sum, then its taps from x
+                res = out[b, :, z - base:z - base + 1]
+                s, pending[z - p0] = pending[z - p0], None
+                np.add(corner(s, 1), corner(tap(Q, Q - z), 1), out=res)
+                for q in range(Q + 1, z + k):
+                    res += corner(tap(q, q - z), 1)
+                if bias is not None:
+                    res += bias
+                spare.append(s)
+            z0 = max(z0, Q)
             if z1 <= z0:
                 continue
             ends = sorted({z1 - z0} | {j for j in (R - (z0 + dz) % R for dz in range(k))
@@ -256,8 +279,8 @@ def _conv_slabs(planes, D, grid, weight, out, bias=None, carry=None, P=None):
                 t = [taps[dz, :, (z0 + j0 + dz) % R * HW:] for dz in range(k)]
                 if k > 2:
                     np.add(t[0][:, :j * HW], t[1][:, :j * HW], out=acc[:, :j * HW])
-                    for tap in t[2:-1]:
-                        acc[:, :j * HW] += tap[:, :j * HW]
+                    for s in t[2:-1]:
+                        acc[:, :j * HW] += s[:, :j * HW]
                     t = [acc, t[-1]]
                 res = out[b, :, z0 - base + j0:z0 - base + j1]
                 if k > 1:
@@ -269,13 +292,23 @@ def _conv_slabs(planes, D, grid, weight, out, bias=None, carry=None, P=None):
         if carry is not None and Q + D != carry.depth:
             end, sums = Q + D, []
             for z in range(max(0, end - k + 1), end):  # the planes not yet out
-                s = slot(z)[0].copy()
-                for dz in range(1, end - z):
-                    s += slot(z + dz)[dz]
+                if z < Q:
+                    s = pending[z - p0]
+                    for q in range(Q, end):
+                        s += tap(q, q - z)
+                else:
+                    s = spare.pop() if spare else np.empty((Co, HW), out.dtype)
+                    if end - z == 1:
+                        np.copyto(s, tap(z, 0))
+                    else:
+                        np.add(tap(z, 0), tap(z + 1, 1), out=s)
+                    for q in range(z + 2, end):
+                        s += tap(q, q - z)
                 sums.append(s)
             kept.append(sums)
     if carry is not None:
-        carry.planes, carry.sums = Q + D, kept or None
+        done = Q + D == carry.depth
+        carry.planes, carry.sums, carry.weight = Q + D, None if done else kept, None if done else w
     return out
 
 
@@ -295,6 +328,9 @@ def conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
         raise ContractError(f"conv3d: spatial dims {(D, H, W)} smaller than kernel {k}")
     if bias is not None and bias.shape != (Co,):
         raise ContractError(f"conv3d: bias shape {bias.shape} != ({Co},)")
+    if carry is not None and carry.depth is not None and carry.planes + D > carry.depth:
+        raise ContractError(f"conv3d: {D} planes past a carry that has had {carry.planes} "
+                            f"of {carry.depth}")
 
     z0, z1 = (0, D - k + 1) if carry is None else carry.outputs(D, k)
     shape = (B, Co, z1 - z0, H - k + 1, W - k + 1)

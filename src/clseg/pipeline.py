@@ -72,7 +72,8 @@ def check_cohort(subject_dirs: list[str | Path]) -> dict:
 
 def _normalized_contrasts(vols: dict[str, volume_io.Volume]) -> np.ndarray:
     """(3, D, H, W) normalized contrasts in CONTRAST_NAMES order."""
-    return np.stack([normalize_volume(vols[name].data) for name in volume_io.CONTRAST_NAMES])
+    return np.stack([normalize_volume(vols[n].data, f"{vols[n].header.subject_id} {n}")
+                     for n in volume_io.CONTRAST_NAMES])
 
 
 def load_training_subject(cohort_dir: str | Path, subject_id: str) -> TrainingSubject:

@@ -43,22 +43,25 @@ as soon as the planes it reads are in, keeping only what later planes
 need (fused-layer evaluation; Alwani et al., MICRO 2016):
   - a 3x3x3 conv keeps in a layers.ConvCarry the partial sums of the two
     output planes its input so far leaves pending, so each input plane is
-    multiplied once;
+    multiplied once, and its kernel packed for the GEMMs at its first
+    push, so a later push neither repacks it nor copies a sum back;
   - a pooling keeps an odd trailing plane;
   - the decoder reads only the centre of the two pooled activations
     (enc1b, enc2b outputs): that crop is copied as their planes come out
     and waits in a FIFO until the decoder reads it, some 20 enc1b planes
     later;
   - a decoder unit's composed conv, a 2x2x2 one, keeps one pending plane
-    in its own ConvCarry, beside the skip conv's;
+    in its own ConvCarry, beside the skip conv's; its kernel is made in
+    the packed layout, so that carry holds no copy of it;
   - the heads keep nothing; level 1 of the decoder, the widest, runs on
     a quarter of the stream's depth of dec2b planes at a time.
 A push runs level 1 in chunks of the stream's depth (_push_depth), then
 the lower levels once on all the planes those pooled. Every ReLU runs in
 place on its conv's output, and each array is freed once it is dead (a
-carry's pending sums once its last input plane is in). Every conv product
-spans whole planes, so the stream computes the bytes of one whole pass
-however its input is pushed (see the equivalence tests).
+carry's pending sums and packed kernel once its last input plane is in).
+Every conv product spans whole planes, so the stream computes the bytes
+of one whole pass however its input is pushed (see the equivalence
+tests).
 
 For training, forward pushes the whole patch into a stream with a cache:
 level 1 runs through it before the lower levels make their arrays, which
@@ -294,7 +297,9 @@ def _compose(params, up, dec):
     low-resolution input that output parity p reads:
     K[p, o, i, l] = sum over m and over the pairs (t, a) that meet (p, l)
     of W_dec[o, m, t] * W_up[i, m, a]. One GEMM makes the products of all
-    216 pairs, and a gather sums them per (p, l).
+    216 pairs, and a gather sums them per (p, l). The kernel is a view of
+    those sums laid out as a conv's GEMMs read a kernel (layers.ConvCarry),
+    so a carry packs it without a copy.
     """
     w_t, w_a = _pair_factors(params, up, dec)
     co, ci = w_t.shape[0] // 27, w_a.shape[0] // 8
@@ -302,7 +307,9 @@ def _compose(params, up, dec):
     np.matmul(w_t, w_a.T, out=pairs[:27 * co])
     pairs[27 * co:] = 0
     k = pairs.reshape(28, co, 8, ci)[_DEC_TAP, :, np.arange(8)].sum(axis=2)  # (p, l, o, i)
-    composed = np.ascontiguousarray(k.transpose(0, 2, 3, 1)).reshape(8 * co, ci, 2, 2, 2)
+    # laid out (l_z, p, o, i, l_y, l_x): (2 * 8 * co, ci * 4) as a conv packs it
+    packed = np.ascontiguousarray(k.reshape(8, 2, 2, 2, co, ci).transpose(1, 0, 4, 5, 2, 3))
+    composed = packed.reshape(2, 8 * co, ci, 2, 2).transpose(1, 2, 0, 3, 4)
     t = params.tensors
     bias = t[f"{dec}.bias"] + (w_t @ t[f"{up}.bias"]).reshape(27, co).sum(axis=0)
     return t[f"{dec}.kernel"][:, w_t.shape[1]:], bias, composed
@@ -769,18 +776,23 @@ def mirror_pad(vol: np.ndarray, before: tuple[int, int, int],
     return np.pad(vol, tuple(zip(before, after)), mode="reflect")
 
 
-def normalize_volume(vol: np.ndarray) -> np.ndarray:
+def normalize_volume(vol: np.ndarray, name: str = "volume") -> np.ndarray:
     """A float32 copy of `vol` z-scored by the mean and standard deviation of
     its nonzero (brain) voxels, or of all voxels if none is nonzero; a
     standard deviation of 0 divides by 1. The brain voxels are gathered once
     for both statistics, and the copy is shifted and scaled in place, which
-    gives the bytes of `(vol - mu) / sd`."""
+    gives the bytes of `(vol - mu) / sd`. A statistic that is not finite, as
+    a NaN or infinite voxel makes it, raises NonFiniteError naming `name`."""
     vol = vol.astype(np.float32)
     brain = vol[vol != 0]
     if not brain.size:
         brain = vol.reshape(-1)
-    mu = float(brain.mean())
-    sd = float(brain.std()) or 1.0
+    with np.errstate(invalid="ignore", over="ignore"):  # an inf voxel: inf - inf
+        mu, sd = float(brain.mean()), float(brain.std())
+    if not (np.isfinite(mu) and np.isfinite(sd)):
+        raise layers.NonFiniteError(f"{name}: non-finite mean {mu} or standard deviation "
+                                    f"{sd} of its voxels")
+    sd = sd or 1.0
     vol -= mu
     vol /= sd
     return vol
@@ -812,10 +824,10 @@ def sliding_window_inference(params: NetworkParams, contrasts: np.ndarray,
     a slice that raises stops the others at their next push, and its
     error is raised once all have ended. With n > 1 the streams' convs
     size their slabs to SLAB_BUDGET_ELEMS // n^2, so that at C=4 the n
-    streams together peak no higher than one does (96^3: 33 MiB in two
-    slices, 37.8 MiB in one). At C=16 a conv of a slice needs more than
-    its share for one plane, and two slices of 96^3 peak at 118 MiB,
-    against 98 MiB for one stream. The bytes are those of one pass however
+    streams together peak no higher than one does (96^3: 31 MiB in two
+    slices, 38 MiB in one). At C=16 a conv of a slice needs more than
+    its share for one plane, and two slices of 96^3 peak at 113 MiB,
+    against 101 MiB for one stream. The bytes are those of one pass however
     many slices run (module docstring). The name recalls the overlap tiles
     this pass replaced.
 

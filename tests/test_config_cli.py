@@ -519,6 +519,46 @@ def test_cli_nonfinite_training_exit_3(tmp_path, tiny_cohort):
     assert main(["train", "--config", str(path)]) == 3
 
 
+def _nan_voxel_cohort(tmp_path, tiny_cohort, contrast):
+    cohort = tmp_path / "nan_cohort"
+    shutil.copytree(tiny_cohort, cohort)
+    v = vio.read_volume(cohort / "subject_00" / contrast)
+    v.data[3, 4, 5] = np.nan
+    vio.write_volume(v, cohort / "subject_00" / contrast)
+    return cohort
+
+
+def test_cli_train_refuses_a_nan_voxel_in_one_line(tmp_path, tiny_cohort, capsys):
+    # the contrast's mean and standard deviation are NaN: normalization
+    # names it, before any step, instead of training on NaN inputs
+    cohort = _nan_voxel_cohort(tmp_path, tiny_cohort, "t2s_gre")
+    cfg, path = _fast_config(tmp_path, cohort)
+    assert main(["train", "--config", str(path)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: subject_00 t2s_gre: non-finite mean nan or standard deviation nan "
+        "of its voxels"]
+    out = tmp_path / "out"
+    assert not list(out.glob("checkpoint_*"))
+    assert json.loads((out / "run_manifest.json").read_text())["exit_code"] == 3
+
+
+def test_cli_infer_refuses_a_nan_voxel_in_one_line(tmp_path, tiny_cohort, capsys):
+    # one NaN voxel used to give an all-NaN cl_prob and exit 0
+    cohort = _nan_voxel_cohort(tmp_path, tiny_cohort, "t2s_epi")
+    cfg, path = _fast_config(tmp_path, cohort)
+    ckpt = tmp_path / "ck"
+    params = unet.build_network(cfg.network, seed=0)
+    unet.save_checkpoint(ckpt, params, AdamState.for_params(params.tensors), 0, 0)
+    assert main(["infer", "--config", str(path), "--checkpoint", str(ckpt), "--subject",
+                 str(cohort / "subject_00"), "--out", str(tmp_path / "pred")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: subject_00 t2s_epi: non-finite mean nan or standard deviation nan "
+        "of its voxels"]
+    out = tmp_path / "pred" / "subject_00"
+    assert sorted(p.name for p in out.iterdir()) == ["run_manifest.json"]
+    assert json.loads((out / "run_manifest.json").read_text())["exit_code"] == 3
+
+
 def test_cli_nonfinite_gradient_exit_3(tmp_path, tiny_cohort, monkeypatch, capsys):
     # a NaN gradient under a finite loss stops training before the update
     backward = unet.backward

@@ -189,6 +189,59 @@ def test_conv_float32_bytes_do_not_depend_on_the_split_of_the_input(monkeypatch)
             assert np.concatenate(outs, axis=2).tobytes() == want, (x.shape, pieces)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("P", [1, 2])
+def test_conv_carried_calls_in_small_slabs_give_the_one_pass_bytes(k, P):
+    # a carry whose budget makes slabs of P planes, on a batch of 2: a
+    # pending plane's sum is the first operand of taps from one or more
+    # slabs of a call (at k=3 and P=1, its last tap comes in the call's
+    # second slab), or it stays pending through a call of one plane and
+    # takes that plane's tap in place
+    Ci, Co, D, H, W = 8, 8, 11, 9, 10
+    r = np.random.default_rng(30 + 2 * k + P)
+    x = r.standard_normal((2, Ci, D, H, W), dtype=np.float32)
+    w = (r.standard_normal((Co, Ci, k, k, k)) * 0.1).astype(np.float32)
+    b = r.standard_normal(Co).astype(np.float32)
+    want = L.conv3d_forward(x, w, b).tobytes()
+    budget = (P * (Ci * k * k + k * Co) + k * Co * (k - 1)) * H * W
+    assert L._slab_planes(Ci, Co, k, H, W, D, budget=budget) == P
+    for pieces in ((1, 4, 1, 5), (2, 1, 3, 5), (3, 3, 3, 2), (1,) * D):
+        carry, outs, z = L.ConvCarry(D, budget), [], 0
+        for n in pieces:
+            outs.append(L.conv3d_forward(x[:, :, z:z + n], w, b, carry=carry))
+            z += n
+        assert np.concatenate(outs, axis=2).tobytes() == want, pieces
+
+
+def test_conv_carry_holds_nothing_once_its_last_plane_is_in():
+    # between calls a carry holds its packed weight, made once, and per item
+    # the k-1 pending sums, whose buffers the next call reuses; after the
+    # input's last plane it holds neither, and a conv called once on its
+    # whole input keeps nothing
+    Ci, Co, k = 4, 6, 3
+    r = np.random.default_rng(41)
+    x = r.standard_normal((2, Ci, 7, 9, 10), dtype=np.float32)
+    w = r.standard_normal((Co, Ci, k, k, k)).astype(np.float32)
+    b = r.standard_normal(Co).astype(np.float32)
+    carry = L.ConvCarry(7)
+    L.conv3d_forward(x[:, :, :3], w, b, carry=carry)
+    packed = carry.weight
+    assert packed.tobytes() == w.transpose(2, 0, 1, 3, 4).tobytes()
+    assert packed.shape == (k * Co, Ci * k * k)
+    assert [len(s) for s in carry.sums] == [k - 1] * 2
+    buffers = {id(s) for sums in carry.sums for s in sums}
+    L.conv3d_forward(x[:, :, 3:5], w, b, carry=carry)
+    assert carry.weight is packed
+    assert {id(s) for sums in carry.sums for s in sums} == buffers
+    L.conv3d_forward(x[:, :, 5:], w, b, carry=carry)
+    assert carry.planes == 7 and carry.sums is None and carry.weight is None
+    with pytest.raises(L.ContractError, match="past a carry"):
+        L.conv3d_forward(x[:, :, :1], w, b, carry=carry)
+    once = L.ConvCarry(7)
+    L.conv3d_forward(x, w, b, carry=once)
+    assert once.sums is None and once.weight is None
+
+
 def test_conv_backward_memory_within_one_slab():
     # paper-width enc1b backward: besides its outputs, only one slab's
     # unrolled input plus the ring of tap outputs, or in the grad_x pass

@@ -792,15 +792,16 @@ def test_sliding_window_inference_at_paper_width_chunks_level_one(monkeypatch):
     # C=16, 56^3, padded to 96^3. Level 1 whole, the enc1b output of a
     # 68^3 overlap tile (32 x 64^3 float32, 32 MiB) made the peak 70 MiB;
     # streamed in pushes of 4 planes, 42 MiB: a 16 MiB conv slab, 8 MiB of
-    # conv carries and 10.5 MiB of skip FIFOs (about 19 enc1b crop planes)
+    # conv carries and 10.5 MiB of skip FIFOs (about 19 enc1b crop planes);
+    # 46 MiB with every carry's packed kernel (2.7 MiB) held for the stream
     assert _inference_peak(monkeypatch, 16, 56) <= 50 * 2 ** 20
 
 
 def test_sliced_inference_keeps_one_streams_memory(monkeypatch):
     # C=4, 96^3 in two height slices of 48 output rows, each streaming its
     # 88 padded rows on a thread of its own, its conv slabs sized to a
-    # quarter of SLAB_BUDGET_ELEMS: the two streams together peak at 33 MiB,
-    # under one stream's 37.8 MiB (above). With half the budget each they
+    # quarter of SLAB_BUDGET_ELEMS: the two streams together peak at 31 MiB,
+    # under one stream's 38 MiB (above). With half the budget each they
     # peaked at 36 MiB, with the whole budget each at 51 MiB
     assert _inference_peak(monkeypatch, 4, 96, slices=2) <= 40 * 2 ** 20
 
