@@ -2,7 +2,7 @@
 
 The variant is the one model switch: the baseline trains the lesion head
 only, multitask adds the tissue head, and multitask_icd also drops T2*
-channels in training. `RunConfig.loss` is derived from the variant;
+channels in training. The bool `RunConfig.loss` follows the variant;
 `validate` requires icd_probability > 0 exactly for multitask_icd, and
 `apply_variant` sets both. A document holds only the current keys, each of
 its default's type: a float setting also takes an integer, and a list has
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .evaluation import EvalConfig
-from .losses import LossConfig
 from .phantom import PhantomSpec
 from .sampling import SamplerConfig
 from .unet import NetworkConfig
@@ -43,8 +42,8 @@ class TrainingConfig:
     def validate(self) -> None:
         if self.iterations < 1 or self.checkpoint_every < 1 or self.batch_size < 1:
             raise ConfigError("iterations, checkpoint_every and batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0 < self.learning_rate < float("inf"):  # NaN fails too
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.seed < 0:
             raise ConfigError(f"training.seed must be >= 0, got {self.seed}")
 
@@ -91,9 +90,9 @@ class RunConfig:
         return self
 
     @property
-    def loss(self) -> LossConfig:
-        """The loss wiring the variant implies: the baseline has no tissue head."""
-        return LossConfig(tissue_head_enabled=self.variant != "baseline")
+    def loss(self) -> bool:
+        """Whether the tissue head trains: in every variant but the baseline."""
+        return self.variant != "baseline"
 
     def apply_variant(self, variant: str) -> "RunConfig":
         """Copy with the variant and its input-channel dropout set consistently."""

@@ -48,14 +48,15 @@ OpenBLAS's small-matrix kernel takes its products (under 1e6
 multiply-adds), their bytes depend on the slab size; the budget cuts a
 slab short only where the products are far larger.
 
-A conv may also take its input in depth, over several conv3d_forward
-calls that a ConvCarry links. The carry packs the weight as the GEMM reads
-it, (k*Co, C*k*k), at its first call, and keeps the partial sums of the
-k-1 output planes that the planes so far leave pending. A later call reads
-such a sum in place as the first operand of the plane's remaining taps,
-so the sums run in the order of one call, and builds the sums that it
-leaves pending in the buffers of those it used up. The carry drops its
-weight and sums at its input's last plane.
+Every forward pass runs on a ConvCarry, which links the conv3d_forward
+calls that feed a conv its input in depth; a call on a whole input is
+the one call of a fresh carry. The carry packs the weight as the GEMM
+reads it, (k*Co, C*k*k), at its first call, and keeps the partial sums
+of the k-1 output planes that the planes so far leave pending. A later
+call reads such a sum in place as the first operand of the plane's
+remaining taps, so the sums run in the order of one call, and builds the
+sums that it leaves pending in the buffers of those it used up. The
+carry drops its weight and sums at its input's last plane.
 
 conv3d_backward reads grad_out only a slab of planes at a time, so it
 also takes a function that returns those planes, and a gradient that is
@@ -85,9 +86,9 @@ width and ANDed with the gradient's bits. A masked select (np.where, or
 np.copyto with where=) branches per element, and on the random sign and
 argmax patterns of real activations most of those branches mispredict;
 the AND has no branch, and unlike multiplying by a 0/1 mask it keeps the
-result bit-identical to the select, signed zeros and NaN included. A
-stored ReLU mask is bit-packed per row (np.packbits along the last axis),
-so that a depth slice of it masks a slab of planes.
+result bit-identical to the select, signed zeros and NaN included. The
+ReLU mask has one form, bit-packed per row (relu_mask), so that a depth
+slice of it masks a slab of planes.
 """
 
 from __future__ import annotations
@@ -169,17 +170,17 @@ def _unroll(U, x, m, k):
 
 
 class ConvCarry:
-    """What a conv fed its input in depth keeps between conv3d_forward
-    calls: how many input planes it has had, its weight packed for the
-    calls' GEMMs (made at the first call, so every call must pass the same
-    weight), and per batch item the full-grid partial sums of the k-1
-    output planes those planes leave pending. It drops the packed weight
-    and the sums once the last of the input's `depth` planes, if given, is
-    in, so a conv called once on its whole input keeps nothing. Its calls
-    size their slabs to `budget` elements (SLAB_BUDGET_ELEMS if None),
-    which changes no byte of the output."""
+    """What a conv keeps between the conv3d_forward calls that feed it its
+    input of `depth` planes: how many planes it has had, its weight packed
+    for the calls' GEMMs (made at the first call, so every call must pass
+    the same weight), and per batch item the full-grid partial sums of the
+    k-1 output planes those planes leave pending. It drops the packed
+    weight and the sums once the last plane is in, so a conv called once
+    on its whole input keeps nothing. Its calls size their slabs to
+    `budget` elements (SLAB_BUDGET_ELEMS if None), which changes no byte
+    of the output."""
 
-    def __init__(self, depth: int | None = None, budget: int | None = None):
+    def __init__(self, depth: int, budget: int | None = None):
         self.planes, self.depth, self.budget = 0, depth, budget
         self.weight = self.sums = None
 
@@ -189,50 +190,49 @@ class ConvCarry:
         return max(0, self.planes - k + 1), max(0, self.planes + n - k + 1)
 
 
-def _conv_slabs(planes, D, grid, weight, out, bias=None, carry=None, P=None):
+def _conv_slabs(planes, D, grid, weight, out, carry, bias=None, P=None):
     """out[b,o,z,y,x] = sum_{i,dz,dy,dx} x[b,i,z+dz,y+dy,x+dx] * w[o,i,dz,dy,dx]
     (+ bias[o])
 
-    for an input x of D planes on the (H, W) = grid, read in slabs of P
-    input planes (from _slab_planes unless given): planes(b, q0, q1)
+    for the D planes x that follow the ConvCarry `carry`'s planes of an
+    input on the (H, W) = grid, read in slabs of P input planes (from
+    _slab_planes and the carry's budget unless given): planes(b, q0, q1)
     returns x[b, :, q0:] with C-contiguous planes, or at least planes
-    q0..q1-1 of it. Each slab
-    is unrolled once, and one GEMM per run of ring slots applies all k
-    depth taps' kernels to it, (k*Co, Ci*k*k) @ U, writing input plane q's
-    k tap outputs into slot q % R of a ring of R = P + k - 1 planes: the
-    planes from the oldest output plane that a slab completes to the
-    slab's last. Output plane z sums tap dz of slot (z + dz) % R in tap
-    order, then the bias is added, on the (oH, oW) corner. A slab
-    completes up to P output planes, whose taps each read that many
-    consecutive slots; P <= R, so each tap's slots pass the ring's end at
-    most once, and the completed planes split into at most k + 1 ranges
-    over which every tap's slots are contiguous.
+    q0..q1-1 of it. Each slab is unrolled once, and one GEMM per run of
+    ring slots applies all k depth taps' kernels to it, (k*Co, Ci*k*k) @ U,
+    writing input plane q's k tap outputs into slot q % R of a ring of
+    R = P + k - 1 planes: the planes from the oldest output plane that a
+    slab completes to the slab's last. Output plane z sums tap dz of slot
+    (z + dz) % R in tap order, then the bias is added, on the (oH, oW)
+    corner. A slab completes up to P output planes, whose taps each read
+    that many consecutive slots; P <= R, so each tap's slots pass the
+    ring's end at most once, and the completed planes split into at most
+    k + 1 ranges over which every tap's slots are contiguous.
 
-    With a ConvCarry, x follows the carry's planes: plane q of x is input
-    plane carry.planes + q, out holds the output planes from the first
-    one x completes, and the GEMMs read the carry's packed weight. A
-    pending output plane's partial sum, its taps so far added in tap
-    order, is read in place as the first operand of its taps from x, so
-    the sums run in the one order. A plane that x first reaches keeps its
-    taps as one np.add of the first two (a copy of one), then += of the
-    rest, written into the buffer of a pending sum that x used up.
-    Every product spans whole planes (see _unroll), so the split of the
-    input into slabs or calls does not change a bit of the output. At
-    k = 1 no column is discarded, and that holds where a plane has a
-    multiple of 16 columns, as the network's heads have (every output side
-    is a multiple of 4).
+    Plane q of x is input plane carry.planes + q, out holds the output
+    planes from the first one x completes, and the GEMMs read the carry's
+    weight, packed at its first call. A pending output plane's partial
+    sum, its taps so far added in tap order, is read in place as the first
+    operand of its taps from x, so the sums run in the one order. Unless x
+    ends the input, the call leaves in the carry the sums of the planes
+    still pending: a plane that x first reaches keeps its taps as one
+    np.add of the first two (a copy of one), then += of the rest, written
+    into the buffer of a pending sum that x used up. Every product spans
+    whole planes (see _unroll), so the split of the input into slabs or
+    calls does not change a bit of the output. At k = 1 no column is
+    discarded, and that holds where a plane has a multiple of 16 columns,
+    as the network's heads have (every output side is a multiple of 4).
     """
     H, W = grid
     HW = H * W
     Co, Ci, k, _, _ = weight.shape
     B, _, _, oH, oW = out.shape
-    Q = 0 if carry is None else carry.planes  # input planes before x
+    Q = carry.planes  # input planes before x
     base = max(0, Q - k + 1)  # out's first plane
-    w = None if carry is None else carry.weight
+    w = carry.weight
     if w is None:
         w = np.ascontiguousarray(weight.transpose(2, 0, 1, 3, 4)).reshape(k * Co, -1)
-    budget = None if carry is None else carry.budget
-    P = _slab_planes(Ci, Co, k, H, W, D, budget=budget) if P is None else max(1, min(D, P))
+    P = _slab_planes(Ci, Co, k, H, W, D, budget=carry.budget) if P is None else max(1, min(D, P))
     R = P + k - 1
     # the unrolled slab, the tap ring and the partial sums (of k > 2 taps) in
     # one block: as three arrays, the desk step page-faulted ~3,200 times
@@ -251,7 +251,7 @@ def _conv_slabs(planes, D, grid, weight, out, bias=None, carry=None, P=None):
 
     kept = []
     for b in range(B):
-        pending = [] if carry is None or carry.sums is None else carry.sums[b]
+        pending = [] if carry.sums is None else carry.sums[b]
         p0 = Q - len(pending)  # the first pending output plane
         spare = []  # the buffers of the pending sums used up
         for q0 in range(Q, Q + D, P):
@@ -289,7 +289,7 @@ def _conv_slabs(planes, D, grid, weight, out, bias=None, carry=None, P=None):
                     res[...] = corner(t[0], j)
                 if bias is not None:
                     res += bias
-        if carry is not None and Q + D != carry.depth:
+        if Q + D != carry.depth:
             end, sums = Q + D, []
             for z in range(max(0, end - k + 1), end):  # the planes not yet out
                 if z < Q:
@@ -306,9 +306,8 @@ def _conv_slabs(planes, D, grid, weight, out, bias=None, carry=None, P=None):
                         s += tap(q, q - z)
                 sums.append(s)
             kept.append(sums)
-    if carry is not None:
-        done = Q + D == carry.depth
-        carry.planes, carry.sums, carry.weight = Q + D, None if done else kept, None if done else w
+    done = Q + D == carry.depth
+    carry.planes, carry.sums, carry.weight = Q + D, None if done else kept, None if done else w
     return out
 
 
@@ -317,22 +316,24 @@ def conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
     """Valid convolution of x, plus `bias` unless it is None, into `out`
     when given (any strides) or a new array. With a `carry`, x is the next
     planes of an input fed in depth: the output holds the planes they
-    complete, and each input plane is multiplied once over all calls."""
+    complete, and each input plane is multiplied once over all calls.
+    Without one, x is the one call of a fresh ConvCarry(D)."""
     B, Ci, D, H, W = x.shape
+    carry = ConvCarry(D) if carry is None else carry
     Co, wCi, k, kh, kw = weight.shape
     if wCi != Ci:
         raise ContractError(f"conv3d: input has {Ci} channels, kernel expects {wCi}")
     if not (k == kh == kw):
         raise ContractError(f"conv3d: kernel must be cubic, got {weight.shape[2:]}")
-    if min(H, W) < k or (carry is None and D < k):
-        raise ContractError(f"conv3d: spatial dims {(D, H, W)} smaller than kernel {k}")
+    if min(H, W, carry.depth) < k:
+        raise ContractError(f"conv3d: spatial dims {(carry.depth, H, W)} smaller than kernel {k}")
     if bias is not None and bias.shape != (Co,):
         raise ContractError(f"conv3d: bias shape {bias.shape} != ({Co},)")
-    if carry is not None and carry.depth is not None and carry.planes + D > carry.depth:
+    if carry.planes + D > carry.depth:
         raise ContractError(f"conv3d: {D} planes past a carry that has had {carry.planes} "
                             f"of {carry.depth}")
 
-    z0, z1 = (0, D - k + 1) if carry is None else carry.outputs(D, k)
+    z0, z1 = carry.outputs(D, k)
     shape = (B, Co, z1 - z0, H - k + 1, W - k + 1)
     if out is None:
         out = np.empty(shape, dtype=x.dtype)
@@ -344,8 +345,8 @@ def conv3d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
     s = x.itemsize
     if x.strides[2:] != (x.shape[3] * x.shape[4] * s, x.shape[4] * s, s):
         x = np.ascontiguousarray(x)  # _unroll needs C-contiguous planes only
-    _conv_slabs(lambda b, q0, q1: x[b, :, q0:], D, x.shape[3:], weight, out,
-                None if bias is None else bias.reshape(-1, 1, 1, 1).astype(x.dtype), carry)
+    _conv_slabs(lambda b, q0, q1: x[b, :, q0:], D, x.shape[3:], weight, out, carry,
+                None if bias is None else bias.reshape(-1, 1, 1, 1).astype(x.dtype))
     return out
 
 
@@ -452,7 +453,7 @@ def conv3d_backward(x: np.ndarray, weight: np.ndarray, grad_out, need_grad_x: bo
 
     grad_x = np.empty_like(x) if out is None else out
     _conv_slabs(padded, D + p, (H, W), weight[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4),
-                grad_x, P=Px)
+                grad_x, ConvCarry(D + p), P=Px)
     return grad_x, grad_w, grad_bias
 
 
@@ -603,36 +604,37 @@ def relu_forward(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(x, 0, out=out)
 
 
-def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Zeroes grad_out in place wherever x > 0 fails and returns it, bit for
-    bit np.where(x > 0, grad_out, 0); the subgradient at exactly 0 is 0.
+def relu_mask(act: np.ndarray) -> np.ndarray:
+    """np.packbits(act > 0, axis=-1), the ReLU mask of an activation (its
+    input or output) packed per row, so that a depth slice of it masks that
+    slice of planes. The rows are padded with zero bits to whole bytes,
+    then packed at once, which is 2-3 times faster than np.packbits along
+    a short last axis."""
+    w = act.shape[-1]
+    bits = np.zeros(act.shape[:-1] + (-(-w // 8) * 8,), dtype=bool)
+    np.greater(act, 0, out=bits[..., :w])
+    return np.packbits(bits.reshape(-1)).reshape(bits.shape[:-1] + (bits.shape[-1] // 8,))
 
-    x may be the ReLU's input or its output, which is positive exactly
-    where the input is, of grad_out's shape. x may also be the mask
-    np.packbits(x > 0, axis=-1) of either, packed per row: a uint8 array of
-    grad_out's shape but for ceil(W/8) bytes in place of the last axis's W
-    elements, so that a depth slice of it masks that slice of planes. Any
-    strides do for x; grad_out must be C-contiguous. The mask is built a
-    chunk of rows at a time.
+
+def relu_backward(mask: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    """Zeroes grad_out in place wherever the ReLU `mask` of relu_mask has
+    a 0 bit and returns it, bit for bit np.where(x > 0, grad_out, 0) for
+    the x it was made from; the subgradient at exactly 0 is 0. Any strides
+    do for the mask, such as a depth slice; grad_out must be C-contiguous.
+    The mask is unpacked a chunk of rows at a time.
     """
     W = grad_out.shape[-1]
-    packed = x.dtype == np.uint8
-    if packed and x.shape != grad_out.shape[:-1] + (-(-W // 8),):
-        raise ContractError(
-            f"relu backward: packed mask shape {x.shape} does not fit grad_out {grad_out.shape}")
-    if not packed and x.shape != grad_out.shape:
-        raise ContractError(f"relu backward: x shape {x.shape} != grad_out {grad_out.shape}")
+    if mask.dtype != np.uint8 or mask.shape != grad_out.shape[:-1] + (-(-W // 8),):
+        raise ContractError(f"relu backward: {mask.dtype} mask of shape {mask.shape} is not "
+                            f"the packed mask of grad_out {grad_out.shape}")
     if not grad_out.flags.c_contiguous:
         raise ContractError("relu backward: grad_out must be C-contiguous")
-    xr, gr = x.reshape(-1, x.shape[-1]), _bits(grad_out).reshape(-1, W)
+    mr, gr = mask.reshape(-1, mask.shape[-1]), _bits(grad_out).reshape(-1, W)
     rows = max(1, MASK_CHUNK_ELEMS // W)
-    mask = np.empty((min(len(gr), rows), W), dtype=gr.dtype)
+    unpacked = np.empty((min(len(gr), rows), W), dtype=gr.dtype)
     for s in range(0, len(gr), rows):
-        m = mask[:min(rows, len(gr) - s)]
-        if packed:
-            np.copyto(m, np.unpackbits(xr[s:s + len(m)], axis=-1, count=W))
-        else:
-            np.greater(xr[s:s + len(m)], 0, out=m)
+        m = unpacked[:min(rows, len(gr) - s)]
+        np.copyto(m, np.unpackbits(mr[s:s + len(m)], axis=-1, count=W))
         np.negative(m, out=m)  # 1 -> all ones
         np.bitwise_and(gr[s:s + len(m)], m, out=gr[s:s + len(m)])
     return grad_out

@@ -3,13 +3,11 @@
 The lesion head's weights are constants: lesion voxels 15, background 1,
 white-matter lesion voxels 0 (so segmenting a WML is never penalized); the
 tissue head zeroes every lesion voxel, and the variant decides whether it
-trains (LossConfig). Each head's loss is normalized by its weight sum, and
+trains (tissue_head). Each head's loss is normalized by its weight sum, and
 the two head losses are combined by arithmetic mean.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,11 +17,6 @@ LOG_FLOOR = 1e-12  # single-precision safety clamp inside the log
 CL_LESION_WEIGHT = 15.0
 CL_BACKGROUND_WEIGHT = 1.0
 CL_WML_WEIGHT = 0.0
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    tissue_head_enabled: bool = True  # baseline variant turns the tissue head off
 
 
 def build_cl_weight_map(cl_labels: np.ndarray, wml_labels: np.ndarray) -> np.ndarray:
@@ -81,14 +74,15 @@ def weighted_cross_entropy(probs: np.ndarray, labels: np.ndarray,
 
 def combined_loss(cl_probs: np.ndarray, tissue_probs: np.ndarray,
                   cl_labels: np.ndarray, tissue_labels: np.ndarray,
-                  wml_labels: np.ndarray, cfg: LossConfig = LossConfig()):
-    """Mean of the two head losses with gradients for both heads.
+                  wml_labels: np.ndarray, tissue_head: bool = True):
+    """Mean of the two head losses with gradients for both heads; without
+    `tissue_head` the tissue head's weights, loss and gradient are 0.
 
     Returns (total, (cl_loss, tissue_loss), (grad_cl_logits, grad_tissue_logits)).
     """
     cl_w = build_cl_weight_map(cl_labels, wml_labels)
     tissue_w = build_tissue_weight_map(cl_labels, wml_labels)
-    if not cfg.tissue_head_enabled:
+    if not tissue_head:
         tissue_w = np.zeros_like(tissue_w)
     cl_loss, g_cl = weighted_cross_entropy(cl_probs, cl_labels, cl_w)
     tissue_loss, g_tissue = weighted_cross_entropy(tissue_probs, tissue_labels, tissue_w)

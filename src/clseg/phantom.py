@@ -109,9 +109,12 @@ class PhantomSpec:
             raise PhantomError("cortex thickness must be >= 3 voxels")
         if min(self.lesion_counts) < 0 or self.wml_count < 0:
             raise PhantomError("lesion counts must be nonnegative")
-        if self.lesion_size_range[0] < DEFAULT_MIN_LESION_VOXELS:
-            raise PhantomError(
-                f"minimum lesion size is the evaluation floor, {DEFAULT_MIN_LESION_VOXELS} voxels")
+        lo, hi = self.lesion_size_range
+        if not DEFAULT_MIN_LESION_VOXELS <= lo <= hi:
+            raise PhantomError(f"lesion_size_range must be (low, high) with low at least the "
+                               f"evaluation floor, {DEFAULT_MIN_LESION_VOXELS}; got {(lo, hi)}")
+        if not all(np.isfinite(s) and s >= 0 for s in self.noise_sigma):
+            raise PhantomError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.n_subjects < 1:
             raise PhantomError("n_subjects must be >= 1")
         if self.seed < 0:

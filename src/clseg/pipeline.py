@@ -135,7 +135,7 @@ def _load_latest_checkpoint(out_dir: Path):
     killed or damaged run leaves one. A whole header of another network, an
     older format's included, raises CheckpointMismatchError before anything
     is written: resuming past it would overwrite its run's loss.csv and
-    checkpoints."""
+    checkpoints; so does NonFiniteError, for a NaN or an infinity in one."""
     found = []
     for p in out_dir.glob("checkpoint_*.json"):
         stem = p.name[len("checkpoint_"):-len(".json")]
@@ -180,7 +180,8 @@ def run_training(cfg: RunConfig, out_dir: str | Path,
 
     Resumable: with `resume`, continues from the newest complete
     checkpoint in out_dir and reproduces the uninterrupted run exactly (the
-    sampler is draw-indexed, so only the draw counter is state).
+    sampler is draw-indexed, so only the draw counter is state). Without
+    it, out_dir's checkpoints are removed first.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -190,6 +191,10 @@ def run_training(cfg: RunConfig, out_dir: str | Path,
 
     start_iter = 0
     draws = 0
+    if not resume:  # another run's checkpoints, which a later resume would continue
+        for header in out_dir.glob("checkpoint_*.json"):
+            header.unlink()  # first, so that no header outlives its payload
+            header.with_suffix(".raw").unlink(missing_ok=True)
     latest = _load_latest_checkpoint(out_dir) if resume else None
     if latest is not None:
         ckpt, (params, state, start_iter, draws) = latest

@@ -122,7 +122,7 @@ import numpy as np
 from . import layers, volume_io
 from .blas import blas_threads, set_blas_threads
 from .layers import ContractError
-from .losses import LossConfig, combined_loss
+from .losses import combined_loss
 from .optim import AdamState, adam_step
 from .volume_io import CONTRAST_NAMES, LABEL_CODES
 
@@ -226,16 +226,6 @@ def build_network(cfg: NetworkConfig, seed: int, dtype=np.float32) -> NetworkPar
         tensors[f"{name}.kernel"] = (rng.standard_normal(shape) * std).astype(dtype)
         tensors[f"{name}.bias"] = np.zeros(shapes[f"{name}.bias"], dtype=dtype)
     return NetworkParams(cfg, seed, tensors)
-
-
-def _row_mask(act):
-    """The ReLU mask of an activation, bit-packed per row (relu_backward):
-    its rows padded with zero bits to whole bytes, then packed at once,
-    which is 2-3 times faster than np.packbits along a short last axis."""
-    w = act.shape[-1]
-    bits = np.zeros(act.shape[:-1] + (-(-w // 8) * 8,), dtype=bool)
-    np.greater(act, 0, out=bits[..., :w])
-    return np.packbits(bits.reshape(-1)).reshape(bits.shape[:-1] + (bits.shape[-1] // 8,))
 
 
 def _unit_backward(params, name, grad, cache, grads, need_grad_x=True):
@@ -532,7 +522,7 @@ class DepthStream:
                                     out=self._whole(self.writes.get(name), z0, z1, x.dtype))
         layers.relu_forward(act, out=act)
         if self.cache is not None:
-            self._whole(f"{name}.mask", z0, z1, np.uint8)[...] = _row_mask(act)
+            self._whole(f"{name}.mask", z0, z1, np.uint8)[...] = layers.relu_mask(act)
         return act if act.shape[2] else None
 
     def _dec(self, up, name, x, skip):
@@ -552,7 +542,7 @@ class DepthStream:
                            self._whole(self.writes.get(name), z0, z1, x.dtype))
         layers.relu_forward(act, out=act)
         if self.cache is not None:
-            self._whole(f"{name}.mask", z0, z1, np.uint8)[...] = _row_mask(act)
+            self._whole(f"{name}.mask", z0, z1, np.uint8)[...] = layers.relu_mask(act)
         return act if act.shape[2] else None
 
     def _pool(self, name, x, m):
@@ -730,7 +720,7 @@ class StepResult:
 
 
 def train_step(params: NetworkParams, state: AdamState, batch: dict,
-               loss_cfg: LossConfig) -> StepResult:
+               tissue_head: bool) -> StepResult:
     """One forward, combined weighted-CE loss, full backward, one Adam update.
 
     batch: input (B,3,s,s,s) float; cl/tissue/wml label crops (B,s-40,...)
@@ -743,7 +733,7 @@ def train_step(params: NetworkParams, state: AdamState, batch: dict,
     cl_probs, tissue_probs, cache = forward(params, batch["input"], want_cache=True)
     total, (cl_loss, tissue_loss), (g_cl, g_tissue) = combined_loss(
         cl_probs, tissue_probs,
-        batch["cl_labels"], batch["tissue_labels"], batch["wml_labels"], loss_cfg)
+        batch["cl_labels"], batch["tissue_labels"], batch["wml_labels"], tissue_head)
     if not np.isfinite(total):
         raise layers.NonFiniteError(f"non-finite loss at patch {prov}")
     grads = backward(params, cache, g_cl, g_tissue)
@@ -949,6 +939,8 @@ def load_checkpoint(path: str | Path):
     another network: network keys other than NetworkConfig's fields, values
     that are not a valid network, or a payload_order other than
     param_shapes'. That holds whatever the payload of such a header holds.
+    Raises NonFiniteError, which resume does not skip, for a NaN or an
+    infinity in a whole payload, naming the first tensor that holds one.
     """
     try:
         header, raw = volume_io.read_record(path)
@@ -988,15 +980,17 @@ def load_checkpoint(path: str | Path):
     payload = np.frombuffer(raw, dtype="<f4")
     params = NetworkParams(cfg, seed, {})
 
-    def take(offset):
+    def take(offset, what):
         tensors = {}
         for k in order:
             n = int(np.prod(shapes[k]))
             tensors[k] = payload[offset:offset + n].reshape(shapes[k]).copy()
+            if not np.isfinite(tensors[k]).all():
+                raise layers.NonFiniteError(f"checkpoint {path}: {what} {k} is not finite")
             offset += n
         return tensors, offset
 
-    params.tensors, off = take(0)
-    m, off = take(off)
-    v, off = take(off)
+    params.tensors, off = take(0, "parameter")
+    m, off = take(off, "Adam moment m of")
+    v, off = take(off, "Adam moment v of")
     return params, AdamState(**adam, m=m, v=v), iteration, draws

@@ -164,10 +164,8 @@ def activation_pattern(cache: dict) -> np.ndarray:
     """
     parts: list[int] = []
     for name in RELU_UNITS:
-        _, act = cache[name]  # positive exactly where the pre-activation is
-        if act.dtype == np.uint8:  # a bit-packed mask; its pad bits are 0
-            act = np.unpackbits(act)
-        parts.extend(relu_pattern(act))
+        _, mask = cache[name]  # bit-packed per row; its pad bits are 0
+        parts.extend(relu_pattern(np.unpackbits(mask)))
     am1, am2 = cache["pool"]
     parts.extend(argmax_pattern(am1))
     parts.extend(argmax_pattern(am2))

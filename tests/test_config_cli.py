@@ -17,7 +17,6 @@ from clseg.blas import blas_threads
 from clseg.cli import build_parser, main
 from clseg.config import ConfigError, RunConfig, config_from_dict, load_config
 from clseg.layers import NonFiniteError
-from clseg.losses import LossConfig
 from clseg.optim import AdamState
 from clseg.phantom import generate_cohort
 
@@ -197,20 +196,20 @@ def test_variant_wiring_validation():
         with pytest.raises(ConfigError, match=f"{variant} variant"):
             dataclasses.replace(base, variant=variant).validate()  # icd still 0.5
         cfg = dataclasses.replace(base, variant=variant, sampler=no_icd).validate()
-        assert cfg.loss == LossConfig(tissue_head_enabled=variant != "baseline")
+        assert cfg.loss is (variant != "baseline")
     with pytest.raises(ConfigError, match="multitask_icd"):
         dataclasses.replace(base, variant="multitask_icd", sampler=no_icd).validate()
     assert base.validate() is base
-    assert base.loss == LossConfig(tissue_head_enabled=True)
+    assert base.loss is True
 
 
 def test_apply_variant_rewires():
     cfg = RunConfig()
     b = cfg.apply_variant("baseline")
-    assert not b.loss.tissue_head_enabled and b.sampler.icd_probability == 0.0
+    assert not b.loss and b.sampler.icd_probability == 0.0
     b.validate()
     m = cfg.apply_variant("multitask")
-    assert m.loss.tissue_head_enabled and m.sampler.icd_probability == 0.0
+    assert m.loss and m.sampler.icd_probability == 0.0
     m.validate()
     i = m.apply_variant("multitask_icd")
     assert i.sampler.icd_probability == 0.5
@@ -243,18 +242,30 @@ def test_cli_bad_config_exit_1(tmp_path, capsys):
     assert main(["train", "--config", str(bad)]) == 1
     assert main(["train", "--config", str(tmp_path / "missing.json")]) == 1
     assert main(["train", "--config", str(tmp_path)]) == 1  # a directory
-    # a phantom spacing that is not positive and finite is refused before
-    # the cohort is written
+    # a phantom spacing that is not positive and finite, a noise sigma that
+    # is not finite and >= 0, a lesion size range out of order and a
+    # learning rate that is not finite and > 0 (json reads NaN and
+    # Infinity) are refused before the cohort or loss.csv is written
     cfg, path = _fast_config(tmp_path, tmp_path / "cohort")
-    doc = json.loads(path.read_text())
-    for spacing in ([0.0, 0.5, 0.5], [0.5, -0.5, 0.5], [0.5, 0.5, float("inf")]):
-        doc["phantom"]["spacing_mm"] = spacing
+    for section, key, value, command in [
+            ("phantom", "spacing_mm", [0.0, 0.5, 0.5], "phantom"),
+            ("phantom", "spacing_mm", [0.5, -0.5, 0.5], "phantom"),
+            ("phantom", "spacing_mm", [0.5, 0.5, float("inf")], "phantom"),
+            ("phantom", "noise_sigma", [float("nan"), 0.03, 0.03], "phantom"),
+            ("phantom", "noise_sigma", [0.02, -0.03, 0.03], "phantom"),
+            ("phantom", "noise_sigma", [0.02, 0.03, float("inf")], "phantom"),
+            ("phantom", "lesion_size_range", [80, 6], "phantom"),
+            ("training", "learning_rate", float("nan"), "train"),
+            ("training", "learning_rate", float("inf"), "train"),
+            ("training", "learning_rate", 0.0, "train")]:
+        doc = cfg.to_dict()
+        doc[section][key] = value
         path.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
-        assert main(["phantom", "--config", str(path), "--n-subjects", "1"]) == 1
+        assert main([command, "--config", str(path)]) == 1, (key, value)
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and "spacing_mm" in err[0], err
-        assert not (tmp_path / "cohort").exists()
+        assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
+        assert not (tmp_path / "cohort").exists() and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", [
@@ -559,6 +570,41 @@ def test_cli_infer_refuses_a_nan_voxel_in_one_line(tmp_path, tiny_cohort, capsys
     assert json.loads((out / "run_manifest.json").read_text())["exit_code"] == 3
 
 
+def test_cli_refuses_a_nonfinite_checkpoint_in_one_line(tmp_path, tiny_cohort, capsys):
+    # NaN kernel values in a checkpoint used to give an all-NaN cl_prob and
+    # exit 0; a resume must not skip such a checkpoint as incomplete and
+    # train on from an older one, so it too exits 3 before writing anything
+    training = dataclasses.replace(RunConfig().training, iterations=2, checkpoint_every=1, seed=3)
+    cfg, path = _fast_config(tmp_path, tiny_cohort, training=training)
+    assert main(["train", "--config", str(path)]) == 0
+    out = tmp_path / "out"
+    ckpt = out / "checkpoint_00000002"
+    params, state, it, draws = unet.load_checkpoint(ckpt)
+    params.tensors["enc1a.kernel"].flat[:10] = np.nan
+    unet.save_checkpoint(ckpt, params, state, it, draws)
+    capsys.readouterr()
+    assert main(["infer", "--config", str(path), "--checkpoint", str(ckpt), "--subject",
+                 str(tiny_cohort / "subject_00"), "--out", str(tmp_path / "pred")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"numerical failure: checkpoint {ckpt}: parameter enc1a.kernel is not finite"]
+    pred = tmp_path / "pred" / "subject_00"
+    assert sorted(p.name for p in pred.iterdir()) == ["run_manifest.json"]
+    assert json.loads((pred / "run_manifest.json").read_text())["exit_code"] == 3
+
+    params, state, it, draws = unet.load_checkpoint(out / "checkpoint_00000001")
+    state.v["dec2b.bias"][1] = np.inf
+    unet.save_checkpoint(ckpt, params, state, 2, draws)
+    kept = sorted(p for p in out.iterdir() if p.name != "run_manifest.json")
+    before = [p.read_bytes() for p in kept]
+    _fast_config(tmp_path, tiny_cohort, training=dataclasses.replace(training, iterations=4))
+    assert main(["train", "--config", str(path)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"numerical failure: checkpoint {ckpt}: Adam moment v of dec2b.bias is not finite"]
+    assert sorted(p for p in out.iterdir() if p.name != "run_manifest.json") == kept
+    assert [p.read_bytes() for p in kept] == before
+    assert json.loads((out / "run_manifest.json").read_text())["exit_code"] == 3
+
+
 def test_cli_nonfinite_gradient_exit_3(tmp_path, tiny_cohort, monkeypatch, capsys):
     # a NaN gradient under a finite loss stops training before the update
     backward = unet.backward
@@ -627,6 +673,26 @@ def test_cli_resume_refuses_a_changed_learning_rate(tmp_path, tiny_cohort, capsy
     assert "\n" not in err and "learning_rate 0.0001" in err and "sets 0.01" in err
     assert sorted(p for p in out.iterdir() if p.name != "run_manifest.json") == kept
     assert [p.read_bytes() for p in kept] == before
+
+
+def test_cli_no_resume_run_resumes_as_itself(tmp_path, tiny_cohort):
+    # --no-resume removes the out dir's checkpoints: a resume of its run
+    # used to continue the older run's newest one, its rows in between lost
+    training = dataclasses.replace(RunConfig().training, iterations=4, checkpoint_every=2)
+    cfg, path = _fast_config(tmp_path, tiny_cohort, training=training)
+    assert main(["train", "--config", str(path), "--seed", "0"]) == 0
+    _fast_config(tmp_path, tiny_cohort, training=dataclasses.replace(training, iterations=2))
+    assert main(["train", "--config", str(path), "--seed", "7", "--no-resume"]) == 0
+    _fast_config(tmp_path, tiny_cohort, training=dataclasses.replace(training, iterations=6))
+    assert main(["train", "--config", str(path), "--seed", "7"]) == 0
+    assert main(["train", "--config", str(path), "--seed", "7",
+                 "--out", str(tmp_path / "fresh")]) == 0
+    files = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == files
+    for name in files:
+        if name != "run_manifest.json":
+            assert (tmp_path / "out" / name).read_bytes() == \
+                (tmp_path / "fresh" / name).read_bytes(), name
 
 
 def test_cli_faults_exit_in_one_line_as_a_process(tmp_path, tiny_cohort):

@@ -217,7 +217,7 @@ def test_conv_carry_holds_nothing_once_its_last_plane_is_in():
     # between calls a carry holds its packed weight, made once, and per item
     # the k-1 pending sums, whose buffers the next call reuses; after the
     # input's last plane it holds neither, and a conv called once on its
-    # whole input keeps nothing
+    # whole input keeps nothing: a call without a carry is that call
     Ci, Co, k = 4, 6, 3
     r = np.random.default_rng(41)
     x = r.standard_normal((2, Ci, 7, 9, 10), dtype=np.float32)
@@ -237,9 +237,17 @@ def test_conv_carry_holds_nothing_once_its_last_plane_is_in():
     assert carry.planes == 7 and carry.sums is None and carry.weight is None
     with pytest.raises(L.ContractError, match="past a carry"):
         L.conv3d_forward(x[:, :, :1], w, b, carry=carry)
-    once = L.ConvCarry(7)
-    L.conv3d_forward(x, w, b, carry=once)
-    assert once.sums is None and once.weight is None
+    for kk in (1, 2, 3):
+        for bias in (b, None):
+            once = L.ConvCarry(7)
+            got = L.conv3d_forward(x, w[..., :kk, :kk, :kk], bias, carry=once)
+            assert got.tobytes() == L.conv3d_forward(x, w[..., :kk, :kk, :kk], bias).tobytes()
+            assert once.planes == 7 and once.sums is None and once.weight is None
+    # a carry's depth is the whole input's, which no conv may have below k
+    with pytest.raises(L.ContractError, match="smaller than kernel"):
+        L.conv3d_forward(x[:, :, :1], w, b, carry=L.ConvCarry(2))
+    with pytest.raises(TypeError):
+        L.ConvCarry()
 
 
 def test_conv_backward_memory_within_one_slab():
@@ -557,7 +565,7 @@ def test_relu_and_subgradient_at_zero():
     x = np.array([[-1.0, 0.0, 2.0]])
     assert np.array_equal(L.relu_forward(x), [[0.0, 0.0, 2.0]])
     g = np.ones_like(x)
-    assert np.array_equal(L.relu_backward(x, g), [[0.0, 0.0, 1.0]])
+    assert np.array_equal(L.relu_backward(L.relu_mask(x), g), [[0.0, 0.0, 1.0]])
 
 
 def _special_values(r, n, dtype):
@@ -592,34 +600,37 @@ def test_relu_backward_is_the_select_bit_for_bit(monkeypatch, dtype, n, chunk):
     r.shuffle(x)
     x = x.reshape(shape)
     want = np.where(x > 0, g, 0)
-    got = L.relu_backward(x, g)
+    mask = L.relu_mask(x)  # np.packbits per row, its pad bits 0
+    assert mask.dtype == np.uint8
+    assert mask.tobytes() == np.packbits(x > 0, axis=-1).tobytes()
+    assert mask.shape == shape[:-1] + (-(-shape[-1] // 8),)
+    got = L.relu_backward(mask, g)
     assert got is g  # the caller's gradient, overwritten
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    # the ReLU output masks the same entries as its input, and so does the
-    # per-row packed mask of either
-    for mask_of in (lambda: L.relu_forward(x), lambda: np.packbits(x > 0, axis=-1),
-                    lambda: np.packbits(L.relu_forward(x) > 0, axis=-1)):
-        g2 = _special_values(np.random.default_rng(n), n, dtype).reshape(shape)
-        want2 = np.where(x > 0, g2, 0)
-        assert L.relu_backward(mask_of(), g2).tobytes() == want2.tobytes()
+    # the ReLU output is positive exactly where its input is, so its mask
+    # masks the same entries
+    g2 = _special_values(np.random.default_rng(n), n, dtype).reshape(shape)
+    want2 = np.where(x > 0, g2, 0)
+    assert L.relu_backward(L.relu_mask(L.relu_forward(x)), g2).tobytes() == want2.tobytes()
     if len(shape) > 2:
         # a depth slice of a packed mask, a strided view, masks that slice
-        # of planes; so does a strided slice of the activation
+        # of planes
         g3 = np.ascontiguousarray(g2[:, 1:])
         want3 = np.where(x[:, 1:] > 0, g3, 0)
-        for mask in (np.packbits(x > 0, axis=-1)[:, 1:], x[:, 1:]):
-            assert not mask.flags.c_contiguous
-            assert L.relu_backward(mask, g3.copy()).tobytes() == want3.tobytes()
+        assert not mask[:, 1:].flags.c_contiguous
+        assert L.relu_backward(mask[:, 1:], g3).tobytes() == want3.tobytes()
 
 
 def test_relu_backward_rejects_strided_and_mismatched_arrays():
     x = np.ones((4, 6), np.float32)
     with pytest.raises(L.ContractError):  # the gradient is masked in place
-        L.relu_backward(x[:, ::2], np.ones((4, 6), np.float32)[:, ::2])
+        L.relu_backward(L.relu_mask(x[:, ::2]), np.ones((4, 6), np.float32)[:, ::2])
     with pytest.raises(L.ContractError):
-        L.relu_backward(x[:, :3], np.ones((4, 6), np.float32)[:, :3])
+        L.relu_backward(L.relu_mask(x[:, :3]), np.ones((4, 6), np.float32)[:, :3])
     with pytest.raises(L.ContractError):
-        L.relu_backward(x, np.ones((6, 4), np.float32))
+        L.relu_backward(L.relu_mask(x), np.ones((6, 4), np.float32))
+    with pytest.raises(L.ContractError, match="float32 mask"):  # an activation, not its mask
+        L.relu_backward(x, np.ones((4, 6), np.float32))
     with pytest.raises(L.ContractError):  # packed whole, not per row
         L.relu_backward(np.packbits(np.ones(24, bool)), np.ones((4, 6), np.float32))
     with pytest.raises(L.ContractError):  # rows of 8 elements, not 6

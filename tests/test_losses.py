@@ -149,14 +149,13 @@ def _random_case(tissue_enabled=True, seed=0):
     cl = r.integers(0, 3, (1, 2, 2, 2)).astype(np.uint8)
     tis = r.integers(0, 3, (1, 2, 2, 2)).astype(np.uint8)
     wml = (r.random((1, 2, 2, 2)) < 0.3).astype(np.uint8)
-    cfg = losses.LossConfig(tissue_head_enabled=tissue_enabled)
-    return cl_logits, t_logits, cl, tis, wml, cfg
+    return cl_logits, t_logits, cl, tis, wml, tissue_enabled
 
 
 def test_combined_tissue_disabled_is_half_cl_loss():
-    cl_logits, t_logits, cl, tis, wml, cfg = _random_case(tissue_enabled=False)
+    cl_logits, t_logits, cl, tis, wml, tissue_head = _random_case(tissue_enabled=False)
     cp, tp = channel_softmax(cl_logits), channel_softmax(t_logits)
-    total, (l_cl, l_t), (g_cl, g_t) = losses.combined_loss(cp, tp, cl, tis, wml, cfg)
+    total, (l_cl, l_t), (g_cl, g_t) = losses.combined_loss(cp, tp, cl, tis, wml, tissue_head)
     assert l_t == 0.0
     assert total == pytest.approx(l_cl / 2.0, rel=1e-12)
     assert not g_t.any()
@@ -175,15 +174,15 @@ def test_combined_perfect_predictions_near_zero():
 
 
 def test_combined_gradient_matches_finite_differences():
-    cl_logits, t_logits, cl, tis, wml, cfg = _random_case(seed=3)
+    cl_logits, t_logits, cl, tis, wml, tissue_head = _random_case(seed=3)
 
     def loss():
         total, _, _ = losses.combined_loss(
-            channel_softmax(cl_logits), channel_softmax(t_logits), cl, tis, wml, cfg)
+            channel_softmax(cl_logits), channel_softmax(t_logits), cl, tis, wml, tissue_head)
         return total
 
     _, _, (g_cl, g_t) = losses.combined_loss(
-        channel_softmax(cl_logits), channel_softmax(t_logits), cl, tis, wml, cfg)
+        channel_softmax(cl_logits), channel_softmax(t_logits), cl, tis, wml, tissue_head)
     rep = gradient_check(loss, {"cl": cl_logits, "t": t_logits},
                          {"cl": g_cl, "t": g_t}, rng=np.random.default_rng(1))
     assert rep.passed, rep.summary()

@@ -8,7 +8,7 @@ import pytest
 from clseg import layers, unet
 from clseg.blas import blas_threads, set_blas_threads
 from clseg.layers import ContractError, NonFiniteError
-from clseg.losses import LossConfig, combined_loss
+from clseg.losses import combined_loss
 from clseg.optim import AdamState
 from clseg.volume_io import CONTRAST_NAMES, LABEL_CODES
 
@@ -199,7 +199,8 @@ def test_composed_decoder_stage_matches_loop_oracles(batch, low):
     g_cat, g_dec, g_dec_bias = conv3d_backward_loops(cat, t["dec1a.kernel"], g)
     g_x, g_up, g_up_bias = transposed_conv3d_backward_loops(x, t["up1.kernel"], g_cat[:, :cm])
     # an all-positive activation: the ReLU mask passes the gradient whole
-    cache = {"dec1a": (crop.copy(), np.ones_like(g)), "up1": (x.copy(), composed[2])}
+    cache = {"dec1a": (crop.copy(), layers.relu_mask(np.ones_like(g))),
+             "up1": (x.copy(), composed[2])}
     grads = {}
     got = unet._dec_backward(params, "up1", "dec1a", g.copy(), cache, grads)
     assert cache == {}
@@ -262,7 +263,7 @@ def test_train_step_all_zero_weights_leaves_params():
     batch["cl_labels"] = np.zeros_like(batch["cl_labels"])
     batch["wml_labels"] = np.ones_like(batch["wml_labels"])  # zero weight everywhere
     before = {k: v.copy() for k, v in params.tensors.items()}
-    result = unet.train_step(params, state, batch, LossConfig())
+    result = unet.train_step(params, state, batch, True)
     assert result.total_loss == 0.0
     assert state.step_count == 1
     for k in before:
@@ -274,10 +275,10 @@ def test_train_step_reduces_loss_on_fixed_batch():
     params = unet.build_network(cfg, seed=0)
     state = AdamState.for_params(params.tensors, learning_rate=3e-3)
     batch = _batch(seed=5)
-    first = unet.train_step(params, state, batch, LossConfig()).total_loss
+    first = unet.train_step(params, state, batch, True).total_loss
     last = first
     for _ in range(60):
-        last = unet.train_step(params, state, batch, LossConfig()).total_loss
+        last = unet.train_step(params, state, batch, True).total_loss
     assert last < 0.5 * first
 
 
@@ -291,7 +292,7 @@ def test_train_step_nonfinite_loss_names_patch():
     # the infinite kernel turns into NaN inside the first conv's matmul
     with pytest.warns(RuntimeWarning, match="invalid value"), \
             pytest.raises(NonFiniteError, match="patch-xyz"):
-        unet.train_step(params, state, batch, LossConfig())
+        unet.train_step(params, state, batch, True)
 
 
 def test_train_step_nonfinite_gradient_names_layer_and_leaves_state(monkeypatch):
@@ -300,7 +301,7 @@ def test_train_step_nonfinite_gradient_names_layer_and_leaves_state(monkeypatch)
     cfg = unet.NetworkConfig(base_channels=2, input_patch=44)
     params = unet.build_network(cfg, seed=0)
     state = AdamState.for_params(params.tensors)
-    unet.train_step(params, state, _batch(seed=2), LossConfig())
+    unet.train_step(params, state, _batch(seed=2), True)
     backward = unet.backward
 
     def nan_grad_w(*args):
@@ -314,7 +315,7 @@ def test_train_step_nonfinite_gradient_names_layer_and_leaves_state(monkeypatch)
     batch = _batch(seed=3)
     batch["provenance"] = ["patch-xyz"]
     with pytest.raises(NonFiniteError, match=r"dec2a\.kernel at patch \['patch-xyz'\]"):
-        unet.train_step(params, state, batch, LossConfig())
+        unet.train_step(params, state, batch, True)
     assert state.step_count == 1
     for k in before:
         assert np.array_equal(params.tensors[k], before[k])
@@ -329,7 +330,7 @@ def test_checkpoint_roundtrip_exact(tmp_path):
     params = unet.build_network(cfg, seed=4)
     state = AdamState.for_params(params.tensors, learning_rate=2e-3)
     for i in range(3):
-        unet.train_step(params, state, _batch(seed=i), LossConfig())
+        unet.train_step(params, state, _batch(seed=i), True)
     unet.save_checkpoint(tmp_path / "ck", params, state, iteration=3, sampler_draws=3)
     p2, s2, it, draws = unet.load_checkpoint(tmp_path / "ck")
     assert (it, draws) == (3, 3)
@@ -341,8 +342,8 @@ def test_checkpoint_roundtrip_exact(tmp_path):
     assert s2.step_count == state.step_count
     # identical continuation
     b = _batch(seed=9)
-    r1 = unet.train_step(params, state, b, LossConfig())
-    r2 = unet.train_step(p2, s2, b, LossConfig())
+    r1 = unet.train_step(params, state, b, True)
+    r2 = unet.train_step(p2, s2, b, True)
     assert r1.total_loss == r2.total_loss
     for k in params.tensors:
         assert np.array_equal(p2.tensors[k], params.tensors[k])
@@ -680,7 +681,7 @@ def test_cache_holds_each_activation_once_and_backward_consumes_it():
     assert x.shape == batch["input"].shape and np.shares_memory(x, batch["input"])
 
     _, _, (g_cl, g_t) = combined_loss(cl, tis, batch["cl_labels"], batch["tissue_labels"],
-                                      batch["wml_labels"], LossConfig())
+                                      batch["wml_labels"], True)
     grads = unet.backward(params, cache, g_cl, g_t)
     assert cache == {}
     assert sorted(grads) == sorted(unet.param_shapes(cfg))
@@ -734,7 +735,7 @@ def _step_peaks(base, side):
         forward = tracemalloc.get_traced_memory()[1]
         del cl, tis, cache
         tracemalloc.reset_peak()
-        unet.train_step(params, state, batch, LossConfig())
+        unet.train_step(params, state, batch, True)
         step = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
