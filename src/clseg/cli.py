@@ -30,8 +30,8 @@ from .config import VARIANTS, ConfigError, RunConfig, load_config
 from .experiments import TEST_SETS, icd_robustness_experiment
 from .layers import ContractError, NonFiniteError
 from .phantom import PhantomError, cohort_subject_ids, generate_cohort
-from .pipeline import (check_cohort, run_inference, run_report, run_training, run_xval,
-                       write_run_manifest)
+from .pipeline import (LossLogError, check_cohort, run_inference, run_report, run_training,
+                       run_xval, write_run_manifest)
 from .sampling import CohortError
 from .unet import DROPPABLE_CHANNELS, CheckpointError
 from .volume_io import VolumeError
@@ -107,7 +107,7 @@ def _load(args) -> RunConfig:
 # code and message prefix of each
 _FAILURES = (
     (ConfigError, 1, "error"),
-    ((VolumeError, PhantomError, CheckpointError, CohortError), 2, "data error"),
+    ((VolumeError, PhantomError, CheckpointError, CohortError, LossLogError), 2, "data error"),
     (NonFiniteError, 3, "numerical failure"),
     (ContractError, 1, "error"),
     (OSError, 2, "data error"),  # creating or writing outputs

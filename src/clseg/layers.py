@@ -42,8 +42,8 @@ gradient is laid on the input's (H, W) grid after a front pad of
 (k-1)*(H*W+W+1) zeros, where wrapped taps read zeros, so every full-grid
 output column is an input gradient. That padded gradient is never built
 whole: each slab of it is written into one reused (Co, P + 1, H, W)
-buffer and unrolled from there; that pass's budget counts the buffer and
-its partial sums too. Its output columns are all kept, so where
+buffer and unrolled from there; that pass's budget counts the buffer
+too. Its output columns are all kept, so where
 OpenBLAS's small-matrix kernel takes its products (under 1e6
 multiply-adds), their bytes depend on the slab size; the budget cuts a
 slab short only where the products are far larger.
@@ -52,11 +52,13 @@ Every forward pass runs on a ConvCarry, which links the conv3d_forward
 calls that feed a conv its input in depth; a call on a whole input is
 the one call of a fresh carry. The carry packs the weight as the GEMM
 reads it, (k*Co, C*k*k), at its first call, and keeps the partial sums
-of the k-1 output planes that the planes so far leave pending. A later
-call reads such a sum in place as the first operand of the plane's
-remaining taps, so the sums run in the order of one call, and builds the
-sums that it leaves pending in the buffers of those it used up. The
-carry drops its weight and sums at its input's last plane.
+of the k-1 output planes that the planes so far leave pending, on their
+(oH, oW) corners: plane z in slot z mod (k-1) of one array, made at the
+first call that leaves a plane pending. A later call reads such a sum in
+place as the first term of the plane's remaining taps, so the sums run in
+the order of one call, and writes the sums that it leaves pending into
+the slots of those it completed. The carry drops its weight and sums at
+its input's last plane.
 
 conv3d_backward reads grad_out only a slab of planes at a time, so it
 also takes a function that returns those planes, and a gradient that is
@@ -173,8 +175,9 @@ class ConvCarry:
     """What a conv keeps between the conv3d_forward calls that feed it its
     input of `depth` planes: how many planes it has had, its weight packed
     for the calls' GEMMs (made at the first call, so every call must pass
-    the same weight), and per batch item the full-grid partial sums of the
-    k-1 output planes those planes leave pending. It drops the packed
+    the same weight), and the partial sums of the k-1 output planes those
+    planes leave pending, as one (B, k-1, Co, 1, oH, oW) array that holds
+    plane z in slot z % (k-1), or None. It drops the packed
     weight and the sums once the last plane is in, so a conv called once
     on its whole input keeps nothing. Its calls size their slabs to
     `budget` elements (SLAB_BUDGET_ELEMS if None), which changes no byte
@@ -211,15 +214,16 @@ def _conv_slabs(planes, D, grid, weight, out, carry, bias=None, P=None):
 
     Plane q of x is input plane carry.planes + q, out holds the output
     planes from the first one x completes, and the GEMMs read the carry's
-    weight, packed at its first call. A pending output plane's partial
-    sum, its taps so far added in tap order, is read in place as the first
-    operand of its taps from x, so the sums run in the one order. Unless x
-    ends the input, the call leaves in the carry the sums of the planes
-    still pending: a plane that x first reaches keeps its taps as one
-    np.add of the first two (a copy of one), then += of the rest, written
-    into the buffer of a pending sum that x used up. Every product spans
-    whole planes (see _unroll), so the split of the input into slabs or
-    calls does not change a bit of the output. At k = 1 no column is
+    weight, packed at its first call. One routine, `add`, sums a plane's
+    terms in order straight into its corner, as one np.add of the first
+    two (a copy of one), then += of the rest. It serves the planes a slab
+    completes, whose terms are their taps, then the bias; a pending plane
+    that x completes, whose first term is its partial sum in carry.sums
+    (its taps so far, in tap order), so the sums run in the one order; and,
+    unless x ends the input, the planes still pending, each summed into
+    its slot of carry.sums, in place where x continues it. Every product
+    spans whole planes (see _unroll), so the split of the input into slabs
+    or calls does not change a bit of the output. At k = 1 no column is
     discarded, and that holds where a plane has a multiple of 16 columns,
     as the network's heads have (every output side is a multiple of 4).
     """
@@ -227,87 +231,61 @@ def _conv_slabs(planes, D, grid, weight, out, carry, bias=None, P=None):
     HW = H * W
     Co, Ci, k, _, _ = weight.shape
     B, _, _, oH, oW = out.shape
-    Q = carry.planes  # input planes before x
+    Q, end = carry.planes, carry.planes + D  # input planes before and after x
     base = max(0, Q - k + 1)  # out's first plane
-    w = carry.weight
+    done = end == carry.depth
+    w, sums = carry.weight, carry.sums
     if w is None:
         w = np.ascontiguousarray(weight.transpose(2, 0, 1, 3, 4)).reshape(k * Co, -1)
+    if sums is None and not done and k > 1:
+        sums = np.empty((B, k - 1, Co, 1, oH, oW), dtype=out.dtype)
     P = _slab_planes(Ci, Co, k, H, W, D, budget=carry.budget) if P is None else max(1, min(D, P))
     R = P + k - 1
-    # the unrolled slab, the tap ring and the partial sums (of k > 2 taps) in
-    # one block: as three arrays, the desk step page-faulted ~3,200 times
-    # (12 MiB) afresh in its first two convs, against none as one
-    work = np.empty((Ci * k * k * P + k * Co * R + (Co * P if k > 2 else 0)) * HW,
-                    dtype=out.dtype)
+    # the unrolled slab and the tap ring in one block: as separate arrays,
+    # the desk step page-faulted ~3,200 times (12 MiB) afresh in its first
+    # two convs, against none as one
+    work = np.empty((Ci * k * k * P + k * Co * R) * HW, dtype=out.dtype)
     U = work[:Ci * k * k * P * HW].reshape(Ci * k * k, P * HW)
-    taps = work[U.size:U.size + k * Co * R * HW].reshape(k, Co, R * HW)
-    acc = work[U.size + taps.size:].reshape(-1, P * HW)
+    taps = work[U.size:].reshape(k, Co, R * HW)
 
-    def corner(a, j):  # the (oH, oW) corners of the first j full-grid planes of a
-        return a[:, :j * HW].reshape(Co, j, H, W)[:, :, :oH, :oW]
+    def tap(z, dz, j=1):  # the corners of tap dz of output planes z..z+j-1
+        c = (z + dz) % R * HW
+        return taps[dz, :, c:c + j * HW].reshape(Co, j, H, W)[:, :, :oH, :oW]
 
-    def tap(q, dz):  # the full-grid tap dz of input plane q
-        return taps[dz, :, q % R * HW:(q % R + 1) * HW]
+    def add(res, terms):  # res = ((t0 + t1) + t2) + ..., the terms in order
+        if len(terms) > 1:
+            np.add(terms[0], terms[1], out=res)
+        else:
+            np.copyto(res, terms[0])
+        for t in terms[2:]:
+            res += t
 
-    kept = []
+    last = [] if bias is None else [bias]  # a completed plane's term after its taps
+
     for b in range(B):
-        pending = [] if carry.sums is None else carry.sums[b]
-        p0 = Q - len(pending)  # the first pending output plane
-        spare = []  # the buffers of the pending sums used up
-        for q0 in range(Q, Q + D, P):
-            q1 = min(q0 + P, Q + D)
+        for q0 in range(Q, end, P):
+            q1 = min(q0 + P, end)
             for o, c, m in _runs(q0 % R * HW, _unroll(U, planes(b, q0 - Q, q1 - Q), q1 - q0, k),
                                  R * HW):
                 np.matmul(w, U[:, o:o + m], out=taps.reshape(k * Co, -1)[:, c:c + m])
             z0, z1 = max(0, q0 - k + 1), q1 - k + 1  # the output planes completed
             for z in range(z0, min(z1, Q)):  # a pending sum, then its taps from x
-                res = out[b, :, z - base:z - base + 1]
-                s, pending[z - p0] = pending[z - p0], None
-                np.add(corner(s, 1), corner(tap(Q, Q - z), 1), out=res)
-                for q in range(Q + 1, z + k):
-                    res += corner(tap(q, q - z), 1)
-                if bias is not None:
-                    res += bias
-                spare.append(s)
+                add(out[b, :, z - base:z - base + 1],
+                    [sums[b, z % (k - 1)]] + [tap(z, dz) for dz in range(Q - z, k)] + last)
             z0 = max(z0, Q)
             if z1 <= z0:
                 continue
             ends = sorted({z1 - z0} | {j for j in (R - (z0 + dz) % R for dz in range(k))
                                        if 0 < j < z1 - z0})
             for j0, j1 in zip([0] + ends, ends):
-                j = j1 - j0
-                t = [taps[dz, :, (z0 + j0 + dz) % R * HW:] for dz in range(k)]
-                if k > 2:
-                    np.add(t[0][:, :j * HW], t[1][:, :j * HW], out=acc[:, :j * HW])
-                    for s in t[2:-1]:
-                        acc[:, :j * HW] += s[:, :j * HW]
-                    t = [acc, t[-1]]
-                res = out[b, :, z0 - base + j0:z0 - base + j1]
-                if k > 1:
-                    np.add(corner(t[0], j), corner(t[1], j), out=res)
-                else:
-                    res[...] = corner(t[0], j)
-                if bias is not None:
-                    res += bias
-        if Q + D != carry.depth:
-            end, sums = Q + D, []
-            for z in range(max(0, end - k + 1), end):  # the planes not yet out
-                if z < Q:
-                    s = pending[z - p0]
-                    for q in range(Q, end):
-                        s += tap(q, q - z)
-                else:
-                    s = spare.pop() if spare else np.empty((Co, HW), out.dtype)
-                    if end - z == 1:
-                        np.copyto(s, tap(z, 0))
-                    else:
-                        np.add(tap(z, 0), tap(z + 1, 1), out=s)
-                    for q in range(z + 2, end):
-                        s += tap(q, q - z)
-                sums.append(s)
-            kept.append(sums)
-    done = Q + D == carry.depth
-    carry.planes, carry.sums, carry.weight = Q + D, None if done else kept, None if done else w
+                add(out[b, :, z0 - base + j0:z0 - base + j1],
+                    [tap(z0 + j0, dz, j1 - j0) for dz in range(k)] + last)
+        if done:
+            continue
+        for z in range(max(0, end - k + 1), end):  # the planes left pending
+            s = sums[b, z % (k - 1)]
+            add(s, [s] * (z < Q) + [tap(z, dz) for dz in range(max(0, Q - z), end - z)])
+    carry.planes, carry.sums, carry.weight = end, None if done else sums, None if done else w
     return out
 
 
@@ -435,9 +413,9 @@ def conv3d_backward(x: np.ndarray, weight: np.ndarray, grad_out, need_grad_x: bo
     # written into one reused buffer: plane j holds padded plane q0 + j. Its
     # first k-1 rows and columns stay zero, which is all that the last
     # plane's reads into the next one see. The budget of a slab counts its
-    # partial sums, its planes of the buffer and those a function hands over
+    # planes of the buffer and those a function hands over
     p = k - 1
-    extra = (Ci if k > 2 else 0) + Co + (Co if callable(grad_out) else 0)
+    extra = Co + (Co if callable(grad_out) else 0)
     Px = _slab_planes(Co, Ci, k, H, W, D + p, extra)
     buf = np.zeros((Co, Px + 1, H, W), dtype=dtype)
     inner = buf[:, :, p:, p:]

@@ -161,17 +161,33 @@ def _stack_batch(patches) -> dict:
     }
 
 
+class LossLogError(ValueError):
+    """loss.csv does not hold the rows that its run's checkpoint covers."""
+
+
 def _truncate_loss_log(log_path: Path, keep_iterations: int) -> list[str]:
-    """The header and the rows up to `keep_iterations`. A row without its
-    newline was cut by a killed run and is dropped, whatever it reads as."""
-    if not log_path.exists() or keep_iterations == 0:
-        return ["iteration,cl_loss,tissue_loss,total_loss\n"]
-    lines = log_path.read_text().splitlines(keepends=True)
-    kept = lines[:1]
-    for line in lines[1:]:
-        if line.endswith("\n") and int(line.split(",", 1)[0]) <= keep_iterations:
-            kept.append(line)
-    return kept
+    """The header and rows 1..`keep_iterations` of loss.csv, which must
+    hold them in order, each followed only by the next row. Rows past
+    `keep_iterations`, and a last line without its newline, which a killed
+    run cut, are dropped; any other line raises LossLogError."""
+    header = "iteration,cl_loss,tissue_loss,total_loss\n"
+    if keep_iterations == 0:
+        return [header]
+    covered = f"the checkpoint covers rows 1..{keep_iterations}"
+    if not log_path.exists():
+        raise LossLogError(f"{log_path} is missing, and {covered}")
+    lines = log_path.read_text(errors="replace").splitlines(keepends=True)
+    if lines and not lines[-1].endswith("\n"):
+        lines.pop()
+    if lines[:1] != [header]:
+        raise LossLogError(f"{log_path} line 1 is not the header {header.strip()}")
+    for i, line in enumerate(lines[1:], 1):
+        fields = line.split(",")
+        if len(fields) != 4 or fields[0] != str(i):
+            raise LossLogError(f"{log_path} line {i + 1} is not row {i}, and {covered}")
+    if len(lines) <= keep_iterations:
+        raise LossLogError(f"{log_path} ends after row {len(lines) - 1}, and {covered}")
+    return lines[:keep_iterations + 1]
 
 
 def run_training(cfg: RunConfig, out_dir: str | Path,

@@ -42,9 +42,10 @@ depth, a few planes at a time, and each stage computes every output plane
 as soon as the planes it reads are in, keeping only what later planes
 need (fused-layer evaluation; Alwani et al., MICRO 2016):
   - a 3x3x3 conv keeps in a layers.ConvCarry the partial sums of the two
-    output planes its input so far leaves pending, so each input plane is
-    multiplied once, and its kernel packed for the GEMMs at its first
-    push, so a later push neither repacks it nor copies a sum back;
+    output planes its input so far leaves pending, on their output
+    corners in one array, so each input plane is multiplied once, and its
+    kernel packed for the GEMMs at its first push, so a later push
+    neither repacks it nor copies a sum back;
   - a pooling keeps an odd trailing plane;
   - the decoder reads only the centre of the two pooled activations
     (enc1b, enc2b outputs): that crop is copied as their planes come out
@@ -814,10 +815,10 @@ def sliding_window_inference(params: NetworkParams, contrasts: np.ndarray,
     a slice that raises stops the others at their next push, and its
     error is raised once all have ended. With n > 1 the streams' convs
     size their slabs to SLAB_BUDGET_ELEMS // n^2, so that at C=4 the n
-    streams together peak no higher than one does (96^3: 31 MiB in two
-    slices, 38 MiB in one). At C=16 a conv of a slice needs more than
-    its share for one plane, and two slices of 96^3 peak at 113 MiB,
-    against 101 MiB for one stream. The bytes are those of one pass however
+    streams together peak no higher than one does (96^3: 32.5 MiB in two
+    slices, 36 MiB in one). At C=16 a conv of a slice needs more than
+    its share for one plane, and two slices of 96^3 peak at 119 MiB,
+    against 97 MiB for one stream. The bytes are those of one pass however
     many slices run (module docstring). The name recalls the overlap tiles
     this pass replaced.
 

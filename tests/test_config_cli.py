@@ -675,6 +675,33 @@ def test_cli_resume_refuses_a_changed_learning_rate(tmp_path, tiny_cohort, capsy
     assert [p.read_bytes() for p in kept] == before
 
 
+@pytest.mark.parametrize("mutation", [
+    lambda log: log.write_text(log.read_text() + "abc,1,2,3\n"),
+    lambda log: log.write_text(log.read_text() + "\n"),
+    lambda log: log.unlink(),
+    lambda log: log.write_text("".join(log.read_text().splitlines(keepends=True)[::2])),
+], ids=["row-abc", "blank-line", "deleted", "row-1-deleted"])
+def test_cli_resume_refuses_a_loss_log_without_the_checkpoints_rows(
+        tmp_path, tiny_cohort, capsys, mutation):
+    # a resume keeps rows 1..n of loss.csv for the checkpoint of iteration
+    # n; a log that does not hold them in order, or holds another line, is
+    # refused in one line before it is rewritten, and nothing is written
+    training = dataclasses.replace(RunConfig().training, iterations=2, checkpoint_every=1)
+    cfg, path = _fast_config(tmp_path, tiny_cohort, training=training)
+    assert main(["train", "--config", str(path)]) == 0
+    out = tmp_path / "out"
+    mutation(out / "loss.csv")
+    kept = sorted(p for p in out.iterdir() if p.name != "run_manifest.json")
+    before = [p.read_bytes() for p in kept]
+    capsys.readouterr()
+    _fast_config(tmp_path, tiny_cohort, training=dataclasses.replace(training, iterations=3))
+    assert main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: ") and "loss.csv" in err[0]
+    assert sorted(p for p in out.iterdir() if p.name != "run_manifest.json") == kept
+    assert [p.read_bytes() for p in kept] == before
+
+
 def test_cli_no_resume_run_resumes_as_itself(tmp_path, tiny_cohort):
     # --no-resume removes the out dir's checkpoints: a resume of its run
     # used to continue the older run's newest one, its rows in between lost

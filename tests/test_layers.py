@@ -142,7 +142,7 @@ def test_conv_float32_paper_enc1b_bytes_do_not_depend_on_the_slabs(monkeypatch):
     w = (r.standard_normal((Co, Ci, k, k, k)) * 0.05).astype(np.float32)
     b = r.standard_normal(Co).astype(np.float32)
     g = r.standard_normal((1, Co, s - 2, s - 2, s - 2), dtype=np.float32)
-    extra = Ci + Co  # the grad_x pass's partial sums and padded planes
+    extra = Co  # the grad_x pass's planes of the padded gradient
     assert (L._slab_planes(Ci, Co, k, s, s, s), L._slab_planes(Co, Ci, k, s, s, s + 2, extra)) \
         == (3, 2)
     want = [L.conv3d_forward(x, w, b), L.conv3d_backward(x, w, g)[0]]
@@ -214,10 +214,11 @@ def test_conv_carried_calls_in_small_slabs_give_the_one_pass_bytes(k, P):
 
 
 def test_conv_carry_holds_nothing_once_its_last_plane_is_in():
-    # between calls a carry holds its packed weight, made once, and per item
-    # the k-1 pending sums, whose buffers the next call reuses; after the
-    # input's last plane it holds neither, and a conv called once on its
-    # whole input keeps nothing: a call without a carry is that call
+    # between calls a carry holds its packed weight, made once, and the k-1
+    # pending sums of every item on their (oH, oW) corners, in one array
+    # that the next call reuses; after the input's last plane it holds
+    # neither, and a conv called once on its whole input keeps nothing: a
+    # call without a carry is that call
     Ci, Co, k = 4, 6, 3
     r = np.random.default_rng(41)
     x = r.standard_normal((2, Ci, 7, 9, 10), dtype=np.float32)
@@ -228,11 +229,10 @@ def test_conv_carry_holds_nothing_once_its_last_plane_is_in():
     packed = carry.weight
     assert packed.tobytes() == w.transpose(2, 0, 1, 3, 4).tobytes()
     assert packed.shape == (k * Co, Ci * k * k)
-    assert [len(s) for s in carry.sums] == [k - 1] * 2
-    buffers = {id(s) for sums in carry.sums for s in sums}
+    sums = carry.sums
+    assert isinstance(sums, np.ndarray) and sums.shape == (2, k - 1, Co, 1, 9 - k + 1, 10 - k + 1)
     L.conv3d_forward(x[:, :, 3:5], w, b, carry=carry)
-    assert carry.weight is packed
-    assert {id(s) for sums in carry.sums for s in sums} == buffers
+    assert carry.weight is packed and carry.sums is sums
     L.conv3d_forward(x[:, :, 5:], w, b, carry=carry)
     assert carry.planes == 7 and carry.sums is None and carry.weight is None
     with pytest.raises(L.ContractError, match="past a carry"):
@@ -253,9 +253,9 @@ def test_conv_carry_holds_nothing_once_its_last_plane_is_in():
 def test_conv_backward_memory_within_one_slab():
     # paper-width enc1b backward: besides its outputs, only one slab's
     # unrolled input plus the ring of tap outputs, or in the grad_x pass
-    # that plus its partial sums and its planes of the padded gradient, are
-    # alive at any time: the slab budget, and the plane the padded slab's
-    # last row reads into. With `out`, grad_x goes into the caller's array
+    # that plus its planes of the padded gradient, are alive at any time:
+    # the slab budget, and the plane the padded slab's last row reads into.
+    # With `out`, grad_x goes into the caller's array
     Ci, Co, k, s = 16, 32, 3, 66
     r = np.random.default_rng(3)
     x = r.standard_normal((1, Ci, s, s, s), dtype=np.float32)

@@ -801,8 +801,8 @@ def test_sliding_window_inference_at_paper_width_chunks_level_one(monkeypatch):
 def test_sliced_inference_keeps_one_streams_memory(monkeypatch):
     # C=4, 96^3 in two height slices of 48 output rows, each streaming its
     # 88 padded rows on a thread of its own, its conv slabs sized to a
-    # quarter of SLAB_BUDGET_ELEMS: the two streams together peak at 31 MiB,
-    # under one stream's 38 MiB (above). With half the budget each they
+    # quarter of SLAB_BUDGET_ELEMS: the two streams together peak at 32.5
+    # MiB, under one stream's 36 MiB. With half the budget each they
     # peaked at 36 MiB, with the whole budget each at 51 MiB
     assert _inference_peak(monkeypatch, 4, 96, slices=2) <= 40 * 2 ** 20
 
