@@ -27,9 +27,9 @@ box, the brain's bounding box grown by one voxel and clipped at the volume
 faces. Each result equals the whole-volume operation's, so cohorts are the
 same bytes. The cortex depth and the dilations are exact small-integer and
 boolean passes along each axis, not a distance transform or a filter.
-Placement is local to each blob: a candidate is built, labelled and checked
-inside its own bounding box, and its 1-voxel occupancy halo is dilated in
-that box grown by one voxel.
+Placement is local to each blob: a candidate is built, cut to its seed's
+connected piece and checked inside its own bounding box, and its 1-voxel
+occupancy halo is dilated in that box grown by one voxel.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from . import volume_io
 from .evaluation import DEFAULT_MIN_LESION_VOXELS
@@ -136,9 +135,42 @@ def _brain_box(brain: np.ndarray) -> tuple[slice, ...]:
     return tuple(box)
 
 
-# ndimage.gaussian_filter reads int(truncate * sigma + 0.5) voxels to each side
+# the smoothing kernel reads int(4 * sigma + 0.5) voxels to each side, as
+# scipy's gaussian_filter at its default truncation does
 _SMOOTH_SIGMA = 1.0
 _SMOOTH_REACH = int(4.0 * _SMOOTH_SIGMA + 0.5)
+# lines of a smoothing pass worked at a time, so that their float64 copies
+# stay in cache and the filter runs in place
+_SMOOTH_LINES = 4
+
+
+def _smooth(f: np.ndarray) -> None:
+    """Smooth the float32 array `f` in place with a Gaussian of standard
+    deviation _SMOOTH_SIGMA, to the bytes of scipy's
+    `gaussian_filter(f, _SMOOTH_SIGMA)`: along each axis in turn, every
+    line is correlated in float64 with the normalised weights
+    exp(-x^2 / 2 sigma^2), |x| <= _SMOOTH_REACH, over the line's
+    reflection about its end faces (the edge voxel repeated, as numpy's
+    "symmetric" pad), and stored as float32. Each sum is taken in scipy's
+    order for a symmetric kernel: the centre tap, then each pair of taps
+    from the outermost in."""
+    r = _SMOOTH_REACH
+    w = np.exp(-0.5 / _SMOOTH_SIGMA ** 2 * np.arange(-r, r + 1) ** 2)
+    w = w / w.sum()
+    for axis in range(3):
+        v = np.moveaxis(f, axis, 0)
+        n = v.shape[0]
+        reflect = np.arange(-r, n + r) % (2 * n)
+        reflect = np.where(reflect < n, reflect, 2 * n - 1 - reflect)
+        for j in range(0, v.shape[1], _SMOOTH_LINES):
+            line = v[reflect, j:j + _SMOOTH_LINES].astype(np.float64)
+            acc = line[r:r + n] * w[r]
+            pair = np.empty_like(acc)
+            for t in range(r, 0, -1):
+                np.add(line[r - t:r - t + n], line[r + t:r + t + n], out=pair)
+                pair *= w[r + t]
+                acc += pair
+            v[:, j:j + _SMOOTH_LINES] = acc
 
 
 def _make_tissue(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
@@ -161,8 +193,12 @@ def _make_tissue(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
     inside = (((zz - center[0]) / semi[0]) ** 2
               + ((yy - center[1]) / semi[1]) ** 2
               + ((xx - center[2]) / semi[2]) ** 2) <= 1.0
+    smooth = inside.astype(np.float32)
+    del inside
+    _smooth(smooth)
     brain = np.zeros((n, n, n), dtype=bool)
-    brain[box] = ndimage.gaussian_filter(inside.astype(np.float32), sigma=_SMOOTH_SIGMA) > 0.5
+    brain[box] = smooth > 0.5
+    del smooth
     tissue = _label_shell(brain, spec.cortex_thickness_voxels)
     if not (tissue == TISSUE_WM).any():
         raise PhantomError("brain too small for the requested cortex thickness")
@@ -184,9 +220,6 @@ def _label_shell(brain: np.ndarray, thickness: int) -> np.ndarray:
     out[sub] = TISSUE_GM
     out[_beyond(sub, thickness)] = TISSUE_WM
     return tissue
-
-
-_FULL = np.ones((3, 3, 3), dtype=bool)
 
 
 def _beyond(mask: np.ndarray, t: int) -> np.ndarray:
@@ -213,13 +246,15 @@ def _beyond(mask: np.ndarray, t: int) -> np.ndarray:
 def _dilate(mask: np.ndarray, r: int) -> np.ndarray:
     """`r` iterations of the 3x3x3 binary dilation: the (2r+1)^3 box, as the
     OR of shifts by -r..r along each axis in turn; voxels beyond the volume
-    faces read False."""
+    faces read False. The shifts are sliced along each axis, not taken
+    through np.moveaxis views, whose making would cost more than the ORs
+    of a blob-sized mask."""
     for axis in range(3):
         prev, mask = mask, mask.copy()
-        p, q = np.moveaxis(prev, axis, 0), np.moveaxis(mask, axis, 0)
+        lead = (slice(None),) * axis
         for s in range(1, r + 1):
-            q[:-s] |= p[s:]
-            q[s:] |= p[:-s]
+            mask[lead + (slice(None, -s),)] |= prev[lead + (slice(s, None),)]
+            mask[lead + (slice(s, None),)] |= prev[lead + (slice(None, -s),)]
     return mask
 
 
@@ -244,9 +279,18 @@ def _ellipsoid_blob(shape, seed_voxel, radii, allowed,
     seed_local = tuple(np.asarray(seed_voxel) - lo)
     if not mask[seed_local]:
         return None
-    # keep only the piece connected to the seed
-    lab, _ = ndimage.label(mask, structure=_FULL)
-    return box, lab == lab[seed_local]
+    return box, _seed_piece(mask, seed_local)
+
+
+def _seed_piece(mask: np.ndarray, seed: tuple) -> np.ndarray:
+    """The 26-connected piece of `mask` that holds the voxel `seed`: grown
+    from the seed by 3x3x3 dilations within the mask until it stops
+    growing."""
+    piece, size = np.zeros_like(mask), 0
+    piece[seed] = True
+    while (grown := np.count_nonzero(piece)) > size:
+        size, piece = grown, _dilate(piece, 1) & mask
+    return piece
 
 
 def _mark_halo(occupied: np.ndarray, box, blob: np.ndarray) -> None:

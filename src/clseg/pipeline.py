@@ -20,7 +20,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, volume_io
 from .blas import blas_threads
@@ -101,7 +100,14 @@ def write_run_manifest(out_dir: Path, cfg: RunConfig, command: str,
     environment that produced the run.
     Given `started`, the time.perf_counter() reading taken when the command
     began, the command has ended with `exit_code`: its wall time, the
-    process's peak resident set size and the exit code are added."""
+    process's peak resident set size and the exit code are added. scipy
+    is imported here only for its version, which is None where scipy is
+    not installed: clseg itself does not use it."""
+    try:
+        import scipy
+        scipy_version = scipy.__version__
+    except ImportError:
+        scipy_version = None
     doc = {
         "command": command,
         **inputs,
@@ -110,7 +116,7 @@ def write_run_manifest(out_dir: Path, cfg: RunConfig, command: str,
         "config": cfg.to_dict(),
         "environment": {
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": scipy_version,
             "nproc": len(os.sched_getaffinity(0)),
             "blas_threads": blas_threads(),
         },

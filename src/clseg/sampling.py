@@ -14,8 +14,9 @@ float32, so intensities differ from scipy's float64 interpolation by up
 to about 2e-6 on normalized contrasts (the tests allow 1e-5), and not at
 all where the source coordinates are integral (zero angles, or multiples
 of 90 degrees), since the weights are then exactly (1, 0). Labels are
-resampled nearest-neighbour by scipy, with one coordinate array shared
-by the three label volumes.
+resampled nearest-neighbour, with one set of voxel indices shared by the
+three label volumes: the voxels scipy's order-0 `map_coordinates` reads
+with the same mirror boundary (`_nearest_window`).
 
 The lesions are the 26-connected components of each subject's
 cl_labels (evaluation.label_lesions), listed subject by subject in their
@@ -34,7 +35,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import ndimage
 
 from .evaluation import label_lesions
 from .unet import CONTRAST_CHANNELS, DROPPABLE_CHANNELS, SHRINK_PER_SIDE, reflect_indices
@@ -153,11 +153,8 @@ class PatchSampler:
         # center - side//2, so zero angles give the plain window exactly
         origin = (center - 0.5)[:, None]
         inp = _trilinear_window(subj.contrasts, origin, rot, s)
-        coords = rot @ _centered_grid(ls) + origin
-        cl, tissue, wml = (
-            ndimage.map_coordinates(v, coords, order=0, mode="mirror",
-                                    prefilter=False).reshape((ls,) * 3)
-            for v in (subj.cl_labels, subj.tissue_labels, subj.wml_labels))
+        cl, tissue, wml = _nearest_window(
+            (subj.cl_labels, subj.tissue_labels, subj.wml_labels), origin, rot, ls)
         return TrainingPatch(
             input=inp.reshape(-1, s, s, s),
             cl_labels=cl, tissue_labels=tissue, wml_labels=wml,
@@ -242,6 +239,34 @@ def _centered_grid(out_side: int) -> np.ndarray:
     offs = np.arange(out_side) - (out_side - 1) / 2.0
     grid = np.stack(np.meshgrid(offs, offs, offs, indexing="ij"))
     return grid.reshape(3, -1)
+
+
+def _nearest_window(vols, origin: np.ndarray, rot: np.ndarray, side: int) -> list:
+    """side^3 nearest-neighbour samples of each of the volumes `vols`, all
+    of one shape, at rot @ _centered_grid(side) + origin, origin of shape
+    (3, 1), mirror boundary: the voxels that scipy's order-0
+    `map_coordinates` reads there, found once for all the volumes."""
+    coords = rot @ _centered_grid(side) + origin
+    at = tuple(_nearest_mirror(c, n) for c, n in zip(coords, vols[0].shape))
+    return [v[at].reshape((side,) * 3) for v in vols]
+
+
+def _nearest_mirror(coords: np.ndarray, n: int) -> np.ndarray:
+    """The voxel that nearest-neighbour resampling reads at each float
+    coordinate along an axis of n voxels, mirror boundary (reflection
+    about the edge voxels), as scipy's order-0 `map_coordinates` picks it:
+    the coordinate is folded into [0, n) first, then rounded half up, and
+    a rounded index of n reflects to n - 2."""
+    if n == 1:
+        return np.zeros(coords.shape, dtype=np.intp)
+    period = 2 * n - 2
+    below = coords + period * np.trunc(-coords / period)
+    below = np.where(below <= 1 - n, below + period, -below)
+    above = coords - period * np.trunc(coords / period)
+    above = np.where(above >= n, period - above, above)
+    c = np.where(coords < 0, below, np.where(coords > n - 1, above, coords))
+    i = np.floor(c + 0.5).astype(np.intp)
+    return np.where(i < n, i, period - i)
 
 
 def _trilinear_window(vols: np.ndarray, origin: np.ndarray, rot: np.ndarray,

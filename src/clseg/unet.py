@@ -396,6 +396,12 @@ class _Fifo:
         return got[0] if len(got) == 1 else np.concatenate(got, axis=2)
 
 
+def compose_decoders(params: NetworkParams) -> dict:
+    """Each transposed conv's `_compose` with the decoder unit that reads
+    it, by the transposed conv's name."""
+    return {up: _compose(params, up, dec) for up, dec in (("up2", "dec2a"), ("up1", "dec1a"))}
+
+
 class DepthStream:
     """A forward pass over an input of shape (D, H, W) fed in depth.
 
@@ -408,12 +414,14 @@ class DepthStream:
     (B, 3, ...) probability maps over the whole output. With `cache`,
     forward's, the stream writes its entries' planes into whole arrays and
     fills it once the last plane is in, all but enc1a's input. Its convs
-    size their slabs to `budget` elements (layers.ConvCarry).
+    size their slabs to `budget` elements (layers.ConvCarry). `composed`,
+    `compose_decoders(params)` if given, spares composing the decoder
+    kernels again for each of the streams of one set of parameters.
     """
 
     def __init__(self, params: NetworkParams, shape: tuple, batch: int = 1,
                  keep: tuple | None = None, cache: dict | None = None,
-                 budget: int | None = None):
+                 budget: int | None = None, composed: dict | None = None):
         self.out_shape = tuple(output_shape(s) for s in shape)
         self.params, self.shape, self.batch, self.cache = params, tuple(shape), batch, cache
         n = shape[0]
@@ -423,8 +431,7 @@ class DepthStream:
         self.pool_got = {"pool1": 0, "pool2": 0}
         self.odd = {"pool1": None, "pool2": None}
         self.skips = {"pool1": _Fifo(), "pool2": _Fifo()}
-        self.composed = {up: _compose(params, up, dec)
-                         for up, dec in (("up2", "dec2a"), ("up1", "dec1a"))}
+        self.composed = composed or compose_decoders(params)
         # the shape of each array of a cache (each unit's input depth sizes its
         # carry), with a cache those made so far, and the input that each
         # unit's or pooling's output planes go to
@@ -807,9 +814,10 @@ def sliding_window_inference(params: NetworkParams, contrasts: np.ndarray,
     The pass is split along the height into n slices (_height_slices) of
     whole multiples of 4 output rows. Each slice streams the padded rows
     it reads, its rows plus 40, through a DepthStream of its own, one
-    `forward` call per push of the stream's depth; each push is gathered
-    from the contrasts through the index map of `mirror_pad`, so the
-    padded volume is never built. The caller's thread runs the first
+    `forward` call per push of the stream's depth, and the streams share
+    the decoder kernels composed once per call. Each push is gathered from
+    the contrasts through the index map of `mirror_pad`, so the padded
+    volume is never built. The caller's thread runs the first
     slice and a worker thread each other one, with OpenBLAS at one thread
     for the whole call and at its count again after it, on an error too;
     a slice that raises stops the others at their next push, and its
@@ -847,13 +855,14 @@ def sliding_window_inference(params: NetworkParams, contrasts: np.ndarray,
     ix = reflect_indices(shape[2], -margin, padded[2])
     calls = [0] * n
     failed = threading.Event()
+    composed = compose_decoders(params)  # read by every slice's stream
 
     def run(i):
         y0, y1 = rows[i], rows[i + 1]
         try:
             stream = DepthStream(params, (padded[0], y1 - y0 + SHRINK_PER_SIDE, padded[2]),
                                  keep=tuple(o[:, y0:y1] for o in outputs),
-                                 budget=layers.SLAB_BUDGET_ELEMS // n ** 2)
+                                 budget=layers.SLAB_BUDGET_ELEMS // n ** 2, composed=composed)
             iy = reflect_indices(shape[1], y0 - margin, y1 - y0 + SHRINK_PER_SIDE)
             for z0 in range(0, padded[0], stream.depth):
                 if failed.is_set():

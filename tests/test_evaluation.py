@@ -141,6 +141,23 @@ def test_bounding_box_labelling_equals_whole_volume(case):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
+@pytest.mark.parametrize("density", [0.01, 0.05, 0.1, 0.2, 0.3])
+def test_components_match_scipy_label_at_densities(density):
+    # two codes, random at 1-30% density, plus slabs and lines on faces,
+    # edges and corners of a non-cubic volume: the same bytes as scipy's
+    # per-class labelling, and the flood-fill oracle's components
+    lab = _random_labels((13, 17, 21), density=density, seed=int(density * 100))
+    lab[0, :4, :] = 1
+    lab[-1, -1, :] = 2
+    lab[5:9, 0, -1] = 2
+    lab[-1, 0, 0] = 1
+    got = ev.label_lesions(lab)
+    want = _label_whole_volume(lab)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    _assert_labels_match_flood_fill(lab)
+
+
 def test_volume_ul_at_half_mm():
     lab = np.zeros((4, 4, 4), np.uint8)
     lab[0, 0, 0:3] = 1

@@ -404,6 +404,19 @@ def test_local_blob_and_halo_match_whole_volume_ops(seed_voxel):
     assert np.array_equal(occupied, halo)
 
 
+@pytest.mark.parametrize("density", [0.3, 0.5, 0.7])
+def test_seed_piece_matches_scipy_label(density):
+    # random masks of several pieces, seeds on faces, edges, corners and
+    # inside: the seed's 26-connected component as scipy labels it
+    rng = np.random.default_rng(int(density * 10))
+    for shape in ((9, 11, 13), (1, 7, 5), (6, 2, 8)):
+        mask = rng.random(shape) < density
+        for seed in itertools.product(*((0, n // 2, n - 1) for n in shape)):
+            mask[seed] = True
+            lab, _ = ndimage.label(mask, structure=FULL)
+            assert np.array_equal(phantom._seed_piece(mask, seed), lab == lab[seed]), seed
+
+
 def test_max_filter_dilation_matches_iterated_binary_dilation():
     rng = np.random.default_rng(3)
     tissue = phantom._make_tissue(PhantomSpec(side_voxels=32), rng)
@@ -463,6 +476,41 @@ def test_dilate_matches_maximum_filter(shape):
     for mask in masks:
         for r in (1, 2):
             assert np.array_equal(phantom._dilate(mask, r), dilate_reference(mask, r)), r
+
+
+# --- smoothing against scipy's gaussian_filter ----------------------------------------
+
+
+@pytest.mark.parametrize("side", [32, 37, 56])
+def test_smooth_matches_gaussian_filter_on_phantom_boxes(side, monkeypatch):
+    # the ellipsoid boxes that _make_tissue smooths: at 32-56 they are
+    # clipped at volume faces, where the reflection reads the box's edge
+    boxes = []
+    smooth = phantom._smooth
+
+    def recorded(f):
+        boxes.append(f.copy())
+        smooth(f)
+        boxes.append(f.copy())
+
+    monkeypatch.setattr(phantom, "_smooth", recorded)
+    for seed in range(3):
+        phantom._make_tissue(PhantomSpec(side_voxels=side), np.random.default_rng(seed))
+    assert len(boxes) == 6
+    for before, after in zip(boxes[::2], boxes[1::2]):
+        assert after.tobytes() == ndimage.gaussian_filter(before, sigma=1.0).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 1), (3, 5, 9), (10, 1, 7), (17, 23, 31),
+                                   (40, 9, 26)])
+def test_smooth_matches_gaussian_filter_on_random_arrays(shape):
+    # axes shorter than the filter's reach reflect more than once
+    rng = np.random.default_rng(sum(shape))
+    for f in (rng.random(shape), rng.standard_normal(shape) * 1e3, rng.random(shape) < 0.5):
+        f = f.astype(np.float32)
+        want = ndimage.gaussian_filter(f, sigma=1.0)
+        phantom._smooth(f)
+        assert f.tobytes() == want.tobytes()
 
 
 # --- brain-box geometry at the volume faces ----------------------------------------

@@ -2,6 +2,8 @@ import dataclasses
 import errno
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ from clseg.unet import CheckpointMismatchError
 from clseg.volume_io import read_volume
 
 from brute_force import flood_fill_components
-from conftest import TINY_SPEC, edit_header, write_old_network_keys
+from conftest import ROOT, TINY_SPEC, edit_header, write_old_network_keys
 
 
 def _cfg(cohort_dir, out_dir, iterations=4, variant="multitask_icd", **tr):
@@ -367,3 +369,44 @@ def test_check_cohort_many_subjects(tmp_path):
     manifest = pipeline.check_cohort(dirs)
     assert len(manifest["subjects"]) == 12
     assert manifest["total_lesions"] == 0
+
+
+# phantom -> train -> infer -> report through the command line, then the
+# scipy modules loaded: clseg labels, smooths and resamples in numpy, and
+# imports scipy only for the run manifest's version
+NO_SCIPY_RUN = """
+import json
+import sys
+from pathlib import Path
+
+from clseg.cli import main
+
+tmp = Path(sys.argv[1])
+doc = {"network": {"base_channels": 2, "input_patch": 44},
+       "phantom": {"side_voxels": 48, "cortex_thickness_voxels": 4,
+                   "lesion_counts": [3, 1, 4, 1], "lesion_size_range": [6, 50]},
+       "training": {"iterations": 1, "checkpoint_every": 1},
+       "paths": {"cohort_dir": str(tmp / "cohort"), "out_dir": str(tmp / "out")}}
+config = tmp / "run.json"
+config.write_text(json.dumps(doc))
+args = ["--config", str(config)]
+assert main(["phantom", *args, "--n-subjects", "2"]) == 0
+assert main(["train", *args]) == 0
+for subject in ("subject_00", "subject_01"):
+    assert main(["infer", *args, "--checkpoint", str(tmp / "out" / "checkpoint_00000001"),
+                 "--subject", str(tmp / "cohort" / subject), "--out", str(tmp / "pred")]) == 0
+assert main(["report", *args, "--out", str(tmp / "rep"), "--pred", f"m={tmp / 'pred'}"]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
+"""
+
+
+def test_no_scipy_ndimage_or_special_in_a_run(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    r = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path)],
+                       capture_output=True, text=True, env=env, timeout=300)
+    assert r.returncode == 0, r.stderr
+    loaded = json.loads(r.stdout.splitlines()[-1])
+    assert not [m for m in loaded if m.startswith(("scipy.ndimage", "scipy.special"))], loaded
+    assert (tmp_path / "pred" / "subject_01" / "cl_pred.raw").exists()
+    assert (tmp_path / "rep" / "table1.csv").exists()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import ndimage, stats
 
 from clseg import sampling
 from clseg.evaluation import label_lesions
@@ -276,6 +276,39 @@ def test_resampling_matches_per_channel_reference(shape, side, kind):
         for got, vol in ((p.cl_labels, subj.cl_labels), (p.tissue_labels, subj.tissue_labels),
                          (p.wml_labels, subj.wml_labels)):
             assert np.array_equal(got, rotate_window_reference(vol, center, rot, ls, 0))
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 7), (2, 1, 3), (7, 56, 2), (3, 9, 1)])
+def test_nearest_window_matches_scipy_on_short_axes(shape):
+    # axes of length 1 and 2, centres placing the window beyond +-3n of the
+    # volume, and zero angles on an odd side, whose coordinates are all
+    # half-integers: scipy's fold, rounding and edge reflection, each case
+    rng = np.random.default_rng(sum(shape))
+    vol = rng.integers(0, 250, size=shape).astype(np.uint8)
+    n = np.array(shape)
+    poses = [(np.zeros(3), (0, 0, 0)), (-3 * n - 2, (0, 0, 0)), (4 * n + 3, (0, 0, 0)),
+             (n // 2, (90, -180, 90)), (-3 * n, rng.uniform(-180, 180, 3)),
+             (4 * n, rng.uniform(-180, 180, 3)), (n // 2, rng.uniform(-180, 180, 3))]
+    for side in (9, 10):
+        for center, angles in poses:
+            rot = rotation_matrix(angles)
+            origin = (np.asarray(center, dtype=float) - 0.5)[:, None]
+            got, = sampling._nearest_window((vol,), origin, rot, side)
+            want = rotate_window_reference(vol, center, rot, side, 0)
+            assert np.array_equal(got, want), (side, center, angles)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 56, 96])
+def test_nearest_mirror_matches_map_coordinates(n):
+    # quarter steps over +-6n hit every half-integer, exactly and one ulp
+    # below; the random coordinates reach beyond +-3n
+    rng = np.random.default_rng(n)
+    half = np.arange(-6 * n, 6 * n) + 0.5
+    coords = np.concatenate([np.arange(-6 * n - 3, 6 * n + 3, 0.25), np.nextafter(half, 0),
+                             np.nextafter(half, np.inf), rng.uniform(-5 * n, 5 * n, 20000)])
+    want = ndimage.map_coordinates(np.arange(n), coords[None], order=0, mode="mirror",
+                                   prefilter=False)
+    assert np.array_equal(sampling._nearest_mirror(coords, n), want)
 
 
 def test_draw_stream_replays_reference_in_rng_order():
