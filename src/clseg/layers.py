@@ -27,9 +27,12 @@ is in, and it sums tap dz of slot (z + dz) mod R in tap order,
 ((t0 + t1) + t2) + bias, on its valid corner. The up to P planes a slab
 completes read, per tap, that many consecutive slots; they wrap past slot
 R-1 at most once, so the planes split into at most k + 1 ranges with
-contiguous slots for every tap. P is the largest count whose unrolled slab
-plus tap ring, (C*k*k*P + k*Co*R)*H*W elements, fits SLAB_BUDGET_ELEMS, or
-one plane if that is larger. The budget, 16 MiB in float32, sits under
+contiguous slots for every tap. P is the largest count whose unrolled
+slab plus tap ring, (C*k*k*P + k*Co*R)*H*W elements, fits
+SLAB_BUDGET_ELEMS, or one plane if that is larger; every pass and every
+stream sizes its slabs to that one budget. The budget, 4 MiB in float32,
+keeps a desk (C=4, 48^3) training step's peak at 6.8 MiB, against 19.8
+MiB at 16 MiB, at no step time that could be measured. It sits under
 glibc's 32 MiB mmap ceiling: freed buffers go back to the heap and the
 next call reuses their pages, where larger ones would be mmap'd and
 page-faulted afresh. The weight gradient unrolls each slab of the input
@@ -42,11 +45,12 @@ gradient is laid on the input's (H, W) grid after a front pad of
 (k-1)*(H*W+W+1) zeros, where wrapped taps read zeros, so every full-grid
 output column is an input gradient. That padded gradient is never built
 whole: each slab of it is written into one reused (Co, P + 1, H, W)
-buffer and unrolled from there; that pass's budget counts the buffer
-too. Its output columns are all kept, so where
-OpenBLAS's small-matrix kernel takes its products (under 1e6
-multiply-adds), their bytes depend on the slab size; the budget cuts a
-slab short only where the products are far larger.
+buffer and unrolled from there; that pass's budget counts the buffer and
+grad_out's planes, for either form of grad_out, so both take the same
+slabs. Its output columns are all kept, so where OpenBLAS's small-matrix
+kernel takes its products (under 1e6 multiply-adds), their bytes depend
+on the slab size; the budget cuts a network conv's slab short only where
+its products are larger.
 
 Every forward pass runs on a ConvCarry, which links the conv3d_forward
 calls that feed a conv its input in depth; a call on a whole input is
@@ -99,9 +103,9 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 # Upper bound on a conv pass's unrolled slab of input planes plus its ring
-# of full-grid tap outputs, in elements (16 MiB in float32, under glibc's
-# 32 MiB mmap ceiling).
-SLAB_BUDGET_ELEMS = 4 * 1024 * 1024
+# of full-grid tap outputs, in elements (4 MiB in float32, under glibc's
+# 32 MiB mmap ceiling), unless one plane needs more.
+SLAB_BUDGET_ELEMS = 1024 * 1024
 # Input elements per channel group of max pooling (1 MiB in float32), so the
 # group's pooled arrays stay in cache through the octant rounds.
 POOL_GROUP_ELEMS = 256 * 1024
@@ -127,15 +131,13 @@ class NonFiniteError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 
-def _slab_planes(Ci, Co, k, H, W, D, extra=0, budget=None):
+def _slab_planes(Ci, Co, k, H, W, D, extra=0):
     """Input planes P per slab: P unrolled planes of a (Ci, D, H, W) input
     plus a ring of R = P + k - 1 planes of the k taps' full-grid outputs,
     the planes from the oldest output plane a slab completes to the
     slab's last, and `extra` more elements per plane of the slab, fit
-    `budget` elements (SLAB_BUDGET_ELEMS if None), or P is one plane if
-    that is larger."""
-    budget = SLAB_BUDGET_ELEMS if budget is None else budget
-    room = budget // (H * W) - k * Co * (k - 1)
+    SLAB_BUDGET_ELEMS, or P is one plane if that is larger."""
+    room = SLAB_BUDGET_ELEMS // (H * W) - k * Co * (k - 1)
     return max(1, min(D, room // (Ci * k * k + k * Co + extra)))
 
 
@@ -179,12 +181,10 @@ class ConvCarry:
     planes leave pending, as one (B, k-1, Co, 1, oH, oW) array that holds
     plane z in slot z % (k-1), or None. It drops the packed
     weight and the sums once the last plane is in, so a conv called once
-    on its whole input keeps nothing. Its calls size their slabs to
-    `budget` elements (SLAB_BUDGET_ELEMS if None), which changes no byte
-    of the output."""
+    on its whole input keeps nothing."""
 
-    def __init__(self, depth: int, budget: int | None = None):
-        self.planes, self.depth, self.budget = 0, depth, budget
+    def __init__(self, depth: int):
+        self.planes, self.depth = 0, depth
         self.weight = self.sums = None
 
     def outputs(self, n: int, k: int) -> tuple[int, int]:
@@ -199,9 +199,8 @@ def _conv_slabs(planes, D, grid, weight, out, carry, bias=None, P=None):
 
     for the D planes x that follow the ConvCarry `carry`'s planes of an
     input on the (H, W) = grid, read in slabs of P input planes (from
-    _slab_planes and the carry's budget unless given): planes(b, q0, q1)
-    returns x[b, :, q0:] with C-contiguous planes, or at least planes
-    q0..q1-1 of it. Each slab is unrolled once, and one GEMM per run of
+    _slab_planes unless given): planes(b, q0, q1) returns x[b, :, q0:]
+    with C-contiguous planes, or at least planes q0..q1-1 of it. Each slab is unrolled once, and one GEMM per run of
     ring slots applies all k depth taps' kernels to it, (k*Co, Ci*k*k) @ U,
     writing input plane q's k tap outputs into slot q % R of a ring of
     R = P + k - 1 planes: the planes from the oldest output plane that a
@@ -239,11 +238,12 @@ def _conv_slabs(planes, D, grid, weight, out, carry, bias=None, P=None):
         w = np.ascontiguousarray(weight.transpose(2, 0, 1, 3, 4)).reshape(k * Co, -1)
     if sums is None and not done and k > 1:
         sums = np.empty((B, k - 1, Co, 1, oH, oW), dtype=out.dtype)
-    P = _slab_planes(Ci, Co, k, H, W, D, budget=carry.budget) if P is None else max(1, min(D, P))
+    P = _slab_planes(Ci, Co, k, H, W, D) if P is None else max(1, min(D, P))
     R = P + k - 1
     # the unrolled slab and the tap ring in one block: as separate arrays,
-    # the desk step page-faulted ~3,200 times (12 MiB) afresh in its first
-    # two convs, against none as one
+    # a desk step (C=4, 48^3) page-faulted afresh 1,600 times at one BLAS
+    # thread and 2,400 at two (6-9 MiB; minor faults by getrusage), against
+    # none as one
     work = np.empty((Ci * k * k * P + k * Co * R) * HW, dtype=out.dtype)
     U = work[:Ci * k * k * P * HW].reshape(Ci * k * k, P * HW)
     taps = work[U.size:].reshape(k, Co, R * HW)
@@ -413,10 +413,10 @@ def conv3d_backward(x: np.ndarray, weight: np.ndarray, grad_out, need_grad_x: bo
     # written into one reused buffer: plane j holds padded plane q0 + j. Its
     # first k-1 rows and columns stay zero, which is all that the last
     # plane's reads into the next one see. The budget of a slab counts its
-    # planes of the buffer and those a function hands over
+    # planes of the buffer and those a function hands over, for an array
+    # too, so that both forms of grad_out take the same slabs and bytes
     p = k - 1
-    extra = Co + (Co if callable(grad_out) else 0)
-    Px = _slab_planes(Co, Ci, k, H, W, D + p, extra)
+    Px = _slab_planes(Co, Ci, k, H, W, D + p, 2 * Co)
     buf = np.zeros((Co, Px + 1, H, W), dtype=dtype)
     inner = buf[:, :, p:, p:]
 

@@ -145,13 +145,13 @@ _SMOOTH_LINES = 4
 
 
 def _smooth(f: np.ndarray) -> None:
-    """Smooth the float32 array `f` in place with a Gaussian of standard
-    deviation _SMOOTH_SIGMA, to the bytes of scipy's
+    """Smooth the float32 (or float64) array `f` in place with a Gaussian
+    of standard deviation _SMOOTH_SIGMA, to the bytes of scipy's
     `gaussian_filter(f, _SMOOTH_SIGMA)`: along each axis in turn, every
     line is correlated in float64 with the normalised weights
     exp(-x^2 / 2 sigma^2), |x| <= _SMOOTH_REACH, over the line's
     reflection about its end faces (the edge voxel repeated, as numpy's
-    "symmetric" pad), and stored as float32. Each sum is taken in scipy's
+    "symmetric" pad), and stored in f's dtype. Each sum is taken in scipy's
     order for a symmetric kernel: the centre tap, then each pair of taps
     from the outermost in."""
     r = _SMOOTH_REACH

@@ -66,7 +66,7 @@ tests).
 
 For training, forward pushes the whole patch into a stream with a cache:
 level 1 runs through it before the lower levels make their arrays, which
-at C=16 and 68^3 keeps the forward's peak at 58 MiB, against 70 MiB in
+at C=16 and 68^3 keeps the forward's peak at 52 MiB, against 63 MiB in
 pushes of the depth. The cache keeps each conv unit's input and its ReLU
 mask, bit-packed per row so that a depth slice of it masks that slice of
 planes. A unit's output is cached once, as the input of what reads it:
@@ -98,8 +98,8 @@ DepthStream of its own. Its output rows are those of the whole pass byte
 for byte: a valid conv's output row reads only the rows it covers, a
 slice starting on a multiple of 4 keeps both poolings' pairs, a forward
 GEMM reduces over Ci*k*k, which OpenBLAS does not split between threads,
-and every product spans whole planes of the slice. The slices' streams
-share one stream's conv budget (sliding_window_inference). The padded
+and every product spans whole planes of the slice. Each slice's convs
+size their slabs to the one budget, layers.SLAB_BUDGET_ELEMS. The padded
 volume is never built: each push is gathered from the contrasts, and no
 level-1 activation but the enc1b crop in its FIFO is held more than a
 push deep.
@@ -413,15 +413,14 @@ class DepthStream:
     they are its `outputs`; without it, `outputs` are the two heads'
     (B, 3, ...) probability maps over the whole output. With `cache`,
     forward's, the stream writes its entries' planes into whole arrays and
-    fills it once the last plane is in, all but enc1a's input. Its convs
-    size their slabs to `budget` elements (layers.ConvCarry). `composed`,
+    fills it once the last plane is in, all but enc1a's input. `composed`,
     `compose_decoders(params)` if given, spares composing the decoder
     kernels again for each of the streams of one set of parameters.
     """
 
     def __init__(self, params: NetworkParams, shape: tuple, batch: int = 1,
                  keep: tuple | None = None, cache: dict | None = None,
-                 budget: int | None = None, composed: dict | None = None):
+                 composed: dict | None = None):
         self.out_shape = tuple(output_shape(s) for s in shape)
         self.params, self.shape, self.batch, self.cache = params, tuple(shape), batch, cache
         n = shape[0]
@@ -437,7 +436,7 @@ class DepthStream:
         # unit's or pooling's output planes go to
         self.shapes, self.arrays, self.writes = {}, {}, {}
         self._shapes()
-        self.carries = {name: layers.ConvCarry(self.shapes[name][2], budget)
+        self.carries = {name: layers.ConvCarry(self.shapes[name][2])
                         for name, _, _ in param_specs(params.config)[:-2]}
         self.pushed = self.emitted = 0
         # without keep, allocated by the first head planes, in their dtype
@@ -619,7 +618,8 @@ def _push_depth(base_channels: int, shape: tuple) -> int:
     output, 2C channels a plane in octants, and dec1a output of `_dec`; the
     dec1b output) take a quarter of SLAB_BUDGET_ELEMS at most, so that a
     conv's slab stays the largest array of a push. A multiple of 4 keeps
-    every push in whole pooling pairs down to level 3.
+    every push in whole pooling pairs down to level 3. At C=4 a 48^3
+    patch runs level 1 in chunks of 8 planes (36 at a 4 Mi budget).
     """
     _, h, w = shape
     plane = sum(ch * base_channels * (h - m) * (w - m)
@@ -821,14 +821,13 @@ def sliding_window_inference(params: NetworkParams, contrasts: np.ndarray,
     slice and a worker thread each other one, with OpenBLAS at one thread
     for the whole call and at its count again after it, on an error too;
     a slice that raises stops the others at their next push, and its
-    error is raised once all have ended. With n > 1 the streams' convs
-    size their slabs to SLAB_BUDGET_ELEMS // n^2, so that at C=4 the n
-    streams together peak no higher than one does (96^3: 32.5 MiB in two
-    slices, 36 MiB in one). At C=16 a conv of a slice needs more than
-    its share for one plane, and two slices of 96^3 peak at 119 MiB,
-    against 97 MiB for one stream. The bytes are those of one pass however
-    many slices run (module docstring). The name recalls the overlap tiles
-    this pass replaced.
+    error is raised once all have ended. Every stream's convs size their
+    slabs to SLAB_BUDGET_ELEMS; a level-1 slab is one plane in one stream
+    or in several. By tracemalloc, a 96^3 subject peaks at C=4 at 27.9 MiB
+    in one stream and 32.4 MiB in two slices, and at C=16 at 97.3 and
+    116.4 MiB. The bytes are those of one pass however many slices run
+    (module docstring). The name recalls the overlap tiles this pass
+    replaced.
 
     contrasts: (3, D, H, W) already-normalized float32. Returns
     (cl_labels u8, tissue_labels u8, cl_prob f32, run): the first three at
@@ -861,8 +860,7 @@ def sliding_window_inference(params: NetworkParams, contrasts: np.ndarray,
         y0, y1 = rows[i], rows[i + 1]
         try:
             stream = DepthStream(params, (padded[0], y1 - y0 + SHRINK_PER_SIDE, padded[2]),
-                                 keep=tuple(o[:, y0:y1] for o in outputs),
-                                 budget=layers.SLAB_BUDGET_ELEMS // n ** 2, composed=composed)
+                                 keep=tuple(o[:, y0:y1] for o in outputs), composed=composed)
             iy = reflect_indices(shape[1], y0 - margin, y1 - y0 + SHRINK_PER_SIDE)
             for z0 in range(0, padded[0], stream.depth):
                 if failed.is_set():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,18 @@ def tiny_replication_config(**overrides) -> RunConfig:
         training=dataclasses.replace(cfg.training, iterations=2, checkpoint_every=2),
         phantom=dataclasses.replace(TINY_SPEC, n_subjects=2))
     return dataclasses.replace(cfg, **overrides)
+
+
+def traced_peak(fn):
+    """(fn(), the peak in bytes of the memory that tracemalloc traced while
+    fn ran); tracing stops on an error too."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def edit_header(ckpt: Path, edit) -> None:

@@ -440,10 +440,10 @@ def test_cli_train_infer_report_flow(tmp_path, tiny_cohort, capsys):
         assert doc["subject_dir"] == str((tiny_cohort / sid).resolve())
         assert doc["checkpoint"] == str(ckpt.resolve())
         # a 48^3 subject is streamed through the network mirror-padded to
-        # 88^3, at C=2 in pushes of 12 planes, in one height slice: its 48
+        # 88^3, at C=2 in pushes of 4 planes, in one height slice: its 48
         # output rows leave no second slice its 40
         assert (doc["padded_shape"], doc["forward_calls"], doc["slices"]) == \
-            ([88, 88, 88], 8, 1)
+            ([88, 88, 88], 22, 1)
     assert main(["report", "--config", str(path),
                  "--out", str(tmp_path / "rep"),
                  "--pred", f"model={tmp_path / 'pred'}"]) == 0

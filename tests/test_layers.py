@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +8,7 @@ from clseg import layers as L
 from brute_force import (conv3d_backward_loops, conv3d_loops, maxpool3d_backward_loops,
                          maxpool3d_blocks, maxpool3d_loops, transposed_conv3d_backward_loops,
                          transposed_conv3d_loops)
+from conftest import traced_peak
 from gradcheck import argmax_pattern, gradient_check, relu_pattern
 
 rng = np.random.default_rng(20240917)
@@ -102,7 +101,7 @@ def test_conv_backward_matches_finite_differences():
     assert rep.passed, rep.summary()
 
 
-@pytest.mark.parametrize("budget", [None, 1, 5000, 6000],
+@pytest.mark.parametrize("budget", [None, 1, 5000, 6200],
                          ids=["default", "one-plane", "two-plane", "three-plane"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_conv_forward_and_backward_match_loop_oracles(monkeypatch, k, budget):
@@ -131,26 +130,29 @@ def test_conv_forward_and_backward_match_loop_oracles(monkeypatch, k, budget):
 
 
 def test_conv_float32_paper_enc1b_bytes_do_not_depend_on_the_slabs(monkeypatch):
-    # paper enc1b: slabs of 3 input planes in the forward and 2 in the
-    # grad_x pass, where ring runs wrap, against one slab of every plane.
-    # These GEMMs are too large for OpenBLAS's small-matrix kernel, whose
-    # bits depend on the column count, so how the columns are split changes
-    # no byte
+    # paper enc1b: slabs of 1 input plane in the forward and in the grad_x
+    # pass at the default budget, and of 3 and 2 at 4 Mi elements, where
+    # ring runs wrap, against one slab of every plane. These GEMMs are too
+    # large for OpenBLAS's small-matrix kernel, whose bits depend on the
+    # column count, so how the columns are split changes no byte
     Ci, Co, k, s = 16, 32, 3, 66
     r = np.random.default_rng(4)
     x = r.standard_normal((1, Ci, s, s, s), dtype=np.float32)
     w = (r.standard_normal((Co, Ci, k, k, k)) * 0.05).astype(np.float32)
     b = r.standard_normal(Co).astype(np.float32)
     g = r.standard_normal((1, Co, s - 2, s - 2, s - 2), dtype=np.float32)
-    extra = Co  # the grad_x pass's planes of the padded gradient
-    assert (L._slab_planes(Ci, Co, k, s, s, s), L._slab_planes(Co, Ci, k, s, s, s + 2, extra)) \
-        == (3, 2)
-    want = [L.conv3d_forward(x, w, b), L.conv3d_backward(x, w, g)[0]]
-    monkeypatch.setattr(L, "SLAB_BUDGET_ELEMS", 2 ** 27)
-    assert L._slab_planes(Ci, Co, k, s, s, s) == s
-    assert L._slab_planes(Co, Ci, k, s, s, s + 2, extra) == s + 2
-    assert L.conv3d_forward(x, w, b).tobytes() == want[0].tobytes()
-    assert L.conv3d_backward(x, w, g)[0].tobytes() == want[1].tobytes()
+    extra = 2 * Co  # the grad_x pass's planes of the padded gradient and of grad_out
+
+    def slabs():
+        return L._slab_planes(Ci, Co, k, s, s, s), L._slab_planes(Co, Ci, k, s, s, s + 2, extra)
+
+    got = {}
+    for budget, planes in ((2 ** 27, (s, s + 2)), (L.SLAB_BUDGET_ELEMS, (1, 1)),
+                           (4 * 1024 * 1024, (3, 2))):
+        monkeypatch.setattr(L, "SLAB_BUDGET_ELEMS", budget)
+        assert slabs() == planes
+        got[planes] = (L.conv3d_forward(x, w, b).tobytes(), L.conv3d_backward(x, w, g)[0].tobytes())
+    assert got[(1, 1)] == got[(s, s + 2)] and got[(3, 2)] == got[(s, s + 2)]
 
 
 def test_conv_float32_bytes_do_not_depend_on_the_split_of_the_input(monkeypatch):
@@ -191,8 +193,8 @@ def test_conv_float32_bytes_do_not_depend_on_the_split_of_the_input(monkeypatch)
 
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("P", [1, 2])
-def test_conv_carried_calls_in_small_slabs_give_the_one_pass_bytes(k, P):
-    # a carry whose budget makes slabs of P planes, on a batch of 2: a
+def test_conv_carried_calls_in_small_slabs_give_the_one_pass_bytes(monkeypatch, k, P):
+    # a budget that makes a carry's slabs P planes, on a batch of 2: a
     # pending plane's sum is the first operand of taps from one or more
     # slabs of a call (at k=3 and P=1, its last tap comes in the call's
     # second slab), or it stays pending through a call of one plane and
@@ -203,10 +205,11 @@ def test_conv_carried_calls_in_small_slabs_give_the_one_pass_bytes(k, P):
     w = (r.standard_normal((Co, Ci, k, k, k)) * 0.1).astype(np.float32)
     b = r.standard_normal(Co).astype(np.float32)
     want = L.conv3d_forward(x, w, b).tobytes()
-    budget = (P * (Ci * k * k + k * Co) + k * Co * (k - 1)) * H * W
-    assert L._slab_planes(Ci, Co, k, H, W, D, budget=budget) == P
+    monkeypatch.setattr(L, "SLAB_BUDGET_ELEMS",
+                        (P * (Ci * k * k + k * Co) + k * Co * (k - 1)) * H * W)
+    assert L._slab_planes(Ci, Co, k, H, W, D) == P
     for pieces in ((1, 4, 1, 5), (2, 1, 3, 5), (3, 3, 3, 2), (1,) * D):
-        carry, outs, z = L.ConvCarry(D, budget), [], 0
+        carry, outs, z = L.ConvCarry(D), [], 0
         for n in pieces:
             outs.append(L.conv3d_forward(x[:, :, z:z + n], w, b, carry=carry))
             z += n
@@ -254,22 +257,21 @@ def test_conv_backward_memory_within_one_slab():
     # paper-width enc1b backward: besides its outputs, only one slab's
     # unrolled input plus the ring of tap outputs, or in the grad_x pass
     # that plus its planes of the padded gradient, are alive at any time:
-    # the slab budget, and the plane the padded slab's last row reads into.
-    # With `out`, grad_x goes into the caller's array
+    # the slab the pass chooses, which is the budget or, where that is
+    # larger, one plane's block (here, in the grad_x pass), and the plane
+    # the padded slab's last row reads into. With `out`, grad_x goes into
+    # the caller's array
     Ci, Co, k, s = 16, 32, 3, 66
     r = np.random.default_rng(3)
     x = r.standard_normal((1, Ci, s, s, s), dtype=np.float32)
     w = r.standard_normal((Co, Ci, k, k, k), dtype=np.float32)
     g = r.standard_normal((1, Co, s - 2, s - 2, s - 2), dtype=np.float32)
     want = L.conv3d_backward(x, w, g)
-    tracemalloc.start()
-    try:
-        gx, gw, gb = L.conv3d_backward(x, w, g, out=x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (gx, gw, gb), peak = traced_peak(lambda: L.conv3d_backward(x, w, g, out=x))
     assert gx is x and gx.tobytes() == want[0].tobytes()
-    assert peak - gw.nbytes - gb.nbytes <= (L.SLAB_BUDGET_ELEMS + Co * s * s) * 4
+    assert L._slab_planes(Co, Ci, k, s, s, s + 2, 2 * Co) == 1
+    one_plane = (Co * k * k + k * Ci + 2 * Co + k * Ci * (k - 1)) * s * s
+    assert peak - gw.nbytes - gb.nbytes <= (max(L.SLAB_BUDGET_ELEMS, one_plane) + Co * s * s) * 4
 
 
 def test_conv_backward_takes_the_gradient_by_slabs(monkeypatch):
@@ -346,24 +348,14 @@ def test_maxpool_signed_zero_ties_keep_first():
 
 def test_maxpool_forward_temporaries_below_half_the_input():
     x = rng.standard_normal((1, 4, 32, 32, 32)).astype(np.float32)
-    tracemalloc.start()
-    try:
-        out, am = L.maxpool3d_forward(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (out, am), peak = traced_peak(lambda: L.maxpool3d_forward(x))
     assert peak - out.nbytes - am.nbytes < x.nbytes / 2
 
 
 def test_maxpool_backward_temporaries_below_a_quarter_of_the_input():
     x = np.random.default_rng(10).standard_normal((1, 4, 32, 32, 32), dtype=np.float32)
     out, am = L.maxpool3d_forward(x)
-    tracemalloc.start()
-    try:
-        gx = L.maxpool3d_backward(am, out)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    gx, peak = traced_peak(lambda: L.maxpool3d_backward(am, out))
     assert peak - gx.nbytes < x.nbytes / 4
 
 

@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from clseg.config import load_config
 from clseg.phantom import PhantomSpec, counts_from_mix, generate_cohort, generate_subject
 
 from brute_force import beyond_distance_reference, dilate_reference
-from conftest import ROOT, TINY_SPEC
+from conftest import ROOT, TINY_SPEC, traced_peak
 
 FULL = np.ones((3, 3, 3), bool)
 
@@ -186,16 +185,6 @@ def test_gre_missing_chunk():
 # --- cohort ----------------------------------------------------------------------
 
 
-def _traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
-
-
 def test_make_tissue_peak_memory():
     # 96^3: an int64 meshgrid of the voxel coordinates and float64
     # distances kept through the distance transform peaked at 69 MiB; open
@@ -204,8 +193,8 @@ def test_make_tissue_peak_memory():
     # the transform on the brain box at 24.4 MiB; the windowed uint8 shell
     # test in place of the transform at 6.3 MiB, most of it the smoothed
     # float32 ellipsoid box
-    peak = _traced_peak(lambda: phantom._make_tissue(PhantomSpec(side_voxels=96),
-                                                     np.random.default_rng(0)))
+    _, peak = traced_peak(lambda: phantom._make_tissue(PhantomSpec(side_voxels=96),
+                                                       np.random.default_rng(0)))
     assert peak <= 7.5 * 2 ** 20
 
 
@@ -214,7 +203,7 @@ def test_generate_subject_peak_memory():
     # 26.0 MiB with brain-box geometry and one whole-volume float64 noise
     # buffer reused by the three contrasts; 20.1 MiB with the noise drawn
     # for the brain voxels only
-    peak = _traced_peak(lambda: generate_subject(PhantomSpec(side_voxels=96), 0))
+    _, peak = traced_peak(lambda: generate_subject(PhantomSpec(side_voxels=96), 0))
     assert peak <= 22 * 2 ** 20
 
 
@@ -508,6 +497,18 @@ def test_smooth_matches_gaussian_filter_on_random_arrays(shape):
     rng = np.random.default_rng(sum(shape))
     for f in (rng.random(shape), rng.standard_normal(shape) * 1e3, rng.random(shape) < 0.5):
         f = f.astype(np.float32)
+        want = ndimage.gaussian_filter(f, sigma=1.0)
+        phantom._smooth(f)
+        assert f.tobytes() == want.tobytes()
+
+
+def test_smooth_sums_in_scipys_order_on_float64_arrays():
+    # in float64 no float32 store hides a change of summation order: the
+    # bytes are gaussian_filter's only if each sum takes the centre tap,
+    # then the tap pairs from the outermost in
+    rng = np.random.default_rng(48)
+    for _ in range(5):
+        f = rng.standard_normal((12, 13, 14))
         want = ndimage.gaussian_filter(f, sigma=1.0)
         phantom._smooth(f)
         assert f.tobytes() == want.tobytes()

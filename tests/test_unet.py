@@ -1,6 +1,5 @@
 import dataclasses
 import functools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from clseg.volume_io import CONTRAST_NAMES, LABEL_CODES
 
 from brute_force import (conv3d_backward_loops, conv3d_loops, transposed_conv3d_backward_loops,
                          transposed_conv3d_loops)
-from conftest import edit_header, write_old_network_keys
+from conftest import edit_header, traced_peak, write_old_network_keys
 
 rng = np.random.default_rng(31)
 
@@ -560,21 +559,17 @@ def test_forward_without_cache_frees_dead_activations():
     # A no-cache forward keeps one conv slab and its tap buffer plus a few
     # activations alive, and level 1 only a push of planes at a time: at
     # C=4 and a 68^3 input the enc1b output is 8 * 64^3 float32 = 8 MiB and
-    # the slab at most SLAB_BUDGET_ELEMS floats, 16 MiB. Holding every
+    # the slab at most SLAB_BUDGET_ELEMS floats, 4 MiB. Holding every
     # activation to the end, as a cached forward does, peaks near 120 MiB;
     # freeing each once dead but running level 1 whole, at 30 MiB (the
-    # enc1b output beside its enc1a input and a slab); streamed in pushes
-    # of 12 planes, at 19 MiB
+    # enc1b output beside its enc1a input and a 16 MiB slab); streamed in
+    # pushes of 12 planes with 16 MiB slabs, at 17.7 MiB; in pushes of 4
+    # with 4 MiB slabs, at 6.9 MiB
     params = unet.build_network(unet.NetworkConfig(base_channels=4), seed=0)
     x = np.random.default_rng(2).standard_normal((1, 3, 68, 68, 68)).astype(np.float32)
     widest = 2 * 4 * 64 ** 3 * 4
     slab = layers.SLAB_BUDGET_ELEMS * 4
-    tracemalloc.start()
-    try:
-        unet.forward(params, x)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: unet.forward(params, x))
     assert peak <= slab + widest
 
 
@@ -695,7 +690,8 @@ def test_enc1b_gradient_by_slabs_is_the_whole_composition(base, side):
     # skip gradient added into its crop, the ReLU mask, then
     # conv3d_backward on the whole array. Slabs of 3 planes split pooling
     # pairs and end in a shorter one; in the conv backward, the weight
-    # gradient's slabs are 3 planes at C=16 and one or two elsewhere.
+    # gradient's slabs are 19 planes at C=2, 7 at C=4 and 1 at C=16, and
+    # the grad_x pass's 11, 4 and 1, whichever form grad_out takes.
     # grad_x and grad_w are the same bytes; grad_b, summed per slab in
     # float64, is within 1e-6 of the channel's absolute sum
     r = np.random.default_rng(base * side)
@@ -729,29 +725,28 @@ def _step_peaks(base, side):
     params = unet.build_network(unet.NetworkConfig(base_channels=base, input_patch=side), seed=0)
     state = AdamState.for_params(params.tensors)
     batch = _batch(side=side, seed=4)
-    tracemalloc.start()
-    try:
-        cl, tis, cache = unet.forward(params, batch["input"], want_cache=True)
-        forward = tracemalloc.get_traced_memory()[1]
-        del cl, tis, cache
-        tracemalloc.reset_peak()
-        unet.train_step(params, state, batch, True)
-        step = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return forward, step
+    forward = traced_peak(lambda: unet.forward(params, batch["input"], want_cache=True))[1]
+    return forward, traced_peak(lambda: unet.train_step(params, state, batch, True))[1]
 
 
 def test_train_step_peak_memory_holds_each_activation_once():
     # C=16, 48^3: the widest activation (enc1b, 32 x 44^3 float32) is
-    # 10.4 MiB and a conv slab at most 16 MiB. Caching pre- and
-    # post-activations and freeing nothing before backward returned peaked
-    # at 90 MiB; one array per activation, freed as backward consumes it,
-    # at 55 MiB; with the skips cropped at pooling, packed masks for the
-    # pooled units and the padded gradient built one slab at a time, at
-    # 44 MiB; with level 1 in depth chunks, every mask packed and each
-    # input gradient written over its input, at 31.1 MiB
-    assert _step_peaks(16, 48)[1] <= 36 * 2 ** 20
+    # 10.4 MiB and a conv slab 4 MiB unless one plane needs more. Caching
+    # pre- and post-activations and freeing nothing before backward
+    # returned peaked at 90 MiB; one array per activation, freed as
+    # backward consumes it, at 55 MiB; with the skips cropped at pooling,
+    # packed masks for the pooled units and the padded gradient built one
+    # slab at a time, at 44 MiB; with level 1 in depth chunks, every mask
+    # packed and each input gradient written over its input, at 31.1 MiB
+    # with 16 MiB slabs; with 4 MiB slabs, at 26.3 MiB
+    assert _step_peaks(16, 48)[1] <= 28 * 2 ** 20
+
+
+def test_desk_width_train_step_peak_memory():
+    # C=4, 48^3, the desk scale: the step's whole activation cache is about
+    # 3 MiB, so its peak is mostly one conv's work block. With 16 MiB slabs
+    # the step peaked at 19.8 MiB; with 4 MiB slabs, at 6.8 MiB
+    assert _step_peaks(4, 48)[1] <= 8 * 2 ** 20
 
 
 def test_paper_width_train_step_peak_memory():
@@ -759,25 +754,20 @@ def test_paper_width_train_step_peak_memory():
     # at 82.6 MiB beside enc1b's 32 MiB output, and the step at 88.6 MiB
     # in enc1b's conv backward beside its 32 MiB output gradient. With the
     # full-resolution units run in depth chunks and enc1b's gradient built
-    # by slabs, the forward peaks at 57.9 MiB in dec2b's conv, and the step
+    # by slabs, the forward peaked at 57.9 MiB in dec2b's conv, and the step
     # at 62.6 MiB in dec1b's conv backward: enc1a's 17.5 MiB activation, the
-    # other cached arrays and one conv's work block
+    # other cached arrays and one conv's work block, then of 16 MiB. With
+    # 4 MiB slabs the forward peaks at 51.9 MiB and the step at 53.6 MiB
     forward, step = _step_peaks(16, 68)
-    assert forward <= 60 * 2 ** 20
-    assert step <= 64 * 2 ** 20
+    assert forward <= 54 * 2 ** 20
+    assert step <= 56 * 2 ** 20
 
 
 def _inference_peak(monkeypatch, base, side, slices=1):
     params = unet.build_network(unet.NetworkConfig(base_channels=base), seed=0)
     contrasts = _toy_contrasts(side, seed=5)
     _pin_slices(monkeypatch, slices)
-    tracemalloc.start()
-    try:
-        unet.sliding_window_inference(params, contrasts)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
+    return traced_peak(lambda: unet.sliding_window_inference(params, contrasts))[1]
 
 
 def test_sliding_window_inference_builds_no_padded_subject(monkeypatch):
@@ -785,7 +775,7 @@ def test_sliding_window_inference_builds_no_padded_subject(monkeypatch):
     # (3 x 136^3 float32, 29 MiB) beside the forward of an 88^3 overlap
     # tile peaked at 89 MiB; streamed in pushes of 4 planes gathered from
     # the contrasts, with a 16 MiB conv slab, the skip FIFOs and the conv
-    # carries beside them, at 38 MiB
+    # carries beside them, at 38 MiB; with a 4 MiB slab, at 27.9 MiB
     assert _inference_peak(monkeypatch, 4, 96) <= 50 * 2 ** 20
 
 
@@ -794,17 +784,39 @@ def test_sliding_window_inference_at_paper_width_chunks_level_one(monkeypatch):
     # 68^3 overlap tile (32 x 64^3 float32, 32 MiB) made the peak 70 MiB;
     # streamed in pushes of 4 planes, 42 MiB: a 16 MiB conv slab, 8 MiB of
     # conv carries and 10.5 MiB of skip FIFOs (about 19 enc1b crop planes);
-    # 46 MiB with every carry's packed kernel (2.7 MiB) held for the stream
+    # 46 MiB with every carry's packed kernel (2.7 MiB) held for the stream.
+    # With a 4 MiB budget it is still 44.5 MiB, since one plane of enc1b's
+    # conv needs a larger work block
     assert _inference_peak(monkeypatch, 16, 56) <= 50 * 2 ** 20
 
 
 def test_sliced_inference_keeps_one_streams_memory(monkeypatch):
     # C=4, 96^3 in two height slices of 48 output rows, each streaming its
-    # 88 padded rows on a thread of its own, its conv slabs sized to a
-    # quarter of SLAB_BUDGET_ELEMS: the two streams together peak at 32.5
-    # MiB, under one stream's 36 MiB. With half the budget each they
-    # peaked at 36 MiB, with the whole budget each at 51 MiB
+    # 88 padded rows on a thread of its own: the two streams together peak
+    # at 32.4 MiB, one stream over all 136 rows at 27.9 MiB. Each level-1
+    # slab is one plane, so no smaller budget would lower the two streams'
+    # peak. With 8 MiB slabs each they peaked at 36 MiB, with 16 MiB slabs
+    # each at 51 MiB
     assert _inference_peak(monkeypatch, 4, 96, slices=2) <= 40 * 2 ** 20
+
+
+@pytest.mark.parametrize("slices, calls", [(1, (8, 22)), (2, (10, 44))])
+def test_inference_bytes_do_not_depend_on_the_slab_budget(monkeypatch, slices, calls):
+    # the budget before it was cut to SLAB_BUDGET_ELEMS, 4 Mi elements,
+    # against today's: other slabs in every conv and deeper pushes
+    # (_push_depth; 12 planes against 4 in one slice, 20 against 4 in
+    # each of two), and every product still spans whole planes, so the
+    # labels and cl_prob keep their bytes
+    params = unet.build_network(unet.NetworkConfig(base_channels=2), seed=0)
+    contrasts = _toy_contrasts(48, seed=6)
+    _pin_slices(monkeypatch, slices)
+    got = []
+    for budget in (4 * 1024 * 1024, layers.SLAB_BUDGET_ELEMS):
+        monkeypatch.setattr(layers, "SLAB_BUDGET_ELEMS", budget)
+        *outputs, run = unet.sliding_window_inference(params, contrasts)
+        got.append(([o.tobytes() for o in outputs], run["forward_calls"]))
+    assert (got[0][1], got[1][1]) == calls
+    assert got[0][0] == got[1][0]
 
 
 @pytest.fixture
